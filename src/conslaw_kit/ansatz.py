@@ -3,9 +3,10 @@
 A linear combination of user-supplied basis expressions is pushed through
 one of the determining residuals; splitting the residual over jet
 monomials and free coordinates yields a homogeneous linear system for the
-unknown constants, solved exactly by fraction-free elimination.  Every
-nullspace vector is substituted back automatically and must annihilate the
-residual.
+unknown constants, solved exactly: by sparse Gauss-Jordan elimination over
+Q when every entry is rational, and by fraction-free (Bareiss) elimination
+with side conditions when entries carry parameters.  Every nullspace
+vector is substituted back automatically and must annihilate the residual.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .determining import (adjoint_symmetry_residual,
                           differential_substitution_residual,
                           multiplier_residual, symmetry_residual)
 from .expr.atoms import Parameter
-from .expr.coeff import Coeff, Poly, mono_div, mono_gcd, mono_lcm
+from .expr.coeff import (Coeff, Monomial, Poly, mono_div, mono_gcd,
+                         mono_lcm)
 from .expr.errors import AnsatzError
 from .expr.expression import Expr, Powers
 from .expr.rules import RuleSet, as_ruleset
@@ -122,16 +124,17 @@ def build_and_split(p: AnsatzProblem) -> list[Row]:
         for term in res.terms:
             if any(q in unknown_set for q, _ in term.coeff.den):
                 raise AnsatzError("residual not linear in unknowns")
-            per_unknown = {c: Poly.zero() for c in p.unknowns}
+            per_unknown: dict[Parameter, dict[Monomial, Fraction]] = {}
             for monomial, q in term.coeff.num.terms:
                 hits = [(par, k) for par, k in monomial if par in unknown_set]
                 if not hits or len(hits) > 1 or hits[0][1] > 1:
                     raise AnsatzError("residual not linear in unknowns")
                 par = hits[0][0]
                 reduced = tuple((pp, kk) for pp, kk in monomial if pp != par)
-                per_unknown[par] = per_unknown[par] + Poly(((reduced, q),))
-            entries = tuple(Coeff(per_unknown[c], term.coeff.den)
-                            for c in p.unknowns)
+                per_unknown.setdefault(par, {})[reduced] = q
+            entries = tuple(
+                Coeff(Poly(tuple(per_unknown[c].items())), term.coeff.den)
+                if c in per_unknown else Coeff.zero() for c in p.unknowns)
             rows.append(Row(term.powers, comp_index, entries))
     return rows
 
@@ -192,11 +195,15 @@ def _normalize_poly_row(polys: list[Poly]) -> list[Poly]:
 
 def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
                  ) -> LinearSolveResult:
-    """Exact nullspace by fraction-free (Bareiss) elimination.
+    """Exact nullspace of the rows, fitted to the coefficient field.
 
-    Pivots that are not rational/nonzero-parameter units are recorded as
-    side-conditions (the generic branch is taken); the returned basis is
-    deterministic, normalized so each vector's first nonzero entry is 1.
+    After clearing denominators, a system whose entries are all rational
+    is solved by sparse Gauss-Jordan elimination over Q.  Otherwise
+    fraction-free (Bareiss) elimination runs over the parameter
+    polynomials; a pivot that is not a rational times a product of
+    nonzero-declared parameters is recorded as a side condition (the
+    generic branch is taken).  The returned basis is deterministic,
+    normalized so each vector's first nonzero entry is 1.
     """
     n = len(unknowns)
     mat: list[list[Poly]] = []
@@ -211,6 +218,60 @@ def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
         mat.append(polys)
         kept_rows.append(row)
 
+    if all(p.as_fraction() is not None for polys in mat for p in polys):
+        vectors, side = _rational_nullspace(mat, n), []
+    else:
+        vectors, side = _bareiss_nullspace(mat, n)
+    return LinearSolveResult(tuple(vectors), tuple(side), tuple(kept_rows),
+                             tuple(unknowns))
+
+
+def _rational_nullspace(mat: list[list[Poly]], n: int
+                        ) -> list[NullspaceVector]:
+    """Nullspace of a matrix of constant polynomials by sparse Gauss-Jordan
+    elimination over Fraction; rows are {column: nonzero entry}.
+
+    Pivots are searched in column order, as in `_bareiss_nullspace`, so
+    both find the same free columns and return the same vectors."""
+    rows = [{j: p.as_fraction() for j, p in enumerate(polys) if not p.is_zero}
+            for polys in mat]
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for col in range(n):
+        checkpoint()
+        i = next((i for i, row in enumerate(rows) if col in row), None)
+        if i is None:
+            continue
+        pivot = rows.pop(i)
+        inv = 1 / pivot[col]
+        pivot = {j: q * inv for j, q in pivot.items()}
+        for row in (*rows, *reduced.values()):
+            factor = row.get(col)
+            if factor is None:
+                continue
+            for j, q in pivot.items():
+                v = row.get(j, 0) - factor * q
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        reduced[col] = pivot
+
+    vectors = []
+    for fc in range(n):
+        if fc in reduced:
+            continue
+        entries = [Fraction(0)] * n
+        entries[fc] = Fraction(1)
+        for pc, pivot in reduced.items():
+            entries[pc] = -pivot.get(fc, 0)
+        vectors.append(_normalize_vector([Poly.const(q) for q in entries]))
+    return vectors
+
+
+def _bareiss_nullspace(mat: list[list[Poly]], n: int
+                       ) -> tuple[list[NullspaceVector], list[str]]:
+    """Nullspace by fraction-free (Bareiss) elimination, with the side
+    conditions of the generic branch; rewrites `mat` in place."""
     side: list[str] = []
     pivot_cols: list[int] = []
     prev_pivot = Poly.const(1)
@@ -226,7 +287,8 @@ def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         pivot = mat[r][col]
-        if pivot.as_unit() is None:
+        unit = pivot.as_unit()
+        if unit is None or any(not p.nonzero for p, _ in unit[1]):
             side.append(str(pivot))
         for i in range(r + 1, len(mat)):
             factor = mat[i][col]
@@ -260,27 +322,32 @@ def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
         common = Poly.const(1)
         for c in sorted(den):
             common = common * den[c]
-        cleared = [num[c] * common.exact_div(den[c]) if c in num else Poly.zero()
-                   for c in range(n)]
-        nonzero = [p for p in cleared if not p.is_zero]
-        content = Fraction(0)
-        for p in nonzero:
-            content = (p.rational_content() if content == 0
-                       else _fraction_gcd(content, p.rational_content()))
-        mono_common = nonzero[0].mono_content()
-        for p in nonzero[1:]:
-            mono_common = mono_gcd(mono_common, p.mono_content())
-        if content not in (0, 1) or mono_common:
-            cleared = [p.scale(1 / content).div_mono(mono_common)
-                       if not p.is_zero else p for p in cleared]
-        first = next(p for p in cleared if not p.is_zero)
-        if first.leading()[1] < 0:
-            cleared = [-p for p in cleared]
-            first = next(p for p in cleared if not p.is_zero)
-        vectors.append(NullspaceVector(tuple(cleared), first))
+        vectors.append(_normalize_vector(
+            [num[c] * common.exact_div(den[c]) if c in num else Poly.zero()
+             for c in range(n)]))
+    return vectors, side
 
-    return LinearSolveResult(tuple(vectors), tuple(side), tuple(kept_rows),
-                             tuple(unknowns))
+
+def _normalize_vector(cleared: list[Poly]) -> NullspaceVector:
+    """Divide out the rational and monomial content and make the leading
+    term of the first nonzero entry positive; that entry is the
+    denominator."""
+    nonzero = [p for p in cleared if not p.is_zero]
+    content = Fraction(0)
+    for p in nonzero:
+        content = (p.rational_content() if content == 0
+                   else _fraction_gcd(content, p.rational_content()))
+    mono_common = nonzero[0].mono_content()
+    for p in nonzero[1:]:
+        mono_common = mono_gcd(mono_common, p.mono_content())
+    if content not in (0, 1) or mono_common:
+        cleared = [p.scale(1 / content).div_mono(mono_common)
+                   if not p.is_zero else p for p in cleared]
+    first = next(p for p in cleared if not p.is_zero)
+    if first.leading()[1] < 0:
+        cleared = [-p for p in cleared]
+        first = next(p for p in cleared if not p.is_zero)
+    return NullspaceVector(tuple(cleared), first)
 
 
 def solve_ansatz(p: AnsatzProblem) -> LinearSolveResult:

@@ -146,12 +146,6 @@ class Poly:
             out.update(p for p, _ in m)
         return out
 
-    def degree_in(self, p: Parameter) -> int:
-        d = 0
-        for m, _ in self.terms:
-            d = max(d, dict(m).get(p, 0))
-        return d
-
     def mono_content(self) -> Monomial:
         """Gcd of all term monomials (the whole poly for zero is ())."""
         if not self.terms:

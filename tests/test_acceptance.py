@@ -268,7 +268,8 @@ def test_criterion_09_klein_gordon_adjoint(klein_gordon):
 def test_criterion_10_cli_contract():
     with _Budget(10, "corpus sessions, exit codes, JSON schema, parser "
                      "round-trip", 30):
-        env = {"CONSLAW_COLOR": "0", "PATH": "/usr/bin:/bin"}
+        env = {"CONSLAW_COLOR": "0", "PATH": "/usr/bin:/bin",
+               "PYTHONPATH": str(PKG_ROOT / "src")}
         for name in ("wave.cl", "thomas.cl", "klein-gordon.cl"):
             text = (CORPUS / name).read_text()
             canon = print_session_source(load_session(text))

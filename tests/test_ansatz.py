@@ -2,16 +2,20 @@
 side conditions, determinism."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.ansatz import (AnsatzProblem, LinearSolveResult,
-                                NullspaceVector, Row, build_and_split,
+                                NullspaceVector, Row, _bareiss_nullspace,
+                                _rational_nullspace, build_and_split,
                                 solve_ansatz, solve_linear)
+from conslaw_kit.cancel import deadline
 from conslaw_kit.determining import adjoint_symmetry_residual
 from conslaw_kit.expr import Expr, Parameter, atom_expr, exp_of
 from conslaw_kit.expr.coeff import Coeff, Poly, mono
-from conslaw_kit.expr.errors import AnsatzError
+from conslaw_kit.expr.errors import AnsatzError, CancelledComputation
 from conslaw_kit.variational import Characteristic
 
 from conftest import Syms as S
@@ -145,6 +149,31 @@ def _in_span(res: LinearSolveResult, target: dict[int, Coeff]) -> bool:
     return any(not v.numerators[-1].is_zero for v in sol.vectors)
 
 
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices, padded with zero rows, copies of rows and
+    combinations of two rows (so rank-deficient as well as full-rank)."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), fractions)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "copy", "combination")))
+        if kind == "zero" or not rows:
+            extra.append([Fraction(0)] * n)
+        elif kind == "copy":
+            extra.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s = draw(fractions)
+            extra.append([x + s * y for x, y in zip(a, b)])
+    mixed = draw(st.permutations(rows + extra))
+    return n, [[Poly.const(q) for q in row] for row in mixed]
+
+
 class TestSolveLinear:
     def test_single_relation(self):
         c = (Parameter("c1"), Parameter("c2"))
@@ -196,3 +225,27 @@ class TestSolveLinear:
         row = Row((), 0, (Coeff.one(), -Coeff.one()))
         res = solve_linear([row, row, row], c)
         assert res.dimension == 1
+
+    def test_undeclared_parameter_pivot_records_side_condition(self):
+        # a*c1 + c2 = 0 with `a` not declared nonzero: the basis vector
+        # (1, -a) assumes a != 0, so that must be reported.
+        a = Parameter("a")
+        c1, c2 = Parameter("c1"), Parameter("c2")
+        rows = [Row((), 0, (Coeff.param(a), Coeff.const(1)))]
+        res = solve_linear(rows, (c1, c2))
+        assert res.side_conditions == ("1*a",)
+        assert [str(p) for p in res.vectors[0].numerators] == ["1", "-1*a"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_matrices())
+    def test_rational_path_matches_bareiss(self, case):
+        n, mat = case
+        vectors, side = _bareiss_nullspace([list(r) for r in mat], n)
+        assert side == []
+        assert _rational_nullspace(mat, n) == vectors
+
+    def test_rational_path_honours_deadline(self):
+        c = (Parameter("c1"), Parameter("c2"))
+        rows = [Row((), 0, (Coeff.one(), Coeff.const(2)))]
+        with deadline(0), pytest.raises(CancelledComputation):
+            solve_linear(rows, c)

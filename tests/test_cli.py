@@ -22,7 +22,8 @@ def run_cli(*args, timeout=180):
     return subprocess.run(
         [sys.executable, "-m", "conslaw_kit", *args],
         capture_output=True, text=True, timeout=timeout,
-        env={"CONSLAW_COLOR": "0", "PATH": "/usr/bin:/bin"},
+        env={"CONSLAW_COLOR": "0", "PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(PKG_ROOT / "src")},
     )
 
 
@@ -159,7 +160,8 @@ class TestColorControl:
             [sys.executable, "-m", "conslaw_kit", "variational-check",
              "--session", WAVE],
             capture_output=True, text=True,
-            env={"CONSLAW_COLOR": "1", "PATH": "/usr/bin:/bin"})
+            env={"CONSLAW_COLOR": "1", "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": str(PKG_ROOT / "src")})
         assert "\x1b[32m" in r.stdout
 
     def test_color_off_by_default_when_piped(self):

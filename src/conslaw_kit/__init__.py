@@ -14,8 +14,8 @@ The `jet` constructor for jet atoms lives in `conslaw_kit.expr`; the name
 from .expr import (Atom, Coeff, ConslawError, ExpAtom, ExpConst, Expr,
                    ExprError, IndependentVar, JetVar, MultiIndex,
                    OpaqueDeriv, Parameter, Poly, RewriteRule, RuleSet, Term,
-                   apply_rules, atom_expr, collect, exp_of, is_zero, ivar,
-                   jet_atom, normalize, opaque, opaque_atom, param, partial,
-                   rational, substitute)
+                   atom_expr, collect, exp_of, is_zero, ivar, jet_atom,
+                   normalize, opaque, opaque_atom, param, partial, rational,
+                   substitute, sum_exprs)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .expr.atoms import Parameter
 from .expr.coeff import (Coeff, Monomial, Poly, mono_div, mono_gcd,
                          mono_lcm)
 from .expr.errors import AnsatzError
-from .expr.expression import Expr, Powers
+from .expr.expression import Expr, Powers, sum_exprs
 from .expr.rules import RuleSet, as_ruleset
 from .jet import PdeSystem
 from .variational import Characteristic, _as_characteristic
@@ -95,12 +95,14 @@ class AnsatzProblem:
                                tuple(Parameter(n) for n in names))
 
     def combination(self) -> Characteristic:
-        m = len(self.system.dep)
-        comps = [Expr.zero()] * m
-        for ck, b in zip(self.unknowns, self.basis):
-            for i in range(m):
-                comps[i] = comps[i] + Expr.from_atom(ck) * b.components[i]
-        return Characteristic(tuple(comps))
+        return _combine(self, [Expr.from_atom(ck) for ck in self.unknowns])
+
+
+def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> Characteristic:
+    """sum_k coeffs[k] * basis[k], component by component."""
+    return Characteristic(tuple(
+        sum_exprs(c * b.components[i] for c, b in zip(coeffs, p.basis))
+        for i in range(len(p.system.dep))))
 
 
 @dataclass(frozen=True)
@@ -360,17 +362,10 @@ def solve_ansatz(p: AnsatzProblem) -> LinearSolveResult:
 
 
 def _check_solution(p: AnsatzProblem, vec: NullspaceVector) -> None:
-    m = len(p.system.dep)
-    comps = [Expr.zero()] * m
-    for k, b in enumerate(p.basis):
-        coeff = Expr.from_coeff(Coeff(vec.numerators[k]))
-        if coeff.is_zero:
-            continue
-        for i in range(m):
-            comps[i] = comps[i] + coeff * b.components[i]
-    if all(c.is_zero for c in comps):
+    comb = _combine(p, [Expr.from_coeff(Coeff(n)) for n in vec.numerators])
+    if all(c.is_zero for c in comb.components):
         return
-    residual = TARGETS[p.target](p.system, Characteristic(tuple(comps)), p.rules)
+    residual = TARGETS[p.target](p.system, comb, p.rules)
     if any(not x.is_zero for x in residual):
         raise AnsatzError(
             "internal error: nullspace vector does not annihilate the "

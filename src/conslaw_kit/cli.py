@@ -16,12 +16,10 @@ import sys
 
 from .cancel import deadline
 from .dsl.commands import COMMANDS, UsageError, run_command, run_session_command
-from .dsl.lexer import ParseError
 from .dsl.parser import parse_expression
 from .dsl.report import Report, emit
 from .dsl.session import Session, load_session
-from .expr.errors import (CancelledComputation, ConslawError,
-                          SubstitutionClassError)
+from .expr.errors import ConslawError
 
 __all__ = ["main"]
 
@@ -98,17 +96,8 @@ def main(argv: list[str] | None = None) -> int:
             rep = run_command(session, ns.command, args)
             sys.stdout.write(emit(rep, fmt))
             return rep.exit_code
-    except (ParseError, UsageError, OSError) as ex:
-        _emit_error(str(ex), fmt)
-        return 2
-    except CancelledComputation as ex:
-        _emit_error(str(ex), fmt)
-        return 2
-    except SubstitutionClassError as ex:
-        # wrong argument class for the requested check: usage, not math
-        _emit_error(str(ex), fmt)
-        return 2
-    except ConslawError as ex:
+    except (ConslawError, OSError) as ex:
+        # parse, usage, timeout and wrong-argument errors: never math
         _emit_error(str(ex), fmt)
         return 2
 

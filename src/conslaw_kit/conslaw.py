@@ -18,10 +18,11 @@ from .determining import (EDecomposition, differential_substitution_residual,
                           e_decompose, substitute_multiplier_vars)
 from .expr.atoms import JetVar, MultiIndex
 from .expr.errors import ExprError
-from .expr.expression import Expr, atom_expr, jet_atom
+from .expr.expression import Expr, atom_expr, jet_atom, sum_exprs
 from .expr.rules import RuleSet, as_ruleset
 from .jet import PdeSystem, jet_partial, total_derivative
-from .variational import Characteristic, _as_characteristic, adjoint_variables, formal_lagrangian
+from .variational import (Characteristic, _as_characteristic, _signed,
+                          adjoint_variables, formal_lagrangian)
 
 __all__ = [
     "Generator", "ConservedVector", "VerificationReport", "characteristic_W",
@@ -41,7 +42,7 @@ class Generator:
 
     def __post_init__(self) -> None:
         if all(c.is_zero for c in self.xi) and all(c.is_zero for c in self.eta):
-            raise ValueError("generator must have a nonzero component")
+            raise ExprError("generator must have a nonzero component")
 
     @staticmethod
     def evolutionary(sys: PdeSystem, *eta: Expr) -> "Generator":
@@ -50,14 +51,10 @@ class Generator:
 
 def characteristic_W(sys: PdeSystem, g: Generator) -> Characteristic:
     """W^sigma = eta^sigma - sum_j xi^j u^sigma_j."""
-    comps = []
-    for sigma, d in enumerate(sys.dep):
-        w = g.eta[sigma]
-        for j, var in enumerate(sys.indep):
-            if not g.xi[j].is_zero:
-                w = w - g.xi[j] * atom_expr(jet_atom(d, var))
-        comps.append(w)
-    return Characteristic(tuple(comps))
+    return Characteristic(tuple(
+        eta - sum_exprs(xi * atom_expr(jet_atom(d, var))
+                        for xi, var in zip(g.xi, sys.indep) if not xi.is_zero)
+        for d, eta in zip(sys.dep, g.eta)))
 
 
 @dataclass(frozen=True)
@@ -133,25 +130,28 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None,
             comp = total_derivative(comp, var)
         return comp
 
+    def tuples(max_len: int):
+        for n in range(max_len + 1):
+            yield from itertools.product(sys.indep, repeat=n)
+
+    def bracket(d: str, slots: tuple[str, ...]) -> Expr:
+        pieces = []
+        for Tp in tuples(r - len(slots)):
+            dd = _slot_partial(lagr, d, slots + Tp)
+            if not dd.is_zero:
+                pieces.append(_signed(d_tuple(dd, Tp), len(Tp)))
+        return sum_exprs(pieces)
+
     raw = []
     for i, var in enumerate(sys.indep):
         checkpoint()
-        c = g.xi[i] * lagr if not g.xi[i].is_zero else Expr.zero()
-        for sigma, d in enumerate(sys.dep):
-            for s in range(0, r):
-                for T in itertools.product(sys.indep, repeat=s):
-                    slots = (var,) + T
-                    bracket = Expr.zero()
-                    for sp in range(0, r - len(slots) + 1):
-                        for Tp in itertools.product(sys.indep, repeat=sp):
-                            dd = _slot_partial(lagr, d, slots + Tp)
-                            if dd.is_zero:
-                                continue
-                            piece = d_tuple(dd, Tp)
-                            bracket = bracket + (piece.scale(-1) if sp % 2 else piece)
-                    if not bracket.is_zero:
-                        c = c + d_tuple(W.components[sigma], T) * bracket
-        raw.append(c)
+        pieces = [g.xi[i] * lagr]
+        for w, d in zip(W.components, sys.dep):
+            for T in tuples(r - 1):
+                b = bracket(d, (var,) + T)
+                if not b.is_zero:
+                    pieces.append(d_tuple(w, T) * b)
+        raw.append(sum_exprs(pieces))
 
     substitution_ok = None
     if phi is not None:
@@ -175,13 +175,16 @@ def verify_divergence(sys: PdeSystem, vec: "ConservedVector | Sequence[Expr]",
     """
     rules = as_ruleset(rules)
     comps = vec.components if isinstance(vec, ConservedVector) else tuple(vec)
-    div = Expr.zero()
-    for var, c in zip(sys.indep, comps):
-        div = div + total_derivative(c, var)
+    div = _divergence(sys, comps)
     checkpoint()
     dec = e_decompose(div, sys, rules)
     nontrivial = any(not rules.reduce(sys.reduce(c)).is_zero for c in comps)
     return VerificationReport(dec.remainder, dec, nontrivial)
+
+
+def _divergence(sys: PdeSystem, comps: Sequence[Expr]) -> Expr:
+    """D_i C^i"""
+    return sum_exprs(total_derivative(c, var) for var, c in zip(sys.indep, comps))
 
 
 @dataclass(frozen=True)
@@ -234,9 +237,6 @@ def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr],
             return EquivalenceResult(True, s, True, tuple(Expr.zero() for _ in a))
     for s in scales:
         diff = diff_for(s)
-        div = Expr.zero()
-        for var, d in zip(sys.indep, diff):
-            div = div + total_derivative(d, var)
-        if rules.reduce(div).is_zero:
+        if rules.reduce(_divergence(sys, diff)).is_zero:
             return EquivalenceResult(True, s, False, tuple(diff))
     return EquivalenceResult(False)

@@ -18,13 +18,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cancel import checkpoint
-from .expr.atoms import JetVar, MultiIndex, OpaqueDeriv
+from .expr.atoms import JetVar, MultiIndex
+from .expr.coeff import Coeff
 from .expr.errors import SubstitutionClassError, TrivialSubstitutionError
-from .expr.expression import Expr, atom_expr, collect, substitute
+from .expr.expression import (Expr, Term, atom_expr, collect, substitute,
+                              sum_exprs)
 from .expr.rules import RuleSet, as_ruleset
 from .jet import PdeSystem, total_derivative_multi
-from .variational import (Characteristic, _as_characteristic, adjoint_system,
-                          adjoint_variables, euler, linearize,
+from .variational import (Characteristic, _as_characteristic, _fresh_names,
+                          adjoint_system, adjoint_variables, euler, linearize,
                           adjoint_linearize)
 
 __all__ = [
@@ -39,7 +41,8 @@ __all__ = [
 class EDecomposition:
     """Exact split original = sum coeffs[(beta, J)] * D_J(E^beta) + S
     (+ terms of degree >= 2 in the equations, reported in `quadratic`
-    still carrying marker atoms)."""
+    still carrying marker atoms).  `coeffs` is in identity order: by
+    equation, then by `MultiIndex.sort_key`."""
 
     system: PdeSystem
     coeffs: dict[tuple[int, MultiIndex], Expr]
@@ -53,37 +56,16 @@ class EDecomposition:
 
     def reassemble(self) -> Expr:
         """Substitute the actual equations back; must reproduce the input."""
-        out = self.remainder
-        for (b, J), m in sorted(self.coeffs.items(),
-                                key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
-            out = out + m * total_derivative_multi(self.system.equations[b], J)
-        if not self.quadratic.is_zero:
-            binds = {}
-            for a in self.quadratic.atoms():
-                if isinstance(a, JetVar) and a.dep in self.marker_deps:
-                    b = self.marker_deps.index(a.dep)
-                    binds[a] = total_derivative_multi(self.system.equations[b],
-                                                      a.index)
-            out = out + substitute(self.quadratic, binds)
-        return out
-
-
-def _marker_names(sys: PdeSystem) -> tuple[str, ...]:
-    used = set(sys.indep) | set(sys.dep)
-    for eq in sys.equations:
-        for a in eq.atoms():
-            if isinstance(a, JetVar):
-                used.add(a.dep)
-            elif isinstance(a, OpaqueDeriv):
-                used.add(a.func)
-    names = []
-    for i in range(len(sys.equations)):
-        base = f"Emark{i + 1}"
-        while base in used:
-            base += "_"
-        used.add(base)
-        names.append(base)
-    return tuple(names)
+        binds = {}
+        for a in self.quadratic.atoms():
+            if isinstance(a, JetVar) and a.dep in self.marker_deps:
+                b = self.marker_deps.index(a.dep)
+                binds[a] = total_derivative_multi(self.system.equations[b],
+                                                  a.index)
+        return sum_exprs([
+            self.remainder, substitute(self.quadratic, binds),
+            *(m * total_derivative_multi(self.system.equations[b], J)
+              for (b, J), m in self.coeffs.items())])
 
 
 def e_decompose(e: Expr, sys: PdeSystem,
@@ -97,7 +79,7 @@ def e_decompose(e: Expr, sys: PdeSystem,
     quadratic content.
     """
     rules = as_ruleset(rules)
-    markers = _marker_names(sys)
+    markers = _fresh_names(sys, "Emark")
     shadow = PdeSystem(
         sys.indep, sys.dep, sys.equations, sys.leading,
         tuple(r + Expr.from_coeff(c.invert_unit()) * atom_expr(JetVar(name))
@@ -110,22 +92,18 @@ def e_decompose(e: Expr, sys: PdeSystem,
                     if isinstance(a, JetVar) and a.dep in markers}
     buckets = collect(reduced, marker_atoms)
     coeffs: dict[tuple[int, MultiIndex], Expr] = {}
-    remainder = Expr.zero()
-    quadratic = Expr.zero()
+    quadratic = []
     for key, val in buckets.items():
         degree = sum(k for _, k in key)
-        if degree == 0:
-            remainder = val
-        elif degree == 1:
+        if degree == 1:
             atom = key[0][0]
-            b = markers.index(atom.dep)
-            coeffs[(b, atom.index)] = val
-        else:
-            mono = Expr.const(1)
-            for a, k in key:
-                mono = mono * atom_expr(a) ** k
-            quadratic = quadratic + mono * val
-    return EDecomposition(sys, coeffs, remainder, quadratic, markers)
+            coeffs[(markers.index(atom.dep), atom.index)] = val
+        elif degree > 1:
+            quadratic.append(Expr((Term(Coeff.one(), key),)) * val)
+    coeffs = dict(sorted(coeffs.items(),
+                         key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
+    return EDecomposition(sys, coeffs, buckets.get((), Expr.zero()),
+                          sum_exprs(quadratic), markers)
 
 
 def symmetry_residual(sys: PdeSystem, eta,
@@ -224,9 +202,7 @@ def multiplier_residual(sys: PdeSystem, lam,
     NOT reduced on solutions (multipliers must work for arbitrary u)."""
     rules = as_ruleset(rules)
     lam = _as_characteristic(lam, len(sys.dep))
-    combined = Expr.zero()
-    for c, eq in zip(lam.components, sys.equations):
-        combined = combined + c * eq
+    combined = sum_exprs(c * eq for c, eq in zip(lam.components, sys.equations))
     return tuple(rules.reduce(euler(combined, d)) for d in sys.dep)
 
 
@@ -253,7 +229,6 @@ def adjoint_invariance_conditions(sys: PdeSystem, lam,
                 "internal inconsistency: multiplier-residual remainder does "
                 "not match the adjoint-symmetry residual")
         adjoint_parts.append(dec.remainder)
-        for (b, J), coeff in sorted(dec.coeffs.items(),
-                                    key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
+        for (b, J), coeff in dec.coeffs.items():
             extras.append(((sigma, b, J), coeff))
     return tuple(adjoint_parts), extras

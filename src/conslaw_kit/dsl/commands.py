@@ -191,15 +191,7 @@ def cmd_conslaw(session: Session, args) -> Report:
             for comp, red, raw in zip(sysm.indep, vec.components,
                                       vec.raw_components)
         },
-        identity={
-            "terms": [
-                (sysm.eq_names[b], ",".join(J.to_seq()), c)
-                for (b, J), c in sorted(
-                    rep_v.decomposition.coeffs.items(),
-                    key=lambda kv: (kv[0][0], kv[0][1].sort_key()))
-            ],
-            "remainder": rep_v.reduced_divergence,
-        },
+        identity=_identity(sysm, rep_v),
         extra={"nontrivial": rep_v.nontrivial},
     )
     if phi is None:
@@ -211,6 +203,16 @@ def cmd_conslaw(session: Session, args) -> Report:
             "the substitution does not satisfy its determining system; "
             "the result is generally not conserved")
     return report
+
+
+def _identity(sysm, rep_v) -> dict:
+    """The conservation-law identity sum M * D_J(E) + S of a divergence
+    report, in the order `e_decompose` gives it."""
+    return {
+        "terms": [(sysm.eq_names[b], ",".join(J.to_seq()), c)
+                  for (b, J), c in rep_v.decomposition.coeffs.items()],
+        "remainder": rep_v.reduced_divergence,
+    }
 
 
 def cmd_verify(session: Session, args) -> Report:
@@ -228,15 +230,7 @@ def cmd_verify(session: Session, args) -> Report:
         ("divergence vanishes on the solution manifold" if rep_v.ok
          else "divergence does not vanish on solutions"),
         residuals=[("remainder", rep_v.reduced_divergence)],
-        identity={
-            "terms": [
-                (sysm.eq_names[b], ",".join(J.to_seq()), c)
-                for (b, J), c in sorted(
-                    rep_v.decomposition.coeffs.items(),
-                    key=lambda kv: (kv[0][0], kv[0][1].sort_key()))
-            ],
-            "remainder": rep_v.reduced_divergence,
-        },
+        identity=_identity(sysm, rep_v),
         extra={"nontrivial": rep_v.nontrivial},
     )
 

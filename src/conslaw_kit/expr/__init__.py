@@ -8,15 +8,15 @@ from .errors import (AnsatzError, CancelledComputation, ConslawError,
                      SubstitutionClassError, TrivialSubstitutionError)
 from .expression import (Expr, Term, atom_expr, collect, exp_of, ivar, jet,
                          jet_atom, normalize, opaque, opaque_atom, param,
-                         partial, rational, substitute)
-from .rules import RewriteRule, RuleSet, apply_rules, as_ruleset, is_zero
+                         partial, rational, substitute, sum_exprs)
+from .rules import RewriteRule, RuleSet, as_ruleset, is_zero
 
 __all__ = [
     "Atom", "ExpAtom", "ExpConst", "IndependentVar", "JetVar", "MultiIndex",
     "OpaqueDeriv", "Parameter", "Coeff", "Poly", "Expr", "Term",
     "atom_expr", "collect", "exp_of", "ivar", "jet", "jet_atom", "normalize",
     "opaque", "opaque_atom", "param", "partial", "rational", "substitute",
-    "RewriteRule", "RuleSet", "apply_rules", "as_ruleset", "is_zero",
+    "sum_exprs", "RewriteRule", "RuleSet", "as_ruleset", "is_zero",
     "ConslawError", "ExprError", "RuleError", "LeadingSolveError",
     "SubstitutionClassError", "TrivialSubstitutionError", "AnsatzError",
     "CancelledComputation",

@@ -14,6 +14,11 @@ Arithmetic operators keep expressions canonical at every step:
   * exponents that collapse to rational constants become opaque constants
     (e^0 folds to 1);
   * zero is the empty sum and no term carries a zero coefficient.
+
+Every sum goes through one fold, `sum_exprs`: it merges the terms of all
+pieces by power product and sorts once.  `+` is its two-piece case and
+`*` folds the distributed products with the same pass, so a sum of many
+pieces never re-sorts a growing partial sum.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import ExprError
 __all__ = [
     "Term", "Expr", "atom_expr", "rational", "ivar", "param", "jet",
     "jet_atom", "opaque", "opaque_atom", "exp_of", "normalize",
-    "partial", "substitute", "collect",
+    "partial", "substitute", "collect", "sum_exprs",
 ]
 
 Powers = tuple[tuple[Atom, int], ...]
@@ -51,6 +56,14 @@ class Term:
     def sort_key(self):
         return (self.powers_key(), _coeff_key(self.coeff))
 
+    def lowered(self, i: int) -> "Term":
+        """The partial derivative by the atom of factor i: k * coeff times
+        the power product with that exponent lowered by one."""
+        a, k = self.powers[i]
+        kept = ((a, k - 1),) if k > 1 else ()
+        return Term(self.coeff.scale(k),
+                    self.powers[:i] + kept + self.powers[i + 1:])
+
     def __str__(self) -> str:
         facs = "*".join(f"{a}^{k}" if k > 1 else str(a) for a, k in self.powers)
         if not facs:
@@ -68,7 +81,7 @@ def _make_term(coeff: Coeff, factors: Iterable[tuple[Atom, int]]) -> Term | None
     """Canonicalize one term: fold parameters into the coefficient, merge
     exponential factors, drop the term if the coefficient vanishes."""
     plain: dict[Atom, int] = {}
-    exp_sum: Expr | None = None
+    exponents: list[Expr] = []
     for a, k in factors:
         if k == 0:
             continue
@@ -77,16 +90,15 @@ def _make_term(coeff: Coeff, factors: Iterable[tuple[Atom, int]]) -> Term | None
         if isinstance(a, Parameter):
             coeff = coeff * Coeff.param(a, k)
         elif isinstance(a, ExpAtom):
-            contrib = a.exponent if k == 1 else a.exponent.scale(k)
-            exp_sum = contrib if exp_sum is None else exp_sum + contrib
+            exponents.append(a.exponent if k == 1 else a.exponent.scale(k))
         elif isinstance(a, ExpConst):
-            contrib = Expr.const(a.value * k)
-            exp_sum = contrib if exp_sum is None else exp_sum + contrib
+            exponents.append(Expr.const(a.value * k))
         else:
             plain[a] = plain.get(a, 0) + k
     if coeff.is_zero:
         return None
-    if exp_sum is not None and not exp_sum.is_zero:
+    exp_sum = sum_exprs(exponents) if exponents else _E_ZERO
+    if not exp_sum.is_zero:
         q = exp_sum.as_rational()
         exp_atom: Atom = ExpConst(q) if q is not None else ExpAtom(exp_sum)
         plain[exp_atom] = 1
@@ -99,21 +111,6 @@ class Expr:
     terms: tuple[Term, ...] = ()
 
     # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def _from_map(acc: Mapping[Powers, Coeff]) -> "Expr":
-        terms = [Term(c, p) for p, c in acc.items() if not c.is_zero]
-        terms.sort(key=Term.powers_key, reverse=True)
-        return Expr(tuple(terms))
-
-    @staticmethod
-    def _gather(raw_terms: Iterable[Term | None]) -> "Expr":
-        acc: dict[Powers, Coeff] = {}
-        for t in raw_terms:
-            if t is None:
-                continue
-            acc[t.powers] = acc.get(t.powers, Coeff.zero()) + t.coeff
-        return Expr._from_map(acc)
 
     @staticmethod
     def zero() -> "Expr":
@@ -204,15 +201,7 @@ class Expr:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Expr":
-        other = _as_expr(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        acc: dict[Powers, Coeff] = {t.powers: t.coeff for t in self.terms}
-        for t in other.terms:
-            acc[t.powers] = acc.get(t.powers, Coeff.zero()) + t.coeff
-        return Expr._from_map(acc)
+        return sum_exprs((self, _as_expr(other)))
 
     __radd__ = __add__
 
@@ -227,15 +216,8 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = _as_expr(other)
-        if self.is_zero or other.is_zero:
-            return _E_ZERO
-        acc: dict[Powers, Coeff] = {}
-        for t1 in self.terms:
-            for t2 in other.terms:
-                t = _make_term(t1.coeff * t2.coeff, t1.powers + t2.powers)
-                if t is not None:
-                    acc[t.powers] = acc.get(t.powers, Coeff.zero()) + t.coeff
-        return Expr._from_map(acc)
+        return _gather(_make_term(t1.coeff * t2.coeff, t1.powers + t2.powers)
+                       for t1 in self.terms for t2 in other.terms)
 
     __rmul__ = __mul__
 
@@ -279,6 +261,28 @@ class Expr:
 
 
 _E_ZERO = Expr(())
+
+
+def _gather(terms: Iterable[Term | None]) -> Expr:
+    """The one term-accumulation loop: merge coefficients by power
+    product, drop zeros (and None, a product that vanished) and sort."""
+    acc: dict[Powers, Coeff] = {}
+    for t in terms:
+        if t is not None:
+            c = acc.get(t.powers)
+            acc[t.powers] = t.coeff if c is None else c + t.coeff
+    kept = [Term(c, p) for p, c in acc.items() if not c.is_zero]
+    kept.sort(key=Term.powers_key, reverse=True)
+    return Expr(tuple(kept))
+
+
+def sum_exprs(pieces: Iterable[Expr]) -> Expr:
+    """Canonical sum of expressions in one pass, whatever their number
+    and order."""
+    nonzero = [e for e in pieces if e.terms]
+    if len(nonzero) < 2:
+        return nonzero[0] if nonzero else _E_ZERO
+    return _gather(t for e in nonzero for t in e.terms)
 
 
 def _as_expr(x) -> Expr:
@@ -343,17 +347,22 @@ def normalize(x) -> Expr:
     expression this re-derives every term (including nested exponents), so
     normalize(normalize(e)) == normalize(e) by construction.
     """
-    e = _as_expr(x)
-    total = Expr.zero()
+    def image(a: Atom) -> Expr:
+        if isinstance(a, ExpAtom):
+            return exp_of(normalize(a.exponent))
+        return Expr.from_atom(a)
+    return _map_atoms(_as_expr(x), image)
+
+
+def _map_atoms(e: Expr, image) -> Expr:
+    """Sum over the terms of e of coeff * prod image(atom)**k."""
+    pieces = []
     for t in e.terms:
         piece = Expr.from_coeff(t.coeff)
         for a, k in t.powers:
-            if isinstance(a, ExpAtom):
-                piece = piece * exp_of(normalize(a.exponent)) ** k
-            else:
-                piece = piece * Expr.from_atom(a) ** k
-        total = total + piece
-    return total
+            piece = piece * image(a) ** k
+        pieces.append(piece)
+    return sum_exprs(pieces)
 
 
 def partial(e: Expr, a: Atom) -> Expr:
@@ -364,25 +373,18 @@ def partial(e: Expr, a: Atom) -> Expr:
     differentiated inside the coefficient field.
     """
     e = _as_expr(e)
-    out = Expr.zero()
+    pieces = []
     for t in e.terms:
         if isinstance(a, Parameter):
             dc = t.coeff.partial(a)
             if not dc.is_zero:
-                out = out + Expr((Term(dc, t.powers),))
-        for i, (atom, k) in enumerate(t.powers):
-            rest = t.powers[:i] + t.powers[i + 1:]
+                pieces.append(Expr((Term(dc, t.powers),)))
+        for i, (atom, _) in enumerate(t.powers):
             if atom == a:
-                df = Expr((Term(t.coeff.scale(k), rest),))
-                if k > 1:
-                    df = df * Expr.from_atom(atom) ** (k - 1)
-                out = out + df
+                pieces.append(Expr((t.lowered(i),)))
             elif isinstance(atom, ExpAtom):
-                dq = partial(atom.exponent, a)
-                if not dq.is_zero:
-                    base = Expr((Term(t.coeff, t.powers),))
-                    out = out + base * dq
-    return out
+                pieces.append(Expr((t,)) * partial(atom.exponent, a))
+    return sum_exprs(pieces)
 
 
 def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Expr:
@@ -406,18 +408,14 @@ def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Exp
                     raise ExprError(
                         f"cannot substitute into opaque-function argument "
                         f"{arg} of {a.func}")
-    out = Expr.zero()
-    for t in e.terms:
-        piece = Expr.from_coeff(t.coeff)
-        for a, k in t.powers:
-            if a in binds:
-                piece = piece * binds[a] ** k
-            elif isinstance(a, ExpAtom):
-                piece = piece * exp_of(substitute(a.exponent, binds)) ** k
-            else:
-                piece = piece * Expr.from_atom(a) ** k
-        out = out + piece
-    return out
+
+    def image(a: Atom) -> Expr:
+        if a in binds:
+            return binds[a]
+        if isinstance(a, ExpAtom):
+            return exp_of(substitute(a.exponent, binds))
+        return Expr.from_atom(a)
+    return _map_atoms(e, image)
 
 
 def collect(e: Expr, selected: Iterable[Atom]) -> dict[Powers, Expr]:
@@ -430,9 +428,9 @@ def collect(e: Expr, selected: Iterable[Atom]) -> dict[Powers, Expr]:
     """
     e = _as_expr(e)
     sel = set(selected)
-    out: dict[Powers, Expr] = {}
+    buckets: dict[Powers, list[Term]] = {}
     for t in e.terms:
         key = tuple((a, k) for a, k in t.powers if a in sel)
         rest = tuple((a, k) for a, k in t.powers if a not in sel)
-        out[key] = out.get(key, Expr.zero()) + Expr((Term(t.coeff, rest),))
-    return {k: v for k, v in out.items() if not v.is_zero}
+        buckets.setdefault(key, []).append(Term(t.coeff, rest))
+    return {k: _gather(ts) for k, ts in buckets.items()}

@@ -15,9 +15,9 @@ from typing import Iterable, Sequence
 
 from .atoms import Atom, OpaqueDeriv
 from .errors import RuleError
-from .expression import Expr, atom_expr, partial, substitute
+from .expression import Expr, atom_expr, partial, substitute, sum_exprs
 
-__all__ = ["RewriteRule", "RuleSet", "as_ruleset", "apply_rules", "is_zero"]
+__all__ = ["RewriteRule", "RuleSet", "as_ruleset", "is_zero"]
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,9 @@ def _arg_derivative(e: Expr, args: tuple[Atom, ...], slot: int) -> Expr:
     """Formal derivative of e along argument `slot` of functions with the
     given argument list: bumps same-signature opaque atoms and picks up
     explicit occurrences of the argument atom itself."""
-    out = partial(e, args[slot])
-    for f in e.opaque_atoms():
-        if f.args == args:
-            df = partial(e, f)
-            if not df.is_zero:
-                out = out + df * atom_expr(f.bump(slot))
-    return out
+    return sum_exprs([partial(e, args[slot]), *(
+        partial(e, f) * atom_expr(f.bump(slot))
+        for f in e.opaque_atoms() if f.args == args)])
 
 
 def as_ruleset(rules: "RuleSet | Sequence[RewriteRule] | None") -> RuleSet:
@@ -118,10 +114,6 @@ def as_ruleset(rules: "RuleSet | Sequence[RewriteRule] | None") -> RuleSet:
 
 
 _EMPTY = RuleSet()
-
-
-def apply_rules(e: Expr, rules: "RuleSet | Sequence[RewriteRule]") -> Expr:
-    return as_ruleset(rules).reduce(e)
 
 
 def is_zero(e: Expr, rules: "RuleSet | Sequence[RewriteRule]" = ()) -> bool:

@@ -18,11 +18,11 @@ from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                          MultiIndex, OpaqueDeriv, Parameter)
 from .expr.coeff import Coeff
 from .expr.errors import LeadingSolveError
-from .expr.expression import Expr, Term, atom_expr, partial, substitute
+from .expr.expression import Expr, atom_expr, partial, substitute, sum_exprs
 
 __all__ = [
     "total_derivative", "total_derivative_multi", "jet_partial",
-    "jet_indices_of", "PdeSystem", "solve_leading", "reduce_on_solutions",
+    "jet_indices_of", "PdeSystem", "solve_leading",
 ]
 
 
@@ -35,12 +35,9 @@ def _d_atom(a: Atom, var: str) -> Expr:
     if isinstance(a, JetVar):
         return atom_expr(a.bump(var))
     if isinstance(a, OpaqueDeriv):
-        out = Expr.zero()
-        for k, arg in enumerate(a.args):
-            darg = _d_atom(arg, var)
-            if not darg.is_zero:
-                out = out + atom_expr(a.bump(k)) * darg
-        return out
+        dargs = [_d_atom(arg, var) for arg in a.args]
+        return sum_exprs(atom_expr(a.bump(k)) * darg
+                         for k, darg in enumerate(dargs) if not darg.is_zero)
     if isinstance(a, ExpAtom):
         return total_derivative(a.exponent, var) * atom_expr(a)
     raise TypeError(f"unknown atom {a!r}")
@@ -50,18 +47,13 @@ def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
     """D_var e, the total derivative on jet space."""
     if isinstance(var, IndependentVar):
         var = var.name
-    out = Expr.zero()
+    pieces = []
     for t in e.terms:
-        for i, (a, k) in enumerate(t.powers):
+        for i, (a, _) in enumerate(t.powers):
             da = _d_atom(a, var)
-            if da.is_zero:
-                continue
-            rest = t.powers[:i] + t.powers[i + 1:]
-            piece = Expr((Term(t.coeff.scale(k), rest),))
-            if k > 1:
-                piece = piece * atom_expr(a) ** (k - 1)
-            out = out + piece * da
-    return out
+            if not da.is_zero:
+                pieces.append(Expr((t.lowered(i),)) * da)
+    return sum_exprs(pieces)
 
 
 def total_derivative_multi(e: Expr, index: MultiIndex) -> Expr:
@@ -75,14 +67,9 @@ def jet_partial(e: Expr, a: Atom) -> Expr:
     """Partial derivative that also chains through opaque-function
     arguments: d g(u)/du contributes g'(u), unlike the purely formal
     `partial`, which treats g(u) as an unrelated atom."""
-    out = partial(e, a)
-    for f in e.opaque_atoms():
-        for k, arg in enumerate(f.args):
-            if arg == a:
-                df = partial(e, f)
-                if not df.is_zero:
-                    out = out + df * atom_expr(f.bump(k))
-    return out
+    return sum_exprs([partial(e, a), *(
+        partial(e, f) * atom_expr(f.bump(k))
+        for f in e.opaque_atoms() for k, arg in enumerate(f.args) if arg == a)])
 
 
 def jet_indices_of(e: Expr, dep: str) -> set[MultiIndex]:
@@ -240,7 +227,3 @@ def _default_leading(eq: Expr, indep: tuple[str, ...]) -> JetVar:
     def key(a: JetVar):
         return (a.order, tuple(a.index.get(v) for v in indep), a.dep)
     return max(jets, key=key)
-
-
-def reduce_on_solutions(e: Expr, sys: PdeSystem) -> Expr:
-    return sys.reduce(e)

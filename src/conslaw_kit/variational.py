@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .expr.atoms import JetVar, MultiIndex, OpaqueDeriv
-from .expr.expression import Expr, atom_expr
+from .expr.errors import ExprError
+from .expr.expression import Expr, atom_expr, sum_exprs
 from .jet import (PdeSystem, jet_indices_of, jet_partial, total_derivative_multi)
 
 __all__ = [
@@ -55,7 +56,7 @@ def _as_characteristic(c, m: int) -> Characteristic:
     else:
         ch = Characteristic(tuple(c))
     if len(ch) != m:
-        raise ValueError(f"characteristic has {len(ch)} components, system has {m}")
+        raise ExprError(f"characteristic has {len(ch)} components, system has {m}")
     return ch
 
 
@@ -90,14 +91,10 @@ class DiffOperator:
         return sorted(table, key=MultiIndex.sort_key)
 
     def apply(self, comp: Sequence[Expr]) -> list[Expr]:
-        out = []
-        for a in range(self.target_dim):
-            acc = Expr.zero()
-            for r in range(self.source_dim):
-                for J, c in self.entries.get((a, r), {}).items():
-                    acc = acc + c * total_derivative_multi(comp[r], J)
-            out.append(acc)
-        return out
+        return [sum_exprs(c * total_derivative_multi(comp[r], J)
+                          for r in range(self.source_dim)
+                          for J, c in self.entries.get((a, r), {}).items())
+                for a in range(self.target_dim)]
 
     def adjoint(self) -> "DiffOperator":
         """Formal adjoint re-expanded to sum_K coeff * D_K normal form.
@@ -105,15 +102,17 @@ class DiffOperator:
         The (a, r) entry of the adjoint collects, from the (r, a) entries of
         the original, the Leibniz expansion of (-1)^|J| D_J(coeff * .).
         """
-        acc: dict[tuple[int, int], dict[MultiIndex, Expr]] = {}
+        acc: dict[tuple[int, int], dict[MultiIndex, list[Expr]]] = {}
         for (r, a), table in self.entries.items():
             dest = acc.setdefault((a, r), {})
             for J, c in table.items():
                 sign = -1 if J.order % 2 else 1
                 for K, w in J.sub_indices():
-                    piece = total_derivative_multi(c, J - K).scale(sign * w)
-                    dest[K] = dest.get(K, Expr.zero()) + piece
-        return DiffOperator.build(self.source_dim, self.target_dim, acc)
+                    dest.setdefault(K, []).append(
+                        total_derivative_multi(c, J - K).scale(sign * w))
+        return DiffOperator.build(self.source_dim, self.target_dim, {
+            key: {K: sum_exprs(pieces) for K, pieces in dest.items()}
+            for key, dest in acc.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOperator):
@@ -132,6 +131,11 @@ class DiffOperator:
     __hash__ = None  # type: ignore[assignment]
 
 
+def _signed(e: Expr, order: int) -> Expr:
+    """(-1)^order * e, the sign of an order-`order` integration by parts."""
+    return e.scale(-1) if order % 2 else e
+
+
 def euler(e: Expr, dep: str) -> Expr:
     """Variational derivative delta e / delta dep.
 
@@ -139,18 +143,21 @@ def euler(e: Expr, dep: str) -> Expr:
     (-1)^|J| D_J (d e / d dep_J); the sum truncates at the orders actually
     present, and opaque functions of dep contribute through the chain rule.
     """
-    out = Expr.zero()
-    for J in sorted(jet_indices_of(e, dep), key=MultiIndex.sort_key):
-        de = jet_partial(e, JetVar(dep, J))
-        if de.is_zero:
-            continue
-        piece = total_derivative_multi(de, J)
-        out = out + (piece.scale(-1) if J.order % 2 else piece)
-    return out
+    return sum_exprs(
+        _signed(total_derivative_multi(jet_partial(e, JetVar(dep, J)), J),
+                J.order)
+        for J in jet_indices_of(e, dep))
 
 
 def adjoint_variables(sys: PdeSystem) -> tuple[str, ...]:
     """Deterministic fresh names for the adjoined multiplier variables."""
+    return _fresh_names(sys, "v")
+
+
+def _fresh_names(sys: PdeSystem, stem: str) -> tuple[str, ...]:
+    """One name per dependent variable, clashing with no name the system
+    uses: the stem alone for a scalar system, else stem1..stemN, with the
+    stem repeated until nothing clashes."""
     used = set(sys.indep) | set(sys.dep)
     for eq in sys.equations:
         for a in eq.atoms():
@@ -159,9 +166,9 @@ def adjoint_variables(sys: PdeSystem) -> tuple[str, ...]:
             elif isinstance(a, OpaqueDeriv):
                 used.add(a.func)
         used.update(p.name for p in eq.parameters())
-    base = "v"
+    base = stem
     while base in used or any(f"{base}{i + 1}" in used for i in range(len(sys.dep))):
-        base += "v"
+        base += stem
     if len(sys.dep) == 1:
         return (base,)
     return tuple(f"{base}{i + 1}" for i in range(len(sys.dep)))
@@ -175,10 +182,8 @@ def formal_lagrangian(sys: PdeSystem) -> Expr:
     slots is applied where the Lagrangian is differentiated with respect
     to an ordered derivative slot (conserved-vector assembly).
     """
-    out = Expr.zero()
-    for name, eq in zip(adjoint_variables(sys), sys.equations):
-        out = out + atom_expr(JetVar(name)) * eq
-    return out
+    return sum_exprs(atom_expr(JetVar(name)) * eq
+                     for name, eq in zip(adjoint_variables(sys), sys.equations))
 
 
 def adjoint_system(sys: PdeSystem) -> list[Expr]:
@@ -220,14 +225,11 @@ def adjoint_linearize(sys: PdeSystem, omega) -> tuple[list[Expr], DiffOperator]:
     """
     ch = _as_characteristic(omega, len(sys.dep))
     table = linearize_table(sys)
-    out = []
-    for a in range(len(sys.dep)):
-        acc = Expr.zero()
-        for r in range(len(sys.equations)):
-            for J, c in table.entries.get((r, a), {}).items():
-                piece = total_derivative_multi(ch.components[r] * c, J)
-                acc = acc + (piece.scale(-1) if J.order % 2 else piece)
-        out.append(acc)
+    out = [sum_exprs(_signed(total_derivative_multi(ch.components[r] * c, J),
+                             J.order)
+                     for r in range(len(sys.equations))
+                     for J, c in table.entries.get((r, a), {}).items())
+           for a in range(len(sys.dep))]
     return out, table.adjoint()
 
 

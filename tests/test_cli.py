@@ -1,5 +1,7 @@
 """CLI contract: exit codes, stable JSON, schema validation, corpus runs."""
 
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+
+from conslaw_kit import cli
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 CORPUS = PKG_ROOT / "src" / "conslaw_kit" / "corpus"
@@ -16,6 +20,19 @@ SCHEMA = json.loads(
 WAVE = str(CORPUS / "wave.cl")
 THOMAS = str(CORPUS / "thomas.cl")
 KG = str(CORPUS / "klein-gordon.cl")
+
+
+def _bench_workloads():
+    """The benchmark's workloads with their pinned report digests."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PKG_ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCH_WORKLOADS = _bench_workloads()
 
 
 def run_cli(*args, timeout=180):
@@ -67,6 +84,23 @@ class TestExitCodes:
     def test_unknown_name_exits_2(self):
         r = run_cli("symmetry-check", "nosuch", "--session", WAVE)
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("args", [("adjoint-check", "o=D[u,x]"),
+                                      ("ansatz", "multiplier", "b=D[u,x]")])
+    def test_wrong_component_count_exits_2(self, tmp_path, args):
+        two = tmp_path / "two.cl"
+        two.write_text(
+            "indep t x;\ndep u w;\n"
+            "eq eqU: D[u,t] - D[w,x] = 0 leading D[u,t];\n"
+            "eq eqW: D[w,t] - D[u,x] = 0 leading D[w,t];\n")
+        r = run_cli(*args, "--session", str(two))
+        assert r.returncode == 2, r.stderr
+        assert "characteristic has 1 components, system has 2" in r.stdout
+
+    def test_zero_generator_exits_2(self):
+        r = run_cli("conslaw", "eta=0", "--session", WAVE)
+        assert r.returncode == 2, r.stderr
+        assert "generator must have a nonzero component" in r.stdout
 
     def test_wrong_substitution_class_exits_2(self):
         r = run_cli("selfadjoint-check", "sub1", "--session", THOMAS)
@@ -139,6 +173,19 @@ class TestJson:
         doc = json.loads(r.stdout)
         assert doc["status"] == "nonzero"
         assert doc["residuals"][0]["expr"] != "0"
+
+
+class TestBenchDigests:
+    @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+    def test_report_stream_matches_pinned_digest(self, name, capsys):
+        workload = BENCH_WORKLOADS[name]
+        for spec in workload.sessions:
+            code = cli.main(["run", "--session", str(PKG_ROOT / spec.path),
+                             "--format", "json"])
+            assert code == 0, spec.path
+        stream = capsys.readouterr().out
+        assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
+            workload.digest
 
 
 class TestLatexOutput:

@@ -8,7 +8,8 @@ import pytest
 from conslaw_kit.conslaw import (ConservedVector, Generator, compare_vectors,
                                  characteristic_W, ibragimov_vector,
                                  verify_divergence)
-from conslaw_kit.expr import Expr, OpaqueDeriv, atom_expr, exp_of, rational
+from conslaw_kit.expr import (Expr, ExprError, OpaqueDeriv, atom_expr, exp_of,
+                              rational)
 from conslaw_kit.expr.expression import jet
 from conslaw_kit.variational import Characteristic
 
@@ -40,7 +41,7 @@ class TestCharacteristicW:
         assert characteristic_W(wave, g).components[0] == S.u - S.x * S.ux
 
     def test_zero_generator_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ExprError):
             Generator((Expr.zero(),), (Expr.zero(),))
 
 

@@ -9,8 +9,8 @@ from conslaw_kit.expr import (Expr, JetVar, MultiIndex, OpaqueDeriv,
                               atom_expr, exp_of)
 from conslaw_kit.expr.errors import LeadingSolveError
 from conslaw_kit.expr.expression import jet, jet_atom
-from conslaw_kit.jet import (jet_partial, reduce_on_solutions, solve_leading,
-                             total_derivative, total_derivative_multi)
+from conslaw_kit.jet import (jet_partial, solve_leading, total_derivative,
+                             total_derivative_multi)
 
 from conftest import Syms as S, random_expr
 
@@ -155,9 +155,6 @@ class TestReduce:
                 lhs = wave.reduce(total_derivative(e, var))
                 rhs = wave.reduce(total_derivative(wave.reduce(e), var))
                 assert lhs == rhs, f"case {i} var {var} (seed 555)"
-
-    def test_module_level_wrapper(self, wave):
-        assert reduce_on_solutions(S.utt, wave) == wave.reduce(S.utt)
 
     def test_shared_system_across_threads(self):
         import concurrent.futures

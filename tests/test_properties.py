@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.determining import e_decompose
 from conslaw_kit.expr import Expr, atom_expr, exp_of, normalize
-from conslaw_kit.expr.expression import jet
+from conslaw_kit.expr.expression import jet, sum_exprs
 from conslaw_kit.jet import total_derivative
 from conslaw_kit.variational import (Characteristic, adjoint_linearize,
                                      euler, linearize)
@@ -40,6 +40,23 @@ def exprs(draw, allow_exp=True, max_terms=3):
 
 
 COMMON = settings(max_examples=120, deadline=None)
+
+
+class TestSumExprs:
+    @COMMON
+    @given(st.lists(exprs(), max_size=6), st.data())
+    def test_fold_laws(self, xs, data):
+        total = sum_exprs(xs)
+        assert sum_exprs(data.draw(st.permutations(xs))) == total
+        k = data.draw(st.integers(0, len(xs)))
+        assert sum_exprs([sum_exprs(xs[:k]), sum_exprs(xs[k:])]) == total
+        for x in xs:
+            assert sum_exprs([x, -x]).is_zero
+            assert sum_exprs([x]) == x
+        # canonical: no zero coefficient, power products strictly decreasing
+        keys = [t.powers_key() for t in total.terms]
+        assert all(not t.coeff.is_zero for t in total.terms)
+        assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
 class TestNormalizeLaws:

@@ -14,7 +14,7 @@ The `jet` constructor for jet atoms lives in `conslaw_kit.expr`; the name
 from .expr import (Atom, Coeff, ConslawError, ExpAtom, ExpConst, Expr,
                    ExprError, IndependentVar, JetVar, MultiIndex,
                    OpaqueDeriv, Parameter, Poly, RewriteRule, RuleSet, Term,
-                   atom_expr, collect, exp_of, is_zero, ivar, jet_atom,
+                   atom_expr, collect, exp_of, ivar, jet_atom,
                    normalize, opaque, opaque_atom, param, partial, rational,
                    substitute, sum_exprs)
 

@@ -12,7 +12,7 @@ vector is substituted back automatically and must annihilate the residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -25,7 +25,6 @@ from .expr.coeff import (Coeff, Monomial, Poly, mono_div, mono_gcd,
                          mono_lcm)
 from .expr.errors import AnsatzError
 from .expr.expression import Expr, Powers, sum_exprs
-from .expr.rules import RuleSet, as_ruleset
 from .jet import PdeSystem
 from .variational import Characteristic, _as_characteristic
 
@@ -61,7 +60,6 @@ class AnsatzProblem:
     system: PdeSystem
     target: str
     basis: tuple[Characteristic, ...]
-    rules: RuleSet = field(default_factory=RuleSet)
     unknowns: tuple[Parameter, ...] = ()
 
     def __post_init__(self) -> None:
@@ -77,7 +75,6 @@ class AnsatzProblem:
             if all(c.is_zero for c in b.components):
                 raise AnsatzError("zero basis expression")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "rules", as_ruleset(self.rules))
         if not self.unknowns:
             taken = {p.name for eq in self.system.equations
                      for p in eq.parameters()}
@@ -118,7 +115,7 @@ class Row:
 def build_and_split(p: AnsatzProblem) -> list[Row]:
     """Residual of the symbolic combination, split over all non-unknown
     atoms; each bucket must be linear homogeneous in the unknowns."""
-    residual = TARGETS[p.target](p.system, p.combination(), p.rules)
+    residual = TARGETS[p.target](p.system, p.combination())
     unknown_set = set(p.unknowns)
     rows: list[Row] = []
     for comp_index, res in enumerate(residual):
@@ -365,7 +362,7 @@ def _check_solution(p: AnsatzProblem, vec: NullspaceVector) -> None:
     comb = _combine(p, [Expr.from_coeff(Coeff(n)) for n in vec.numerators])
     if all(c.is_zero for c in comb.components):
         return
-    residual = TARGETS[p.target](p.system, comb, p.rules)
+    residual = TARGETS[p.target](p.system, comb)
     if any(not x.is_zero for x in residual):
         raise AnsatzError(
             "internal error: nullspace vector does not annihilate the "

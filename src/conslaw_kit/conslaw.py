@@ -19,7 +19,6 @@ from .determining import (EDecomposition, differential_substitution_residual,
 from .expr.atoms import JetVar, MultiIndex
 from .expr.errors import ExprError
 from .expr.expression import Expr, atom_expr, jet_atom, sum_exprs
-from .expr.rules import RuleSet, as_ruleset
 from .jet import PdeSystem, jet_partial, total_derivative
 from .variational import (Characteristic, _as_characteristic, _signed,
                           adjoint_variables, formal_lagrangian)
@@ -101,8 +100,7 @@ def _slot_partial(lagr: Expr, dep: str, slots: tuple[str, ...]) -> Expr:
     return d if mult == 1 else d / mult
 
 
-def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None,
-                     rules: "RuleSet | Sequence" = ()) -> ConservedVector:
+def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     """Conserved vector of a symmetry generator via the formal Lagrangian.
 
     Assembles, for each independent variable x^i,
@@ -119,7 +117,6 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None,
     result is then generally not conserved); the failure is flagged on the
     returned vector rather than raised, so negative probes stay cheap.
     """
-    rules = as_ruleset(rules)
     lagr = formal_lagrangian(sys)
     vnames = adjoint_variables(sys)
     r = sys.order
@@ -156,29 +153,28 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None,
     substitution_ok = None
     if phi is not None:
         phi = _as_characteristic(phi, len(sys.dep))
-        residual = differential_substitution_residual(sys, phi, rules)
+        residual = differential_substitution_residual(sys, phi)
         substitution_ok = all(x.is_zero for x in residual)
         raw = [substitute_multiplier_vars(sys, c, phi, vnames) for c in raw]
 
-    reduced = tuple(rules.reduce(sys.reduce(c)) for c in raw)
+    reduced = tuple(sys.reduce(c) for c in raw)
     return ConservedVector(sys, reduced, tuple(raw), g,
                            phi if phi is not None else None, substitution_ok)
 
 
-def verify_divergence(sys: PdeSystem, vec: "ConservedVector | Sequence[Expr]",
-                      rules: "RuleSet | Sequence" = ()) -> VerificationReport:
+def verify_divergence(sys: PdeSystem, vec: "ConservedVector | Sequence[Expr]"
+                      ) -> VerificationReport:
     """Check D_i C^i = 0 on solutions.
 
     The divergence is decomposed as sum M * D_J(E) + S; success means the
     remainder S vanishes, and the M coefficients are the explicit
     conservation-law identity.  Failure is a report state, not an error.
     """
-    rules = as_ruleset(rules)
     comps = vec.components if isinstance(vec, ConservedVector) else tuple(vec)
     div = _divergence(sys, comps)
     checkpoint()
-    dec = e_decompose(div, sys, rules)
-    nontrivial = any(not rules.reduce(sys.reduce(c)).is_zero for c in comps)
+    dec = e_decompose(div, sys)
+    nontrivial = any(not sys.reduce(c).is_zero for c in comps)
     return VerificationReport(dec.remainder, dec, nontrivial)
 
 
@@ -197,8 +193,8 @@ class EquivalenceResult:
     divergence normalizes to zero identically (a trivial shift)."""
 
 
-def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr],
-                    rules: "RuleSet | Sequence" = ()) -> EquivalenceResult:
+def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr]
+                    ) -> EquivalenceResult:
     """Equality of conservation laws up to a nonzero constant multiple,
     on-solution rewriting, and addition of a vector whose divergence
     vanishes identically.
@@ -209,11 +205,10 @@ def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr],
     covers reference vectors normalized by a parameter multiple.  A shift
     that merely vanishes on solutions would make any two conserved vectors
     compare equal, so the discrepancy's divergence must normalize to zero
-    without using the equations.
+    under the rules alone, without using the equations.
     """
-    rules = as_ruleset(rules)
-    a = [rules.reduce(sys.reduce(c)) for c in ours]
-    b = [rules.reduce(sys.reduce(c)) for c in ref]
+    a = [sys.reduce(c) for c in ours]
+    b = [sys.reduce(c) for c in ref]
 
     scales = [Expr.const(1), Expr.const(-1)]
     for x, y in zip(a, b):
@@ -237,6 +232,6 @@ def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr],
             return EquivalenceResult(True, s, True, tuple(Expr.zero() for _ in a))
     for s in scales:
         diff = diff_for(s)
-        if rules.reduce(_divergence(sys, diff)).is_zero:
+        if sys.rules.reduce(_divergence(sys, diff)).is_zero:
             return EquivalenceResult(True, s, False, tuple(diff))
     return EquivalenceResult(False)

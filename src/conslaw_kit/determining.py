@@ -14,8 +14,7 @@ carry the marker's jet coordinates along.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 from .cancel import checkpoint
 from .expr.atoms import JetVar, MultiIndex
@@ -23,7 +22,6 @@ from .expr.coeff import Coeff
 from .expr.errors import SubstitutionClassError, TrivialSubstitutionError
 from .expr.expression import (Expr, Term, atom_expr, collect, substitute,
                               sum_exprs)
-from .expr.rules import RuleSet, as_ruleset
 from .jet import PdeSystem, total_derivative_multi
 from .variational import (Characteristic, _as_characteristic, _fresh_names,
                           adjoint_system, adjoint_variables, euler, linearize,
@@ -68,8 +66,7 @@ class EDecomposition:
               for (b, J), m in self.coeffs.items())])
 
 
-def e_decompose(e: Expr, sys: PdeSystem,
-                rules: "RuleSet | Sequence" = ()) -> EDecomposition:
+def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
     """Separate on-solution content from equation-proportional content.
 
     Substitutes L^beta -> R^beta + c^(-1) * marker^beta (so that each
@@ -78,14 +75,11 @@ def e_decompose(e: Expr, sys: PdeSystem,
     bucket is the remainder S, and higher-degree buckets are reported as
     quadratic content.
     """
-    rules = as_ruleset(rules)
     markers = _fresh_names(sys, "Emark")
-    shadow = PdeSystem(
-        sys.indep, sys.dep, sys.equations, sys.leading,
-        tuple(r + Expr.from_coeff(c.invert_unit()) * atom_expr(JetVar(name))
-              for r, c, name in zip(sys.solved, sys.lead_coeff, markers)),
-        sys.lead_coeff, sys.eq_names)
-    reduced = rules.reduce(shadow.reduce(e))
+    shadow = replace(sys, solved=tuple(
+        r + Expr.from_coeff(c.invert_unit()) * atom_expr(JetVar(name))
+        for r, c, name in zip(sys.solved, sys.lead_coeff, markers)))
+    reduced = shadow.reduce(e)
     checkpoint()
 
     marker_atoms = {a for a in reduced.atoms()
@@ -106,21 +100,17 @@ def e_decompose(e: Expr, sys: PdeSystem,
                           sum_exprs(quadratic), markers)
 
 
-def symmetry_residual(sys: PdeSystem, eta,
-                      rules: "RuleSet | Sequence" = ()) -> tuple[Expr, ...]:
+def symmetry_residual(sys: PdeSystem, eta) -> tuple[Expr, ...]:
     """On-solution residual of the symmetry determining system; all
     components zero iff eta is a generalized symmetry characteristic."""
-    rules = as_ruleset(rules)
     exprs, _ = linearize(sys, eta)
-    return tuple(rules.reduce(sys.reduce(x)) for x in exprs)
+    return tuple(sys.reduce(x) for x in exprs)
 
 
-def adjoint_symmetry_residual(sys: PdeSystem, omega,
-                              rules: "RuleSet | Sequence" = ()) -> tuple[Expr, ...]:
+def adjoint_symmetry_residual(sys: PdeSystem, omega) -> tuple[Expr, ...]:
     """On-solution residual of the adjoint determining system."""
-    rules = as_ruleset(rules)
     exprs, _ = adjoint_linearize(sys, omega)
-    return tuple(rules.reduce(sys.reduce(x)) for x in exprs)
+    return tuple(sys.reduce(x) for x in exprs)
 
 
 def substitute_multiplier_vars(sys: PdeSystem, e: Expr, phi: Characteristic,
@@ -136,8 +126,7 @@ def substitute_multiplier_vars(sys: PdeSystem, e: Expr, phi: Characteristic,
     return substitute(e, binds)
 
 
-def differential_substitution_residual(sys: PdeSystem, phi,
-                                       rules: "RuleSet | Sequence" = ()) -> tuple[Expr, ...]:
+def differential_substitution_residual(sys: PdeSystem, phi) -> tuple[Expr, ...]:
     """Residual of the determining system for substitutions that make the
     adjoint system hold on solutions.
 
@@ -145,19 +134,14 @@ def differential_substitution_residual(sys: PdeSystem, phi,
     via the Euler operator, then substitution); the two must agree for
     every characteristic, which the test suite checks mechanically.
     """
-    rules = as_ruleset(rules)
     phi = _as_characteristic(phi, len(sys.dep))
-    if all(rules.reduce(sys.reduce(c)).is_zero for c in phi.components):
+    if all(sys.reduce(c).is_zero for c in phi.components):
         raise TrivialSubstitutionError("trivial substitution")
-    out = []
-    for adj in adjoint_system(sys):
-        sub = substitute_multiplier_vars(sys, adj, phi)
-        out.append(rules.reduce(sys.reduce(sub)))
-    return tuple(out)
+    return tuple(sys.reduce(substitute_multiplier_vars(sys, adj, phi))
+                 for adj in adjoint_system(sys))
 
 
-def selfadjoint_lambda(sys: PdeSystem, phi,
-                       rules: "RuleSet | Sequence" = ()):
+def selfadjoint_lambda(sys: PdeSystem, phi):
     """Factor matrix for point substitutions: (E^alpha)*|_{v=phi} =
     lambda_alpha^beta E^beta.
 
@@ -167,20 +151,19 @@ def selfadjoint_lambda(sys: PdeSystem, phi,
     with point substitution") or derivative/quadratic equation content
     ("requires differential substitution").
     """
-    rules = as_ruleset(rules)
     phi = _as_characteristic(phi, len(sys.dep))
     for c in phi.components:
         if c.jet_order() > 0:
             raise SubstitutionClassError(
                 "requires differential substitution (component depends on "
                 "derivatives)")
-    if all(rules.reduce(sys.reduce(c)).is_zero for c in phi.components):
+    if all(sys.reduce(c).is_zero for c in phi.components):
         raise TrivialSubstitutionError("trivial substitution")
     m = len(sys.dep)
     lam = [[Expr.zero()] * m for _ in range(m)]
     for a, adj in enumerate(adjoint_system(sys)):
         sub = substitute_multiplier_vars(sys, adj, phi)
-        dec = e_decompose(sub, sys, rules)
+        dec = e_decompose(sub, sys)
         if not dec.is_linear:
             raise SubstitutionClassError(
                 "requires differential substitution (nonlinear in E)")
@@ -196,18 +179,16 @@ def selfadjoint_lambda(sys: PdeSystem, phi,
     return lam
 
 
-def multiplier_residual(sys: PdeSystem, lam,
-                        rules: "RuleSet | Sequence" = ()) -> tuple[Expr, ...]:
+def multiplier_residual(sys: PdeSystem, lam) -> tuple[Expr, ...]:
     """Euler derivatives of Lambda_beta E^beta, one per dependent variable,
-    NOT reduced on solutions (multipliers must work for arbitrary u)."""
-    rules = as_ruleset(rules)
+    reduced under the system's rules but NOT on solutions (multipliers
+    must work for arbitrary u)."""
     lam = _as_characteristic(lam, len(sys.dep))
     combined = sum_exprs(c * eq for c, eq in zip(lam.components, sys.equations))
-    return tuple(rules.reduce(euler(combined, d)) for d in sys.dep)
+    return tuple(sys.rules.reduce(euler(combined, d)) for d in sys.dep)
 
 
-def adjoint_invariance_conditions(sys: PdeSystem, lam,
-                                  rules: "RuleSet | Sequence" = ()):
+def adjoint_invariance_conditions(sys: PdeSystem, lam):
     """Split each multiplier residual into its adjoint-symmetry part and
     the extra conditions a multiplier must additionally satisfy.
 
@@ -216,14 +197,13 @@ def adjoint_invariance_conditions(sys: PdeSystem, lam,
     is a list of ((sigma, beta, J), coefficient) for every surviving
     equation-proportional coefficient.
     """
-    rules = as_ruleset(rules)
     lam = _as_characteristic(lam, len(sys.dep))
-    residuals = multiplier_residual(sys, lam, rules)
-    reference = adjoint_symmetry_residual(sys, lam, rules)
+    residuals = multiplier_residual(sys, lam)
+    reference = adjoint_symmetry_residual(sys, lam)
     adjoint_parts: list[Expr] = []
     extras: list[tuple[tuple[int, int, MultiIndex], Expr]] = []
     for sigma, res in enumerate(residuals):
-        dec = e_decompose(res, sys, rules)
+        dec = e_decompose(res, sys)
         if dec.remainder != reference[sigma]:
             raise ArithmeticError(
                 "internal inconsistency: multiplier-residual remainder does "

@@ -79,7 +79,7 @@ def cmd_variational_check(session: Session, args) -> Report:
 def cmd_symmetry_check(session: Session, args) -> Report:
     sysm = session.require_system()
     ch = _char_arg(session, args)
-    res = symmetry_residual(sysm, ch, session.rules)
+    res = symmetry_residual(sysm, ch)
     return _residual_report("symmetry-check", session, res,
                             "symmetry characteristic", "not a symmetry")
 
@@ -87,7 +87,7 @@ def cmd_symmetry_check(session: Session, args) -> Report:
 def cmd_adjoint_check(session: Session, args) -> Report:
     sysm = session.require_system()
     ch = _char_arg(session, args)
-    res = adjoint_symmetry_residual(sysm, ch, session.rules)
+    res = adjoint_symmetry_residual(sysm, ch)
     return _residual_report("adjoint-check", session, res,
                             "adjoint symmetry (= differential substitution)",
                             "not an adjoint symmetry")
@@ -96,7 +96,7 @@ def cmd_adjoint_check(session: Session, args) -> Report:
 def cmd_substitution_check(session: Session, args) -> Report:
     sysm = session.require_system()
     ch = _char_arg(session, args)
-    res = differential_substitution_residual(sysm, ch, session.rules)
+    res = differential_substitution_residual(sysm, ch)
     return _residual_report("substitution-check", session, res,
                             "differential substitution of nonlinear "
                             "self-adjointness",
@@ -107,7 +107,7 @@ def cmd_selfadjoint_check(session: Session, args) -> Report:
     sysm = session.require_system()
     ch = _char_arg(session, args, "point substitution")
     try:
-        lam = selfadjoint_lambda(sysm, ch, session.rules)
+        lam = selfadjoint_lambda(sysm, ch)
     except SubstitutionClassError as ex:
         msg = str(ex)
         if "requires differential substitution" in msg:
@@ -126,8 +126,8 @@ def cmd_selfadjoint_check(session: Session, args) -> Report:
 def cmd_multiplier_check(session: Session, args) -> Report:
     sysm = session.require_system()
     ch = _char_arg(session, args)
-    res = multiplier_residual(sysm, ch, session.rules)
-    adjoint_parts, extras = adjoint_invariance_conditions(sysm, ch, session.rules)
+    res = multiplier_residual(sysm, ch)
+    adjoint_parts, extras = adjoint_invariance_conditions(sysm, ch)
     rep = _residual_report("multiplier-check", session, res,
                            "conservation-law multiplier", "not a multiplier")
     rep.extra["adjoint_parts"] = [
@@ -178,8 +178,8 @@ def cmd_conslaw(session: Session, args) -> Report:
     if len(args) > 2:
         raise UsageError("conslaw takes at most two arguments")
 
-    vec = ibragimov_vector(sysm, gen, phi, session.rules)
-    rep_v = verify_divergence(sysm, vec, session.rules)
+    vec = ibragimov_vector(sysm, gen, phi)
+    rep_v = verify_divergence(sysm, vec)
     vec = vec.with_report(rep_v)
     report = Report(
         "conslaw",
@@ -223,7 +223,7 @@ def cmd_verify(session: Session, args) -> Report:
     if name not in session.vectors:
         raise UsageError(f"unknown vector {name!r}")
     comps = session.vectors[name]
-    rep_v = verify_divergence(sysm, comps, session.rules)
+    rep_v = verify_divergence(sysm, comps)
     return Report(
         "verify",
         "zero" if rep_v.ok else "nonzero",
@@ -252,7 +252,7 @@ def cmd_ansatz(session: Session, args) -> Report:
             basis.append(session.chars[val])
         else:
             basis.append(Characteristic((_resolve_inline(session, val),)))
-    problem = AnsatzProblem(sysm, target, tuple(basis), session.rules)
+    problem = AnsatzProblem(sysm, target, tuple(basis))
     result = solve_ansatz(problem)
     vec_lines = []
     for v in result.vectors:

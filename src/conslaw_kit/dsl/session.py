@@ -40,7 +40,6 @@ class Session:
     params: dict[str, Parameter] = field(default_factory=dict)
     funcs: dict[str, OpaqueFunc] = field(default_factory=dict)
     equations: list[tuple[str, Expr, JetVar | None]] = field(default_factory=list)
-    rules: RuleSet = field(default_factory=RuleSet)
     rule_list: list[RewriteRule] = field(default_factory=list)
     chars: dict[str, Characteristic] = field(default_factory=dict)
     gens: dict[str, Generator] = field(default_factory=dict)
@@ -203,7 +202,7 @@ class _Resolver:
         rhs = self.expr(st.rhs)
         try:
             self.s.rule_list.append(RewriteRule(lhs, rhs))
-            self.s.rules = RuleSet(self.s.rule_list)
+            RuleSet(self.s.rule_list)  # rejects a duplicate at its line
         except ConslawError as ex:
             raise ParseError(str(ex), st.line, st.col) from None
 
@@ -249,7 +248,7 @@ class _Resolver:
             exprs = [e for _, e, _ in self.s.equations]
             leadings = [l for _, _, l in self.s.equations]
             self.s.system = solve_leading(self.s.indep, self.s.dep, exprs,
-                                          leadings, names)
+                                          leadings, names, self.s.rule_list)
 
 
 def resolve_session(ast: SessionAst) -> Session:

@@ -9,14 +9,14 @@ from .errors import (AnsatzError, CancelledComputation, ConslawError,
 from .expression import (Expr, Term, atom_expr, collect, exp_of, ivar, jet,
                          jet_atom, normalize, opaque, opaque_atom, param,
                          partial, rational, substitute, sum_exprs)
-from .rules import RewriteRule, RuleSet, as_ruleset, is_zero
+from .rules import RewriteRule, RuleSet
 
 __all__ = [
     "Atom", "ExpAtom", "ExpConst", "IndependentVar", "JetVar", "MultiIndex",
     "OpaqueDeriv", "Parameter", "Coeff", "Poly", "Expr", "Term",
     "atom_expr", "collect", "exp_of", "ivar", "jet", "jet_atom", "normalize",
     "opaque", "opaque_atom", "param", "partial", "rational", "substitute",
-    "sum_exprs", "RewriteRule", "RuleSet", "as_ruleset", "is_zero",
+    "sum_exprs", "RewriteRule", "RuleSet",
     "ConslawError", "ExprError", "RuleError", "LeadingSolveError",
     "SubstitutionClassError", "TrivialSubstitutionError", "AnsatzError",
     "CancelledComputation",

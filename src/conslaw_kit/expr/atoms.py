@@ -129,20 +129,13 @@ class MultiIndex:
 class Atom:
     """Base class for atomic factors; provides the deterministic total order."""
 
-    _RANK = -1
-
     def sort_key(self):
         raise NotImplementedError
-
-    def __lt__(self, other: "Atom") -> bool:
-        return self.sort_key() < other.sort_key()
 
 
 @dataclass(frozen=True)
 class IndependentVar(Atom):
     name: str
-
-    _RANK = 0
 
     def sort_key(self):
         return (0, self.name)
@@ -157,8 +150,6 @@ class Parameter(Atom):
 
     name: str
     nonzero: bool = False
-
-    _RANK = 1
 
     def sort_key(self):
         return (1, self.name)
@@ -178,8 +169,6 @@ class OpaqueDeriv(Atom):
     func: str
     args: tuple[Atom, ...]
     index: tuple[int, ...] = ()
-
-    _RANK = 2
 
     def __post_init__(self) -> None:
         idx = self.index or (0,) * len(self.args)
@@ -219,8 +208,6 @@ class JetVar(Atom):
     dep: str
     index: MultiIndex = field(default_factory=MultiIndex)
 
-    _RANK = 3
-
     @property
     def order(self) -> int:
         return self.index.order
@@ -244,8 +231,6 @@ class ExpAtom(Atom):
 
     exponent: "Expr"
 
-    _RANK = 4
-
     def sort_key(self):
         return (4, 1, self.exponent.sort_key())
 
@@ -259,8 +244,6 @@ class ExpConst(Atom):
     exactness is preserved when a substitution collapses an exponent."""
 
     value: Fraction
-
-    _RANK = 4
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", Fraction(self.value))

@@ -83,10 +83,6 @@ class _MonoKey:
         return self._cmp(other) == 0
 
 
-def _mono_key(m: Monomial) -> _MonoKey:
-    return _MonoKey(m)
-
-
 @dataclass(frozen=True)
 class Poly:
     """Multivariate polynomial over Q in declared parameters.
@@ -100,7 +96,7 @@ class Poly:
     def __post_init__(self) -> None:
         cleaned = tuple(
             sorted(((m, Fraction(c)) for m, c in self.terms if c != 0),
-                   key=lambda e: _mono_key(e[0]))
+                   key=lambda e: _MonoKey(e[0]))
         )
         object.__setattr__(self, "terms", cleaned)
 

@@ -35,7 +35,7 @@ from .errors import ExprError
 __all__ = [
     "Term", "Expr", "atom_expr", "rational", "ivar", "param", "jet",
     "jet_atom", "opaque", "opaque_atom", "exp_of", "normalize",
-    "partial", "substitute", "collect", "sum_exprs",
+    "partial", "jet_partial", "substitute", "collect", "sum_exprs",
 ]
 
 Powers = tuple[tuple[Atom, int], ...]
@@ -385,6 +385,15 @@ def partial(e: Expr, a: Atom) -> Expr:
             elif isinstance(atom, ExpAtom):
                 pieces.append(Expr((t,)) * partial(atom.exponent, a))
     return sum_exprs(pieces)
+
+
+def jet_partial(e: Expr, a: Atom) -> Expr:
+    """Partial derivative that also chains through opaque-function
+    arguments: d g(u)/du contributes g'(u), unlike the purely formal
+    `partial`, which treats g(u) as an unrelated atom."""
+    return sum_exprs([partial(e, a), *(
+        partial(e, f) * atom_expr(f.bump(k))
+        for f in e.opaque_atoms() for k, arg in enumerate(f.args) if arg == a)])
 
 
 def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Expr:

@@ -3,21 +3,42 @@
 A rule replaces one derivative atom of an opaque function by an expression
 in strictly lower-order derivatives, e.g. f_{xt} -> -a*f_x - b*f_t for a
 function constrained by a linear PDE.  Rewriting closes over higher
-derivatives: an atom f_{xxt} is reduced with the formally differentiated
-rule.  The order-decreasing requirement makes reduction to a fixpoint
-terminate.
+derivatives: an atom f_{xxt} is reduced with the rule differentiated along
+the x argument, chaining through every other opaque function of x.  The
+order-decreasing requirement makes reduction to a fixpoint terminate.
+
+`fixpoint` is the one rewrite loop of the package: `RuleSet.reduce` runs
+it with the rule matcher alone, and `PdeSystem.reduce` (in `jet`) runs it
+with leading-derivative replacement and the system's rules together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
+from ..cancel import checkpoint
 from .atoms import Atom, OpaqueDeriv
-from .errors import RuleError
-from .expression import Expr, atom_expr, partial, substitute, sum_exprs
+from .errors import LeadingSolveError, RuleError
+from .expression import Expr, jet_partial, substitute
 
-__all__ = ["RewriteRule", "RuleSet", "as_ruleset", "is_zero"]
+__all__ = ["RewriteRule", "RuleSet", "fixpoint"]
+
+
+def fixpoint(e: Expr, image: Callable[[Atom], Expr | None]) -> Expr:
+    """Substitute every atom that `image` rewrites (None: left alone),
+    pass after pass, until no atom is rewritten.
+
+    Orientable rules and pre-reduced replacements make this terminate; the
+    guard turns a cyclic leading-derivative system into an error.
+    """
+    for _ in range(1000):
+        checkpoint()
+        binds = {a: b for a in e.atoms() if (b := image(a)) is not None}
+        if not binds:
+            return e
+        e = substitute(e, binds)
+    raise LeadingSolveError("reduction did not terminate")
 
 
 @dataclass(frozen=True)
@@ -35,86 +56,50 @@ class RewriteRule:
                     f"order >= {self.lhs}")
 
 
+@dataclass(frozen=True)
 class RuleSet:
     """Validated, ordered collection of rewrite rules."""
 
-    def __init__(self, rules: Iterable[RewriteRule] = ()):
-        rules = tuple(rules)
+    rules: tuple[RewriteRule, ...] = ()
+    _derived: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rules", tuple(self.rules))
         seen = set()
-        for r in rules:
+        for r in self.rules:
             key = (r.lhs.func, r.lhs.args, r.lhs.index)
             if key in seen:
                 raise RuleError(f"duplicate rule for {r.lhs}")
             seen.add(key)
-        self.rules = rules
-        self._derived: dict[tuple[int, tuple[int, ...]], Expr] = {}
-
-    def __bool__(self) -> bool:
-        return bool(self.rules)
 
     def __iter__(self):
         return iter(self.rules)
 
-    def _match(self, a: OpaqueDeriv) -> tuple[int, RewriteRule] | None:
-        for i, r in enumerate(self.rules):
-            if (a.func == r.lhs.func and a.args == r.lhs.args
-                    and all(k >= k0 for k, k0 in zip(a.index, r.lhs.index))):
-                return i, r
+    def image(self, a: Atom) -> Expr | None:
+        """Rewrite of one atom by the first rule whose left-hand side it
+        differentiates, or None."""
+        if isinstance(a, OpaqueDeriv):
+            for i, r in enumerate(self.rules):
+                if a.func == r.lhs.func and a.args == r.lhs.args:
+                    delta = tuple(k - k0 for k, k0 in zip(a.index, r.lhs.index))
+                    if all(d >= 0 for d in delta):
+                        return self._derived_rhs(i, delta)
         return None
 
-    def _derived_rhs(self, i: int, rule: RewriteRule, delta: tuple[int, ...]) -> Expr:
-        key = (i, delta)
-        cached = self._derived.get(key)
-        if cached is not None:
-            return cached
-        rhs = rule.rhs
-        for slot, cnt in enumerate(delta):
-            for _ in range(cnt):
-                rhs = _arg_derivative(rhs, rule.lhs.args, slot)
-        self._derived[key] = rhs
+    def _derived_rhs(self, i: int, delta: tuple[int, ...]) -> Expr:
+        """Rule i's right-hand side differentiated `delta[slot]` times along
+        each argument slot."""
+        rhs = self._derived.get((i, delta))
+        if rhs is None:
+            rule = self.rules[i]
+            rhs = rule.rhs
+            for slot, cnt in enumerate(delta):
+                for _ in range(cnt):
+                    rhs = jet_partial(rhs, rule.lhs.args[slot])
+            self._derived[(i, delta)] = rhs
         return rhs
 
     def reduce(self, e: Expr) -> Expr:
         """Rewrite to a fixpoint (terminates by the order argument)."""
-        guard = 0
-        while True:
-            binds: dict[Atom, Expr] = {}
-            for a in e.atoms():
-                if not isinstance(a, OpaqueDeriv):
-                    continue
-                m = self._match(a)
-                if m is None:
-                    continue
-                i, rule = m
-                delta = tuple(k - k0 for k, k0 in zip(a.index, rule.lhs.index))
-                binds[a] = self._derived_rhs(i, rule, delta)
-            if not binds:
-                return e
-            e = substitute(e, binds)
-            guard += 1
-            if guard > 10_000:  # unreachable for orientable rule sets
-                raise RuleError("rewriting did not reach a fixpoint")
-
-
-def _arg_derivative(e: Expr, args: tuple[Atom, ...], slot: int) -> Expr:
-    """Formal derivative of e along argument `slot` of functions with the
-    given argument list: bumps same-signature opaque atoms and picks up
-    explicit occurrences of the argument atom itself."""
-    return sum_exprs([partial(e, args[slot]), *(
-        partial(e, f) * atom_expr(f.bump(slot))
-        for f in e.opaque_atoms() if f.args == args)])
-
-
-def as_ruleset(rules: "RuleSet | Sequence[RewriteRule] | None") -> RuleSet:
-    if rules is None:
-        return _EMPTY
-    if isinstance(rules, RuleSet):
-        return rules
-    return RuleSet(rules) if rules else _EMPTY
-
-
-_EMPTY = RuleSet()
-
-
-def is_zero(e: Expr, rules: "RuleSet | Sequence[RewriteRule]" = ()) -> bool:
-    return as_ruleset(rules).reduce(e).is_zero
+        return fixpoint(e, self.image)

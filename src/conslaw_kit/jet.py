@@ -2,23 +2,25 @@
 
 Total derivative operators act on the jet coordinates through the chain
 rule; a `PdeSystem` designates one solved ("leading") derivative per
-equation, which defines reduction onto the solution manifold: every
-occurrence of a leading derivative, or of any of its differential
-consequences, is replaced by the total derivatives of the solved form.
+equation and carries the rewrite rules that constrain its opaque
+functions.  Together they define the normal form on the solution manifold
+under the rules: every occurrence of a leading derivative, or of any of
+its differential consequences, is replaced by the total derivatives of
+the solved form, and every rule-matched opaque derivative by its rule.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
-from .cancel import checkpoint
 from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                          MultiIndex, OpaqueDeriv, Parameter)
 from .expr.coeff import Coeff
 from .expr.errors import LeadingSolveError
-from .expr.expression import Expr, atom_expr, partial, substitute, sum_exprs
+from .expr.expression import Expr, atom_expr, jet_partial, partial, sum_exprs
+from .expr.rules import RewriteRule, RuleSet, fixpoint
 
 __all__ = [
     "total_derivative", "total_derivative_multi", "jet_partial",
@@ -63,15 +65,6 @@ def total_derivative_multi(e: Expr, index: MultiIndex) -> Expr:
     return e
 
 
-def jet_partial(e: Expr, a: Atom) -> Expr:
-    """Partial derivative that also chains through opaque-function
-    arguments: d g(u)/du contributes g'(u), unlike the purely formal
-    `partial`, which treats g(u) as an unrelated atom."""
-    return sum_exprs([partial(e, a), *(
-        partial(e, f) * atom_expr(f.bump(k))
-        for f in e.opaque_atoms() for k, arg in enumerate(f.args) if arg == a)])
-
-
 def jet_indices_of(e: Expr, dep: str) -> set[MultiIndex]:
     """Derivative multi-indices of `dep` on which e can depend: jet atoms
     present plus opaque-function argument slots."""
@@ -89,7 +82,8 @@ class PdeSystem:
 
     Each equation factors exactly as E = c * (L - R) with c a nonzero
     rational/parameter product, L a jet atom and R free of every leading
-    derivative and of their differential consequences.
+    derivative and of their differential consequences.  `rules` constrain
+    the opaque functions; every on-solution result is read under them.
     """
 
     indep: tuple[str, ...]
@@ -99,8 +93,10 @@ class PdeSystem:
     solved: tuple[Expr, ...]          # R per equation, fully reduced
     lead_coeff: tuple[Coeff, ...]     # c per equation
     eq_names: tuple[str, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
+    rules: RuleSet = field(default_factory=RuleSet)
+    _cache: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                   compare=False, repr=False)
 
     @property
@@ -111,12 +107,6 @@ class PdeSystem:
         return self.eq_names.index(name)
 
     # -- reduction ---------------------------------------------------------
-
-    def _leading_match(self, a: JetVar) -> tuple[int, MultiIndex] | None:
-        for i, lead in enumerate(self.leading):
-            if a.dep == lead.dep and a.index.contains(lead.index):
-                return i, a.index - lead.index
-        return None
 
     def replacement(self, i: int, extra: MultiIndex) -> Expr:
         """Reduced form of D_extra applied to equation i's solved RHS."""
@@ -135,23 +125,19 @@ class PdeSystem:
             self._cache[key] = val
         return val
 
+    def _image(self, a: Atom) -> Expr | None:
+        if not isinstance(a, JetVar):
+            return self.rules.image(a)
+        for i, lead in enumerate(self.leading):
+            if a.dep == lead.dep and a.index.contains(lead.index):
+                return self.replacement(i, a.index - lead.index)
+        return None
+
     def reduce(self, e: Expr) -> Expr:
-        """Normal form of e on the solution manifold."""
-        guard = 0
-        while True:
-            checkpoint()
-            binds = {}
-            for a in e.atoms():
-                if isinstance(a, JetVar):
-                    m = self._leading_match(a)
-                    if m is not None:
-                        binds[a] = self.replacement(*m)
-            if not binds:
-                return e
-            e = substitute(e, binds)
-            guard += 1
-            if guard > 1000:  # unreachable: replacements are pre-reduced
-                raise LeadingSolveError("reduction did not terminate")
+        """Normal form of e on the solution manifold under the rules:
+        leading derivatives and their consequences, and rule-matched
+        opaque derivatives, rewritten in one fixpoint."""
+        return fixpoint(e, self._image)
 
 
 def solve_leading(
@@ -160,8 +146,9 @@ def solve_leading(
     equations: Sequence[Expr],
     leading: Sequence[JetVar | None] | None = None,
     eq_names: Sequence[str] | None = None,
+    rules: Iterable[RewriteRule] = (),
 ) -> PdeSystem:
-    """Build a system in leading-derivative form.
+    """Build a system in leading-derivative form under rewrite rules.
 
     When a leading derivative is not designated, the jet atom of highest
     total order is chosen, ties broken by most derivatives in the
@@ -212,12 +199,10 @@ def solve_leading(
         coeffs.append(c)
 
     sys = PdeSystem(indep, dep, equations, tuple(chosen), tuple(solved),
-                    tuple(coeffs), eq_names)
+                    tuple(coeffs), eq_names, RuleSet(rules))
     # Cross-equation references in the solved forms must reduce out; a
     # cyclic reference would loop, so pre-reduce each RHS with a depth cap.
-    reduced = tuple(sys.reduce(r) for r in solved)
-    return PdeSystem(indep, dep, equations, tuple(chosen), reduced,
-                     tuple(coeffs), eq_names)
+    return replace(sys, solved=tuple(sys.reduce(r) for r in solved))
 
 
 def _default_leading(eq: Expr, indep: tuple[str, ...]) -> JetVar:

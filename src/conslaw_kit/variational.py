@@ -245,7 +245,8 @@ class VariationalVerdict:
 
 
 def is_variational(sys: PdeSystem) -> VariationalVerdict:
-    """Whether the linearization is formally self-adjoint on solutions.
+    """Whether the linearization is formally self-adjoint on solutions
+    (under the system's rules).
 
     Compares the linearization table with its formal adjoint entry by
     entry; a variational system admits a Lagrangian and its adjoint

@@ -84,6 +84,18 @@ def f_rule():
     return RuleSet([RewriteRule(lhs, -Syms.alpha * fx - Syms.beta * ft)])
 
 
+def _under(sys: PdeSystem, rules: RuleSet) -> PdeSystem:
+    """The same system with `rules` constraining its opaque functions."""
+    return solve_leading(sys.indep, sys.dep, sys.equations, sys.leading,
+                         sys.eq_names, rules)
+
+
+@pytest.fixture(scope="session")
+def thomas_f(thomas, f_rule):
+    """Thomas under the constraint f_xt = -alpha f_x - beta f_t."""
+    return _under(thomas, f_rule)
+
+
 @pytest.fixture(scope="session")
 def b_rule():
     xv, tv = IndependentVar("x"), IndependentVar("t")
@@ -91,6 +103,12 @@ def b_rule():
     bt = atom_expr(OpaqueDeriv("B", (xv, tv), (0, 1)))
     lhs = OpaqueDeriv("B", (xv, tv), (1, 1))
     return RuleSet([RewriteRule(lhs, Syms.alpha * bx + Syms.beta * bt)])
+
+
+@pytest.fixture(scope="session")
+def thomas_b(thomas, b_rule):
+    """Thomas under the constraint B_xt = alpha B_x + beta B_t."""
+    return _under(thomas, b_rule)
 
 
 # -- random expression generation ---------------------------------------------

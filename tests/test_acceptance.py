@@ -93,7 +93,7 @@ def test_criterion_02_thomas_proposition_exact(thomas):
         assert vec.raw_components == (want_ct, want_cx)
 
 
-def test_criterion_03_thomas_examples(thomas, f_rule):
+def test_criterion_03_thomas_examples(thomas, thomas_f):
     with _Budget(3, "Thomas Examples 1-3 reproduced and verified", 20):
         theta = thomas_theta()
         e2 = exp_of(2 * theta)
@@ -126,12 +126,12 @@ def test_criterion_03_thomas_examples(thomas, f_rule):
             * (S.gamma * S.ux + S.beta) * eg
         rep_norule = verify_divergence(thomas, vec2)
         assert rep_norule.reduced_divergence == factor / S.gamma
-        assert verify_divergence(thomas, vec2, f_rule).reduced_divergence.is_zero
+        assert verify_divergence(thomas_f, vec2).reduced_divergence.is_zero
         ct2 = eg * (fx * (S.gamma * S.ux + S.beta)
                     - S.gamma * f * (S.beta * S.ux + S.gamma * S.ux**2 + S.uxx))
         cx2 = eg * (ft * (S.gamma * S.ux + S.beta)
                     + S.alpha * S.gamma * f * S.ux)
-        r2 = compare_vectors(thomas, vec2.components, (ct2, cx2), f_rule)
+        r2 = compare_vectors(thomas_f, vec2.components, (ct2, cx2))
         assert r2.equivalent and r2.exact
 
         # Example 3 (family-consistent substitution; printed C^t corrected
@@ -224,7 +224,7 @@ def test_criterion_06_variational_classification(wave, thomas, klein_gordon):
                                          + S.gamma * S.ux * S.ut)
 
 
-def test_criterion_07_substitution_family(thomas, b_rule):
+def test_criterion_07_substitution_family(thomas, thomas_b):
     with _Budget(7, "exponential ansatz family: dimension 4 + B-piece "
                     "under its rule", 30):
         theta = thomas_theta()
@@ -243,7 +243,7 @@ def test_criterion_07_substitution_family(thomas, b_rule):
                 thomas, Characteristic.of(comp))[0].is_zero
         B = atom_expr(OpaqueDeriv("B", (S.x_at, S.t_at)))
         phiB = Characteristic.of(B * exp_of(S.gamma * S.u))
-        assert adjoint_symmetry_residual(thomas, phiB, b_rule)[0].is_zero
+        assert adjoint_symmetry_residual(thomas_b, phiB)[0].is_zero
         assert not adjoint_symmetry_residual(thomas, phiB)[0].is_zero
 
 

@@ -5,12 +5,15 @@ import importlib.util
 import json
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from conslaw_kit import cli
+from conslaw_kit.dsl import emit, load_session, run_session_command
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 CORPUS = PKG_ROOT / "src" / "conslaw_kit" / "corpus"
@@ -102,10 +105,69 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "generator must have a nonzero component" in r.stdout
 
+    def test_cyclic_system_exits_2(self, tmp_path):
+        cyc = tmp_path / "cyclic.cl"
+        cyc.write_text(
+            "indep t x;\ndep u w;\n"
+            "eq e1: D[u,t] - D[w,x] = 0 leading D[u,t];\n"
+            "eq e2: D[w,x] - D[u,t] - u = 0 leading D[w,x];\n")
+        r = run_cli("variational-check", "--session", str(cyc))
+        assert r.returncode == 2, r.stderr
+        assert "reduction did not terminate" in r.stdout
+
     def test_wrong_substitution_class_exits_2(self):
         r = run_cli("selfadjoint-check", "sub1", "--session", THOMAS)
         assert r.returncode == 2
         assert "requires differential substitution" in r.stdout
+
+
+class TestRules:
+    def test_rule_closure_chains_through_other_functions(self, tmp_path):
+        # eta2 is D_x of the symmetry exp(a t)(f_x - g/a); reducing f_xxt
+        # needs the x-derivative of the rule, g_x included.
+        chain = tmp_path / "chain.cl"
+        chain.write_text(
+            "indep t x;\ndep u;\nparam a nonzero;\nfunc f(x,t);\n"
+            "func g(x);\neq e: D[u,t] = 0;\n"
+            "rule D[f,x,t] -> -a*D[f,x] + g;\n"
+            "char eta = exp(a*t)*(D[f,x] - g/a);\n"
+            "char eta2 = exp(a*t)*(D[f,x,x] - D[g,x]/a);\n")
+        for name in ("eta", "eta2"):
+            r = run_cli("symmetry-check", name, "--session", str(chain))
+            assert r.returncode == 0, r.stdout
+            assert "status: zero" in r.stdout
+
+
+class TestConcurrency:
+    def test_shared_session_from_four_threads(self):
+        """Four threads run every Thomas command on one shared session,
+        from cold replacement and rule caches, each in its own order; each
+        JSON report equals the sequential one."""
+        text = Path(THOMAS).read_text()
+
+        def reports(session, order):
+            return {i: emit(run_session_command(session, session.commands[i]),
+                            "json") for i in order}
+
+        n = len(load_session(text).commands)
+        sequential = reports(load_session(text), range(n))
+        shared = load_session(text)
+        start = threading.Barrier(4)
+
+        def worker(shift):
+            start.wait(timeout=60)
+            return reports(shared, [(k + shift) % n for k in range(n)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # switch threads often
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(worker, (0, 3, 6, 9), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert n == 12
+        for got in results:
+            assert got == sequential
 
 
 class TestCorpusRuns:

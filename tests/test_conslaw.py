@@ -123,18 +123,17 @@ class TestThomasExample2:
         eg = exp_of(S.gamma * S.u + 2 * S.alpha * S.t + 2 * S.beta * S.x)
         return (fxt + S.alpha * fx + S.beta * ft) * (S.gamma * S.ux + S.beta) * eg
 
-    def pipeline_vector(self, thomas, thomas_theta, rules=()):
+    def pipeline_vector(self, sys, thomas_theta):
         f = atom_expr(OpaqueDeriv("f", (S.x_at, S.t_at)))
         eta = f * exp_of(-S.gamma * S.u)
         phi = Characteristic.of(exp_of(2 * thomas_theta)
                                 * (S.ux + S.beta / S.gamma))
-        return ibragimov_vector(thomas, Generator.evolutionary(thomas, eta),
-                                phi, rules)
+        return ibragimov_vector(sys, Generator.evolutionary(sys, eta), phi)
 
     def test_pipeline_matches_printed_pair_under_rule(
-            self, thomas, thomas_theta, printed_pair, f_rule):
-        vec = self.pipeline_vector(thomas, thomas_theta, f_rule)
-        res = compare_vectors(thomas, vec.components, printed_pair, f_rule)
+            self, thomas_f, thomas_theta, printed_pair):
+        vec = self.pipeline_vector(thomas_f, thomas_theta)
+        res = compare_vectors(thomas_f, vec.components, printed_pair)
         assert res.equivalent and res.exact
         assert res.scale == Expr.const(1) / (2 * S.gamma)
 
@@ -155,10 +154,10 @@ class TestThomasExample2:
         assert rep.reduced_divergence == 2 * residual_factor
 
     def test_zero_residual_with_rule_enabled(
-            self, thomas, thomas_theta, printed_pair, f_rule):
-        vec = self.pipeline_vector(thomas, thomas_theta, f_rule)
-        assert verify_divergence(thomas, vec, f_rule).ok
-        assert verify_divergence(thomas, printed_pair, f_rule).ok
+            self, thomas_f, thomas_theta, printed_pair):
+        vec = self.pipeline_vector(thomas_f, thomas_theta)
+        assert verify_divergence(thomas_f, vec).ok
+        assert verify_divergence(thomas_f, printed_pair).ok
 
 
 class TestThomasExample3:
@@ -204,16 +203,16 @@ class TestPipelineProperties:
     def test_symmetry_substitution_pairs_verify(self, wave, thomas, thomas_theta):
         e2 = exp_of(2 * thomas_theta)
         cases = [
-            (wave, -S.ut, S.u - S.x * S.ux, ()),
-            (wave, -S.ut, S.ut, ()),
-            (wave, S.ux, S.u - S.x * S.ux, ()),
-            (thomas, -S.ux, e2 * (S.ut + S.alpha / S.gamma), ()),
-            (thomas, -S.ut, e2 * (S.ux + S.beta / S.gamma), ()),
+            (wave, -S.ut, S.u - S.x * S.ux),
+            (wave, -S.ut, S.ut),
+            (wave, S.ux, S.u - S.x * S.ux),
+            (thomas, -S.ux, e2 * (S.ut + S.alpha / S.gamma)),
+            (thomas, -S.ut, e2 * (S.ux + S.beta / S.gamma)),
         ]
-        for i, (sys, eta, phi, rules) in enumerate(cases):
+        for i, (sys, eta, phi) in enumerate(cases):
             vec = ibragimov_vector(sys, Generator.evolutionary(sys, eta),
-                                   Characteristic.of(phi), rules)
-            assert verify_divergence(sys, vec, rules).ok, f"case {i}"
+                                   Characteristic.of(phi))
+            assert verify_divergence(sys, vec).ok, f"case {i}"
 
     def test_bilinearity(self, thomas, thomas_theta):
         e2 = exp_of(2 * thomas_theta)

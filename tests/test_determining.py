@@ -67,10 +67,10 @@ class TestSymmetryResidual:
     def test_wave_time_translation(self, wave):
         assert symmetry_residual(wave, Characteristic.of(S.ut))[0].is_zero
 
-    def test_thomas_opaque_family(self, thomas, f_rule):
+    def test_thomas_opaque_family(self, thomas, thomas_f):
         f = atom_expr(OpaqueDeriv("f", (S.x_at, S.t_at)))
         eta = f * exp_of(-S.gamma * S.u)
-        res = symmetry_residual(thomas, Characteristic.of(eta), f_rule)
+        res = symmetry_residual(thomas_f, Characteristic.of(eta))
         assert res[0].is_zero
         res_no = symmetry_residual(thomas, Characteristic.of(eta))
         assert not res_no[0].is_zero
@@ -100,11 +100,11 @@ class TestAdjointSymmetryResidual:
             S.x * S.ux - S.t * S.ut + (S.beta * S.t - S.alpha * S.x) / S.gamma)
         assert not adjoint_symmetry_residual(thomas, Characteristic.of(phi))[0].is_zero
 
-    def test_thomas_opaque_substitution(self, thomas, b_rule):
+    def test_thomas_opaque_substitution(self, thomas_b):
         B = atom_expr(OpaqueDeriv("B", (S.x_at, S.t_at)))
         phi = B * exp_of(S.gamma * S.u)
         assert adjoint_symmetry_residual(
-            thomas, Characteristic.of(phi), b_rule)[0].is_zero
+            thomas_b, Characteristic.of(phi))[0].is_zero
 
 
 class TestDifferentialSubstitution:
@@ -141,10 +141,10 @@ class TestDifferentialSubstitution:
 
 
 class TestSelfAdjointLambda:
-    def test_thomas_point_substitution(self, thomas, b_rule):
+    def test_thomas_point_substitution(self, thomas_b):
         B = atom_expr(OpaqueDeriv("B", (S.x_at, S.t_at)))
         phi = B * exp_of(S.gamma * S.u)
-        lam = selfadjoint_lambda(thomas, Characteristic.of(phi), b_rule)
+        lam = selfadjoint_lambda(thomas_b, Characteristic.of(phi))
         assert lam[0][0] == -S.gamma * phi
 
     def test_wave_strict_substitution_fails_consistently(self, wave):

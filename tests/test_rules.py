@@ -5,7 +5,7 @@ import pytest
 
 from conslaw_kit.expr import (IndependentVar, JetVar, OpaqueDeriv,
                               RewriteRule, RuleError, RuleSet, atom_expr,
-                              exp_of, is_zero)
+                              exp_of)
 
 from conftest import Syms as S
 
@@ -42,8 +42,8 @@ def test_closure_reaches_inside_exponents(f_constraint):
 
 
 def test_is_zero_without_rules():
-    assert is_zero(S.ux - S.ux, ())
-    assert not is_zero(S.ux - S.ut, ())
+    assert RuleSet().reduce(S.ux - S.ux).is_zero
+    assert not RuleSet().reduce(S.ux - S.ut).is_zero
 
 
 def test_non_orientable_rule_rejected():
@@ -68,6 +68,16 @@ def test_rule_with_dependent_argument():
     # d/du (u g') = g' + u g'' -> g' + u^2 g'
     out = rules.reduce(gppp)
     assert out == gp + S.u**2 * gp
+
+
+def test_closure_chains_through_other_functions():
+    # f_xt -> h(t, x): differentiating the rule along x must bump h in
+    # its own x slot, whatever h's argument order.
+    h = OpaqueDeriv("h", (TV, XV))
+    rules = RuleSet([RewriteRule(OpaqueDeriv("f", (XV, TV), (1, 1)),
+                                 atom_expr(h))])
+    assert rules.reduce(f(2, 1)) == atom_expr(h.bump(1))
+    assert rules.reduce(f(2, 2)) == atom_expr(h.bump(1).bump(0))
 
 
 def test_termination_on_high_order_atoms(f_constraint):

@@ -37,8 +37,16 @@ def _build_argparser() -> argparse.ArgumentParser:
                     help="session file with declarations (and, for `run`, commands)")
     ap.add_argument("--format", choices=("text", "json", "latex"),
                     default="text")
-    ap.add_argument("--timeout", type=float, metavar="SECONDS", default=None)
+    ap.add_argument("--timeout", type=seconds, metavar="SECONDS", default=None)
     return ap
+
+
+def seconds(text: str) -> float:
+    """A finite number of seconds >= 0 (a NaN deadline never expires)."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise ValueError(text)
+    return value
 
 
 def _parse_cli_args(raw: list[str]):
@@ -96,8 +104,8 @@ def main(argv: list[str] | None = None) -> int:
             rep = run_command(session, ns.command, args)
             sys.stdout.write(emit(rep, fmt))
             return rep.exit_code
-    except (ConslawError, OSError) as ex:
-        # parse, usage, timeout and wrong-argument errors: never math
+    except (ConslawError, OSError, UnicodeDecodeError) as ex:
+        # parse, usage, timeout, wrong-argument and unreadable-file errors
         _emit_error(str(ex), fmt)
         return 2
 

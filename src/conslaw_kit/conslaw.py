@@ -9,6 +9,7 @@ sign, on-solution rewriting, divergence-free shifts).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,7 +20,8 @@ from .determining import (EDecomposition, differential_substitution_residual,
 from .expr.atoms import JetVar, MultiIndex
 from .expr.errors import ExprError
 from .expr.expression import Expr, atom_expr, jet_atom, sum_exprs
-from .jet import PdeSystem, jet_partial, total_derivative
+from .jet import (PdeSystem, jet_partial, total_derivative,
+                  total_derivative_multi)
 from .variational import (Characteristic, _as_characteristic, _signed,
                           adjoint_variables, formal_lagrangian)
 
@@ -87,19 +89,6 @@ class ConservedVector:
                                self.substitution, self.substitution_ok, report)
 
 
-def _slot_partial(lagr: Expr, dep: str, slots: tuple[str, ...]) -> Expr:
-    """Derivative of the Lagrangian with respect to one ordered derivative
-    slot.  Mixed derivative atoms carry the symmetric split: the atom
-    derivative divides by the number of orderings of the slot tuple, which
-    is what produces the 1/2 coefficients on mixed-derivative equations."""
-    J = MultiIndex.of(*slots)
-    d = jet_partial(lagr, JetVar(dep, J))
-    if d.is_zero:
-        return d
-    mult = J.multiplicity()
-    return d if mult == 1 else d / mult
-
-
 def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     """Conserved vector of a symmetry generator via the formal Lagrangian.
 
@@ -122,21 +111,25 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     r = sys.order
     W = characteristic_W(sys, g)
 
-    def d_tuple(comp: Expr, T: tuple[str, ...]) -> Expr:
-        for var in T:
-            comp = total_derivative(comp, var)
-        return comp
-
     def tuples(max_len: int):
         for n in range(max_len + 1):
             yield from itertools.product(sys.indep, repeat=n)
 
+    @functools.cache
+    def slot_partial(d: str, J: MultiIndex) -> Expr:
+        """dL/du^d_J over the slot orderings of J (the symmetric split that
+        gives the 1/2 on mixed-derivative equations), once per call."""
+        dd = jet_partial(lagr, JetVar(d, J))
+        mult = J.multiplicity()
+        return dd if dd.is_zero or mult == 1 else dd / mult
+
     def bracket(d: str, slots: tuple[str, ...]) -> Expr:
         pieces = []
         for Tp in tuples(r - len(slots)):
-            dd = _slot_partial(lagr, d, slots + Tp)
+            dd = slot_partial(d, MultiIndex.of(*slots, *Tp))
             if not dd.is_zero:
-                pieces.append(_signed(d_tuple(dd, Tp), len(Tp)))
+                pieces.append(_signed(
+                    total_derivative_multi(dd, MultiIndex.of(*Tp)), len(Tp)))
         return sum_exprs(pieces)
 
     raw = []
@@ -147,7 +140,8 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
             for T in tuples(r - 1):
                 b = bracket(d, (var,) + T)
                 if not b.is_zero:
-                    pieces.append(d_tuple(w, T) * b)
+                    pieces.append(
+                        total_derivative_multi(w, MultiIndex.of(*T)) * b)
         raw.append(sum_exprs(pieces))
 
     substitution_ok = None

@@ -74,11 +74,17 @@ def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
     monomials.  Degree-one buckets give the M coefficients, the constant
     bucket is the remainder S, and higher-degree buckets are reported as
     quadratic content.
+
+    The markers and this shadow system are built once per system and kept
+    by `PdeSystem.memo`, so the shadow's replacement cache is reused by
+    later calls; a copy made by `dataclasses.replace` starts without it.
     """
-    markers = _fresh_names(sys, "Emark")
-    shadow = replace(sys, solved=tuple(
-        r + Expr.from_coeff(c.invert_unit()) * atom_expr(JetVar(name))
-        for r, c, name in zip(sys.solved, sys.lead_coeff, markers)))
+    def shadow_system():
+        names = _fresh_names(sys, "Emark")
+        return names, replace(sys, solved=tuple(
+            r + Expr.from_coeff(c.invert_unit()) * atom_expr(JetVar(name))
+            for r, c, name in zip(sys.solved, sys.lead_coeff, names)))
+    markers, shadow = sys.memo("e_decompose", shadow_system)
     reduced = shadow.reduce(e)
     checkpoint()
 
@@ -192,7 +198,8 @@ def adjoint_invariance_conditions(sys: PdeSystem, lam):
     """Split each multiplier residual into its adjoint-symmetry part and
     the extra conditions a multiplier must additionally satisfy.
 
-    Returns (adjoint_parts, extras): adjoint_parts[sigma] is the reduced
+    Returns (residuals, adjoint_parts, extras): residuals is the
+    `multiplier_residual` it splits, adjoint_parts[sigma] is the reduced
     remainder (and provably equals the adjoint-symmetry residual), extras
     is a list of ((sigma, beta, J), coefficient) for every surviving
     equation-proportional coefficient.
@@ -211,4 +218,4 @@ def adjoint_invariance_conditions(sys: PdeSystem, lam):
         adjoint_parts.append(dec.remainder)
         for (b, J), coeff in dec.coeffs.items():
             extras.append(((sigma, b, J), coeff))
-    return tuple(adjoint_parts), extras
+    return residuals, tuple(adjoint_parts), extras

@@ -13,8 +13,7 @@ from ..conslaw import Generator, ibragimov_vector, verify_divergence
 from ..determining import (adjoint_invariance_conditions,
                            adjoint_symmetry_residual,
                            differential_substitution_residual,
-                           multiplier_residual, selfadjoint_lambda,
-                           symmetry_residual)
+                           selfadjoint_lambda, symmetry_residual)
 from ..expr.errors import ConslawError, SubstitutionClassError
 from ..expr.expression import Expr
 from ..variational import Characteristic, adjoint_variables, is_variational
@@ -42,17 +41,15 @@ def _char_arg(session: Session, args, what: str = "characteristic"
     return Characteristic((_resolve_inline(session, val),))
 
 
-def _residual_report(name: str, session: Session, residuals, detail_zero: str,
+def _residual_report(name: str, sysm, residuals, detail_zero: str,
                      detail_nonzero: str) -> Report:
-    sysm = session.require_system()
     nonzero = [r for r in residuals if not r.is_zero]
-    rep = Report(
+    return Report(
         command=name,
         status="zero" if not nonzero else "nonzero",
         detail=detail_zero if not nonzero else detail_nonzero,
         residuals=[(d, r) for d, r in zip(sysm.dep, residuals)],
     )
-    return rep
 
 
 def cmd_variational_check(session: Session, args) -> Report:
@@ -80,7 +77,7 @@ def cmd_symmetry_check(session: Session, args) -> Report:
     sysm = session.require_system()
     ch = _char_arg(session, args)
     res = symmetry_residual(sysm, ch)
-    return _residual_report("symmetry-check", session, res,
+    return _residual_report("symmetry-check", sysm, res,
                             "symmetry characteristic", "not a symmetry")
 
 
@@ -88,7 +85,7 @@ def cmd_adjoint_check(session: Session, args) -> Report:
     sysm = session.require_system()
     ch = _char_arg(session, args)
     res = adjoint_symmetry_residual(sysm, ch)
-    return _residual_report("adjoint-check", session, res,
+    return _residual_report("adjoint-check", sysm, res,
                             "adjoint symmetry (= differential substitution)",
                             "not an adjoint symmetry")
 
@@ -97,7 +94,7 @@ def cmd_substitution_check(session: Session, args) -> Report:
     sysm = session.require_system()
     ch = _char_arg(session, args)
     res = differential_substitution_residual(sysm, ch)
-    return _residual_report("substitution-check", session, res,
+    return _residual_report("substitution-check", sysm, res,
                             "differential substitution of nonlinear "
                             "self-adjointness",
                             "not a differential substitution")
@@ -126,9 +123,8 @@ def cmd_selfadjoint_check(session: Session, args) -> Report:
 def cmd_multiplier_check(session: Session, args) -> Report:
     sysm = session.require_system()
     ch = _char_arg(session, args)
-    res = multiplier_residual(sysm, ch)
-    adjoint_parts, extras = adjoint_invariance_conditions(sysm, ch)
-    rep = _residual_report("multiplier-check", session, res,
+    res, adjoint_parts, extras = adjoint_invariance_conditions(sysm, ch)
+    rep = _residual_report("multiplier-check", sysm, res,
                            "conservation-law multiplier", "not a multiplier")
     rep.extra["adjoint_parts"] = [
         f"{d}: {expr_text(p)}" for d, p in zip(sysm.dep, adjoint_parts)]

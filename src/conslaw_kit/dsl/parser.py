@@ -134,15 +134,15 @@ class SessionAst:
     statements: list[Stmt] = field(default_factory=list)
 
 
-KEYWORDS = {"indep", "dep", "param", "func", "eq", "rule", "char", "gen",
-            "vector", "cmd", "leading", "nonzero", "expect", "exp", "xi",
-            "eta"}
+# Deeper input would overflow the interpreter stack of the recursive descent.
+MAX_NESTING = 128
 
 
 class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers -------------------------------------------------------
 
@@ -188,13 +188,20 @@ class _Parser:
         return node
 
     def parse_factor(self) -> ENode:
+        # parentheses, exp(...), signs and power bases all nest through here
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} "
+                             "levels deep", self.cur.line, self.cur.col)
+        self.depth += 1
         if self.cur.kind in ("+", "-"):
             op = self.advance()
-            arg = self.parse_factor()
-            if op.kind == "+":
-                return arg
-            return EUnary(op.line, op.col, "-", arg)
-        return self.parse_power()
+            node = self.parse_factor()
+            if op.kind == "-":
+                node = EUnary(op.line, op.col, "-", node)
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self) -> ENode:
         base = self.parse_primary()

@@ -23,6 +23,7 @@ pieces never re-sorts a growing partial sum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -230,14 +231,14 @@ class Expr:
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int) or n < 0:
             raise ExprError("unsupported power")
-        out = Expr.const(1)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if n > 1 else base
             n >>= 1
-        return out
+        return Expr.const(1) if out is None else out
 
     def __truediv__(self, other) -> "Expr":
         other = _as_expr(other)
@@ -351,13 +352,8 @@ def normalize(x) -> Expr:
         if isinstance(a, ExpAtom):
             return exp_of(normalize(a.exponent))
         return Expr.from_atom(a)
-    return _map_atoms(_as_expr(x), image)
-
-
-def _map_atoms(e: Expr, image) -> Expr:
-    """Sum over the terms of e of coeff * prod image(atom)**k."""
     pieces = []
-    for t in e.terms:
+    for t in _as_expr(x).terms:
         piece = Expr.from_coeff(t.coeff)
         for a, k in t.powers:
             piece = piece * image(a) ** k
@@ -402,6 +398,9 @@ def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Exp
     Atoms inside exponential exponents are substituted too.  Binding an
     atom that occurs as an opaque-function argument is rejected: the
     argument list of an opaque function is a fixed symbol, not a slot.
+    Only moving factors (bound atoms, exponentials whose exponent holds
+    one) are rebuilt: each `collect` bucket on them is multiplied once by
+    the product of their images, and every other factor is kept as is.
     """
     e = _as_expr(e)
     binds = {a: _as_expr(v) for a, v in bindings.items()}
@@ -410,21 +409,23 @@ def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Exp
     for key in binds:
         if isinstance(key, Parameter):
             raise ExprError("cannot substitute for a parameter atom")
-    for a in e.atoms():
+    atoms = e.atoms()
+    for a in atoms:
         if isinstance(a, OpaqueDeriv):
             for arg in a.args:
                 if arg in binds:
                     raise ExprError(
                         f"cannot substitute into opaque-function argument "
                         f"{arg} of {a.func}")
-
-    def image(a: Atom) -> Expr:
-        if a in binds:
-            return binds[a]
-        if isinstance(a, ExpAtom):
-            return exp_of(substitute(a.exponent, binds))
-        return Expr.from_atom(a)
-    return _map_atoms(e, image)
+    images = {a: binds[a] if a in binds else
+              exp_of(substitute(a.exponent, binds)) for a in atoms
+              if a in binds or isinstance(a, ExpAtom)
+              and not binds.keys().isdisjoint(a.exponent.atoms())}
+    if not images:
+        return e
+    return sum_exprs(
+        rest * functools.reduce(Expr.__mul__, (images[a] ** k for a, k in key))
+        if key else rest for key, rest in collect(e, images).items())
 
 
 def collect(e: Expr, selected: Iterable[Atom]) -> dict[Powers, Expr]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                          MultiIndex, OpaqueDeriv, Parameter)
@@ -103,27 +103,28 @@ class PdeSystem:
     def order(self) -> int:
         return max(e.jet_order() for e in self.equations)
 
-    def equation_index(self, name: str) -> int:
-        return self.eq_names.index(name)
-
     # -- reduction ---------------------------------------------------------
+
+    def memo(self, key, build: Callable[[], Any]) -> Any:
+        """This system's cached value for `key`; a miss calls `build`
+        outside the lock, so it may recurse."""
+        with self._lock:
+            hit = self._cache.get(key)
+        if hit is None:
+            hit = build()
+            with self._lock:
+                hit = self._cache.setdefault(key, hit)
+        return hit
 
     def replacement(self, i: int, extra: MultiIndex) -> Expr:
         """Reduced form of D_extra applied to equation i's solved RHS."""
-        key = (i, extra)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if extra.order == 0:
-            val = self.solved[i]
-        else:
+        def build() -> Expr:
+            if extra.order == 0:
+                return self.solved[i]
             var = extra.names()[0]
             prev = self.replacement(i, extra - MultiIndex.of(var))
-            val = self.reduce(total_derivative(prev, var))
-        with self._lock:
-            self._cache[key] = val
-        return val
+            return self.reduce(total_derivative(prev, var))
+        return self.memo((i, extra), build)
 
     def _image(self, a: Atom) -> Expr | None:
         if not isinstance(a, JetVar):

@@ -200,7 +200,7 @@ def test_criterion_05_multiplier_subset_witness(wave):
         scaling = Characteristic.of(S.u - S.x * S.ux)
         assert adjoint_symmetry_residual(wave, scaling)[0].is_zero
         assert not multiplier_residual(wave, scaling)[0].is_zero
-        parts, extras = adjoint_invariance_conditions(wave, scaling)
+        _, parts, extras = adjoint_invariance_conditions(wave, scaling)
         assert parts[0].is_zero
         assert len(extras) == 1
         assert extras[0][1] == Expr.const(3)
@@ -208,7 +208,7 @@ def test_criterion_05_multiplier_subset_witness(wave):
             ch = Characteristic.of(comp)
             assert adjoint_symmetry_residual(wave, ch)[0].is_zero
             assert multiplier_residual(wave, ch)[0].is_zero
-            parts, extras = adjoint_invariance_conditions(wave, ch)
+            _, parts, extras = adjoint_invariance_conditions(wave, ch)
             assert parts[0].is_zero and not extras
 
 

@@ -115,6 +115,34 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "reduction did not terminate" in r.stdout
 
+    def test_non_utf8_session_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.cl"
+        bad.write_bytes(b"indep t x;\xff\xfe\x80 dep u;\n")
+        r = run_cli("run", "--session", str(bad))
+        assert r.returncode == 2, r.stderr
+        assert "can't decode" in r.stdout and "Traceback" not in r.stderr
+
+    NESTED = {
+        "parentheses": lambda n: "(" * n + "D[u,t]" + ")" * n,
+        "signs": lambda n: "-" * n + "D[u,t]",
+        "powers": lambda n: "(" * n + "D[u,t]" + ")^1" * n,
+        "exp": lambda n: "exp(" * n + "D[u,t]" + ")" * n,
+    }
+
+    @pytest.mark.parametrize("shape", ["parentheses", "signs", "powers"])
+    def test_nesting_100_levels_parses(self, shape):
+        r = run_cli("symmetry-check", "c=" + self.NESTED[shape](100),
+                    "--session", WAVE)
+        assert r.returncode == 0, r.stdout + r.stderr
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_nesting_1000_levels_exits_2(self, shape):
+        r = run_cli("symmetry-check", "c=" + self.NESTED[shape](1000),
+                    "--session", WAVE)
+        assert r.returncode == 2, r.stderr
+        assert "nested more than 128 levels deep" in r.stdout
+        assert "1:" in r.stdout and "Traceback" not in r.stderr
+
     def test_wrong_substitution_class_exits_2(self):
         r = run_cli("selfadjoint-check", "sub1", "--session", THOMAS)
         assert r.returncode == 2
@@ -284,3 +312,11 @@ class TestTimeout:
                     "--timeout", "0.000001")
         assert r.returncode == 2
         assert "timeout" in r.stdout
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "soon"])
+    def test_unusable_timeout_rejected(self, value):
+        r = run_cli("variational-check", "--session", WAVE,
+                    f"--timeout={value}")
+        assert r.returncode == 2
+        assert f"argument --timeout: invalid seconds value: '{value}'" \
+            in r.stderr

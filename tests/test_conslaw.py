@@ -1,17 +1,23 @@
 """Conserved vectors: assembly from the formal Lagrangian, divergence
 verification, and equivalence against the published pairs."""
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from conslaw_kit.conslaw import (ConservedVector, Generator, compare_vectors,
                                  characteristic_W, ibragimov_vector,
                                  verify_divergence)
-from conslaw_kit.expr import (Expr, ExprError, OpaqueDeriv, atom_expr, exp_of,
-                              rational)
-from conslaw_kit.expr.expression import jet
-from conslaw_kit.variational import Characteristic
+from conslaw_kit.determining import substitute_multiplier_vars
+from conslaw_kit.dsl import load_session
+from conslaw_kit.expr import (Expr, ExprError, JetVar, MultiIndex,
+                              OpaqueDeriv, atom_expr, exp_of, rational)
+from conslaw_kit.expr.expression import jet, sum_exprs
+from conslaw_kit.jet import jet_partial, total_derivative
+from conslaw_kit.variational import (Characteristic, adjoint_variables,
+                                     formal_lagrangian)
 
 from conftest import Syms as S, random_expr
 
@@ -252,3 +258,66 @@ class TestPipelineProperties:
         assert verify_divergence(wave, a).ok
         res = compare_vectors(wave, a.components, b.components)
         assert res.equivalent
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CONSLAW_SESSIONS = ("src/conslaw_kit/corpus/wave.cl",
+                    "src/conslaw_kit/corpus/thomas.cl",
+                    "perfbench/sessions/kdv5-conslaw.cl")
+
+
+def reference_raw_vector(sys, g, phi):
+    """The pre-reduction components as assembled before slot derivatives
+    were shared: dL/du_(S+T') taken afresh for every ordered slot tuple,
+    D_T applied one variable at a time in tuple order."""
+    lagr = formal_lagrangian(sys)
+    W = characteristic_W(sys, g)
+    r = sys.order
+
+    def d_tuple(comp, T):
+        for var in T:
+            comp = total_derivative(comp, var)
+        return comp
+
+    def tuples(max_len):
+        for n in range(max_len + 1):
+            yield from itertools.product(sys.indep, repeat=n)
+
+    def bracket(d, slots):
+        pieces = []
+        for Tp in tuples(r - len(slots)):
+            J = MultiIndex.of(*slots, *Tp)
+            dd = jet_partial(lagr, JetVar(d, J)) / J.multiplicity()
+            pieces.append(d_tuple(dd, Tp).scale((-1) ** len(Tp)))
+        return sum_exprs(pieces)
+
+    raw = []
+    for i, var in enumerate(sys.indep):
+        pieces = [g.xi[i] * lagr]
+        for w, d in zip(W.components, sys.dep):
+            for T in tuples(r - 1):
+                pieces.append(d_tuple(w, T) * bracket(d, (var,) + T))
+        raw.append(sum_exprs(pieces))
+    return [substitute_multiplier_vars(sys, c, phi, adjoint_variables(sys))
+            for c in raw]
+
+
+def conslaw_commands():
+    for path in CONSLAW_SESSIONS:
+        session = load_session((ROOT / path).read_text())
+        for cmd in session.commands:
+            if cmd.name == "conslaw":
+                (_, gen), (_, sub) = cmd.args
+                yield pytest.param(session, gen, sub, id=f"{path}:{gen}:{sub}")
+
+
+class TestSharedSlotDerivatives:
+    @pytest.mark.parametrize("session,gen,sub", conslaw_commands())
+    def test_vector_equals_unshared_assembly(self, session, gen, sub):
+        sys, phi = session.system, session.chars[sub]
+        g = session.gens.get(gen) or Generator.evolutionary(
+            sys, *session.chars[gen].components)
+        vec = ibragimov_vector(sys, g, phi)
+        raw = reference_raw_vector(sys, g, phi)
+        assert list(vec.raw_components) == raw
+        assert vec.components == tuple(sys.reduce(c) for c in raw)

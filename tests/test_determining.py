@@ -1,6 +1,7 @@
 """Determining-system residuals, E-decomposition, and the mechanized
 symmetry / adjoint-symmetry / substitution / multiplier relationships."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from conslaw_kit.determining import (adjoint_invariance_conditions,
                                      differential_substitution_residual,
                                      multiplier_residual, selfadjoint_lambda,
                                      symmetry_residual)
-from conslaw_kit.jet import total_derivative
+from conslaw_kit.jet import solve_leading, total_derivative
 from conslaw_kit.variational import Characteristic
 
 from conftest import Syms as S, random_expr
@@ -49,6 +50,24 @@ class TestEDecompose:
         d = e_decompose(S.utt**2, wave)
         assert not d.is_linear
         assert d.reassemble() == S.utt**2
+
+    def test_shadow_system_is_built_once_per_system(self, wave):
+        sys = solve_leading(wave.indep, wave.dep, wave.equations,
+                            wave.leading, wave.eq_names)
+        built = []
+        e = S.ux * total_derivative(wave.equations[0], "x")
+        first = e_decompose(e, sys)
+        markers, shadow = sys.memo("e_decompose", lambda: built.append(1))
+        assert markers == first.marker_deps and not built
+        kept = dict(shadow._cache)
+        assert kept   # the shadow's replacement cache was filled
+        assert e_decompose(e, sys) == first
+        assert sys.memo("e_decompose", lambda: built.append(1))[1] is shadow
+        assert shadow._cache == kept and not built   # every lookup a hit
+        copy = dataclasses.replace(sys)
+        assert e_decompose(e, copy) == first
+        assert copy.memo("e_decompose", lambda: built.append(1))[1] \
+            is not shadow
 
     def test_adjoint_symmetry_is_not_multiplier_shape(self, wave):
         # euler((u - x u_x) * E) has vanishing remainder but a nonzero
@@ -249,7 +268,7 @@ class TestSymbolicMultiplierSplit:
 
 class TestAdjointInvariance:
     def test_wave_scaling_witness_constant_three(self, wave):
-        parts, extras = adjoint_invariance_conditions(
+        _, parts, extras = adjoint_invariance_conditions(
             wave, Characteristic.of(S.u - S.x * S.ux))
         assert parts[0].is_zero
         assert len(extras) == 1
@@ -269,7 +288,7 @@ class TestAdjointInvariance:
 
     def test_multipliers_pass_both(self, wave):
         for comp in (S.ut, S.ux):
-            parts, extras = adjoint_invariance_conditions(
+            _, parts, extras = adjoint_invariance_conditions(
                 wave, Characteristic.of(comp))
             assert parts[0].is_zero
             assert not extras

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.determining import e_decompose
-from conslaw_kit.expr import Expr, atom_expr, exp_of, normalize
+from conslaw_kit.expr import (ExpAtom, Expr, atom_expr, exp_of, normalize,
+                              substitute)
 from conslaw_kit.expr.expression import jet, sum_exprs
 from conslaw_kit.jet import total_derivative
 from conslaw_kit.variational import (Characteristic, adjoint_linearize,
@@ -174,3 +175,47 @@ class TestPartialDerivation:
     def test_leibniz(self, a, b, at):
         from conslaw_kit.expr import partial
         assert partial(a * b, at) == partial(a, at) * b + a * partial(b, at)
+
+
+def reference_substitute(e: Expr, binds: dict) -> Expr:
+    """The term-by-term product `substitute` used to compute: every factor
+    of every term rebuilt as image(atom)**k and multiplied in."""
+    def image(a):
+        if a in binds:
+            return binds[a]
+        if isinstance(a, ExpAtom):
+            return exp_of(reference_substitute(a.exponent, binds))
+        return atom_expr(a)
+    pieces = []
+    for t in e.terms:
+        piece = Expr.from_coeff(t.coeff)
+        for a, k in t.powers:
+            piece = piece * image(a) ** k
+        pieces.append(piece)
+    return sum_exprs(pieces)
+
+
+class TestSubstitute:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_matches_term_by_term_product(self, rng, data):
+        e = random_expr(rng, max_terms=4, allow_exp=True)
+        if data.draw(st.booleans()):
+            # u -> x (or to a constant) collapses this exponent to 0 (or
+            # to a rational): the folding path of the product
+            e = e * (S.ux + 1) * exp_of(S.u - S.x)
+        plain = sorted(DEFAULT_POOL, key=lambda a: a.sort_key())
+        bound = data.draw(st.lists(st.sampled_from(plain), min_size=1,
+                                   max_size=4, unique=True))
+        values = st.sampled_from(("zero", "const", "x", "expr", "exp"))
+        binds = {}
+        for a in bound:
+            kind = data.draw(values)
+            binds[a] = {
+                "zero": lambda: Expr.zero(),
+                "const": lambda: Expr.const(data.draw(fractions)),
+                "x": lambda: S.x,
+                "expr": lambda: random_expr(rng, max_terms=3),
+                "exp": lambda: random_expr(rng, max_terms=2, allow_exp=True),
+            }[kind]()
+        assert substitute(e, binds) == reference_substitute(e, binds)

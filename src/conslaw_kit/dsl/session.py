@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from ..expr.atoms import (Atom, IndependentVar, JetVar, MultiIndex,
                           OpaqueDeriv, Parameter)
 from ..expr.errors import ConslawError
-from ..expr.expression import Expr, atom_expr, exp_of
+from ..expr.expression import Expr, atom_expr, exp_of, sum_exprs
 from ..expr.rules import RewriteRule, RuleSet
 from ..jet import PdeSystem, solve_leading
 from ..variational import Characteristic
@@ -82,18 +82,27 @@ class _Resolver:
         if isinstance(node, EPow):
             return self.expr(node.base) ** node.exponent
         if isinstance(node, EBinary):
-            left = self.expr(node.left)
-            right = self.expr(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            try:
-                return left / right
-            except ConslawError as ex:
-                raise ParseError(str(ex), node.line, node.col) from None
+            # a flat chain nests as deep as it is long: loop, do not recurse
+            additive = node.op in "+-"
+            links: list[EBinary] = []
+            while isinstance(node, EBinary) and (node.op in "+-") == additive:
+                links.append(node)
+                node = node.left
+            acc = self.expr(node)
+            if additive:
+                return sum_exprs([acc, *(
+                    -self.expr(n.right) if n.op == "-" else self.expr(n.right)
+                    for n in reversed(links))])
+            for n in reversed(links):
+                right = self.expr(n.right)
+                if n.op == "*":
+                    acc = acc * right
+                    continue
+                try:
+                    acc = acc / right
+                except ConslawError as ex:
+                    raise ParseError(str(ex), n.line, n.col) from None
+            return acc
         raise AssertionError(f"unhandled node {node!r}")
 
     def _name_expr(self, node: EName) -> Expr:

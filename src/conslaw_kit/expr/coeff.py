@@ -56,49 +56,27 @@ def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(((p, k) for p, k in out if k), key=lambda e: e[0].sort_key()))
 
 
-class _MonoKey:
-    """Graded-lexicographic monomial order (earlier parameter names are
-    more significant); a genuine monomial order, as exact division needs."""
-
-    __slots__ = ("total", "pairs")
-
-    def __init__(self, m: Monomial):
-        self.total = sum(k for _, k in m)
-        self.pairs = tuple((p.name, k) for p, k in m)
-
-    def _cmp(self, other: "_MonoKey") -> int:
-        if self.total != other.total:
-            return -1 if self.total < other.total else 1
-        da, db = dict(self.pairs), dict(other.pairs)
-        for n in sorted(set(da) | set(db)):
-            ea, eb = da.get(n, 0), db.get(n, 0)
-            if ea != eb:
-                return -1 if ea < eb else 1
-        return 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0
-
-
 @dataclass(frozen=True)
 class Poly:
     """Multivariate polynomial over Q in declared parameters.
 
     Terms are a sorted tuple of (monomial, nonzero Fraction) pairs; the
-    empty tuple is the zero polynomial.
+    empty tuple is the zero polynomial.  Terms sort by total degree, then
+    exponents by parameter name: a monomial order, as `exact_div` needs.
     """
 
     terms: tuple[tuple[Monomial, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        cleaned = tuple(
-            sorted(((m, Fraction(c)) for m, c in self.terms if c != 0),
-                   key=lambda e: _MonoKey(e[0]))
-        )
-        object.__setattr__(self, "terms", cleaned)
+        kept = [(m, Fraction(c)) for m, c in self.terms if c != 0]
+        if len(kept) > 1:
+            names = sorted({p.name for m, _ in kept for p, _ in m})
+            def key(term):
+                exps = {p.name: k for p, k in term[0]}
+                return (sum(k for _, k in term[0]),
+                        tuple(exps.get(n, 0) for n in names))
+            kept.sort(key=key)
+        object.__setattr__(self, "terms", tuple(kept))
 
     # -- constructors ------------------------------------------------------
 

@@ -19,17 +19,21 @@ Every sum goes through one fold, `sum_exprs`: it merges the terms of all
 pieces by power product and sorts once.  `+` is its two-piece case and
 `*` folds the distributed products with the same pass, so a sum of many
 pieces never re-sorts a growing partial sum.
+
+`Term` and `Expr` are frozen, slotted dataclasses; an `Expr` fills its
+hash and `sort_key()` once, lazily, for the reasons given in `atoms`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
-                    MultiIndex, OpaqueDeriv, Parameter)
+                    MultiIndex, OpaqueDeriv, Parameter, lazy_slot,
+                    reduce_by_init_fields)
 from .coeff import Coeff
 from .errors import ExprError
 
@@ -42,10 +46,11 @@ __all__ = [
 Powers = tuple[tuple[Atom, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     coeff: Coeff
     powers: Powers = ()
+    __reduce__ = reduce_by_init_fields
 
     @property
     def degree(self) -> int:
@@ -107,9 +112,13 @@ def _make_term(coeff: Coeff, factors: Iterable[tuple[Atom, int]]) -> Term | None
     return Term(coeff, powers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     terms: tuple[Term, ...] = ()
+    _hash: int = field(init=False, compare=False, repr=False)
+    _key: tuple = field(init=False, compare=False, repr=False)
+    __hash__ = lazy_slot("_hash", lambda s: hash(s.terms))
+    __reduce__ = reduce_by_init_fields
 
     # -- construction ------------------------------------------------------
 
@@ -196,8 +205,7 @@ class Expr:
                     out.update(a.exponent.parameters())
         return out
 
-    def sort_key(self):
-        return tuple(t.sort_key() for t in self.terms)
+    sort_key = lazy_slot("_key", lambda s: tuple(t.sort_key() for t in s.terms))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -14,6 +14,7 @@ import pytest
 
 from conslaw_kit import cli
 from conslaw_kit.dsl import emit, load_session, run_session_command
+from conslaw_kit.expr.expression import jet
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 CORPUS = PKG_ROOT / "src" / "conslaw_kit" / "corpus"
@@ -142,6 +143,21 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "nested more than 128 levels deep" in r.stdout
         assert "1:" in r.stdout and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("n", [1000, 10000])
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_long_flat_chain_runs(self, tmp_path, op, n):
+        # a flat chain parses to a left-nested tree as deep as it is long
+        text = ("indep t x;\ndep u;\neq e: D[u,t] - D[u,x] = 0;\n"
+                f"char c = {op.join(['u'] * n)};\ncmd symmetry-check c;\n")
+        chain = tmp_path / "chain.cl"
+        chain.write_text(text)
+        r = run_cli("run", "--session", str(chain))
+        assert r.returncode == 0, r.stdout + r.stderr[-2000:]
+        assert "status: zero" in r.stdout
+        u = jet("u")
+        assert load_session(text).chars["c"].components == (
+            (u.scale(n) if op == "+" else u ** n),)
 
     def test_wrong_substitution_class_exits_2(self):
         r = run_cli("selfadjoint-check", "sub1", "--session", THOMAS)

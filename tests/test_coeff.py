@@ -1,9 +1,11 @@
 """Exact coefficient field: polynomials over Q and monomial-denominator
 rational functions."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.expr import ExprError, Parameter
 from conslaw_kit.expr.coeff import Coeff, Poly, mono
@@ -88,3 +90,34 @@ def test_unit_detection():
     u = Coeff(Poly.param(A).scale(-2), mono((G, 1)))
     inv = u.invert_unit()
     assert u * inv == Coeff.one()
+
+
+def reference_mono_cmp(a, b) -> int:
+    """The comparator `Poly` used to sort by: total degree, then the
+    exponents by parameter name over the union of the two monomials (two
+    dicts built per comparison)."""
+    ta, tb = sum(k for _, k in a), sum(k for _, k in b)
+    if ta != tb:
+        return -1 if ta < tb else 1
+    da = dict((p.name, k) for p, k in a)
+    db = dict((p.name, k) for p, k in b)
+    for n in sorted(set(da) | set(db)):
+        ea, eb = da.get(n, 0), db.get(n, 0)
+        if ea != eb:
+            return -1 if ea < eb else 1
+    return 0
+
+
+# "alpha" twice, with both nonzero flags: two atoms, one name
+ORDER_POOL = (A, B, G, K, Parameter("alpha"), Parameter("a"), Parameter("z"))
+monomials = st.lists(st.tuples(st.sampled_from(ORDER_POOL), st.integers(1, 3)),
+                     max_size=4).map(lambda pairs: mono(*pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(monomials, st.integers(-3, 3)), max_size=8))
+def test_term_order_matches_reference_comparator(terms):
+    kept = [(m, Fraction(c)) for m, c in terms if c]
+    expected = sorted(kept, key=functools.cmp_to_key(
+        lambda x, y: reference_mono_cmp(x[0], y[0])))
+    assert list(Poly(tuple(terms)).terms) == expected

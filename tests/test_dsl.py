@@ -43,6 +43,17 @@ class TestParsing:
         with pytest.raises(ParseError, match="unknown symbol 'q'"):
             load_session(src)
 
+    def test_division_error_has_position(self):
+        src = WAVE_SRC + "param a;\nchar c = u/2*x/3 + u*x/a*u;\n"
+        with pytest.raises(ParseError, match="not declared nonzero: a") as err:
+            load_session(src)
+        assert (err.value.line, err.value.col) == (6, 23)
+
+    def test_mixed_chains_resolve_in_order(self):
+        s = load_session(WAVE_SRC + "char c = x - u*x/2*u + 3 - u/3 + x;\n")
+        assert s.chars["c"].components[0] == \
+            (S.x - S.u * S.x * S.u / 2) + 3 - S.u / 3 + S.x
+
     def test_duplicate_declaration(self):
         with pytest.raises(ParseError, match="duplicate declaration"):
             load_session("indep t x;\ndep t;\n")

@@ -5,16 +5,22 @@ the reproducing example and seed); the jet/system suites use explicit
 seeds printed in the assertion message.
 """
 
+import copy
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.determining import e_decompose
-from conslaw_kit.expr import (ExpAtom, Expr, atom_expr, exp_of, normalize,
-                              substitute)
-from conslaw_kit.expr.expression import jet, sum_exprs
+from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr, JetVar,
+                              OpaqueDeriv, Parameter, atom_expr, exp_of,
+                              normalize, partial, substitute)
+from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
 from conslaw_kit.jet import total_derivative
 from conslaw_kit.variational import (Characteristic, adjoint_linearize,
                                      euler, linearize)
@@ -219,3 +225,104 @@ class TestSubstitute:
                 "exp": lambda: random_expr(rng, max_terms=2, allow_exp=True),
             }[kind]()
         assert substitute(e, binds) == reference_substitute(e, binds)
+
+
+def _atoms_deep(e: Expr):
+    """Every atom of `e`, those inside exponents included, and the
+    multi-indices of its jet atoms."""
+    for a in e.atoms():
+        yield a
+        if isinstance(a, JetVar):
+            yield a.index
+
+
+class TestHashContract:
+    """Expressions and atoms cache their hash and sort key the first time
+    each is asked for; the cached values must agree with ==, whatever
+    built the object and whenever the cache was filled."""
+
+    W = jet_atom("w")   # not in the random pool: a slot for substitute
+
+    @COMMON
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_equal_by_every_route(self, rng, data):
+        a, b, c = (random_expr(rng, max_terms=4, allow_exp=True)
+                   for _ in range(3))
+        perm = data.draw(st.permutations([a, b, c]))
+        routes = [
+            (a + b, b + a),
+            (a * b, b * a),
+            (sum_exprs([a, b, c]), sum_exprs(perm)),
+            (substitute(atom_expr(self.W) * a + c, {self.W: b}), a * b + c),
+            (exp_of(a) * exp_of(b), exp_of(a + b)),
+            (normalize(a * b - c), a * b - c),
+            (pickle.loads(pickle.dumps(a)), a),
+            (copy.deepcopy(c), c),
+        ]
+        for x, y in routes:
+            assert x == y
+            assert hash(x) == hash(y)
+            assert x.sort_key() == y.sort_key()
+            for tx, ty in zip(x.terms, y.terms):
+                assert [hash(p) for p in tx.powers] == \
+                    [hash(p) for p in ty.powers]
+
+    @COMMON
+    @given(st.integers(0, 2**32))
+    def test_filling_caches_first_changes_nothing(self, seed):
+        def outcome(warm: bool):
+            rng = random.Random(seed)
+            xs = [random_expr(rng, max_terms=4, allow_exp=True)
+                  for _ in range(4)]
+            if warm:
+                for x in xs:
+                    hash(x), x.sort_key()
+                    for obj in _atoms_deep(x):
+                        hash(obj)
+                        if isinstance(obj, ExpAtom):
+                            obj.exponent.sort_key()
+            a, b, c, d = xs
+            made = [a * b, a + c - d, exp_of(a) * d, partial(b, S.u_at),
+                    substitute(c, {S.u_at: d})]
+            everything = xs + made
+            return ([str(e) for e in everything],
+                    [[e == f for f in everything] for e in everything],
+                    sorted(range(len(everything)),
+                           key=lambda i: everything[i].sort_key()))
+        assert outcome(warm=True) == outcome(warm=False)
+
+    def test_no_instance_dict(self):
+        g = OpaqueDeriv("g", (S.u_at,), (1,))
+        e = (exp_of(S.u * S.x) * S.ux + atom_expr(g) * S.alpha
+             + atom_expr(ExpConst(Fraction(1, 2))))
+        objs = [e, *e.terms, *_atoms_deep(e), Parameter("alpha", True)]
+        # by name: `slots=True` replaces each class, and the replaced one
+        # stays listed until the cyclic collector frees it
+        kinds = {type(o).__name__ for o in objs}
+        assert {c.__name__ for c in Atom.__subclasses__()} <= kinds
+        for o in objs:
+            assert not hasattr(o, "__dict__"), type(o).__name__
+
+    def test_pickle_carries_no_cached_hash(self):
+        # str hashes differ between processes: an unpickled expression
+        # must rehash there, or it misses its own equal as a dict key
+        build = ("from conslaw_kit.expr import exp_of, ivar, opaque\n"
+                 "from conslaw_kit.expr.expression import jet, jet_atom\n"
+                 "e = exp_of(jet('u').scale(2)) * jet('u', 'x') "
+                 "+ opaque('g', jet_atom('u')) + ivar('x')\n")
+        dump = build + ("import pickle, sys\nhash(e), e.sort_key()\n"
+                        "[hash(a) for a in e.atoms()]\n"
+                        "sys.stdout.buffer.write(pickle.dumps(e))\n")
+        load = build + ("import pickle, sys\n"
+                        "x = pickle.loads(sys.stdin.buffer.read())\n"
+                        "assert x == e and {e: 1}[x] == 1\n"
+                        "assert x.atoms() == e.atoms()\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        blob = None
+        for seed, script in (("1", dump), ("2", load)):
+            r = subprocess.run([sys.executable, "-c", script], input=blob,
+                               capture_output=True, timeout=60,
+                               env={"PYTHONHASHSEED": seed,
+                                    "PYTHONPATH": src})
+            assert r.returncode == 0, r.stderr.decode()
+            blob = r.stdout

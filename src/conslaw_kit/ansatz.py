@@ -11,7 +11,6 @@ vector is substituted back automatically and must annihilate the residual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -21,8 +20,8 @@ from .determining import (adjoint_symmetry_residual,
                           differential_substitution_residual,
                           multiplier_residual, symmetry_residual)
 from .expr.atoms import Parameter
-from .expr.coeff import (Coeff, Monomial, Poly, mono_div, mono_gcd,
-                         mono_lcm)
+from .expr.coeff import (Coeff, Monomial, Poly, common_content, mono_div,
+                         mono_gcd, mono_lcm)
 from .expr.errors import AnsatzError
 from .expr.expression import Expr, Powers, sum_exprs
 from .jet import PdeSystem
@@ -39,12 +38,6 @@ TARGETS: dict[str, Callable] = {
     "multiplier": multiplier_residual,
     "differential-substitution": differential_substitution_residual,
 }
-
-
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(math.gcd(a.numerator * b.denominator,
-                             b.numerator * a.denominator),
-                    a.denominator * b.denominator)
 
 
 @dataclass(frozen=True)
@@ -182,13 +175,10 @@ def _row_to_polys(row: Row) -> list[Poly]:
 
 
 def _normalize_poly_row(polys: list[Poly]) -> list[Poly]:
-    content = Fraction(0)
-    for p in polys:
-        if not p.is_zero:
-            c = p.rational_content()
-            content = c if content == 0 else _fraction_gcd(content, c)
+    content = common_content(polys)
     if content not in (0, 1):
-        polys = [p.scale(1 / content) for p in polys]
+        inv = 1 / content
+        polys = [p.scale(inv) for p in polys]
     return polys
 
 
@@ -332,16 +322,13 @@ def _normalize_vector(cleared: list[Poly]) -> NullspaceVector:
     term of the first nonzero entry positive; that entry is the
     denominator."""
     nonzero = [p for p in cleared if not p.is_zero]
-    content = Fraction(0)
-    for p in nonzero:
-        content = (p.rational_content() if content == 0
-                   else _fraction_gcd(content, p.rational_content()))
+    content = common_content(nonzero)
     mono_common = nonzero[0].mono_content()
     for p in nonzero[1:]:
         mono_common = mono_gcd(mono_common, p.mono_content())
-    if content not in (0, 1) or mono_common:
-        cleared = [p.scale(1 / content).div_mono(mono_common)
-                   if not p.is_zero else p for p in cleared]
+    if content != 1 or mono_common:
+        inv = 1 / content
+        cleared = [p.scale(inv).div_mono(mono_common) for p in cleared]
     first = next(p for p in cleared if not p.is_zero)
     if first.leading()[1] < 0:
         cleared = [-p for p in cleared]

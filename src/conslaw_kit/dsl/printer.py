@@ -11,11 +11,10 @@ independent variables last, which reproduces the familiar shapes
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from ..expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                           OpaqueDeriv)
-from ..expr.coeff import Coeff, Poly
+from ..expr.coeff import Coeff, Poly, common_content
 from ..expr.expression import Expr, Term
 
 __all__ = ["expr_text", "expr_latex", "print_session_source"]
@@ -219,14 +218,8 @@ def _exponent_latex(e: Expr) -> str:
     """Exponent with the rational content factored out, e.g.
     2(\\gamma u+\\alpha t+\\beta x)."""
     if len(e.terms) > 1:
-        content = Fraction(0)
-        for t in e.terms:
-            q = t.coeff.num.rational_content()
-            content = q if content == 0 else Fraction(
-                gcd(content.numerator * q.denominator,
-                    q.numerator * content.denominator),
-                content.denominator * q.denominator)
-        if content != 0 and content != 1:
+        content = common_content(t.coeff.num for t in e.terms)
+        if content != 1:
             inner = e.scale(1 / content)
             return f"{_frac_latex(content)}({expr_latex(inner)})"
     return expr_latex(e)
@@ -351,8 +344,18 @@ def _enode_text(node) -> str:
         if isinstance(n, EPow):
             return f"{go(n.base, 3)}^{n.exponent}"
         if isinstance(n, EBinary):
-            prec = 1 if n.op in "+-" else 2
-            out = f"{go(n.left, prec)}{n.op}{go(n.right, prec + (1 if n.op in '-/' else 0))}"
+            # a flat chain nests as deep as it is long: loop, do not recurse
+            additive = n.op in "+-"
+            prec = 1 if additive else 2
+            links = []
+            while isinstance(n, EBinary) and (n.op in "+-") == additive:
+                links.append(n)
+                n = n.left
+            parts = [go(n, prec)]
+            for link in reversed(links):
+                parts.append(link.op)
+                parts.append(go(link.right, prec + (link.op in "-/")))
+            out = "".join(parts)
             return f"({out})" if parent_prec > prec else out
         raise AssertionError(n)
 

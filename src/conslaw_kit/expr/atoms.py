@@ -181,7 +181,7 @@ class Parameter(Atom):
     nonzero: bool = False
 
     def sort_key(self):
-        return (1, self.name)
+        return (1, self.name, self.nonzero)   # total: a name may carry both flags
 
     def __str__(self) -> str:
         return self.name

@@ -5,6 +5,14 @@ parameters: a multivariate polynomial over Q divided by a monomial in
 parameters that are flagged nonzero.  Restricting denominators to such
 monomials keeps the representation canonical (no multivariate gcd needed)
 while covering every division the engine performs.
+
+Only the public constructors `Poly(...)` and `Coeff(...)` normalise:
+they drop zeros, coerce coefficients to `Fraction`, sort the terms and
+cancel the denominator.  Arithmetic builds its results canonical by
+construction through `_poly` and `_coeff`, which do no work: a sum or
+product is merged in a dict and sorted once, a negation or a nonzero
+rational scaling keeps every monomial, and `mul_mono`/`div_mono` keep the
+order because it is a monomial order (m < m' implies m*n < m'*n).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from math import gcd
 from .atoms import Parameter
 from .errors import ExprError
 
-__all__ = ["Monomial", "Poly", "Coeff"]
+__all__ = ["Monomial", "Poly", "Coeff", "common_content"]
 
 # Monomial over parameters: sorted tuple of (Parameter, positive exponent).
 Monomial = tuple[tuple[Parameter, int], ...]
@@ -30,10 +38,18 @@ def mono(*pairs: tuple[Parameter, int]) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
     return mono(*a, *b)
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
     acc = dict(a)
     for p, k in b:
         acc[p] = max(acc.get(p, 0), k)
@@ -42,6 +58,8 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; requires b to divide a."""
+    if not b:
+        return a
     acc = dict(a)
     for p, k in b:
         acc[p] = acc.get(p, 0) - k
@@ -56,27 +74,54 @@ def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(((p, k) for p, k in out if k), key=lambda e: e[0].sort_key()))
 
 
+def _term_key(term):
+    """Sort key of a term for `sort(..., reverse=True)`: ascending total
+    degree, then ascending exponent vectors over the parameters in
+    `Parameter.sort_key` order (name, then flag).  Within one degree no
+    monomial's (parameter, -k) list is a proper prefix of another's, so
+    comparing those lists decides the order reversed: a smaller parameter,
+    or a larger exponent, at the first difference is the larger monomial."""
+    m = term[0]
+    return (-sum(k for _, k in m), tuple((p.name, p.nonzero, -k) for p, k in m))
+
+
+def _sorted_terms(kept: list) -> tuple:
+    """Merged nonzero terms in canonical order."""
+    if len(kept) > 1:
+        kept.sort(key=_term_key, reverse=True)   # reverse=True is stable too
+    return tuple(kept)
+
+
+def _poly(terms: tuple) -> "Poly":
+    """A Poly from terms that are already canonical; no normalisation."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
+def _coeff(num: "Poly", den: Monomial) -> "Coeff":
+    """A Coeff from a canonical num and den; no cancellation."""
+    c = object.__new__(Coeff)
+    object.__setattr__(c, "num", num)
+    object.__setattr__(c, "den", den)
+    return c
+
+
 @dataclass(frozen=True)
 class Poly:
     """Multivariate polynomial over Q in declared parameters.
 
     Terms are a sorted tuple of (monomial, nonzero Fraction) pairs; the
     empty tuple is the zero polynomial.  Terms sort by total degree, then
-    exponents by parameter name: a monomial order, as `exact_div` needs.
+    exponents by parameter (name, then flag): a monomial order, as
+    `exact_div` and the trusted `mul_mono` need.
     """
 
     terms: tuple[tuple[Monomial, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        kept = [(m, Fraction(c)) for m, c in self.terms if c != 0]
-        if len(kept) > 1:
-            names = sorted({p.name for m, _ in kept for p, _ in m})
-            def key(term):
-                exps = {p.name: k for p, k in term[0]}
-                return (sum(k for _, k in term[0]),
-                        tuple(exps.get(n, 0) for n in names))
-            kept.sort(key=key)
-        object.__setattr__(self, "terms", tuple(kept))
+        object.__setattr__(self, "terms", _sorted_terms(
+            [(m, Fraction(c)) for m, c in self.terms if c != 0]))
 
     # -- constructors ------------------------------------------------------
 
@@ -133,48 +178,62 @@ class Poly:
 
     def rational_content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for _, c in self.terms:
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return common_content((self,)) or Fraction(1)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Poly(tuple(acc.items()))
+            c0 = acc.get(m)
+            acc[m] = c if c0 is None else c0 + c
+        return _poly(_sorted_terms([t for t in acc.items() if t[1]]))
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple((m, -c) for m, c in self.terms))
+        return _poly(tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if not self.terms or not other.terms:
+            return _P_ZERO
+        if len(other.terms) == 1 and not other.terms[0][0]:
+            return self.scale(other.terms[0][1])
+        if len(self.terms) == 1 and not self.terms[0][0]:
+            return other.scale(self.terms[0][1])
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = mono_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Poly(tuple(acc.items()))
+                c0 = acc.get(m)
+                acc[m] = c1 * c2 if c0 is None else c0 + c1 * c2
+        return _poly(_sorted_terms([t for t in acc.items() if t[1]]))
 
     def scale(self, q) -> "Poly":
-        q = Fraction(q)
-        if q == 0:
+        if not self.terms:
+            return self
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        if not q:
             return _P_ZERO
-        return Poly(tuple((m, c * q) for m, c in self.terms))
+        if q == 1:
+            return self
+        return _poly(tuple((m, c * q) for m, c in self.terms))
 
     def mul_mono(self, m: Monomial) -> "Poly":
-        return Poly(tuple((mono_mul(tm, m), c) for tm, c in self.terms))
+        if not m:
+            return self
+        return _poly(tuple((mono_mul(tm, m), c) for tm, c in self.terms))
 
     def div_mono(self, m: Monomial) -> "Poly":
-        return Poly(tuple((mono_div(tm, m), c) for tm, c in self.terms))
+        if not m:
+            return self
+        return _poly(tuple((mono_div(tm, m), c) for tm, c in self.terms))
 
     def leading(self) -> tuple[Monomial, Fraction]:
         if not self.terms:
@@ -222,8 +281,18 @@ class Poly:
         return " + ".join(parts)
 
 
-_P_ZERO = object.__new__(Poly)
-object.__setattr__(_P_ZERO, "terms", ())
+_P_ZERO = _poly(())
+
+
+def common_content(polys) -> Fraction:
+    """Positive rational c with every p/c having integer coefficients,
+    coprime over all of them; 0 when every poly is zero."""
+    num, den = 0, 1
+    for p in polys:
+        for _, c in p.terms:
+            num = gcd(num, c.numerator)
+            den = den * c.denominator // gcd(den, c.denominator)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -239,6 +308,8 @@ class Coeff:
 
     def __post_init__(self) -> None:
         num, den = self.num, self.den
+        if not den:
+            return
         if num.is_zero:
             object.__setattr__(self, "den", ())
             return
@@ -295,13 +366,15 @@ class Coeff:
             return other
         if other.is_zero:
             return self
+        if not self.den and not other.den:
+            return _coeff(self.num + other.num, ())
         den = mono_lcm(self.den, other.den)
         n = (self.num.mul_mono(mono_div(den, self.den))
              + other.num.mul_mono(mono_div(den, other.den)))
         return Coeff(n, den)
 
     def __neg__(self) -> "Coeff":
-        return Coeff(-self.num, self.den)
+        return _coeff(-self.num, self.den)
 
     def __sub__(self, other: "Coeff") -> "Coeff":
         return self + (-other)
@@ -309,10 +382,15 @@ class Coeff:
     def __mul__(self, other: "Coeff") -> "Coeff":
         if self.is_zero or other.is_zero:
             return _C_ZERO
+        if not self.den and not other.den:
+            return _coeff(self.num * other.num, ())
         return Coeff(self.num * other.num, mono_mul(self.den, other.den))
 
     def scale(self, q) -> "Coeff":
-        return Coeff(self.num.scale(q), self.den)
+        num = self.num.scale(q)
+        if num is self.num:
+            return self
+        return _coeff(num, self.den) if num.terms else _C_ZERO
 
     def invert_unit(self) -> "Coeff":
         """Inverse, defined only for q * monomial-in-nonzero-parameters."""
@@ -348,7 +426,5 @@ class Coeff:
         return s
 
 
-_C_ZERO = object.__new__(Coeff)
-object.__setattr__(_C_ZERO, "num", _P_ZERO)
-object.__setattr__(_C_ZERO, "den", ())
+_C_ZERO = _coeff(_P_ZERO, ())
 _C_ONE = Coeff(Poly.const(1))

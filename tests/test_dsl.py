@@ -9,6 +9,7 @@ import pytest
 from conslaw_kit.dsl import (ParseError, expr_latex, expr_text, load_session,
                              parse_expression, parse_session,
                              print_session_source)
+from conslaw_kit.dsl.parser import ENode
 from conslaw_kit.dsl.session import resolve_session
 from conslaw_kit.expr import ExpAtom, Expr, exp_of
 from conslaw_kit.expr.errors import LeadingSolveError
@@ -121,6 +122,32 @@ class TestRoundTrip:
         for e in cases:
             back = resolve_expression(session, parse_expression(expr_text(e)))
             assert back == e, expr_text(e)
+
+    @pytest.mark.parametrize("n", [1000, 10000])
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_long_inline_chain_prints_and_reparses(self, op, n):
+        # a flat chain parses to a left-nested tree as deep as it is long
+        text = ("indep t x;\ndep u;\neq e: D[u,t] - D[u,x] = 0;\n"
+                f"cmd symmetry-check eta={op.join(['u'] * n)};\n")
+        canon = print_session_source(load_session(text))
+        (cmd,), (again,) = (load_session(text).commands,
+                            load_session(canon).commands)
+        assert _shape(again.args[0][1]) == _shape(cmd.args[0][1])
+        assert len(_shape(cmd.args[0][1])) == 2 * n - 1
+
+
+def _shape(node) -> list:
+    """The expression tree in preorder without source positions, walked
+    with a stack: equal lists mean equal trees."""
+    out, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        kids = [v for v in vars(n).values() if isinstance(v, ENode)]
+        out.append((type(n).__name__,) + tuple(
+            (k, v) for k, v in vars(n).items()
+            if k not in ("line", "col") and not isinstance(v, ENode)))
+        stack.extend(reversed(kids))
+    return out
 
 
 class TestLatex:

@@ -10,8 +10,10 @@ and u_{tx} denote the same atom.
 Atoms are frozen, slotted dataclasses.  `MultiIndex`, `JetVar`,
 `OpaqueDeriv` and `ExpAtom` fill a hash slot once, lazily (`lazy_slot`):
 a generated hash re-walks every field (an exponent down to each
-`Fraction`) on each dict lookup.  Hashing eagerly at construction was
-slower: +2-11% benchmark run time on every workload (2-core x86, 3 seeds).
+`Fraction`) on each dict lookup.  `JetVar` fills its `sort_key()` the same
+way, since every term sort and every `Term.raised` in a total derivative
+compares jet atoms by it.  Hashing eagerly at construction was slower:
++2-11% benchmark run time on every workload (2-core x86, 3 seeds).
 """
 
 from __future__ import annotations
@@ -239,7 +241,9 @@ class JetVar(Atom):
     dep: str
     index: MultiIndex = field(default_factory=MultiIndex)
     _hash: int = field(init=False, compare=False, repr=False)
+    _key: tuple = field(init=False, compare=False, repr=False)
     __hash__ = lazy_slot("_hash", lambda s: hash((s.dep, s.index)))
+    sort_key = lazy_slot("_key", lambda s: (3, s.dep, s.index.sort_key()))
 
     @property
     def order(self) -> int:
@@ -247,9 +251,6 @@ class JetVar(Atom):
 
     def bump(self, name: str) -> "JetVar":
         return JetVar(self.dep, self.index.bump(name))
-
-    def sort_key(self):
-        return (3, self.dep, self.index.sort_key())
 
     def __str__(self) -> str:
         if self.index.order == 0:

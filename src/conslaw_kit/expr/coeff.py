@@ -7,12 +7,13 @@ monomials keeps the representation canonical (no multivariate gcd needed)
 while covering every division the engine performs.
 
 Only the public constructors `Poly(...)` and `Coeff(...)` normalise:
-they drop zeros, coerce coefficients to `Fraction`, sort the terms and
-cancel the denominator.  Arithmetic builds its results canonical by
-construction through `_poly` and `_coeff`, which do no work: a sum or
-product is merged in a dict and sorted once, a negation or a nonzero
-rational scaling keeps every monomial, and `mul_mono`/`div_mono` keep the
-order because it is a monomial order (m < m' implies m*n < m'*n).
+they merge duplicate monomials, drop zeros, coerce coefficients to
+`Fraction`, sort the terms and cancel the denominator.  Arithmetic and the
+one-term `const`/`param` build their results canonical by construction
+through `_poly` and `_coeff`, which do no work: a sum or product is
+merged in a dict and sorted once, a negation or a nonzero rational
+scaling keeps every monomial, and `mul_mono`/`div_mono` keep the order
+because it is a monomial order (m < m' implies m*n < m'*n).
 """
 
 from __future__ import annotations
@@ -120,8 +121,11 @@ class Poly:
     terms: tuple[tuple[Monomial, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
+        acc: dict[Monomial, Fraction] = {}
+        for m, c in self.terms:
+            acc[m] = acc.get(m, 0) + Fraction(c)
         object.__setattr__(self, "terms", _sorted_terms(
-            [(m, Fraction(c)) for m, c in self.terms if c != 0]))
+            [t for t in acc.items() if t[1]]))
 
     # -- constructors ------------------------------------------------------
 
@@ -131,12 +135,13 @@ class Poly:
 
     @staticmethod
     def const(q) -> "Poly":
-        q = Fraction(q)
-        return _P_ZERO if q == 0 else Poly((((), q),))
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        return _poly((((), q),)) if q else _P_ZERO
 
     @staticmethod
     def param(p: Parameter, k: int = 1) -> "Poly":
-        return Poly(((mono((p, k)), Fraction(1)),))
+        return _poly(((mono((p, k)), Fraction(1)),))
 
     # -- queries -----------------------------------------------------------
 
@@ -330,11 +335,11 @@ class Coeff:
 
     @staticmethod
     def const(q) -> "Coeff":
-        return Coeff(Poly.const(q))
+        return _coeff(Poly.const(q), ())
 
     @staticmethod
     def param(p: Parameter, k: int = 1) -> "Coeff":
-        return Coeff(Poly.param(p, k))
+        return _coeff(Poly.param(p, k), ())
 
     # -- queries -----------------------------------------------------------
 
@@ -427,4 +432,4 @@ class Coeff:
 
 
 _C_ZERO = _coeff(_P_ZERO, ())
-_C_ONE = Coeff(Poly.const(1))
+_C_ONE = Coeff.const(1)

@@ -70,6 +70,21 @@ class Term:
         return Term(self.coeff.scale(k),
                     self.powers[:i] + kept + self.powers[i + 1:])
 
+    def raised(self, a: Atom) -> "Term":
+        """The term times one plain atom `a` (not a `Parameter`, `ExpAtom`
+        or `ExpConst`): its exponent bumped, or `a` inserted at its sorted
+        place, so the power product stays canonical without a re-sort."""
+        key = a.sort_key()
+        powers = self.powers
+        for i, (b, k) in enumerate(powers):
+            bk = b.sort_key()
+            if bk == key:
+                return Term(self.coeff,
+                            powers[:i] + ((a, k + 1),) + powers[i + 1:])
+            if bk > key:
+                return Term(self.coeff, powers[:i] + ((a, 1),) + powers[i:])
+        return Term(self.coeff, powers + ((a, 1),))
+
     def __str__(self) -> str:
         facs = "*".join(f"{a}^{k}" if k > 1 else str(a) for a, k in self.powers)
         if not facs:

@@ -1,12 +1,19 @@
 """Jet-space calculus and PDE systems in leading-derivative form.
 
 Total derivative operators act on the jet coordinates through the chain
-rule; a `PdeSystem` designates one solved ("leading") derivative per
-equation and carries the rewrite rules that constrain its opaque
-functions.  Together they define the normal form on the solution manifold
-under the rules: every occurrence of a leading derivative, or of any of
-its differential consequences, is replaced by the total derivatives of
-the solved form, and every rule-matched opaque derivative by its rule.
+rule.  Jet and independent-variable factors build their product-rule
+terms directly, with no `Expr` multiplication: D_x of a jet factor is one
+atom, so its term is the product lowered at the factor and raised by that
+atom, and both steps keep the power product sorted, so the term is
+canonical as built.  Opaque and exponential factors, whose derivatives
+are sums, are multiplied out.
+
+A `PdeSystem` designates one solved ("leading") derivative per equation
+and carries the rewrite rules that constrain its opaque functions.
+Together they define the normal form on the solution manifold under the
+rules: every occurrence of a leading derivative, or of any of its
+differential consequences, is replaced by the total derivatives of the
+solved form, and every rule-matched opaque derivative by its rule.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                          MultiIndex, OpaqueDeriv, Parameter)
 from .expr.coeff import Coeff
 from .expr.errors import LeadingSolveError
-from .expr.expression import Expr, atom_expr, jet_partial, partial, sum_exprs
+from .expr.expression import (Expr, _gather, atom_expr, jet_partial, partial,
+                              sum_exprs)
 from .expr.rules import RewriteRule, RuleSet, fixpoint
 
 __all__ = [
@@ -46,16 +54,31 @@ def _d_atom(a: Atom, var: str) -> Expr:
 
 
 def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
-    """D_var e, the total derivative on jet space."""
+    """D_var e, the total derivative on jet space, by the product rule.
+
+    A jet factor a contributes the term lowered at a and raised by
+    D_var a = a.bump(var); an independent variable contributes the lowered
+    term when it is x_var.  Both are single canonical terms (`Term.lowered`
+    and `Term.raised` keep the power product sorted), so neither goes
+    through `Expr` multiplication.  Opaque and exponential factors, whose
+    derivatives are sums, multiply by `_d_atom`.  Every term is merged in
+    one `_gather`.
+    """
     if isinstance(var, IndependentVar):
         var = var.name
-    pieces = []
+    terms = []
     for t in e.terms:
         for i, (a, _) in enumerate(t.powers):
-            da = _d_atom(a, var)
-            if not da.is_zero:
-                pieces.append(Expr((t.lowered(i),)) * da)
-    return sum_exprs(pieces)
+            if isinstance(a, JetVar):
+                terms.append(t.lowered(i).raised(a.bump(var)))
+            elif isinstance(a, IndependentVar):
+                if a.name == var:
+                    terms.append(t.lowered(i))
+            else:
+                da = _d_atom(a, var)
+                if not da.is_zero:
+                    terms.extend((Expr((t.lowered(i),)) * da).terms)
+    return _gather(terms)
 
 
 def total_derivative_multi(e: Expr, index: MultiIndex) -> Expr:

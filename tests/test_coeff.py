@@ -119,7 +119,10 @@ monomials = st.lists(st.tuples(st.sampled_from(ORDER_POOL), st.integers(1, 3)),
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.tuples(monomials, st.integers(-3, 3)), max_size=8))
 def test_term_order_matches_reference_comparator(terms):
-    kept = [(m, Fraction(c)) for m, c in terms if c]
+    merged: dict = {}
+    for m, c in terms:   # the constructor merges duplicate monomials
+        merged[m] = merged.get(m, 0) + Fraction(c)
+    kept = [(m, c) for m, c in merged.items() if c]
     expected = sorted(kept, key=functools.cmp_to_key(
         lambda x, y: reference_mono_cmp(x[0], y[0])))
     assert list(Poly(tuple(terms)).terms) == expected
@@ -289,3 +292,22 @@ def test_parameters_sharing_a_name_commute():
             - Poly.param(plain) * Poly.param(A)).is_zero
     assert P((mono((plain, 1)), 1), (mono((A, 1)), 1)) == \
         P((mono((A, 1)), 1), (mono((plain, 1)), 1))
+
+
+def test_constructor_merges_duplicate_monomials():
+    m = mono((A, 1))
+    dup = P((m, 1), (m, 2))
+    assert dup.terms == ((m, Fraction(3)),)
+    assert dup == P((m, 3))
+    assert (dup - P((m, 3))).is_zero
+    assert P((m, 1), (m, -1)).is_zero
+
+
+def test_const_and_param_are_canonical():
+    for got in (Poly.const(2), Poly.const(Fraction(-1, 3)), Poly.param(A),
+                Poly.param(K, 3), Poly.param(A, 0)):
+        assert_canonical_poly(got)
+    assert Poly.const(0).is_zero and Coeff.const(0) == Coeff.zero()
+    assert Coeff.const(Fraction(1, 2)) == Coeff(P(((), Fraction(1, 2))))
+    assert Coeff.param(G, 2) == Coeff(P((mono((G, 2)), 1)))
+    assert_canonical_coeff(Coeff.param(G, 2))

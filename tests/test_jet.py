@@ -1,14 +1,18 @@
 """Jet-space calculus: total derivatives, leading-form systems, reduction
 onto the solution manifold."""
 
+import copy
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conslaw_kit.expr import (Expr, JetVar, MultiIndex, OpaqueDeriv,
+from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,
+                              JetVar, MultiIndex, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
 from conslaw_kit.expr.errors import LeadingSolveError
-from conslaw_kit.expr.expression import jet, jet_atom
+from conslaw_kit.expr.expression import _make_term, jet, jet_atom, sum_exprs
 from conslaw_kit.jet import (jet_partial, solve_leading, total_derivative,
                              total_derivative_multi)
 
@@ -48,6 +52,110 @@ class TestTotalDerivative:
         assert total_derivative_multi(S.u, MultiIndex.of("x", "t")) == S.uxt
         assert total_derivative_multi(S.x * S.u, MultiIndex.of("x", "x")) == \
             2 * S.ux + S.x * S.uxx
+
+
+# -- the product rule against a reference copy ---------------------------
+#
+# `total_derivative` as it was when every factor's derivative went through
+# `Expr` multiplication, kept here as the reference.
+
+def ref_d_atom(a, var):
+    if isinstance(a, IndependentVar):
+        return Expr.const(1 if a.name == var else 0)
+    if isinstance(a, (Parameter, ExpConst)):
+        return Expr.zero()
+    if isinstance(a, JetVar):
+        return atom_expr(a.bump(var))
+    if isinstance(a, OpaqueDeriv):
+        return sum_exprs(atom_expr(a.bump(k)) * ref_d_atom(arg, var)
+                         for k, arg in enumerate(a.args))
+    if isinstance(a, ExpAtom):
+        return ref_total_derivative(a.exponent, var) * atom_expr(a)
+    raise TypeError(f"unknown atom {a!r}")
+
+
+def ref_total_derivative(e, var):
+    return sum_exprs(Expr((t.lowered(i),)) * ref_d_atom(a, var)
+                     for t in e.terms for i, (a, _) in enumerate(t.powers))
+
+
+V_AT = jet_atom("v")
+# exponent bases first: `random_expr` draws exponents from pool[:3]
+WIDE_POOL = (
+    S.u_at, S.uxt_at, V_AT, jet_atom("u", "x", "x", "x"), jet_atom("v", "t"),
+    S.ux_at, S.x_at, S.t_at, Parameter("alpha", nonzero=True),
+    OpaqueDeriv("f", (S.u_at,)), OpaqueDeriv("f", (S.u_at,), (1,)),
+    OpaqueDeriv("h", (S.x_at, S.t_at)), ExpAtom(S.gamma * S.u),
+    ExpConst(2),
+)
+PLAIN_POOL = tuple(a for a in WIDE_POOL
+                   if not isinstance(a, (Parameter, ExpAtom, ExpConst)))
+
+
+class TestProductRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["x", "t", "y"]))
+    def test_matches_reference(self, seed, var):
+        rng = random.Random(seed)
+        e = random_expr(rng, pool=WIDE_POOL, max_terms=4, max_factors=4,
+                        allow_exp=True)
+        got = total_derivative(e, var)
+        want = ref_total_derivative(e, var)
+        assert got == want and got.terms == want.terms
+        assert total_derivative(e, IndependentVar(var)) == got
+
+    def test_undeclared_variable(self):
+        # D_y of x^2 u: x is a constant, u bumps to u_y
+        e = S.x ** 2 * S.u
+        assert total_derivative(e, "y") == S.x ** 2 * jet("u", "y")
+
+
+class TestTermRaised:
+    TERM = (S.alpha * S.x * S.u * S.uxx).terms[0]   # powers x, u, u_xx
+
+    def test_insertion_and_bump(self):
+        t = self.TERM
+        cases = {
+            S.t_at: (S.t_at, S.x_at, S.u_at, S.uxx_at),       # front
+            S.ux_at: (S.x_at, S.u_at, S.ux_at, S.uxx_at),     # middle
+            V_AT: (S.x_at, S.u_at, S.uxx_at, V_AT),           # end
+        }
+        for a, order in cases.items():
+            r = t.raised(a)
+            assert tuple(b for b, _ in r.powers) == order
+            assert r.coeff == t.coeff
+            assert all(k == 1 for _, k in r.powers)
+        bumped = t.raised(S.u_at)
+        assert bumped.powers == ((S.x_at, 1), (S.u_at, 2), (S.uxx_at, 1))
+        assert bumped.raised(S.u_at).powers[1] == (S.u_at, 3)
+        assert Expr((Expr.const(3).terms[0].raised(S.u_at),)) == 3 * S.u
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(PLAIN_POOL))
+    def test_agrees_with_make_term(self, seed, a):
+        e = random_expr(random.Random(seed), pool=WIDE_POOL, max_terms=3,
+                        max_factors=4, allow_exp=True)
+        for t in e.terms:
+            assert t.raised(a) == _make_term(t.coeff, t.powers + ((a, 1),))
+
+
+class TestJetVarSortKey:
+    def test_cached_value(self):
+        a = jet_atom("u", "x", "t", "t")
+        assert getattr(a, "_key", None) is None
+        key = a.sort_key()
+        assert key == (3, "u", a.index.sort_key())
+        assert a._key is key and a.sort_key() is key
+
+    def test_filled_slots_do_not_travel(self):
+        a = jet_atom("v", "x", "x")
+        hash(a), a.sort_key()
+        for c in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                  copy.deepcopy(a)):
+            assert c == a and c is not a
+            assert getattr(c, "_key", None) is None
+            assert getattr(c, "_hash", None) is None
+            assert hash(c) == hash(a) and c.sort_key() == a.sort_key()
 
 
 class TestJetPartial:

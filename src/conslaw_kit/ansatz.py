@@ -1,12 +1,14 @@
 """Undetermined-coefficient solving over an exact coefficient field.
 
-A linear combination of user-supplied basis expressions is pushed through
-one of the determining residuals; splitting the residual over jet
-monomials and free coordinates yields a homogeneous linear system for the
-unknown constants, solved exactly: by sparse Gauss-Jordan elimination over
-Q when every entry is rational, and by fraction-free (Bareiss) elimination
-with side conditions when entries carry parameters.  Every nullspace
-vector is substituted back automatically and must annihilate the residual.
+Every determining residual is linear in its characteristic, so the
+residual of a combination sum c_k * basis_k is sum c_k * residual(basis_k).
+Each basis element's residual is computed once; splitting it over jet
+monomials and free coordinates gives column k of a homogeneous linear
+system for the unknown constants, which is solved exactly: by sparse
+Gauss-Jordan elimination over Q when every entry is rational, and by
+fraction-free (Bareiss) elimination with side conditions when entries
+carry parameters.  Every nullspace vector is substituted back into the
+combined residual, which must vanish.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from .determining import (adjoint_symmetry_residual,
                           differential_substitution_residual,
                           multiplier_residual, symmetry_residual)
 from .expr.atoms import Parameter
-from .expr.coeff import (Coeff, Monomial, Poly, common_content, mono_div,
+from .expr.coeff import (Coeff, Poly, common_content, mono_div,
                          mono_gcd, mono_lcm)
 from .expr.errors import AnsatzError
-from .expr.expression import Expr, Powers, sum_exprs
+from .expr.expression import Expr, Powers, Term, sum_exprs
 from .jet import PdeSystem
 from .variational import Characteristic, _as_characteristic
 
@@ -45,9 +47,11 @@ class AnsatzProblem:
     """Find all c with residual(sum c_k * basis_k) = 0.
 
     Basis entries are characteristics (or single expressions for scalar
-    systems); the unknowns are fresh parameters c1..cN.  Parameters are
-    treated generically: a coefficient vanishes only if it is identically
-    zero as a rational function.
+    systems).  The rows come from the residual of each basis element, by
+    linearity; the unknowns c1..cN, fresh parameter names, only label the
+    solution and never enter an expression.  Parameters are treated
+    generically: a coefficient vanishes only if it is identically zero as
+    a rational function.
     """
 
     system: PdeSystem
@@ -84,9 +88,6 @@ class AnsatzProblem:
             object.__setattr__(self, "unknowns",
                                tuple(Parameter(n) for n in names))
 
-    def combination(self) -> Characteristic:
-        return _combine(self, [Expr.from_atom(ck) for ck in self.unknowns])
-
 
 def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> Characteristic:
     """sum_k coeffs[k] * basis[k], component by component."""
@@ -106,29 +107,21 @@ class Row:
 
 
 def build_and_split(p: AnsatzProblem) -> list[Row]:
-    """Residual of the symbolic combination, split over all non-unknown
-    atoms; each bucket must be linear homogeneous in the unknowns."""
-    residual = TARGETS[p.target](p.system, p.combination())
-    unknown_set = set(p.unknowns)
-    rows: list[Row] = []
-    for comp_index, res in enumerate(residual):
+    """Rows of residual(sum c_k * basis_k), one per residual component and
+    power product: the entry of c_k is that power product's coefficient
+    in the residual of basis_k.  Rows come by component, then in the
+    term order of an expression."""
+    cells: dict[tuple[int, Powers], tuple[Term, dict[int, Coeff]]] = {}
+    for k, b in enumerate(p.basis):
         checkpoint()
-        for term in res.terms:
-            if any(q in unknown_set for q, _ in term.coeff.den):
-                raise AnsatzError("residual not linear in unknowns")
-            per_unknown: dict[Parameter, dict[Monomial, Fraction]] = {}
-            for monomial, q in term.coeff.num.terms:
-                hits = [(par, k) for par, k in monomial if par in unknown_set]
-                if not hits or len(hits) > 1 or hits[0][1] > 1:
-                    raise AnsatzError("residual not linear in unknowns")
-                par = hits[0][0]
-                reduced = tuple((pp, kk) for pp, kk in monomial if pp != par)
-                per_unknown.setdefault(par, {})[reduced] = q
-            entries = tuple(
-                Coeff(Poly(tuple(per_unknown[c].items())), term.coeff.den)
-                if c in per_unknown else Coeff.zero() for c in p.unknowns)
-            rows.append(Row(term.powers, comp_index, entries))
-    return rows
+        for comp, res in enumerate(TARGETS[p.target](p.system, b)):
+            for t in res.terms:
+                cells.setdefault((comp, t.powers), (t, {}))[1][k] = t.coeff
+    order = sorted(cells.items(), reverse=True,
+                   key=lambda kv: (-kv[0][0], kv[1][0].powers_key()))
+    return [Row(powers, comp, tuple(column.get(k, Coeff.zero())
+                                    for k in range(len(p.basis))))
+            for (comp, powers), (_, column) in order]
 
 
 @dataclass(frozen=True)

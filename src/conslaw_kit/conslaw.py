@@ -52,6 +52,12 @@ class Generator:
 
 def characteristic_W(sys: PdeSystem, g: Generator) -> Characteristic:
     """W^sigma = eta^sigma - sum_j xi^j u^sigma_j."""
+    if len(g.eta) != len(sys.dep):
+        raise ExprError(f"generator has {len(g.eta)} eta components, "
+                        f"system has {len(sys.dep)} dependent variables")
+    if len(g.xi) != len(sys.indep):
+        raise ExprError(f"generator has {len(g.xi)} xi components, "
+                        f"system has {len(sys.indep)} independent variables")
     return Characteristic(tuple(
         eta - sum_exprs(xi * atom_expr(jet_atom(d, var))
                         for xi, var in zip(g.xi, sys.indep) if not xi.is_zero)
@@ -72,8 +78,7 @@ class VerificationReport:
 @dataclass(frozen=True)
 class ConservedVector:
     """Components per independent variable, reduced on solutions, plus the
-    pre-reduction forms and provenance.  `verify` attaches the divergence
-    report."""
+    pre-reduction forms and provenance."""
 
     system: PdeSystem
     components: tuple[Expr, ...]
@@ -81,12 +86,6 @@ class ConservedVector:
     generator: Generator | None = None
     substitution: Characteristic | None = None
     substitution_ok: bool | None = None
-    report: VerificationReport | None = None
-
-    def with_report(self, report: VerificationReport) -> "ConservedVector":
-        return ConservedVector(self.system, self.components,
-                               self.raw_components, self.generator,
-                               self.substitution, self.substitution_ok, report)
 
 
 def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:

@@ -109,14 +109,12 @@ def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
 def symmetry_residual(sys: PdeSystem, eta) -> tuple[Expr, ...]:
     """On-solution residual of the symmetry determining system; all
     components zero iff eta is a generalized symmetry characteristic."""
-    exprs, _ = linearize(sys, eta)
-    return tuple(sys.reduce(x) for x in exprs)
+    return tuple(sys.reduce(x) for x in linearize(sys, eta))
 
 
 def adjoint_symmetry_residual(sys: PdeSystem, omega) -> tuple[Expr, ...]:
     """On-solution residual of the adjoint determining system."""
-    exprs, _ = adjoint_linearize(sys, omega)
-    return tuple(sys.reduce(x) for x in exprs)
+    return tuple(sys.reduce(x) for x in adjoint_linearize(sys, omega))
 
 
 def substitute_multiplier_vars(sys: PdeSystem, e: Expr, phi: Characteristic,

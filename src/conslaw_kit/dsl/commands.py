@@ -15,7 +15,6 @@ from ..determining import (adjoint_invariance_conditions,
                            differential_substitution_residual,
                            selfadjoint_lambda, symmetry_residual)
 from ..expr.errors import ConslawError, SubstitutionClassError
-from ..expr.expression import Expr
 from ..variational import Characteristic, adjoint_variables, is_variational
 from .parser import CommandStmt
 from .printer import expr_latex, expr_text
@@ -29,16 +28,23 @@ class UsageError(ConslawError):
     pass
 
 
+def _characteristic(session: Session, val, kind: str = "characteristic"
+                    ) -> Characteristic:
+    """A declared characteristic by name, or an inline expression as a
+    one-component characteristic; an undeclared name is reported as an
+    unknown `kind`."""
+    if not isinstance(val, str):
+        return Characteristic((_resolve_inline(session, val),))
+    if val not in session.chars:
+        raise UsageError(f"unknown {kind} {val!r}")
+    return session.chars[val]
+
+
 def _char_arg(session: Session, args, what: str = "characteristic"
               ) -> Characteristic:
     if len(args) != 1:
         raise UsageError(f"expected exactly one {what} argument")
-    label, val = args[0]
-    if isinstance(val, str):
-        if val in session.chars:
-            return session.chars[val]
-        raise UsageError(f"unknown characteristic {val!r}")
-    return Characteristic((_resolve_inline(session, val),))
+    return _characteristic(session, args[0][1])
 
 
 def _residual_report(name: str, sysm, residuals, detail_zero: str,
@@ -142,18 +148,13 @@ def cmd_multiplier_check(session: Session, args) -> Report:
     return rep
 
 
-def _generator_arg(session: Session, label, val) -> Generator:
-    sysm = session.require_system()
-    if isinstance(val, str):
-        if val in session.gens:
-            return session.gens[val]
-        if val in session.chars:
-            ch = session.chars[val]
-            return Generator(tuple(Expr.zero() for _ in sysm.indep),
-                             ch.components)
-        raise UsageError(f"unknown generator {val!r}")
-    eta = _resolve_inline(session, val)
-    return Generator(tuple(Expr.zero() for _ in sysm.indep), (eta,))
+def _generator_arg(session: Session, val) -> Generator:
+    """A declared generator, or the evolutionary generator of a
+    characteristic (declared or inline)."""
+    if isinstance(val, str) and val in session.gens:
+        return session.gens[val]
+    ch = _characteristic(session, val, "generator")
+    return Generator.evolutionary(session.require_system(), *ch.components)
 
 
 def cmd_conslaw(session: Session, args) -> Report:
@@ -161,22 +162,13 @@ def cmd_conslaw(session: Session, args) -> Report:
     if not args:
         raise UsageError("conslaw needs a generator (and usually a "
                          "substitution): conslaw <generator> [<substitution>]")
-    gen = _generator_arg(session, *args[0])
-    phi = None
-    if len(args) > 1:
-        label, val = args[1]
-        if isinstance(val, str):
-            if val not in session.chars:
-                raise UsageError(f"unknown characteristic {val!r}")
-            phi = session.chars[val]
-        else:
-            phi = Characteristic((_resolve_inline(session, val),))
+    gen = _generator_arg(session, args[0][1])
+    phi = _characteristic(session, args[1][1]) if len(args) > 1 else None
     if len(args) > 2:
         raise UsageError("conslaw takes at most two arguments")
 
     vec = ibragimov_vector(sysm, gen, phi)
     rep_v = verify_divergence(sysm, vec)
-    vec = vec.with_report(rep_v)
     report = Report(
         "conslaw",
         "zero" if rep_v.ok else "nonzero",
@@ -240,15 +232,8 @@ def cmd_ansatz(session: Session, args) -> Report:
     if not isinstance(target, str) or target not in TARGETS:
         raise UsageError(
             f"unknown ansatz target; expected one of {', '.join(sorted(TARGETS))}")
-    basis = []
-    for label, val in args[1:]:
-        if isinstance(val, str):
-            if val not in session.chars:
-                raise UsageError(f"unknown characteristic {val!r}")
-            basis.append(session.chars[val])
-        else:
-            basis.append(Characteristic((_resolve_inline(session, val),)))
-    problem = AnsatzProblem(sysm, target, tuple(basis))
+    basis = tuple(_characteristic(session, val) for _, val in args[1:])
+    problem = AnsatzProblem(sysm, target, basis)
     result = solve_ansatz(problem)
     vec_lines = []
     for v in result.vectors:

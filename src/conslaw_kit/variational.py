@@ -86,10 +86,6 @@ class DiffOperator:
     def entry(self, target: int, source: int, J: MultiIndex) -> Expr:
         return self.entries.get((target, source), {}).get(J, Expr.zero())
 
-    def indices(self, target: int, source: int) -> list[MultiIndex]:
-        table = self.entries.get((target, source), {})
-        return sorted(table, key=MultiIndex.sort_key)
-
     def apply(self, comp: Sequence[Expr]) -> list[Expr]:
         return [sum_exprs(c * total_derivative_multi(comp[r], J)
                           for r in range(self.source_dim)
@@ -207,30 +203,28 @@ def linearize_table(sys: PdeSystem) -> DiffOperator:
     return DiffOperator.build(len(sys.equations), len(sys.dep), raw)
 
 
-def linearize(sys: PdeSystem, eta) -> tuple[list[Expr], DiffOperator]:
+def linearize(sys: PdeSystem, eta) -> list[Expr]:
     """Linearization applied to a characteristic; expressions are not
     reduced on solutions (reduction is the caller's choice)."""
     ch = _as_characteristic(eta, len(sys.dep))
-    table = linearize_table(sys)
-    return table.apply(list(ch)), table
+    return linearize_table(sys).apply(list(ch))
 
 
-def adjoint_linearize(sys: PdeSystem, omega) -> tuple[list[Expr], DiffOperator]:
+def adjoint_linearize(sys: PdeSystem, omega) -> list[Expr]:
     """Adjoint linearization applied to a characteristic.
 
     The expressions follow the defining alternating-sign sum
-    sum_J (-1)^|J| D_J(omega * dE/du_J); the returned operator is the
-    formal adjoint of the linearization table in Leibniz normal form, an
-    independent code path the expressions are checked against in tests.
+    sum_J (-1)^|J| D_J(omega * dE/du_J); `linearize_table(sys).adjoint()`,
+    the formal adjoint in Leibniz normal form, is an independent code path
+    the expressions are checked against in tests.
     """
     ch = _as_characteristic(omega, len(sys.dep))
     table = linearize_table(sys)
-    out = [sum_exprs(_signed(total_derivative_multi(ch.components[r] * c, J),
-                             J.order)
-                     for r in range(len(sys.equations))
-                     for J, c in table.entries.get((r, a), {}).items())
-           for a in range(len(sys.dep))]
-    return out, table.adjoint()
+    return [sum_exprs(_signed(total_derivative_multi(ch.components[r] * c, J),
+                              J.order)
+                      for r in range(len(sys.equations))
+                      for J, c in table.entries.get((r, a), {}).items())
+            for a in range(len(sys.dep))]
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conslaw_kit.ansatz import (AnsatzProblem, LinearSolveResult,
+from conslaw_kit.ansatz import (TARGETS, AnsatzProblem, LinearSolveResult,
                                 NullspaceVector, Row, _bareiss_nullspace,
                                 _rational_nullspace, build_and_split,
                                 solve_ansatz, solve_linear)
 from conslaw_kit.cancel import deadline
 from conslaw_kit.determining import adjoint_symmetry_residual
-from conslaw_kit.expr import Expr, Parameter, atom_expr, exp_of
+from conslaw_kit.expr import (Expr, IndependentVar, OpaqueDeriv, Parameter,
+                              atom_expr, exp_of)
 from conslaw_kit.expr.coeff import Coeff, Poly, mono
 from conslaw_kit.expr.errors import AnsatzError, CancelledComputation
+from conslaw_kit.expr.expression import jet, sum_exprs
+from conslaw_kit.jet import solve_leading
 from conslaw_kit.variational import Characteristic
 
 from conftest import Syms as S
@@ -58,6 +61,80 @@ class TestBuildAndSplit:
                  Characteristic.of(c2 * S.ut))
         p = AnsatzProblem(thomas, "adjoint-symmetry", basis)
         assert "c1" not in {q.name for q in p.unknowns}
+
+
+def _reference_rows(p: AnsatzProblem) -> list[Row]:
+    """The combined path the rows were built by before per-basis
+    assembly: the residual of sum c_k * basis_k with the unknowns as
+    symbolic parameters, each term's coefficient split by unknown."""
+    comb = Characteristic(tuple(
+        sum_exprs(atom_expr(c) * b.components[i]
+                  for c, b in zip(p.unknowns, p.basis))
+        for i in range(len(p.system.dep))))
+    unknown_set = set(p.unknowns)
+    rows = []
+    for comp_index, res in enumerate(TARGETS[p.target](p.system, comb)):
+        for term in res.terms:
+            assert not any(q in unknown_set for q, _ in term.coeff.den)
+            per_unknown = {}
+            for monomial, q in term.coeff.num.terms:
+                hits = [(par, k) for par, k in monomial if par in unknown_set]
+                assert len(hits) == 1 and hits[0][1] == 1
+                par = hits[0][0]
+                reduced = tuple((pp, kk) for pp, kk in monomial if pp != par)
+                per_unknown.setdefault(par, {})[reduced] = q
+            entries = tuple(
+                Coeff(Poly(tuple(per_unknown[c].items())), term.coeff.den)
+                if c in per_unknown else Coeff.zero() for c in p.unknowns)
+            rows.append(Row(term.powers, comp_index, entries))
+    return rows
+
+
+def _two_component():
+    """u_t = w_x + u u_x, w_t = u_x."""
+    return solve_leading(["t", "x"], ["u", "w"],
+                         [S.ut - jet("w", "x") - S.u * S.ux,
+                          jet("w", "t") - S.ux],
+                         eq_names=["eqU", "eqW"])
+
+
+@pytest.fixture(scope="module")
+def linearity_cases(wave, thomas_f, thomas_theta):
+    """(system, basis pool): wave; Thomas with its parameters,
+    exponentials and the rule on f; a two-component system."""
+    f = atom_expr(OpaqueDeriv("f", (IndependentVar("x"), IndependentVar("t"))))
+    fx = atom_expr(OpaqueDeriv("f", (IndependentVar("x"), IndependentVar("t")),
+                               (1, 0)))
+    e2 = exp_of(2 * thomas_theta)
+    w, wx = jet("w"), jet("w", "x")
+    zero = Expr.zero()
+    return {
+        "wave": (wave, [Characteristic.of(b) for b in (
+            S.u, S.ux, S.ut, S.x * S.ux, S.t * S.ut, S.u * S.ux, S.x,
+            Expr.const(1))]),
+        "thomas": (thomas_f, [Characteristic.of(b) for b in (
+            *thomas_basis(thomas_theta), f * exp_of(-S.gamma * S.u),
+            e2 * fx, S.alpha * S.ux + S.beta * S.ut)]),
+        "two-component": (_two_component(), [Characteristic.of(*b) for b in (
+            (S.u, zero), (zero, w), (S.ux, wx), (w, S.u), (S.x * S.ux, zero),
+            (zero, S.t * wx), (Expr.const(1), zero), (S.u * S.ux, S.u * wx))]),
+    }
+
+
+class TestRowsByLinearity:
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    @pytest.mark.parametrize("system", ("wave", "thomas", "two-component"))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_combined_path(self, linearity_cases, system, target,
+                                   data):
+        """Rows from per-basis residuals equal, in key, component, entries
+        and order, those split out of the one combined residual."""
+        sys, pool = linearity_cases[system]
+        picks = data.draw(st.lists(st.sampled_from(range(len(pool))),
+                                   min_size=1, max_size=5, unique=True))
+        p = AnsatzProblem(sys, target, tuple(pool[i] for i in picks))
+        assert build_and_split(p) == _reference_rows(p)
 
 
 class TestWaveAnsatz:

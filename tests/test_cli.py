@@ -101,6 +101,24 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "characteristic has 1 components, system has 2" in r.stdout
 
+    def test_inline_generator_component_count_exits_2(self, tmp_path):
+        two = tmp_path / "two.cl"
+        two.write_text(
+            "indep t x;\ndep u w;\n"
+            "eq eqU: D[u,t] - D[w,x] = 0 leading D[u,t];\n"
+            "eq eqW: D[w,t] - D[u,x] = 0 leading D[w,t];\n"
+            "char m = (1, 0);\n")
+        r = run_cli("conslaw", "eta=D[u,x]", "m", "--session", str(two))
+        assert r.returncode == 2, r.stdout
+        assert ("generator has 1 eta components, system has 2 dependent "
+                "variables") in r.stdout
+
+    def test_trivial_substitution_in_ansatz_basis_exits_2(self):
+        r = run_cli("ansatz", "differential-substitution", "scaleChar",
+                    "e=D[u,t,t]-u^2*D[u,x,x]-u*D[u,x]^2", "--session", WAVE)
+        assert r.returncode == 2, r.stderr
+        assert "trivial substitution" in r.stdout
+
     def test_zero_generator_exits_2(self):
         r = run_cli("conslaw", "eta=0", "--session", WAVE)
         assert r.returncode == 2, r.stderr
@@ -281,17 +299,38 @@ class TestJson:
         assert doc["residuals"][0]["expr"] != "0"
 
 
+# SHA-256 of each benchmark workload's text and LaTeX report streams,
+# which the benchmark does not pin; JSON is pinned in perfbench/workloads.py
+OTHER_DIGESTS = {
+    ("text", "corpus"):
+        "6c09b5ec3f1c4b66239839fe42da1731c022d7850033bba92678ed5a907fa0bf",
+    ("text", "kdv-multiplier-ansatz"):
+        "bef85f79254124b884fd2f79f93c6902aaca28fbc9d619c74be048a297f7a479",
+    ("text", "kdv5-conslaw"):
+        "097fe62d6d19a6a364945a80ef0d7bf89ea974c5803a5181cf9be069e45f404a",
+    ("latex", "corpus"):
+        "5749d31816bdabb951e5484a58ac962b95c54b626ad98a4fa5ac07ee9ab576dc",
+    ("latex", "kdv-multiplier-ansatz"):
+        "a6eec37b6ab044c126c5792dfd791ebf29ac27851fdba5b31e4df33ee07adeb3",
+    ("latex", "kdv5-conslaw"):
+        "fd220a17effa7b27f6a83d93ec3c7d6e4e7a89208e1892c860294a90520bcbb1",
+}
+
+
 class TestBenchDigests:
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
     @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
-    def test_report_stream_matches_pinned_digest(self, name, capsys):
+    def test_report_stream_matches_pinned_digest(self, name, fmt, capsys,
+                                                 monkeypatch):
+        monkeypatch.setenv("CONSLAW_COLOR", "0")
         workload = BENCH_WORKLOADS[name]
         for spec in workload.sessions:
             code = cli.main(["run", "--session", str(PKG_ROOT / spec.path),
-                             "--format", "json"])
+                             "--format", fmt])
             assert code == 0, spec.path
         stream = capsys.readouterr().out
-        assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
-            workload.digest
+        want = workload.digest if fmt == "json" else OTHER_DIGESTS[fmt, name]
+        assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == want
 
 
 class TestLatexOutput:

@@ -118,8 +118,8 @@ class TestDivergencePairing:
                     random_expr(rng, pool=SMALL_POOL, max_terms=2))
                 omega = Characteristic.of(
                     random_expr(rng, pool=SMALL_POOL, max_terms=2))
-                le, _ = linearize(sys, eta)
-                ae, _ = adjoint_linearize(sys, omega)
+                le = linearize(sys, eta)
+                ae = adjoint_linearize(sys, omega)
                 pairing = omega.components[0] * le[0] \
                     - eta.components[0] * ae[0]
                 assert euler(pairing, "u").is_zero, \

@@ -51,7 +51,8 @@ class AnsatzProblem:
     linearity; the unknowns c1..cN, fresh parameter names, only label the
     solution and never enter an expression.  Parameters are treated
     generically: a coefficient vanishes only if it is identically zero as
-    a rational function.
+    a rational function.  For the symmetry targets a basis element that
+    vanishes on solutions is rejected: it would be a trivial direction.
     """
 
     system: PdeSystem
@@ -68,9 +69,16 @@ class AnsatzProblem:
             raise AnsatzError("empty ansatz basis")
         m = len(self.system.dep)
         basis = tuple(_as_characteristic(b, m) for b in self.basis)
-        for b in basis:
+        for k, b in enumerate(basis, 1):
             if all(c.is_zero for c in b.components):
                 raise AnsatzError("zero basis expression")
+            # the symmetry residuals vanish at such an element, so it
+            # would count as a nullspace direction
+            if self.target in ("symmetry", "adjoint-symmetry") and all(
+                    self.system.reduce(c).is_zero for c in b.components):
+                raise AnsatzError(
+                    f"basis element {k} vanishes on solutions: a trivial "
+                    f"{self.target} direction")
         object.__setattr__(self, "basis", basis)
         if not self.unknowns:
             taken = {p.name for eq in self.system.equations

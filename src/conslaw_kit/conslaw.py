@@ -20,9 +20,8 @@ from .determining import (EDecomposition, differential_substitution_residual,
 from .expr.atoms import JetVar, MultiIndex
 from .expr.errors import ExprError
 from .expr.expression import Expr, atom_expr, jet_atom, sum_exprs
-from .jet import (PdeSystem, jet_partial, total_derivative,
-                  total_derivative_multi)
-from .variational import (Characteristic, _as_characteristic, _signed,
+from .jet import PdeSystem, derivatives, jet_partial, total_derivative
+from .variational import (Characteristic, _as_characteristic,
                           adjoint_variables, formal_lagrangian)
 
 __all__ = [
@@ -94,12 +93,22 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     Assembles, for each independent variable x^i,
 
         C^i = xi^i L + sum_T D_T(W^sigma) * B(sigma, (i,)+T),
-        B(sigma, S) = sum_T' (-1)^|T'| D_T'( dL/du^sigma_(S+T') ),
+        B(sigma, S) = sum_T' (-1)^|T'| D_T'( dL/du^sigma_(S+T') / mult ),
 
     with T, T' ranging over ordered tuples of independent variables up to
-    the system's differential order, then substitutes phi for the adjoined
-    variables and reduces on solutions.  With phi=None the components keep
-    the symbolic multiplier variables.
+    the system's differential order, and mult the number of orderings of
+    the slot multi-index S+T' (the symmetric split that gives the 1/2 on
+    mixed-derivative equations).  Both sums depend on a tuple only
+    through its multiset, so they are evaluated over multisets: B by the
+    nested recursion
+
+        B(sigma, S) = dL/du^sigma_S / mult(S) - sum_v D_v B(sigma, S+v),
+
+    once per multiset S, and the outer sum over multisets T weighted by
+    T's number of orderings, with D_T(W) from one derivative table per
+    component.  The result then has phi substituted for the adjoined
+    variables and is reduced on solutions.  With phi=None the components
+    keep the symbolic multiplier variables.
 
     A phi that fails the substitution determining system is accepted (the
     result is then generally not conserved); the failure is flagged on the
@@ -109,38 +118,33 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     vnames = adjoint_variables(sys)
     r = sys.order
     W = characteristic_W(sys, g)
-
-    def tuples(max_len: int):
-        for n in range(max_len + 1):
-            yield from itertools.product(sys.indep, repeat=n)
+    multisets = [MultiIndex.of(*T) for n in range(r)
+                 for T in itertools.combinations_with_replacement(sys.indep, n)]
 
     @functools.cache
-    def slot_partial(d: str, J: MultiIndex) -> Expr:
-        """dL/du^d_J over the slot orderings of J (the symmetric split that
-        gives the 1/2 on mixed-derivative equations), once per call."""
-        dd = jet_partial(lagr, JetVar(d, J))
-        mult = J.multiplicity()
-        return dd if dd.is_zero or mult == 1 else dd / mult
-
-    def bracket(d: str, slots: tuple[str, ...]) -> Expr:
-        pieces = []
-        for Tp in tuples(r - len(slots)):
-            dd = slot_partial(d, MultiIndex.of(*slots, *Tp))
-            if not dd.is_zero:
-                pieces.append(_signed(
-                    total_derivative_multi(dd, MultiIndex.of(*Tp)), len(Tp)))
+    def bracket(d: str, S: MultiIndex) -> Expr:
+        """B(d, S), once per multiset S in this call."""
+        dd = jet_partial(lagr, JetVar(d, S))
+        mult = S.multiplicity()
+        pieces = [dd if dd.is_zero or mult == 1 else dd / mult]
+        if S.order < r:
+            for v in sys.indep:
+                b = bracket(d, S.bump(v))
+                if not b.is_zero:
+                    pieces.append(-total_derivative(b, v))
         return sum_exprs(pieces)
 
+    tables = [derivatives(w) for w in W.components]
     raw = []
     for i, var in enumerate(sys.indep):
         checkpoint()
         pieces = [g.xi[i] * lagr]
-        for w, d in zip(W.components, sys.dep):
-            for T in tuples(r - 1):
-                b = bracket(d, (var,) + T)
+        for dw, d in zip(tables, sys.dep):
+            for T in multisets:
+                b = bracket(d, T.bump(var))
                 if not b.is_zero:
-                    pieces.append(
-                        total_derivative_multi(w, MultiIndex.of(*T)) * b)
+                    m = T.multiplicity()
+                    pieces.append(dw(T) * (b if m == 1 else b.scale(m)))
         raw.append(sum_exprs(pieces))
 
     substitution_ok = None

@@ -22,7 +22,7 @@ from .expr.coeff import Coeff
 from .expr.errors import SubstitutionClassError, TrivialSubstitutionError
 from .expr.expression import (Expr, Term, atom_expr, collect, substitute,
                               sum_exprs)
-from .jet import PdeSystem, total_derivative_multi
+from .jet import PdeSystem, derivatives
 from .variational import (Characteristic, _as_characteristic, _fresh_names,
                           adjoint_system, adjoint_variables, euler, linearize,
                           adjoint_linearize)
@@ -54,16 +54,15 @@ class EDecomposition:
 
     def reassemble(self) -> Expr:
         """Substitute the actual equations back; must reproduce the input."""
+        tables = [derivatives(eq) for eq in self.system.equations]
         binds = {}
         for a in self.quadratic.atoms():
             if isinstance(a, JetVar) and a.dep in self.marker_deps:
                 b = self.marker_deps.index(a.dep)
-                binds[a] = total_derivative_multi(self.system.equations[b],
-                                                  a.index)
+                binds[a] = tables[b](a.index)
         return sum_exprs([
             self.remainder, substitute(self.quadratic, binds),
-            *(m * total_derivative_multi(self.system.equations[b], J)
-              for (b, J), m in self.coeffs.items())])
+            *(m * tables[b](J) for (b, J), m in self.coeffs.items())])
 
 
 def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
@@ -122,11 +121,12 @@ def substitute_multiplier_vars(sys: PdeSystem, e: Expr, phi: Characteristic,
     """Replace the adjoined variables and all their jet coordinates by the
     substitution's components and their total derivatives."""
     names = names or adjoint_variables(sys)
+    tables = [derivatives(c) for c in phi.components]
     binds = {}
     for a in e.atoms():
         if isinstance(a, JetVar) and a.dep in names:
             b = names.index(a.dep)
-            binds[a] = total_derivative_multi(phi.components[b], a.index)
+            binds[a] = tables[b](a.index)
     return substitute(e, binds)
 
 

@@ -96,7 +96,25 @@ class MultiIndex:
         return tuple(n for n, _ in self.counts)
 
     def bump(self, name: str) -> "MultiIndex":
-        return self + MultiIndex(((name, 1),))
+        """self + {name: 1}: the count raised in place, or (name, 1)
+        inserted at its sorted place, so no re-sort is needed."""
+        counts = self.counts
+        for i, (n, c) in enumerate(counts):
+            if n == name:
+                return _multi_index(counts[:i] + ((n, c + 1),)
+                                    + counts[i + 1:])
+            if n > name:
+                return _multi_index(counts[:i] + ((name, 1),) + counts[i:])
+        return _multi_index(counts + ((name, 1),))
+
+    def drop(self, name: str) -> "MultiIndex":
+        """self - {name: 1}, the count lowered in place."""
+        counts = self.counts
+        for i, (n, c) in enumerate(counts):
+            if n == name:
+                kept = ((n, c - 1),) if c > 1 else ()
+                return _multi_index(counts[:i] + kept + counts[i + 1:])
+        raise ValueError(f"{self} does not contain {name}")
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         acc = dict(self.counts)
@@ -153,6 +171,14 @@ class MultiIndex:
 
     def __str__(self) -> str:
         return "".join(self.to_seq()) or "0"
+
+
+def _multi_index(counts: tuple[tuple[str, int], ...]) -> MultiIndex:
+    """A MultiIndex from counts that are already canonical (sorted, every
+    count >= 1); no normalisation."""
+    m = object.__new__(MultiIndex)
+    object.__setattr__(m, "counts", counts)
+    return m
 
 
 class Atom:

@@ -6,7 +6,15 @@ terms directly, with no `Expr` multiplication: D_x of a jet factor is one
 atom, so its term is the product lowered at the factor and raised by that
 atom, and both steps keep the power product sorted, so the term is
 canonical as built.  Opaque and exponential factors, whose derivatives
-are sums, are multiplied out.
+are sums, are multiplied out, each derived once per call.
+
+The engine's sums of iterated derivatives compute each total derivative
+once per multi-index in a call.  `derivatives(e)` is the table J -> D_J e,
+each entry one derivative of its parent (J without its last variable).
+`alternating_sum` evaluates sum (-1)^|J| D_J f_J nested, Horner-style:
+the pieces at J fold into the parent J - v before it is differentiated,
+so each index costs one D however many pieces share it.  Both live only
+as long as their caller holds them: nothing is cached across calls.
 
 A `PdeSystem` designates one solved ("leading") derivative per equation
 and carries the rewrite rules that constrain its opaque functions.
@@ -31,7 +39,7 @@ from .expr.expression import (Expr, _gather, atom_expr, jet_partial, partial,
 from .expr.rules import RewriteRule, RuleSet, fixpoint
 
 __all__ = [
-    "total_derivative", "total_derivative_multi", "jet_partial",
+    "total_derivative", "derivatives", "alternating_sum", "jet_partial",
     "jet_indices_of", "PdeSystem", "solve_leading",
 ]
 
@@ -61,12 +69,14 @@ def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
     term when it is x_var.  Both are single canonical terms (`Term.lowered`
     and `Term.raised` keep the power product sorted), so neither goes
     through `Expr` multiplication.  Opaque and exponential factors, whose
-    derivatives are sums, multiply by `_d_atom`.  Every term is merged in
-    one `_gather`.
+    derivatives are sums, multiply by `_d_atom`, taken once per atom in
+    this call: an exponential shared by many terms has its exponent
+    derived once.  Every term is merged in one `_gather`.
     """
     if isinstance(var, IndependentVar):
         var = var.name
     terms = []
+    d_atoms: dict[Atom, Expr] = {}
     for t in e.terms:
         for i, (a, _) in enumerate(t.powers):
             if isinstance(a, JetVar):
@@ -75,17 +85,53 @@ def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
                 if a.name == var:
                     terms.append(t.lowered(i))
             else:
-                da = _d_atom(a, var)
+                da = d_atoms.get(a)
+                if da is None:
+                    da = d_atoms[a] = _d_atom(a, var)
                 if not da.is_zero:
                     terms.extend((Expr((t.lowered(i),)) * da).terms)
     return _gather(terms)
 
 
-def total_derivative_multi(e: Expr, index: MultiIndex) -> Expr:
-    """Iterated total derivative D_J; order-independent."""
-    for var in index.to_seq():
-        e = total_derivative(e, var)
-    return e
+def derivatives(e: Expr) -> Callable[[MultiIndex], Expr]:
+    """The table J -> D_J e, filled on demand; it lives as long as the
+    caller holds it.
+
+    An entry is one total derivative of its parent entry, J without its
+    last variable, so each multi-index reached costs one D whatever order
+    the lookups come in.
+    """
+    table = {MultiIndex(): e}
+
+    def d(J: MultiIndex) -> Expr:
+        hit = table.get(J)
+        if hit is None:
+            var = J.counts[-1][0]
+            hit = table[J] = total_derivative(d(J.drop(var)), var)
+        return hit
+    return d
+
+
+def alternating_sum(pairs: Iterable[tuple[MultiIndex, Expr]]) -> Expr:
+    """sum over the (J, f) pairs of (-1)^|J| D_J f, nested Horner-style.
+
+    From the highest order down, the pieces at each index J are summed,
+    differentiated once by J's last variable v and folded, negated, into
+    the parent J - v: (-1)^|J| D_J f = (-1)^|J-v| D_(J-v) (-D_v f).  Each
+    index costs one D, however many pieces share it or its descendants.
+    """
+    levels: dict[int, dict[MultiIndex, list[Expr]]] = {}
+    for J, f in pairs:
+        levels.setdefault(J.order, {}).setdefault(J, []).append(f)
+    for k in range(max(levels, default=0), 0, -1):
+        for J, pieces in levels.pop(k, {}).items():
+            f = sum_exprs(pieces)
+            if not f.is_zero:
+                var = J.counts[-1][0]
+                parent = levels.setdefault(k - 1, {})
+                parent.setdefault(J.drop(var), []).append(
+                    -total_derivative(f, var))
+    return sum_exprs(levels.get(0, {}).get(MultiIndex(), ()))
 
 
 def jet_indices_of(e: Expr, dep: str) -> set[MultiIndex]:
@@ -145,7 +191,7 @@ class PdeSystem:
             if extra.order == 0:
                 return self.solved[i]
             var = extra.names()[0]
-            prev = self.replacement(i, extra - MultiIndex.of(var))
+            prev = self.replacement(i, extra.drop(var))
             return self.reduce(total_derivative(prev, var))
         return self.memo((i, extra), build)
 

@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 from .expr.atoms import JetVar, MultiIndex, OpaqueDeriv
 from .expr.errors import ExprError
 from .expr.expression import Expr, atom_expr, sum_exprs
-from .jet import (PdeSystem, jet_indices_of, jet_partial, total_derivative_multi)
+from .jet import (PdeSystem, alternating_sum, derivatives, jet_indices_of,
+                  jet_partial)
 
 __all__ = [
     "Characteristic", "DiffOperator", "euler", "adjoint_variables",
@@ -87,7 +88,8 @@ class DiffOperator:
         return self.entries.get((target, source), {}).get(J, Expr.zero())
 
     def apply(self, comp: Sequence[Expr]) -> list[Expr]:
-        return [sum_exprs(c * total_derivative_multi(comp[r], J)
+        tables = [derivatives(c) for c in comp]
+        return [sum_exprs(c * tables[r](J)
                           for r in range(self.source_dim)
                           for J, c in self.entries.get((a, r), {}).items())
                 for a in range(self.target_dim)]
@@ -103,9 +105,9 @@ class DiffOperator:
             dest = acc.setdefault((a, r), {})
             for J, c in table.items():
                 sign = -1 if J.order % 2 else 1
+                dc = derivatives(c)
                 for K, w in J.sub_indices():
-                    dest.setdefault(K, []).append(
-                        total_derivative_multi(c, J - K).scale(sign * w))
+                    dest.setdefault(K, []).append(dc(J - K).scale(sign * w))
         return DiffOperator.build(self.source_dim, self.target_dim, {
             key: {K: sum_exprs(pieces) for K, pieces in dest.items()}
             for key, dest in acc.items()})
@@ -127,22 +129,17 @@ class DiffOperator:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _signed(e: Expr, order: int) -> Expr:
-    """(-1)^order * e, the sign of an order-`order` integration by parts."""
-    return e.scale(-1) if order % 2 else e
-
-
 def euler(e: Expr, dep: str) -> Expr:
     """Variational derivative delta e / delta dep.
 
     sum over the derivative indices J on which e depends of
-    (-1)^|J| D_J (d e / d dep_J); the sum truncates at the orders actually
-    present, and opaque functions of dep contribute through the chain rule.
+    (-1)^|J| D_J (d e / d dep_J), evaluated nested by `alternating_sum`,
+    so each index costs one total derivative; the sum truncates at the
+    orders actually present, and opaque functions of dep contribute
+    through the chain rule.
     """
-    return sum_exprs(
-        _signed(total_derivative_multi(jet_partial(e, JetVar(dep, J)), J),
-                J.order)
-        for J in jet_indices_of(e, dep))
+    return alternating_sum((J, jet_partial(e, JetVar(dep, J)))
+                           for J in jet_indices_of(e, dep))
 
 
 def adjoint_variables(sys: PdeSystem) -> tuple[str, ...]:
@@ -214,16 +211,17 @@ def adjoint_linearize(sys: PdeSystem, omega) -> list[Expr]:
     """Adjoint linearization applied to a characteristic.
 
     The expressions follow the defining alternating-sign sum
-    sum_J (-1)^|J| D_J(omega * dE/du_J); `linearize_table(sys).adjoint()`,
+    sum_J (-1)^|J| D_J(omega * dE/du_J), evaluated nested by
+    `alternating_sum` over the pieces of every equation at once, so each
+    index costs one total derivative.  `linearize_table(sys).adjoint()`,
     the formal adjoint in Leibniz normal form, is an independent code path
     the expressions are checked against in tests.
     """
     ch = _as_characteristic(omega, len(sys.dep))
     table = linearize_table(sys)
-    return [sum_exprs(_signed(total_derivative_multi(ch.components[r] * c, J),
-                              J.order)
-                      for r in range(len(sys.equations))
-                      for J, c in table.entries.get((r, a), {}).items())
+    return [alternating_sum((J, ch.components[r] * c)
+                            for r in range(len(sys.equations))
+                            for J, c in table.entries.get((r, a), {}).items())
             for a in range(len(sys.dep))]
 
 

@@ -119,6 +119,16 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "trivial substitution" in r.stdout
 
+    @pytest.mark.parametrize("target", ("symmetry", "adjoint-symmetry"))
+    def test_trivial_direction_in_ansatz_basis_exits_2(self, target):
+        # the second basis element is the equation itself, which vanishes
+        # on solutions and would count as a nullspace direction
+        r = run_cli("ansatz", target, "scaleChar",
+                    "e=D[u,t,t]-u^2*D[u,x,x]-u*D[u,x]^2", "--session", WAVE)
+        assert r.returncode == 2, r.stdout
+        assert (f"basis element 2 vanishes on solutions: a trivial {target} "
+                "direction") in r.stdout
+
     def test_zero_generator_exits_2(self):
         r = run_cli("conslaw", "eta=0", "--session", WAVE)
         assert r.returncode == 2, r.stderr

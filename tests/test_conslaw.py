@@ -6,6 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conslaw_kit.conslaw import (ConservedVector, Generator, compare_vectors,
                                  characteristic_W, ibragimov_vector,
@@ -14,8 +15,8 @@ from conslaw_kit.determining import substitute_multiplier_vars
 from conslaw_kit.dsl import load_session
 from conslaw_kit.expr import (Expr, ExprError, JetVar, MultiIndex,
                               OpaqueDeriv, atom_expr, exp_of, rational)
-from conslaw_kit.expr.expression import jet, sum_exprs
-from conslaw_kit.jet import jet_partial, total_derivative
+from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
+from conslaw_kit.jet import jet_partial, solve_leading, total_derivative
 from conslaw_kit.variational import (Characteristic, adjoint_variables,
                                      formal_lagrangian)
 
@@ -266,10 +267,11 @@ CONSLAW_SESSIONS = ("src/conslaw_kit/corpus/wave.cl",
                     "perfbench/sessions/kdv5-conslaw.cl")
 
 
-def reference_raw_vector(sys, g, phi):
-    """The pre-reduction components as assembled before slot derivatives
-    were shared: dL/du_(S+T') taken afresh for every ordered slot tuple,
-    D_T applied one variable at a time in tuple order."""
+def reference_raw_vector(sys, g, phi=None):
+    """The pre-reduction components as assembled over ordered tuples,
+    before slot derivatives were shared: dL/du_(S+T') taken afresh for
+    every ordered slot tuple, D_T applied one variable at a time in tuple
+    order; with phi=None the multiplier variables stay symbolic."""
     lagr = formal_lagrangian(sys)
     W = characteristic_W(sys, g)
     r = sys.order
@@ -298,6 +300,8 @@ def reference_raw_vector(sys, g, phi):
             for T in tuples(r - 1):
                 pieces.append(d_tuple(w, T) * bracket(d, (var,) + T))
         raw.append(sum_exprs(pieces))
+    if phi is None:
+        return raw
     return [substitute_multiplier_vars(sys, c, phi, adjoint_variables(sys))
             for c in raw]
 
@@ -321,3 +325,55 @@ class TestSharedSlotDerivatives:
         raw = reference_raw_vector(sys, g, phi)
         assert list(vec.raw_components) == raw
         assert vec.components == tuple(sys.reduce(c) for c in raw)
+
+
+@pytest.fixture(scope="module")
+def assembly_cases(wave, thomas, klein_gordon):
+    """(system, pool for random generator components): the three corpus
+    equations, fifth-order KdV, BBM (its u_xxt slot and the mixed D_xt
+    have more than one ordering) and a two-component system."""
+    uxxx, uxxxxx = jet("u", "x", "x", "x"), jet("u", "x", "x", "x", "x", "x")
+    kdv5 = solve_leading(["t", "x"], ["u"], [
+        S.ut + 30 * S.u**2 * S.ux + 20 * S.ux * S.uxx + 10 * S.u * uxxx
+        + uxxxxx], eq_names=["kdv5"])
+    bbm = solve_leading(["t", "x"], ["u"],
+                        [S.ut + S.ux + S.u * S.ux - jet("u", "x", "x", "t")],
+                        eq_names=["bbm"])
+    two = solve_leading(["t", "x"], ["u", "w"],
+                        [S.ut - jet("w", "x", "x") - S.u * jet("w", "x"),
+                         jet("w", "t") - S.uxx],
+                        eq_names=["eqU", "eqW"])
+    g = OpaqueDeriv("g", (S.u_at,))
+    plain = (S.u_at, S.ux_at, S.ut_at, S.x_at, S.t_at)
+    return {
+        "wave": (wave, plain),
+        "thomas": (thomas, (*plain, S.uxt_at)),
+        "klein-gordon": (klein_gordon, (*plain, g)),
+        "kdv5": (kdv5, (*plain, S.uxx_at)),
+        "bbm": (bbm, (*plain, S.uxt_at)),
+        "two-component": (two, (*plain, jet_atom("w"), jet_atom("w", "x"))),
+    }
+
+
+class TestMultisetAssembly:
+    @pytest.mark.parametrize("name", ("wave", "thomas", "klein-gordon",
+                                      "kdv5", "bbm", "two-component"))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_raw_components_match_ordered_tuples(self, assembly_cases, name,
+                                                 data):
+        """Multiset brackets and weighted outer sums give the components
+        of the ordered-tuple assembly, term for term."""
+        sys, pool = assembly_cases[name]
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        eta = tuple(random_expr(rng, pool=pool, max_terms=2, max_factors=2,
+                                allow_exp=name == "thomas")
+                    for _ in sys.dep)
+        xi = tuple(random_expr(rng, pool=pool, max_terms=1, max_factors=1)
+                   if data.draw(st.booleans()) else Expr.zero()
+                   for _ in sys.indep)
+        assume(not all(c.is_zero for c in (*eta, *xi)))
+        g = Generator(xi, eta)
+        got = ibragimov_vector(sys, g).raw_components
+        want = reference_raw_vector(sys, g)
+        assert [c.terms for c in got] == [c.terms for c in want]

@@ -13,8 +13,8 @@ from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,
                               atom_expr, exp_of)
 from conslaw_kit.expr.errors import LeadingSolveError
 from conslaw_kit.expr.expression import _make_term, jet, jet_atom, sum_exprs
-from conslaw_kit.jet import (jet_partial, solve_leading, total_derivative,
-                             total_derivative_multi)
+from conslaw_kit.jet import (alternating_sum, derivatives, jet_partial,
+                             solve_leading, total_derivative)
 
 from conftest import Syms as S, random_expr
 
@@ -48,9 +48,9 @@ class TestTotalDerivative:
             assert dxt == dtx, f"case {i} (seed 314)"
 
     def test_multi_index(self):
-        assert total_derivative_multi(S.u, MultiIndex()) == S.u
-        assert total_derivative_multi(S.u, MultiIndex.of("x", "t")) == S.uxt
-        assert total_derivative_multi(S.x * S.u, MultiIndex.of("x", "x")) == \
+        assert derivatives(S.u)(MultiIndex()) == S.u
+        assert derivatives(S.u)(MultiIndex.of("x", "t")) == S.uxt
+        assert derivatives(S.x * S.u)(MultiIndex.of("x", "x")) == \
             2 * S.ux + S.x * S.uxx
 
 
@@ -156,6 +156,98 @@ class TestJetVarSortKey:
             assert getattr(c, "_key", None) is None
             assert getattr(c, "_hash", None) is None
             assert hash(c) == hash(a) and c.sort_key() == a.sort_key()
+
+
+class TestMultiIndexStep:
+    NAMES = st.sampled_from(("a", "t", "x", "y", "z"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(NAMES, st.integers(1, 3), max_size=4), NAMES)
+    def test_matches_index_arithmetic(self, counts, name):
+        m = MultiIndex(tuple(counts.items()))
+        one = MultiIndex(((name, 1),))
+        bumped = m.bump(name)
+        assert bumped.counts == (m + one).counts
+        assert hash(bumped) == hash(m + one)
+        assert JetVar("u", m).bump(name) == JetVar("u", m + one)
+        assert bumped.drop(name).counts == m.counts
+        if m.contains(one):
+            assert m.drop(name).counts == (m - one).counts
+        else:
+            with pytest.raises(ValueError):
+                m.drop(name)
+            with pytest.raises(ValueError):
+                m - one
+
+    def test_copies_rebuild_from_init_fields(self):
+        m = MultiIndex.of("x", "t").bump("t").drop("x")
+        hash(m)
+        for c in (pickle.loads(pickle.dumps(m)), copy.copy(m),
+                  copy.deepcopy(m)):
+            assert c == m and c is not m
+            assert getattr(c, "_hash", None) is None
+            assert c.counts == (("t", 2),)
+
+
+# -- derivative tables and nested sums against the per-index loop ---------
+#
+# D_J as it was computed before the tables: one `total_derivative` per
+# variable of J, afresh for every J.
+
+def ref_multi(e, J):
+    for var in J.to_seq():
+        e = total_derivative(e, var)
+    return e
+
+
+Y_AT = IndependentVar("y")
+# jets and opaque arguments over three variables; exponent bases first
+XYZ_POOL = (
+    S.u_at, jet_atom("u", "y"), V_AT, S.uxt_at, jet_atom("v", "t", "y"),
+    S.ux_at, S.x_at, S.t_at, Y_AT, Parameter("alpha", nonzero=True),
+    OpaqueDeriv("h", (S.x_at, Y_AT)), OpaqueDeriv("f", (S.u_at,)),
+    ExpAtom(S.gamma * S.u), ExpConst(2),
+)
+
+
+def multi_indices(names):
+    return st.lists(st.sampled_from(names), max_size=3).map(
+        lambda seq: MultiIndex.of(*seq))
+
+
+class TestDerivativeTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.data())
+    def test_matches_iterated_total_derivative(self, seed, n, data):
+        names = ("t", "x", "y")[:n]
+        e = random_expr(random.Random(seed), pool=XYZ_POOL, max_terms=3,
+                        max_factors=3, allow_exp=True)
+        table = derivatives(e)
+        for J in data.draw(st.lists(multi_indices(names), min_size=1,
+                                    max_size=6)):
+            assert table(J) == ref_multi(e, J)
+
+
+class TestAlternatingSum:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.data())
+    def test_matches_signed_sum(self, seed, n, data):
+        names = ("t", "x", "y")[:n]
+        rng = random.Random(seed)
+        pairs = [(J, random_expr(rng, pool=XYZ_POOL, max_terms=2,
+                                 max_factors=3, allow_exp=True))
+                 for J in data.draw(st.lists(multi_indices(names),
+                                             max_size=6))]
+        want = sum_exprs(ref_multi(f, J).scale((-1) ** J.order)
+                         for J, f in pairs)
+        assert alternating_sum(pairs) == want
+
+    def test_cancelling_pieces(self):
+        J = MultiIndex.of("x", "t")
+        assert alternating_sum([]).is_zero
+        assert alternating_sum([(J, S.u), (J, -S.u)]).is_zero
+        assert alternating_sum([(J, S.u), (MultiIndex(), S.x)]) == \
+            S.uxt + S.x
 
 
 class TestJetPartial:

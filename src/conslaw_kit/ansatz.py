@@ -13,9 +13,8 @@ combined residual, which must vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .cancel import checkpoint
 from .determining import (adjoint_symmetry_residual,
@@ -27,6 +26,7 @@ from .expr.coeff import (Coeff, Poly, common_content, mono_div,
 from .expr.errors import AnsatzError
 from .expr.expression import Expr, Powers, Term, sum_exprs
 from .jet import PdeSystem
+from .record import Record
 from .variational import Characteristic, _as_characteristic
 
 __all__ = [
@@ -42,8 +42,7 @@ TARGETS: dict[str, Callable] = {
 }
 
 
-@dataclass(frozen=True)
-class AnsatzProblem:
+class AnsatzProblem(Record):
     """Find all c with residual(sum c_k * basis_k) = 0.
 
     Basis entries are characteristics (or single expressions for scalar
@@ -55,33 +54,31 @@ class AnsatzProblem:
     vanishes on solutions is rejected: it would be a trivial direction.
     """
 
-    system: PdeSystem
-    target: str
-    basis: tuple[Characteristic, ...]
-    unknowns: tuple[Parameter, ...] = ()
+    __slots__ = ("system", "target", "basis", "unknowns")
 
-    def __post_init__(self) -> None:
-        if self.target not in TARGETS:
+    def __init__(self, system: PdeSystem, target: str,
+                 basis: Sequence[Characteristic],
+                 unknowns: tuple[Parameter, ...] = ()) -> None:
+        if target not in TARGETS:
             raise AnsatzError(
-                f"unknown target {self.target!r}; expected one of "
+                f"unknown target {target!r}; expected one of "
                 f"{', '.join(sorted(TARGETS))}")
-        if not self.basis:
+        if not basis:
             raise AnsatzError("empty ansatz basis")
-        m = len(self.system.dep)
-        basis = tuple(_as_characteristic(b, m) for b in self.basis)
+        m = len(system.dep)
+        basis = tuple(_as_characteristic(b, m) for b in basis)
         for k, b in enumerate(basis, 1):
             if all(c.is_zero for c in b.components):
                 raise AnsatzError("zero basis expression")
             # the symmetry residuals vanish at such an element, so it
             # would count as a nullspace direction
-            if self.target in ("symmetry", "adjoint-symmetry") and all(
-                    self.system.reduce(c).is_zero for c in b.components):
+            if target in ("symmetry", "adjoint-symmetry") and all(
+                    system.reduce(c).is_zero for c in b.components):
                 raise AnsatzError(
                     f"basis element {k} vanishes on solutions: a trivial "
-                    f"{self.target} direction")
-        object.__setattr__(self, "basis", basis)
-        if not self.unknowns:
-            taken = {p.name for eq in self.system.equations
+                    f"{target} direction")
+        if not unknowns:
+            taken = {p.name for eq in system.equations
                      for p in eq.parameters()}
             for b in basis:
                 for c in b.components:
@@ -93,8 +90,8 @@ class AnsatzProblem:
                 if cand not in taken:
                     names.append(cand)
                 i += 1
-            object.__setattr__(self, "unknowns",
-                               tuple(Parameter(n) for n in names))
+            unknowns = tuple(Parameter(n) for n in names)
+        super().__init__(system, target, basis, unknowns)
 
 
 def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> Characteristic:
@@ -104,14 +101,11 @@ def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> Characteristic:
         for i in range(len(p.system.dep))))
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     """One linear condition sum entries[k] * c_k = 0, keyed by the jet
     monomial (and residual component) that produced it."""
 
-    key: Powers
-    component: int
-    entries: tuple[Coeff, ...]
+    __slots__ = ("key", "component", "entries")
 
 
 def build_and_split(p: AnsatzProblem) -> list[Row]:
@@ -132,8 +126,7 @@ def build_and_split(p: AnsatzProblem) -> list[Row]:
             for (comp, powers), (_, column) in order]
 
 
-@dataclass(frozen=True)
-class NullspaceVector:
+class NullspaceVector(Record):
     """Exact solution vector: entry k is numerators[k] / denominator.
 
     The denominator equals the first nonzero numerator, so the first
@@ -141,8 +134,7 @@ class NullspaceVector:
     numerators) is what gets substituted back for verification.
     """
 
-    numerators: tuple[Poly, ...]
-    denominator: Poly
+    __slots__ = ("numerators", "denominator")
 
     def entry_exprs(self) -> tuple[Expr, ...]:
         """Entries as expressions when the denominator is an invertible
@@ -156,12 +148,8 @@ class NullspaceVector:
         return tuple(Expr.from_coeff(Coeff(n) * inv) for n in self.numerators)
 
 
-@dataclass(frozen=True)
-class LinearSolveResult:
-    vectors: tuple[NullspaceVector, ...]
-    side_conditions: tuple[str, ...]
-    rows: tuple[Row, ...]
-    unknowns: tuple[Parameter, ...]
+class LinearSolveResult(Record):
+    __slots__ = ("vectors", "side_conditions", "rows", "unknowns")
 
     @property
     def dimension(self) -> int:

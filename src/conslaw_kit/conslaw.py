@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .cancel import checkpoint
-from .determining import (EDecomposition, differential_substitution_residual,
-                          e_decompose, substitute_multiplier_vars)
+from .determining import (differential_substitution_residual, e_decompose,
+                          substitute_multiplier_vars)
 from .expr.atoms import JetVar, MultiIndex
 from .expr.errors import ExprError
 from .expr.expression import Expr, atom_expr, jet_atom, sum_exprs
 from .jet import PdeSystem, derivatives, jet_partial, total_derivative
+from .record import Record
 from .variational import (Characteristic, _as_characteristic,
                           adjoint_variables, formal_lagrangian)
 
@@ -31,18 +31,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """Symmetry generator: xi components over the independent variables,
     eta components over the dependent variables (xi may be all zero for
     the evolutionary form)."""
 
-    xi: tuple[Expr, ...]
-    eta: tuple[Expr, ...]
+    __slots__ = ("xi", "eta")
 
-    def __post_init__(self) -> None:
-        if all(c.is_zero for c in self.xi) and all(c.is_zero for c in self.eta):
+    def __init__(self, xi: tuple[Expr, ...], eta: tuple[Expr, ...]) -> None:
+        if all(c.is_zero for c in xi) and all(c.is_zero for c in eta):
             raise ExprError("generator must have a nonzero component")
+        super().__init__(xi, eta)
 
     @staticmethod
     def evolutionary(sys: PdeSystem, *eta: Expr) -> "Generator":
@@ -63,28 +62,21 @@ def characteristic_W(sys: PdeSystem, g: Generator) -> Characteristic:
         for d, eta in zip(sys.dep, g.eta)))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    reduced_divergence: Expr
-    decomposition: EDecomposition
-    nontrivial: bool
+class VerificationReport(Record):
+    __slots__ = ("reduced_divergence", "decomposition", "nontrivial")
 
     @property
     def ok(self) -> bool:
         return self.reduced_divergence.is_zero
 
 
-@dataclass(frozen=True)
-class ConservedVector:
+class ConservedVector(Record):
     """Components per independent variable, reduced on solutions, plus the
-    pre-reduction forms and provenance."""
+    pre-reduction forms and provenance (a `Generator`, a substitution
+    `Characteristic` and whether it passed, each None when absent)."""
 
-    system: PdeSystem
-    components: tuple[Expr, ...]
-    raw_components: tuple[Expr, ...]
-    generator: Generator | None = None
-    substitution: Characteristic | None = None
-    substitution_ok: bool | None = None
+    __slots__ = ("system", "components", "raw_components", "generator",
+                 "substitution", "substitution_ok")
 
 
 def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
@@ -180,14 +172,13 @@ def _divergence(sys: PdeSystem, comps: Sequence[Expr]) -> Expr:
     return sum_exprs(total_derivative(c, var) for var, c in zip(sys.indep, comps))
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    equivalent: bool
-    scale: Expr | None = None
-    exact: bool = False
-    discrepancy: tuple[Expr, ...] | None = None
-    """Reduced difference C_ours - scale*C_ref; when `equivalent`, its
-    divergence normalizes to zero identically (a trivial shift)."""
+class EquivalenceResult(Record):
+    """`discrepancy`: the reduced difference C_ours - scale*C_ref; when
+    `equivalent`, its divergence normalizes to zero identically (a
+    trivial shift)."""
+
+    __slots__ = ("equivalent", "scale", "exact", "discrepancy")
+    _defaults = {"scale": None, "exact": False, "discrepancy": None}
 
 
 def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr]

@@ -14,8 +14,6 @@ carry the marker's jet coordinates along.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .cancel import checkpoint
 from .expr.atoms import JetVar, MultiIndex
 from .expr.coeff import Coeff
@@ -23,6 +21,7 @@ from .expr.errors import SubstitutionClassError, TrivialSubstitutionError
 from .expr.expression import (Expr, Term, atom_expr, collect, substitute,
                               sum_exprs)
 from .jet import PdeSystem, derivatives
+from .record import Record
 from .variational import (Characteristic, _as_characteristic, _fresh_names,
                           adjoint_system, adjoint_variables, euler, linearize,
                           adjoint_linearize)
@@ -35,18 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EDecomposition:
+class EDecomposition(Record):
     """Exact split original = sum coeffs[(beta, J)] * D_J(E^beta) + S
     (+ terms of degree >= 2 in the equations, reported in `quadratic`
-    still carrying marker atoms).  `coeffs` is in identity order: by
-    equation, then by `MultiIndex.sort_key`."""
+    still carrying marker atoms).  `coeffs` (a dict keyed by (beta, J))
+    is in identity order: by equation, then by `MultiIndex.sort_key`."""
 
-    system: PdeSystem
-    coeffs: dict[tuple[int, MultiIndex], Expr]
-    remainder: Expr
-    quadratic: Expr
-    marker_deps: tuple[str, ...]
+    __slots__ = ("system", "coeffs", "remainder", "quadratic", "marker_deps")
 
     @property
     def is_linear(self) -> bool:
@@ -76,13 +70,13 @@ def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
 
     The markers and this shadow system are built once per system and kept
     by `PdeSystem.memo`, so the shadow's replacement cache is reused by
-    later calls; a copy made by `dataclasses.replace` starts without it.
+    later calls; a copy made by `PdeSystem.with_solved` starts without it.
     """
     def shadow_system():
         names = _fresh_names(sys, "Emark")
-        return names, replace(sys, solved=tuple(
+        return names, sys.with_solved(
             r + Expr.from_coeff(c.invert_unit()) * atom_expr(JetVar(name))
-            for r, c, name in zip(sys.solved, sys.lead_coeff, names)))
+            for r, c, name in zip(sys.solved, sys.lead_coeff, names))
     markers, shadow = sys.memo("e_decompose", shadow_system)
     reduced = shadow.reduce(e)
     checkpoint()

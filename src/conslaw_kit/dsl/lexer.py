@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..expr.errors import ConslawError
+from ..record import Record
 
 __all__ = ["Token", "ParseError", "tokenize", "PUNCT"]
 
@@ -17,12 +16,9 @@ class ParseError(ConslawError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str   # 'name' | 'int' | punctuation | 'eof'
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind",   # 'name' | 'int' | punctuation | 'eof'
+                 "text", "line", "col")
 
 
 PUNCT = {

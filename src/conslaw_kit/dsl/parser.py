@@ -9,12 +9,12 @@ unambiguous with multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ..record import Record
 from .lexer import ParseError, Token, tokenize
 
 __all__ = [
     "parse_session", "parse_expression",
-    "SessionAst", "Stmt", "DeclStmt", "FuncStmt", "EquationStmt", "RuleStmt",
+    "Stmt", "DeclStmt", "FuncStmt", "EquationStmt", "RuleStmt",
     "CharStmt", "GenStmt", "VectorStmt", "CommandStmt",
     "ENode", "ENum", "EName", "EDeriv", "EExp", "EUnary", "EBinary", "EPow",
 ]
@@ -22,116 +22,80 @@ __all__ = [
 
 # -- expression AST ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ENode:
-    line: int = 0
-    col: int = 0
+class ENode(Record):
+    __slots__ = ("line", "col")
 
 
-@dataclass(frozen=True)
 class ENum(ENode):
-    value: int = 0
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class EName(ENode):
-    name: str = ""
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class EDeriv(ENode):
-    head: str = ""
-    dvars: tuple[str, ...] = ()
+    __slots__ = ("head", "dvars")
 
 
-@dataclass(frozen=True)
 class EExp(ENode):
-    arg: "ENode | None" = None
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class EUnary(ENode):
-    op: str = "-"
-    arg: "ENode | None" = None
+class EUnary(ENode):   # negation
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class EBinary(ENode):
-    op: str = "+"
-    left: "ENode | None" = None
-    right: "ENode | None" = None
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
 class EPow(ENode):
-    base: "ENode | None" = None
-    exponent: int = 1
+    __slots__ = ("base", "exponent")
 
 
 # -- statement AST -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Stmt:
-    line: int
-    col: int
+class Stmt(Record):
+    __slots__ = ("line", "col")
 
 
-@dataclass(frozen=True)
 class DeclStmt(Stmt):
-    kind: str                  # 'indep' | 'dep' | 'param'
-    names: tuple[str, ...]
-    nonzero: bool = False
+    __slots__ = ("kind",       # 'indep' | 'dep' | 'param'
+                 "names", "nonzero")
 
 
-@dataclass(frozen=True)
 class FuncStmt(Stmt):
-    name: str
-    args: tuple[str, ...]
+    __slots__ = ("name", "args")
 
 
-@dataclass(frozen=True)
 class EquationStmt(Stmt):
-    name: str
-    lhs: ENode
-    rhs: ENode
-    leading: EDeriv | None
+    __slots__ = ("name", "lhs", "rhs",
+                 "leading")    # EDeriv | None
 
 
-@dataclass(frozen=True)
 class RuleStmt(Stmt):
-    lhs: EDeriv
-    rhs: ENode
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class CharStmt(Stmt):
-    name: str
-    components: tuple[ENode, ...]
+    __slots__ = ("name", "components")
 
 
-@dataclass(frozen=True)
 class GenStmt(Stmt):
-    name: str
-    xi: tuple[ENode, ...] | None
-    eta: tuple[ENode, ...]
+    __slots__ = ("name",
+                 "xi",         # tuple[ENode, ...] | None
+                 "eta")
 
 
-@dataclass(frozen=True)
 class VectorStmt(Stmt):
-    name: str
-    components: tuple[ENode, ...]
+    __slots__ = ("name", "components")
 
 
-@dataclass(frozen=True)
 class CommandStmt(Stmt):
-    name: str
-    args: tuple[tuple[str | None, "str | ENode"], ...]
-    expect: str = "zero"       # 'zero' | 'nonzero'
-
-
-@dataclass
-class SessionAst:
-    statements: list[Stmt] = field(default_factory=list)
+    __slots__ = ("name",
+                 "args",       # ((label | None, name | ENode), ...)
+                 "expect")     # 'zero' | 'nonzero'
 
 
 # Deeper input would overflow the interpreter stack of the recursive descent.
@@ -197,7 +161,7 @@ class _Parser:
             op = self.advance()
             node = self.parse_factor()
             if op.kind == "-":
-                node = EUnary(op.line, op.col, "-", node)
+                node = EUnary(op.line, op.col, node)
         else:
             node = self.parse_power()
         self.depth -= 1
@@ -276,11 +240,11 @@ class _Parser:
 
     # -- statements ----------------------------------------------------------
 
-    def parse_session(self) -> SessionAst:
-        ast = SessionAst()
+    def parse_session(self) -> list[Stmt]:
+        statements = []
         while not self.at("eof"):
-            ast.statements.append(self.parse_statement())
-        return ast
+            statements.append(self.parse_statement())
+        return statements
 
     def parse_statement(self) -> Stmt:
         t = self.cur
@@ -435,7 +399,8 @@ class _Parser:
         return CommandStmt(kw.line, kw.col, name, tuple(args), expect)
 
 
-def parse_session(text: str) -> SessionAst:
+def parse_session(text: str) -> list[Stmt]:
+    """The statements of a session, in source order."""
     return _Parser(tokenize(text)).parse_session()
 
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-
-from ..expr.expression import Expr
+from ..record import MutableRecord
 from .printer import expr_latex, expr_text
 
 __all__ = ["SCHEMA_VERSION", "Report", "emit"]
@@ -20,16 +18,17 @@ __all__ = ["SCHEMA_VERSION", "Report", "emit"]
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class Report:
-    command: str
-    status: str                      # 'zero' | 'nonzero' | 'error'
-    detail: str = ""
-    residuals: list[tuple[str, Expr]] = field(default_factory=list)
-    vectors: dict[str, dict[str, Expr]] = field(default_factory=dict)
-    identity: "dict | None" = None   # {'terms': [(eq, deriv, Expr)], 'remainder': Expr}
-    side_conditions: list[str] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+class Report(MutableRecord):
+    __slots__ = ("command",
+                 "status",           # 'zero' | 'nonzero' | 'error'
+                 "detail",
+                 "residuals",        # [(name, Expr)]
+                 "vectors",          # component -> kind -> Expr
+                 "identity",         # {'terms': [(eq, deriv, Expr)], 'remainder': Expr}
+                 "side_conditions",  # [str]
+                 "extra")
+    _defaults = {"detail": "", "residuals": [], "vectors": {},
+                 "identity": None, "side_conditions": [], "extra": {}}
 
     @property
     def exit_code(self) -> int:

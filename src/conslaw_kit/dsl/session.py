@@ -7,45 +7,46 @@ the grammar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..expr.atoms import (Atom, IndependentVar, JetVar, MultiIndex,
-                          OpaqueDeriv, Parameter)
+from ..expr.atoms import (IndependentVar, JetVar, MultiIndex, OpaqueDeriv,
+                          Parameter)
 from ..expr.errors import ConslawError
 from ..expr.expression import Expr, atom_expr, exp_of, sum_exprs
 from ..expr.rules import RewriteRule, RuleSet
 from ..jet import PdeSystem, solve_leading
 from ..variational import Characteristic
 from ..conslaw import Generator
+from ..record import MutableRecord, Record
 from .lexer import ParseError
 from .parser import (CharStmt, CommandStmt, DeclStmt, EBinary, EDeriv, EExp,
                      EName, ENode, ENum, EPow, EquationStmt, EUnary, FuncStmt,
-                     GenStmt, RuleStmt, SessionAst, VectorStmt, parse_session)
+                     GenStmt, RuleStmt, Stmt, VectorStmt, parse_session)
 
 __all__ = ["Session", "OpaqueFunc", "resolve_session", "resolve_expression",
            "load_session"]
 
 
-@dataclass(frozen=True)
-class OpaqueFunc:
-    name: str
-    args: tuple[Atom, ...]
-    arg_names: tuple[str, ...]
+class OpaqueFunc(Record):
+    __slots__ = ("name",
+                 "args",        # tuple[Atom, ...]
+                 "arg_names")
 
 
-@dataclass
-class Session:
-    indep: list[str] = field(default_factory=list)
-    dep: list[str] = field(default_factory=list)
-    params: dict[str, Parameter] = field(default_factory=dict)
-    funcs: dict[str, OpaqueFunc] = field(default_factory=dict)
-    equations: list[tuple[str, Expr, JetVar | None]] = field(default_factory=list)
-    rule_list: list[RewriteRule] = field(default_factory=list)
-    chars: dict[str, Characteristic] = field(default_factory=dict)
-    gens: dict[str, Generator] = field(default_factory=dict)
-    vectors: dict[str, tuple[Expr, ...]] = field(default_factory=dict)
-    commands: list[CommandStmt] = field(default_factory=list)
-    system: PdeSystem | None = None
+class Session(MutableRecord):
+    """The declarations of a session, filled in by the resolver."""
+
+    __slots__ = ("indep", "dep",
+                 "params",      # name -> Parameter
+                 "funcs",       # name -> OpaqueFunc
+                 "equations",   # [(name, Expr, leading JetVar | None)]
+                 "rule_list",   # [RewriteRule]
+                 "chars",       # name -> Characteristic
+                 "gens",        # name -> Generator
+                 "vectors",     # name -> tuple[Expr, ...]
+                 "commands",    # [CommandStmt]
+                 "system")      # PdeSystem | None
+    _defaults = {"indep": [], "dep": [], "params": {}, "funcs": {},
+                 "equations": [], "rule_list": [], "chars": {}, "gens": {},
+                 "vectors": {}, "commands": [], "system": None}
 
     def require_system(self) -> PdeSystem:
         if self.system is None:
@@ -143,8 +144,8 @@ class _Resolver:
 
     # -- statements ----------------------------------------------------------
 
-    def run(self, ast: SessionAst) -> Session:
-        for st in ast.statements:
+    def run(self, statements: list[Stmt]) -> Session:
+        for st in statements:
             if isinstance(st, DeclStmt):
                 self._decl(st)
             elif isinstance(st, FuncStmt):
@@ -260,8 +261,8 @@ class _Resolver:
                                           leadings, names, self.s.rule_list)
 
 
-def resolve_session(ast: SessionAst) -> Session:
-    return _Resolver().run(ast)
+def resolve_session(statements: list[Stmt]) -> Session:
+    return _Resolver().run(statements)
 
 
 def resolve_expression(session: Session, node: ENode) -> Expr:

@@ -7,22 +7,25 @@ derivatives of opaque functions, and exponential factors.  Mixed partials
 commute, so multi-indices are kept in a canonical sorted form and u_{xt}
 and u_{tx} denote the same atom.
 
-Atoms are frozen, slotted dataclasses.  `MultiIndex`, `JetVar`,
-`OpaqueDeriv` and `ExpAtom` fill a hash slot once, lazily (`lazy_slot`):
-a generated hash re-walks every field (an exponent down to each
-`Fraction`) on each dict lookup.  `JetVar` fills its `sort_key()` the same
-way, since every term sort and every `Term.raised` in a total derivative
-compares jet atoms by it.  Hashing eagerly at construction was slower:
+Atoms are slotted records (`record.Record`) with their own `__init__`,
+`==` and hash; `==` compares field tuples, which skip the `__eq__` call
+for a field that is the same object on both sides.  `MultiIndex`, `JetVar`, `OpaqueDeriv` and `ExpAtom` fill
+a hash slot once, lazily (`lazy_slot`): a hash of the fields re-walks
+every field (an exponent down to each `Fraction`) on each dict lookup.
+`JetVar` fills its `sort_key()` the same way, since every term sort and
+every `Term.raised` in a total derivative compares jet atoms by it.  Hashing eagerly at construction was slower:
 +2-11% benchmark run time on every workload (2-core x86, 3 seeds).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator, TYPE_CHECKING
 
+from ..record import Record
+
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
     from .expression import Expr
 
@@ -38,42 +41,41 @@ __all__ = [
 ]
 
 
+_set = object.__setattr__
+
+
 def lazy_slot(slot: str, compute):
     """A method returning compute(self), computed on the first call and
-    then kept in `slot`, a field declared `init=False, compare=False`."""
+    then kept in `slot`, a cache slot (its name begins with `_`)."""
     def method(self):
         value = getattr(self, slot, None)   # an unfilled slot reads None
         if value is None:
             value = compute(self)
-            object.__setattr__(self, slot, value)
+            _set(self, slot, value)
         return value
     return method
 
 
-def reduce_by_init_fields(self):
-    """`__reduce__` that pickles and copies no cached slot."""
-    return type(self), tuple(getattr(self, f.name) for f in fields(self)
-                             if f.init)
-
-
-@dataclass(frozen=True, slots=True)
-class MultiIndex:
+class MultiIndex(Record):
     """Multiset of differentiation variables, e.g. {x: 1, t: 2} for u_{xtt}.
 
     Stored as a sorted tuple of (variable name, count) pairs with counts >= 1,
     which makes the representation independent of differentiation order.
     """
 
-    counts: tuple[tuple[str, int], ...] = ()
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("counts", "_hash")
     __hash__ = lazy_slot("_hash", lambda s: hash(s.counts))
-    __reduce__ = reduce_by_init_fields
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(sorted((n, c) for n, c in self.counts if c != 0))
+    def __init__(self, counts: tuple[tuple[str, int], ...] = ()) -> None:
+        cleaned = tuple(sorted((n, c) for n, c in counts if c != 0))
         if any(c < 0 for _, c in cleaned):
             raise ValueError("negative derivative count")
-        object.__setattr__(self, "counts", cleaned)
+        _set(self, "counts", cleaned)
+
+    def __eq__(self, other):
+        if other.__class__ is not MultiIndex:
+            return NotImplemented
+        return self.counts == other.counts
 
     @staticmethod
     def of(*names: str) -> "MultiIndex":
@@ -181,18 +183,30 @@ def _multi_index(counts: tuple[tuple[str, int], ...]) -> MultiIndex:
     return m
 
 
-class Atom:
+_M_ZERO = MultiIndex()
+
+
+class Atom(Record):
     """Base class for atomic factors; provides the deterministic total order."""
     __slots__ = ()
-    __reduce__ = reduce_by_init_fields
 
     def sort_key(self):
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
 class IndependentVar(Atom):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not IndependentVar:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def sort_key(self):
         return (0, self.name)
@@ -201,12 +215,22 @@ class IndependentVar(Atom):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class Parameter(Atom):
     """Declared constant; `nonzero` marks it legal to divide by."""
 
-    name: str
-    nonzero: bool = False
+    __slots__ = ("name", "nonzero")
+
+    def __init__(self, name: str, nonzero: bool = False) -> None:
+        _set(self, "name", name)
+        _set(self, "nonzero", nonzero)
+
+    def __eq__(self, other):
+        if other.__class__ is not Parameter:
+            return NotImplemented
+        return (self.name, self.nonzero) == (other.name, other.nonzero)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.nonzero))
 
     def sort_key(self):
         return (1, self.name, self.nonzero)   # total: a name may carry both flags
@@ -215,7 +239,6 @@ class Parameter(Atom):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class OpaqueDeriv(Atom):
     """Formal derivative of an opaque function, e.g. g'(u) or f_{xt}.
 
@@ -223,19 +246,25 @@ class OpaqueDeriv(Atom):
     per argument slot.  An all-zero index denotes the function value itself.
     """
 
-    func: str
-    args: tuple[Atom, ...]
-    index: tuple[int, ...] = ()
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("func", "args", "index", "_hash")
     __hash__ = lazy_slot("_hash", lambda s: hash((s.func, s.args, s.index)))
 
-    def __post_init__(self) -> None:
-        idx = self.index or (0,) * len(self.args)
-        if len(idx) != len(self.args):
-            raise ValueError(f"index/arity mismatch for {self.func}")
+    def __init__(self, func: str, args: tuple[Atom, ...],
+                 index: tuple[int, ...] = ()) -> None:
+        idx = index or (0,) * len(args)
+        if len(idx) != len(args):
+            raise ValueError(f"index/arity mismatch for {func}")
         if any(k < 0 for k in idx):
             raise ValueError("negative derivative count")
-        object.__setattr__(self, "index", tuple(idx))
+        _set(self, "func", func)
+        _set(self, "args", args)
+        _set(self, "index", tuple(idx))
+
+    def __eq__(self, other):
+        if other.__class__ is not OpaqueDeriv:
+            return NotImplemented
+        return ((self.func, self.args, self.index)
+                == (other.func, other.args, other.index))
 
     @property
     def order(self) -> int:
@@ -260,16 +289,21 @@ class OpaqueDeriv(Atom):
         return f"{base}_{subs}"
 
 
-@dataclass(frozen=True, slots=True)
 class JetVar(Atom):
     """Jet coordinate: dependent variable `dep` differentiated by `index`."""
 
-    dep: str
-    index: MultiIndex = field(default_factory=MultiIndex)
-    _hash: int = field(init=False, compare=False, repr=False)
-    _key: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("dep", "index", "_hash", "_key")
     __hash__ = lazy_slot("_hash", lambda s: hash((s.dep, s.index)))
     sort_key = lazy_slot("_key", lambda s: (3, s.dep, s.index.sort_key()))
+
+    def __init__(self, dep: str, index: MultiIndex = _M_ZERO) -> None:
+        _set(self, "dep", dep)
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not JetVar:
+            return NotImplemented
+        return (self.dep, self.index) == (other.dep, other.index)
 
     @property
     def order(self) -> int:
@@ -284,14 +318,20 @@ class JetVar(Atom):
         return f"{self.dep}_{''.join(self.index.to_seq())}"
 
 
-@dataclass(frozen=True, slots=True)
 class ExpAtom(Atom):
     """Exponential factor e^q; `exponent` is a canonical expression that is
     not a rational constant (constant exponents live in ExpConst)."""
 
-    exponent: "Expr"
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("exponent", "_hash")
     __hash__ = lazy_slot("_hash", lambda s: hash(s.exponent))
+
+    def __init__(self, exponent: Expr) -> None:
+        _set(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not ExpAtom:
+            return NotImplemented
+        return (self.exponent,) == (other.exponent,)
 
     def sort_key(self):
         return (4, 1, self.exponent.sort_key())
@@ -300,17 +340,25 @@ class ExpAtom(Atom):
         return f"exp({self.exponent})"
 
 
-@dataclass(frozen=True, slots=True)
 class ExpConst(Atom):
     """Opaque constant e^q for a nonzero rational q; kept symbolic so that
     exactness is preserved when a substitution collapses an exponent."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.value == 0:
+    def __init__(self, value) -> None:
+        value = Fraction(value)
+        if value == 0:
             raise ValueError("e^0 folds to 1; ExpConst must be nonzero")
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not ExpConst:
+            return NotImplemented
+        return (self.value,) == (other.value,)
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def sort_key(self):
         return (4, 0, self.value)

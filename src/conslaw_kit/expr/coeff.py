@@ -18,10 +18,10 @@ because it is a monomial order (m < m' implies m*n < m'*n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ..record import Record
 from .atoms import Parameter
 from .errors import ExprError
 
@@ -108,8 +108,7 @@ def _coeff(num: "Poly", den: Monomial) -> "Coeff":
     return c
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Multivariate polynomial over Q in declared parameters.
 
     Terms are a sorted tuple of (monomial, nonzero Fraction) pairs; the
@@ -118,14 +117,23 @@ class Poly:
     `exact_div` and the trusted `mul_mono` need.
     """
 
-    terms: tuple[tuple[Monomial, Fraction], ...] = ()
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...] = ()
+                 ) -> None:
         acc: dict[Monomial, Fraction] = {}
-        for m, c in self.terms:
+        for m, c in terms:
             acc[m] = acc.get(m, 0) + Fraction(c)
         object.__setattr__(self, "terms", _sorted_terms(
             [t for t in acc.items() if t[1]]))
+
+    def __eq__(self, other):
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -300,28 +308,33 @@ def common_content(polys) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class Coeff:
+class Coeff(Record):
     """Rational-function coefficient num/den with a monomial denominator.
 
     Canonical form: zero has an empty denominator, and den shares no
     parameter power with the monomial content of num.
     """
 
-    num: Poly = Poly()
-    den: Monomial = ()
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
-        if not den:
-            return
-        if num.is_zero:
-            object.__setattr__(self, "den", ())
-            return
-        common = mono_gcd(num.mono_content(), den)
-        if common:
-            object.__setattr__(self, "num", num.div_mono(common))
-            object.__setattr__(self, "den", mono_div(den, common))
+    def __init__(self, num: Poly = _P_ZERO, den: Monomial = ()) -> None:
+        if den:
+            if num.is_zero:
+                den = ()
+            else:
+                common = mono_gcd(num.mono_content(), den)
+                if common:
+                    num, den = num.div_mono(common), mono_div(den, common)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not Coeff:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     # -- constructors ------------------------------------------------------
 

@@ -20,20 +20,19 @@ pieces by power product and sorts once.  `+` is its two-piece case and
 `*` folds the distributed products with the same pass, so a sum of many
 pieces never re-sorts a growing partial sum.
 
-`Term` and `Expr` are frozen, slotted dataclasses; an `Expr` fills its
-hash and `sort_key()` once, lazily, for the reasons given in `atoms`.
+`Term` and `Expr` are slotted records, like the atoms; an `Expr` fills
+its hash and `sort_key()` once, lazily, for the reasons given in `atoms`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
+from ..record import Record
 from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
-                    MultiIndex, OpaqueDeriv, Parameter, lazy_slot,
-                    reduce_by_init_fields)
+                    MultiIndex, OpaqueDeriv, Parameter, lazy_slot)
 from .coeff import Coeff
 from .errors import ExprError
 
@@ -46,11 +45,20 @@ __all__ = [
 Powers = tuple[tuple[Atom, int], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    coeff: Coeff
-    powers: Powers = ()
-    __reduce__ = reduce_by_init_fields
+class Term(Record):
+    __slots__ = ("coeff", "powers")
+
+    def __init__(self, coeff: Coeff, powers: Powers = ()) -> None:
+        _term_coeff(self, coeff)
+        _term_powers(self, powers)
+
+    def __eq__(self, other):
+        if other.__class__ is not Term:
+            return NotImplemented
+        return (self.coeff, self.powers) == (other.coeff, other.powers)
+
+    def __hash__(self) -> int:
+        return hash((self.coeff, self.powers))
 
     @property
     def degree(self) -> int:
@@ -92,6 +100,12 @@ class Term:
         return f"{self.coeff}*{facs}"
 
 
+# the slots' own setters: a term is built on every product-rule step, and
+# these are faster than `object.__setattr__`
+_term_coeff = Term.coeff.__set__
+_term_powers = Term.powers.__set__
+
+
 def _coeff_key(c: Coeff):
     num = tuple((tuple((p.name, k) for p, k in m), q) for m, q in c.num.terms)
     den = tuple((p.name, k) for p, k in c.den)
@@ -127,13 +141,17 @@ def _make_term(coeff: Coeff, factors: Iterable[tuple[Atom, int]]) -> Term | None
     return Term(coeff, powers)
 
 
-@dataclass(frozen=True, slots=True)
-class Expr:
-    terms: tuple[Term, ...] = ()
-    _hash: int = field(init=False, compare=False, repr=False)
-    _key: tuple = field(init=False, compare=False, repr=False)
+class Expr(Record):
+    __slots__ = ("terms", "_hash", "_key")
     __hash__ = lazy_slot("_hash", lambda s: hash(s.terms))
-    __reduce__ = reduce_by_init_fields
+
+    def __init__(self, terms: tuple[Term, ...] = ()) -> None:
+        _expr_terms(self, terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not Expr:
+            return NotImplemented
+        return self.terms == other.terms
 
     # -- construction ------------------------------------------------------
 
@@ -284,6 +302,7 @@ class Expr:
         return " + ".join(str(t) for t in self.terms)
 
 
+_expr_terms = Expr.terms.__set__
 _E_ZERO = Expr(())
 
 

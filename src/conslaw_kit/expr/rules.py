@@ -14,10 +14,10 @@ with leading-derivative replacement and the system's rules together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable, Iterable
 
 from ..cancel import checkpoint
+from ..record import Record
 from .atoms import Atom, OpaqueDeriv
 from .errors import LeadingSolveError, RuleError
 from .expression import Expr, jet_partial, substitute
@@ -41,37 +41,35 @@ def fixpoint(e: Expr, image: Callable[[Atom], Expr | None]) -> Expr:
     raise LeadingSolveError("reduction did not terminate")
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    lhs: OpaqueDeriv
-    rhs: Expr
+class RewriteRule(Record):
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.lhs.order == 0:
+    def __init__(self, lhs: OpaqueDeriv, rhs: Expr) -> None:
+        if lhs.order == 0:
             raise RuleError("rule left-hand side must be a derivative atom")
-        for a in self.rhs.atoms():
-            if isinstance(a, OpaqueDeriv) and a.order >= self.lhs.order:
+        for a in rhs.atoms():
+            if isinstance(a, OpaqueDeriv) and a.order >= lhs.order:
                 raise RuleError(
                     f"non-orientable rule: {a} in the right-hand side has "
-                    f"order >= {self.lhs}")
+                    f"order >= {lhs}")
+        super().__init__(lhs, rhs)
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Record):
     """Validated, ordered collection of rewrite rules."""
 
-    rules: tuple[RewriteRule, ...] = ()
-    _derived: dict = field(default_factory=dict, init=False, compare=False,
-                           repr=False)
+    __slots__ = ("rules", "_derived")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
+    def __init__(self, rules: Iterable[RewriteRule] = ()) -> None:
+        rules = tuple(rules)
         seen = set()
-        for r in self.rules:
+        for r in rules:
             key = (r.lhs.func, r.lhs.args, r.lhs.index)
             if key in seen:
                 raise RuleError(f"duplicate rule for {r.lhs}")
             seen.add(key)
+        super().__init__(rules)
+        object.__setattr__(self, "_derived", {})
 
     def __iter__(self):
         return iter(self.rules)

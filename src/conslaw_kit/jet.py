@@ -27,8 +27,7 @@ solved form, and every rule-matched opaque derivative by its rule.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                          MultiIndex, OpaqueDeriv, Parameter)
@@ -37,6 +36,11 @@ from .expr.errors import LeadingSolveError
 from .expr.expression import (Expr, _gather, atom_expr, jet_partial, partial,
                               sum_exprs)
 from .expr.rules import RewriteRule, RuleSet, fixpoint
+from .record import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover
+    from typing import Any
 
 __all__ = [
     "total_derivative", "derivatives", "alternating_sum", "jet_partial",
@@ -145,28 +149,31 @@ def jet_indices_of(e: Expr, dep: str) -> set[MultiIndex]:
     return out
 
 
-@dataclass(frozen=True)
-class PdeSystem:
+class PdeSystem(Record):
     """PDE system with one solved leading derivative per equation.
 
     Each equation factors exactly as E = c * (L - R) with c a nonzero
     rational/parameter product, L a jet atom and R free of every leading
     derivative and of their differential consequences.  `rules` constrain
     the opaque functions; every on-solution result is read under them.
+    A copy (`with_solved`, pickle, `copy`) starts with an empty `memo`.
     """
 
-    indep: tuple[str, ...]
-    dep: tuple[str, ...]
-    equations: tuple[Expr, ...]
-    leading: tuple[JetVar, ...]
-    solved: tuple[Expr, ...]          # R per equation, fully reduced
-    lead_coeff: tuple[Coeff, ...]     # c per equation
-    eq_names: tuple[str, ...]
-    rules: RuleSet = field(default_factory=RuleSet)
-    _cache: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                  compare=False, repr=False)
+    __slots__ = ("indep", "dep", "equations", "leading",
+                 "solved",        # R per equation, fully reduced
+                 "lead_coeff",    # c per equation
+                 "eq_names", "rules", "_cache", "_lock")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    def with_solved(self, solved: Iterable[Expr]) -> "PdeSystem":
+        """This system with the solved forms replaced, and an empty memo."""
+        return PdeSystem(self.indep, self.dep, self.equations, self.leading,
+                         tuple(solved), self.lead_coeff, self.eq_names,
+                         self.rules)
 
     @property
     def order(self) -> int:
@@ -272,7 +279,7 @@ def solve_leading(
                     tuple(coeffs), eq_names, RuleSet(rules))
     # Cross-equation references in the solved forms must reduce out; a
     # cyclic reference would loop, so pre-reduce each RHS with a depth cap.
-    return replace(sys, solved=tuple(sys.reduce(r) for r in solved))
+    return sys.with_solved(sys.reduce(r) for r in solved)
 
 
 def _default_leading(eq: Expr, indep: tuple[str, ...]) -> JetVar:

@@ -8,14 +8,14 @@ self-adjointness test that decides whether a system is variational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .expr.atoms import JetVar, MultiIndex, OpaqueDeriv
 from .expr.errors import ExprError
 from .expr.expression import Expr, atom_expr, sum_exprs
 from .jet import (PdeSystem, alternating_sum, derivatives, jet_indices_of,
                   jet_partial)
+from .record import Record
 
 __all__ = [
     "Characteristic", "DiffOperator", "euler", "adjoint_variables",
@@ -24,15 +24,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Characteristic:
+class Characteristic(Record):
     """Evolutionary-form components, one expression per dependent variable.
 
     The same carrier serves symmetry characteristics, adjoint-symmetry
     solutions, substitutions and multiplier candidates.
     """
 
-    components: tuple[Expr, ...]
+    __slots__ = ("components",)   # tuple[Expr, ...]
 
     @staticmethod
     def of(*components: Expr) -> "Characteristic":
@@ -61,8 +60,7 @@ def _as_characteristic(c, m: int) -> Characteristic:
     return ch
 
 
-@dataclass(frozen=True)
-class DiffOperator:
+class DiffOperator(Record):
     """Matrix differential operator sum_J coeff * D_J.
 
     `entries[(target, source)][J]` is the coefficient of D_J applied to the
@@ -70,9 +68,7 @@ class DiffOperator:
     zero and zero coefficients are dropped.
     """
 
-    target_dim: int
-    source_dim: int
-    entries: Mapping[tuple[int, int], Mapping[MultiIndex, Expr]]
+    __slots__ = ("target_dim", "source_dim", "entries")
 
     @staticmethod
     def build(target_dim: int, source_dim: int,
@@ -225,12 +221,13 @@ def adjoint_linearize(sys: PdeSystem, omega) -> list[Expr]:
             for a in range(len(sys.dep))]
 
 
-@dataclass(frozen=True)
-class VariationalVerdict:
-    ok: bool
-    witness: tuple[int, int, MultiIndex, Expr] | None = None
-    """(target, source, index, adjoint-minus-direct coefficient) for the
-    first differing operator entry, reduced on solutions."""
+class VariationalVerdict(Record):
+    """`witness`: (target, source, index, adjoint-minus-direct
+    coefficient) for the first differing operator entry, reduced on
+    solutions; None when `ok`."""
+
+    __slots__ = ("ok", "witness")
+    _defaults = {"witness": None}
 
     def __bool__(self) -> bool:
         return self.ok

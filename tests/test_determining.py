@@ -1,7 +1,6 @@
 """Determining-system residuals, E-decomposition, and the mechanized
 symmetry / adjoint-symmetry / substitution / multiplier relationships."""
 
-import dataclasses
 import random
 
 import pytest
@@ -64,7 +63,7 @@ class TestEDecompose:
         assert e_decompose(e, sys) == first
         assert sys.memo("e_decompose", lambda: built.append(1))[1] is shadow
         assert shadow._cache == kept and not built   # every lookup a hit
-        copy = dataclasses.replace(sys)
+        copy = sys.with_solved(sys.solved)
         assert e_decompose(e, copy) == first
         assert copy.memo("e_decompose", lambda: built.append(1))[1] \
             is not shadow

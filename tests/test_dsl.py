@@ -142,9 +142,10 @@ def _shape(node) -> list:
     out, stack = [], [node]
     while stack:
         n = stack.pop()
-        kids = [v for v in vars(n).values() if isinstance(v, ENode)]
+        fields = {k: getattr(n, k) for k in n._fields}
+        kids = [v for v in fields.values() if isinstance(v, ENode)]
         out.append((type(n).__name__,) + tuple(
-            (k, v) for k, v in vars(n).items()
+            (k, v) for k, v in fields.items()
             if k not in ("line", "col") and not isinstance(v, ENode)))
         stack.extend(reversed(kids))
     return out

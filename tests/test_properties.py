@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.determining import e_decompose
-from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr, JetVar,
-                              OpaqueDeriv, Parameter, atom_expr, exp_of,
-                              normalize, partial, substitute)
+from conslaw_kit.expr import (Atom, Coeff, ExpAtom, ExpConst, Expr, JetVar,
+                              OpaqueDeriv, Parameter, Poly, atom_expr,
+                              exp_of, normalize, partial, substitute)
 from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
 from conslaw_kit.jet import total_derivative
 from conslaw_kit.variational import (Characteristic, adjoint_linearize,
@@ -295,11 +295,11 @@ class TestHashContract:
         g = OpaqueDeriv("g", (S.u_at,), (1,))
         e = (exp_of(S.u * S.x) * S.ux + atom_expr(g) * S.alpha
              + atom_expr(ExpConst(Fraction(1, 2))))
-        objs = [e, *e.terms, *_atoms_deep(e), Parameter("alpha", True)]
-        # by name: `slots=True` replaces each class, and the replaced one
-        # stays listed until the cyclic collector frees it
-        kinds = {type(o).__name__ for o in objs}
-        assert {c.__name__ for c in Atom.__subclasses__()} <= kinds
+        coeffs = [t.coeff for t in e.terms]
+        objs = [e, *e.terms, *_atoms_deep(e), Parameter("alpha", True),
+                *coeffs, *(c.num for c in coeffs)]
+        kinds = {type(o) for o in objs}
+        assert set(Atom.__subclasses__()) | {Poly, Coeff} <= kinds
         for o in objs:
             assert not hasattr(o, "__dict__"), type(o).__name__
 

@@ -91,6 +91,9 @@ class AnsatzProblem(Record):
                     names.append(cand)
                 i += 1
             unknowns = tuple(Parameter(n) for n in names)
+        elif len(unknowns) != len(basis):
+            raise AnsatzError(f"{len(unknowns)} unknowns for {len(basis)} "
+                              f"basis elements")
         super().__init__(system, target, basis, unknowns)
 
 

@@ -38,7 +38,8 @@ class EDecomposition(Record):
     """Exact split original = sum coeffs[(beta, J)] * D_J(E^beta) + S
     (+ terms of degree >= 2 in the equations, reported in `quadratic`
     still carrying marker atoms).  `coeffs` (a dict keyed by (beta, J))
-    is in identity order: by equation, then by `MultiIndex.sort_key`."""
+    is in identity order: by equation, then by `MultiIndex` order
+    (total order, then counts)."""
 
     __slots__ = ("system", "coeffs", "remainder", "quadratic", "marker_deps")
 
@@ -93,8 +94,7 @@ def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
             coeffs[(markers.index(atom.dep), atom.index)] = val
         elif degree > 1:
             quadratic.append(Expr((Term(Coeff.one(), key),)) * val)
-    coeffs = dict(sorted(coeffs.items(),
-                         key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
+    coeffs = dict(sorted(coeffs.items(), key=lambda kv: kv[0]))
     return EDecomposition(sys, coeffs, buckets.get((), Expr.zero()),
                           sum_exprs(quadratic), markers)
 

@@ -7,14 +7,12 @@ derivatives of opaque functions, and exponential factors.  Mixed partials
 commute, so multi-indices are kept in a canonical sorted form and u_{xt}
 and u_{tx} denote the same atom.
 
-Atoms are slotted records (`record.Record`) with their own `__init__`,
-`==` and hash; `==` compares field tuples, which skip the `__eq__` call
-for a field that is the same object on both sides.  `MultiIndex`, `JetVar`, `OpaqueDeriv` and `ExpAtom` fill
-a hash slot once, lazily (`lazy_slot`): a hash of the fields re-walks
-every field (an exponent down to each `Fraction`) on each dict lookup.
-`JetVar` fills its `sort_key()` the same way, since every term sort and
-every `Term.raised` in a total derivative compares jet atoms by it.  Hashing eagerly at construction was slower:
-+2-11% benchmark run time on every workload (2-core x86, 3 seeds).
+Atoms and `MultiIndex` are `record.KeyRecord`s: each is the tuple of its
+sort key, a rank per atom type first, then the fields in the order they
+compare by.  So `==`, hash and `<` are the tuple's and run in C; a power
+product, a tuple of (atom, exponent) pairs, hashes and sorts with no
+Python call per factor, and nothing is cached on an atom.  Only
+`ExpAtom` hashes in Python, for the reason in its docstring.
 """
 
 from __future__ import annotations
@@ -22,8 +20,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from fractions import Fraction
+from operator import itemgetter
 
-from ..record import Record
+from ..record import KeyRecord
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,41 +40,31 @@ __all__ = [
 ]
 
 
-_set = object.__setattr__
+_new = tuple.__new__
 
 
-def lazy_slot(slot: str, compute):
-    """A method returning compute(self), computed on the first call and
-    then kept in `slot`, a cache slot (its name begins with `_`)."""
-    def method(self):
-        value = getattr(self, slot, None)   # an unfilled slot reads None
-        if value is None:
-            value = compute(self)
-            _set(self, slot, value)
-        return value
-    return method
+def _field(i: int) -> property:
+    return property(itemgetter(i))
 
 
-class MultiIndex(Record):
+class MultiIndex(KeyRecord):
     """Multiset of differentiation variables, e.g. {x: 1, t: 2} for u_{xtt}.
 
     Stored as a sorted tuple of (variable name, count) pairs with counts >= 1,
     which makes the representation independent of differentiation order.
+    The record is the tuple (order, counts).
     """
 
-    __slots__ = ("counts", "_hash")
-    __hash__ = lazy_slot("_hash", lambda s: hash(s.counts))
+    __slots__ = ()
+    _fields = ("counts",)
+    order = _field(0)
+    counts = _field(1)
 
-    def __init__(self, counts: tuple[tuple[str, int], ...] = ()) -> None:
+    def __new__(cls, counts: tuple[tuple[str, int], ...] = ()) -> "MultiIndex":
         cleaned = tuple(sorted((n, c) for n, c in counts if c != 0))
         if any(c < 0 for _, c in cleaned):
             raise ValueError("negative derivative count")
-        _set(self, "counts", cleaned)
-
-    def __eq__(self, other):
-        if other.__class__ is not MultiIndex:
-            return NotImplemented
-        return self.counts == other.counts
+        return _new(cls, (sum(c for _, c in cleaned), cleaned))
 
     @staticmethod
     def of(*names: str) -> "MultiIndex":
@@ -83,10 +72,6 @@ class MultiIndex(Record):
         for n in names:
             acc[n] = acc.get(n, 0) + 1
         return MultiIndex(tuple(acc.items()))
-
-    @property
-    def order(self) -> int:
-        return sum(c for _, c in self.counts)
 
     def get(self, name: str) -> int:
         for n, c in self.counts:
@@ -100,22 +85,26 @@ class MultiIndex(Record):
     def bump(self, name: str) -> "MultiIndex":
         """self + {name: 1}: the count raised in place, or (name, 1)
         inserted at its sorted place, so no re-sort is needed."""
-        counts = self.counts
+        order, counts = self
         for i, (n, c) in enumerate(counts):
             if n == name:
-                return _multi_index(counts[:i] + ((n, c + 1),)
-                                    + counts[i + 1:])
+                counts = counts[:i] + ((n, c + 1),) + counts[i + 1:]
+                break
             if n > name:
-                return _multi_index(counts[:i] + ((name, 1),) + counts[i:])
-        return _multi_index(counts + ((name, 1),))
+                counts = counts[:i] + ((name, 1),) + counts[i:]
+                break
+        else:
+            counts += ((name, 1),)
+        return _new(MultiIndex, (order + 1, counts))
 
     def drop(self, name: str) -> "MultiIndex":
         """self - {name: 1}, the count lowered in place."""
-        counts = self.counts
+        order, counts = self
         for i, (n, c) in enumerate(counts):
             if n == name:
                 kept = ((n, c - 1),) if c > 1 else ()
-                return _multi_index(counts[:i] + kept + counts[i + 1:])
+                return _new(MultiIndex,
+                            (order - 1, counts[:i] + kept + counts[i + 1:]))
         raise ValueError(f"{self} does not contain {name}")
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
@@ -168,72 +157,43 @@ class MultiIndex(Record):
 
         yield from rec(0, [], 1)
 
-    def sort_key(self):
-        return (self.order, self.counts)
-
     def __str__(self) -> str:
         return "".join(self.to_seq()) or "0"
-
-
-def _multi_index(counts: tuple[tuple[str, int], ...]) -> MultiIndex:
-    """A MultiIndex from counts that are already canonical (sorted, every
-    count >= 1); no normalisation."""
-    m = object.__new__(MultiIndex)
-    object.__setattr__(m, "counts", counts)
-    return m
 
 
 _M_ZERO = MultiIndex()
 
 
-class Atom(Record):
-    """Base class for atomic factors; provides the deterministic total order."""
+class Atom(KeyRecord):
+    """Base class for atomic factors.  Each atom is the tuple of its sort
+    key, a rank per type first, so tuple order is the deterministic total
+    order of atoms."""
     __slots__ = ()
-
-    def sort_key(self):
-        raise NotImplementedError
 
 
 class IndependentVar(Atom):
-    __slots__ = ("name",)
+    __slots__ = ()
+    _fields = ("name",)
+    name = _field(1)
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is not IndependentVar:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def sort_key(self):
-        return (0, self.name)
+    def __new__(cls, name: str) -> "IndependentVar":
+        return _new(cls, (0, name))
 
     def __str__(self) -> str:
         return self.name
 
 
 class Parameter(Atom):
-    """Declared constant; `nonzero` marks it legal to divide by."""
+    """Declared constant; `nonzero` marks it legal to divide by.  The flag
+    is part of the key: one name may carry both flags."""
 
-    __slots__ = ("name", "nonzero")
+    __slots__ = ()
+    _fields = ("name", "nonzero")
+    name = _field(1)
+    nonzero = _field(2)
 
-    def __init__(self, name: str, nonzero: bool = False) -> None:
-        _set(self, "name", name)
-        _set(self, "nonzero", nonzero)
-
-    def __eq__(self, other):
-        if other.__class__ is not Parameter:
-            return NotImplemented
-        return (self.name, self.nonzero) == (other.name, other.nonzero)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.nonzero))
-
-    def sort_key(self):
-        return (1, self.name, self.nonzero)   # total: a name may carry both flags
+    def __new__(cls, name: str, nonzero: bool = False) -> "Parameter":
+        return _new(cls, (1, name, nonzero))
 
     def __str__(self) -> str:
         return self.name
@@ -244,40 +204,29 @@ class OpaqueDeriv(Atom):
 
     `args` fixes the function's argument atoms; `index` counts derivatives
     per argument slot.  An all-zero index denotes the function value itself.
+    The record is (2, func, order, index, args).
     """
 
-    __slots__ = ("func", "args", "index", "_hash")
-    __hash__ = lazy_slot("_hash", lambda s: hash((s.func, s.args, s.index)))
+    __slots__ = ()
+    _fields = ("func", "args", "index")
+    func = _field(1)
+    order = _field(2)
+    index = _field(3)
+    args = _field(4)
 
-    def __init__(self, func: str, args: tuple[Atom, ...],
-                 index: tuple[int, ...] = ()) -> None:
+    def __new__(cls, func: str, args: tuple[Atom, ...],
+                index: tuple[int, ...] = ()) -> "OpaqueDeriv":
         idx = index or (0,) * len(args)
         if len(idx) != len(args):
             raise ValueError(f"index/arity mismatch for {func}")
         if any(k < 0 for k in idx):
             raise ValueError("negative derivative count")
-        _set(self, "func", func)
-        _set(self, "args", args)
-        _set(self, "index", tuple(idx))
-
-    def __eq__(self, other):
-        if other.__class__ is not OpaqueDeriv:
-            return NotImplemented
-        return ((self.func, self.args, self.index)
-                == (other.func, other.args, other.index))
-
-    @property
-    def order(self) -> int:
-        return sum(self.index)
+        return _new(cls, (2, func, sum(idx), tuple(idx), args))
 
     def bump(self, slot: int) -> "OpaqueDeriv":
         idx = list(self.index)
         idx[slot] += 1
         return OpaqueDeriv(self.func, self.args, tuple(idx))
-
-    def sort_key(self):
-        return (2, self.func, self.order, self.index,
-                tuple(a.sort_key() for a in self.args))
 
     def __str__(self) -> str:
         base = self.func
@@ -290,27 +239,23 @@ class OpaqueDeriv(Atom):
 
 
 class JetVar(Atom):
-    """Jet coordinate: dependent variable `dep` differentiated by `index`."""
+    """Jet coordinate: dependent variable `dep` differentiated by `index`.
+    The record is (3, dep, index)."""
 
-    __slots__ = ("dep", "index", "_hash", "_key")
-    __hash__ = lazy_slot("_hash", lambda s: hash((s.dep, s.index)))
-    sort_key = lazy_slot("_key", lambda s: (3, s.dep, s.index.sort_key()))
+    __slots__ = ()
+    _fields = ("dep", "index")
+    dep = _field(1)
+    index = _field(2)
 
-    def __init__(self, dep: str, index: MultiIndex = _M_ZERO) -> None:
-        _set(self, "dep", dep)
-        _set(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is not JetVar:
-            return NotImplemented
-        return (self.dep, self.index) == (other.dep, other.index)
+    def __new__(cls, dep: str, index: MultiIndex = _M_ZERO) -> "JetVar":
+        return _new(cls, (3, dep, index))
 
     @property
     def order(self) -> int:
         return self.index.order
 
     def bump(self, name: str) -> "JetVar":
-        return JetVar(self.dep, self.index.bump(name))
+        return _new(JetVar, (3, self.dep, self.index.bump(name)))
 
     def __str__(self) -> str:
         if self.index.order == 0:
@@ -320,21 +265,23 @@ class JetVar(Atom):
 
 class ExpAtom(Atom):
     """Exponential factor e^q; `exponent` is a canonical expression that is
-    not a rational constant (constant exponents live in ExpConst)."""
+    not a rational constant (constant exponents live in ExpConst).
 
-    __slots__ = ("exponent", "_hash")
-    __hash__ = lazy_slot("_hash", lambda s: hash(s.exponent))
+    The record is (4, 1, exponent.sort_key(), exponent): the exponent
+    itself breaks the ties of its sort key, which drops parameter flags
+    (`Expr.__lt__`).  It hashes as its exponent, whose hash is cached:
+    hashing the key would walk every `Fraction` in it, in Python.
+    """
 
-    def __init__(self, exponent: Expr) -> None:
-        _set(self, "exponent", exponent)
+    __slots__ = ()
+    _fields = ("exponent",)
+    exponent = _field(3)
 
-    def __eq__(self, other):
-        if other.__class__ is not ExpAtom:
-            return NotImplemented
-        return (self.exponent,) == (other.exponent,)
+    def __new__(cls, exponent: Expr) -> "ExpAtom":
+        return _new(cls, (4, 1, exponent.sort_key(), exponent))
 
-    def sort_key(self):
-        return (4, 1, self.exponent.sort_key())
+    def __hash__(self) -> int:
+        return hash(self[3])
 
     def __str__(self) -> str:
         return f"exp({self.exponent})"
@@ -342,26 +289,18 @@ class ExpAtom(Atom):
 
 class ExpConst(Atom):
     """Opaque constant e^q for a nonzero rational q; kept symbolic so that
-    exactness is preserved when a substitution collapses an exponent."""
+    exactness is preserved when a substitution collapses an exponent.
+    The record is (4, 0, value)."""
 
-    __slots__ = ("value",)
+    __slots__ = ()
+    _fields = ("value",)
+    value = _field(2)
 
-    def __init__(self, value) -> None:
+    def __new__(cls, value) -> "ExpConst":
         value = Fraction(value)
         if value == 0:
             raise ValueError("e^0 folds to 1; ExpConst must be nonzero")
-        _set(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is not ExpConst:
-            return NotImplemented
-        return (self.value,) == (other.value,)
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def sort_key(self):
-        return (4, 0, self.value)
+        return _new(cls, (4, 0, value))
 
     def __str__(self) -> str:
         return f"exp({self.value})"

@@ -35,7 +35,7 @@ def mono(*pairs: tuple[Parameter, int]) -> Monomial:
     acc: dict[Parameter, int] = {}
     for p, k in pairs:
         acc[p] = acc.get(p, 0) + k
-    return tuple(sorted(((p, k) for p, k in acc.items() if k), key=lambda e: e[0].sort_key()))
+    return tuple(sorted((p, k) for p, k in acc.items() if k))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -54,7 +54,7 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     acc = dict(a)
     for p, k in b:
         acc[p] = max(acc.get(p, 0), k)
-    return tuple(sorted(acc.items(), key=lambda e: e[0].sort_key()))
+    return tuple(sorted(acc.items()))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
@@ -66,24 +66,24 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
         acc[p] = acc.get(p, 0) - k
         if acc[p] < 0:
             raise ValueError("monomial does not divide")
-    return tuple(sorted(((p, k) for p, k in acc.items() if k), key=lambda e: e[0].sort_key()))
+    return tuple(sorted((p, k) for p, k in acc.items() if k))
 
 
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     db = dict(b)
     out = [(p, min(k, db[p])) for p, k in a if p in db]
-    return tuple(sorted(((p, k) for p, k in out if k), key=lambda e: e[0].sort_key()))
+    return tuple(sorted((p, k) for p, k in out if k))
 
 
 def _term_key(term):
     """Sort key of a term for `sort(..., reverse=True)`: ascending total
-    degree, then ascending exponent vectors over the parameters in
-    `Parameter.sort_key` order (name, then flag).  Within one degree no
+    degree, then ascending exponent vectors over the parameters in their
+    tuple order (name, then flag).  Within one degree no
     monomial's (parameter, -k) list is a proper prefix of another's, so
     comparing those lists decides the order reversed: a smaller parameter,
     or a larger exponent, at the first difference is the larger monomial."""
     m = term[0]
-    return (-sum(k for _, k in m), tuple((p.name, p.nonzero, -k) for p, k in m))
+    return (-sum(k for _, k in m), tuple((p, -k) for p, k in m))
 
 
 def _sorted_terms(kept: list) -> tuple:
@@ -279,8 +279,7 @@ class Poly(Record):
             if not k:
                 continue
             d[p] = k - 1
-            nm = tuple(sorted(((pp, kk) for pp, kk in d.items() if kk),
-                              key=lambda e: e[0].sort_key()))
+            nm = tuple(sorted((pp, kk) for pp, kk in d.items() if kk))
             acc[nm] = acc.get(nm, Fraction(0)) + c * k
         return Poly(tuple(acc.items()))
 

@@ -11,13 +11,18 @@ compare equal.  Assigning an attribute raises `AttributeError`: records
 are dict keys, and a hash a field change would invalidate may be cached.
 `MutableRecord` is the exception for the two objects that are filled in
 place (a session being resolved, a report being annotated); it has no
-hash.  The hot kernel classes replace `__init__`, `==` and `hash` with
-specific ones and keep the rest.
+hash.  `Term`, `Expr`, `Poly` and `Coeff`, built on every kernel step,
+replace `__init__`, `==` and `hash` with specific ones and keep the rest.
+
+`KeyRecord` is the record form of the expression atoms and `MultiIndex`:
+a tuple whose contents are the record's sort key, so `==`, hash and `<`
+are the tuple's and run in C.  Its fields are properties reading the
+tuple, and pickle and copy rebuild it from `_fields`, as for a `Record`.
 """
 
 from __future__ import annotations
 
-__all__ = ["Record", "MutableRecord"]
+__all__ = ["Record", "MutableRecord", "KeyRecord"]
 
 _set = object.__setattr__
 
@@ -93,3 +98,15 @@ class MutableRecord(Record):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None  # type: ignore[assignment]
+
+
+class KeyRecord(tuple):
+    """A record that is its own sort key.  A subclass builds the tuple in
+    `__new__`; tuple `==` ignores the type, so the contents must tell
+    types apart (the atoms lead with a rank per type).  `_fields` names
+    the constructor's arguments."""
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _values = Record._values
+    __repr__ = Record.__repr__
+    __reduce__ = Record.__reduce__

@@ -247,7 +247,7 @@ def is_variational(sys: PdeSystem) -> VariationalVerdict:
     for a in range(len(sys.equations)):
         for r in range(m):
             js = set(direct.entries.get((a, r), {})) | set(adj.entries.get((a, r), {}))
-            for J in sorted(js, key=MultiIndex.sort_key):
+            for J in sorted(js):
                 diff = sys.reduce(adj.entry(a, r, J) - direct.entry(a, r, J))
                 if not diff.is_zero:
                     return VariationalVerdict(False, (a, r, J, diff))

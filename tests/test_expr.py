@@ -8,7 +8,8 @@ import pytest
 
 from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, ExprError, JetVar,
                               OpaqueDeriv, atom_expr, collect, exp_of,
-                              normalize, partial, rational, substitute)
+                              normalize, param, partial, rational,
+                              substitute)
 
 from conftest import Syms as S, random_tree
 
@@ -161,3 +162,14 @@ class TestAlgebraicLaws:
         rhs = S.u**2 - S.ux**2
         assert lhs == rhs
         assert hash(lhs) == hash(rhs)
+
+    def test_exponents_differing_only_in_a_flag_sum_in_any_order(self):
+        # _coeff_key drops the nonzero flag, so these two exponents tie in
+        # Expr.sort_key; their order used to follow insertion
+        e1 = exp_of(param("a", True) * S.x)
+        e2 = exp_of(param("a", False) * S.x)
+        for lhs, rhs in ((e1 + e2, e2 + e1),
+                         (e1 * S.x + e2 * S.x, e2 * S.x + e1 * S.x),
+                         (e1 * S.u + e2, e2 + S.u * e1)):
+            assert lhs == rhs and hash(lhs) == hash(rhs)
+            assert str(lhs) == str(rhs)

@@ -140,22 +140,19 @@ class TestTermRaised:
 
 
 class TestJetVarSortKey:
-    def test_cached_value(self):
+    def test_key_value(self):
         a = jet_atom("u", "x", "t", "t")
-        assert getattr(a, "_key", None) is None
-        key = a.sort_key()
-        assert key == (3, "u", a.index.sort_key())
-        assert a._key is key and a.sort_key() is key
+        assert tuple(a) == (3, "u", (3, (("t", 2), ("x", 1))))
+        assert tuple(a.index) == (3, (("t", 2), ("x", 1)))
+        assert not hasattr(a, "sort_key") and not hasattr(a, "_key")
 
-    def test_filled_slots_do_not_travel(self):
+    def test_copies_are_equal_and_hash_alike(self):
         a = jet_atom("v", "x", "x")
-        hash(a), a.sort_key()
         for c in (pickle.loads(pickle.dumps(a)), copy.copy(a),
                   copy.deepcopy(a)):
-            assert c == a and c is not a
-            assert getattr(c, "_key", None) is None
-            assert getattr(c, "_hash", None) is None
-            assert hash(c) == hash(a) and c.sort_key() == a.sort_key()
+            assert type(c) is JetVar and c == a and c is not a
+            assert hash(c) == hash(a) and tuple(c) == tuple(a)
+            assert not (c < a or a < c)
 
 
 class TestMultiIndexStep:

@@ -6,6 +6,8 @@ seeds printed in the assertion message.
 """
 
 import copy
+import functools
+import itertools
 import pickle
 import random
 import subprocess
@@ -17,9 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.determining import e_decompose
-from conslaw_kit.expr import (Atom, Coeff, ExpAtom, ExpConst, Expr, JetVar,
+from conslaw_kit.expr import (Atom, Coeff, ExpAtom, ExpConst, Expr,
+                              IndependentVar, JetVar, MultiIndex,
                               OpaqueDeriv, Parameter, Poly, atom_expr,
-                              exp_of, normalize, partial, substitute)
+                              exp_of, normalize, param, partial, substitute)
 from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
 from conslaw_kit.jet import total_derivative
 from conslaw_kit.variational import (Characteristic, adjoint_linearize,
@@ -210,7 +213,7 @@ class TestSubstitute:
             # u -> x (or to a constant) collapses this exponent to 0 (or
             # to a rational): the folding path of the product
             e = e * (S.ux + 1) * exp_of(S.u - S.x)
-        plain = sorted(DEFAULT_POOL, key=lambda a: a.sort_key())
+        plain = sorted(DEFAULT_POOL)
         bound = data.draw(st.lists(st.sampled_from(plain), min_size=1,
                                    max_size=4, unique=True))
         values = st.sampled_from(("zero", "const", "x", "expr", "exp"))
@@ -291,6 +294,30 @@ class TestHashContract:
                            key=lambda i: everything[i].sort_key()))
         assert outcome(warm=True) == outcome(warm=False)
 
+    # one parameter name with both flags: exponents that differ only in
+    # the flag tie in Expr.sort_key, and must still sort one way
+    FLAGS = (param("a", nonzero=True), param("a"), param("b", nonzero=True))
+
+    @COMMON
+    @given(st.lists(st.tuples(st.sampled_from(FLAGS),
+                              st.sampled_from(SMALL_POOL),
+                              st.sampled_from((None,) + SMALL_POOL)),
+                    min_size=1, max_size=5), st.data())
+    def test_both_flags_of_one_name_in_exponents(self, parts, data):
+        pieces = [exp_of(p * atom_expr(a)) * (1 if f is None else atom_expr(f))
+                  for p, a, f in parts]
+        perm = data.draw(st.permutations(pieces))
+        total = sum_exprs(pieces)
+        for x in (sum_exprs(perm), functools.reduce(Expr.__add__, perm),
+                  pickle.loads(pickle.dumps(total))):
+            assert x == total and hash(x) == hash(total)
+            assert str(x) == str(total)
+        keys = [t.powers_key() for t in total.terms]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        product = functools.reduce(Expr.__mul__, pieces)
+        assert functools.reduce(Expr.__mul__, perm) == product
+        assert str(functools.reduce(Expr.__mul__, perm)) == str(product)
+
     def test_no_instance_dict(self):
         g = OpaqueDeriv("g", (S.u_at,), (1,))
         e = (exp_of(S.u * S.x) * S.ux + atom_expr(g) * S.alpha
@@ -326,3 +353,155 @@ class TestHashContract:
                                     "PYTHONPATH": src})
             assert r.returncode == 0, r.stderr.decode()
             blob = r.stdout
+
+
+# -- atom order against the sort keys atoms had before they were tuples ---
+
+def reference_index_key(m: MultiIndex):
+    return (sum(c for _, c in m.counts), m.counts)
+
+
+def reference_atom_key(a, tiebreak=False):
+    """A copy of the former `Atom.sort_key()` formulas.  Those drop the
+    nonzero flags of the parameters in an exponent's coefficients, so two
+    exponents that differ only there tie.  With `tiebreak`, an `ExpAtom`
+    key ends in its exponent's coefficients with their flags, the order
+    `Expr.__lt__` breaks that tie by."""
+    if isinstance(a, IndependentVar):
+        return (0, a.name)
+    if isinstance(a, Parameter):
+        return (1, a.name, a.nonzero)
+    if isinstance(a, OpaqueDeriv):
+        return (2, a.func, sum(a.index), a.index,
+                tuple(reference_atom_key(b, tiebreak) for b in a.args))
+    if isinstance(a, JetVar):
+        return (3, a.dep, reference_index_key(a.index))
+    if isinstance(a, ExpConst):
+        return (4, 0, a.value)
+    assert isinstance(a, ExpAtom)
+    key = reference_expr_key(a.exponent, tiebreak)
+    if not tiebreak:
+        return (4, 1, key)
+    def flagged(m):
+        return tuple(((1, p.name, p.nonzero), k) for p, k in m)
+    return (4, 1, key, (key, tuple(
+        (tuple((flagged(m), q) for m, q in t.coeff.num.terms),
+         flagged(t.coeff.den)) for t in a.exponent.terms)))
+
+
+def reference_expr_key(e: Expr, tiebreak=False):
+    """A copy of the former `Expr.sort_key()`: per term the degree, the
+    keys of the factors, then the coefficient key without flags."""
+    def coeff_key(c):
+        num = tuple((tuple((p.name, k) for p, k in m), q)
+                    for m, q in c.num.terms)
+        return (num, tuple((p.name, k) for p, k in c.den))
+    return tuple(((sum(k for _, k in t.powers),
+                   tuple((reference_atom_key(a, tiebreak), k)
+                         for a, k in t.powers)),
+                  coeff_key(t.coeff)) for t in e.terms)
+
+
+def flags_in(a) -> set:
+    """The (name, nonzero) pairs of every parameter inside atom `a`."""
+    if isinstance(a, Parameter):
+        return {(a.name, a.nonzero)}
+    if isinstance(a, OpaqueDeriv):
+        return set().union(*map(flags_in, a.args))
+    out = set()
+    if isinstance(a, ExpAtom):
+        for t in a.exponent.terms:
+            out |= {(p.name, p.nonzero) for p in t.coeff.parameters()}
+            for b, _ in t.powers:
+                out |= flags_in(b)
+    return out
+
+
+def flag_twin(a):
+    """`a` with the nonzero flag of every parameter in it flipped."""
+    if isinstance(a, Parameter):
+        return Parameter(a.name, not a.nonzero)
+    if isinstance(a, OpaqueDeriv):
+        return OpaqueDeriv(a.func, tuple(map(flag_twin, a.args)), a.index)
+    if not isinstance(a, ExpAtom):
+        return a
+    def twin(factors):
+        return functools.reduce(Expr.__mul__, (
+            atom_expr(flag_twin(b)) ** k for b, k in factors), Expr.const(1))
+    assert all(not t.coeff.den for t in a.exponent.terms)
+    return ExpAtom(sum_exprs(
+        Expr.const(q) * twin(m) * twin(t.powers)
+        for t in a.exponent.terms for m, q in t.coeff.num.terms))
+
+
+DNAMES = st.sampled_from(("t", "x", "y"))
+multi_indices = st.lists(DNAMES, max_size=5).map(lambda ns: MultiIndex.of(*ns))
+parameters = st.builds(Parameter, st.sampled_from(("a", "b")), st.booleans())
+plain_atoms = st.one_of(
+    st.builds(IndependentVar, DNAMES), parameters,
+    st.builds(JetVar, st.sampled_from(("u", "v")), multi_indices),
+    st.builds(ExpConst, st.sampled_from((Fraction(-1), Fraction(1, 2), 2))))
+
+
+@st.composite
+def opaque_atoms(draw, args):
+    xs = tuple(draw(st.lists(args, min_size=1, max_size=2)))
+    idx = tuple(draw(st.lists(st.integers(0, 2), min_size=len(xs),
+                              max_size=len(xs))))
+    return OpaqueDeriv(draw(st.sampled_from(("f", "g"))), xs, idx)
+
+
+@st.composite
+def exp_atoms(draw, factors):
+    """e^q, q a sum of parameter times atom terms."""
+    q = sum_exprs(
+        atom_expr(draw(parameters)) * atom_expr(draw(factors))
+        * Expr.const(draw(st.sampled_from((1, -1, Fraction(1, 2)))))
+        for _ in range(draw(st.integers(1, 2))))
+    if q.as_rational() is not None:
+        q = q + atom_expr(IndependentVar("x"))
+    return ExpAtom(q)
+
+
+atoms = st.recursive(
+    plain_atoms, lambda kids: st.one_of(opaque_atoms(kids), exp_atoms(kids)),
+    max_leaves=6)
+
+
+class TestAtomOrder:
+    """Atoms are tuples of their sort keys.  Where every parameter name
+    carries one flag (as in every session: a name is declared once), the
+    tuple order is the former `sort_key()` order.  Where a name carries
+    both flags, the former keys could tie; the tuple order breaks that tie
+    where it arises, at the `ExpAtom`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(atoms, min_size=1, max_size=8), st.data())
+    def test_matches_reference_comparator(self, xs, data):
+        # flag twins: both flags of one name, so the former keys can tie
+        xs = xs + [flag_twin(a) for a in data.draw(
+            st.lists(st.sampled_from(xs), min_size=1, max_size=3))]
+        assert [reference_atom_key(a, True) for a in sorted(xs)] == \
+            sorted(reference_atom_key(a, True) for a in xs)
+        for a, b in itertools.combinations(xs, 2):
+            ka, kb = reference_atom_key(a), reference_atom_key(b)
+            if a == b:
+                assert ka == kb and hash(a) == hash(b)
+                assert not (a < b or b < a)
+                continue
+            assert (a < b) != (b < a)
+            assert reference_atom_key(a, True) != reference_atom_key(b, True)
+            names = [n for n, _ in flags_in(a) | flags_in(b)]
+            if len(names) == len(set(names)):   # one flag per name
+                assert ka != kb and (a < b) == (ka < kb)
+            elif ka == kb:      # a flag tie: only flags differ, str drops them
+                assert str(a) == str(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(multi_indices, min_size=2, max_size=8))
+    def test_multi_index_order(self, xs):
+        assert [reference_index_key(m) for m in sorted(xs)] == \
+            sorted(reference_index_key(m) for m in xs)
+        for m in xs:
+            assert tuple(m) == reference_index_key(m)
+            assert m.order <= 5

@@ -1,10 +1,11 @@
 """The record contract, for every record type of the package, and the
 modules a CLI start-up imports.
 
-Each record type is a `Record` subclass: equal means the same type and
-equal fields, equal records hash alike, fields cannot be reassigned
-(except on the two mutable records), and pickle and copy rebuild a
-record from its fields, so no cache slot travels.
+Each record type is a `Record` subclass, or a `KeyRecord` subclass (the
+atoms and `MultiIndex`, tuples of their sort keys): equal means the same
+type and equal fields, equal records hash alike, fields cannot be
+reassigned (except on the two mutable records), and pickle and copy
+rebuild a record from its fields, so no cache slot travels.
 """
 
 import copy
@@ -28,7 +29,7 @@ from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr, IndependentVar,
                               MultiIndex, OpaqueDeriv, Parameter, jet,
                               jet_atom)
 from conslaw_kit.jet import PdeSystem, total_derivative
-from conslaw_kit.record import MutableRecord, Record
+from conslaw_kit.record import KeyRecord, MutableRecord, Record
 from conslaw_kit.variational import (Characteristic, is_variational,
                                      linearize_table)
 
@@ -51,7 +52,7 @@ MUTABLE = (Session, Report)
 
 
 def _record_types() -> set[type]:
-    out, todo = set(), [Record]
+    out, todo = set(), [Record, KeyRecord]
     while todo:
         for sub in todo.pop().__subclasses__():
             out.add(sub)
@@ -114,7 +115,7 @@ def _graph(obj):
         if id(o) in seen:
             continue
         seen.add(id(o))
-        if isinstance(o, Record):
+        if isinstance(o, (Record, KeyRecord)):
             yield o
             todo.extend(getattr(o, f) for f in o._fields)
         elif isinstance(o, (tuple, list)):
@@ -136,7 +137,7 @@ def _fill_caches(obj):
                 hash(r)
             except TypeError:   # a dict field
                 pass
-        if isinstance(r, (Expr, Atom)):
+        if isinstance(r, Expr):
             r.sort_key()
 
 

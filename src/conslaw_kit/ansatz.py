@@ -4,11 +4,14 @@ Every determining residual is linear in its characteristic, so the
 residual of a combination sum c_k * basis_k is sum c_k * residual(basis_k).
 Each basis element's residual is computed once; splitting it over jet
 monomials and free coordinates gives column k of a homogeneous linear
-system for the unknown constants, which is solved exactly: by sparse
-Gauss-Jordan elimination over Q when every entry is rational, and by
-fraction-free (Bareiss) elimination with side conditions when entries
-carry parameters.  Every nullspace vector is substituted back into the
-combined residual, which must vanish.
+system for the unknown constants.  Rows are sparse, holding only their
+nonzero entries, through denominator clearing, normalisation and
+deduplication.  The system is solved exactly: by sparse Gauss-Jordan
+elimination over Q when every entry is rational, and by fraction-free
+(Bareiss) elimination with side conditions when entries carry
+parameters; only the Bareiss path makes the rows dense.  Every nullspace
+vector is substituted back into the combined residual, which must
+vanish.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .determining import (adjoint_symmetry_residual,
 from .expr.atoms import Parameter
 from .expr.coeff import (Coeff, Poly, common_content, mono_div,
                          mono_gcd, mono_lcm)
-from .expr.errors import AnsatzError
+from .expr.errors import AnsatzError, ExprError
 from .expr.expression import Expr, Powers, Term, sum_exprs
 from .jet import PdeSystem
 from .record import Record
@@ -105,8 +108,9 @@ def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> Characteristic:
 
 
 class Row(Record):
-    """One linear condition sum entries[k] * c_k = 0, keyed by the jet
-    monomial (and residual component) that produced it."""
+    """One linear condition sum c_k * e_k = 0 over the pairs (k, e_k) in
+    `entries`, keyed by the jet monomial (and residual component) that
+    produced it.  The pairs are sparse: ascending k, nonzero e_k only."""
 
     __slots__ = ("key", "component", "entries")
 
@@ -124,8 +128,7 @@ def build_and_split(p: AnsatzProblem) -> list[Row]:
                 cells.setdefault((comp, t.powers), (t, {}))[1][k] = t.coeff
     order = sorted(cells.items(), reverse=True,
                    key=lambda kv: (-kv[0][0], kv[1][0].powers_key()))
-    return [Row(powers, comp, tuple(column.get(k, Coeff.zero())
-                                    for k in range(len(p.basis))))
+    return [Row(powers, comp, tuple(column.items()))
             for (comp, powers), (_, column) in order]
 
 
@@ -146,7 +149,7 @@ class NullspaceVector(Record):
         den = Coeff(self.denominator)
         try:
             inv = den.invert_unit()
-        except Exception:
+        except ExprError:
             return tuple(Expr.from_coeff(Coeff(n)) for n in self.numerators)
         return tuple(Expr.from_coeff(Coeff(n) * inv) for n in self.numerators)
 
@@ -159,19 +162,24 @@ class LinearSolveResult(Record):
         return len(self.vectors)
 
 
-def _row_to_polys(row: Row) -> list[Poly]:
+def _clear_row(row: Row) -> tuple[tuple[int, Poly], ...]:
+    """The row's (k, entry) pairs over their common denominator, divided
+    by their rational content; a row with no denominator keeps its
+    numerators."""
     den = ()
-    for c in row.entries:
-        den = mono_lcm(den, c.den)
-    return [c.num.mul_mono(mono_div(den, c.den)) for c in row.entries]
-
-
-def _normalize_poly_row(polys: list[Poly]) -> list[Poly]:
-    content = common_content(polys)
+    for _, c in row.entries:
+        if c.den:
+            den = mono_lcm(den, c.den)
+    if den:
+        polys = [(k, c.num.mul_mono(mono_div(den, c.den)))
+                 for k, c in row.entries]
+    else:
+        polys = [(k, c.num) for k, c in row.entries]
+    content = common_content(p for _, p in polys)
     if content not in (0, 1):
         inv = 1 / content
-        polys = [p.scale(inv) for p in polys]
-    return polys
+        polys = [(k, p.scale(inv)) for k, p in polys]
+    return tuple(polys)
 
 
 def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
@@ -187,35 +195,42 @@ def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
     normalized so each vector's first nonzero entry is 1.
     """
     n = len(unknowns)
-    mat: list[list[Poly]] = []
+    mat: list[tuple[tuple[int, Poly], ...]] = []
     seen: set[tuple] = set()
     kept_rows: list[Row] = []
     for row in rows:
-        polys = _normalize_poly_row(_row_to_polys(row))
-        key = tuple(p.terms for p in polys)
-        if all(p.is_zero for p in polys) or key in seen:
+        if not row.entries:
+            continue
+        polys = _clear_row(row)
+        key = tuple((k, p.terms) for k, p in polys)
+        if key in seen:
             continue
         seen.add(key)
         mat.append(polys)
         kept_rows.append(row)
 
-    if all(p.as_fraction() is not None for polys in mat for p in polys):
-        vectors, side = _rational_nullspace(mat, n), []
+    rational = [{k: p.as_fraction() for k, p in polys} for polys in mat]
+    if all(q is not None for r in rational for q in r.values()):
+        vectors, side = _rational_nullspace(rational, n), []
     else:
-        vectors, side = _bareiss_nullspace(mat, n)
+        dense = []
+        for polys in mat:
+            full = [Poly.zero()] * n
+            for k, p in polys:
+                full[k] = p
+            dense.append(full)
+        vectors, side = _bareiss_nullspace(dense, n)
     return LinearSolveResult(tuple(vectors), tuple(side), tuple(kept_rows),
                              tuple(unknowns))
 
 
-def _rational_nullspace(mat: list[list[Poly]], n: int
+def _rational_nullspace(rows: list[dict[int, Fraction]], n: int
                         ) -> list[NullspaceVector]:
-    """Nullspace of a matrix of constant polynomials by sparse Gauss-Jordan
-    elimination over Fraction; rows are {column: nonzero entry}.
+    """Nullspace of rational rows {column: nonzero entry} by sparse
+    Gauss-Jordan elimination over Fraction; rewrites `rows` in place.
 
     Pivots are searched in column order, as in `_bareiss_nullspace`, so
     both find the same free columns and return the same vectors."""
-    rows = [{j: p.as_fraction() for j, p in enumerate(polys) if not p.is_zero}
-            for polys in mat]
     reduced: dict[int, dict[int, Fraction]] = {}
     for col in range(n):
         checkpoint()

@@ -480,13 +480,14 @@ def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Exp
         if isinstance(key, Parameter):
             raise ExprError("cannot substitute for a parameter atom")
     atoms = e.atoms()
-    for a in atoms:
-        if isinstance(a, OpaqueDeriv):
-            for arg in a.args:
-                if arg in binds:
-                    raise ExprError(
-                        f"cannot substitute into opaque-function argument "
-                        f"{arg} of {a.func}")
+    # the first such function in atom order, so the message does not
+    # follow the set order of `atoms`
+    fixed = sorted(a for a in atoms if isinstance(a, OpaqueDeriv)
+                   and not binds.keys().isdisjoint(a.args))
+    if fixed:
+        arg = next(x for x in fixed[0].args if x in binds)
+        raise ExprError(f"cannot substitute into opaque-function argument "
+                        f"{arg} of {fixed[0].func}")
     images = {a: binds[a] if a in binds else
               exp_of(substitute(a.exponent, binds)) for a in atoms
               if a in binds or isinstance(a, ExpAtom)

@@ -32,7 +32,7 @@ from collections.abc import Callable, Iterable, Sequence
 from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                          MultiIndex, OpaqueDeriv, Parameter)
 from .expr.coeff import Coeff
-from .expr.errors import LeadingSolveError
+from .expr.errors import ExprError, LeadingSolveError
 from .expr.expression import (Expr, _gather, atom_expr, jet_partial, partial,
                               sum_exprs)
 from .expr.rules import RewriteRule, RuleSet, fixpoint
@@ -263,7 +263,7 @@ def solve_leading(
                 f"leading derivative {lead} occurs nonlinearly")
         try:
             c.invert_unit()
-        except Exception:
+        except ExprError:
             raise LeadingSolveError(
                 f"coefficient of {lead} is not an invertible "
                 "rational/parameter product") from None

@@ -1,6 +1,7 @@
 """Undetermined-coefficient solver: row construction, exact nullspaces,
 side conditions, determinism."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from conslaw_kit.cancel import deadline
 from conslaw_kit.determining import adjoint_symmetry_residual
 from conslaw_kit.expr import (Expr, IndependentVar, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
-from conslaw_kit.expr.coeff import Coeff, Poly, mono
+from conslaw_kit.expr.coeff import (Coeff, Poly, common_content, mono,
+                                    mono_div, mono_lcm)
 from conslaw_kit.expr.errors import AnsatzError, CancelledComputation
 from conslaw_kit.expr.expression import jet, sum_exprs
 from conslaw_kit.jet import solve_leading
@@ -40,7 +42,10 @@ class TestBuildAndSplit:
                           (Characteristic.of(S.u), Characteristic.of(S.x * S.ux)))
         rows = build_and_split(p)
         assert rows
-        assert all(len(r.entries) == 2 for r in rows)
+        for r in rows:
+            ks = [k for k, _ in r.entries]
+            assert ks and ks == sorted(set(ks)) and set(ks) <= {0, 1}
+            assert not any(c.is_zero for _, c in r.entries)
 
     def test_zero_basis_rejected(self, wave):
         with pytest.raises(AnsatzError, match="zero basis"):
@@ -84,8 +89,8 @@ def _reference_rows(p: AnsatzProblem) -> list[Row]:
                 reduced = tuple((pp, kk) for pp, kk in monomial if pp != par)
                 per_unknown.setdefault(par, {})[reduced] = q
             entries = tuple(
-                Coeff(Poly(tuple(per_unknown[c].items())), term.coeff.den)
-                if c in per_unknown else Coeff.zero() for c in p.unknowns)
+                (k, Coeff(Poly(tuple(per_unknown[c].items())), term.coeff.den))
+                for k, c in enumerate(p.unknowns) if c in per_unknown)
             rows.append(Row(term.powers, comp_index, entries))
     return rows
 
@@ -222,6 +227,11 @@ class TestThomasFamily:
         assert r1.side_conditions == r2.side_conditions
 
 
+def _sparse(entries) -> tuple[tuple[int, Coeff], ...]:
+    """The (k, entry) pairs of a dense entry list, zeros dropped."""
+    return tuple((k, c) for k, c in enumerate(entries) if not c.is_zero)
+
+
 def _in_span(res: LinearSolveResult, target: dict[int, Coeff]) -> bool:
     """Is the target coefficient vector a combination of res.vectors?
     Solved as a homogeneous system in (lambda_1..lambda_r, mu) and
@@ -233,7 +243,7 @@ def _in_span(res: LinearSolveResult, target: dict[int, Coeff]) -> bool:
     for k in range(n):
         entries = [Coeff(v.numerators[k]) for v in res.vectors]
         entries.append(-(target.get(k, Coeff.zero())))
-        rows.append(Row((), k, tuple(entries)))
+        rows.append(Row((), k, _sparse(entries)))
     sol = solve_linear(rows, unknowns)
     return any(not v.numerators[-1].is_zero for v in sol.vectors)
 
@@ -259,21 +269,89 @@ def rational_matrices(draw):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             s = draw(fractions)
             extra.append([x + s * y for x, y in zip(a, b)])
+    return n, draw(st.permutations(rows + extra))
+
+
+P = Parameter("a")
+DENOMINATORS = (mono(), mono((A, 1)), mono((B, 1)), mono((A, 1), (B, 1)))
+MONOMIALS = (*DENOMINATORS, mono((P, 1)), mono((A, 2)), mono((A, 1), (P, 1)))
+
+
+@st.composite
+def dense_coeff_rows(draw):
+    """Dense rows of Coeffs, every one rational or with parameters in
+    numerators and nonzero-flagged parameter denominators, padded with
+    zero rows, copies of rows and copies scaled by a nonzero coefficient
+    (which may carry a denominator)."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cell = st.builds(Coeff.const, fractions)
+    else:
+        cell = st.builds(
+            lambda terms, den: Coeff(Poly(tuple(terms)), den),
+            st.lists(st.tuples(st.sampled_from(MONOMIALS), fractions),
+                     max_size=2),
+            st.sampled_from(DENOMINATORS))
+    entry = st.one_of(st.just(Coeff.zero()), cell)
+    scalar = st.one_of(
+        st.builds(lambda q, den: Coeff(Poly.const(q), den),
+                  fractions.filter(bool), st.sampled_from(DENOMINATORS)),
+        st.sampled_from((Coeff.param(A), Coeff.param(P))))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "copy", "scaled")))
+        if kind == "zero" or not rows:
+            extra.append([Coeff.zero()] * n)
+        elif kind == "copy":
+            extra.append(list(draw(st.sampled_from(rows))))
+        else:
+            s = draw(scalar)
+            extra.append([c * s for c in draw(st.sampled_from(rows))])
     mixed = draw(st.permutations(rows + extra))
-    return n, [[Poly.const(q) for q in row] for row in mixed]
+    return n, [Row((), i, tuple(r)) for i, r in enumerate(mixed)]
+
+
+def _dense_solve_linear(rows, unknowns) -> LinearSolveResult:
+    """The solver as it was with dense rows, kept as a reference: each
+    row holds one Coeff per unknown, zeros included."""
+    n = len(unknowns)
+    mat, seen, kept_rows = [], set(), []
+    for row in rows:
+        den = ()
+        for c in row.entries:
+            den = mono_lcm(den, c.den)
+        polys = [c.num.mul_mono(mono_div(den, c.den)) for c in row.entries]
+        content = common_content(polys)
+        if content not in (0, 1):
+            polys = [p.scale(1 / content) for p in polys]
+        key = tuple(p.terms for p in polys)
+        if all(p.is_zero for p in polys) or key in seen:
+            continue
+        seen.add(key)
+        mat.append(polys)
+        kept_rows.append(row)
+    if all(p.as_fraction() is not None for polys in mat for p in polys):
+        vectors, side = _rational_nullspace(
+            [{j: p.as_fraction() for j, p in enumerate(polys)
+              if not p.is_zero} for polys in mat], n), []
+    else:
+        vectors, side = _bareiss_nullspace(mat, n)
+    return LinearSolveResult(tuple(vectors), tuple(side), tuple(kept_rows),
+                             tuple(unknowns))
 
 
 class TestSolveLinear:
     def test_single_relation(self):
         c = (Parameter("c1"), Parameter("c2"))
-        rows = [Row((), 0, (Coeff.one(), Coeff.one()))]
+        rows = [Row((), 0, ((0, Coeff.one()), (1, Coeff.one())))]
         res = solve_linear(rows, c)
         assert res.dimension == 1
         assert [str(p) for p in res.vectors[0].numerators] == ["1", "-1"]
 
     def test_nonzero_parameter_pivot_no_side_condition(self):
         c = (Parameter("c1"),)
-        rows = [Row((), 0, (Coeff.param(G),))]
+        rows = [Row((), 0, ((0, Coeff.param(G)),))]
         res = solve_linear(rows, c)
         assert res.dimension == 0
         assert not res.side_conditions
@@ -281,7 +359,7 @@ class TestSolveLinear:
     def test_generic_pivot_records_side_condition(self):
         c1, c2 = Parameter("c1"), Parameter("c2")
         pivot = Coeff(Poly.param(A) + Poly.param(B))
-        rows = [Row((), 0, (pivot, Coeff.one()))]
+        rows = [Row((), 0, ((0, pivot), (1, Coeff.one())))]
         res = solve_linear(rows, (c1, c2))
         assert res.dimension == 1
         assert res.side_conditions == ("1*beta + 1*alpha",)
@@ -294,7 +372,8 @@ class TestSolveLinear:
         # (alpha+beta, -1) with denominator alpha+beta, so the first
         # nonzero entry is exactly 1 as a rational function.
         c1, c2 = Parameter("c1"), Parameter("c2")
-        rows = [Row((), 0, (Coeff.one(), Coeff(Poly.param(A) + Poly.param(B))))]
+        rows = [Row((), 0, ((0, Coeff.one()),
+                            (1, Coeff(Poly.param(A) + Poly.param(B)))))]
         res = solve_linear(rows, (c1, c2))
         assert res.dimension == 1
         vec = res.vectors[0]
@@ -304,6 +383,15 @@ class TestSolveLinear:
         assert [str(e) for e in vec.entry_exprs()] == \
             ["(1*beta + 1*alpha)", "-1"]
 
+    def test_entry_exprs_lets_other_errors_through(self, monkeypatch):
+        """Only ExprError (not a unit) selects the cleared representative."""
+        def fail(self):
+            raise RuntimeError("not an ExprError")
+        monkeypatch.setattr(Coeff, "invert_unit", fail)
+        vec = NullspaceVector((Poly.const(1),), Poly.const(1))
+        with pytest.raises(RuntimeError, match="not an ExprError"):
+            vec.entry_exprs()
+
     def test_no_rows_full_space(self):
         c = (Parameter("c1"), Parameter("c2"))
         res = solve_linear([], c)
@@ -311,7 +399,7 @@ class TestSolveLinear:
 
     def test_duplicate_rows_collapse(self):
         c = (Parameter("c1"), Parameter("c2"))
-        row = Row((), 0, (Coeff.one(), -Coeff.one()))
+        row = Row((), 0, ((0, Coeff.one()), (1, -Coeff.one())))
         res = solve_linear([row, row, row], c)
         assert res.dimension == 1
 
@@ -320,7 +408,7 @@ class TestSolveLinear:
         # (1, -a) assumes a != 0, so that must be reported.
         a = Parameter("a")
         c1, c2 = Parameter("c1"), Parameter("c2")
-        rows = [Row((), 0, (Coeff.param(a), Coeff.const(1)))]
+        rows = [Row((), 0, ((0, Coeff.param(a)), (1, Coeff.const(1))))]
         res = solve_linear(rows, (c1, c2))
         assert res.side_conditions == ("1*a",)
         assert [str(p) for p in res.vectors[0].numerators] == ["1", "-1*a"]
@@ -329,12 +417,61 @@ class TestSolveLinear:
     @given(rational_matrices())
     def test_rational_path_matches_bareiss(self, case):
         n, mat = case
-        vectors, side = _bareiss_nullspace([list(r) for r in mat], n)
+        vectors, side = _bareiss_nullspace(
+            [[Poly.const(q) for q in row] for row in mat], n)
         assert side == []
-        assert _rational_nullspace(mat, n) == vectors
+        assert _rational_nullspace(
+            [{j: q for j, q in enumerate(row) if q} for row in mat],
+            n) == vectors
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_coeff_rows())
+    def test_sparse_rows_match_dense_solver(self, case):
+        """Same vectors, side conditions and kept rows as the dense
+        solver, on the same rows in sparse form."""
+        n, dense = case
+        unknowns = tuple(Parameter(f"c{k}") for k in range(1, n + 1))
+        ref = _dense_solve_linear(dense, unknowns)
+        res = solve_linear(
+            [Row(r.key, r.component, _sparse(r.entries)) for r in dense],
+            unknowns)
+        assert res.vectors == ref.vectors
+        assert res.side_conditions == ref.side_conditions
+        assert res.rows == tuple(Row(r.key, r.component, _sparse(r.entries))
+                                 for r in ref.rows)
 
     def test_rational_path_honours_deadline(self):
         c = (Parameter("c1"), Parameter("c2"))
-        rows = [Row((), 0, (Coeff.one(), Coeff.const(2)))]
+        rows = [Row((), 0, ((0, Coeff.one()), (1, Coeff.const(2))))]
         with deadline(0), pytest.raises(CancelledComputation):
             solve_linear(rows, c)
+
+
+class TestKdvMultipliersAtScale:
+    def test_degree_four_monomial_basis(self):
+        """u_t + u u_x + u_xxx = 0 over all 126 monomials of degree <= 4
+        in {u, u_x, u_xx, x, t}: the multipliers are spanned by 1, u,
+        u^2/2 + u_xx and x - t u."""
+        kdv = solve_leading(["t", "x"], ["u"],
+                            [S.ut + S.u * S.ux + jet("u", "x", "x", "x")],
+                            eq_names=["kdv"])
+        gens = (S.u, S.ux, S.uxx, S.x, S.t)
+        monomials = [m for d in range(5) for m in
+                     itertools.combinations_with_replacement(range(5), d)]
+        assert len(monomials) == 126
+        basis = []
+        for m in monomials:
+            e = Expr.const(1)
+            for i in m:
+                e = e * gens[i]
+            basis.append(Characteristic.of(e))
+        res = solve_ansatz(AnsatzProblem(kdv, "multiplier", tuple(basis)))
+        assert res.dimension == 4
+        assert not res.side_conditions
+        at = {m: k for k, m in enumerate(monomials)}
+        one = Coeff.one()
+        u, uxx, x, t = (0,), (2,), (3,), (4,)
+        for target in ({at[()]: one}, {at[u]: one},
+                       {at[u + u]: Coeff.const(Fraction(1, 2)), at[uxx]: one},
+                       {at[x]: one, at[u + t]: -one}):
+            assert _in_span(res, target)

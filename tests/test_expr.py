@@ -1,10 +1,16 @@
 """Expression kernel: canonical forms, formal partials, substitution,
 coefficient collection."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import conslaw_kit
 
 from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, ExprError, JetVar,
                               OpaqueDeriv, atom_expr, collect, exp_of,
@@ -115,6 +121,30 @@ class TestSubstitute:
         g = atom_expr(OpaqueDeriv("g", (S.u_at,)))
         with pytest.raises(ExprError, match="opaque-function argument"):
             substitute(g, {S.u_at: S.x})
+
+    def test_opaque_argument_guard_message_ignores_hash_seed(self):
+        """With f(u) + g(v) and both bound, the message names the first
+        function in atom order, whatever the set order of the atoms."""
+        code = (
+            "from conslaw_kit.expr import ExprError, IndependentVar, "
+            "OpaqueDeriv, atom_expr, substitute\n"
+            "u, v = IndependentVar('u'), IndependentVar('v')\n"
+            "e = atom_expr(OpaqueDeriv('f', (u,))) "
+            "+ atom_expr(OpaqueDeriv('g', (v,)))\n"
+            "try:\n"
+            "    substitute(e, {u: 1, v: 2})\n"
+            "except ExprError as exc:\n"
+            "    print(exc)\n")
+        src = str(Path(conslaw_kit.__file__).resolve().parents[1])
+        outs = {subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": str(seed),
+                 "PYTHONPATH": os.pathsep.join(
+                     [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        ).stdout for seed in range(6)}
+        assert outs == {
+            "cannot substitute into opaque-function argument u of f\n"}
 
 
 class TestCollect:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,
                               JetVar, MultiIndex, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
+from conslaw_kit.expr.coeff import Coeff
 from conslaw_kit.expr.errors import LeadingSolveError
 from conslaw_kit.expr.expression import _make_term, jet, jet_atom, sum_exprs
 from conslaw_kit.jet import (alternating_sum, derivatives, jet_partial,
@@ -287,6 +288,19 @@ class TestSolveLeading:
         E = S.utt + S.x * jet("u", "t", "t", "x") - S.u
         with pytest.raises(LeadingSolveError, match="remainder"):
             solve_leading(["t", "x"], ["u"], [E], [S.utt_at])
+
+    def test_non_unit_leading_coefficient_rejected(self):
+        a = atom_expr(Parameter("a"))   # not declared nonzero
+        with pytest.raises(LeadingSolveError, match="not an invertible"):
+            solve_leading(["t", "x"], ["u"], [a * S.ut - S.uxx], [S.ut_at])
+
+    def test_other_errors_from_invert_unit_propagate(self, monkeypatch):
+        """Only ExprError means "not invertible"."""
+        def fail(self):
+            raise RuntimeError("not an ExprError")
+        monkeypatch.setattr(Coeff, "invert_unit", fail)
+        with pytest.raises(RuntimeError, match="not an ExprError"):
+            solve_leading(["t", "x"], ["u"], [S.ut - S.uxx])
 
     def test_duplicate_leading_rejected(self):
         with pytest.raises(LeadingSolveError, match="duplicate"):

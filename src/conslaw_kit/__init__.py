@@ -15,7 +15,7 @@ from .expr import (Atom, Coeff, ConslawError, ExpAtom, ExpConst, Expr,
                    ExprError, IndependentVar, JetVar, MultiIndex,
                    OpaqueDeriv, Parameter, Poly, RewriteRule, RuleSet, Term,
                    atom_expr, collect, exp_of, ivar, jet_atom,
-                   normalize, opaque, opaque_atom, param, partial, rational,
+                   normalize, opaque, param, partial, rational,
                    substitute, sum_exprs)
 
 __version__ = "0.1.0"

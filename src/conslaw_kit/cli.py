@@ -16,9 +16,8 @@ import sys
 
 from .cancel import deadline
 from .dsl.commands import COMMANDS, UsageError, run_command, run_session_command
-from .dsl.parser import parse_expression
 from .dsl.report import Report, emit
-from .dsl.session import Session, load_session
+from .dsl.session import Session, load_session, parse_expression
 from .expr.errors import ConslawError
 
 __all__ = ["main"]
@@ -49,13 +48,13 @@ def seconds(text: str) -> float:
     return value
 
 
-def _parse_cli_args(raw: list[str]):
-    """Split CLI argument tokens into (label, name-or-ENode) pairs."""
+def _parse_cli_args(raw: list[str], session: Session):
+    """Split CLI argument tokens into (label, name-or-Expr) pairs."""
     out = []
     for tok in raw:
         if "=" in tok:
             label, _, text = tok.partition("=")
-            out.append((label, parse_expression(text)))
+            out.append((label, parse_expression(text, session)))
         else:
             out.append((None, tok))
     return out
@@ -100,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             if not ns.session:
                 raise UsageError(f"{ns.command} requires --session FILE "
                                  "for the declarations")
-            args = _parse_cli_args(ns.args)
+            args = _parse_cli_args(ns.args, session)
             rep = run_command(session, ns.command, args)
             sys.stdout.write(emit(rep, fmt))
             return rep.exit_code

@@ -16,10 +16,9 @@ from ..determining import (adjoint_invariance_conditions,
                            selfadjoint_lambda, symmetry_residual)
 from ..expr.errors import ConslawError, SubstitutionClassError
 from ..variational import Characteristic, adjoint_variables, is_variational
-from .parser import CommandStmt
 from .printer import expr_latex, expr_text
 from .report import Report
-from .session import Session, resolve_expression as _resolve_inline
+from .session import CommandStmt, Session
 
 __all__ = ["run_command", "run_session_command", "UsageError", "COMMANDS"]
 
@@ -30,11 +29,11 @@ class UsageError(ConslawError):
 
 def _characteristic(session: Session, val, kind: str = "characteristic"
                     ) -> Characteristic:
-    """A declared characteristic by name, or an inline expression as a
-    one-component characteristic; an undeclared name is reported as an
-    unknown `kind`."""
+    """A declared characteristic by name, or an inline expression (an
+    `Expr`, see `parse_expression`) as a one-component characteristic; an
+    undeclared name is reported as an unknown `kind`."""
     if not isinstance(val, str):
-        return Characteristic((_resolve_inline(session, val),))
+        return Characteristic((val,))
     if val not in session.chars:
         raise UsageError(f"unknown {kind} {val!r}")
     return session.chars[val]

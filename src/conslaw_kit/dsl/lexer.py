@@ -25,6 +25,10 @@ PUNCT = {
     ";", ",", ":", "=", "+", "-", "*", "/", "^", "(", ")", "[", "]", "->",
 }
 
+# the grammar's digits; str.isdigit() also takes '²' and other digits,
+# which int() rejects
+DIGITS = frozenset("0123456789")
+
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
@@ -55,9 +59,9 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             toks.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -65,7 +69,8 @@ def tokenize(text: str) -> list[Token]:
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j] in DIGITS
+                             or text[j] == "_"):
                 j += 1
             toks.append(Token("name", text[i:j], line, col))
             col += j - i

@@ -312,51 +312,10 @@ def print_session_source(session) -> str:
     for cmd in session.commands:
         parts = ["cmd", cmd.name]
         for label, val in cmd.args:
-            if label is not None:
-                text = val if isinstance(val, str) else _enode_text(val)
-                parts.append(f"{label}={text}")
-            else:
-                parts.append(val if isinstance(val, str) else _enode_text(val))
+            text = val if isinstance(val, str) else expr_text(val)
+            parts.append(text if label is None else f"{label}={text}")
         if cmd.expect != "zero":
             parts.append(f"expect {cmd.expect}")
         lines.append(" ".join(parts) + ";")
     return "\n".join(lines) + "\n"
 
-
-def _enode_text(node) -> str:
-    """Source form of an unresolved expression argument (inline command
-    bindings are kept as written, minus whitespace)."""
-    from .parser import EBinary, EDeriv, EExp, EName, ENum, EPow, EUnary
-
-    def go(n, parent_prec: int) -> str:
-        if isinstance(n, ENum):
-            return str(n.value)
-        if isinstance(n, EName):
-            return n.name
-        if isinstance(n, EDeriv):
-            return f"D[{n.head},{','.join(n.dvars)}]"
-        if isinstance(n, EExp):
-            return f"exp({go(n.arg, 0)})"
-        if isinstance(n, EUnary):
-            body = go(n.arg, 2)
-            out = f"-{body}"
-            return f"({out})" if parent_prec > 1 else out
-        if isinstance(n, EPow):
-            return f"{go(n.base, 3)}^{n.exponent}"
-        if isinstance(n, EBinary):
-            # a flat chain nests as deep as it is long: loop, do not recurse
-            additive = n.op in "+-"
-            prec = 1 if additive else 2
-            links = []
-            while isinstance(n, EBinary) and (n.op in "+-") == additive:
-                links.append(n)
-                n = n.left
-            parts = [go(n, prec)]
-            for link in reversed(links):
-                parts.append(link.op)
-                parts.append(go(link.right, prec + (link.op in "-/")))
-            out = "".join(parts)
-            return f"({out})" if parent_prec > prec else out
-        raise AssertionError(n)
-
-    return go(node, 0)

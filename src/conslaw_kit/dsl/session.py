@@ -1,28 +1,35 @@
-"""Semantic analysis: session AST -> engine objects.
+"""Session files: text -> engine objects in one recursive-descent pass.
 
-Unknown identifiers, arity mismatches and ill-formed systems are reported
-here with source positions; the parser itself accepts anything matching
-the grammar.
+The parser resolves each statement against the session as declared so
+far: expressions come out as `Expr`, derivatives as jet or
+opaque-function atoms, and each declaration, rule, characteristic,
+generator, vector and command is stored as soon as its statement ends.
+The system is put in leading-derivative form once the last statement is
+read.  So every identifier must be declared before it is used, inline
+command arguments included, and the first error in source order is the
+one reported, syntax or semantic, with its line and column.
+
+The grammar (docs/grammar.ebnf) is LL(1) apart from one-token
+backtracking for a tuple versus a parenthesized expression.  Derivatives
+are written D[u,x,t,...] (repeat a variable for higher order), which keeps
+the grammar unambiguous with multiplication.
 """
 
 from __future__ import annotations
 
+from ..conslaw import Generator
 from ..expr.atoms import (IndependentVar, JetVar, MultiIndex, OpaqueDeriv,
                           Parameter)
 from ..expr.errors import ConslawError
 from ..expr.expression import Expr, atom_expr, exp_of, sum_exprs
 from ..expr.rules import RewriteRule, RuleSet
 from ..jet import PdeSystem, solve_leading
-from ..variational import Characteristic
-from ..conslaw import Generator
 from ..record import MutableRecord, Record
-from .lexer import ParseError
-from .parser import (CharStmt, CommandStmt, DeclStmt, EBinary, EDeriv, EExp,
-                     EName, ENode, ENum, EPow, EquationStmt, EUnary, FuncStmt,
-                     GenStmt, RuleStmt, Stmt, VectorStmt, parse_session)
+from ..variational import Characteristic
+from .lexer import ParseError, Token, tokenize
 
-__all__ = ["Session", "OpaqueFunc", "resolve_session", "resolve_expression",
-           "load_session"]
+__all__ = ["Session", "OpaqueFunc", "CommandStmt", "load_session",
+           "parse_expression"]
 
 
 class OpaqueFunc(Record):
@@ -31,8 +38,14 @@ class OpaqueFunc(Record):
                  "arg_names")
 
 
+class CommandStmt(Record):
+    __slots__ = ("name",
+                 "args",        # ((label | None, name | Expr), ...)
+                 "expect")      # 'zero' | 'nonzero'
+
+
 class Session(MutableRecord):
-    """The declarations of a session, filled in by the resolver."""
+    """The declarations of a session, filled in statement by statement."""
 
     __slots__ = ("indep", "dep",
                  "params",      # name -> Parameter
@@ -54,60 +67,132 @@ class Session(MutableRecord):
         return self.system
 
 
-class _Resolver:
-    def __init__(self):
-        self.s = Session()
+# Deeper input would overflow the interpreter stack of the recursive descent.
+MAX_NESTING = 128
+
+
+class _Parser:
+    def __init__(self, text: str, session: Session):
+        self.toks = tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        self.s = session
         self.names: dict[str, str] = {}   # name -> kind, for diagnostics
 
-    def _declare(self, name: str, kind: str, line: int, col: int) -> None:
-        if name in self.names:
-            raise ParseError(f"duplicate declaration of {name!r} "
-                             f"(already a {self.names[name]})", line, col)
-        if name in ("exp", "D"):
-            raise ParseError(f"{name!r} is reserved", line, col)
-        self.names[name] = kind
+    # -- token helpers -------------------------------------------------------
 
-    # -- expression resolution ---------------------------------------------
+    @property
+    def cur(self) -> Token:
+        return self.toks[self.pos]
 
-    def expr(self, node: ENode) -> Expr:
-        if isinstance(node, ENum):
-            return Expr.const(node.value)
-        if isinstance(node, EName):
-            return self._name_expr(node)
-        if isinstance(node, EDeriv):
-            return atom_expr(self.deriv_atom(node))
-        if isinstance(node, EExp):
-            return exp_of(self.expr(node.arg))
-        if isinstance(node, EUnary):
-            return -self.expr(node.arg)
-        if isinstance(node, EPow):
-            return self.expr(node.base) ** node.exponent
-        if isinstance(node, EBinary):
-            # a flat chain nests as deep as it is long: loop, do not recurse
-            additive = node.op in "+-"
-            links: list[EBinary] = []
-            while isinstance(node, EBinary) and (node.op in "+-") == additive:
-                links.append(node)
-                node = node.left
-            acc = self.expr(node)
-            if additive:
-                return sum_exprs([acc, *(
-                    -self.expr(n.right) if n.op == "-" else self.expr(n.right)
-                    for n in reversed(links))])
-            for n in reversed(links):
-                right = self.expr(n.right)
-                if n.op == "*":
-                    acc = acc * right
-                    continue
-                try:
-                    acc = acc / right
-                except ConslawError as ex:
-                    raise ParseError(str(ex), n.line, n.col) from None
-            return acc
-        raise AssertionError(f"unhandled node {node!r}")
+    def advance(self) -> Token:
+        t = self.cur
+        if t.kind != "eof":
+            self.pos += 1
+        return t
 
-    def _name_expr(self, node: EName) -> Expr:
-        name = node.name
+    def expect(self, kind: str, what: str | None = None,
+               text: str | None = None) -> Token:
+        if not self.at(kind, text):
+            raise ParseError(
+                f"expected {what or text or kind!r}, found "
+                f"{self.cur.text or 'end of input'!r}",
+                self.cur.line, self.cur.col)
+        return self.advance()
+
+    def expect_name(self, what: str = "identifier") -> Token:
+        return self.expect("name", what)
+
+    def at(self, kind: str, text: str | None = None) -> bool:
+        return self.cur.kind == kind and (text is None or self.cur.text == text)
+
+    def integer(self, what: str) -> int:
+        tok = self.expect("int", what)
+        try:
+            return int(tok.text)
+        except ValueError:   # longer than int() converts
+            raise ParseError(f"integer literal of {len(tok.text)} digits is "
+                             "too long", tok.line, tok.col) from None
+
+    # -- expressions ---------------------------------------------------------
+
+    def parse_expr(self) -> Expr:
+        pieces = [self.parse_term()]
+        while self.cur.kind in ("+", "-"):
+            negate = self.advance().kind == "-"
+            term = self.parse_term()
+            pieces.append(-term if negate else term)
+        return sum_exprs(pieces)
+
+    def parse_term(self) -> Expr:
+        acc = self.parse_factor()
+        while self.cur.kind in ("*", "/"):
+            op = self.advance()
+            right = self.parse_factor()
+            if op.kind == "*":
+                acc = acc * right
+                continue
+            try:
+                acc = acc / right
+            except ConslawError as ex:
+                raise ParseError(str(ex), op.line, op.col) from None
+        return acc
+
+    def parse_factor(self) -> Expr:
+        # parentheses, exp(...), signs and power bases all nest through here
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} "
+                             "levels deep", self.cur.line, self.cur.col)
+        self.depth += 1
+        if self.cur.kind in ("+", "-"):
+            negate = self.advance().kind == "-"
+            value = self.parse_factor()
+            if negate:
+                value = -value
+        else:
+            value = self.parse_power()
+        self.depth -= 1
+        return value
+
+    def parse_power(self) -> Expr:
+        base = self.parse_primary()
+        if not self.at("^"):
+            return base
+        caret = self.advance()
+        negative = self.at("-")
+        if negative:
+            self.advance()
+        n = self.integer("integer exponent")
+        if negative:
+            raise ParseError("unsupported power (negative exponent)",
+                             caret.line, caret.col)
+        return base ** n
+
+    def parse_primary(self) -> Expr:
+        t = self.cur
+        if t.kind == "int":
+            return Expr.const(self.integer("integer"))
+        if t.kind == "(":
+            self.advance()
+            inner = self.parse_expr()
+            self.expect(")")
+            return inner
+        if t.kind == "name":
+            if t.text == "exp":
+                self.advance()
+                self.expect("(")
+                arg = self.parse_expr()
+                self.expect(")")
+                return exp_of(arg)
+            if t.text == "D" and self.toks[self.pos + 1].kind == "[":
+                return atom_expr(self.parse_derivative())
+            self.advance()
+            return self._name_expr(t)
+        raise ParseError(f"expected an expression, found {t.text or 'end of input'!r}",
+                         t.line, t.col)
+
+    def _name_expr(self, t: Token) -> Expr:
+        name = t.text
         if name in self.s.params:
             return atom_expr(self.s.params[name])
         if name in self.s.dep:
@@ -117,160 +202,253 @@ class _Resolver:
         if name in self.s.funcs:
             f = self.s.funcs[name]
             return atom_expr(OpaqueDeriv(f.name, f.args))
-        raise ParseError(f"unknown symbol {name!r}", node.line, node.col)
+        raise ParseError(f"unknown symbol {name!r}", t.line, t.col)
 
-    def deriv_atom(self, node: EDeriv) -> "JetVar | OpaqueDeriv":
-        head = node.head
+    def parse_derivative(self) -> JetVar | OpaqueDeriv:
+        t = self.expect("name", text="D")
+        self.expect("[")
+        head = self.expect_name("dependent variable or function name").text
+        dvars = []
+        while self.at(","):
+            self.advance()
+            dvars.append(self.expect_name("differentiation variable").text)
+        self.expect("]")
+        if not dvars:
+            raise ParseError("derivative needs at least one variable, e.g. D[u,x]",
+                             t.line, t.col)
         if head in self.s.dep:
-            for v in node.dvars:
+            for v in dvars:
                 if v not in self.s.indep:
-                    raise ParseError(
-                        f"{v!r} is not an independent variable", node.line,
-                        node.col)
-            return JetVar(head, MultiIndex.of(*node.dvars))
+                    raise ParseError(f"{v!r} is not an independent variable",
+                                     t.line, t.col)
+            return JetVar(head, MultiIndex.of(*dvars))
         if head in self.s.funcs:
             f = self.s.funcs[head]
             index = [0] * len(f.arg_names)
-            for v in node.dvars:
+            for v in dvars:
                 if v not in f.arg_names:
-                    raise ParseError(
-                        f"{v!r} is not an argument of {head!r}", node.line,
-                        node.col)
+                    raise ParseError(f"{v!r} is not an argument of {head!r}",
+                                     t.line, t.col)
                 index[f.arg_names.index(v)] += 1
             return OpaqueDeriv(f.name, f.args, tuple(index))
         raise ParseError(
             f"{head!r} is not a dependent variable or declared function",
-            node.line, node.col)
+            t.line, t.col)
+
+    def parse_tuple(self, ends: tuple[str, ...]) -> tuple[Expr, ...]:
+        """`( expr, expr, ... )`, `( expr )` before one of `ends`, or a
+        plain expression; `(u+x)*2` is reparsed as the latter."""
+        if self.at("("):
+            save = self.pos
+            self.advance()
+            comps = [self.parse_expr()]
+            while self.at(","):
+                self.advance()
+                comps.append(self.parse_expr())
+            if len(comps) > 1:
+                self.expect(")")
+                return tuple(comps)
+            if self.at(")") and self.toks[self.pos + 1].kind in ends:
+                self.advance()
+                return tuple(comps)
+            self.pos = save
+        return (self.parse_expr(),)
 
     # -- statements ----------------------------------------------------------
 
-    def run(self, statements: list[Stmt]) -> Session:
-        for st in statements:
-            if isinstance(st, DeclStmt):
-                self._decl(st)
-            elif isinstance(st, FuncStmt):
-                self._func(st)
-            elif isinstance(st, EquationStmt):
-                self._equation(st)
-            elif isinstance(st, RuleStmt):
-                self._rule(st)
-            elif isinstance(st, CharStmt):
-                self._char(st)
-            elif isinstance(st, GenStmt):
-                self._gen(st)
-            elif isinstance(st, VectorStmt):
-                self._vector(st)
-            elif isinstance(st, CommandStmt):
-                self.s.commands.append(st)
-            else:
-                raise AssertionError(f"unhandled statement {st!r}")
-        self._finish()
+    def parse_session(self) -> Session:
+        while not self.at("eof"):
+            self.parse_statement()
+        if self.s.equations:
+            names, exprs, leadings = zip(*self.s.equations)
+            self.s.system = solve_leading(self.s.indep, self.s.dep,
+                                          list(exprs), list(leadings),
+                                          list(names), self.s.rule_list)
         return self.s
 
-    def _decl(self, st: DeclStmt) -> None:
-        for name in st.names:
-            self._declare(name, st.kind, st.line, st.col)
-            if st.kind == "indep":
-                self.s.indep.append(name)
-            elif st.kind == "dep":
-                self.s.dep.append(name)
-            else:
-                self.s.params[name] = Parameter(name, st.nonzero)
+    def parse_statement(self) -> None:
+        t = self.cur
+        if t.kind != "name":
+            raise ParseError(f"expected a statement, found {t.text!r}",
+                             t.line, t.col)
+        handler = {
+            "indep": self._decl, "dep": self._decl, "param": self._decl,
+            "func": self._func, "eq": self._equation, "rule": self._rule,
+            "char": self._char, "gen": self._gen, "vector": self._vector,
+            "cmd": self._command,
+        }.get(t.text)
+        if handler is None:
+            raise ParseError(
+                f"unknown statement {t.text!r} (expected indep/dep/param/"
+                "func/eq/rule/char/gen/vector/cmd)", t.line, t.col)
+        handler(self.advance())
 
-    def _func(self, st: FuncStmt) -> None:
-        self._declare(st.name, "function", st.line, st.col)
-        args = []
-        for a in st.args:
-            if a in self.s.indep:
-                args.append(IndependentVar(a))
-            elif a in self.s.dep:
-                args.append(JetVar(a))
-            else:
-                raise ParseError(
-                    f"function argument {a!r} must be a declared variable",
-                    st.line, st.col)
-        self.s.funcs[st.name] = OpaqueFunc(st.name, tuple(args), st.args)
+    def _new_name(self, kind: str, kw: Token) -> str:
+        """Read a name this statement declares; a duplicate or reserved
+        one is reported at the statement keyword."""
+        name = self.expect_name().text
+        if name in self.names:
+            raise ParseError(f"duplicate declaration of {name!r} "
+                             f"(already a {self.names[name]})", kw.line, kw.col)
+        if name in ("exp", "D"):
+            raise ParseError(f"{name!r} is reserved", kw.line, kw.col)
+        self.names[name] = kind
+        return name
 
-    def _equation(self, st: EquationStmt) -> None:
-        self._declare(st.name, "equation", st.line, st.col)
-        expr = self.expr(st.lhs) - self.expr(st.rhs)
+    def _check_arity(self, what: str, comps, names, kind: str,
+                     kw: Token) -> None:
+        if len(comps) != len(names):
+            raise ParseError(f"{what} {len(comps)} components for "
+                             f"{len(names)} {kind} variables", kw.line, kw.col)
+
+    def _decl(self, kw: Token) -> None:
+        names = [self._new_name(kw.text, kw)]
+        while self.at("name") and self.cur.text != "nonzero":
+            names.append(self._new_name(kw.text, kw))
+        nonzero = False
+        if self.at("name", "nonzero"):
+            if kw.text != "param":
+                raise ParseError("'nonzero' only applies to parameters",
+                                 self.cur.line, self.cur.col)
+            self.advance()
+            nonzero = True
+        self.expect(";")
+        if kw.text == "indep":
+            self.s.indep.extend(names)
+        elif kw.text == "dep":
+            self.s.dep.extend(names)
+        else:
+            self.s.params.update((n, Parameter(n, nonzero)) for n in names)
+
+    def _func(self, kw: Token) -> None:
+        name = self._new_name("function", kw)
+        self.expect("(")
+        arg_names = [self._func_arg(kw)]
+        while self.at(","):
+            self.advance()
+            arg_names.append(self._func_arg(kw))
+        self.expect(")")
+        self.expect(";")
+        args = tuple(IndependentVar(a) if a in self.s.indep else JetVar(a)
+                     for a in arg_names)
+        self.s.funcs[name] = OpaqueFunc(name, args, tuple(arg_names))
+
+    def _func_arg(self, kw: Token) -> str:
+        a = self.expect_name().text
+        if a not in self.s.indep and a not in self.s.dep:
+            raise ParseError(
+                f"function argument {a!r} must be a declared variable",
+                kw.line, kw.col)
+        return a
+
+    def _equation(self, kw: Token) -> None:
+        name = self._new_name("equation", kw)
+        self.expect(":")
+        lhs = self.parse_expr()
+        self.expect("=")
+        expr = lhs - self.parse_expr()
         leading = None
-        if st.leading is not None:
-            atom = self.deriv_atom(st.leading)
-            if not isinstance(atom, JetVar):
+        if self.at("name", "leading"):
+            self.advance()
+            t = self.cur
+            leading = self.parse_derivative()
+            if not isinstance(leading, JetVar):
                 raise ParseError("leading derivative must be a jet derivative",
-                                 st.leading.line, st.leading.col)
-            leading = atom
-        self.s.equations.append((st.name, expr, leading))
+                                 t.line, t.col)
+        self.expect(";")
+        self.s.equations.append((name, expr, leading))
 
-    def _rule(self, st: RuleStmt) -> None:
-        lhs = self.deriv_atom(st.lhs)
+    def _rule(self, kw: Token) -> None:
+        lhs = self.parse_derivative()
         if not isinstance(lhs, OpaqueDeriv):
             raise ParseError(
                 "rewrite rules apply to opaque-function derivatives only",
-                st.line, st.col)
-        rhs = self.expr(st.rhs)
+                kw.line, kw.col)
+        self.expect("->")
+        rhs = self.parse_expr()
+        self.expect(";")
         try:
             self.s.rule_list.append(RewriteRule(lhs, rhs))
             RuleSet(self.s.rule_list)  # rejects a duplicate at its line
         except ConslawError as ex:
-            raise ParseError(str(ex), st.line, st.col) from None
+            raise ParseError(str(ex), kw.line, kw.col) from None
 
-    def _char(self, st: CharStmt) -> None:
-        self._declare(st.name, "characteristic", st.line, st.col)
-        comps = tuple(self.expr(c) for c in st.components)
-        if len(comps) != len(self.s.dep):
-            raise ParseError(
-                f"characteristic {st.name!r} has {len(comps)} components for "
-                f"{len(self.s.dep)} dependent variables", st.line, st.col)
-        self.s.chars[st.name] = Characteristic(comps)
+    def _char(self, kw: Token) -> None:
+        name = self._new_name("characteristic", kw)
+        self.expect("=")
+        comps = self.parse_tuple((";",))
+        self.expect(";")
+        self._check_arity(f"characteristic {name!r} has", comps, self.s.dep,
+                          "dependent", kw)
+        self.s.chars[name] = Characteristic(comps)
 
-    def _gen(self, st: GenStmt) -> None:
-        self._declare(st.name, "generator", st.line, st.col)
-        eta = tuple(self.expr(c) for c in st.eta)
-        if len(eta) != len(self.s.dep):
-            raise ParseError(
-                f"generator {st.name!r}: eta has {len(eta)} components for "
-                f"{len(self.s.dep)} dependent variables", st.line, st.col)
-        if st.xi is None:
-            xi = tuple(Expr.zero() for _ in self.s.indep)
-        else:
-            xi = tuple(self.expr(c) for c in st.xi)
-            if len(xi) != len(self.s.indep):
-                raise ParseError(
-                    f"generator {st.name!r}: xi has {len(xi)} components for "
-                    f"{len(self.s.indep)} independent variables",
-                    st.line, st.col)
-        self.s.gens[st.name] = Generator(xi, eta)
+    def _gen(self, kw: Token) -> None:
+        name = self._new_name("generator", kw)
+        self.expect(":")
+        xi = tuple(Expr.zero() for _ in self.s.indep)
+        if self.at("name", "xi"):
+            self.advance()
+            self.expect("=")
+            xi = self.parse_tuple((",",))
+            self._check_arity(f"generator {name!r}: xi has", xi,
+                              self.s.indep, "independent", kw)
+            self.expect(",")
+        self.expect("name", text="eta")
+        self.expect("=")
+        eta = self.parse_tuple((";",))
+        self.expect(";")
+        self._check_arity(f"generator {name!r}: eta has", eta, self.s.dep,
+                          "dependent", kw)
+        self.s.gens[name] = Generator(xi, eta)
 
-    def _vector(self, st: VectorStmt) -> None:
-        self._declare(st.name, "vector", st.line, st.col)
-        comps = tuple(self.expr(c) for c in st.components)
-        if len(comps) != len(self.s.indep):
-            raise ParseError(
-                f"vector {st.name!r} has {len(comps)} components for "
-                f"{len(self.s.indep)} independent variables", st.line, st.col)
-        self.s.vectors[st.name] = comps
+    def _vector(self, kw: Token) -> None:
+        name = self._new_name("vector", kw)
+        self.expect("=")
+        comps = self.parse_tuple((";",))
+        self.expect(";")
+        self._check_arity(f"vector {name!r} has", comps, self.s.indep,
+                          "independent", kw)
+        self.s.vectors[name] = comps
 
-    def _finish(self) -> None:
-        if self.s.equations:
-            names = [n for n, _, _ in self.s.equations]
-            exprs = [e for _, e, _ in self.s.equations]
-            leadings = [l for _, _, l in self.s.equations]
-            self.s.system = solve_leading(self.s.indep, self.s.dep, exprs,
-                                          leadings, names, self.s.rule_list)
+    def _hyphen_name(self, what: str = "identifier") -> str:
+        parts = [self.expect_name(what).text]
+        while self.at("-") and self.toks[self.pos + 1].kind == "name":
+            self.advance()
+            parts.append(self.advance().text)
+        return "-".join(parts)
 
-
-def resolve_session(statements: list[Stmt]) -> Session:
-    return _Resolver().run(statements)
-
-
-def resolve_expression(session: Session, node: ENode) -> Expr:
-    """Evaluate an expression AST in the scope of a resolved session."""
-    r = _Resolver()
-    r.s = session
-    return r.expr(node)
+    def _command(self, kw: Token) -> None:
+        name = self._hyphen_name()
+        args: list[tuple[str | None, str | Expr]] = []
+        expect = "zero"
+        while not self.at(";"):
+            if self.at("name", "expect"):
+                self.advance()
+                tok = self.expect_name("'zero' or 'nonzero'")
+                if tok.text not in ("zero", "nonzero"):
+                    raise ParseError("expected 'zero' or 'nonzero'",
+                                     tok.line, tok.col)
+                expect = tok.text
+                break
+            if self.at("name") and self.toks[self.pos + 1].kind == "=":
+                label = self.advance().text
+                self.advance()
+                args.append((label, self.parse_expr()))
+            else:
+                # a declared name, or a hyphenated one (an ansatz target)
+                args.append((None, self._hyphen_name("command argument")))
+        self.expect(";")
+        self.s.commands.append(CommandStmt(name, tuple(args), expect))
 
 
 def load_session(text: str) -> Session:
-    return resolve_session(parse_session(text))
+    return _Parser(text, Session()).parse_session()
+
+
+def parse_expression(text: str, session: Session) -> Expr:
+    """An expression over the declarations of `session`."""
+    p = _Parser(text, session)
+    value = p.parse_expr()
+    if not p.at("eof"):
+        raise ParseError(f"trailing input {p.cur.text!r}", p.cur.line, p.cur.col)
+    return value

@@ -7,7 +7,7 @@ from .errors import (AnsatzError, CancelledComputation, ConslawError,
                      ExprError, LeadingSolveError, RuleError,
                      SubstitutionClassError, TrivialSubstitutionError)
 from .expression import (Expr, Term, atom_expr, collect, exp_of, ivar, jet,
-                         jet_atom, normalize, opaque, opaque_atom, param,
+                         jet_atom, normalize, opaque, param,
                          partial, rational, substitute, sum_exprs)
 from .rules import RewriteRule, RuleSet
 
@@ -15,7 +15,7 @@ __all__ = [
     "Atom", "ExpAtom", "ExpConst", "IndependentVar", "JetVar", "MultiIndex",
     "OpaqueDeriv", "Parameter", "Coeff", "Poly", "Expr", "Term",
     "atom_expr", "collect", "exp_of", "ivar", "jet", "jet_atom", "normalize",
-    "opaque", "opaque_atom", "param", "partial", "rational", "substitute",
+    "opaque", "param", "partial", "rational", "substitute",
     "sum_exprs", "RewriteRule", "RuleSet",
     "ConslawError", "ExprError", "RuleError", "LeadingSolveError",
     "SubstitutionClassError", "TrivialSubstitutionError", "AnsatzError",

@@ -189,10 +189,6 @@ class Poly(Record):
                 break
         return acc
 
-    def rational_content(self) -> Fraction:
-        """Positive rational c with self/c having coprime integer coefficients."""
-        return common_content((self,)) or Fraction(1)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":

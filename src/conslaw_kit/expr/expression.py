@@ -35,6 +35,7 @@ import functools
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
+from ..cancel import checkpoint
 from ..record import Record
 from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                     MultiIndex, OpaqueDeriv, Parameter)
@@ -43,7 +44,7 @@ from .errors import ExprError
 
 __all__ = [
     "Term", "Expr", "atom_expr", "rational", "ivar", "param", "jet",
-    "jet_atom", "opaque", "opaque_atom", "exp_of", "normalize",
+    "jet_atom", "opaque", "exp_of", "normalize",
     "partial", "jet_partial", "substitute", "collect", "sum_exprs",
 ]
 
@@ -189,11 +190,6 @@ class Expr(Record):
             return _E_ZERO
         return Expr((Term(c),))
 
-    @staticmethod
-    def from_atom(a: Atom) -> "Expr":
-        t = _make_term(Coeff.one(), ((a, 1),))
-        return Expr((t,)) if t is not None else _E_ZERO
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -280,9 +276,7 @@ class Expr(Record):
         return _as_expr(other) + (-self)
 
     def __mul__(self, other) -> "Expr":
-        other = _as_expr(other)
-        return _gather(_make_term(t1.coeff * t2.coeff, t1.powers + t2.powers)
-                       for t1 in self.terms for t2 in other.terms)
+        return _gather(_products(self.terms, _as_expr(other).terms))
 
     __rmul__ = __mul__
 
@@ -334,6 +328,15 @@ def _flagged_key(e: Expr):
             tuple((t.coeff.num.terms, t.coeff.den) for t in e.terms))
 
 
+def _products(left: tuple[Term, ...], right: tuple[Term, ...]):
+    """The distributed term products, with a `checkpoint()` per left term:
+    one large product, (a+b+c)^200 say, is enough to outlast a timeout."""
+    for t1 in left:
+        checkpoint()
+        for t2 in right:
+            yield _make_term(t1.coeff * t2.coeff, t1.powers + t2.powers)
+
+
 def _gather(terms: Iterable[Term | None]) -> Expr:
     """The one term-accumulation loop: merge coefficients by power
     product, drop zeros (and None, a product that vanished) and sort."""
@@ -360,7 +363,7 @@ def _as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, Atom):
-        return Expr.from_atom(x)
+        return atom_expr(x)
     if isinstance(x, (int, Fraction)):
         return Expr.const(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Expr")
@@ -369,7 +372,8 @@ def _as_expr(x) -> Expr:
 # -- convenience constructors ------------------------------------------------
 
 def atom_expr(a: Atom) -> Expr:
-    return Expr.from_atom(a)
+    t = _make_term(Coeff.one(), ((a, 1),))
+    return Expr((t,)) if t is not None else _E_ZERO
 
 
 def rational(p, q=1) -> Expr:
@@ -377,11 +381,11 @@ def rational(p, q=1) -> Expr:
 
 
 def ivar(name: str) -> Expr:
-    return Expr.from_atom(IndependentVar(name))
+    return atom_expr(IndependentVar(name))
 
 
 def param(name: str, nonzero: bool = False) -> Expr:
-    return Expr.from_atom(Parameter(name, nonzero))
+    return atom_expr(Parameter(name, nonzero))
 
 
 def jet_atom(dep: str, *dvars: str) -> JetVar:
@@ -389,15 +393,11 @@ def jet_atom(dep: str, *dvars: str) -> JetVar:
 
 
 def jet(dep: str, *dvars: str) -> Expr:
-    return Expr.from_atom(jet_atom(dep, *dvars))
-
-
-def opaque_atom(func: str, args: tuple[Atom, ...], index: tuple[int, ...] = ()) -> OpaqueDeriv:
-    return OpaqueDeriv(func, args, index)
+    return atom_expr(jet_atom(dep, *dvars))
 
 
 def opaque(func: str, *args: Atom) -> Expr:
-    return Expr.from_atom(OpaqueDeriv(func, tuple(args)))
+    return atom_expr(OpaqueDeriv(func, tuple(args)))
 
 
 def exp_of(e: Expr) -> Expr:
@@ -405,8 +405,8 @@ def exp_of(e: Expr) -> Expr:
     e = _as_expr(e)
     q = e.as_rational()
     if q is not None:
-        return Expr.const(1) if q == 0 else Expr.from_atom(ExpConst(q))
-    return Expr.from_atom(ExpAtom(e))
+        return Expr.const(1) if q == 0 else atom_expr(ExpConst(q))
+    return atom_expr(ExpAtom(e))
 
 
 # -- kernel operations -------------------------------------------------------
@@ -421,7 +421,7 @@ def normalize(x) -> Expr:
     def image(a: Atom) -> Expr:
         if isinstance(a, ExpAtom):
             return exp_of(normalize(a.exponent))
-        return Expr.from_atom(a)
+        return atom_expr(a)
     pieces = []
     for t in _as_expr(x).terms:
         piece = Expr.from_coeff(t.coeff)

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -150,6 +151,31 @@ class TestExitCodes:
         r = run_cli("run", "--session", str(bad))
         assert r.returncode == 2, r.stderr
         assert "can't decode" in r.stdout and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("expr, col", [("u^\u00b2", 12), ("\u00b2*u", 10)])
+    def test_non_ascii_digit_exits_2(self, tmp_path, expr, col):
+        # str.isdigit() takes '\u00b2', int() does not
+        path = tmp_path / "digit.cl"
+        path.write_text("indep t x;\ndep u;\neq e: D[u,t] = D[u,x];\n"
+                        f"char c = {expr};\ncmd symmetry-check c;\n",
+                        encoding="utf-8")
+        r = run_cli("run", "--session", str(path))
+        assert r.returncode == 2, r.stderr
+        assert f"4:{col}: unexpected character" in r.stdout
+        assert r.stderr == ""
+
+    def test_bad_inline_argument_exits_2_before_any_report(self, tmp_path):
+        # inline arguments are resolved with the session, before `run`
+        # runs its first command
+        text = Path(WAVE).read_text()
+        path = tmp_path / "inline.cl"
+        path.write_text(text + "cmd symmetry-check eta=w*u;\n")
+        r = run_cli("run", "--session", str(path))
+        assert r.returncode == 2, r.stderr
+        line = len(text.splitlines()) + 1
+        assert r.stdout.startswith("command: error\n"), r.stdout
+        assert f"detail: {line}:24: unknown symbol 'w'" in r.stdout
+        assert "variational-check" not in r.stdout
 
     NESTED = {
         "parentheses": lambda n: "(" * n + "D[u,t]" + ")" * n,
@@ -377,6 +403,20 @@ class TestTimeout:
                     "--timeout", "0.000001")
         assert r.returncode == 2
         assert "timeout" in r.stdout
+
+    def test_timeout_reaches_into_a_large_product(self, tmp_path):
+        # 1.4 million terms: without a checkpoint inside the product this
+        # ran for more than a minute
+        path = tmp_path / "power.cl"
+        path.write_text("indep t x;\ndep u;\neq e: D[u,t] = D[u,x];\n"
+                        "char c = (u+x+t+D[u,x])^200;\ncmd symmetry-check c;\n")
+        start = time.monotonic()
+        r = run_cli("run", "--session", str(path), "--timeout", "1",
+                    timeout=60)
+        elapsed = time.monotonic() - start
+        assert r.returncode == 2, r.stderr
+        assert "timeout" in r.stdout and r.stderr == ""
+        assert elapsed < 15, elapsed
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "soon"])
     def test_unusable_timeout_rejected(self, value):

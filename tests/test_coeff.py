@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.expr import ExprError, Parameter
-from conslaw_kit.expr.coeff import Coeff, Poly, mono
+from conslaw_kit.expr.coeff import Coeff, Poly, common_content, mono
 
 A = Parameter("alpha", nonzero=True)
 B = Parameter("beta", nonzero=True)
@@ -40,7 +40,7 @@ def test_poly_exact_div():
 
 def test_poly_contents():
     p = Poly.param(A, 2).scale(4) + (Poly.param(A) * Poly.param(B)).scale(6)
-    assert p.rational_content() == 2
+    assert common_content((p,)) == 2
     assert p.mono_content() == mono((A, 1))
 
 

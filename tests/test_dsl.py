@@ -1,18 +1,19 @@
-"""DSL: lexing, parsing with positions, semantic resolution, printer
-round-trips, LaTeX output."""
+"""DSL: lexing, one-pass parsing with positions and resolution, printer
+round-trips, LaTeX output, fuzzed input."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conslaw_kit.cancel import deadline
 from conslaw_kit.dsl import (ParseError, expr_latex, expr_text, load_session,
-                             parse_expression, parse_session,
-                             print_session_source)
-from conslaw_kit.dsl.parser import ENode
-from conslaw_kit.dsl.session import resolve_session
+                             parse_expression, print_session_source,
+                             tokenize)
 from conslaw_kit.expr import ExpAtom, Expr, exp_of
-from conslaw_kit.expr.errors import LeadingSolveError
+from conslaw_kit.expr.errors import ConslawError, LeadingSolveError
 from conslaw_kit.expr.expression import jet
 
 from conftest import Syms as S
@@ -35,7 +36,7 @@ class TestParsing:
 
     def test_malformed_derivative_has_position(self):
         with pytest.raises(ParseError) as err:
-            parse_expression("D[u,]")
+            parse_expression("D[u,]", load_session(WAVE_SRC))
         assert err.value.line == 1
         assert err.value.col == 5
 
@@ -66,11 +67,10 @@ class TestParsing:
 
     def test_rational_exponent_rejected(self):
         with pytest.raises(ParseError):
-            parse_expression("u^(1/2)")
+            parse_expression("u^(1/2)", load_session(WAVE_SRC))
 
     def test_numbers_and_fractions(self):
         s = load_session(WAVE_SRC + "char c = 3/2*u;\n")
-        from fractions import Fraction
         assert s.chars["c"].components[0] == S.u.scale(Fraction(3, 2))
 
     def test_comment_handling(self):
@@ -86,6 +86,114 @@ class TestParsing:
         (cmd,) = s.commands
         labels = [label for label, _ in cmd.args]
         assert labels == ["eta", "phi"]
+
+
+class TestOnePass:
+    """Each statement is resolved as it is read, against the declarations
+    before it."""
+
+    def test_inline_argument_is_declared_before_use(self):
+        src = WAVE_SRC + "cmd symmetry-check eta=a*u;\nparam a;\n"
+        with pytest.raises(ParseError, match="unknown symbol 'a'") as err:
+            load_session(src)
+        assert (err.value.line, err.value.col) == (5, 24)
+
+    def test_inline_argument_is_an_expression(self):
+        s = load_session(WAVE_SRC + "param alpha nonzero;\n"
+                         "cmd symmetry-check eta=alpha*u/alpha + x;\n")
+        assert s.commands[0].args == (("eta", S.u + S.x),)
+
+    @pytest.mark.parametrize("line, message", [
+        # xi before eta: the first error in source order
+        ("gen g: xi = (q, 0), eta = w;", "unknown symbol 'q'"),
+        ("gen g: xi = (u), eta = (u, x);", "xi has 1 components for 2"),
+        # a semantic error before a syntax error in the same statement
+        ("char c = q + ;", "unknown symbol 'q'"),
+        ("char c = u/x + ;", "division is only defined"),
+        ("dep u nonzero;", "duplicate declaration of 'u'"),
+    ])
+    def test_first_error_in_source_order(self, line, message):
+        with pytest.raises(ParseError, match=message) as err:
+            load_session(WAVE_SRC + line + "\n")
+        assert err.value.line == 5
+
+    def test_parenthesized_factor_in_eta(self):
+        s = load_session(WAVE_SRC + "gen g: eta = (u)*x;\n")
+        assert s.gens["g"].eta == (S.u * S.x,)
+        assert s.gens["g"].xi == (Expr.zero(), Expr.zero())
+
+    @pytest.mark.parametrize("line, message", [
+        ("rule Q[u,x] -> 0;", "expected 'D', found 'Q'"),
+        ("gen g: zeta = u;", "expected 'eta', found 'zeta'"),
+        ("eq f: D[u,x] = 0 leading Q[u,x];", "expected 'D', found 'Q'"),
+    ])
+    def test_keywords_are_required(self, line, message):
+        with pytest.raises(ParseError, match=message):
+            load_session(WAVE_SRC + line + "\n")
+
+    def test_overlong_integer_literal_is_a_parse_error(self):
+        src = WAVE_SRC + "char c = " + "7" * 5000 + "*u;\n"
+        with pytest.raises(ParseError, match="5000 digits is too long") as err:
+            load_session(src)
+        assert (err.value.line, err.value.col) == (5, 10)
+
+    @pytest.mark.parametrize("text, col", [("u^\u00b2", 3), ("\u00b2*u", 1),
+                                           ("u\u0663", 2)])
+    def test_digits_are_ascii(self, text, col):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            tokenize(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
+
+# Fuzzed sessions: statements built from the grammar, mixed with runs of
+# tokens of every kind, over declared and undeclared names, the digits 0-3
+# and '\u00b2', all joined by spaces; the declarations come first or not.
+FUZZ_DECLS = "indep t x; dep u; param a nonzero; func f(x); "
+NAMES = st.sampled_from(["t", "x", "u", "a", "f", "q", "w"])
+DIGITS = st.sampled_from(["0", "1", "2", "3", "\u00b2"])
+ANY_TOKEN = NAMES | DIGITS | st.sampled_from([
+    "indep", "dep", "param", "func", "eq", "rule", "char", "gen", "vector",
+    "cmd", "leading", "nonzero", "xi", "eta", "expect", "zero", "exp", "D",
+    "symmetry-check", ";", ",", ":", "=", "+", "-", "*", "/", "^", "(", ")",
+    "[", "]", "->"])
+EXPR = st.recursive(
+    st.one_of(NAMES.map(lambda t: [t]), DIGITS.map(lambda t: [t]),
+              st.tuples(NAMES, NAMES).map(
+                  lambda p: ["D", "[", p[0], ",", p[1], "]"])),
+    lambda e: st.one_of(
+        st.tuples(e, st.sampled_from("+-*/"), e).map(
+            lambda p: [*p[0], p[1], *p[2]]),
+        st.tuples(st.sampled_from(["-", "exp"]), e).map(
+            lambda p: [p[0], "(", *p[1], ")"]),
+        st.tuples(e, DIGITS).map(lambda p: ["(", *p[0], ")", "^", p[1]])),
+    max_leaves=6)
+STATEMENT = st.one_of(
+    st.tuples(st.sampled_from(["indep", "dep", "param"]),
+              st.lists(NAMES, min_size=1, max_size=3)).map(
+        lambda p: [p[0], *p[1], ";"]),
+    st.tuples(st.sampled_from(["char", "vector"]), NAMES, EXPR).map(
+        lambda p: [p[0], p[1], "=", *p[2], ";"]),
+    st.tuples(NAMES, EXPR, EXPR).map(
+        lambda p: ["eq", p[0], ":", *p[1], "=", *p[2], ";"]),
+    st.tuples(NAMES, EXPR).map(lambda p: ["gen", p[0], ":", "eta", "=",
+                                          *p[1], ";"]),
+    EXPR.map(lambda e: ["rule", "D", "[", "f", ",", "x", "]", "->", *e, ";"]),
+    EXPR.map(lambda e: ["cmd", "symmetry-check", "eta", "=", *e, ";"]),
+    st.lists(ANY_TOKEN, max_size=6))
+
+
+class TestFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(st.booleans(), st.lists(STATEMENT, max_size=6))
+    def test_load_returns_or_raises_conslaw_error(self, declared, statements):
+        text = (FUZZ_DECLS if declared else "") + " ".join(
+            tok for st_ in statements for tok in st_)
+        # a slow expansion is cut off, as a CancelledComputation
+        with deadline(5):
+            try:
+                load_session(text)
+            except ConslawError:
+                pass
 
 
 class TestRoundTrip:
@@ -118,37 +226,25 @@ class TestRoundTrip:
         ]
         session = load_session(
             "indep t x;\ndep u;\nparam alpha beta gamma nonzero;\n")
-        from conslaw_kit.dsl.session import resolve_expression
         for e in cases:
-            back = resolve_expression(session, parse_expression(expr_text(e)))
+            back = parse_expression(expr_text(e), session)
             assert back == e, expr_text(e)
 
     @pytest.mark.parametrize("n", [1000, 10000])
     @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
     def test_long_inline_chain_prints_and_reparses(self, op, n):
-        # a flat chain parses to a left-nested tree as deep as it is long
+        # a flat chain folds in a loop, however long; u/u does not
+        # resolve, so the division chain divides by a literal
+        operands = ["u"] + ["2" if op == "/" else "u"] * (n - 1)
         text = ("indep t x;\ndep u;\neq e: D[u,t] - D[u,x] = 0;\n"
-                f"cmd symmetry-check eta={op.join(['u'] * n)};\n")
+                f"cmd symmetry-check eta={op.join(operands)};\n")
         canon = print_session_source(load_session(text))
         (cmd,), (again,) = (load_session(text).commands,
                             load_session(canon).commands)
-        assert _shape(again.args[0][1]) == _shape(cmd.args[0][1])
-        assert len(_shape(cmd.args[0][1])) == 2 * n - 1
-
-
-def _shape(node) -> list:
-    """The expression tree in preorder without source positions, walked
-    with a stack: equal lists mean equal trees."""
-    out, stack = [], [node]
-    while stack:
-        n = stack.pop()
-        fields = {k: getattr(n, k) for k in n._fields}
-        kids = [v for v in fields.values() if isinstance(v, ENode)]
-        out.append((type(n).__name__,) + tuple(
-            (k, v) for k, v in fields.items()
-            if k not in ("line", "col") and not isinstance(v, ENode)))
-        stack.extend(reversed(kids))
-    return out
+        u = jet("u")
+        want = {"+": u.scale(n), "-": u.scale(2 - n), "*": u ** n,
+                "/": u.scale(Fraction(1, 2 ** (n - 1)))}[op]
+        assert cmd.args == again.args == (("eta", want),)
 
 
 class TestLatex:

@@ -20,11 +20,10 @@ from conslaw_kit.ansatz import AnsatzProblem, solve_ansatz
 from conslaw_kit.conslaw import (compare_vectors, ibragimov_vector,
                                  verify_divergence)
 from conslaw_kit.determining import e_decompose
-from conslaw_kit.dsl import load_session, parse_session, tokenize
+from conslaw_kit.dsl import load_session, tokenize
 from conslaw_kit.dsl.commands import run_session_command
-from conslaw_kit.dsl.parser import EName, ENode, ENum, EquationStmt, Stmt
 from conslaw_kit.dsl.report import Report
-from conslaw_kit.dsl.session import Session
+from conslaw_kit.dsl.session import CommandStmt, OpaqueFunc, Session
 from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr, IndependentVar,
                               MultiIndex, OpaqueDeriv, Parameter, jet,
                               jet_atom)
@@ -33,8 +32,8 @@ from conslaw_kit.record import KeyRecord, MutableRecord, Record
 from conslaw_kit.variational import (Characteristic, is_variational,
                                      linearize_table)
 
-# every statement and expression node kind, parameters, an opaque
-# function under a rule and an exponential
+# every statement kind, parameters, an opaque function under a rule and
+# an exponential
 SESSION = """
 indep t x;
 dep u;
@@ -60,18 +59,8 @@ def _record_types() -> set[type]:
     return out - {MutableRecord, Atom}
 
 
-def _nodes(node):
-    yield node
-    for f in node._fields:
-        value = getattr(node, f)
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, ENode):
-                yield from _nodes(v)
-
-
 def _samples() -> dict[type, Record]:
     """One record of every type, built afresh on each call."""
-    statements = parse_session(SESSION)
     session = load_session(SESSION)
     sys_ = session.require_system()
     sys_.reduce(jet("u", "t", "x") + jet("u", "t"))   # fills the memo
@@ -83,9 +72,7 @@ def _samples() -> dict[type, Record]:
     assert result.vectors and result.rows
     expr = sys_.equations[0]
     objs = [
-        *tokenize(SESSION), *statements, ENode(1, 2), Stmt(1, 2),
-        *(n for st in statements if isinstance(st, EquationStmt)
-          for n in _nodes(st.rhs)),
+        *tokenize(SESSION), *session.commands,
         session, session.funcs["f"], sys_, sys_.rules, sys_.rules.rules[0],
         char, gen, vec, run_session_command(session, session.commands[0]),
         e_decompose(total_derivative(expr, "x"), sys_),
@@ -205,8 +192,8 @@ class TestRecordContract:
 def test_equal_fields_of_two_types_differ():
     assert IndependentVar("a") != Parameter("a")
     assert Parameter("a") != IndependentVar("a")
-    assert ENum(1, 1, 0) != EName(1, 1, 0)
-    assert ENode(1, 1) != Stmt(1, 1)
+    assert OpaqueFunc("f", (), ()) != CommandStmt("f", (), ())
+    assert CommandStmt("f", (), ()) != OpaqueFunc("f", (), ())
 
 
 def test_pde_system_copy_compares_by_value_with_an_empty_memo():

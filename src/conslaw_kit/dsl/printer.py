@@ -16,6 +16,8 @@ from ..expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                           OpaqueDeriv)
 from ..expr.coeff import Coeff, Poly, common_content
 from ..expr.expression import Expr, Term
+from .session import (CharStmt, DeclStmt, EquationStmt, FuncStmt, GenStmt,
+                      RuleStmt, VectorStmt)
 
 __all__ = ["expr_text", "expr_latex", "print_session_source"]
 
@@ -273,49 +275,47 @@ def expr_latex(e: Expr) -> str:
 
 # -- session printing -------------------------------------------------------------
 
+def _tuple_text(comps, bare: bool) -> str:
+    if bare and len(comps) == 1:
+        return expr_text(comps[0])
+    return "(" + ", ".join(expr_text(c) for c in comps) + ")"
+
+
+def _stmt_text(st, solved: dict) -> str:
+    if isinstance(st, DeclStmt):
+        flag = " nonzero" if st.nonzero else ""
+        return f"{st.kind} {' '.join(st.names)}{flag}"
+    if isinstance(st, FuncStmt):
+        return f"func {st.name}({','.join(st.arg_names)})"
+    if isinstance(st, EquationStmt):
+        eq, lead = solved[st.name]
+        return f"eq {st.name}: {expr_text(eq)} = 0 leading {_atom_text(lead)}"
+    if isinstance(st, RuleStmt):
+        return f"rule {_atom_text(st.rule.lhs)} -> {expr_text(st.rule.rhs)}"
+    if isinstance(st, CharStmt):
+        return f"char {st.name} = {_tuple_text(st.components, True)}"
+    if isinstance(st, GenStmt):
+        return (f"gen {st.name}: xi = {_tuple_text(st.xi, False)}, "
+                f"eta = {_tuple_text(st.eta, False)}")
+    if isinstance(st, VectorStmt):
+        return f"vector {st.name} = {_tuple_text(st.components, True)}"
+    parts = ["cmd", st.name]   # a CommandStmt
+    for label, val in st.args:
+        text = val if isinstance(val, str) else expr_text(val)
+        parts.append(text if label is None else f"{label}={text}")
+    if st.expect != "zero":
+        parts.append(f"expect {st.expect}")
+    return " ".join(parts)
+
+
 def print_session_source(session) -> str:
-    """Canonical session file for a resolved session; reparsing it yields
-    an equivalent session (declarations, system, rules, named objects and
+    """Canonical session file for a resolved session: its statements in
+    source order, equations in solved form.  Reparsing it yields an
+    equivalent session (declarations, system, rules, named objects and
     commands are preserved; comments and formatting are not)."""
-    lines: list[str] = []
-    if session.indep:
-        lines.append("indep " + " ".join(session.indep) + ";")
-    if session.dep:
-        lines.append("dep " + " ".join(session.dep) + ";")
-    flagged = [p.name for p in session.params.values() if p.nonzero]
-    plain = [p.name for p in session.params.values() if not p.nonzero]
-    if plain:
-        lines.append("param " + " ".join(plain) + ";")
-    if flagged:
-        lines.append("param " + " ".join(flagged) + " nonzero;")
-    for f in session.funcs.values():
-        lines.append(f"func {f.name}({','.join(f.arg_names)});")
+    solved = {}
     if session.system is not None:
         sysm = session.system
-        for name, eq, lead in zip(sysm.eq_names, sysm.equations, sysm.leading):
-            lines.append(
-                f"eq {name}: {expr_text(eq)} = 0 leading {_atom_text(lead)};")
-    for r in session.rule_list:
-        lines.append(f"rule {_atom_text(r.lhs)} -> {expr_text(r.rhs)};")
-    for name, ch in session.chars.items():
-        body = (expr_text(ch.components[0]) if len(ch.components) == 1 else
-                "(" + ", ".join(expr_text(c) for c in ch.components) + ")")
-        lines.append(f"char {name} = {body};")
-    for name, g in session.gens.items():
-        xi = "(" + ", ".join(expr_text(c) for c in g.xi) + ")"
-        eta = "(" + ", ".join(expr_text(c) for c in g.eta) + ")"
-        lines.append(f"gen {name}: xi = {xi}, eta = {eta};")
-    for name, comps in session.vectors.items():
-        body = ("(" + ", ".join(expr_text(c) for c in comps) + ")"
-                if len(comps) > 1 else expr_text(comps[0]))
-        lines.append(f"vector {name} = {body};")
-    for cmd in session.commands:
-        parts = ["cmd", cmd.name]
-        for label, val in cmd.args:
-            text = val if isinstance(val, str) else expr_text(val)
-            parts.append(text if label is None else f"{label}={text}")
-        if cmd.expect != "zero":
-            parts.append(f"expect {cmd.expect}")
-        lines.append(" ".join(parts) + ";")
-    return "\n".join(lines) + "\n"
-
+        solved = dict(zip(sysm.eq_names, zip(sysm.equations, sysm.leading)))
+    return "".join(_stmt_text(st, solved) + ";\n"
+                   for st in session.statements) or "\n"

@@ -3,8 +3,9 @@
 The parser resolves each statement against the session as declared so
 far: expressions come out as `Expr`, derivatives as jet or
 opaque-function atoms, and each declaration, rule, characteristic,
-generator, vector and command is stored as soon as its statement ends.
-The system is put in leading-derivative form once the last statement is
+generator, vector and command is stored as soon as its statement ends,
+both under its name and as a statement record in source order.  The
+system is put in leading-derivative form once the last statement is
 read.  So every identifier must be declared before it is used, inline
 command arguments included, and the first error in source order is the
 one reported, syntax or semantic, with its line and column.
@@ -28,14 +29,52 @@ from ..record import MutableRecord, Record
 from ..variational import Characteristic
 from .lexer import ParseError, Token, tokenize
 
-__all__ = ["Session", "OpaqueFunc", "CommandStmt", "load_session",
-           "parse_expression"]
+__all__ = ["Session", "OpaqueFunc", "Stmt", "DeclStmt", "FuncStmt",
+           "EquationStmt", "RuleStmt", "CharStmt", "GenStmt", "VectorStmt",
+           "CommandStmt", "load_session", "parse_expression"]
 
 
 class OpaqueFunc(Record):
     __slots__ = ("name",
                  "args",        # tuple[Atom, ...]
                  "arg_names")
+
+
+# -- statements, their values resolved ---------------------------------------
+
+class Stmt(Record):
+    __slots__ = ("line", "col")   # of the statement keyword
+
+
+class DeclStmt(Stmt):
+    __slots__ = ("kind",        # 'indep' | 'dep' | 'param'
+                 "names", "nonzero")
+
+
+class FuncStmt(Stmt):
+    __slots__ = ("name", "arg_names")
+
+
+class EquationStmt(Stmt):
+    __slots__ = ("name",
+                 "expr",        # lhs - rhs
+                 "leading")     # JetVar | None
+
+
+class RuleStmt(Stmt):
+    __slots__ = ("rule",)
+
+
+class CharStmt(Stmt):
+    __slots__ = ("name", "components")
+
+
+class GenStmt(Stmt):
+    __slots__ = ("name", "xi", "eta")
+
+
+class VectorStmt(Stmt):
+    __slots__ = ("name", "components")
 
 
 class CommandStmt(Record):
@@ -45,20 +84,21 @@ class CommandStmt(Record):
 
 
 class Session(MutableRecord):
-    """The declarations of a session, filled in statement by statement."""
+    """The declarations of a session, filled in statement by statement:
+    each under its name, and every statement in `statements`."""
 
-    __slots__ = ("indep", "dep",
+    __slots__ = ("statements",  # [Stmt | CommandStmt], in source order
+                 "indep", "dep",
                  "params",      # name -> Parameter
                  "funcs",       # name -> OpaqueFunc
-                 "equations",   # [(name, Expr, leading JetVar | None)]
                  "rule_list",   # [RewriteRule]
                  "chars",       # name -> Characteristic
                  "gens",        # name -> Generator
                  "vectors",     # name -> tuple[Expr, ...]
                  "commands",    # [CommandStmt]
                  "system")      # PdeSystem | None
-    _defaults = {"indep": [], "dep": [], "params": {}, "funcs": {},
-                 "equations": [], "rule_list": [], "chars": {}, "gens": {},
+    _defaults = {"statements": [], "indep": [], "dep": [], "params": {},
+                 "funcs": {}, "rule_list": [], "chars": {}, "gens": {},
                  "vectors": {}, "commands": [], "system": None}
 
     def require_system(self) -> PdeSystem:
@@ -259,11 +299,12 @@ class _Parser:
     def parse_session(self) -> Session:
         while not self.at("eof"):
             self.parse_statement()
-        if self.s.equations:
-            names, exprs, leadings = zip(*self.s.equations)
-            self.s.system = solve_leading(self.s.indep, self.s.dep,
-                                          list(exprs), list(leadings),
-                                          list(names), self.s.rule_list)
+        eqs = [st for st in self.s.statements if type(st) is EquationStmt]
+        if eqs:
+            self.s.system = solve_leading(
+                self.s.indep, self.s.dep, [e.expr for e in eqs],
+                [e.leading for e in eqs], [e.name for e in eqs],
+                self.s.rule_list)
         return self.s
 
     def parse_statement(self) -> None:
@@ -281,7 +322,7 @@ class _Parser:
             raise ParseError(
                 f"unknown statement {t.text!r} (expected indep/dep/param/"
                 "func/eq/rule/char/gen/vector/cmd)", t.line, t.col)
-        handler(self.advance())
+        self.s.statements.append(handler(self.advance()))
 
     def _new_name(self, kind: str, kw: Token) -> str:
         """Read a name this statement declares; a duplicate or reserved
@@ -301,7 +342,7 @@ class _Parser:
             raise ParseError(f"{what} {len(comps)} components for "
                              f"{len(names)} {kind} variables", kw.line, kw.col)
 
-    def _decl(self, kw: Token) -> None:
+    def _decl(self, kw: Token) -> DeclStmt:
         names = [self._new_name(kw.text, kw)]
         while self.at("name") and self.cur.text != "nonzero":
             names.append(self._new_name(kw.text, kw))
@@ -319,8 +360,9 @@ class _Parser:
             self.s.dep.extend(names)
         else:
             self.s.params.update((n, Parameter(n, nonzero)) for n in names)
+        return DeclStmt(kw.line, kw.col, kw.text, tuple(names), nonzero)
 
-    def _func(self, kw: Token) -> None:
+    def _func(self, kw: Token) -> FuncStmt:
         name = self._new_name("function", kw)
         self.expect("(")
         arg_names = [self._func_arg(kw)]
@@ -332,6 +374,7 @@ class _Parser:
         args = tuple(IndependentVar(a) if a in self.s.indep else JetVar(a)
                      for a in arg_names)
         self.s.funcs[name] = OpaqueFunc(name, args, tuple(arg_names))
+        return FuncStmt(kw.line, kw.col, name, tuple(arg_names))
 
     def _func_arg(self, kw: Token) -> str:
         a = self.expect_name().text
@@ -341,7 +384,7 @@ class _Parser:
                 kw.line, kw.col)
         return a
 
-    def _equation(self, kw: Token) -> None:
+    def _equation(self, kw: Token) -> EquationStmt:
         name = self._new_name("equation", kw)
         self.expect(":")
         lhs = self.parse_expr()
@@ -356,9 +399,9 @@ class _Parser:
                 raise ParseError("leading derivative must be a jet derivative",
                                  t.line, t.col)
         self.expect(";")
-        self.s.equations.append((name, expr, leading))
+        return EquationStmt(kw.line, kw.col, name, expr, leading)
 
-    def _rule(self, kw: Token) -> None:
+    def _rule(self, kw: Token) -> RuleStmt:
         lhs = self.parse_derivative()
         if not isinstance(lhs, OpaqueDeriv):
             raise ParseError(
@@ -372,8 +415,9 @@ class _Parser:
             RuleSet(self.s.rule_list)  # rejects a duplicate at its line
         except ConslawError as ex:
             raise ParseError(str(ex), kw.line, kw.col) from None
+        return RuleStmt(kw.line, kw.col, self.s.rule_list[-1])
 
-    def _char(self, kw: Token) -> None:
+    def _char(self, kw: Token) -> CharStmt:
         name = self._new_name("characteristic", kw)
         self.expect("=")
         comps = self.parse_tuple((";",))
@@ -381,8 +425,9 @@ class _Parser:
         self._check_arity(f"characteristic {name!r} has", comps, self.s.dep,
                           "dependent", kw)
         self.s.chars[name] = Characteristic(comps)
+        return CharStmt(kw.line, kw.col, name, comps)
 
-    def _gen(self, kw: Token) -> None:
+    def _gen(self, kw: Token) -> GenStmt:
         name = self._new_name("generator", kw)
         self.expect(":")
         xi = tuple(Expr.zero() for _ in self.s.indep)
@@ -400,8 +445,9 @@ class _Parser:
         self._check_arity(f"generator {name!r}: eta has", eta, self.s.dep,
                           "dependent", kw)
         self.s.gens[name] = Generator(xi, eta)
+        return GenStmt(kw.line, kw.col, name, xi, eta)
 
-    def _vector(self, kw: Token) -> None:
+    def _vector(self, kw: Token) -> VectorStmt:
         name = self._new_name("vector", kw)
         self.expect("=")
         comps = self.parse_tuple((";",))
@@ -409,6 +455,7 @@ class _Parser:
         self._check_arity(f"vector {name!r} has", comps, self.s.indep,
                           "independent", kw)
         self.s.vectors[name] = comps
+        return VectorStmt(kw.line, kw.col, name, comps)
 
     def _hyphen_name(self, what: str = "identifier") -> str:
         parts = [self.expect_name(what).text]
@@ -417,7 +464,7 @@ class _Parser:
             parts.append(self.advance().text)
         return "-".join(parts)
 
-    def _command(self, kw: Token) -> None:
+    def _command(self, kw: Token) -> CommandStmt:
         name = self._hyphen_name()
         args: list[tuple[str | None, str | Expr]] = []
         expect = "zero"
@@ -439,6 +486,7 @@ class _Parser:
                 args.append((None, self._hyphen_name("command argument")))
         self.expect(";")
         self.s.commands.append(CommandStmt(name, tuple(args), expect))
+        return self.s.commands[-1]
 
 
 def load_session(text: str) -> Session:

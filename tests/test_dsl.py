@@ -12,6 +12,7 @@ from conslaw_kit.cancel import deadline
 from conslaw_kit.dsl import (ParseError, expr_latex, expr_text, load_session,
                              parse_expression, print_session_source,
                              tokenize)
+from conslaw_kit.dsl.session import Stmt
 from conslaw_kit.expr import ExpAtom, Expr, exp_of
 from conslaw_kit.expr.errors import ConslawError, LeadingSolveError
 from conslaw_kit.expr.expression import jet
@@ -215,6 +216,21 @@ class TestRoundTrip:
                     f"case {i} (seed 20260811) failed to load:\n{src}\n{ex}")
             again = print_session_source(load_session(canon))
             assert canon == again, f"case {i} (seed 20260811)\n{src}"
+
+    def test_statements_print_in_source_order(self):
+        text = ("indep t x;\ndep u;\nchar c = u;\n"
+                "eq e: D[u,t] = D[u,x,x] leading D[u,t];\n"
+                "cmd symmetry-check c;\n  param a nonzero;\n"
+                "vector v = (u, a*u);\n")
+        session = load_session(text)
+        assert [(st.line, st.col) for st in session.statements
+                if isinstance(st, Stmt)] == [(1, 1), (2, 1), (3, 1), (4, 1),
+                                             (6, 3), (7, 1)]
+        assert session.statements[4] is session.commands[0]
+        assert print_session_source(session) == (
+            "indep t x;\ndep u;\nchar c = u;\n"
+            "eq e: -D[u,x,x] + D[u,t] = 0 leading D[u,t];\n"
+            "cmd symmetry-check c;\nparam a nonzero;\nvector v = (u, a*u);\n")
 
     def test_expression_text_reparses_to_same_value(self, thomas_theta):
         cases = [

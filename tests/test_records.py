@@ -23,7 +23,8 @@ from conslaw_kit.determining import e_decompose
 from conslaw_kit.dsl import load_session, tokenize
 from conslaw_kit.dsl.commands import run_session_command
 from conslaw_kit.dsl.report import Report
-from conslaw_kit.dsl.session import CommandStmt, OpaqueFunc, Session
+from conslaw_kit.dsl.session import (CharStmt, CommandStmt, OpaqueFunc,
+                                     Session, Stmt, VectorStmt)
 from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr, IndependentVar,
                               MultiIndex, OpaqueDeriv, Parameter, jet,
                               jet_atom)
@@ -72,7 +73,7 @@ def _samples() -> dict[type, Record]:
     assert result.vectors and result.rows
     expr = sys_.equations[0]
     objs = [
-        *tokenize(SESSION), *session.commands,
+        *tokenize(SESSION), *session.statements, Stmt(1, 2),
         session, session.funcs["f"], sys_, sys_.rules, sys_.rules.rules[0],
         char, gen, vec, run_session_command(session, session.commands[0]),
         e_decompose(total_derivative(expr, "x"), sys_),
@@ -194,6 +195,7 @@ def test_equal_fields_of_two_types_differ():
     assert Parameter("a") != IndependentVar("a")
     assert OpaqueFunc("f", (), ()) != CommandStmt("f", (), ())
     assert CommandStmt("f", (), ()) != OpaqueFunc("f", (), ())
+    assert CharStmt(1, 1, "c", ()) != VectorStmt(1, 1, "c", ())
 
 
 def test_pde_system_copy_compares_by_value_with_an_empty_memo():

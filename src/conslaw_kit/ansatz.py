@@ -28,6 +28,7 @@ from .expr.coeff import (Coeff, Poly, common_content, mono_div,
                          mono_gcd, mono_lcm)
 from .expr.errors import AnsatzError, ExprError
 from .expr.expression import Expr, Powers, Term, sum_exprs
+from .expr.printer import poly_text
 from .jet import PdeSystem
 from .record import Record
 from .variational import Characteristic, _as_characteristic
@@ -285,7 +286,7 @@ def _bareiss_nullspace(mat: list[list[Poly]], n: int
         pivot = mat[r][col]
         unit = pivot.as_unit()
         if unit is None or any(not p.nonzero for p, _ in unit[1]):
-            side.append(str(pivot))
+            side.append(poly_text(pivot))
         for i in range(r + 1, len(mat)):
             factor = mat[i][col]
             if factor.is_zero:

@@ -6,13 +6,16 @@
 
 Exit codes: 0 mathematical success (zero residual / verification passed,
 or, for `run`, every command matching its expectation), 1 mathematical
-failure, 2 usage, parse or timeout errors.
+failure, 2 usage, parse or timeout errors, or a reader of standard
+output that went away (a closed pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import suppress
 
 from .cancel import deadline
 from .dsl.commands import COMMANDS, UsageError, run_command, run_session_command
@@ -85,6 +88,21 @@ def run_file(session: Session, fmt: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     ap = _build_argparser()
     ns = ap.parse_args(argv)
+    try:
+        code = _run(ns)
+        sys.stdout.flush()   # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: write nothing more, and send the
+        # interpreter's flush of stdout at exit to the null device
+        null = os.open(os.devnull, os.O_WRONLY)
+        with suppress(OSError, ValueError):   # a stdout with no descriptor
+            os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 2
+
+
+def _run(ns: argparse.Namespace) -> int:
     fmt = ns.format
     try:
         with deadline(ns.timeout):
@@ -103,6 +121,8 @@ def main(argv: list[str] | None = None) -> int:
             rep = run_command(session, ns.command, args)
             sys.stdout.write(emit(rep, fmt))
             return rep.exit_code
+    except BrokenPipeError:
+        raise
     except (ConslawError, OSError, UnicodeDecodeError) as ex:
         # parse, usage, timeout, wrong-argument and unreadable-file errors
         _emit_error(str(ex), fmt)

@@ -15,8 +15,8 @@ from ..determining import (adjoint_invariance_conditions,
                            differential_substitution_residual,
                            selfadjoint_lambda, symmetry_residual)
 from ..expr.errors import ConslawError, SubstitutionClassError
+from ..expr.printer import expr_latex, expr_text
 from ..variational import Characteristic, adjoint_variables, is_variational
-from .printer import expr_latex, expr_text
 from .report import Report
 from .session import CommandStmt, Session
 

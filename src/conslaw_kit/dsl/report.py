@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import os
 import sys
+from ..expr.printer import expr_latex, expr_text
 from ..record import MutableRecord
-from .printer import expr_latex, expr_text
 
 __all__ = ["SCHEMA_VERSION", "Report", "emit"]
 

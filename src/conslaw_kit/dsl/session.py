@@ -14,6 +14,10 @@ The grammar (docs/grammar.ebnf) is LL(1) apart from one-token
 backtracking for a tuple versus a parenthesized expression.  Derivatives
 are written D[u,x,t,...] (repeat a variable for higher order), which keeps
 the grammar unambiguous with multiplication.
+
+`print_session_source` writes the statement records back as a canonical
+session file, its expressions in the notation of `expr.printer`, which
+this parser reads.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from ..expr.atoms import (IndependentVar, JetVar, MultiIndex, OpaqueDeriv,
                           Parameter)
 from ..expr.errors import ConslawError
 from ..expr.expression import Expr, atom_expr, exp_of, sum_exprs
+from ..expr.printer import atom_text, expr_text
 from ..expr.rules import RewriteRule, RuleSet
 from ..jet import PdeSystem, solve_leading
 from ..record import MutableRecord, Record
@@ -31,7 +36,8 @@ from .lexer import ParseError, Token, tokenize
 
 __all__ = ["Session", "OpaqueFunc", "Stmt", "DeclStmt", "FuncStmt",
            "EquationStmt", "RuleStmt", "CharStmt", "GenStmt", "VectorStmt",
-           "CommandStmt", "load_session", "parse_expression"]
+           "CommandStmt", "load_session", "parse_expression",
+           "print_session_source"]
 
 
 class OpaqueFunc(Record):
@@ -500,3 +506,51 @@ def parse_expression(text: str, session: Session) -> Expr:
     if not p.at("eof"):
         raise ParseError(f"trailing input {p.cur.text!r}", p.cur.line, p.cur.col)
     return value
+
+
+# -- printing ----------------------------------------------------------------
+
+def _tuple_text(comps, bare: bool) -> str:
+    if bare and len(comps) == 1:
+        return expr_text(comps[0])
+    return "(" + ", ".join(expr_text(c) for c in comps) + ")"
+
+
+def _stmt_text(st, solved: dict) -> str:
+    if isinstance(st, DeclStmt):
+        flag = " nonzero" if st.nonzero else ""
+        return f"{st.kind} {' '.join(st.names)}{flag}"
+    if isinstance(st, FuncStmt):
+        return f"func {st.name}({','.join(st.arg_names)})"
+    if isinstance(st, EquationStmt):
+        eq, lead = solved[st.name]
+        return f"eq {st.name}: {expr_text(eq)} = 0 leading {atom_text(lead)}"
+    if isinstance(st, RuleStmt):
+        return f"rule {atom_text(st.rule.lhs)} -> {expr_text(st.rule.rhs)}"
+    if isinstance(st, CharStmt):
+        return f"char {st.name} = {_tuple_text(st.components, True)}"
+    if isinstance(st, GenStmt):
+        return (f"gen {st.name}: xi = {_tuple_text(st.xi, False)}, "
+                f"eta = {_tuple_text(st.eta, False)}")
+    if isinstance(st, VectorStmt):
+        return f"vector {st.name} = {_tuple_text(st.components, True)}"
+    parts = ["cmd", st.name]   # a CommandStmt
+    for label, val in st.args:
+        text = val if isinstance(val, str) else expr_text(val)
+        parts.append(text if label is None else f"{label}={text}")
+    if st.expect != "zero":
+        parts.append(f"expect {st.expect}")
+    return " ".join(parts)
+
+
+def print_session_source(session: Session) -> str:
+    """Canonical session file for a resolved session: its statements in
+    source order, equations in solved form.  Reparsing it yields an
+    equivalent session (declarations, system, rules, named objects and
+    commands are preserved; comments and formatting are not)."""
+    solved = {}
+    if session.system is not None:
+        sysm = session.system
+        solved = dict(zip(sysm.eq_names, zip(sysm.equations, sysm.leading)))
+    return "".join(_stmt_text(st, solved) + ";\n"
+                   for st in session.statements) or "\n"

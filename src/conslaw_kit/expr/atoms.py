@@ -105,7 +105,7 @@ class MultiIndex(KeyRecord):
                 kept = ((n, c - 1),) if c > 1 else ()
                 return _new(MultiIndex,
                             (order - 1, counts[:i] + kept + counts[i + 1:]))
-        raise ValueError(f"{self} does not contain {name}")
+        raise ValueError(f"{self!r} does not contain {name}")
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         acc = dict(self.counts)
@@ -118,7 +118,7 @@ class MultiIndex(KeyRecord):
         for n, c in other.counts:
             acc[n] = acc.get(n, 0) - c
             if acc[n] < 0:
-                raise ValueError(f"{self} does not contain {other}")
+                raise ValueError(f"{self!r} does not contain {other!r}")
         return MultiIndex(tuple(acc.items()))
 
     def contains(self, other: "MultiIndex") -> bool:
@@ -157,9 +157,6 @@ class MultiIndex(KeyRecord):
 
         yield from rec(0, [], 1)
 
-    def __str__(self) -> str:
-        return "".join(self.to_seq()) or "0"
-
 
 _M_ZERO = MultiIndex()
 
@@ -179,9 +176,6 @@ class IndependentVar(Atom):
     def __new__(cls, name: str) -> "IndependentVar":
         return _new(cls, (0, name))
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class Parameter(Atom):
     """Declared constant; `nonzero` marks it legal to divide by.  The flag
@@ -194,9 +188,6 @@ class Parameter(Atom):
 
     def __new__(cls, name: str, nonzero: bool = False) -> "Parameter":
         return _new(cls, (1, name, nonzero))
-
-    def __str__(self) -> str:
-        return self.name
 
 
 class OpaqueDeriv(Atom):
@@ -228,15 +219,6 @@ class OpaqueDeriv(Atom):
         idx[slot] += 1
         return OpaqueDeriv(self.func, self.args, tuple(idx))
 
-    def __str__(self) -> str:
-        base = self.func
-        if self.order == 0:
-            return base
-        subs = "".join(
-            str(a) * k for a, k in zip(self.args, self.index) if k
-        )
-        return f"{base}_{subs}"
-
 
 class JetVar(Atom):
     """Jet coordinate: dependent variable `dep` differentiated by `index`.
@@ -256,11 +238,6 @@ class JetVar(Atom):
 
     def bump(self, name: str) -> "JetVar":
         return _new(JetVar, (3, self.dep, self.index.bump(name)))
-
-    def __str__(self) -> str:
-        if self.index.order == 0:
-            return self.dep
-        return f"{self.dep}_{''.join(self.index.to_seq())}"
 
 
 class ExpAtom(Atom):
@@ -283,9 +260,6 @@ class ExpAtom(Atom):
     def __hash__(self) -> int:
         return hash(self[3])
 
-    def __str__(self) -> str:
-        return f"exp({self.exponent})"
-
 
 class ExpConst(Atom):
     """Opaque constant e^q for a nonzero rational q; kept symbolic so that
@@ -301,6 +275,3 @@ class ExpConst(Atom):
         if value == 0:
             raise ValueError("e^0 folds to 1; ExpConst must be nonzero")
         return _new(cls, (4, 0, value))
-
-    def __str__(self) -> str:
-        return f"exp({self.value})"

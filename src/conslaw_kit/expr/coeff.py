@@ -267,27 +267,6 @@ class Poly(Record):
             rem = rem - other.mul_mono(qm).scale(qc)
         return Poly(tuple(q_acc.items()))
 
-    def partial(self, p: Parameter) -> "Poly":
-        acc: dict[Monomial, Fraction] = {}
-        for m, c in self.terms:
-            d = dict(m)
-            k = d.get(p, 0)
-            if not k:
-                continue
-            d[p] = k - 1
-            nm = tuple(sorted((pp, kk) for pp, kk in d.items() if kk))
-            acc[nm] = acc.get(nm, Fraction(0)) + c * k
-        return Poly(tuple(acc.items()))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.terms:
-            ms = "*".join(f"{p.name}^{k}" if k > 1 else p.name for p, k in m)
-            parts.append(f"{c}{'*' + ms if ms else ''}")
-        return " + ".join(parts)
-
 
 _P_ZERO = _poly(())
 
@@ -423,20 +402,6 @@ class Coeff(Record):
 
     def __truediv__(self, other: "Coeff") -> "Coeff":
         return self * other.invert_unit()
-
-    def partial(self, p: Parameter) -> "Coeff":
-        k = dict(self.den).get(p, 0)
-        out = Coeff(self.num.partial(p), self.den)
-        if k:
-            out = out + Coeff(self.num.scale(-k), mono_mul(self.den, mono((p, 1))))
-        return out
-
-    def __str__(self) -> str:
-        s = str(self.num) if len(self.num.terms) <= 1 else f"({self.num})"
-        if self.den:
-            ds = "*".join(f"{p.name}^{k}" if k > 1 else p.name for p, k in self.den)
-            s += f"/({ds})" if len(self.den) > 1 else f"/{ds}"
-        return s
 
 
 _C_ZERO = _coeff(_P_ZERO, ())

@@ -41,6 +41,7 @@ from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                     MultiIndex, OpaqueDeriv, Parameter)
 from .coeff import Coeff
 from .errors import ExprError
+from .printer import atom_text, expr_text
 
 __all__ = [
     "Term", "Expr", "atom_expr", "rational", "ivar", "param", "jet",
@@ -110,12 +111,6 @@ class Term(Record):
             if b > a:
                 return Term(self.coeff, powers[:i] + ((a, 1),) + powers[i:])
         return Term(self.coeff, powers + ((a, 1),))
-
-    def __str__(self) -> str:
-        facs = "*".join(f"{a}^{k}" if k > 1 else str(a) for a, k in self.powers)
-        if not facs:
-            return str(self.coeff)
-        return f"{self.coeff}*{facs}"
 
 
 # the slots' own setters: a term is built on every product-rule step, and
@@ -314,9 +309,7 @@ class Expr(Record):
         return _as_expr(other) / self
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(str(t) for t in self.terms)
+        return expr_text(self)
 
 
 _expr_terms = Expr.terms.__set__
@@ -435,16 +428,14 @@ def partial(e: Expr, a: Atom) -> Expr:
     """Formal partial derivative treating all other atoms as constants.
 
     The chain rule applies through exponential factors; an opaque-function
-    atom has zero derivative unless `a` is that exact atom.  Parameters are
-    differentiated inside the coefficient field.
+    atom has zero derivative unless `a` is that exact atom.  A parameter
+    lives in the coefficient field and is not an atom to differentiate by.
     """
+    if isinstance(a, Parameter):
+        raise ExprError("cannot differentiate by a parameter atom")
     e = _as_expr(e)
     pieces = []
     for t in e.terms:
-        if isinstance(a, Parameter):
-            dc = t.coeff.partial(a)
-            if not dc.is_zero:
-                pieces.append(Expr((Term(dc, t.powers),)))
         for i, (atom, _) in enumerate(t.powers):
             if atom == a:
                 pieces.append(Expr((t.lowered(i),)))
@@ -487,7 +478,7 @@ def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Exp
     if fixed:
         arg = next(x for x in fixed[0].args if x in binds)
         raise ExprError(f"cannot substitute into opaque-function argument "
-                        f"{arg} of {fixed[0].func}")
+                        f"{atom_text(arg)} of {fixed[0].func}")
     images = {a: binds[a] if a in binds else
               exp_of(substitute(a.exponent, binds)) for a in atoms
               if a in binds or isinstance(a, ExpAtom)

@@ -21,6 +21,7 @@ from ..record import Record
 from .atoms import Atom, OpaqueDeriv
 from .errors import LeadingSolveError, RuleError
 from .expression import Expr, jet_partial, substitute
+from .printer import atom_text
 
 __all__ = ["RewriteRule", "RuleSet", "fixpoint"]
 
@@ -50,8 +51,8 @@ class RewriteRule(Record):
         for a in rhs.atoms():
             if isinstance(a, OpaqueDeriv) and a.order >= lhs.order:
                 raise RuleError(
-                    f"non-orientable rule: {a} in the right-hand side has "
-                    f"order >= {lhs}")
+                    f"non-orientable rule: {atom_text(a)} in the right-hand "
+                    f"side has order >= {atom_text(lhs)}")
         super().__init__(lhs, rhs)
 
 
@@ -66,7 +67,7 @@ class RuleSet(Record):
         for r in rules:
             key = (r.lhs.func, r.lhs.args, r.lhs.index)
             if key in seen:
-                raise RuleError(f"duplicate rule for {r.lhs}")
+                raise RuleError(f"duplicate rule for {atom_text(r.lhs)}")
             seen.add(key)
         super().__init__(rules)
         object.__setattr__(self, "_derived", {})

@@ -35,6 +35,7 @@ from .expr.coeff import Coeff
 from .expr.errors import ExprError, LeadingSolveError
 from .expr.expression import (Expr, _gather, atom_expr, jet_partial, partial,
                               sum_exprs)
+from .expr.printer import atom_text
 from .expr.rules import RewriteRule, RuleSet, fixpoint
 from .record import Record
 
@@ -254,18 +255,18 @@ def solve_leading(
     for eq, lead in zip(equations, chosen):
         if lead.dep not in dep:
             raise LeadingSolveError(
-                f"leading derivative {lead} is not a derivative of a "
-                "declared dependent variable")
+                f"leading derivative {atom_text(lead)} is not a derivative "
+                "of a declared dependent variable")
         c_expr = partial(eq, lead)
         c = c_expr.as_coeff()
         if c is None or c.is_zero:
             raise LeadingSolveError(
-                f"leading derivative {lead} occurs nonlinearly")
+                f"leading derivative {atom_text(lead)} occurs nonlinearly")
         try:
             c.invert_unit()
         except ExprError:
             raise LeadingSolveError(
-                f"coefficient of {lead} is not an invertible "
+                f"coefficient of {atom_text(lead)} is not an invertible "
                 "rational/parameter product") from None
         r = -(eq - Expr.from_coeff(c) * atom_expr(lead)) / Expr.from_coeff(c)
         for a in r.atoms():

@@ -8,18 +8,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conslaw_kit import ansatz
 from conslaw_kit.ansatz import (TARGETS, AnsatzProblem, LinearSolveResult,
                                 NullspaceVector, Row, _bareiss_nullspace,
                                 _rational_nullspace, build_and_split,
                                 solve_ansatz, solve_linear)
 from conslaw_kit.cancel import deadline
 from conslaw_kit.determining import adjoint_symmetry_residual
+from conslaw_kit.dsl import load_session, parse_expression, run_session_command
 from conslaw_kit.expr import (Expr, IndependentVar, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
 from conslaw_kit.expr.coeff import (Coeff, Poly, common_content, mono,
                                     mono_div, mono_lcm)
 from conslaw_kit.expr.errors import AnsatzError, CancelledComputation
 from conslaw_kit.expr.expression import jet, sum_exprs
+from conslaw_kit.expr.printer import poly_text
 from conslaw_kit.jet import solve_leading
 from conslaw_kit.variational import Characteristic
 
@@ -347,7 +350,7 @@ class TestSolveLinear:
         rows = [Row((), 0, ((0, Coeff.one()), (1, Coeff.one())))]
         res = solve_linear(rows, c)
         assert res.dimension == 1
-        assert [str(p) for p in res.vectors[0].numerators] == ["1", "-1"]
+        assert [poly_text(p) for p in res.vectors[0].numerators] == ["1", "-1"]
 
     def test_nonzero_parameter_pivot_no_side_condition(self):
         c = (Parameter("c1"),)
@@ -362,9 +365,9 @@ class TestSolveLinear:
         rows = [Row((), 0, ((0, pivot), (1, Coeff.one())))]
         res = solve_linear(rows, (c1, c2))
         assert res.dimension == 1
-        assert res.side_conditions == ("1*beta + 1*alpha",)
+        assert res.side_conditions == ("alpha + beta",)
         vec = res.vectors[0]
-        assert [str(p) for p in vec.numerators] == ["1", "-1*beta + -1*alpha"]
+        assert [poly_text(p) for p in vec.numerators] == ["1", "-alpha - beta"]
         assert vec.denominator == Poly.const(1)
 
     def test_non_unit_leading_entry_keeps_exact_denominator(self):
@@ -381,7 +384,7 @@ class TestSolveLinear:
         assert vec.numerators[0] == vec.denominator
         # cleared representative used when the denominator is not a unit
         assert [str(e) for e in vec.entry_exprs()] == \
-            ["(1*beta + 1*alpha)", "-1"]
+            ["(alpha + beta)", "-1"]
 
     def test_entry_exprs_lets_other_errors_through(self, monkeypatch):
         """Only ExprError (not a unit) selects the cleared representative."""
@@ -410,8 +413,27 @@ class TestSolveLinear:
         c1, c2 = Parameter("c1"), Parameter("c2")
         rows = [Row((), 0, ((0, Coeff.param(a)), (1, Coeff.const(1))))]
         res = solve_linear(rows, (c1, c2))
-        assert res.side_conditions == ("1*a",)
-        assert [str(p) for p in res.vectors[0].numerators] == ["1", "-1*a"]
+        assert res.side_conditions == ("a",)
+        assert [poly_text(p) for p in res.vectors[0].numerators] == ["1", "-a"]
+
+    def test_side_conditions_reparse_to_their_pivots(self, monkeypatch):
+        pivots = []
+
+        def recording(p):
+            pivots.append(p)
+            return poly_text(p)
+        monkeypatch.setattr(ansatz, "poly_text", recording)
+        session = load_session(
+            "indep t x;\ndep u;\nparam a b;\n"
+            "eq e: D[u,t] = D[u,x,x] + a*u;\n"
+            "char b1 = (a - b)*x;\nchar b2 = u;\nchar b3 = b*x*u;\n"
+            "cmd ansatz symmetry b1 b2 b3;\n")
+        rep = run_session_command(session, session.commands[0])
+        assert rep.side_conditions == ["a*b - a^2", "-a*b^2 + a^2*b"]
+        assert len(pivots) == 2
+        for text, pivot in zip(rep.side_conditions, pivots):
+            assert parse_expression(text, session) == \
+                Expr.from_coeff(Coeff(pivot))
 
     @settings(max_examples=200, deadline=None)
     @given(rational_matrices())

@@ -2,7 +2,9 @@
 
 import hashlib
 import importlib.util
+import io
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -298,6 +300,49 @@ class TestCorpusRuns:
             "cmd multiplier-check scaleChar;\n")   # expects zero, gets nonzero
         r = run_cli("run", "--session", str(bad))
         assert r.returncode == 1
+
+
+class TestUnwritableOutput:
+    def test_closed_stdout_exits_2_and_writes_nothing_more(self, monkeypatch,
+                                                           capsys):
+        class ClosedPipe(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                raise BrokenPipeError(32, "Broken pipe")
+        out = ClosedPipe()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["run", "--session", WAVE]) == 2
+        assert out.writes == 1
+        assert capsys.readouterr().err == ""
+
+    def test_pipe_without_reader_leaves_stderr_empty(self):
+        # the interpreter's flush of stdout at exit must not fail either
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "conslaw_kit", "run", "--session", WAVE],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=180,
+                env={"PATH": "/usr/bin:/bin",
+                     "PYTHONPATH": str(PKG_ROOT / "src")})
+        finally:
+            os.close(write_end)
+        assert r.returncode == 2 and r.stderr == b""
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+    def test_coefficient_too_long_to_print_exits_2(self, fmt, tmp_path):
+        path = tmp_path / "big.cl"
+        path.write_text("indep t x;\ndep u;\neq e: D[u,t] = D[u,x];\n"
+                        "vector v = (2^20000*u, 0);\ncmd verify v;\n")
+        r = run_cli("run", "--session", str(path), "--format", fmt)
+        assert r.returncode == 2 and r.stderr == ""
+        if fmt == "json":
+            doc = validate(json.loads(r.stdout))
+            assert doc["status"] == "error" and "4300" in doc["detail"]
+        else:
+            assert "status: error" in r.stdout
 
 
 class TestJson:

@@ -245,6 +245,7 @@ class TestRoundTrip:
         for e in cases:
             back = parse_expression(expr_text(e), session)
             assert back == e, expr_text(e)
+            assert str(e) == expr_text(e)
 
     @pytest.mark.parametrize("n", [1000, 10000])
     @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
@@ -264,6 +265,11 @@ class TestRoundTrip:
 
 
 class TestLatex:
+    def test_multi_digit_exponents_are_braced(self):
+        assert expr_latex(S.u**10) == "u^{10}"
+        assert expr_latex(S.u**2) == "u^2"
+        assert expr_latex(S.alpha**12 * S.u) == "\\alpha^{12} u"
+
     def test_factored_exponent(self, thomas_theta):
         assert "e^{2(\\gamma u+\\alpha t+\\beta x)}" in \
             expr_latex(exp_of(2 * thomas_theta))

@@ -80,6 +80,14 @@ class TestPartial:
         assert partial(g, S.u_at).is_zero
         assert partial(g * S.ux, S.ux_at) == g
 
+    def test_parameter_is_not_a_variable(self):
+        # a parameter lives in the coefficient field, not among the atoms
+        # a derivative is taken by
+        (term,) = S.alpha.terms
+        (alpha,) = term.coeff.parameters()
+        with pytest.raises(ExprError, match="parameter"):
+            partial(S.alpha * S.u, alpha)
+
     def test_derivation_property_seeded(self):
         rng = random.Random(42)
         for i in range(120):

@@ -17,6 +17,7 @@ sympy = pytest.importorskip("sympy")
 from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,  # noqa: E402
                               JetVar, Parameter, atom_expr, exp_of,
                               partial, substitute)
+from conslaw_kit.expr.printer import atom_text  # noqa: E402
 from conslaw_kit.jet import total_derivative  # noqa: E402
 
 from conftest import Syms as S, random_expr  # noqa: E402
@@ -24,8 +25,9 @@ from conftest import Syms as S, random_expr  # noqa: E402
 ALPHA = Parameter("alpha", nonzero=True)
 KAPPA = Parameter("kappa")  # not flagged nonzero
 JETS = (S.u_at, S.ux_at, S.ut_at, S.uxx_at)
+VARIABLES = JETS + (S.x_at, S.t_at)   # the atoms a derivative is taken by
 # random_expr draws exponents from the first three atoms of its pool
-POOL = JETS + (S.x_at, S.t_at, ALPHA, KAPPA)
+POOL = VARIABLES + (ALPHA, KAPPA)
 SEEDS = range(150)
 
 
@@ -54,7 +56,7 @@ def _atom(a):
     if isinstance(a, Parameter):
         return sympy.Symbol(f"{a.name}_{'nonzero' if a.nonzero else 'plain'}")
     if isinstance(a, (IndependentVar, JetVar)):
-        return sympy.Symbol(str(a))
+        return sympy.Symbol(atom_text(a))
     raise TypeError(f"no sympy image for {a!r}")
 
 
@@ -93,11 +95,11 @@ def test_ring_operations():
 
 def test_partial_derivatives():
     for seed, _, a, _ in _cases():
-        for e in (a, a / atom_expr(ALPHA)):   # the quotient rule too
+        for e in (a, a / atom_expr(ALPHA)):   # a denominator too
             E = to_sympy(e)
-            for at in POOL:
+            for at in VARIABLES:
                 assert_agrees(partial(e, at), sympy.diff(E, _atom(at)), seed,
-                              f"partial of {e} by {at}")
+                              f"partial of {e} by {atom_text(at)}")
 
 
 def test_total_derivatives():
@@ -110,14 +112,14 @@ def test_total_derivatives():
 
 def test_substitution():
     for seed, rng, a, _ in _cases():
-        slots = rng.sample(JETS + (S.x_at, S.t_at), 2)
+        slots = rng.sample(VARIABLES, 2)
         images = [random_expr(rng, POOL, max_terms=2) for _ in slots]
         got = substitute(a, dict(zip(slots, images)))
         want = to_sympy(a).subs(
             {_atom(s): to_sympy(v) for s, v in zip(slots, images)},
             simultaneous=True)
         assert_agrees(got, want, seed,
-                      f"substitute {[str(s) for s in slots]}")
+                      f"substitute {[atom_text(s) for s in slots]}")
 
 
 def test_exponential_folding():

@@ -16,6 +16,7 @@ vanish.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
@@ -31,7 +32,8 @@ from .expr.expression import Expr, Powers, Term, sum_exprs
 from .expr.printer import poly_text
 from .jet import PdeSystem
 from .record import Record
-from .variational import Characteristic, _as_characteristic
+from .variational import (Characteristic, _as_characteristic,
+                          _fresh_stem_names)
 
 __all__ = [
     "TARGETS", "AnsatzProblem", "Row", "NullspaceVector",
@@ -82,19 +84,10 @@ class AnsatzProblem(Record):
                     f"basis element {k} vanishes on solutions: a trivial "
                     f"{target} direction")
         if not unknowns:
-            taken = {p.name for eq in system.equations
-                     for p in eq.parameters()}
-            for b in basis:
-                for c in b.components:
-                    taken.update(p.name for p in c.parameters())
-            names: list[str] = []
-            i = 1
-            while len(names) < len(basis):
-                cand = f"c{i}"
-                if cand not in taken:
-                    names.append(cand)
-                i += 1
-            unknowns = tuple(Parameter(n) for n in names)
+            taken = {p.name for e in itertools.chain(system.equations, *basis)
+                     for p in e.parameters()}
+            unknowns = tuple(map(Parameter,
+                                 _fresh_stem_names("c", len(basis), taken)))
         elif len(unknowns) != len(basis):
             raise AnsatzError(f"{len(unknowns)} unknowns for {len(basis)} "
                               f"basis elements")

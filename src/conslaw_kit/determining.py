@@ -50,14 +50,18 @@ class EDecomposition(Record):
     def reassemble(self) -> Expr:
         """Substitute the actual equations back; must reproduce the input."""
         tables = [derivatives(eq) for eq in self.system.equations]
-        binds = {}
-        for a in self.quadratic.atoms():
-            if isinstance(a, JetVar) and a.dep in self.marker_deps:
-                b = self.marker_deps.index(a.dep)
-                binds[a] = tables[b](a.index)
         return sum_exprs([
-            self.remainder, substitute(self.quadratic, binds),
+            self.remainder,
+            _substitute_jets(self.quadratic, self.marker_deps, tables),
             *(m * tables[b](J) for (b, J), m in self.coeffs.items())])
+
+
+def _substitute_jets(e: Expr, names: tuple[str, ...], tables) -> Expr:
+    """`e` with every jet coordinate of the dependent variable names[b]
+    replaced by tables[b] at its multi-index."""
+    return substitute(e, {a: tables[names.index(a.dep)](a.index)
+                          for a in e.atoms()
+                          if isinstance(a, JetVar) and a.dep in names})
 
 
 def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
@@ -114,14 +118,8 @@ def substitute_multiplier_vars(sys: PdeSystem, e: Expr, phi: Characteristic,
                                names: tuple[str, ...] | None = None) -> Expr:
     """Replace the adjoined variables and all their jet coordinates by the
     substitution's components and their total derivatives."""
-    names = names or adjoint_variables(sys)
-    tables = [derivatives(c) for c in phi.components]
-    binds = {}
-    for a in e.atoms():
-        if isinstance(a, JetVar) and a.dep in names:
-            b = names.index(a.dep)
-            binds[a] = tables[b](a.index)
-    return substitute(e, binds)
+    return _substitute_jets(e, names or adjoint_variables(sys),
+                            [derivatives(c) for c in phi.components])
 
 
 def differential_substitution_residual(sys: PdeSystem, phi) -> tuple[Expr, ...]:

@@ -83,13 +83,22 @@ def _paint(text: str, code: str) -> str:
     return text
 
 
-def _render_text(rep: Report) -> str:
-    lines = [f"command: {rep.command}"]
-    status = rep.status
-    color = {"zero": "32", "nonzero": "31", "error": "33"}[status]
-    lines.append(f"status: {_paint(status, color)}")
+def _framed(rep: Report, status: str, body: list[str], note) -> str:
+    """Command, status and detail, `body`, then side conditions and sorted
+    extra entries (one line per list item); all but `body` through `note`."""
+    head = [f"command: {rep.command}", f"status: {status}"]
     if rep.detail:
-        lines.append(f"detail: {rep.detail}")
+        head.append(f"detail: {rep.detail}")
+    tail = [f"side condition (assumed nonzero): {cond}"
+            for cond in rep.side_conditions]
+    for key, val in sorted(rep.extra.items()):
+        tail += (f"{key}: {v}"
+                 for v in (val if isinstance(val, list) else [val]))
+    return "\n".join([*note(head), *body, *note(tail)]) + "\n"
+
+
+def _render_text(rep: Report) -> str:
+    lines = []
     for name, e in rep.residuals:
         lines.append(f"residual[{name}]: {expr_text(e)}")
     for comp, parts in rep.vectors.items():
@@ -104,20 +113,17 @@ def _render_text(rep: Report) -> str:
             lines.append(f"  + ({expr_text(c)}) * {dtag}{eq}")
         rem = rep.identity["remainder"]
         lines.append(f"  + remainder: {expr_text(rem)}")
-    for cond in rep.side_conditions:
-        lines.append(f"side condition (assumed nonzero): {cond}")
-    for key in sorted(rep.extra):
-        val = rep.extra[key]
-        if isinstance(val, list):
-            for item in val:
-                lines.append(f"{key}: {item}")
-        else:
-            lines.append(f"{key}: {val}")
-    return "\n".join(lines) + "\n"
+    color = {"zero": "32", "nonzero": "31", "error": "33"}[rep.status]
+    return _framed(rep, _paint(rep.status, color), lines, list)
+
+
+def _comments(lines: list[str]) -> list[str]:
+    """Every line as a comment, split where TeX ends one (at \\r too)."""
+    return [f"% {part}" for line in lines for part in line.splitlines()]
 
 
 def _render_latex(rep: Report) -> str:
-    lines = [f"% command: {rep.command}", f"% status: {rep.status}"]
+    lines = []
     for name, e in rep.residuals:
         lines.append(f"\\mathrm{{residual}}[{name}] = {expr_latex(e)} \\\\")
     for comp, parts in rep.vectors.items():
@@ -132,7 +138,7 @@ def _render_latex(rep: Report) -> str:
         if not rem.is_zero:
             rhs += f" + {expr_latex(rem)}"
         lines.append(f"D_i C^i = {rhs} \\\\")
-    return "\n".join(lines) + "\n"
+    return _framed(rep, rep.status, lines, _comments)
 
 
 def emit(rep: Report, fmt: str = "text") -> str:

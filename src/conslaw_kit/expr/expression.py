@@ -8,8 +8,8 @@ forms decides semantic equality within the term algebra.
 
 Arithmetic operators keep expressions canonical at every step:
 
-  * products distribute over sums and sort;
-  * parameters are folded into the coefficient field;
+  * products distribute, one `_product` merge per pair of terms, and sort;
+  * parameters are folded into the coefficient field (`atom_expr`);
   * exponential factors merge, e^a * e^b -> e^(a+b);
   * exponents that collapse to rational constants become opaque constants
     (e^0 folds to 1);
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 Powers = tuple[tuple[Atom, int], ...]
+_EXP = (ExpAtom, ExpConst)
 
 _set = object.__setattr__
 
@@ -123,35 +124,6 @@ def _coeff_key(c: Coeff):
     num = tuple((tuple((p.name, k) for p, k in m), q) for m, q in c.num.terms)
     den = tuple((p.name, k) for p, k in c.den)
     return (num, den)
-
-
-def _make_term(coeff: Coeff, factors: Iterable[tuple[Atom, int]]) -> Term | None:
-    """Canonicalize one term: fold parameters into the coefficient, merge
-    exponential factors, drop the term if the coefficient vanishes."""
-    plain: dict[Atom, int] = {}
-    exponents: list[Expr] = []
-    for a, k in factors:
-        if k == 0:
-            continue
-        if k < 0 or not isinstance(k, int):
-            raise ExprError("unsupported power")
-        if isinstance(a, Parameter):
-            coeff = coeff * Coeff.param(a, k)
-        elif isinstance(a, ExpAtom):
-            exponents.append(a.exponent if k == 1 else a.exponent.scale(k))
-        elif isinstance(a, ExpConst):
-            exponents.append(Expr.const(a.value * k))
-        else:
-            plain[a] = plain.get(a, 0) + k
-    if coeff.is_zero:
-        return None
-    exp_sum = sum_exprs(exponents) if exponents else _E_ZERO
-    if not exp_sum.is_zero:
-        q = exp_sum.as_rational()
-        exp_atom: Atom = ExpConst(q) if q is not None else ExpAtom(exp_sum)
-        plain[exp_atom] = 1
-    powers = tuple(sorted(plain.items()))
-    return Term(coeff, powers)
 
 
 class Expr(Record):
@@ -321,23 +293,50 @@ def _flagged_key(e: Expr):
             tuple((t.coeff.num.terms, t.coeff.den) for t in e.terms))
 
 
+def _exp_powers(exponent: Expr) -> Powers:
+    """e^exponent as a power product: empty, an `ExpConst` or an `ExpAtom`."""
+    q = exponent.as_rational()
+    if q is None:
+        return ((ExpAtom(exponent), 1),)
+    return ((ExpConst(q), 1),) if q else ()
+
+
+def _product(t1: Term, t2: Term) -> Term:
+    """The product of two canonical terms.  Each holds at most one
+    exponential, of exponent 1, ranked last: only two ever fold."""
+    coeff = t1.coeff * t2.coeff
+    p1, p2 = t1.powers, t2.powers
+    if not p1 or not p2:
+        return Term(coeff, p1 or p2)
+    exp: Powers = ()
+    e1, e2 = p1[-1][0], p2[-1][0]
+    if e1.__class__ in _EXP and e2.__class__ in _EXP:
+        exp = _exp_powers(sum_exprs(
+            a.exponent if a.__class__ is ExpAtom else Expr.const(a.value)
+            for a in (e1, e2)))
+        p1, p2 = p1[:-1], p2[:-1]
+    acc = dict(p1)
+    for a, k in p2:
+        acc[a] = acc.get(a, 0) + k
+    return Term(coeff, tuple(sorted(acc.items())) + exp)
+
+
 def _products(left: tuple[Term, ...], right: tuple[Term, ...]):
     """The distributed term products, with a `checkpoint()` per left term:
     one large product, (a+b+c)^200 say, is enough to outlast a timeout."""
     for t1 in left:
         checkpoint()
         for t2 in right:
-            yield _make_term(t1.coeff * t2.coeff, t1.powers + t2.powers)
+            yield _product(t1, t2)
 
 
-def _gather(terms: Iterable[Term | None]) -> Expr:
+def _gather(terms: Iterable[Term]) -> Expr:
     """The one term-accumulation loop: merge coefficients by power
-    product, drop zeros (and None, a product that vanished) and sort."""
+    product, drop zeros and sort."""
     acc: dict[Powers, Coeff] = {}
     for t in terms:
-        if t is not None:
-            c = acc.get(t.powers)
-            acc[t.powers] = t.coeff if c is None else c + t.coeff
+        c = acc.get(t.powers)
+        acc[t.powers] = t.coeff if c is None else c + t.coeff
     kept = [Term(c, p) for p, c in acc.items() if not c.is_zero]
     kept.sort(key=Term.powers_key, reverse=True)
     return Expr(tuple(kept))
@@ -365,8 +364,11 @@ def _as_expr(x) -> Expr:
 # -- convenience constructors ------------------------------------------------
 
 def atom_expr(a: Atom) -> Expr:
-    t = _make_term(Coeff.one(), ((a, 1),))
-    return Expr((t,)) if t is not None else _E_ZERO
+    if isinstance(a, Parameter):
+        return Expr((Term(Coeff.param(a)),))
+    if isinstance(a, ExpAtom):
+        return exp_of(a.exponent)
+    return Expr((Term(Coeff.one(), ((a, 1),)),))
 
 
 def rational(p, q=1) -> Expr:
@@ -395,11 +397,7 @@ def opaque(func: str, *args: Atom) -> Expr:
 
 def exp_of(e: Expr) -> Expr:
     """Exponential of an expression, folding constant exponents."""
-    e = _as_expr(e)
-    q = e.as_rational()
-    if q is not None:
-        return Expr.const(1) if q == 0 else atom_expr(ExpConst(q))
-    return atom_expr(ExpAtom(e))
+    return Expr((Term(Coeff.one(), _exp_powers(_as_expr(e))),))
 
 
 # -- kernel operations -------------------------------------------------------

@@ -143,10 +143,19 @@ def adjoint_variables(sys: PdeSystem) -> tuple[str, ...]:
     return _fresh_names(sys, "v")
 
 
+def _fresh_stem_names(stem: str, n: int, used: set[str],
+                      bare: bool = False) -> tuple[str, ...]:
+    """stem1..stemN, or the stem alone if `bare`, with the stem repeated
+    until neither it nor any numbered form is a name in `used`."""
+    base = stem
+    while base in used or any(f"{base}{i}" in used for i in range(1, n + 1)):
+        base += stem
+    return (base,) if bare else tuple(f"{base}{i}" for i in range(1, n + 1))
+
+
 def _fresh_names(sys: PdeSystem, stem: str) -> tuple[str, ...]:
     """One name per dependent variable, clashing with no name the system
-    uses: the stem alone for a scalar system, else stem1..stemN, with the
-    stem repeated until nothing clashes."""
+    uses; a scalar system's is the stem alone."""
     used = set(sys.indep) | set(sys.dep)
     for eq in sys.equations:
         for a in eq.atoms():
@@ -155,12 +164,7 @@ def _fresh_names(sys: PdeSystem, stem: str) -> tuple[str, ...]:
             elif isinstance(a, OpaqueDeriv):
                 used.add(a.func)
         used.update(p.name for p in eq.parameters())
-    base = stem
-    while base in used or any(f"{base}{i + 1}" in used for i in range(len(sys.dep))):
-        base += stem
-    if len(sys.dep) == 1:
-        return (base,)
-    return tuple(f"{base}{i + 1}" for i in range(len(sys.dep)))
+    return _fresh_stem_names(stem, len(sys.dep), used, len(sys.dep) == 1)
 
 
 def formal_lagrangian(sys: PdeSystem) -> Expr:

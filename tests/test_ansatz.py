@@ -68,7 +68,10 @@ class TestBuildAndSplit:
         basis = (Characteristic.of(c2 * atom_expr(Parameter("c1"))),
                  Characteristic.of(c2 * S.ut))
         p = AnsatzProblem(thomas, "adjoint-symmetry", basis)
-        assert "c1" not in {q.name for q in p.unknowns}
+        # a taken name moves every unknown to the next stem, cc
+        assert [q.name for q in p.unknowns] == ["cc1", "cc2"]
+        plain = AnsatzProblem(thomas, "adjoint-symmetry", basis[1:] * 2)
+        assert [q.name for q in plain.unknowns] == ["c1", "c2"]
 
 
 def _reference_rows(p: AnsatzProblem) -> list[Row]:

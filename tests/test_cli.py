@@ -17,6 +17,7 @@ import pytest
 
 from conslaw_kit import cli
 from conslaw_kit.dsl import emit, load_session, run_session_command
+from conslaw_kit.dsl.report import Report
 from conslaw_kit.expr.expression import jet
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -342,7 +343,9 @@ class TestUnwritableOutput:
             doc = validate(json.loads(r.stdout))
             assert doc["status"] == "error" and "4300" in doc["detail"]
         else:
+            # the message reaches LaTeX too, as a comment line
             assert "status: error" in r.stdout
+            assert "more than 4300 digits" in r.stdout
 
 
 class TestJson:
@@ -390,11 +393,11 @@ OTHER_DIGESTS = {
     ("text", "kdv5-conslaw"):
         "097fe62d6d19a6a364945a80ef0d7bf89ea974c5803a5181cf9be069e45f404a",
     ("latex", "corpus"):
-        "5749d31816bdabb951e5484a58ac962b95c54b626ad98a4fa5ac07ee9ab576dc",
+        "0231b92dc6ce5f07cd9e9096feb022261ea25a5864f1fbefbbb75c0c5dead024",
     ("latex", "kdv-multiplier-ansatz"):
-        "a6eec37b6ab044c126c5792dfd791ebf29ac27851fdba5b31e4df33ee07adeb3",
+        "38ad3cdaaa7d93eb9c4bb241142af8642467ff3ac2e620e2a1f4406e34d1fc43",
     ("latex", "kdv5-conslaw"):
-        "fd220a17effa7b27f6a83d93ec3c7d6e4e7a89208e1892c860294a90520bcbb1",
+        "d866001bb2175c4057053f0ca8cccd101c33209888289b5027ef6d5a87eea464",
 }
 
 
@@ -425,6 +428,29 @@ class TestLatexOutput:
         r = run_cli("conslaw", "timeTrans", "scaleChar", "--session", WAVE,
                     "--format", "latex")
         assert "C^{t} =" in r.stdout and "C^{x} =" in r.stdout
+
+    def test_latex_carries_notes_as_comments(self, tmp_path):
+        path = tmp_path / "heat.cl"
+        path.write_text("indep t x;\ndep u;\nparam a b;\n"
+                        "eq e: D[u,t] = D[u,x,x] + a*u;\n"
+                        "char b1 = (a - b)*x;\nchar b2 = u;\nchar b3 = b*x*u;\n"
+                        "cmd ansatz symmetry b1 b2 b3;\n")
+        r = run_cli("run", "--session", str(path), "--format", "latex")
+        assert r.returncode == 0 and r.stderr == ""
+        lines = r.stdout.splitlines()
+        assert "% detail: nullspace dimension 1" in lines
+        assert "% nullspace: (0, (-2*a*b + a^2 + b^2), 0)" in lines
+        for cond in ("a*b - a^2", "-a*b^2 + a^2*b"):
+            assert f"% side condition (assumed nonzero): {cond}" in lines
+        text = run_cli("run", "--session", str(path), "--format", "text")
+        assert lines == [f"% {line}" for line in text.stdout.splitlines()]
+
+    def test_every_line_of_a_note_is_a_comment(self):
+        rep = Report(command="error", status="error", detail="one\ntwo\rthree",
+                     extra={"notes": ["four\nfive"]})
+        assert emit(rep, "latex").splitlines() == [
+            "% command: error", "% status: error", "% detail: one", "% two",
+            "% three", "% notes: four", "% five"]
 
 
 class TestColorControl:

@@ -4,6 +4,7 @@ onto the solution manifold."""
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,8 @@ from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,
                               JetVar, MultiIndex, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
 from conslaw_kit.expr.coeff import Coeff
-from conslaw_kit.expr.errors import LeadingSolveError
-from conslaw_kit.expr.expression import _make_term, jet, jet_atom, sum_exprs
+from conslaw_kit.expr.errors import ExprError, LeadingSolveError
+from conslaw_kit.expr.expression import Term, jet, jet_atom, sum_exprs
 from conslaw_kit.jet import (alternating_sum, derivatives, jet_partial,
                              solve_leading, total_derivative)
 
@@ -80,6 +81,35 @@ def ref_total_derivative(e, var):
                      for t in e.terms for i, (a, _) in enumerate(t.powers))
 
 
+def ref_make_term(coeff, factors):
+    """Canonicalize one term: fold parameters into the coefficient, merge
+    exponential factors, drop the term (None) if the coefficient vanishes.
+    The general re-canonicaliser every product term once went through,
+    kept here as the reference for `Term.raised` and term products."""
+    plain = {}
+    exponents = []
+    for a, k in factors:
+        if k == 0:
+            continue
+        if k < 0 or not isinstance(k, int):
+            raise ExprError("unsupported power")
+        if isinstance(a, Parameter):
+            coeff = coeff * Coeff.param(a, k)
+        elif isinstance(a, ExpAtom):
+            exponents.append(a.exponent if k == 1 else a.exponent.scale(k))
+        elif isinstance(a, ExpConst):
+            exponents.append(Expr.const(a.value * k))
+        else:
+            plain[a] = plain.get(a, 0) + k
+    if coeff.is_zero:
+        return None
+    exp_sum = sum_exprs(exponents)
+    if not exp_sum.is_zero:
+        q = exp_sum.as_rational()
+        plain[ExpConst(q) if q is not None else ExpAtom(exp_sum)] = 1
+    return Term(coeff, tuple(sorted(plain.items())))
+
+
 V_AT = jet_atom("v")
 # exponent bases first: `random_expr` draws exponents from pool[:3]
 WIDE_POOL = (
@@ -137,7 +167,38 @@ class TestTermRaised:
         e = random_expr(random.Random(seed), pool=WIDE_POOL, max_terms=3,
                         max_factors=4, allow_exp=True)
         for t in e.terms:
-            assert t.raised(a) == _make_term(t.coeff, t.powers + ((a, 1),))
+            assert t.raised(a) == ref_make_term(t.coeff, t.powers + ((a, 1),))
+
+
+# exponents in pairs that cancel (a, -a), collapse to a rational
+# (x + 1, -x) or square (any one drawn twice)
+EXPONENTS = (S.gamma * S.u, -S.gamma * S.u, S.x + 1, -S.x, S.u * S.ux,
+             Expr.const(2), Expr.const(-2), Expr.const(Fraction(1, 3)))
+
+
+def random_term(rng, exponent):
+    """One canonical term of a random expression, times e^exponent."""
+    e = random_expr(rng, pool=WIDE_POOL, max_terms=1, max_factors=4,
+                    allow_exp=True)
+    return (e * exp_of(exponent) if exponent is not None else e).terms[0]
+
+
+class TestTermProduct:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32), st.none() | st.sampled_from(EXPONENTS),
+           st.none() | st.sampled_from(EXPONENTS))
+    def test_agrees_with_make_term(self, seed, a, b):
+        rng = random.Random(seed)
+        t1, t2 = random_term(rng, a), random_term(rng, b)
+        want = ref_make_term(t1.coeff * t2.coeff, t1.powers + t2.powers)
+        assert Expr((t1,)) * Expr((t2,)) == Expr((want,))
+
+    def test_exponentials_fold(self):
+        e = exp_of(S.gamma * S.u)
+        assert S.u * e * exp_of(-S.gamma * S.u) == S.u
+        assert exp_of(S.x + 1) * exp_of(-S.x) == atom_expr(ExpConst(1))
+        assert e * e == exp_of(2 * S.gamma * S.u)
+        assert atom_expr(ExpConst(2)) * atom_expr(ExpConst(-2)) == Expr.const(1)
 
 
 class TestJetVarSortKey:

@@ -85,15 +85,19 @@ def _paint(text: str, code: str) -> str:
 
 def _framed(rep: Report, status: str, body: list[str], note) -> str:
     """Command, status and detail, `body`, then side conditions and sorted
-    extra entries (one line per list item); all but `body` through `note`."""
+    extra entries (one line per list item, one `key.field` line per sorted
+    dict field); all but `body` through `note`."""
     head = [f"command: {rep.command}", f"status: {status}"]
     if rep.detail:
         head.append(f"detail: {rep.detail}")
     tail = [f"side condition (assumed nonzero): {cond}"
             for cond in rep.side_conditions]
     for key, val in sorted(rep.extra.items()):
-        tail += (f"{key}: {v}"
-                 for v in (val if isinstance(val, list) else [val]))
+        if isinstance(val, dict):
+            tail += (f"{key}.{k}: {v}" for k, v in sorted(val.items()))
+        else:
+            tail += (f"{key}: {v}"
+                     for v in (val if isinstance(val, list) else [val]))
     return "\n".join([*note(head), *body, *note(tail)]) + "\n"
 
 

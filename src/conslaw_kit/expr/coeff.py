@@ -13,7 +13,11 @@ one-term `const`/`param` build their results canonical by construction
 through `_poly` and `_coeff`, which do no work: a sum or product is
 merged in a dict and sorted once, a negation or a nonzero rational
 scaling keeps every monomial, and `mul_mono`/`div_mono` keep the order
-because it is a monomial order (m < m' implies m*n < m'*n).
+because it is a monomial order (m < m' implies m*n < m'*n).  When both
+operands are nonzero constants, `Coeff` `+` and `scale` skip `Poly`
+altogether: one `Fraction` operation, and `_const` builds the result.  A
+product with a constant factor is a `scale`, which returns the other
+factor itself when the constant is 1.
 """
 
 from __future__ import annotations
@@ -95,16 +99,16 @@ def _sorted_terms(kept: list) -> tuple:
 
 def _poly(terms: tuple) -> "Poly":
     """A Poly from terms that are already canonical; no normalisation."""
-    p = object.__new__(Poly)
-    object.__setattr__(p, "terms", terms)
+    p = _new(Poly)
+    _poly_terms(p, terms)
     return p
 
 
 def _coeff(num: "Poly", den: Monomial) -> "Coeff":
     """A Coeff from a canonical num and den; no cancellation."""
-    c = object.__new__(Coeff)
-    object.__setattr__(c, "num", num)
-    object.__setattr__(c, "den", den)
+    c = _new(Coeff)
+    _coeff_num(c, num)
+    _coeff_den(c, den)
     return c
 
 
@@ -268,6 +272,9 @@ class Poly(Record):
         return Poly(tuple(q_acc.items()))
 
 
+_new = object.__new__
+# the slots' own setters: faster than `object.__setattr__`
+_poly_terms = Poly.terms.__set__
 _P_ZERO = _poly(())
 
 
@@ -280,6 +287,22 @@ def common_content(polys) -> Fraction:
             num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
     return Fraction(num, den)
+
+
+def _constant(c: "Coeff") -> Fraction | None:
+    """The value of a nonzero constant coefficient (no denominator, one
+    term over the empty monomial), else None."""
+    if c.den:
+        return None
+    terms = c.num.terms
+    if len(terms) == 1 and not terms[0][0]:
+        return terms[0][1]
+    return None
+
+
+def _const(q: Fraction) -> "Coeff":
+    """The constant coefficient q, built canonical."""
+    return _coeff(_poly((((), q),)), ()) if q else _C_ZERO
 
 
 class Coeff(Record):
@@ -332,7 +355,7 @@ class Coeff(Record):
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num.terms
 
     def as_fraction(self) -> Fraction | None:
         if self.den:
@@ -354,9 +377,12 @@ class Coeff(Record):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Coeff") -> "Coeff":
-        if self.is_zero:
+        if ((a := _constant(self)) is not None
+                and (b := _constant(other)) is not None):
+            return _const(a + b)
+        if not self.num.terms:
             return other
-        if other.is_zero:
+        if not other.num.terms:
             return self
         if not self.den and not other.den:
             return _coeff(self.num + other.num, ())
@@ -372,13 +398,24 @@ class Coeff(Record):
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
-        if self.is_zero or other.is_zero:
+        b = _constant(other)
+        if b is not None:
+            return self.scale(b)
+        a = _constant(self)
+        if a is not None:
+            return other.scale(a)
+        if not self.num.terms or not other.num.terms:
             return _C_ZERO
         if not self.den and not other.den:
             return _coeff(self.num * other.num, ())
         return Coeff(self.num * other.num, mono_mul(self.den, other.den))
 
     def scale(self, q) -> "Coeff":
+        a = _constant(self)
+        if a is not None:
+            if type(q) is not Fraction:
+                q = Fraction(q)
+            return self if q == 1 else _const(a * q)
         num = self.num.scale(q)
         if num is self.num:
             return self
@@ -404,5 +441,7 @@ class Coeff(Record):
         return self * other.invert_unit()
 
 
+_coeff_num = Coeff.num.__set__
+_coeff_den = Coeff.den.__set__
 _C_ZERO = _coeff(_P_ZERO, ())
 _C_ONE = Coeff.const(1)

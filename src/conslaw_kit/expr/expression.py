@@ -337,7 +337,7 @@ def _gather(terms: Iterable[Term]) -> Expr:
     for t in terms:
         c = acc.get(t.powers)
         acc[t.powers] = t.coeff if c is None else c + t.coeff
-    kept = [Term(c, p) for p, c in acc.items() if not c.is_zero]
+    kept = [Term(c, p) for p, c in acc.items() if c.num.terms]
     kept.sort(key=Term.powers_key, reverse=True)
     return Expr(tuple(kept))
 

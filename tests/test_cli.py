@@ -77,6 +77,23 @@ class TestExitCodes:
         assert doc["status"] == "nonzero"
         assert "witness" in doc["extra"]
 
+    @pytest.mark.parametrize("fmt,prefix", [("text", ""), ("latex", "% ")])
+    def test_variational_check_witness_prints_one_line_per_key(self, fmt,
+                                                               prefix):
+        r = run_cli("variational-check", "--session", THOMAS, "--format", fmt)
+        assert r.returncode == 1
+        lines = r.stdout.splitlines()
+        assert [line for line in lines if "witness" in line] == [
+            prefix + line for line in (
+                "witness.dependent: u",
+                "witness.derivative: ",
+                "witness.difference: 2*gamma^2*D[u,t]*D[u,x]"
+                " + 2*beta*gamma*D[u,t] + 2*alpha*gamma*D[u,x]",
+                "witness.equation: thomas",
+                "witness.latex: 2 \\gamma^2 u_{t} u_{x}"
+                "+2 \\beta \\gamma u_{t}+2 \\alpha \\gamma u_{x}")]
+        assert "{'" not in r.stdout
+
     def test_parse_error_exits_2(self):
         r = run_cli("symmetry-check", "char=D[u,]", "--session", WAVE)
         assert r.returncode == 2
@@ -387,17 +404,17 @@ class TestJson:
 # which the benchmark does not pin; JSON is pinned in perfbench/workloads.py
 OTHER_DIGESTS = {
     ("text", "corpus"):
-        "6c09b5ec3f1c4b66239839fe42da1731c022d7850033bba92678ed5a907fa0bf",
+        "b120e969bb00865ad9ea6c06840a0243626704770072bc4fa70b0bbf722ec612",
     ("text", "kdv-multiplier-ansatz"):
         "bef85f79254124b884fd2f79f93c6902aaca28fbc9d619c74be048a297f7a479",
     ("text", "kdv5-conslaw"):
-        "097fe62d6d19a6a364945a80ef0d7bf89ea974c5803a5181cf9be069e45f404a",
+        "4ab9c100d4f2200e44e954cec5355445bb9b4b97e4de1812cc79654a355f2b63",
     ("latex", "corpus"):
-        "0231b92dc6ce5f07cd9e9096feb022261ea25a5864f1fbefbbb75c0c5dead024",
+        "6752c7c7f8f8e7d2d876044c1c6c91baa95ce5b3c738717117aa94b3786dd2eb",
     ("latex", "kdv-multiplier-ansatz"):
         "38ad3cdaaa7d93eb9c4bb241142af8642467ff3ac2e620e2a1f4406e34d1fc43",
     ("latex", "kdv5-conslaw"):
-        "d866001bb2175c4057053f0ca8cccd101c33209888289b5027ef6d5a87eea464",
+        "667d4d4537eedf1f6e61383b9eef8ccc66d0d1fe4c0296857c0c3a1071d9df9b",
 }
 
 

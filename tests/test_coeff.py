@@ -262,6 +262,44 @@ def test_coeff_arithmetic_is_canonical_and_matches_reference(a, b, u, q):
         assert got == want and got.num.terms == want.num.terms
 
 
+# constants often, and a constant's negation, so that the constant fast
+# path of `+`, `*` and `scale` meets every kind of other operand
+constant_or_coeffs = st.one_of(coeffs, rationals.map(Coeff.const))
+
+
+@settings(max_examples=300, deadline=None)
+@given(constant_or_coeffs, constant_or_coeffs, rationals.filter(bool),
+       st.integers(-3, 3))
+def test_constant_operands_match_reference(a, b, q, n):
+    c, minus_c = Coeff.const(q), Coeff.const(-q)
+    cases = [
+        (a + b, ref_cadd(a, b)),
+        (a * b, ref_cmul(a, b)),
+        (c + a, ref_cadd(c, a)),
+        (c * a, ref_cmul(c, a)),
+        (a * c, ref_cmul(a, c)),
+        (c * minus_c, ref_cmul(c, minus_c)),
+        (c + minus_c, Coeff()),
+        (a.scale(0), Coeff()),
+        (a.scale(n), Coeff(ref_scale(a.num, n), a.den)),
+        (c.scale(n), Coeff(ref_scale(c.num, n), c.den)),
+        (c.scale(q), Coeff(ref_scale(c.num, q), c.den)),
+    ]
+    for got, want in cases:
+        assert_canonical_coeff(got)
+        assert got == want and got.num.terms == want.num.terms
+        assert got.den == want.den
+    assert c + minus_c is Coeff.zero() and c.scale(0) is Coeff.zero()
+    assert a.scale(1) is a and c.scale(1) is c
+
+
+def test_constant_sum_cancels_to_canonical_zero():
+    third = Coeff.const(Fraction(1, 3))
+    zero = third + Coeff.const(Fraction(-1, 3))
+    assert zero is Coeff.zero() and zero.den == () and not zero.num.terms
+    assert (third * Coeff.param(A)) == Coeff(P((mono((A, 1)), Fraction(1, 3))))
+
+
 def test_parameters_sharing_a_name_commute():
     # two atoms, one name: the term order must still tell them apart
     plain = Parameter("alpha")

@@ -25,8 +25,7 @@ from .determining import (adjoint_symmetry_residual,
                           differential_substitution_residual,
                           multiplier_residual, symmetry_residual)
 from .expr.atoms import Parameter
-from .expr.coeff import (Coeff, Poly, common_content, mono_div,
-                         mono_gcd, mono_lcm)
+from .expr.coeff import Poly, common_content, mono_gcd, mono_lcm
 from .expr.errors import AnsatzError, ExprError
 from .expr.expression import Expr, Powers, Term, sum_exprs
 from .expr.printer import poly_text
@@ -114,7 +113,7 @@ def build_and_split(p: AnsatzProblem) -> list[Row]:
     power product: the entry of c_k is that power product's coefficient
     in the residual of basis_k.  Rows come by component, then in the
     term order of an expression."""
-    cells: dict[tuple[int, Powers], tuple[Term, dict[int, Coeff]]] = {}
+    cells: dict[tuple[int, Powers], tuple[Term, dict[int, Poly]]] = {}
     for k, b in enumerate(p.basis):
         checkpoint()
         for comp, res in enumerate(TARGETS[p.target](p.system, b)):
@@ -140,12 +139,11 @@ class NullspaceVector(Record):
         """Entries as expressions when the denominator is an invertible
         constant; otherwise the cleared representative (a harmless overall
         scale for homogeneous problems)."""
-        den = Coeff(self.denominator)
         try:
-            inv = den.invert_unit()
+            inv = self.denominator.invert_unit()
         except ExprError:
-            return tuple(Expr.from_coeff(Coeff(n)) for n in self.numerators)
-        return tuple(Expr.from_coeff(Coeff(n) * inv) for n in self.numerators)
+            return tuple(Expr.from_coeff(n) for n in self.numerators)
+        return tuple(Expr.from_coeff(n * inv) for n in self.numerators)
 
 
 class LinearSolveResult(Record):
@@ -157,18 +155,15 @@ class LinearSolveResult(Record):
 
 
 def _clear_row(row: Row) -> tuple[tuple[int, Poly], ...]:
-    """The row's (k, entry) pairs over their common denominator, divided
-    by their rational content; a row with no denominator keeps its
-    numerators."""
+    """The row's (k, entry) pairs times their least common denominator,
+    so polynomials, divided by their rational content."""
     den = ()
     for _, c in row.entries:
-        if c.den:
-            den = mono_lcm(den, c.den)
+        den = mono_lcm(den, c.num_den()[1])
+    polys = row.entries
     if den:
-        polys = [(k, c.num.mul_mono(mono_div(den, c.den)))
-                 for k, c in row.entries]
-    else:
-        polys = [(k, c.num) for k, c in row.entries]
+        unit = Poly(((den, 1),))
+        polys = [(k, c * unit) for k, c in polys]
     content = common_content(p for _, p in polys)
     if content not in (0, 1):
         inv = 1 / content
@@ -347,7 +342,7 @@ def solve_ansatz(p: AnsatzProblem) -> LinearSolveResult:
 
 
 def _check_solution(p: AnsatzProblem, vec: NullspaceVector) -> None:
-    comb = _combine(p, [Expr.from_coeff(Coeff(n)) for n in vec.numerators])
+    comb = _combine(p, [Expr.from_coeff(n) for n in vec.numerators])
     if all(c.is_zero for c in comb.components):
         return
     residual = TARGETS[p.target](p.system, comb)

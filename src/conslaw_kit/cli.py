@@ -76,8 +76,7 @@ def run_file(session: Session, fmt: str) -> int:
     for cmd in session.commands:
         rep = run_session_command(session, cmd)
         matched = rep.status == cmd.expect
-        if rep.status == "error" or not matched:
-            ok = False
+        ok &= matched
         if cmd.expect != "zero" and fmt == "text":
             rep.extra["expected"] = (
                 f"{cmd.expect} ({'satisfied' if matched else 'NOT satisfied'})")

@@ -110,12 +110,13 @@ def _render_text(rep: Report) -> str:
             tag = f"C[{comp}]" if kind == "reduced" else f"C[{comp}].{kind}"
             lines.append(f"{tag}: {expr_text(e)}")
     if rep.identity is not None:
-        lines.append("identity: div(C) ="
-                     + ("" if rep.identity["terms"] else " 0 (on solutions)"))
+        rem = rep.identity["remainder"]
+        lines.append("identity: div(C) =" + (
+            "" if rep.identity["terms"] or not rem.is_zero
+            else " 0 (on solutions)"))
         for eq, deriv, c in rep.identity["terms"]:
             dtag = f"D[{deriv}]" if deriv else ""
             lines.append(f"  + ({expr_text(c)}) * {dtag}{eq}")
-        rem = rep.identity["remainder"]
         lines.append(f"  + remainder: {expr_text(rem)}")
     color = {"zero": "32", "nonzero": "31", "error": "33"}[rep.status]
     return _framed(rep, _paint(rep.status, color), lines, list)

@@ -2,7 +2,7 @@
 
 from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                     MultiIndex, OpaqueDeriv, Parameter)
-from .coeff import Coeff, Poly
+from .coeff import Poly
 from .errors import (AnsatzError, CancelledComputation, ConslawError,
                      ExprError, LeadingSolveError, RuleError,
                      SubstitutionClassError, TrivialSubstitutionError)
@@ -13,7 +13,7 @@ from .rules import RewriteRule, RuleSet
 
 __all__ = [
     "Atom", "ExpAtom", "ExpConst", "IndependentVar", "JetVar", "MultiIndex",
-    "OpaqueDeriv", "Parameter", "Coeff", "Poly", "Expr", "Term",
+    "OpaqueDeriv", "Parameter", "Poly", "Expr", "Term",
     "atom_expr", "collect", "exp_of", "ivar", "jet", "jet_atom", "normalize",
     "opaque", "param", "partial", "rational", "substitute",
     "sum_exprs", "RewriteRule", "RuleSet",

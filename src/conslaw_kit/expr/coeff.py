@@ -1,23 +1,28 @@
 """Exact coefficient arithmetic.
 
-Coefficients of the term algebra are rational functions in the declared
-parameters: a multivariate polynomial over Q divided by a monomial in
-parameters that are flagged nonzero.  Restricting denominators to such
-monomials keeps the representation canonical (no multivariate gcd needed)
-while covering every division the engine performs.
+The coefficients of the term algebra are Laurent polynomials over Q in the
+declared parameters: a parameter flagged nonzero may carry a negative
+exponent.  That is a polynomial over a monomial in nonzero parameters,
+which covers every division the engine performs, and a merged, sorted
+term tuple is canonical for it with no cancellation step (no
+multivariate gcd).  `num_den` splits a coefficient back into that
+numerator and its least denominator, where a denominator is printed or
+cleared.
 
-Only the public constructors `Poly(...)` and `Coeff(...)` normalise:
-they merge duplicate monomials, drop zeros, coerce coefficients to
-`Fraction`, sort the terms and cancel the denominator.  Arithmetic and the
-one-term `const`/`param` build their results canonical by construction
-through `_poly` and `_coeff`, which do no work: a sum or product is
-merged in a dict and sorted once, a negation or a nonzero rational
-scaling keeps every monomial, and `mul_mono`/`div_mono` keep the order
-because it is a monomial order (m < m' implies m*n < m'*n).  When both
-operands are nonzero constants, `Coeff` `+` and `scale` skip `Poly`
-altogether: one `Fraction` operation, and `_const` builds the result.  A
+Only the public constructor `Poly(...)` normalises: it merges duplicate
+monomials, drops zeros, coerces coefficients to `Fraction` and sorts the
+terms.  Arithmetic and the one-term `const`/`param` build their results
+canonical by construction through `_poly`, which does no work: a sum or
+product is merged in a dict and sorted once, and a negation or a nonzero
+rational scaling keeps every monomial.  Two single terms over one
+monomial (two constants, most often) add by one `Fraction` addition.  A
 product with a constant factor is a `scale`, which returns the other
 factor itself when the constant is 1.
+
+The term order is a monomial order (m < m' implies m*n < m'*n) on
+polynomials, those with no negative exponent, and only there: so
+`mul_mono`, `div_mono`, `mono_content`, `leading` and `exact_div` are
+used on polynomials only.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ from ..record import Record
 from .atoms import Parameter
 from .errors import ExprError
 
-__all__ = ["Monomial", "Poly", "Coeff", "common_content"]
+__all__ = ["Monomial", "Poly", "common_content"]
 
-# Monomial over parameters: sorted tuple of (Parameter, positive exponent).
+# Monomial over parameters: sorted tuple of (Parameter, nonzero exponent),
+# the exponent negative only for a parameter flagged nonzero.
 Monomial = tuple[tuple[Parameter, int], ...]
 
 
@@ -85,7 +91,9 @@ def _term_key(term):
     tuple order (name, then flag).  Within one degree no
     monomial's (parameter, -k) list is a proper prefix of another's, so
     comparing those lists decides the order reversed: a smaller parameter,
-    or a larger exponent, at the first difference is the larger monomial."""
+    or a larger exponent, at the first difference is the larger monomial.
+    With negative exponents the key is still a total order, but no longer
+    a monomial order."""
     m = term[0]
     return (-sum(k for _, k in m), tuple((p, -k) for p, k in m))
 
@@ -104,21 +112,12 @@ def _poly(terms: tuple) -> "Poly":
     return p
 
 
-def _coeff(num: "Poly", den: Monomial) -> "Coeff":
-    """A Coeff from a canonical num and den; no cancellation."""
-    c = _new(Coeff)
-    _coeff_num(c, num)
-    _coeff_den(c, den)
-    return c
-
-
 class Poly(Record):
-    """Multivariate polynomial over Q in declared parameters.
+    """Laurent polynomial over Q in declared parameters.
 
     Terms are a sorted tuple of (monomial, nonzero Fraction) pairs; the
-    empty tuple is the zero polynomial.  Terms sort by total degree, then
-    exponents by parameter (name, then flag): a monomial order, as
-    `exact_div` and the trusted `mul_mono` need.
+    empty tuple is zero.  Terms sort by total degree, then exponents by
+    parameter (name, then flag).
     """
 
     __slots__ = ("terms",)
@@ -146,6 +145,10 @@ class Poly(Record):
         return _P_ZERO
 
     @staticmethod
+    def one() -> "Poly":
+        return _P_ONE
+
+    @staticmethod
     def const(q) -> "Poly":
         if type(q) is not Fraction:
             q = Fraction(q)
@@ -170,7 +173,7 @@ class Poly(Record):
         return None
 
     def as_unit(self) -> tuple[Fraction, Monomial] | None:
-        """(q, m) if the polynomial is the single term q*m, else None."""
+        """(q, m) if this is the single term q*m, else None."""
         if len(self.terms) == 1:
             m, c = self.terms[0]
             return (c, m)
@@ -181,6 +184,21 @@ class Poly(Record):
         for m, _ in self.terms:
             out.update(p for p, _ in m)
         return out
+
+    def num_den(self) -> tuple["Poly", Monomial]:
+        """(num, den) with self = num / den: num a polynomial, its terms
+        in polynomial order, and den the least monomial that clears the
+        negative exponents."""
+        low: dict[Parameter, int] = {}
+        for m, _ in self.terms:
+            for p, k in m:
+                if k < 0 and k < low.get(p, 0):
+                    low[p] = k
+        if not low:
+            return self, ()
+        den = tuple(sorted((p, -k) for p, k in low.items()))
+        return _poly(_sorted_terms(
+            [(mono_mul(m, den), c) for m, c in self.terms])), den
 
     def mono_content(self) -> Monomial:
         """Gcd of all term monomials (the whole poly for zero is ())."""
@@ -196,12 +214,16 @@ class Poly(Record):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        if not other.terms:
+        a, b = self.terms, other.terms
+        if not b:
             return self
-        if not self.terms:
+        if not a:
             return other
-        acc = dict(self.terms)
-        for m, c in other.terms:
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            c = a[0][1] + b[0][1]
+            return _poly(((a[0][0], c),)) if c else _P_ZERO
+        acc = dict(a)
+        for m, c in b:
             c0 = acc.get(m)
             acc[m] = c if c0 is None else c0 + c
         return _poly(_sorted_terms([t for t in acc.items() if t[1]]))
@@ -237,6 +259,24 @@ class Poly(Record):
         if q == 1:
             return self
         return _poly(tuple((m, c * q) for m, c in self.terms))
+
+    def invert_unit(self) -> "Poly":
+        """Inverse, defined only for q * monomial-in-nonzero-parameters."""
+        if not self.terms:
+            raise ExprError("zero denominator")
+        if len(self.terms) > 1:
+            raise ExprError(
+                "division is only defined for products of nonzero parameters "
+                "and literal rationals")
+        (m, q), = self.terms
+        bad = [p.name for p, _ in m if not p.nonzero]
+        if bad:
+            raise ExprError(
+                f"division by parameter(s) not declared nonzero: {', '.join(bad)}")
+        return _poly(((tuple((p, -k) for p, k in m), 1 / q),))
+
+    def __truediv__(self, other: "Poly") -> "Poly":
+        return self * other.invert_unit()
 
     def mul_mono(self, m: Monomial) -> "Poly":
         if not m:
@@ -276,6 +316,7 @@ _new = object.__new__
 # the slots' own setters: faster than `object.__setattr__`
 _poly_terms = Poly.terms.__set__
 _P_ZERO = _poly(())
+_P_ONE = Poly.const(1)
 
 
 def common_content(polys) -> Fraction:
@@ -287,161 +328,3 @@ def common_content(polys) -> Fraction:
             num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
     return Fraction(num, den)
-
-
-def _constant(c: "Coeff") -> Fraction | None:
-    """The value of a nonzero constant coefficient (no denominator, one
-    term over the empty monomial), else None."""
-    if c.den:
-        return None
-    terms = c.num.terms
-    if len(terms) == 1 and not terms[0][0]:
-        return terms[0][1]
-    return None
-
-
-def _const(q: Fraction) -> "Coeff":
-    """The constant coefficient q, built canonical."""
-    return _coeff(_poly((((), q),)), ()) if q else _C_ZERO
-
-
-class Coeff(Record):
-    """Rational-function coefficient num/den with a monomial denominator.
-
-    Canonical form: zero has an empty denominator, and den shares no
-    parameter power with the monomial content of num.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly = _P_ZERO, den: Monomial = ()) -> None:
-        if den:
-            if num.is_zero:
-                den = ()
-            else:
-                common = mono_gcd(num.mono_content(), den)
-                if common:
-                    num, den = num.div_mono(common), mono_div(den, common)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __eq__(self, other):
-        if other.__class__ is not Coeff:
-            return NotImplemented
-        return (self.num, self.den) == (other.num, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Coeff":
-        return _C_ZERO
-
-    @staticmethod
-    def one() -> "Coeff":
-        return _C_ONE
-
-    @staticmethod
-    def const(q) -> "Coeff":
-        return _coeff(Poly.const(q), ())
-
-    @staticmethod
-    def param(p: Parameter, k: int = 1) -> "Coeff":
-        return _coeff(Poly.param(p, k), ())
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num.terms
-
-    def as_fraction(self) -> Fraction | None:
-        if self.den:
-            return None
-        return self.num.as_fraction()
-
-    def as_unit(self) -> tuple[Fraction, Monomial, Monomial] | None:
-        """(q, num-monomial, den-monomial) when a single term, else None."""
-        u = self.num.as_unit()
-        if u is None:
-            return None
-        return (u[0], u[1], self.den)
-
-    def parameters(self) -> set[Parameter]:
-        out = self.num.parameters()
-        out.update(p for p, _ in self.den)
-        return out
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "Coeff") -> "Coeff":
-        if ((a := _constant(self)) is not None
-                and (b := _constant(other)) is not None):
-            return _const(a + b)
-        if not self.num.terms:
-            return other
-        if not other.num.terms:
-            return self
-        if not self.den and not other.den:
-            return _coeff(self.num + other.num, ())
-        den = mono_lcm(self.den, other.den)
-        n = (self.num.mul_mono(mono_div(den, self.den))
-             + other.num.mul_mono(mono_div(den, other.den)))
-        return Coeff(n, den)
-
-    def __neg__(self) -> "Coeff":
-        return _coeff(-self.num, self.den)
-
-    def __sub__(self, other: "Coeff") -> "Coeff":
-        return self + (-other)
-
-    def __mul__(self, other: "Coeff") -> "Coeff":
-        b = _constant(other)
-        if b is not None:
-            return self.scale(b)
-        a = _constant(self)
-        if a is not None:
-            return other.scale(a)
-        if not self.num.terms or not other.num.terms:
-            return _C_ZERO
-        if not self.den and not other.den:
-            return _coeff(self.num * other.num, ())
-        return Coeff(self.num * other.num, mono_mul(self.den, other.den))
-
-    def scale(self, q) -> "Coeff":
-        a = _constant(self)
-        if a is not None:
-            if type(q) is not Fraction:
-                q = Fraction(q)
-            return self if q == 1 else _const(a * q)
-        num = self.num.scale(q)
-        if num is self.num:
-            return self
-        return _coeff(num, self.den) if num.terms else _C_ZERO
-
-    def invert_unit(self) -> "Coeff":
-        """Inverse, defined only for q * monomial-in-nonzero-parameters."""
-        u = self.as_unit()
-        if u is None:
-            raise ExprError(
-                "division is only defined for products of nonzero parameters "
-                "and literal rationals")
-        q, nm, dm = u
-        if q == 0:
-            raise ExprError("zero denominator")
-        bad = [p.name for p, _ in nm if not p.nonzero]
-        if bad:
-            raise ExprError(
-                f"division by parameter(s) not declared nonzero: {', '.join(bad)}")
-        return Coeff(Poly.const(1 / q).mul_mono(dm), nm)
-
-    def __truediv__(self, other: "Coeff") -> "Coeff":
-        return self * other.invert_unit()
-
-
-_coeff_num = Coeff.num.__set__
-_coeff_den = Coeff.den.__set__
-_C_ZERO = _coeff(_P_ZERO, ())
-_C_ONE = Coeff.const(1)

@@ -39,7 +39,7 @@ from ..cancel import checkpoint
 from ..record import Record
 from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                     MultiIndex, OpaqueDeriv, Parameter)
-from .coeff import Coeff
+from .coeff import Poly
 from .errors import ExprError
 from .printer import atom_text, expr_text
 
@@ -70,7 +70,7 @@ def lazy_slot(slot: str, compute):
 class Term(Record):
     __slots__ = ("coeff", "powers")
 
-    def __init__(self, coeff: Coeff, powers: Powers = ()) -> None:
+    def __init__(self, coeff: Poly, powers: Powers = ()) -> None:
         _term_coeff(self, coeff)
         _term_powers(self, powers)
 
@@ -120,10 +120,10 @@ _term_coeff = Term.coeff.__set__
 _term_powers = Term.powers.__set__
 
 
-def _coeff_key(c: Coeff):
-    num = tuple((tuple((p.name, k) for p, k in m), q) for m, q in c.num.terms)
-    den = tuple((p.name, k) for p, k in c.den)
-    return (num, den)
+def _coeff_key(c: Poly):
+    num, den = c.num_den()
+    return (tuple((tuple((p.name, k) for p, k in m), q) for m, q in num.terms),
+            tuple((p.name, k) for p, k in den))
 
 
 class Expr(Record):
@@ -149,10 +149,10 @@ class Expr(Record):
         q = Fraction(q)
         if q == 0:
             return _E_ZERO
-        return Expr((Term(Coeff.const(q)),))
+        return Expr((Term(Poly.const(q)),))
 
     @staticmethod
-    def from_coeff(c: Coeff) -> "Expr":
+    def from_coeff(c: Poly) -> "Expr":
         if c.is_zero:
             return _E_ZERO
         return Expr((Term(c),))
@@ -171,10 +171,10 @@ class Expr(Record):
             return self.terms[0].coeff.as_fraction()
         return None
 
-    def as_coeff(self) -> Coeff | None:
+    def as_coeff(self) -> Poly | None:
         """The coefficient if the expression is atom-free, else None."""
         if not self.terms:
-            return Coeff.zero()
+            return Poly.zero()
         if len(self.terms) == 1 and not self.terms[0].powers:
             return self.terms[0].coeff
         return None
@@ -289,8 +289,8 @@ _E_ZERO = Expr(())
 
 
 def _flagged_key(e: Expr):
-    return (e.sort_key(),
-            tuple((t.coeff.num.terms, t.coeff.den) for t in e.terms))
+    return (e.sort_key(), tuple((n.terms, d) for n, d in
+                                (t.coeff.num_den() for t in e.terms)))
 
 
 def _exp_powers(exponent: Expr) -> Powers:
@@ -333,11 +333,11 @@ def _products(left: tuple[Term, ...], right: tuple[Term, ...]):
 def _gather(terms: Iterable[Term]) -> Expr:
     """The one term-accumulation loop: merge coefficients by power
     product, drop zeros and sort."""
-    acc: dict[Powers, Coeff] = {}
+    acc: dict[Powers, Poly] = {}
     for t in terms:
         c = acc.get(t.powers)
         acc[t.powers] = t.coeff if c is None else c + t.coeff
-    kept = [Term(c, p) for p, c in acc.items() if c.num.terms]
+    kept = [Term(c, p) for p, c in acc.items() if c.terms]
     kept.sort(key=Term.powers_key, reverse=True)
     return Expr(tuple(kept))
 
@@ -365,10 +365,10 @@ def _as_expr(x) -> Expr:
 
 def atom_expr(a: Atom) -> Expr:
     if isinstance(a, Parameter):
-        return Expr((Term(Coeff.param(a)),))
+        return Expr((Term(Poly.param(a)),))
     if isinstance(a, ExpAtom):
         return exp_of(a.exponent)
-    return Expr((Term(Coeff.one(), ((a, 1),)),))
+    return Expr((Term(Poly.one(), ((a, 1),)),))
 
 
 def rational(p, q=1) -> Expr:
@@ -397,7 +397,7 @@ def opaque(func: str, *args: Atom) -> Expr:
 
 def exp_of(e: Expr) -> Expr:
     """Exponential of an expression, folding constant exponents."""
-    return Expr((Term(Coeff.one(), _exp_powers(_as_expr(e))),))
+    return Expr((Term(Poly.one(), _exp_powers(_as_expr(e))),))
 
 
 # -- kernel operations -------------------------------------------------------

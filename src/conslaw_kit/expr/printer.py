@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                     OpaqueDeriv, Parameter)
-from .coeff import Coeff, Poly, common_content
+from .coeff import Poly, common_content
 from .errors import ConslawError
 
 TYPE_CHECKING = False
@@ -141,15 +141,16 @@ def _mono_text(m) -> str:
     return "*".join(_power(p.name, k) for p, k in m)
 
 
-def _coeff_text(c: Coeff) -> tuple[bool, str]:
+def _coeff_text(c: Poly) -> tuple[bool, str]:
     """(negative, text) with the sign pulled out when unambiguous."""
-    unit = c.num.as_unit()
+    num, den = c.num_den()
+    unit = num.as_unit()
     if unit is not None:
         q, m = unit
         neg, text = q < 0, _scaled(_frac_text(abs(q)), _mono_text(m), "*")
     else:
-        neg, text = False, f"({poly_text(c.num)})"
-    return neg, text + "".join("/" + _power(p.name, k) for p, k in c.den)
+        neg, text = False, f"({poly_text(num)})"
+    return neg, text + "".join("/" + _power(p.name, k) for p, k in den)
 
 
 def poly_text(p: Poly) -> str:
@@ -204,27 +205,28 @@ def _mono_latex(m) -> str:
     return " ".join(_power(_sym_latex(p.name), k, True) for p, k in m)
 
 
-def _coeff_latex(c: Coeff) -> tuple[bool, str]:
-    unit = c.num.as_unit()
+def _coeff_latex(c: Poly) -> tuple[bool, str]:
+    num, den = c.num_den()
+    unit = num.as_unit()
     if unit is None:
         neg, text = False, _signed_sum(
-            _poly_pieces(c.num, _mono_latex, _frac_latex, " "), "")
-        if not c.den:
+            _poly_pieces(num, _mono_latex, _frac_latex, " "), "")
+        if not den:
             return neg, f"\\big({text}\\big)"
     else:
         q, m = unit
         neg, mag, mono = q < 0, _frac_latex(abs(q)), _mono_latex(m)
-        if not c.den:
+        if not den:
             return neg, _scaled(mag, mono, " ")
         text = (mono or "1") if mag == "1" else f"{mag} {mono}".strip()
-    return neg, f"\\frac{{{text}}}{{{_mono_latex(c.den)}}}"
+    return neg, f"\\frac{{{text}}}{{{_mono_latex(den)}}}"
 
 
 def _exponent_latex(e: Expr) -> str:
     """Exponent with the rational content factored out, e.g.
     2(\\gamma u+\\alpha t+\\beta x)."""
     if len(e.terms) > 1:
-        content = common_content(t.coeff.num for t in e.terms)
+        content = common_content(t.coeff for t in e.terms)
         if content != 1:
             inner = e.scale(1 / content)
             return f"{_frac_latex(content)}({expr_latex(inner)})"

@@ -31,7 +31,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                          MultiIndex, OpaqueDeriv, Parameter)
-from .expr.coeff import Coeff
+from .expr.coeff import Poly
 from .expr.errors import ExprError, LeadingSolveError
 from .expr.expression import (Expr, _gather, atom_expr, jet_partial, partial,
                               sum_exprs)
@@ -251,15 +251,19 @@ def solve_leading(
         raise LeadingSolveError("duplicate leading atoms")
 
     solved: list[Expr] = []
-    coeffs: list[Coeff] = []
-    for eq, lead in zip(equations, chosen):
+    coeffs: list[Poly] = []
+    for eq, lead, name in zip(equations, chosen, eq_names):
         if lead.dep not in dep:
             raise LeadingSolveError(
                 f"leading derivative {atom_text(lead)} is not a derivative "
                 "of a declared dependent variable")
         c_expr = partial(eq, lead)
+        if c_expr.is_zero:
+            raise LeadingSolveError(
+                f"leading derivative {atom_text(lead)} does not occur in "
+                f"equation {name}")
         c = c_expr.as_coeff()
-        if c is None or c.is_zero:
+        if c is None:
             raise LeadingSolveError(
                 f"leading derivative {atom_text(lead)} occurs nonlinearly")
         try:

@@ -18,8 +18,8 @@ from conslaw_kit.determining import adjoint_symmetry_residual
 from conslaw_kit.dsl import load_session, parse_expression, run_session_command
 from conslaw_kit.expr import (Expr, IndependentVar, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
-from conslaw_kit.expr.coeff import (Coeff, Poly, common_content, mono,
-                                    mono_div, mono_lcm)
+from conslaw_kit.expr.coeff import (Poly, common_content, mono, mono_div,
+                                    mono_lcm)
 from conslaw_kit.expr.errors import AnsatzError, CancelledComputation
 from conslaw_kit.expr.expression import jet, sum_exprs
 from conslaw_kit.expr.printer import poly_text
@@ -74,6 +74,11 @@ class TestBuildAndSplit:
         assert [q.name for q in plain.unknowns] == ["c1", "c2"]
 
 
+def _over(num: Poly, den) -> Poly:
+    """num / den for a monomial den in nonzero parameters."""
+    return num * Poly(((tuple((p, -k) for p, k in den), 1),))
+
+
 def _reference_rows(p: AnsatzProblem) -> list[Row]:
     """The combined path the rows were built by before per-basis
     assembly: the residual of sum c_k * basis_k with the unknowns as
@@ -86,16 +91,17 @@ def _reference_rows(p: AnsatzProblem) -> list[Row]:
     rows = []
     for comp_index, res in enumerate(TARGETS[p.target](p.system, comb)):
         for term in res.terms:
-            assert not any(q in unknown_set for q, _ in term.coeff.den)
+            num, den = term.coeff.num_den()
+            assert not any(q in unknown_set for q, _ in den)
             per_unknown = {}
-            for monomial, q in term.coeff.num.terms:
+            for monomial, q in num.terms:
                 hits = [(par, k) for par, k in monomial if par in unknown_set]
                 assert len(hits) == 1 and hits[0][1] == 1
                 par = hits[0][0]
                 reduced = tuple((pp, kk) for pp, kk in monomial if pp != par)
                 per_unknown.setdefault(par, {})[reduced] = q
             entries = tuple(
-                (k, Coeff(Poly(tuple(per_unknown[c].items())), term.coeff.den))
+                (k, _over(Poly(tuple(per_unknown[c].items())), den))
                 for k, c in enumerate(p.unknowns) if c in per_unknown)
             rows.append(Row(term.powers, comp_index, entries))
     return rows
@@ -208,9 +214,9 @@ class TestThomasFamily:
                           tuple(Characteristic.of(b)
                                 for b in thomas_basis(thomas_theta)))
         res = solve_ansatz(p)
-        one = Coeff.one()
-        a_over_g = Coeff(Poly.param(A), mono((G, 1)))
-        b_over_g = Coeff(Poly.param(B), mono((G, 1)))
+        one = Poly.one()
+        a_over_g = Poly.param(A) / Poly.param(G)
+        b_over_g = Poly.param(B) / Poly.param(G)
         family = {
             # c1: e2
             "c1": {0: one},
@@ -233,12 +239,12 @@ class TestThomasFamily:
         assert r1.side_conditions == r2.side_conditions
 
 
-def _sparse(entries) -> tuple[tuple[int, Coeff], ...]:
+def _sparse(entries) -> tuple[tuple[int, Poly], ...]:
     """The (k, entry) pairs of a dense entry list, zeros dropped."""
     return tuple((k, c) for k, c in enumerate(entries) if not c.is_zero)
 
 
-def _in_span(res: LinearSolveResult, target: dict[int, Coeff]) -> bool:
+def _in_span(res: LinearSolveResult, target: dict[int, Poly]) -> bool:
     """Is the target coefficient vector a combination of res.vectors?
     Solved as a homogeneous system in (lambda_1..lambda_r, mu) and
     checking for a nullspace vector with mu != 0."""
@@ -247,8 +253,8 @@ def _in_span(res: LinearSolveResult, target: dict[int, Coeff]) -> bool:
         Parameter("mu"),)
     rows = []
     for k in range(n):
-        entries = [Coeff(v.numerators[k]) for v in res.vectors]
-        entries.append(-(target.get(k, Coeff.zero())))
+        entries = [v.numerators[k] for v in res.vectors]
+        entries.append(-(target.get(k, Poly.zero())))
         rows.append(Row((), k, _sparse(entries)))
     sol = solve_linear(rows, unknowns)
     return any(not v.numerators[-1].is_zero for v in sol.vectors)
@@ -285,30 +291,30 @@ MONOMIALS = (*DENOMINATORS, mono((P, 1)), mono((A, 2)), mono((A, 1), (P, 1)))
 
 @st.composite
 def dense_coeff_rows(draw):
-    """Dense rows of Coeffs, every one rational or with parameters in
+    """Dense rows of coefficients, every one rational or with parameters in
     numerators and nonzero-flagged parameter denominators, padded with
     zero rows, copies of rows and copies scaled by a nonzero coefficient
     (which may carry a denominator)."""
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        cell = st.builds(Coeff.const, fractions)
+        cell = st.builds(Poly.const, fractions)
     else:
         cell = st.builds(
-            lambda terms, den: Coeff(Poly(tuple(terms)), den),
+            lambda terms, den: _over(Poly(tuple(terms)), den),
             st.lists(st.tuples(st.sampled_from(MONOMIALS), fractions),
                      max_size=2),
             st.sampled_from(DENOMINATORS))
-    entry = st.one_of(st.just(Coeff.zero()), cell)
+    entry = st.one_of(st.just(Poly.zero()), cell)
     scalar = st.one_of(
-        st.builds(lambda q, den: Coeff(Poly.const(q), den),
+        st.builds(lambda q, den: _over(Poly.const(q), den),
                   fractions.filter(bool), st.sampled_from(DENOMINATORS)),
-        st.sampled_from((Coeff.param(A), Coeff.param(P))))
+        st.sampled_from((Poly.param(A), Poly.param(P))))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
     extra = []
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(("zero", "copy", "scaled")))
         if kind == "zero" or not rows:
-            extra.append([Coeff.zero()] * n)
+            extra.append([Poly.zero()] * n)
         elif kind == "copy":
             extra.append(list(draw(st.sampled_from(rows))))
         else:
@@ -320,14 +326,15 @@ def dense_coeff_rows(draw):
 
 def _dense_solve_linear(rows, unknowns) -> LinearSolveResult:
     """The solver as it was with dense rows, kept as a reference: each
-    row holds one Coeff per unknown, zeros included."""
+    row holds one coefficient per unknown, zeros included."""
     n = len(unknowns)
     mat, seen, kept_rows = [], set(), []
     for row in rows:
         den = ()
-        for c in row.entries:
-            den = mono_lcm(den, c.den)
-        polys = [c.num.mul_mono(mono_div(den, c.den)) for c in row.entries]
+        split = [c.num_den() for c in row.entries]
+        for _, d in split:
+            den = mono_lcm(den, d)
+        polys = [n.mul_mono(mono_div(den, d)) for n, d in split]
         content = common_content(polys)
         if content not in (0, 1):
             polys = [p.scale(1 / content) for p in polys]
@@ -350,22 +357,22 @@ def _dense_solve_linear(rows, unknowns) -> LinearSolveResult:
 class TestSolveLinear:
     def test_single_relation(self):
         c = (Parameter("c1"), Parameter("c2"))
-        rows = [Row((), 0, ((0, Coeff.one()), (1, Coeff.one())))]
+        rows = [Row((), 0, ((0, Poly.one()), (1, Poly.one())))]
         res = solve_linear(rows, c)
         assert res.dimension == 1
         assert [poly_text(p) for p in res.vectors[0].numerators] == ["1", "-1"]
 
     def test_nonzero_parameter_pivot_no_side_condition(self):
         c = (Parameter("c1"),)
-        rows = [Row((), 0, ((0, Coeff.param(G)),))]
+        rows = [Row((), 0, ((0, Poly.param(G)),))]
         res = solve_linear(rows, c)
         assert res.dimension == 0
         assert not res.side_conditions
 
     def test_generic_pivot_records_side_condition(self):
         c1, c2 = Parameter("c1"), Parameter("c2")
-        pivot = Coeff(Poly.param(A) + Poly.param(B))
-        rows = [Row((), 0, ((0, pivot), (1, Coeff.one())))]
+        pivot = Poly.param(A) + Poly.param(B)
+        rows = [Row((), 0, ((0, pivot), (1, Poly.one())))]
         res = solve_linear(rows, (c1, c2))
         assert res.dimension == 1
         assert res.side_conditions == ("alpha + beta",)
@@ -378,8 +385,8 @@ class TestSolveLinear:
         # (alpha+beta, -1) with denominator alpha+beta, so the first
         # nonzero entry is exactly 1 as a rational function.
         c1, c2 = Parameter("c1"), Parameter("c2")
-        rows = [Row((), 0, ((0, Coeff.one()),
-                            (1, Coeff(Poly.param(A) + Poly.param(B)))))]
+        rows = [Row((), 0, ((0, Poly.one()),
+                            (1, Poly.param(A) + Poly.param(B))))]
         res = solve_linear(rows, (c1, c2))
         assert res.dimension == 1
         vec = res.vectors[0]
@@ -393,7 +400,7 @@ class TestSolveLinear:
         """Only ExprError (not a unit) selects the cleared representative."""
         def fail(self):
             raise RuntimeError("not an ExprError")
-        monkeypatch.setattr(Coeff, "invert_unit", fail)
+        monkeypatch.setattr(Poly, "invert_unit", fail)
         vec = NullspaceVector((Poly.const(1),), Poly.const(1))
         with pytest.raises(RuntimeError, match="not an ExprError"):
             vec.entry_exprs()
@@ -405,7 +412,7 @@ class TestSolveLinear:
 
     def test_duplicate_rows_collapse(self):
         c = (Parameter("c1"), Parameter("c2"))
-        row = Row((), 0, ((0, Coeff.one()), (1, -Coeff.one())))
+        row = Row((), 0, ((0, Poly.one()), (1, -Poly.one())))
         res = solve_linear([row, row, row], c)
         assert res.dimension == 1
 
@@ -414,7 +421,7 @@ class TestSolveLinear:
         # (1, -a) assumes a != 0, so that must be reported.
         a = Parameter("a")
         c1, c2 = Parameter("c1"), Parameter("c2")
-        rows = [Row((), 0, ((0, Coeff.param(a)), (1, Coeff.const(1))))]
+        rows = [Row((), 0, ((0, Poly.param(a)), (1, Poly.const(1))))]
         res = solve_linear(rows, (c1, c2))
         assert res.side_conditions == ("a",)
         assert [poly_text(p) for p in res.vectors[0].numerators] == ["1", "-a"]
@@ -436,7 +443,7 @@ class TestSolveLinear:
         assert len(pivots) == 2
         for text, pivot in zip(rep.side_conditions, pivots):
             assert parse_expression(text, session) == \
-                Expr.from_coeff(Coeff(pivot))
+                Expr.from_coeff(pivot)
 
     @settings(max_examples=200, deadline=None)
     @given(rational_matrices())
@@ -467,7 +474,7 @@ class TestSolveLinear:
 
     def test_rational_path_honours_deadline(self):
         c = (Parameter("c1"), Parameter("c2"))
-        rows = [Row((), 0, ((0, Coeff.one()), (1, Coeff.const(2))))]
+        rows = [Row((), 0, ((0, Poly.one()), (1, Poly.const(2))))]
         with deadline(0), pytest.raises(CancelledComputation):
             solve_linear(rows, c)
 
@@ -494,9 +501,9 @@ class TestKdvMultipliersAtScale:
         assert res.dimension == 4
         assert not res.side_conditions
         at = {m: k for k, m in enumerate(monomials)}
-        one = Coeff.one()
+        one = Poly.one()
         u, uxx, x, t = (0,), (2,), (3,), (4,)
         for target in ({at[()]: one}, {at[u]: one},
-                       {at[u + u]: Coeff.const(Fraction(1, 2)), at[uxx]: one},
+                       {at[u + u]: Poly.const(Fraction(1, 2)), at[uxx]: one},
                        {at[x]: one, at[u + t]: -one}):
             assert _in_span(res, target)

@@ -308,6 +308,19 @@ class TestCorpusRuns:
         assert doc["status"] == "nonzero"
         assert doc["residuals"][0]["expr"] != "0"
 
+    def test_identity_is_zero_only_without_a_remainder(self):
+        session = load_session(
+            "indep t x;\ndep u;\neq heat: D[u,t] = D[u,x,x];\n"
+            "vector v = (u, 0);\nvector w = (D[u,x], -D[u,t]);\n"
+            "cmd verify v expect nonzero;\ncmd verify w;\n")
+        v, w = (run_session_command(session, c) for c in session.commands)
+        assert (v.status, w.status) == ("nonzero", "zero")
+        lines = emit(v, "text").splitlines()
+        assert "identity: div(C) =" in lines
+        assert "  + remainder: D[u,t]" in lines
+        assert "identity: div(C) = 0 (on solutions)" in \
+            emit(w, "text").splitlines()
+
     def test_expectation_mismatch_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cl"
         bad.write_text(
@@ -432,6 +445,28 @@ class TestBenchDigests:
         stream = capsys.readouterr().out
         want = workload.digest if fmt == "json" else OTHER_DIGESTS[fmt, name]
         assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == want
+
+
+# SHA-256 of the report streams of tests/data/parametric.cl: printed
+# denominators, polynomial coefficients over a monomial, and side
+# conditions, which no benchmark session prints
+PARAMETRIC = PKG_ROOT / "tests" / "data" / "parametric.cl"
+PARAMETRIC_DIGESTS = {
+    "json": "fca3d85bd73e1d99b90d4df3d1357f03a232dc7efd22f5b66351557bdef3a8f5",
+    "text": "420fc6e7cc8145fa2a99db9aa01f8e627ddfa6ab40693f121965a74b1b7c4ae2",
+    "latex": "50814199531ae759ccc8cde31233cc1f42ea6981d2120d8f9c04884dc5d6f9ec",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PARAMETRIC_DIGESTS))
+def test_parametric_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
+    monkeypatch.setenv("CONSLAW_COLOR", "0")
+    assert cli.main(["run", "--session", str(PARAMETRIC),
+                     "--format", fmt]) == 0
+    stream = capsys.readouterr().out
+    assert "/g^" in stream or "{g^" in stream
+    assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
+        PARAMETRIC_DIGESTS[fmt]
 
 
 class TestLatexOutput:

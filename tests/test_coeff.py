@@ -1,5 +1,5 @@
-"""Exact coefficient field: polynomials over Q and monomial-denominator
-rational functions."""
+"""Exact coefficient field: Laurent polynomials over Q, negative exponents
+on nonzero parameters only."""
 
 import functools
 from fractions import Fraction
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.expr import ExprError, Parameter
-from conslaw_kit.expr.coeff import Coeff, Poly, common_content, mono
+from conslaw_kit.expr.coeff import Poly, common_content, mono
 
 A = Parameter("alpha", nonzero=True)
 B = Parameter("beta", nonzero=True)
@@ -44,39 +44,59 @@ def test_poly_contents():
     assert p.mono_content() == mono((A, 1))
 
 
+def laurent(num, den=()):
+    """num / den through the public constructor, den a monomial in nonzero
+    parameters."""
+    inv = tuple((p, -k) for p, k in den)
+    return Poly(tuple((mono(*m, *inv), c) for m, c in num.terms))
+
+
 def test_coeff_cancellation_canonical():
-    c = Coeff(Poly.param(G, 2), mono((G, 1)))
-    assert c == Coeff(Poly.param(G))
-    assert Coeff(Poly.zero(), mono((G, 3))) == Coeff.zero()
+    assert Poly.param(G, 2) / Poly.param(G) == Poly.param(G)
+    assert laurent(Poly.param(G, 2), mono((G, 1))) == Poly.param(G)
+    assert laurent(Poly.zero(), mono((G, 3))) == Poly.zero()
+    assert (Poly.param(G, 2) * Poly.param(G, -2)).terms == Poly.one().terms
 
 
 def test_coeff_add_common_denominator():
-    half_a_over_g = Coeff(Poly.param(A).scale(Fraction(1, 2)), mono((G, 1)))
-    b = Coeff.param(B)
+    half_a_over_g = Poly.param(A).scale(Fraction(1, 2)) / Poly.param(G)
+    b = Poly.param(B)
     s = half_a_over_g + b
-    assert s.den == mono((G, 1))
-    assert s.num == Poly.param(A).scale(Fraction(1, 2)) + Poly.param(B) * Poly.param(G)
+    num, den = s.num_den()
+    assert den == mono((G, 1))
+    assert num == Poly.param(A).scale(Fraction(1, 2)) + Poly.param(B) * Poly.param(G)
     assert s - b == half_a_over_g
 
 
 def test_coeff_division_rules():
-    c = Coeff.param(A)
-    assert c / Coeff.param(G) == Coeff(Poly.param(A), mono((G, 1)))
-    assert (c / Coeff.const(2)).num == Poly.param(A).scale(Fraction(1, 2))
-    with pytest.raises(ExprError):
-        c / Coeff.zero()
-    with pytest.raises(ExprError):
-        c / Coeff.param(K)  # not declared nonzero
-    with pytest.raises(ExprError):
-        c / (Coeff.param(A) + Coeff.const(1))  # not a unit
+    c = Poly.param(A)
+    assert c / Poly.param(G) == laurent(Poly.param(A), mono((G, 1)))
+    assert (c / Poly.const(2)) == Poly.param(A).scale(Fraction(1, 2))
+    with pytest.raises(ExprError, match="^zero denominator$"):
+        c / Poly.zero()
+    with pytest.raises(ExprError, match="not declared nonzero: kappa$"):
+        c / Poly.param(K)
+    with pytest.raises(ExprError, match="^division is only defined"):
+        c / (Poly.param(A) + Poly.const(1))  # not a unit
 
 
 def test_unit_detection():
-    assert Coeff.param(A).as_unit() is not None
-    assert (Coeff.param(A) + Coeff.const(1)).as_unit() is None
-    u = Coeff(Poly.param(A).scale(-2), mono((G, 1)))
+    assert Poly.param(A).as_unit() is not None
+    assert (Poly.param(A) + Poly.const(1)).as_unit() is None
+    u = laurent(Poly.param(A).scale(-2), mono((G, 1)))
     inv = u.invert_unit()
-    assert u * inv == Coeff.one()
+    assert u * inv == Poly.one()
+    assert inv.num_den() == (Poly.param(G).scale(Fraction(-1, 2)),
+                             mono((A, 1)))
+
+
+def test_num_den_splits_off_the_least_denominator():
+    c = laurent(Poly.param(A, 2) + Poly.param(A) * Poly.param(G),
+                mono((A, 1), (G, 2)))
+    assert c == (Poly.param(A) + Poly.param(G)) / Poly.param(G, 2)
+    assert c.num_den() == (Poly.param(A) + Poly.param(G), mono((G, 2)))
+    assert Poly.param(K).num_den() == (Poly.param(K), ())
+    assert Poly.zero().num_den() == (Poly.zero(), ())
 
 
 def reference_mono_cmp(a, b) -> int:
@@ -176,29 +196,45 @@ def ref_exact_div(a, b):
     return Poly(tuple(q_acc.items()))
 
 
+def _ref_mono_gcd(a, b):
+    db = dict(b)
+    return mono(*((p, min(k, db[p])) for p, k in a if p in db))
+
+
+def ref_cancel(num, den):
+    """The canonical (num, den) of num / den: zero has no denominator, and
+    den shares no parameter power with the monomial content of num."""
+    if num.is_zero:
+        return num, ()
+    content = functools.reduce(_ref_mono_gcd, (m for m, _ in num.terms))
+    common = _ref_mono_gcd(content, den)
+    return ref_div_mono(num, common), _ref_mono_div(den, common)
+
+
 def ref_cadd(a, b):
-    if a.is_zero:
+    if a[0].is_zero:
         return b
-    if b.is_zero:
+    if b[0].is_zero:
         return a
-    den = _ref_mono_lcm(a.den, b.den)
-    return Coeff(ref_add(ref_mul_mono(a.num, _ref_mono_div(den, a.den)),
-                         ref_mul_mono(b.num, _ref_mono_div(den, b.den))), den)
+    den = _ref_mono_lcm(a[1], b[1])
+    return ref_cancel(ref_add(ref_mul_mono(a[0], _ref_mono_div(den, a[1])),
+                              ref_mul_mono(b[0], _ref_mono_div(den, b[1]))),
+                      den)
 
 
 def ref_cneg(a):
-    return Coeff(ref_neg(a.num), a.den)
+    return ref_neg(a[0]), a[1]
 
 
 def ref_cmul(a, b):
-    if a.is_zero or b.is_zero:
-        return Coeff()
-    return Coeff(ref_mul(a.num, b.num), mono(*a.den, *b.den))
+    if a[0].is_zero or b[0].is_zero:
+        return Poly(), ()
+    return ref_cancel(ref_mul(a[0], b[0]), mono(*a[1], *b[1]))
 
 
 def ref_cdiv(a, unit):
-    (nm, q), = unit.num.terms
-    return ref_cmul(a, Coeff(ref_mul_mono(Poly.const(1 / q), unit.den), nm))
+    (nm, q), = unit[0].terms
+    return ref_cmul(a, ref_cancel(ref_mul_mono(Poly.const(1 / q), unit[1]), nm))
 
 
 def assert_canonical_poly(r):
@@ -207,9 +243,14 @@ def assert_canonical_poly(r):
     assert all(c != 0 and type(c) is Fraction for _, c in r.terms)
 
 
-def assert_canonical_coeff(r):
-    assert Coeff(Poly(r.num.terms), r.den) == r
-    assert_canonical_poly(r.num)
+def assert_matches(got, want):
+    """`got` canonical and equal to the (num, den) pair `want`, its
+    numerator's terms in the same order."""
+    assert_canonical_poly(got)
+    num, den = got.num_den()
+    assert_canonical_poly(num)
+    assert (num, den) == want and num.terms == want[0].terms
+    assert got == laurent(*want)
 
 
 NONZERO_POOL = (A, B, G)
@@ -220,9 +261,10 @@ polys = st.dictionaries(monomials, scalars, max_size=5).map(
 nz_monomials = st.lists(
     st.tuples(st.sampled_from(NONZERO_POOL), st.integers(1, 2)),
     max_size=3).map(lambda pairs: mono(*pairs))
-coeffs = st.builds(Coeff, polys, nz_monomials)
-units = st.builds(lambda q, nm, dm: Coeff(Poly(((nm, q),)), dm),
-                  rationals.filter(bool), nz_monomials, nz_monomials)
+# (num, den) pairs in canonical form, the reference's operands
+pairs = st.builds(lambda num, den: ref_cancel(num, den), polys, nz_monomials)
+unit_pairs = st.builds(lambda q, nm, dm: ref_cancel(Poly(((nm, q),)), dm),
+                       rationals.filter(bool), nz_monomials, nz_monomials)
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,57 +289,64 @@ def test_poly_arithmetic_is_canonical_and_matches_reference(a, b, m, q):
 
 
 @settings(max_examples=300, deadline=None)
-@given(coeffs, coeffs, units, scalars)
-def test_coeff_arithmetic_is_canonical_and_matches_reference(a, b, u, q):
+@given(pairs, pairs, unit_pairs, scalars)
+def test_coeff_arithmetic_is_canonical_and_matches_reference(pa, pb, pu, q):
+    a, b, u = laurent(*pa), laurent(*pb), laurent(*pu)
     cases = [
-        (a + b, ref_cadd(a, b)),
-        (a - b, ref_cadd(a, ref_cneg(b))),
-        (a * b, ref_cmul(a, b)),
-        (-a, ref_cneg(a)),
-        (a.scale(q), Coeff(ref_scale(a.num, q), a.den)),
-        (a / u, ref_cdiv(a, u)),
+        (a + b, ref_cadd(pa, pb)),
+        (a - b, ref_cadd(pa, ref_cneg(pb))),
+        (a * b, ref_cmul(pa, pb)),
+        (-a, ref_cneg(pa)),
+        (a.scale(q), ref_cancel(ref_scale(pa[0], q), pa[1])),
+        (a / u, ref_cdiv(pa, pu)),
     ]
     for got, want in cases:
-        assert_canonical_coeff(got)
-        assert got == want and got.num.terms == want.num.terms
+        assert_matches(got, want)
 
 
-# constants often, and a constant's negation, so that the constant fast
-# path of `+`, `*` and `scale` meets every kind of other operand
-constant_or_coeffs = st.one_of(coeffs, rationals.map(Coeff.const))
+# constants and single terms often, and a constant's negation, so that the
+# one-monomial path of `+` and the constant path of `*` and `scale` meet
+# every kind of other operand
+constant_or_pairs = st.one_of(pairs, unit_pairs,
+                              rationals.map(lambda q: (Poly.const(q), ())))
 
 
 @settings(max_examples=300, deadline=None)
-@given(constant_or_coeffs, constant_or_coeffs, rationals.filter(bool),
+@given(constant_or_pairs, constant_or_pairs, rationals.filter(bool),
        st.integers(-3, 3))
-def test_constant_operands_match_reference(a, b, q, n):
-    c, minus_c = Coeff.const(q), Coeff.const(-q)
+def test_constant_operands_match_reference(pa, pb, q, n):
+    a, b = laurent(*pa), laurent(*pb)
+    c, minus_c = Poly.const(q), Poly.const(-q)
+    pc, pminus_c = (c, ()), (minus_c, ())
     cases = [
-        (a + b, ref_cadd(a, b)),
-        (a * b, ref_cmul(a, b)),
-        (c + a, ref_cadd(c, a)),
-        (c * a, ref_cmul(c, a)),
-        (a * c, ref_cmul(a, c)),
-        (c * minus_c, ref_cmul(c, minus_c)),
-        (c + minus_c, Coeff()),
-        (a.scale(0), Coeff()),
-        (a.scale(n), Coeff(ref_scale(a.num, n), a.den)),
-        (c.scale(n), Coeff(ref_scale(c.num, n), c.den)),
-        (c.scale(q), Coeff(ref_scale(c.num, q), c.den)),
+        (a + b, ref_cadd(pa, pb)),
+        (a + (-a), (Poly(), ())),
+        (a * b, ref_cmul(pa, pb)),
+        (c + a, ref_cadd(pc, pa)),
+        (c * a, ref_cmul(pc, pa)),
+        (a * c, ref_cmul(pa, pc)),
+        (c * minus_c, ref_cmul(pc, pminus_c)),
+        (c + minus_c, (Poly(), ())),
+        (a.scale(0), (Poly(), ())),
+        (a.scale(n), ref_cancel(ref_scale(pa[0], n), pa[1])),
+        (c.scale(n), (ref_scale(c, n), ())),
+        (c.scale(q), (ref_scale(c, q), ())),
     ]
     for got, want in cases:
-        assert_canonical_coeff(got)
-        assert got == want and got.num.terms == want.num.terms
-        assert got.den == want.den
-    assert c + minus_c is Coeff.zero() and c.scale(0) is Coeff.zero()
+        assert_matches(got, want)
+    assert c + minus_c is Poly.zero() and c.scale(0) is Poly.zero()
     assert a.scale(1) is a and c.scale(1) is c
+    assert a.is_zero or a * Poly.one() is a
 
 
 def test_constant_sum_cancels_to_canonical_zero():
-    third = Coeff.const(Fraction(1, 3))
-    zero = third + Coeff.const(Fraction(-1, 3))
-    assert zero is Coeff.zero() and zero.den == () and not zero.num.terms
-    assert (third * Coeff.param(A)) == Coeff(P((mono((A, 1)), Fraction(1, 3))))
+    third = Poly.const(Fraction(1, 3))
+    zero = third + Poly.const(Fraction(-1, 3))
+    assert zero is Poly.zero() and zero.num_den() == (Poly.zero(), ())
+    assert (third * Poly.param(A)) == P((mono((A, 1)), Fraction(1, 3)))
+    g_over_3 = Poly.param(G, -1).scale(Fraction(1, 3))
+    assert g_over_3 + g_over_3.scale(-1) is Poly.zero()
+    assert (g_over_3 + g_over_3).terms == ((mono((G, -1)), Fraction(2, 3)),)
 
 
 def test_parameters_sharing_a_name_commute():
@@ -320,9 +369,9 @@ def test_constructor_merges_duplicate_monomials():
 
 def test_const_and_param_are_canonical():
     for got in (Poly.const(2), Poly.const(Fraction(-1, 3)), Poly.param(A),
-                Poly.param(K, 3), Poly.param(A, 0)):
+                Poly.param(K, 3), Poly.param(A, 0), Poly.param(G, -2),
+                Poly.one()):
         assert_canonical_poly(got)
-    assert Poly.const(0).is_zero and Coeff.const(0) == Coeff.zero()
-    assert Coeff.const(Fraction(1, 2)) == Coeff(P(((), Fraction(1, 2))))
-    assert Coeff.param(G, 2) == Coeff(P((mono((G, 2)), 1)))
-    assert_canonical_coeff(Coeff.param(G, 2))
+    assert Poly.const(0).is_zero and Poly.const(0) is Poly.zero()
+    assert Poly.one() == P(((), 1))
+    assert Poly.param(G, -2).num_den() == (Poly.one(), mono((G, 2)))

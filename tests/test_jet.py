@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,
                               JetVar, MultiIndex, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
-from conslaw_kit.expr.coeff import Coeff
+from conslaw_kit.expr.coeff import Poly
 from conslaw_kit.expr.errors import ExprError, LeadingSolveError
 from conslaw_kit.expr.expression import Term, jet, jet_atom, sum_exprs
 from conslaw_kit.jet import (alternating_sum, derivatives, jet_partial,
@@ -94,7 +94,7 @@ def ref_make_term(coeff, factors):
         if k < 0 or not isinstance(k, int):
             raise ExprError("unsupported power")
         if isinstance(a, Parameter):
-            coeff = coeff * Coeff.param(a, k)
+            coeff = coeff * Poly.param(a, k)
         elif isinstance(a, ExpAtom):
             exponents.append(a.exponent if k == 1 else a.exponent.scale(k))
         elif isinstance(a, ExpConst):
@@ -346,6 +346,15 @@ class TestSolveLeading:
                            match=r"^leading derivative D\[u,t\] occurs nonlinearly"):
             solve_leading(["t", "x"], ["u"], [S.ut**2 - S.ux], [S.ut_at])
 
+    def test_absent_leading_rejected(self):
+        # the coefficient of a leading derivative that does not occur is
+        # zero, not non-constant
+        with pytest.raises(LeadingSolveError, match=(
+                r"^leading derivative D\[u,t,x\] does not occur in "
+                r"equation e$")):
+            solve_leading(["t", "x"], ["u"], [S.ut - S.ux], [S.uxt_at],
+                          eq_names=["e"])
+
     def test_leading_in_remainder_rejected(self):
         E = S.utt + S.x * jet("u", "t", "t", "x") - S.u
         with pytest.raises(LeadingSolveError, match="remainder"):
@@ -360,7 +369,7 @@ class TestSolveLeading:
         """Only ExprError means "not invertible"."""
         def fail(self):
             raise RuntimeError("not an ExprError")
-        monkeypatch.setattr(Coeff, "invert_unit", fail)
+        monkeypatch.setattr(Poly, "invert_unit", fail)
         with pytest.raises(RuntimeError, match="not an ExprError"):
             solve_leading(["t", "x"], ["u"], [S.ut - S.uxx])
 

@@ -44,8 +44,9 @@ def _monomial(pairs):
 
 
 def _term(t):
-    num = sympy.Add(*(_rational(q) * _monomial(m) for m, q in t.coeff.num.terms))
-    return num / _monomial(t.coeff.den) * _monomial(t.powers)
+    num, den = t.coeff.num_den()
+    num = sympy.Add(*(_rational(q) * _monomial(m) for m, q in num.terms))
+    return num / _monomial(den) * _monomial(t.powers)
 
 
 def _atom(a):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.determining import e_decompose
-from conslaw_kit.expr import (Atom, Coeff, ExpAtom, ExpConst, Expr,
+from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr,
                               IndependentVar, JetVar, MultiIndex,
                               OpaqueDeriv, Parameter, Poly, atom_expr,
                               exp_of, normalize, param, partial, substitute)
@@ -325,9 +325,9 @@ class TestHashContract:
              + atom_expr(ExpConst(Fraction(1, 2))))
         coeffs = [t.coeff for t in e.terms]
         objs = [e, *e.terms, *_atoms_deep(e), Parameter("alpha", True),
-                *coeffs, *(c.num for c in coeffs)]
+                *coeffs]
         kinds = {type(o) for o in objs}
-        assert set(Atom.__subclasses__()) | {Poly, Coeff} <= kinds
+        assert set(Atom.__subclasses__()) | {Poly} <= kinds
         for o in objs:
             assert not hasattr(o, "__dict__"), type(o).__name__
 
@@ -386,17 +386,18 @@ def reference_atom_key(a, tiebreak=False):
     def flagged(m):
         return tuple(((1, p.name, p.nonzero), k) for p, k in m)
     return (4, 1, key, (key, tuple(
-        (tuple((flagged(m), q) for m, q in t.coeff.num.terms),
-         flagged(t.coeff.den)) for t in a.exponent.terms)))
+        (tuple((flagged(m), q) for m, q in num.terms), flagged(den))
+        for num, den in (t.coeff.num_den() for t in a.exponent.terms))))
 
 
 def reference_expr_key(e: Expr, tiebreak=False):
     """A copy of the former `Expr.sort_key()`: per term the degree, the
     keys of the factors, then the coefficient key without flags."""
     def coeff_key(c):
-        num = tuple((tuple((p.name, k) for p, k in m), q)
-                    for m, q in c.num.terms)
-        return (num, tuple((p.name, k) for p, k in c.den))
+        num, den = c.num_den()
+        return (tuple((tuple((p.name, k) for p, k in m), q)
+                      for m, q in num.terms),
+                tuple((p.name, k) for p, k in den))
     return tuple(((sum(k for _, k in t.powers),
                    tuple((reference_atom_key(a, tiebreak), k)
                          for a, k in t.powers)),
@@ -429,10 +430,10 @@ def flag_twin(a):
     def twin(factors):
         return functools.reduce(Expr.__mul__, (
             atom_expr(flag_twin(b)) ** k for b, k in factors), Expr.const(1))
-    assert all(not t.coeff.den for t in a.exponent.terms)
+    assert all(not t.coeff.num_den()[1] for t in a.exponent.terms)
     return ExpAtom(sum_exprs(
         Expr.const(q) * twin(m) * twin(t.powers)
-        for t in a.exponent.terms for m, q in t.coeff.num.terms))
+        for t in a.exponent.terms for m, q in t.coeff.terms))
 
 
 DNAMES = st.sampled_from(("t", "x", "y"))

@@ -25,7 +25,8 @@ from .determining import (adjoint_symmetry_residual,
                           differential_substitution_residual,
                           multiplier_residual, symmetry_residual)
 from .expr.atoms import Parameter
-from .expr.coeff import Poly, common_content, mono_gcd, mono_lcm
+from .expr.coeff import (Poly, Rational, coeff_value, common_content,
+                         mono_gcd, mono_lcm)
 from .expr.errors import AnsatzError, ExprError
 from .expr.expression import Expr, Powers, Term, sum_exprs
 from .expr.printer import poly_text
@@ -213,21 +214,21 @@ def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
                              tuple(unknowns))
 
 
-def _rational_nullspace(rows: list[dict[int, Fraction]], n: int
+def _rational_nullspace(rows: list[dict[int, Rational]], n: int
                         ) -> list[NullspaceVector]:
     """Nullspace of rational rows {column: nonzero entry} by sparse
-    Gauss-Jordan elimination over Fraction; rewrites `rows` in place.
+    Gauss-Jordan elimination over Q; rewrites `rows` in place.
 
     Pivots are searched in column order, as in `_bareiss_nullspace`, so
     both find the same free columns and return the same vectors."""
-    reduced: dict[int, dict[int, Fraction]] = {}
+    reduced: dict[int, dict[int, Rational]] = {}
     for col in range(n):
         checkpoint()
         i = next((i for i, row in enumerate(rows) if col in row), None)
         if i is None:
             continue
         pivot = rows.pop(i)
-        inv = 1 / pivot[col]
+        inv = coeff_value(Fraction(1, pivot[col]))
         pivot = {j: q * inv for j, q in pivot.items()}
         for row in (*rows, *reduced.values()):
             factor = row.get(col)
@@ -245,8 +246,8 @@ def _rational_nullspace(rows: list[dict[int, Fraction]], n: int
     for fc in range(n):
         if fc in reduced:
             continue
-        entries = [Fraction(0)] * n
-        entries[fc] = Fraction(1)
+        entries = [0] * n
+        entries[fc] = 1
         for pc, pivot in reduced.items():
             entries[pc] = -pivot.get(fc, 0)
         vectors.append(_normalize_vector([Poly.const(q) for q in entries]))

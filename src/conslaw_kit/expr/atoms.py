@@ -247,7 +247,7 @@ class ExpAtom(Atom):
     The record is (4, 1, exponent.sort_key(), exponent): the exponent
     itself breaks the ties of its sort key, which drops parameter flags
     (`Expr.__lt__`).  It hashes as its exponent, whose hash is cached:
-    hashing the key would walk every `Fraction` in it, in Python.
+    hashing the key would walk every coefficient in it, in Python.
     """
 
     __slots__ = ()

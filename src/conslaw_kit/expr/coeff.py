@@ -9,13 +9,21 @@ multivariate gcd).  `num_den` splits a coefficient back into that
 numerator and its least denominator, where a denominator is printed or
 cleared.
 
+A coefficient value is canonical by value (`coeff_value`): an `int` when
+it is an integer, otherwise a `Fraction` whose denominator is greater
+than 1.  Most coefficients are integers, and `int` arithmetic runs in C.
+An integral `Fraction` result becomes its `int`, and a quotient is built
+as `Fraction(a, b)`, never as the float `int / int`.  `int` has
+`numerator` and `denominator` too, and `hash(n) == hash(Fraction(n))`,
+so readers of a value need not test its type.
+
 Only the public constructor `Poly(...)` normalises: it merges duplicate
-monomials, drops zeros, coerces coefficients to `Fraction` and sorts the
+monomials, drops zeros, makes coefficients canonical values and sorts the
 terms.  Arithmetic and the one-term `const`/`param` build their results
 canonical by construction through `_poly`, which does no work: a sum or
 product is merged in a dict and sorted once, and a negation or a nonzero
 rational scaling keeps every monomial.  Two single terms over one
-monomial (two constants, most often) add by one `Fraction` addition.  A
+monomial (two constants, most often) add by one rational addition.  A
 product with a constant factor is a `scale`, which returns the other
 factor itself when the constant is 1.
 
@@ -34,11 +42,23 @@ from ..record import Record
 from .atoms import Parameter
 from .errors import ExprError
 
-__all__ = ["Monomial", "Poly", "common_content"]
+__all__ = ["Monomial", "Poly", "coeff_value", "common_content"]
 
 # Monomial over parameters: sorted tuple of (Parameter, nonzero exponent),
 # the exponent negative only for a parameter flagged nonzero.
 Monomial = tuple[tuple[Parameter, int], ...]
+# A coefficient value: an `int`, or a `Fraction` that is not an integer.
+Rational = int | Fraction
+
+
+def coeff_value(q):
+    """The canonical coefficient value of the rational q: q itself if it is
+    an `int`, else a `Fraction`, turned into its `int` when it is one."""
+    if q.__class__ is int:
+        return q
+    if q.__class__ is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 def mono(*pairs: tuple[Parameter, int]) -> Monomial:
@@ -115,20 +135,21 @@ def _poly(terms: tuple) -> "Poly":
 class Poly(Record):
     """Laurent polynomial over Q in declared parameters.
 
-    Terms are a sorted tuple of (monomial, nonzero Fraction) pairs; the
-    empty tuple is zero.  Terms sort by total degree, then exponents by
+    Terms are a sorted tuple of (monomial, nonzero coefficient) pairs,
+    each coefficient an `int` or a non-integral `Fraction` (`coeff_value`);
+    the empty tuple is zero.  Terms sort by total degree, then exponents by
     parameter (name, then flag).
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...] = ()
+    def __init__(self, terms: tuple[tuple[Monomial, Rational], ...] = ()
                  ) -> None:
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Rational] = {}
         for m, c in terms:
-            acc[m] = acc.get(m, 0) + Fraction(c)
+            acc[m] = acc.get(m, 0) + coeff_value(c)
         object.__setattr__(self, "terms", _sorted_terms(
-            [t for t in acc.items() if t[1]]))
+            [(m, coeff_value(c)) for m, c in acc.items() if c]))
 
     def __eq__(self, other):
         if other.__class__ is not Poly:
@@ -150,13 +171,12 @@ class Poly(Record):
 
     @staticmethod
     def const(q) -> "Poly":
-        if type(q) is not Fraction:
-            q = Fraction(q)
+        q = coeff_value(q)
         return _poly((((), q),)) if q else _P_ZERO
 
     @staticmethod
     def param(p: Parameter, k: int = 1) -> "Poly":
-        return _poly(((mono((p, k)), Fraction(1)),))
+        return _poly(((mono((p, k)), 1),))
 
     # -- queries -----------------------------------------------------------
 
@@ -164,15 +184,15 @@ class Poly(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_fraction(self) -> Fraction | None:
+    def as_fraction(self) -> Rational | None:
         """The value if constant, else None."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and not self.terms[0][0]:
             return self.terms[0][1]
         return None
 
-    def as_unit(self) -> tuple[Fraction, Monomial] | None:
+    def as_unit(self) -> tuple[Rational, Monomial] | None:
         """(q, m) if this is the single term q*m, else None."""
         if len(self.terms) == 1:
             m, c = self.terms[0]
@@ -221,11 +241,11 @@ class Poly(Record):
             return other
         if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
             c = a[0][1] + b[0][1]
-            return _poly(((a[0][0], c),)) if c else _P_ZERO
+            return _poly(((a[0][0], coeff_value(c)),)) if c else _P_ZERO
         acc = dict(a)
         for m, c in b:
             c0 = acc.get(m)
-            acc[m] = c if c0 is None else c0 + c
+            acc[m] = c if c0 is None else coeff_value(c0 + c)
         return _poly(_sorted_terms([t for t in acc.items() if t[1]]))
 
     def __neg__(self) -> "Poly":
@@ -241,24 +261,24 @@ class Poly(Record):
             return self.scale(other.terms[0][1])
         if len(self.terms) == 1 and not self.terms[0][0]:
             return other.scale(self.terms[0][1])
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Rational] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = mono_mul(m1, m2)
                 c0 = acc.get(m)
                 acc[m] = c1 * c2 if c0 is None else c0 + c1 * c2
-        return _poly(_sorted_terms([t for t in acc.items() if t[1]]))
+        return _poly(_sorted_terms(
+            [(m, coeff_value(c)) for m, c in acc.items() if c]))
 
     def scale(self, q) -> "Poly":
         if not self.terms:
             return self
-        if type(q) is not Fraction:
-            q = Fraction(q)
+        q = coeff_value(q)
         if not q:
             return _P_ZERO
         if q == 1:
             return self
-        return _poly(tuple((m, c * q) for m, c in self.terms))
+        return _poly(tuple((m, coeff_value(c * q)) for m, c in self.terms))
 
     def invert_unit(self) -> "Poly":
         """Inverse, defined only for q * monomial-in-nonzero-parameters."""
@@ -273,7 +293,8 @@ class Poly(Record):
         if bad:
             raise ExprError(
                 f"division by parameter(s) not declared nonzero: {', '.join(bad)}")
-        return _poly(((tuple((p, -k) for p, k in m), 1 / q),))
+        return _poly(((tuple((p, -k) for p, k in m),
+                       coeff_value(Fraction(1, q))),))
 
     def __truediv__(self, other: "Poly") -> "Poly":
         return self * other.invert_unit()
@@ -288,7 +309,7 @@ class Poly(Record):
             return self
         return _poly(tuple((mono_div(tm, m), c) for tm, c in self.terms))
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, Rational]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[-1]
@@ -297,7 +318,7 @@ class Poly(Record):
         """Exact polynomial division; raises if the division has a remainder."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q_acc: dict[Monomial, Fraction] = {}
+        q_acc: dict[Monomial, Rational] = {}
         rem = self
         lm, lc = other.leading()
         while not rem.is_zero:
@@ -306,8 +327,8 @@ class Poly(Record):
                 qm = mono_div(rm, lm)
             except ValueError:
                 raise ArithmeticError("inexact polynomial division") from None
-            qc = rc / lc
-            q_acc[qm] = q_acc.get(qm, Fraction(0)) + qc
+            qc = coeff_value(Fraction(rc, lc))
+            q_acc[qm] = q_acc.get(qm, 0) + qc
             rem = rem - other.mul_mono(qm).scale(qc)
         return Poly(tuple(q_acc.items()))
 

@@ -23,10 +23,10 @@ pieces never re-sorts a growing partial sum.
 `Term` and `Expr` are slotted records.  Atoms compare and hash as tuples
 (see `atoms`), so a power product is its own sort key.  An `Expr` fills
 its hash and `sort_key()` once, lazily (`lazy_slot`): hashing one walks
-every coefficient down to each `Fraction`, in Python, and an exponent is
-hashed on every lookup of its `ExpAtom`.  Hashing eagerly at construction
-was slower: +2-11% benchmark run time on every workload (2-core x86,
-3 seeds).
+every coefficient down to each value (an `int` hashes in C, a `Fraction`
+in Python), and an exponent is hashed on every lookup of its `ExpAtom`.
+Hashing eagerly at construction was slower: +2-11% benchmark run time on
+every workload (2-core x86, 3 seeds).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from ..cancel import checkpoint
 from ..record import Record
 from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                     MultiIndex, OpaqueDeriv, Parameter)
-from .coeff import Poly
+from .coeff import Poly, coeff_value
 from .errors import ExprError
 from .printer import atom_text, expr_text
 
@@ -146,10 +146,10 @@ class Expr(Record):
 
     @staticmethod
     def const(q) -> "Expr":
-        q = Fraction(q)
-        if q == 0:
+        c = Poly.const(q)
+        if c.is_zero:
             return _E_ZERO
-        return Expr((Term(Poly.const(q)),))
+        return Expr((Term(c),))
 
     @staticmethod
     def from_coeff(c: Poly) -> "Expr":
@@ -163,10 +163,10 @@ class Expr(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_rational(self) -> Fraction | None:
+    def as_rational(self) -> int | Fraction | None:
         """The value as an exact rational if the expression is one, else None."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and not self.terms[0].powers:
             return self.terms[0].coeff.as_fraction()
         return None
@@ -248,7 +248,7 @@ class Expr(Record):
     __rmul__ = __mul__
 
     def scale(self, q) -> "Expr":
-        q = Fraction(q)
+        q = coeff_value(q)
         if q == 0:
             return _E_ZERO
         return Expr(tuple(Term(t.coeff.scale(q), t.powers) for t in self.terms))

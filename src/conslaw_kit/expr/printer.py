@@ -56,10 +56,16 @@ def _atom_display_key(a: Atom):
 
 
 def _term_display_key(t: Term):
-    keys = []
+    """Degree descending, then the sorted display keys of the factors in
+    run-length form: (key, -count) pairs, which order the terms of one
+    degree as the sorted lists with each key repeated count times do,
+    without building those lists.  Atoms may share a key (`f(u)`,
+    `f(v)`), so the counts are merged."""
+    counts: dict = {}
     for a, k in t.powers:
-        keys.extend([_atom_display_key(a)] * k)
-    return (-t.degree, sorted(keys))
+        key = _atom_display_key(a)
+        counts[key] = counts.get(key, 0) + k
+    return (-t.degree, sorted((key, -n) for key, n in counts.items()))
 
 
 def _factor_key(a: Atom):

@@ -396,6 +396,26 @@ class TestSolveLinear:
         assert [str(e) for e in vec.entry_exprs()] == \
             ["(alpha + beta)", "-1"]
 
+    @pytest.mark.parametrize("a, b", [(2, 3), (3, 7)])
+    def test_non_unit_integer_pivot_is_exact(self, a, b):
+        # rows a*c1 + b*c2 and c3: the pivot's inverse is Fraction(1, a),
+        # where `1 / a` on the int entries would be a float (1/3 inexact)
+        vec, = _rational_nullspace([{0: a, 1: b}, {2: 1}], 3)
+        assert [p.as_fraction() for p in vec.numerators] == [b, -a, 0]
+        assert vec.denominator == Poly.const(b)
+        c = tuple(Parameter(f"c{i}") for i in (1, 2, 3))
+        rows = [Row((), 0, ((0, Poly.const(a)), (1, Poly.const(b)))),
+                Row((), 1, ((2, Poly.one()),))]
+        res = solve_linear(rows, c)
+        assert res.dimension == 1 and res.vectors[0] == vec
+        q = [e.as_rational() for e in vec.entry_exprs()]
+        assert q == [1, Fraction(-a, b), 0]
+        assert Fraction(q[0]) / q[1] == Fraction(-b, a)
+        for p in vec.numerators + tuple(
+                e.as_coeff() for e in vec.entry_exprs()):
+            assert all(type(v) is int or type(v) is Fraction
+                       and v.denominator != 1 for _, v in p.terms)
+
     def test_entry_exprs_lets_other_errors_through(self, monkeypatch):
         """Only ExprError (not a unit) selects the cleared representative."""
         def fail(self):

@@ -233,6 +233,23 @@ class TestExitCodes:
         assert load_session(text).chars["c"].components == (
             (u.scale(n) if op == "+" else u ** n),)
 
+    @pytest.mark.parametrize("fmt, status", [
+        ("json", '"status": "zero"'), ("text", "status: zero"),
+        ("latex", "% status: zero")])
+    def test_huge_exponent_prints(self, tmp_path, fmt, status):
+        # a term's display key once listed each factor's key once per unit
+        # of its exponent: 10^19 overflowed, 10^8 built an 800 MB list
+        path = tmp_path / "huge.cl"
+        path.write_text("indep t x;\ndep u;\neq e: D[u,t] = D[u,x];\n"
+                        "vector v = (u^10000000000000000000, "
+                        "-u^10000000000000000000);\ncmd verify v;\n")
+        r = run_cli("run", "--session", str(path), "--format", fmt)
+        assert r.returncode == 0, r.stdout + r.stderr[-2000:]
+        assert r.stderr == ""
+        assert status in r.stdout
+        assert "u^9999999999999999999" in r.stdout \
+            or "u^{9999999999999999999}" in r.stdout
+
     def test_wrong_substitution_class_exits_2(self):
         r = run_cli("selfadjoint-check", "sub1", "--session", THOMAS)
         assert r.returncode == 2

@@ -190,7 +190,7 @@ def ref_exact_div(a, b):
     lm, lc = b.terms[-1]
     while rem.terms:
         rm, rc = rem.terms[-1]
-        qm, qc = _ref_mono_div(rm, lm), rc / lc
+        qm, qc = _ref_mono_div(rm, lm), Fraction(rc, lc)
         q_acc[qm] = q_acc.get(qm, Fraction(0)) + qc
         rem = ref_add(rem, ref_neg(ref_scale(ref_mul_mono(b, qm), qc)))
     return Poly(tuple(q_acc.items()))
@@ -234,13 +234,16 @@ def ref_cmul(a, b):
 
 def ref_cdiv(a, unit):
     (nm, q), = unit[0].terms
-    return ref_cmul(a, ref_cancel(ref_mul_mono(Poly.const(1 / q), unit[1]), nm))
+    return ref_cmul(a, ref_cancel(ref_mul_mono(Poly.const(Fraction(1, q)),
+                                               unit[1]), nm))
 
 
 def assert_canonical_poly(r):
     again = Poly(r.terms)
     assert again == r and again.terms == r.terms
-    assert all(c != 0 and type(c) is Fraction for _, c in r.terms)
+    assert all(c != 0 and (type(c) is int or
+                           type(c) is Fraction and c.denominator != 1)
+               for _, c in r.terms)
 
 
 def assert_matches(got, want):
@@ -337,6 +340,41 @@ def test_constant_operands_match_reference(pa, pb, q, n):
     assert c + minus_c is Poly.zero() and c.scale(0) is Poly.zero()
     assert a.scale(1) is a and c.scale(1) is c
     assert a.is_zero or a * Poly.one() is a
+
+
+int_polys = st.dictionaries(monomials, st.integers(-4, 4), max_size=4).map(
+    lambda d: Poly(tuple(d.items())))
+non_integers = rationals.filter(lambda q: q.denominator != 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_polys, int_polys, unit_pairs, non_integers,
+       st.integers(-4, 4).filter(bool))
+def test_exact_division_never_yields_a_float(a, b, pu, q, n):
+    """Integral coefficients are `int`s, so every division site meets
+    `int` operands, where `/` would make a float."""
+    u, c = laurent(*pu), Poly.const(n)
+    for p in (a, b, a + b, a * b, -a, c):
+        assert all(type(v) is int for _, v in p.terms)
+    cases = [
+        (a / c, ref_scale(a, Fraction(1, n))),
+        (c.invert_unit(), Poly.const(Fraction(1, n))),
+        (u.invert_unit(), laurent(*ref_cdiv((Poly.one(), ()), pu))),
+        (a / u, laurent(*ref_cdiv((a, ()), pu))),
+        (a.scale(q), ref_scale(a, q)),
+        (a.scale(q).scale(1 / q), a),
+        ((a / c).scale(n), a),
+    ]
+    if not b.is_zero:
+        cases.append(((a * b).exact_div(b), a))
+        cases.append(((a * b).exact_div(b), ref_exact_div(ref_mul(a, b), b)))
+        cases.append(((a * b).exact_div(b.scale(n)),
+                      ref_scale(a, Fraction(1, n))))
+    for got, want in cases:
+        for p in (got, got.num_den()[0]):
+            assert_canonical_poly(p)
+            assert not any(isinstance(v, float) for _, v in p.terms)
+        assert got == want and got.terms == want.terms
 
 
 def test_constant_sum_cancels_to_canonical_zero():

@@ -21,10 +21,12 @@ from hypothesis import given, settings, strategies as st
 from conslaw_kit.determining import e_decompose
 from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr,
                               IndependentVar, JetVar, MultiIndex,
-                              OpaqueDeriv, Parameter, Poly, atom_expr,
-                              exp_of, normalize, param, partial, substitute)
+                              OpaqueDeriv, Parameter, Poly, Term,
+                              atom_expr, exp_of, normalize, param, partial,
+                              substitute)
 from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
-from conslaw_kit.expr.printer import atom_text
+from conslaw_kit.expr.printer import (_atom_display_key, _term_display_key,
+                                      atom_text)
 from conslaw_kit.jet import total_derivative
 from conslaw_kit.variational import (Characteristic, adjoint_linearize,
                                      euler, linearize)
@@ -468,6 +470,38 @@ def exp_atoms(draw, factors):
 atoms = st.recursive(
     plain_atoms, lambda kids: st.one_of(opaque_atoms(kids), exp_atoms(kids)),
     max_leaves=6)
+
+
+def reference_term_display_key(t: Term):
+    """`printer._term_display_key` as it was before its run-length form:
+    each factor's display key repeated once per unit of its exponent."""
+    keys = []
+    for a, k in t.powers:
+        keys.extend([_atom_display_key(a)] * k)
+    return (-t.degree, sorted(keys))
+
+
+class TestTermDisplayKey:
+    # f(u) and f(u_x) share one display key
+    SHARED = (OpaqueDeriv("f", (S.u_at,), (0,)),
+              OpaqueDeriv("f", (S.ux_at,), (0,)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(atoms, max_size=4, unique=True), st.data())
+    def test_run_length_key_sorts_as_the_expanded_one(self, pool, data):
+        pool = list(self.SHARED) + pool
+        terms = [Term(Poly.one(), tuple(
+                    (a, data.draw(st.integers(1, 3))) for a in data.draw(
+                        st.lists(st.sampled_from(pool), max_size=4,
+                                 unique=True))))
+                 for _ in range(data.draw(st.integers(1, 8)))]
+        assert sorted(terms, key=_term_display_key) == \
+            sorted(terms, key=reference_term_display_key)
+        for s, t in itertools.combinations(terms, 2):
+            ks, kt = _term_display_key(s), _term_display_key(t)
+            rs, rt = (reference_term_display_key(s),
+                      reference_term_display_key(t))
+            assert (ks < kt) == (rs < rt) and (ks == kt) == (rs == rt)
 
 
 class TestAtomOrder:

@@ -4,29 +4,25 @@ Every determining residual is linear in its characteristic, so the
 residual of a combination sum c_k * basis_k is sum c_k * residual(basis_k).
 Each basis element's residual is computed once; splitting it over jet
 monomials and free coordinates gives column k of a homogeneous linear
-system for the unknown constants.  Rows are sparse, holding only their
-nonzero entries, through denominator clearing, normalisation and
-deduplication.  The system is solved exactly: by sparse Gauss-Jordan
-elimination over Q when every entry is rational, and by fraction-free
-(Bareiss) elimination with side conditions when entries carry
-parameters; only the Bareiss path makes the rows dense.  Every nullspace
-vector is substituted back into the combined residual, which must
-vanish.
+system for the unknown constants.  Its sparse rows (nonzero entries only)
+are solved by Gauss-Jordan elimination over the Laurent polynomials in
+the parameters while every pivot is a unit, and otherwise by fraction-free
+(Bareiss) elimination with side conditions.  Every nullspace vector is
+substituted back into the combined residual, which must vanish.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 
 from .cancel import checkpoint
 from .determining import (adjoint_symmetry_residual,
                           differential_substitution_residual,
                           multiplier_residual, symmetry_residual)
 from .expr.atoms import Parameter
-from .expr.coeff import (Poly, Rational, coeff_value, common_content,
-                         mono_gcd, mono_lcm)
+from .expr.coeff import (Poly, common_content, mono_div, mono_gcd,
+                         mono_lcm)
 from .expr.errors import AnsatzError, ExprError
 from .expr.expression import Expr, Powers, Term, sum_exprs
 from .expr.printer import poly_text
@@ -155,102 +151,107 @@ class LinearSolveResult(Record):
         return len(self.vectors)
 
 
-def _clear_row(row: Row) -> tuple[tuple[int, Poly], ...]:
-    """The row's (k, entry) pairs times their least common denominator,
-    so polynomials, divided by their rational content."""
+def _cleared(polys: Sequence[Poly]) -> Sequence[Poly]:
+    """The polys times the least monomial that clears their denominators,
+    divided by their rational content: polynomials."""
+    split = [p.num_den() for p in polys]
     den = ()
-    for _, c in row.entries:
-        den = mono_lcm(den, c.num_den()[1])
-    polys = row.entries
+    for _, d in split:
+        den = mono_lcm(den, d)
     if den:
-        unit = Poly(((den, 1),))
-        polys = [(k, c * unit) for k, c in polys]
-    content = common_content(p for _, p in polys)
+        # num is a polynomial, so `mul_mono` keeps its terms in order
+        polys = [num.mul_mono(mono_div(den, d)) for num, d in split]
+    content = common_content(polys)
     if content not in (0, 1):
         inv = 1 / content
-        polys = [(k, p.scale(inv)) for k, p in polys]
-    return tuple(polys)
+        polys = [p.scale(inv) for p in polys]
+    return polys
 
 
 def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
                  ) -> LinearSolveResult:
-    """Exact nullspace of the rows, fitted to the coefficient field.
+    """Exact nullspace of the rows over the parameters' rational functions.
 
-    After clearing denominators, a system whose entries are all rational
-    is solved by sparse Gauss-Jordan elimination over Q.  Otherwise
-    fraction-free (Bareiss) elimination runs over the parameter
-    polynomials; a pivot that is not a rational times a product of
-    nonzero-declared parameters is recorded as a side condition (the
+    Rows are cleared of denominators and deduplicated, then eliminated by
+    sparse Gauss-Jordan over `Poly` while every pivot is a unit (a rational
+    times a monomial in nonzero-declared parameters).  At the first pivot
+    that is not, fraction-free (Bareiss) elimination solves the whole
+    system again and records each such pivot as a side condition (the
     generic branch is taken).  The returned basis is deterministic,
     normalized so each vector's first nonzero entry is 1.
     """
     n = len(unknowns)
-    mat: list[tuple[tuple[int, Poly], ...]] = []
+    mat: list[dict[int, Poly]] = []
     seen: set[tuple] = set()
     kept_rows: list[Row] = []
     for row in rows:
         if not row.entries:
             continue
-        polys = _clear_row(row)
-        key = tuple((k, p.terms) for k, p in polys)
+        ks, polys = zip(*row.entries)
+        polys = _cleared(polys)
+        key = (ks, tuple(p.terms for p in polys))
         if key in seen:
             continue
         seen.add(key)
-        mat.append(polys)
+        mat.append(dict(zip(ks, polys)))
         kept_rows.append(row)
 
-    rational = [{k: p.as_fraction() for k, p in polys} for polys in mat]
-    if all(q is not None for r in rational for q in r.values()):
-        vectors, side = _rational_nullspace(rational, n), []
-    else:
-        dense = []
-        for polys in mat:
-            full = [Poly.zero()] * n
-            for k, p in polys:
-                full[k] = p
-            dense.append(full)
-        vectors, side = _bareiss_nullspace(dense, n)
+    vectors, side = _sparse_nullspace(list(map(dict, mat)), n), []
+    if vectors is None:
+        zero = Poly.zero()
+        vectors, side = _bareiss_nullspace(
+            [[d.get(k, zero) for k in range(n)] for d in mat], n)
     return LinearSolveResult(tuple(vectors), tuple(side), tuple(kept_rows),
                              tuple(unknowns))
 
 
-def _rational_nullspace(rows: list[dict[int, Rational]], n: int
-                        ) -> list[NullspaceVector]:
-    """Nullspace of rational rows {column: nonzero entry} by sparse
-    Gauss-Jordan elimination over Q; rewrites `rows` in place.
+def _sparse_nullspace(rows: list[dict[int, Poly]], n: int
+                      ) -> list[NullspaceVector] | None:
+    """Nullspace of the rows {column: nonzero entry} by sparse Gauss-Jordan
+    elimination over `Poly`, or None at the first pivot that is not a unit;
+    rewrites `rows` in place.
 
-    Pivots are searched in column order, as in `_bareiss_nullspace`, so
-    both find the same free columns and return the same vectors."""
-    reduced: dict[int, dict[int, Rational]] = {}
+    Pivots are found as in `_bareiss_nullspace`: in column order, in the
+    first row at or after position r, swapped into place.  Each is then
+    Bareiss's pivot over the one before it, so this path completes exactly
+    when Bareiss records no side condition, and both give the same
+    vectors."""
+    zero = Poly.zero()
+    pivots: dict[int, dict[int, Poly]] = {}
+    r = 0
     for col in range(n):
         checkpoint()
-        i = next((i for i, row in enumerate(rows) if col in row), None)
+        i = next((i for i in range(r, len(rows)) if col in rows[i]), None)
         if i is None:
             continue
-        pivot = rows.pop(i)
-        inv = coeff_value(Fraction(1, pivot[col]))
-        pivot = {j: q * inv for j, q in pivot.items()}
-        for row in (*rows, *reduced.values()):
-            factor = row.get(col)
-            if factor is None:
+        try:
+            inv = -rows[i][col].invert_unit()
+        except ExprError:
+            return None
+        # scaled so the pivot is -1, then dropped: x_col = sum of q_j * x_j
+        pivot = {j: q * inv for j, q in rows[i].items() if j != col}
+        rows[i], rows[r] = rows[r], pivot
+        for row in rows:
+            f = row.pop(col, None)
+            if f is None:
                 continue
             for j, q in pivot.items():
-                v = row.get(j, 0) - factor * q
-                if v:
-                    row[j] = v
-                else:
+                v = row.get(j, zero) + f * q
+                if v.is_zero:
                     del row[j]
-        reduced[col] = pivot
+                else:
+                    row[j] = v
+        pivots[col] = pivot
+        r += 1
 
     vectors = []
     for fc in range(n):
-        if fc in reduced:
-            continue
-        entries = [0] * n
-        entries[fc] = 1
-        for pc, pivot in reduced.items():
-            entries[pc] = -pivot.get(fc, 0)
-        vectors.append(_normalize_vector([Poly.const(q) for q in entries]))
+        if fc not in pivots:
+            entries = [zero] * n
+            entries[fc] = Poly.one()
+            for pc, pivot in pivots.items():
+                entries[pc] = pivot.get(fc, zero)
+            vectors.append(_normalize_vector(entries))
     return vectors
 
 
@@ -264,11 +265,8 @@ def _bareiss_nullspace(mat: list[list[Poly]], n: int
     r = 0
     for col in range(n):
         checkpoint()
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if not mat[i][col].is_zero:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(mat))
+                          if not mat[i][col].is_zero), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
@@ -293,6 +291,7 @@ def _bareiss_nullspace(mat: list[list[Poly]], n: int
     free_cols = [c for c in range(n) if c not in pivot_cols]
     vectors = []
     for fc in free_cols:
+        checkpoint()
         # Back-substitute over the fraction field, then clear denominators.
         num: dict[int, Poly] = {fc: Poly.const(1)}
         den: dict[int, Poly] = {fc: Poly.const(1)}
@@ -308,28 +307,29 @@ def _bareiss_nullspace(mat: list[list[Poly]], n: int
         common = Poly.const(1)
         for c in sorted(den):
             common = common * den[c]
-        vectors.append(_normalize_vector(
-            [num[c] * common.exact_div(den[c]) if c in num else Poly.zero()
-             for c in range(n)]))
+        cleared = [Poly.zero()] * n
+        for c in num:
+            checkpoint()
+            cleared[c] = num[c] * common.exact_div(den[c])
+        vectors.append(_normalize_vector(cleared))
     return vectors, side
 
 
-def _normalize_vector(cleared: list[Poly]) -> NullspaceVector:
-    """Divide out the rational and monomial content and make the leading
-    term of the first nonzero entry positive; that entry is the
-    denominator."""
+def _normalize_vector(entries: list[Poly]) -> NullspaceVector:
+    """Clear the denominators, divide out the rational and monomial
+    content and make the leading term of the first nonzero entry
+    positive; that entry is the denominator."""
+    cleared = _cleared(entries)
     nonzero = [p for p in cleared if not p.is_zero]
-    content = common_content(nonzero)
     mono_common = nonzero[0].mono_content()
     for p in nonzero[1:]:
         mono_common = mono_gcd(mono_common, p.mono_content())
-    if content != 1 or mono_common:
-        inv = 1 / content
-        cleared = [p.scale(inv).div_mono(mono_common) for p in cleared]
+    if mono_common:
+        cleared = [p.div_mono(mono_common) for p in cleared]
     first = next(p for p in cleared if not p.is_zero)
     if first.leading()[1] < 0:
         cleared = [-p for p in cleared]
-        first = next(p for p in cleared if not p.is_zero)
+        first = -first
     return NullspaceVector(tuple(cleared), first)
 
 

@@ -52,12 +52,12 @@ Rational = int | Fraction
 
 
 def coeff_value(q):
-    """The canonical coefficient value of the rational q: q itself if it is
-    an `int`, else a `Fraction`, turned into its `int` when it is one."""
+    """The canonical coefficient value of q: q if it is an `int`, else a
+    `Fraction` (its `int` when it is one); a float is a `TypeError`."""
     if q.__class__ is int:
         return q
     if q.__class__ is not Fraction:
-        q = Fraction(q)
+        raise TypeError(f"coefficient {q!r} is not an int or a Fraction")
     return q.numerator if q.denominator == 1 else q
 
 

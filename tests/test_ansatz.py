@@ -3,23 +3,24 @@ side conditions, determinism."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conslaw_kit import ansatz
 from conslaw_kit.ansatz import (TARGETS, AnsatzProblem, LinearSolveResult,
                                 NullspaceVector, Row, _bareiss_nullspace,
-                                _rational_nullspace, build_and_split,
-                                solve_ansatz, solve_linear)
+                                _normalize_vector, _sparse_nullspace,
+                                build_and_split, solve_ansatz, solve_linear)
 from conslaw_kit.cancel import deadline
 from conslaw_kit.determining import adjoint_symmetry_residual
 from conslaw_kit.dsl import load_session, parse_expression, run_session_command
 from conslaw_kit.expr import (Expr, IndependentVar, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
-from conslaw_kit.expr.coeff import (Poly, common_content, mono, mono_div,
-                                    mono_lcm)
+from conslaw_kit.expr.coeff import (Poly, coeff_value, common_content, mono,
+                                    mono_div, mono_lcm)
 from conslaw_kit.expr.errors import AnsatzError, CancelledComputation
 from conslaw_kit.expr.expression import jet, sum_exprs
 from conslaw_kit.expr.printer import poly_text
@@ -324,6 +325,77 @@ def dense_coeff_rows(draw):
     return n, [Row((), i, tuple(r)) for i, r in enumerate(mixed)]
 
 
+def _rational_nullspace(rows, n) -> list[NullspaceVector]:
+    """The solver's sparse Gauss-Jordan elimination over Q, from before it
+    ran over `Poly`, kept as a reference: rational rows {column: nonzero
+    entry}, rewritten in place."""
+    reduced = {}
+    for col in range(n):
+        i = next((i for i, row in enumerate(rows) if col in row), None)
+        if i is None:
+            continue
+        pivot = rows.pop(i)
+        inv = coeff_value(Fraction(1, pivot[col]))
+        pivot = {j: q * inv for j, q in pivot.items()}
+        for row in (*rows, *reduced.values()):
+            factor = row.get(col)
+            if factor is None:
+                continue
+            for j, q in pivot.items():
+                v = row.get(j, 0) - factor * q
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        reduced[col] = pivot
+    vectors = []
+    for fc in range(n):
+        if fc in reduced:
+            continue
+        entries = [0] * n
+        entries[fc] = 1
+        for pc, pivot in reduced.items():
+            entries[pc] = -pivot.get(fc, 0)
+        vectors.append(_normalize_vector([Poly.const(q) for q in entries]))
+    return vectors
+
+
+UNITS = (mono((A, 1)), mono((A, -1)), mono((B, -1)), mono((A, 1), (B, -1)))
+
+
+@st.composite
+def mixed_rows(draw):
+    """Rows whose entries mix rationals, monomials in the nonzero
+    parameters (negative exponents included), a generic parameter and
+    binomials, padded with zero rows, copies of rows and combinations of
+    two rows by a unit (so rank-deficient as well as full-rank).  Three
+    columns at most: on four, the Bareiss elimination the test compares
+    against sometimes takes seconds in `Poly.exact_div`."""
+    n = draw(st.integers(1, 3))
+    q = fractions.filter(bool)
+    rational = st.builds(Poly.const, q)
+    unit = st.builds(lambda m, c: Poly(((m, c),)), st.sampled_from(UNITS), q)
+    generic = st.builds(lambda c: Poly.param(P).scale(c), q)
+    binomial = st.builds(Poly.__add__, st.one_of(rational, unit, generic),
+                         unit)
+    entry = st.one_of(st.just(Poly.zero()), rational, unit, generic,
+                      binomial)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "copy", "combination")))
+        if kind == "zero" or not rows:
+            extra.append([Poly.zero()] * n)
+        elif kind == "copy":
+            extra.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s = draw(unit)
+            extra.append([x + s * y for x, y in zip(a, b)])
+    mixed = draw(st.permutations(rows + extra))
+    return n, [Row((), i, _sparse(r)) for i, r in enumerate(mixed)]
+
+
 def _dense_solve_linear(rows, unknowns) -> LinearSolveResult:
     """The solver as it was with dense rows, kept as a reference: each
     row holds one coefficient per unknown, zeros included."""
@@ -400,7 +472,8 @@ class TestSolveLinear:
     def test_non_unit_integer_pivot_is_exact(self, a, b):
         # rows a*c1 + b*c2 and c3: the pivot's inverse is Fraction(1, a),
         # where `1 / a` on the int entries would be a float (1/3 inexact)
-        vec, = _rational_nullspace([{0: a, 1: b}, {2: 1}], 3)
+        vec, = _sparse_nullspace(
+            [{0: Poly.const(a), 1: Poly.const(b)}, {2: Poly.one()}], 3)
         assert [p.as_fraction() for p in vec.numerators] == [b, -a, 0]
         assert vec.denominator == Poly.const(b)
         c = tuple(Parameter(f"c{i}") for i in (1, 2, 3))
@@ -491,6 +564,49 @@ class TestSolveLinear:
         assert res.side_conditions == ref.side_conditions
         assert res.rows == tuple(Row(r.key, r.component, _sparse(r.entries))
                                  for r in ref.rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_rows())
+    # swapping the third row into place moves the first one last, so
+    # Bareiss takes the pivot 1 + a in column 1 though the unit 1 is there
+    @example((4, [Row((), 0, ((1, Poly.one()),)),
+                  Row((), 1, ((1, Poly.param(P) + Poly.one()),
+                              (3, Poly.one()))),
+                  Row((), 2, ((0, Poly.one()),))]))
+    def test_unit_pivots_match_forced_bareiss(self, case):
+        """Same vectors and side conditions as Bareiss elimination forced
+        on the same cleared rows."""
+        n, rows = case
+        unknowns = tuple(Parameter(f"c{k}") for k in range(1, n + 1))
+        res = solve_linear(rows, unknowns)
+        dense = []
+        for r in res.rows:
+            full = [Poly.zero()] * n
+            cleared = ansatz._cleared([c for _, c in r.entries])
+            for (k, _), p in zip(r.entries, cleared):
+                full[k] = p
+            dense.append(full)
+        vectors, side = _bareiss_nullspace(dense, n)
+        assert res.vectors == tuple(vectors)
+        assert res.side_conditions == tuple(side)
+
+    def test_bareiss_back_substitution_honours_deadline(self):
+        """The one nullspace vector of these rows has entries of 1155-1446
+        terms, and clearing its denominators takes seconds per entry; a
+        deadline stops it after the entry it is in."""
+        a, b = Parameter("a", nonzero=True), Parameter("b", nonzero=True)
+        pa, pc = Poly.param(a), Poly.param(Parameter("c"))
+        k = Poly.const
+        cells = [{0: k(3), 1: -pa, 2: k(3) * Poly.param(b, -1), 4: k(2) * pc},
+                 {0: Poly.one() + pa, 1: k(-3), 2: pa, 3: pa},
+                 {0: k(2) * pc, 1: -pa},
+                 {0: k(2), 3: pa.scale(Fraction(-1, 3))}]
+        rows = [Row((), i, tuple(r.items())) for i, r in enumerate(cells)]
+        unknowns = tuple(Parameter(f"c{i}") for i in range(1, 6))
+        start = time.monotonic()
+        with deadline(1.0), pytest.raises(CancelledComputation):
+            solve_linear(rows, unknowns)
+        assert time.monotonic() - start < 8
 
     def test_rational_path_honours_deadline(self):
         c = (Parameter("c1"), Parameter("c2"))

@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conslaw_kit import cli
+from conslaw_kit import ansatz, cli
 from conslaw_kit.dsl import emit, load_session, run_session_command
 from conslaw_kit.dsl.report import Report
 from conslaw_kit.expr.expression import jet
@@ -484,6 +484,39 @@ def test_parametric_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
     assert "/g^" in stream or "{g^" in stream
     assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
         PARAMETRIC_DIGESTS[fmt]
+
+
+# SHA-256 of the report streams of tests/data/thomas-scale.cl, the Thomas
+# adjoint-symmetry ansatz over 71 elements, as they were when every
+# parametric system went through dense Bareiss elimination
+THOMAS_SCALE = PKG_ROOT / "tests" / "data" / "thomas-scale.cl"
+THOMAS_SCALE_DIGESTS = {
+    "json": "d5acd350c3185e4653e86b4b9330655e8ef0e1ab0dce7e564de51213ebe348a3",
+    "text": "5636e4d04283cb66e6e77b59750b2fde712d6aa4cca76779fce0ed6e156de41c",
+    "latex": "bb00f60f7e4f3694fcb13ab81584e2eb62e29bd9c30dc65443b9339e5912cbaa",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(THOMAS_SCALE_DIGESTS))
+def test_thomas_scale_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
+    monkeypatch.setenv("CONSLAW_COLOR", "0")
+    assert cli.main(["run", "--session", str(THOMAS_SCALE),
+                     "--format", fmt]) == 0
+    stream = capsys.readouterr().out
+    assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
+        THOMAS_SCALE_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("session", [THOMAS_SCALE, THOMAS],
+                         ids=["thomas-scale", "thomas"])
+def test_unit_pivot_sessions_never_reach_bareiss(session, monkeypatch):
+    """Every pivot of these ansatz systems is a unit (a rational times a
+    monomial in nonzero parameters), so the sparse elimination solves
+    them alone."""
+    def fail(*args):
+        raise AssertionError("dense Bareiss elimination ran")
+    monkeypatch.setattr(ansatz, "_bareiss_nullspace", fail)
+    assert cli.main(["run", "--session", str(session)]) == 0
 
 
 class TestLatexOutput:

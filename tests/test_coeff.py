@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conslaw_kit.expr import ExprError, Parameter
+from conslaw_kit.expr import Expr, ExprError, Parameter
 from conslaw_kit.expr.coeff import Poly, common_content, mono
 
 A = Parameter("alpha", nonzero=True)
@@ -413,3 +413,15 @@ def test_const_and_param_are_canonical():
     assert Poly.const(0).is_zero and Poly.const(0) is Poly.zero()
     assert Poly.one() == P(((), 1))
     assert Poly.param(G, -2).num_den() == (Poly.one(), mono((G, 2)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly.const(0.5),
+    lambda: Poly((((), 1 / 3),)),
+    lambda: Expr.const(0.25),
+    lambda: Poly.one().scale(0.5),
+], ids=["Poly.const", "Poly", "Expr.const", "scale"])
+def test_float_coefficient_is_a_type_error(build):
+    """A float is never a coefficient: 1/3 as a float is not 1/3."""
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        build()

@@ -7,7 +7,7 @@ monomials and free coordinates gives column k of a homogeneous linear
 system for the unknown constants.  Its sparse rows (nonzero entries only)
 are solved by Gauss-Jordan elimination over the Laurent polynomials in
 the parameters while every pivot is a unit, and otherwise by fraction-free
-(Bareiss) elimination with side conditions.  Every nullspace vector is
+Gauss-Jordan elimination with side conditions.  Every nullspace vector is
 substituted back into the combined residual, which must vanish.
 """
 
@@ -175,7 +175,7 @@ def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
     Rows are cleared of denominators and deduplicated, then eliminated by
     sparse Gauss-Jordan over `Poly` while every pivot is a unit (a rational
     times a monomial in nonzero-declared parameters).  At the first pivot
-    that is not, fraction-free (Bareiss) elimination solves the whole
+    that is not, fraction-free Gauss-Jordan elimination solves the whole
     system again and records each such pivot as a side condition (the
     generic branch is taken).  The returned basis is deterministic,
     normalized so each vector's first nonzero entry is 1.
@@ -213,9 +213,9 @@ def _sparse_nullspace(rows: list[dict[int, Poly]], n: int
 
     Pivots are found as in `_bareiss_nullspace`: in column order, in the
     first row at or after position r, swapped into place.  Each is then
-    Bareiss's pivot over the one before it, so this path completes exactly
-    when Bareiss records no side condition, and both give the same
-    vectors."""
+    the fraction-free pivot over the one before it, so this path completes
+    exactly when the fraction-free one records no side condition, and both
+    give the same vectors."""
     zero = Poly.zero()
     pivots: dict[int, dict[int, Poly]] = {}
     r = 0
@@ -257,61 +257,45 @@ def _sparse_nullspace(rows: list[dict[int, Poly]], n: int
 
 def _bareiss_nullspace(mat: list[list[Poly]], n: int
                        ) -> tuple[list[NullspaceVector], list[str]]:
-    """Nullspace by fraction-free (Bareiss) elimination, with the side
-    conditions of the generic branch; rewrites `mat` in place."""
+    """Nullspace by fraction-free Gauss-Jordan elimination (Bareiss 1968;
+    Nakos, Turner and Williams 1997), with the side conditions of the
+    generic branch; rewrites `mat` in place.  Pivots are Bareiss's, and
+    every other row, above the pivot too, becomes (pivot * row - f * pivot
+    row) / previous pivot, exactly.  Each pivot row then holds the last
+    pivot p in its pivot column and zero in the others: the vector of a
+    free column fc is p there and -row[fc] at each row's pivot column."""
     side: list[str] = []
     pivot_cols: list[int] = []
-    prev_pivot = Poly.const(1)
-    r = 0
+    prev = Poly.one()
     for col in range(n):
-        checkpoint()
-        pivot_row = next((i for i in range(r, len(mat))
-                          if not mat[i][col].is_zero), None)
-        if pivot_row is None:
+        r = len(pivot_cols)
+        i = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero),
+                 None)
+        if i is None:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pivot = mat[r][col]
+        mat[r], mat[i] = mat[i], mat[r]
+        pivot_row = mat[r]
+        pivot = pivot_row[col]
         unit = pivot.as_unit()
         if unit is None or any(not p.nonzero for p, _ in unit[1]):
             side.append(poly_text(pivot))
-        for i in range(r + 1, len(mat)):
-            factor = mat[i][col]
-            if factor.is_zero:
-                mat[i] = [(pivot * mat[i][j]).exact_div(prev_pivot)
-                          for j in range(n)]
-            else:
-                mat[i] = [(pivot * mat[i][j] - factor * mat[r][j])
-                          .exact_div(prev_pivot) for j in range(n)]
-        prev_pivot = pivot
+        for i, row in enumerate(mat):
+            if i != r:
+                checkpoint()
+                f = row[col]
+                mat[i] = [(pivot * x - f * y).exact_div(prev)
+                          for x, y in zip(row, pivot_row)]
+        prev = pivot
         pivot_cols.append(col)
-        r += 1
-        if r == len(mat):
-            break
 
-    free_cols = [c for c in range(n) if c not in pivot_cols]
     vectors = []
-    for fc in free_cols:
-        checkpoint()
-        # Back-substitute over the fraction field, then clear denominators.
-        num: dict[int, Poly] = {fc: Poly.const(1)}
-        den: dict[int, Poly] = {fc: Poly.const(1)}
-        for idx in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[idx]
-            acc_n, acc_d = Poly.zero(), Poly.const(1)
-            for c in range(pc + 1, n):
-                if c in num and not mat[idx][c].is_zero:
-                    acc_n = acc_n * den[c] + mat[idx][c] * num[c] * acc_d
-                    acc_d = acc_d * den[c]
-            num[pc] = -acc_n
-            den[pc] = acc_d * mat[idx][pc]
-        common = Poly.const(1)
-        for c in sorted(den):
-            common = common * den[c]
-        cleared = [Poly.zero()] * n
-        for c in num:
-            checkpoint()
-            cleared[c] = num[c] * common.exact_div(den[c])
-        vectors.append(_normalize_vector(cleared))
+    for fc in range(n):
+        if fc not in pivot_cols:
+            entries = [Poly.zero()] * n
+            entries[fc] = prev
+            for row, pc in zip(mat, pivot_cols):
+                entries[pc] = -row[fc]
+            vectors.append(_normalize_vector(entries))
     return vectors, side
 
 

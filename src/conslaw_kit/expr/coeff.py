@@ -36,8 +36,10 @@ used on polynomials only.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 
+from ..cancel import checkpoint
 from ..record import Record
 from .atoms import Parameter
 from .errors import ExprError
@@ -315,22 +317,34 @@ class Poly(Record):
         return self.terms[-1]
 
     def exact_div(self, other: "Poly") -> "Poly":
-        """Exact polynomial division; raises if the division has a remainder."""
+        """Exact polynomial division; raises if the division has a remainder.
+        The heap holds the remainder's monomials by `_term_key`, a
+        cancelled one with coefficient 0 until it comes off; the quotient
+        is built leading term first, with one `checkpoint()` per term."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q_acc: dict[Monomial, Rational] = {}
-        rem = self
         lm, lc = other.leading()
-        while not rem.is_zero:
-            rm, rc = rem.leading()
+        rem = dict(self.terms)
+        heap = [(_term_key(t), t[0]) for t in reversed(self.terms)]  # sorted
+        quotient = []
+        while heap:
+            m = heappop(heap)[1]
+            rc = rem.pop(m)
+            if not rc:
+                continue
+            checkpoint()
             try:
-                qm = mono_div(rm, lm)
+                qm = mono_div(m, lm)
             except ValueError:
                 raise ArithmeticError("inexact polynomial division") from None
             qc = coeff_value(Fraction(rc, lc))
-            q_acc[qm] = q_acc.get(qm, 0) + qc
-            rem = rem - other.mul_mono(qm).scale(qc)
-        return Poly(tuple(q_acc.items()))
+            quotient.append((qm, qc))
+            for tm, tc in other.terms[:-1]:   # the leading term cancels m
+                pm = mono_mul(tm, qm)
+                if pm not in rem:
+                    heappush(heap, (_term_key((pm,)), pm))
+                rem[pm] = coeff_value(rem.get(pm, 0) - qc * tc)
+        return _poly(tuple(reversed(quotient)))
 
 
 _new = object.__new__

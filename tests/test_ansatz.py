@@ -364,14 +364,12 @@ UNITS = (mono((A, 1)), mono((A, -1)), mono((B, -1)), mono((A, 1), (B, -1)))
 
 
 @st.composite
-def mixed_rows(draw):
+def mixed_rows(draw, columns):
     """Rows whose entries mix rationals, monomials in the nonzero
     parameters (negative exponents included), a generic parameter and
     binomials, padded with zero rows, copies of rows and combinations of
-    two rows by a unit (so rank-deficient as well as full-rank).  Three
-    columns at most: on four, the Bareiss elimination the test compares
-    against sometimes takes seconds in `Poly.exact_div`."""
-    n = draw(st.integers(1, 3))
+    two rows by a unit (so rank-deficient as well as full-rank)."""
+    n = draw(st.integers(1, columns))
     q = fractions.filter(bool)
     rational = st.builds(Poly.const, q)
     unit = st.builds(lambda m, c: Poly(((m, c),)), st.sampled_from(UNITS), q)
@@ -380,7 +378,8 @@ def mixed_rows(draw):
                          unit)
     entry = st.one_of(st.just(Poly.zero()), rational, unit, generic,
                       binomial)
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         max_size=columns + 1))
     extra = []
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(("zero", "copy", "combination")))
@@ -424,6 +423,113 @@ def _dense_solve_linear(rows, unknowns) -> LinearSolveResult:
         vectors, side = _bareiss_nullspace(mat, n)
     return LinearSolveResult(tuple(vectors), tuple(side), tuple(kept_rows),
                              tuple(unknowns))
+
+
+def _bareiss_reference(mat, n):
+    """The solver's Bareiss elimination from before it was fraction-free
+    Gauss-Jordan, kept as a reference: elimination below the pivots only,
+    then back-substitution over the fraction field and denominators
+    cleared by `Poly.exact_div`.  Rewrites `mat` in place."""
+    side = []
+    pivot_cols = []
+    prev_pivot = Poly.one()
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, len(mat))
+                          if not mat[i][col].is_zero), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        pivot = mat[r][col]
+        unit = pivot.as_unit()
+        if unit is None or any(not p.nonzero for p, _ in unit[1]):
+            side.append(poly_text(pivot))
+        for i in range(r + 1, len(mat)):
+            factor = mat[i][col]
+            mat[i] = [(pivot * mat[i][j] - factor * mat[r][j])
+                      .exact_div(prev_pivot) for j in range(n)]
+        prev_pivot = pivot
+        pivot_cols.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    vectors = []
+    for fc in range(n):
+        if fc in pivot_cols:
+            continue
+        num, den = {fc: Poly.one()}, {fc: Poly.one()}
+        for idx in range(len(pivot_cols) - 1, -1, -1):
+            pc = pivot_cols[idx]
+            acc_n, acc_d = Poly.zero(), Poly.one()
+            for c in range(pc + 1, n):
+                if c in num and not mat[idx][c].is_zero:
+                    acc_n = acc_n * den[c] + mat[idx][c] * num[c] * acc_d
+                    acc_d = acc_d * den[c]
+            num[pc] = -acc_n
+            den[pc] = acc_d * mat[idx][pc]
+        common = Poly.one()
+        for c in sorted(den):
+            common = common * den[c]
+        cleared = [Poly.zero()] * n
+        for c in num:
+            cleared[c] = num[c] * common.exact_div(den[c])
+        vectors.append(_normalize_vector(cleared))
+    return vectors, side
+
+
+def _cleared_dense(rows, n) -> list[list[Poly]]:
+    """The rows' entries cleared as `solve_linear` clears them, with the
+    zeros filled in."""
+    dense = []
+    for r in rows:
+        full = [Poly.zero()] * n
+        cleared = ansatz._cleared([c for _, c in r.entries])
+        for (k, _), p in zip(r.entries, cleared):
+            full[k] = p
+        dense.append(full)
+    return dense
+
+
+def _proportional(v, w) -> bool:
+    """Is every 2x2 cross product v_i w_j - v_j w_i zero?"""
+    return all((v[i] * w[j] - v[j] * w[i]).is_zero
+               for i, j in itertools.combinations(range(len(v)), 2))
+
+
+def _four_by_five_rows() -> list[Row]:
+    """Rows whose back-substituted vector has entries of 1155-1446 terms."""
+    a, b = Parameter("a", nonzero=True), Parameter("b", nonzero=True)
+    pa, pc = Poly.param(a), Poly.param(Parameter("c"))
+    k = Poly.const
+    cells = [{0: k(3), 1: -pa, 2: k(3) * Poly.param(b, -1), 4: k(2) * pc},
+             {0: Poly.one() + pa, 1: k(-3), 2: pa, 3: pa},
+             {0: k(2) * pc, 1: -pa},
+             {0: k(2), 3: pa.scale(Fraction(-1, 3))}]
+    return [Row((), i, tuple(r.items())) for i, r in enumerate(cells)]
+
+
+def _generic_seven_by_nine_rows() -> list[Row]:
+    """Seven rows in nine unknowns over four generic parameters, none of
+    them declared nonzero: five of the seven pivots are side conditions,
+    and the minors grow until the solve takes over ten seconds."""
+    a, b, c, d = (Poly.param(Parameter(name)) for name in "abcd")
+    k = Poly.const
+    cells = [{0: k(1), 1: b + d.scale(2), 2: a.scale(4), 3: b.scale(3) + c,
+              4: k(2), 5: b.scale(2) + d, 6: k(2), 7: k(3),
+              8: a.scale(3) + d},
+             {1: k(3), 2: a.scale(3), 3: d, 4: d.scale(4), 5: c + d,
+              8: k(1)},
+             {0: k(-1), 1: c + d.scale(2), 2: c + d.scale(3),
+              3: a.scale(2) + b, 4: b, 5: a, 6: k(2), 7: a.scale(2) + c},
+             {0: c + d, 2: b + c, 3: a + d, 4: a + c.scale(2),
+              5: b.scale(3) + c, 7: a},
+             {1: a + d, 2: c, 3: k(2), 5: c, 6: b, 7: d.scale(3),
+              8: a + c.scale(3)},
+             {0: b + d.scale(2), 1: c, 2: c + d, 3: c + d, 4: b + c,
+              5: c.scale(4), 6: c + d.scale(3), 8: a.scale(4)},
+             {0: c, 1: c.scale(4), 2: k(-1), 3: k(-1), 4: c, 5: d,
+              8: b.scale(3)}]
+    return [Row((), i, tuple(r.items())) for i, r in enumerate(cells)]
 
 
 class TestSolveLinear:
@@ -566,7 +672,7 @@ class TestSolveLinear:
                                  for r in ref.rows)
 
     @settings(max_examples=200, deadline=None)
-    @given(mixed_rows())
+    @given(mixed_rows(6))
     # swapping the third row into place moves the first one last, so
     # Bareiss takes the pivot 1 + a in column 1 though the unit 1 is there
     @example((4, [Row((), 0, ((1, Poly.one()),)),
@@ -579,34 +685,53 @@ class TestSolveLinear:
         n, rows = case
         unknowns = tuple(Parameter(f"c{k}") for k in range(1, n + 1))
         res = solve_linear(rows, unknowns)
-        dense = []
-        for r in res.rows:
-            full = [Poly.zero()] * n
-            cleared = ansatz._cleared([c for _, c in r.entries])
-            for (k, _), p in zip(r.entries, cleared):
-                full[k] = p
-            dense.append(full)
-        vectors, side = _bareiss_nullspace(dense, n)
+        vectors, side = _bareiss_nullspace(_cleared_dense(res.rows, n), n)
         assert res.vectors == tuple(vectors)
         assert res.side_conditions == tuple(side)
 
-    def test_bareiss_back_substitution_honours_deadline(self):
-        """The one nullspace vector of these rows has entries of 1155-1446
-        terms, and clearing its denominators takes seconds per entry; a
-        deadline stops it after the entry it is in."""
-        a, b = Parameter("a", nonzero=True), Parameter("b", nonzero=True)
-        pa, pc = Poly.param(a), Poly.param(Parameter("c"))
-        k = Poly.const
-        cells = [{0: k(3), 1: -pa, 2: k(3) * Poly.param(b, -1), 4: k(2) * pc},
-                 {0: Poly.one() + pa, 1: k(-3), 2: pa, 3: pa},
-                 {0: k(2) * pc, 1: -pa},
-                 {0: k(2), 3: pa.scale(Fraction(-1, 3))}]
-        rows = [Row((), i, tuple(r.items())) for i, r in enumerate(cells)]
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_rows(3))
+    def test_fraction_free_matches_back_substitution(self, case):
+        """Each vector annihilates the cleared rows and is proportional to
+        the back-substituted one, under the same side conditions."""
+        n, rows = case
+        dense = _cleared_dense(rows, n)
+        vectors, side = _bareiss_nullspace(list(map(list, dense)), n)
+        ref, ref_side = _bareiss_reference(list(map(list, dense)), n)
+        assert side == ref_side and len(vectors) == len(ref)
+        for v, w in zip(vectors, ref):
+            for row in dense:
+                assert sum((c * x for c, x in zip(row, v.numerators)),
+                           Poly.zero()).is_zero
+            assert _proportional(v.numerators, w.numerators)
+
+    def test_fraction_free_solves_what_back_substitution_grew(self):
+        """The back-substituted vector of these rows has entries of
+        1155-1446 terms; fraction-free Gauss-Jordan solves them in
+        milliseconds, under the same side conditions, with a proportional
+        vector."""
         unknowns = tuple(Parameter(f"c{i}") for i in range(1, 6))
         start = time.monotonic()
+        res = solve_linear(_four_by_five_rows(), unknowns)
+        assert time.monotonic() - start < 1
+        assert res.side_conditions == (
+            "a*b + a^2*b - 9*b",
+            "-3*a - 3*a^2 + 3*a^2*b - 2*a^2*b*c + 18*c",
+            "-18*a*c + 21*a^2 + 3*a^3 - 3*a^3*b + 2*a^3*b*c")
+        ref, side = _bareiss_reference(_cleared_dense(res.rows, 5), 5)
+        assert res.side_conditions == tuple(side)
+        (vec,), (want,) = res.vectors, ref
+        assert _proportional(vec.numerators, want.numerators)
+
+    def test_fraction_free_elimination_honours_deadline(self):
+        """The generic 7x9 system runs for over ten seconds; a deadline
+        stops it within one quotient term of the `Poly.exact_div` it is
+        in."""
+        unknowns = tuple(Parameter(f"c{i}") for i in range(1, 10))
+        start = time.monotonic()
         with deadline(1.0), pytest.raises(CancelledComputation):
-            solve_linear(rows, unknowns)
-        assert time.monotonic() - start < 8
+            solve_linear(_generic_seven_by_nine_rows(), unknowns)
+        assert time.monotonic() - start < 2
 
     def test_rational_path_honours_deadline(self):
         c = (Parameter("c1"), Parameter("c2"))

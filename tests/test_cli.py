@@ -469,9 +469,9 @@ class TestBenchDigests:
 # conditions, which no benchmark session prints
 PARAMETRIC = PKG_ROOT / "tests" / "data" / "parametric.cl"
 PARAMETRIC_DIGESTS = {
-    "json": "fca3d85bd73e1d99b90d4df3d1357f03a232dc7efd22f5b66351557bdef3a8f5",
-    "text": "420fc6e7cc8145fa2a99db9aa01f8e627ddfa6ab40693f121965a74b1b7c4ae2",
-    "latex": "50814199531ae759ccc8cde31233cc1f42ea6981d2120d8f9c04884dc5d6f9ec",
+    "json": "85c303a0e082735cf65aa618511baf46b5f2e950526fec04021cd21f8c697193",
+    "text": "395729b3165aad8fef7036137800db5b379b66f437a3de2e2ff115339c99259a",
+    "latex": "9361cd5c028ab89755541b307da254d791b0894d8b364820477ea58483565ee4",
 }
 
 
@@ -519,6 +519,49 @@ def test_unit_pivot_sessions_never_reach_bareiss(session, monkeypatch):
     assert cli.main(["run", "--session", str(session)]) == 0
 
 
+# SHA-256 of the report streams of tests/data/fallback.cl, the heat
+# equation's symmetry ansatz over eight elements in four generic
+# parameters, solved by fraction-free Gauss-Jordan elimination
+FALLBACK = PKG_ROOT / "tests" / "data" / "fallback.cl"
+FALLBACK_DIGESTS = {
+    "json": "178080d20fddef5c7513a4adea1f9c0e525ec231afb6780f23928ab533731b79",
+    "text": "218a69773a73a9e0bf363f88c59e718e5f64344dd29ecc1e1bf5ae54120d2160",
+    "latex": "7a75abd19bc7888343f28c3b84656bc682f1f846b59bfd0c27e6db1dd9c94390",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FALLBACK_DIGESTS))
+def test_fallback_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
+    monkeypatch.setenv("CONSLAW_COLOR", "0")
+    assert cli.main(["run", "--session", str(FALLBACK),
+                     "--format", fmt]) == 0
+    stream = capsys.readouterr().out
+    assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
+        FALLBACK_DIGESTS[fmt]
+
+
+def test_fallback_session_reaches_bareiss(capsys, monkeypatch):
+    """A pivot of this ansatz system is not a unit, so the fraction-free
+    elimination solves it, under the side conditions that the
+    back-substituting Bareiss elimination reported too."""
+    calls = []
+    bareiss = ansatz._bareiss_nullspace
+
+    def spy(*args):
+        calls.append(args)
+        return bareiss(*args)
+    monkeypatch.setattr(ansatz, "_bareiss_nullspace", spy)
+    assert cli.main(["run", "--session", str(FALLBACK),
+                     "--format", "json"]) == 0
+    assert len(calls) == 1
+    doc = validate(json.loads(capsys.readouterr().out))
+    assert doc["side_conditions"] == [
+        "-a - b", "a*c + b*c", "a*c + b*c",
+        "a*b*c + 2*a*c^2 + 2*b*c^2 + b^2*c",
+        "-a*b*c^2 - 2*a*c^3 - 2*b*c^3 - b^2*c^2",
+        "8*b*c^3 + 2*b^2*c^2 + 8*c^4", "-8*b*c^3 - 2*b^2*c^2 - 8*c^4"]
+
+
 class TestLatexOutput:
     def test_thomas_example1_contains_paper_exponent(self):
         r = run_cli("conslaw", "spaceTrans", "sub1", "--session", THOMAS,
@@ -541,7 +584,7 @@ class TestLatexOutput:
         assert r.returncode == 0 and r.stderr == ""
         lines = r.stdout.splitlines()
         assert "% detail: nullspace dimension 1" in lines
-        assert "% nullspace: (0, (-2*a*b + a^2 + b^2), 0)" in lines
+        assert "% nullspace: (0, (a - b), 0)" in lines
         for cond in ("a*b - a^2", "-a*b^2 + a^2*b"):
             assert f"% side condition (assumed nonzero): {cond}" in lines
         text = run_cli("run", "--session", str(path), "--format", "text")

@@ -13,7 +13,7 @@ The `jet` constructor for jet atoms lives in `conslaw_kit.expr`; the name
 
 from .expr import (Atom, ConslawError, ExpAtom, ExpConst, Expr,
                    ExprError, IndependentVar, JetVar, MultiIndex,
-                   OpaqueDeriv, Parameter, Poly, RewriteRule, RuleSet, Term,
+                   OpaqueDeriv, Parameter, Poly, RewriteRule, RuleSet,
                    atom_expr, collect, exp_of, ivar, jet_atom,
                    normalize, opaque, param, partial, rational,
                    substitute, sum_exprs)

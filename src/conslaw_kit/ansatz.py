@@ -24,7 +24,7 @@ from .expr.atoms import Parameter
 from .expr.coeff import (Poly, common_content, mono_div, mono_gcd,
                          mono_lcm)
 from .expr.errors import AnsatzError, ExprError
-from .expr.expression import Expr, Powers, Term, sum_exprs
+from .expr.expression import Expr, Powers, graded_key, sum_exprs
 from .expr.printer import poly_text
 from .jet import PdeSystem
 from .record import Record
@@ -109,17 +109,17 @@ def build_and_split(p: AnsatzProblem) -> list[Row]:
     """Rows of residual(sum c_k * basis_k), one per residual component and
     power product: the entry of c_k is that power product's coefficient
     in the residual of basis_k.  Rows come by component, then in the
-    term order of an expression."""
-    cells: dict[tuple[int, Powers], tuple[Term, dict[int, Poly]]] = {}
+    graded order (`graded_key`) of their power products."""
+    cells: dict[tuple[int, Powers], dict[int, Poly]] = {}
     for k, b in enumerate(p.basis):
         checkpoint()
         for comp, res in enumerate(TARGETS[p.target](p.system, b)):
-            for t in res.terms:
-                cells.setdefault((comp, t.powers), (t, {}))[1][k] = t.coeff
+            for powers, c in res.terms:
+                cells.setdefault((comp, powers), {})[k] = c
     order = sorted(cells.items(), reverse=True,
-                   key=lambda kv: (-kv[0][0], kv[1][0].powers_key()))
+                   key=lambda kv: (-kv[0][0], graded_key(kv[0][1])))
     return [Row(powers, comp, tuple(column.items()))
-            for (comp, powers), (_, column) in order]
+            for (comp, powers), column in order]
 
 
 class NullspaceVector(Record):

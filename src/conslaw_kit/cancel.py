@@ -1,10 +1,10 @@
 """Cooperative cancellation.
 
 Long-running verifications poll `checkpoint()` between normalization
-passes, and `Expr.__mul__` once per term of its left factor; a caller (the
-CLI's --timeout) installs a deadline for the current context.  Expressions
-themselves are immutable, so cancellation only abandons the expression
-being built, never corrupts state.
+passes, and `Expr.__mul__` and `Poly.__mul__` once per term of their left
+factor; a caller (the CLI's --timeout) installs a deadline for the
+current context.  Expressions themselves are immutable, so cancellation
+only abandons the expression being built, never corrupts state.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from .determining import (differential_substitution_residual, e_decompose,
                           substitute_multiplier_vars)
 from .expr.atoms import JetVar, MultiIndex
 from .expr.errors import ExprError
-from .expr.expression import Expr, atom_expr, jet_atom, sum_exprs
+from .expr.expression import Expr, atom_expr, graded_key, jet_atom, sum_exprs
 from .jet import PdeSystem, derivatives, jet_partial, total_derivative
 from .record import Record
 from .variational import (Characteristic, _as_characteristic,
@@ -188,12 +188,12 @@ def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr]
     vanishes identically.
 
     Both vectors are canonicalized by on-solution reduction.  Candidate
-    scales are +-1 plus the leading-coefficient ratio when that ratio is
-    an invertible constant (a rational times nonzero parameters), which
-    covers reference vectors normalized by a parameter multiple.  A shift
-    that merely vanishes on solutions would make any two conserved vectors
-    compare equal, so the discrepancy's divergence must normalize to zero
-    under the rules alone, without using the equations.
+    scales are +-1 plus the ratio of the `graded_key`-leading coefficients
+    when it is an invertible constant (a rational times nonzero
+    parameters), which covers reference vectors normalized by a parameter
+    multiple.  A shift that merely vanishes on solutions would make any two
+    conserved vectors compare equal, so the discrepancy's divergence must
+    normalize to zero under the rules alone, without using the equations.
     """
     a = [sys.reduce(c) for c in ours]
     b = [sys.reduce(c) for c in ref]
@@ -202,10 +202,11 @@ def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr]
     for x, y in zip(a, b):
         if x.is_zero or y.is_zero:
             continue
-        tx, ty = x.terms[0], y.terms[0]
-        if tx.powers == ty.powers:
+        (px, cx), (py, cy) = (max(v.terms, key=lambda t: graded_key(t[0]))
+                              for v in (x, y))
+        if px == py:
             try:
-                ratio = Expr.from_coeff(tx.coeff * ty.coeff.invert_unit())
+                ratio = Expr.from_coeff(cx * cy.invert_unit())
             except ExprError:
                 break
             if ratio not in scales:

@@ -6,14 +6,14 @@ from .coeff import Poly
 from .errors import (AnsatzError, CancelledComputation, ConslawError,
                      ExprError, LeadingSolveError, RuleError,
                      SubstitutionClassError, TrivialSubstitutionError)
-from .expression import (Expr, Term, atom_expr, collect, exp_of, ivar, jet,
+from .expression import (Expr, atom_expr, collect, exp_of, ivar, jet,
                          jet_atom, normalize, opaque, param,
                          partial, rational, substitute, sum_exprs)
 from .rules import RewriteRule, RuleSet
 
 __all__ = [
     "Atom", "ExpAtom", "ExpConst", "IndependentVar", "JetVar", "MultiIndex",
-    "OpaqueDeriv", "Parameter", "Poly", "Expr", "Term",
+    "OpaqueDeriv", "Parameter", "Poly", "Expr",
     "atom_expr", "collect", "exp_of", "ivar", "jet", "jet_atom", "normalize",
     "opaque", "param", "partial", "rational", "substitute",
     "sum_exprs", "RewriteRule", "RuleSet",

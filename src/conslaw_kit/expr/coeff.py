@@ -71,11 +71,27 @@ def mono(*pairs: tuple[Parameter, int]) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """a * b for sorted monomials, by one linear merge that drops the
+    exponents that cancel; `mono(*a, *b)` is the reference."""
     if not a:
         return b
     if not b:
         return a
-    return mono(*a, *b)
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (p, k), (q, n) = a[i], b[j]
+        if p == q:
+            if k + n:
+                out.append((p, k + n))
+            i, j = i + 1, j + 1
+        elif p < q:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -90,15 +106,11 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b; requires b to divide a."""
-    if not b:
-        return a
-    acc = dict(a)
-    for p, k in b:
-        acc[p] = acc.get(p, 0) - k
-        if acc[p] < 0:
-            raise ValueError("monomial does not divide")
-    return tuple(sorted((p, k) for p, k in acc.items() if k))
+    """a / b for polynomial monomials; requires b to divide a."""
+    out = mono_mul(a, tuple((p, -k) for p, k in b))
+    if any(k < 0 for _, k in out):
+        raise ValueError("monomial does not divide")
+    return out
 
 
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
@@ -265,6 +277,7 @@ class Poly(Record):
             return other.scale(self.terms[0][1])
         acc: dict[Monomial, Rational] = {}
         for m1, c1 in self.terms:
+            checkpoint()
             for m2, c2 in other.terms:
                 m = mono_mul(m1, m2)
                 c0 = acc.get(m)

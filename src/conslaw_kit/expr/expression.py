@@ -1,10 +1,12 @@
 """Canonical-form expressions.
 
-An expression is a finite sum of terms; each term is an exact coefficient
-(rational function in the declared parameters) times a power product of
-atoms with positive integer exponents.  A fixed total order on atoms and
-terms makes the representation unique, so structural equality of normal
-forms decides semantic equality within the term algebra.
+An expression is a finite sum of terms; each term is the pair
+(powers, coeff), the shape of `Poly.terms`: a power product of atoms with
+positive integer exponents and an exact coefficient (a Laurent polynomial
+in the declared parameters).  Terms are kept in descending power-product
+order, so the representation is unique and structural equality of normal
+forms decides semantic equality within the term algebra.  Display order
+belongs to the printer.
 
 Arithmetic operators keep expressions canonical at every step:
 
@@ -20,13 +22,13 @@ pieces by power product and sorts once.  `+` is its two-piece case and
 `*` folds the distributed products with the same pass, so a sum of many
 pieces never re-sorts a growing partial sum.
 
-`Term` and `Expr` are slotted records.  Atoms compare and hash as tuples
-(see `atoms`), so a power product is its own sort key.  An `Expr` fills
-its hash and `sort_key()` once, lazily (`lazy_slot`): hashing one walks
-every coefficient down to each value (an `int` hashes in C, a `Fraction`
-in Python), and an exponent is hashed on every lookup of its `ExpAtom`.
-Hashing eagerly at construction was slower: +2-11% benchmark run time on
-every workload (2-core x86, 3 seeds).
+An `Expr` is a slotted record and a term a plain tuple; atoms compare
+and hash as tuples (see `atoms`), so a gather builds no per-term object
+and sorts in C.  An `Expr` fills its hash and `sort_key()` once, lazily
+(`lazy_slot`): hashing one walks every coefficient down to each value (an
+`int` hashes in C, a `Fraction` in Python), and an exponent is hashed on
+every lookup of its `ExpAtom`.  Hashing eagerly at construction was
+slower: +2-11% benchmark run time on every workload (2-core x86, 3 seeds).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import itemgetter
 
 from ..cancel import checkpoint
 from ..record import Record
@@ -44,12 +47,13 @@ from .errors import ExprError
 from .printer import atom_text, expr_text
 
 __all__ = [
-    "Term", "Expr", "atom_expr", "rational", "ivar", "param", "jet",
+    "Expr", "atom_expr", "rational", "ivar", "param", "jet",
     "jet_atom", "opaque", "exp_of", "normalize",
     "partial", "jet_partial", "substitute", "collect", "sum_exprs",
 ]
 
 Powers = tuple[tuple[Atom, int], ...]
+Term = tuple[Powers, Poly]
 _EXP = (ExpAtom, ExpConst)
 
 _set = object.__setattr__
@@ -67,57 +71,34 @@ def lazy_slot(slot: str, compute):
     return method
 
 
-class Term(Record):
-    __slots__ = ("coeff", "powers")
-
-    def __init__(self, coeff: Poly, powers: Powers = ()) -> None:
-        _term_coeff(self, coeff)
-        _term_powers(self, powers)
-
-    def __eq__(self, other):
-        if other.__class__ is not Term:
-            return NotImplemented
-        return (self.coeff, self.powers) == (other.coeff, other.powers)
-
-    def __hash__(self) -> int:
-        return hash((self.coeff, self.powers))
-
-    @property
-    def degree(self) -> int:
-        return sum(k for _, k in self.powers)
-
-    def powers_key(self):
-        return (self.degree, self.powers)
-
-    def sort_key(self):
-        return (self.powers_key(), _coeff_key(self.coeff))
-
-    def lowered(self, i: int) -> "Term":
-        """The partial derivative by the atom of factor i: k * coeff times
-        the power product with that exponent lowered by one."""
-        a, k = self.powers[i]
-        kept = ((a, k - 1),) if k > 1 else ()
-        return Term(self.coeff.scale(k),
-                    self.powers[:i] + kept + self.powers[i + 1:])
-
-    def raised(self, a: Atom) -> "Term":
-        """The term times one plain atom `a` (not a `Parameter`, `ExpAtom`
-        or `ExpConst`): its exponent bumped, or `a` inserted at its sorted
-        place, so the power product stays canonical without a re-sort."""
-        powers = self.powers
-        for i, (b, k) in enumerate(powers):
-            if b == a:
-                return Term(self.coeff,
-                            powers[:i] + ((a, k + 1),) + powers[i + 1:])
-            if b > a:
-                return Term(self.coeff, powers[:i] + ((a, 1),) + powers[i:])
-        return Term(self.coeff, powers + ((a, 1),))
+def graded_key(powers: Powers):
+    """(degree, powers), the graded term order.  An expression keeps its
+    terms by power product alone; this key ranks them by degree first
+    where that order shows: `Expr.sort_key`, the ansatz row order and the
+    candidate scale of `compare_vectors`."""
+    return (sum(k for _, k in powers), powers)
 
 
-# the slots' own setters: a term is built on every product-rule step, and
-# these are faster than `object.__setattr__`
-_term_coeff = Term.coeff.__set__
-_term_powers = Term.powers.__set__
+def lowered(term: Term, i: int) -> Term:
+    """The partial derivative of a term by the atom of its factor i:
+    k * coeff times the power product with that exponent lowered by one."""
+    powers, coeff = term
+    a, k = powers[i]
+    kept = ((a, k - 1),) if k > 1 else ()
+    return (powers[:i] + kept + powers[i + 1:], coeff.scale(k))
+
+
+def raised(term: Term, a: Atom) -> Term:
+    """The term times one plain atom `a` (not a `Parameter`, `ExpAtom` or
+    `ExpConst`): its exponent bumped, or `a` inserted at its sorted place,
+    so the power product stays canonical without a re-sort."""
+    powers, coeff = term
+    for i, (b, k) in enumerate(powers):
+        if b == a:
+            return (powers[:i] + ((a, k + 1),) + powers[i + 1:], coeff)
+        if b > a:
+            return (powers[:i] + ((a, 1),) + powers[i:], coeff)
+    return (powers + ((a, 1),), coeff)
 
 
 def _coeff_key(c: Poly):
@@ -149,13 +130,13 @@ class Expr(Record):
         c = Poly.const(q)
         if c.is_zero:
             return _E_ZERO
-        return Expr((Term(c),))
+        return Expr((((), c),))
 
     @staticmethod
     def from_coeff(c: Poly) -> "Expr":
         if c.is_zero:
             return _E_ZERO
-        return Expr((Term(c),))
+        return Expr((((), c),))
 
     # -- queries -----------------------------------------------------------
 
@@ -167,23 +148,23 @@ class Expr(Record):
         """The value as an exact rational if the expression is one, else None."""
         if not self.terms:
             return 0
-        if len(self.terms) == 1 and not self.terms[0].powers:
-            return self.terms[0].coeff.as_fraction()
+        if len(self.terms) == 1 and not self.terms[0][0]:
+            return self.terms[0][1].as_fraction()
         return None
 
     def as_coeff(self) -> Poly | None:
         """The coefficient if the expression is atom-free, else None."""
         if not self.terms:
             return Poly.zero()
-        if len(self.terms) == 1 and not self.terms[0].powers:
-            return self.terms[0].coeff
+        if len(self.terms) == 1 and not self.terms[0][0]:
+            return self.terms[0][1]
         return None
 
     def atoms(self) -> set[Atom]:
         """All factor atoms, including those nested in exponents."""
         out: set[Atom] = set()
-        for t in self.terms:
-            for a, _ in t.powers:
+        for powers, _ in self.terms:
+            for a, _ in powers:
                 out.add(a)
                 if isinstance(a, ExpAtom):
                     out.update(a.exponent.atoms())
@@ -211,14 +192,16 @@ class Expr(Record):
 
     def parameters(self) -> set[Parameter]:
         out: set[Parameter] = set()
-        for t in self.terms:
-            out.update(t.coeff.parameters())
-            for a, _ in t.powers:
+        for powers, c in self.terms:
+            out.update(c.parameters())
+            for a, _ in powers:
                 if isinstance(a, ExpAtom):
                     out.update(a.exponent.parameters())
         return out
 
-    sort_key = lazy_slot("_key", lambda s: tuple(t.sort_key() for t in s.terms))
+    # per term (graded_key, coefficient key), in descending graded order
+    sort_key = lazy_slot("_key", lambda s: tuple(sorted(
+        ((graded_key(p), _coeff_key(c)) for p, c in s.terms), reverse=True)))
 
     def __lt__(self, other: "Expr") -> bool:
         """`sort_key` order, its ties broken by the coefficients with
@@ -234,7 +217,7 @@ class Expr(Record):
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(tuple(Term(-t.coeff, t.powers) for t in self.terms))
+        return Expr(tuple((p, -c) for p, c in self.terms))
 
     def __sub__(self, other) -> "Expr":
         return self + (-_as_expr(other))
@@ -251,7 +234,7 @@ class Expr(Record):
         q = coeff_value(q)
         if q == 0:
             return _E_ZERO
-        return Expr(tuple(Term(t.coeff.scale(q), t.powers) for t in self.terms))
+        return Expr(tuple((p, c.scale(q)) for p, c in self.terms))
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int) or n < 0:
@@ -275,7 +258,7 @@ class Expr(Record):
                 "division is only defined for products of nonzero parameters "
                 "and literal rationals")
         inv = c.invert_unit()
-        return Expr(tuple(Term(t.coeff * inv, t.powers) for t in self.terms))
+        return Expr(tuple((p, q * inv) for p, q in self.terms))
 
     def __rtruediv__(self, other) -> "Expr":
         return _as_expr(other) / self
@@ -289,8 +272,8 @@ _E_ZERO = Expr(())
 
 
 def _flagged_key(e: Expr):
-    return (e.sort_key(), tuple((n.terms, d) for n, d in
-                                (t.coeff.num_den() for t in e.terms)))
+    return (e.sort_key(), tuple((n.terms, d) for _, (n, d) in sorted(
+        ((graded_key(p), c.num_den()) for p, c in e.terms), reverse=True)))
 
 
 def _exp_powers(exponent: Expr) -> Powers:
@@ -304,10 +287,11 @@ def _exp_powers(exponent: Expr) -> Powers:
 def _product(t1: Term, t2: Term) -> Term:
     """The product of two canonical terms.  Each holds at most one
     exponential, of exponent 1, ranked last: only two ever fold."""
-    coeff = t1.coeff * t2.coeff
-    p1, p2 = t1.powers, t2.powers
+    p1, c1 = t1
+    p2, c2 = t2
+    coeff = c1 * c2
     if not p1 or not p2:
-        return Term(coeff, p1 or p2)
+        return (p1 or p2, coeff)
     exp: Powers = ()
     e1, e2 = p1[-1][0], p2[-1][0]
     if e1.__class__ in _EXP and e2.__class__ in _EXP:
@@ -318,7 +302,7 @@ def _product(t1: Term, t2: Term) -> Term:
     acc = dict(p1)
     for a, k in p2:
         acc[a] = acc.get(a, 0) + k
-    return Term(coeff, tuple(sorted(acc.items())) + exp)
+    return (tuple(sorted(acc.items())) + exp, coeff)
 
 
 def _products(left: tuple[Term, ...], right: tuple[Term, ...]):
@@ -332,13 +316,13 @@ def _products(left: tuple[Term, ...], right: tuple[Term, ...]):
 
 def _gather(terms: Iterable[Term]) -> Expr:
     """The one term-accumulation loop: merge coefficients by power
-    product, drop zeros and sort."""
+    product, drop zeros and sort by power product."""
     acc: dict[Powers, Poly] = {}
-    for t in terms:
-        c = acc.get(t.powers)
-        acc[t.powers] = t.coeff if c is None else c + t.coeff
-    kept = [Term(c, p) for p, c in acc.items() if c.terms]
-    kept.sort(key=Term.powers_key, reverse=True)
+    for p, c in terms:
+        c0 = acc.get(p)
+        acc[p] = c if c0 is None else c0 + c
+    kept = [t for t in acc.items() if t[1].terms]
+    kept.sort(key=itemgetter(0), reverse=True)
     return Expr(tuple(kept))
 
 
@@ -365,10 +349,10 @@ def _as_expr(x) -> Expr:
 
 def atom_expr(a: Atom) -> Expr:
     if isinstance(a, Parameter):
-        return Expr((Term(Poly.param(a)),))
+        return Expr((((), Poly.param(a)),))
     if isinstance(a, ExpAtom):
         return exp_of(a.exponent)
-    return Expr((Term(Poly.one(), ((a, 1),)),))
+    return Expr(((((a, 1),), Poly.one()),))
 
 
 def rational(p, q=1) -> Expr:
@@ -397,7 +381,7 @@ def opaque(func: str, *args: Atom) -> Expr:
 
 def exp_of(e: Expr) -> Expr:
     """Exponential of an expression, folding constant exponents."""
-    return Expr((Term(Poly.one(), _exp_powers(_as_expr(e))),))
+    return Expr(((_exp_powers(_as_expr(e)), Poly.one()),))
 
 
 # -- kernel operations -------------------------------------------------------
@@ -414,9 +398,9 @@ def normalize(x) -> Expr:
             return exp_of(normalize(a.exponent))
         return atom_expr(a)
     pieces = []
-    for t in _as_expr(x).terms:
-        piece = Expr.from_coeff(t.coeff)
-        for a, k in t.powers:
+    for powers, c in _as_expr(x).terms:
+        piece = Expr.from_coeff(c)
+        for a, k in powers:
             piece = piece * image(a) ** k
         pieces.append(piece)
     return sum_exprs(pieces)
@@ -434,9 +418,9 @@ def partial(e: Expr, a: Atom) -> Expr:
     e = _as_expr(e)
     pieces = []
     for t in e.terms:
-        for i, (atom, _) in enumerate(t.powers):
+        for i, (atom, _) in enumerate(t[0]):
             if atom == a:
-                pieces.append(Expr((t.lowered(i),)))
+                pieces.append(Expr((lowered(t, i),)))
             elif isinstance(atom, ExpAtom):
                 pieces.append(Expr((t,)) * partial(atom.exponent, a))
     return sum_exprs(pieces)
@@ -499,8 +483,8 @@ def collect(e: Expr, selected: Iterable[Atom]) -> dict[Powers, Expr]:
     e = _as_expr(e)
     sel = set(selected)
     buckets: dict[Powers, list[Term]] = {}
-    for t in e.terms:
-        key = tuple((a, k) for a, k in t.powers if a in sel)
-        rest = tuple((a, k) for a, k in t.powers if a not in sel)
-        buckets.setdefault(key, []).append(Term(t.coeff, rest))
+    for powers, c in e.terms:
+        key = tuple((a, k) for a, k in powers if a in sel)
+        rest = tuple((a, k) for a, k in powers if a not in sel)
+        buckets.setdefault(key, []).append((rest, c))
     return {k: _gather(ts) for k, ts in buckets.items()}

@@ -9,10 +9,10 @@ named in error messages.  `expr_latex` writes the journal's notation
 (derivative subscripts, primes for derivatives of single-argument
 functions, factored exponents).
 
-Display order differs from the internal canonical order: higher-degree
-terms come first, ties broken by most-derived jet content, with
-independent variables last, which reproduces the familiar shapes
-(u^2*u_xx + u*u_x^2, exponents gamma*u + alpha*t + beta*x).
+Display order is the printer's own, not the internal order by power
+product: higher-degree terms come first, ties broken by most-derived jet
+content, with independent variables last, which reproduces the familiar
+shapes (u^2*u_xx + u*u_x^2, exponents gamma*u + alpha*t + beta*x).
 
 An integer longer than `str(int)` converts raises `ConslawError`: no
 shorter text would read back to the same number.
@@ -62,10 +62,11 @@ def _term_display_key(t: Term):
     without building those lists.  Atoms may share a key (`f(u)`,
     `f(v)`), so the counts are merged."""
     counts: dict = {}
-    for a, k in t.powers:
+    for a, k in t[0]:
         key = _atom_display_key(a)
         counts[key] = counts.get(key, 0) + k
-    return (-t.degree, sorted((key, -n) for key, n in counts.items()))
+    return (-sum(counts.values()),
+            sorted((key, -n) for key, n in counts.items()))
 
 
 def _factor_key(a: Atom):
@@ -127,9 +128,9 @@ def _terms(e: Expr, coeff, factor, times: str, pad: str) -> str:
         return "0"
     pieces = []
     for t in sorted(e.terms, key=_term_display_key):
-        neg, ctext = coeff(t.coeff)
+        neg, ctext = coeff(t[1])
         factors = [factor(a, k) for a, k in
-                   sorted(t.powers, key=lambda ak: _factor_key(ak[0]))]
+                   sorted(t[0], key=lambda ak: _factor_key(ak[0]))]
         if ctext != "1" or not factors:
             factors.insert(0, ctext)
         pieces.append((neg, times.join(factors)))
@@ -232,7 +233,7 @@ def _exponent_latex(e: Expr) -> str:
     """Exponent with the rational content factored out, e.g.
     2(\\gamma u+\\alpha t+\\beta x)."""
     if len(e.terms) > 1:
-        content = common_content(t.coeff for t in e.terms)
+        content = common_content(c for _, c in e.terms)
         if content != 1:
             inner = e.scale(1 / content)
             return f"{_frac_latex(content)}({expr_latex(inner)})"

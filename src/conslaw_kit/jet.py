@@ -33,8 +33,8 @@ from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                          MultiIndex, OpaqueDeriv, Parameter)
 from .expr.coeff import Poly
 from .expr.errors import ExprError, LeadingSolveError
-from .expr.expression import (Expr, _gather, atom_expr, jet_partial, partial,
-                              sum_exprs)
+from .expr.expression import (Expr, _gather, atom_expr, jet_partial, lowered,
+                              partial, raised, sum_exprs)
 from .expr.printer import atom_text
 from .expr.rules import RewriteRule, RuleSet, fixpoint
 from .record import Record
@@ -71,8 +71,8 @@ def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
 
     A jet factor a contributes the term lowered at a and raised by
     D_var a = a.bump(var); an independent variable contributes the lowered
-    term when it is x_var.  Both are single canonical terms (`Term.lowered`
-    and `Term.raised` keep the power product sorted), so neither goes
+    term when it is x_var.  Both are single canonical terms (`lowered` and
+    `raised` keep the power product sorted), so neither goes
     through `Expr` multiplication.  Opaque and exponential factors, whose
     derivatives are sums, multiply by `_d_atom`, taken once per atom in
     this call: an exponential shared by many terms has its exponent
@@ -83,18 +83,18 @@ def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
     terms = []
     d_atoms: dict[Atom, Expr] = {}
     for t in e.terms:
-        for i, (a, _) in enumerate(t.powers):
+        for i, (a, _) in enumerate(t[0]):
             if isinstance(a, JetVar):
-                terms.append(t.lowered(i).raised(a.bump(var)))
+                terms.append(raised(lowered(t, i), a.bump(var)))
             elif isinstance(a, IndependentVar):
                 if a.name == var:
-                    terms.append(t.lowered(i))
+                    terms.append(lowered(t, i))
             else:
                 da = d_atoms.get(a)
                 if da is None:
                     da = d_atoms[a] = _d_atom(a, var)
                 if not da.is_zero:
-                    terms.extend((Expr((t.lowered(i),)) * da).terms)
+                    terms.extend((Expr((lowered(t, i),)) * da).terms)
     return _gather(terms)
 
 

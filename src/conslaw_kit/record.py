@@ -11,8 +11,8 @@ compare equal.  Assigning an attribute raises `AttributeError`: records
 are dict keys, and a hash a field change would invalidate may be cached.
 `MutableRecord` is the exception for the two objects that are filled in
 place (a session being resolved, a report being annotated); it has no
-hash.  `Term`, `Expr` and `Poly`, built on every kernel step,
-replace `__init__`, `==` and `hash` with specific ones and keep the rest.
+hash.  `Expr` and `Poly`, built on every kernel step, replace
+`__init__`, `==` and `hash` with specific ones and keep the rest.
 
 `KeyRecord` is the record form of the expression atoms and `MultiIndex`:
 a tuple whose contents are the record's sort key, so `==`, hash and `<`

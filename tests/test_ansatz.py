@@ -83,7 +83,8 @@ def _over(num: Poly, den) -> Poly:
 def _reference_rows(p: AnsatzProblem) -> list[Row]:
     """The combined path the rows were built by before per-basis
     assembly: the residual of sum c_k * basis_k with the unknowns as
-    symbolic parameters, each term's coefficient split by unknown."""
+    symbolic parameters, each term's coefficient split by unknown.  Terms
+    come in the graded order, (degree, powers) descending, as rows do."""
     comb = Characteristic(tuple(
         sum_exprs(atom_expr(c) * b.components[i]
                   for c, b in zip(p.unknowns, p.basis))
@@ -91,8 +92,10 @@ def _reference_rows(p: AnsatzProblem) -> list[Row]:
     unknown_set = set(p.unknowns)
     rows = []
     for comp_index, res in enumerate(TARGETS[p.target](p.system, comb)):
-        for term in res.terms:
-            num, den = term.coeff.num_den()
+        for powers, coeff in sorted(
+                res.terms, reverse=True,
+                key=lambda t: (sum(k for _, k in t[0]), t[0])):
+            num, den = coeff.num_den()
             assert not any(q in unknown_set for q, _ in den)
             per_unknown = {}
             for monomial, q in num.terms:
@@ -104,7 +107,7 @@ def _reference_rows(p: AnsatzProblem) -> list[Row]:
             entries = tuple(
                 (k, _over(Poly(tuple(per_unknown[c].items())), den))
                 for k, c in enumerate(p.unknowns) if c in per_unknown)
-            rows.append(Row(term.powers, comp_index, entries))
+            rows.append(Row(powers, comp_index, entries))
     return rows
 
 

@@ -2,13 +2,17 @@
 on nonzero parameters only."""
 
 import functools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conslaw_kit.expr import Expr, ExprError, Parameter
-from conslaw_kit.expr.coeff import Poly, common_content, mono
+from conslaw_kit.cancel import deadline
+from conslaw_kit.expr import (CancelledComputation, Expr, ExprError,
+                              Parameter, param, sum_exprs)
+from conslaw_kit.expr.coeff import Poly, common_content, mono, mono_mul
+from conslaw_kit.expr.expression import jet
 
 A = Parameter("alpha", nonzero=True)
 B = Parameter("beta", nonzero=True)
@@ -121,6 +125,28 @@ def reference_mono_cmp(a, b) -> int:
 ORDER_POOL = (A, B, G, K, Parameter("alpha"), Parameter("a"), Parameter("z"))
 monomials = st.lists(st.tuples(st.sampled_from(ORDER_POOL), st.integers(1, 3)),
                      max_size=4).map(lambda pairs: mono(*pairs))
+# negative exponents too, so that factors cancel in a product
+laurent_monomials = st.lists(
+    st.tuples(st.sampled_from(ORDER_POOL), st.integers(-3, 3)),
+    max_size=4).map(lambda pairs: mono(*pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(laurent_monomials, laurent_monomials)
+def test_mono_mul_merge_matches_mono(a, b):
+    assert mono_mul(a, b) == mono(*a, *b)
+    assert mono_mul(a, tuple((p, -k) for p, k in a)) == ()
+
+
+def test_poly_product_honours_deadline():
+    """(a+b+c+d+e+f+g+1)^14 * u is one term whose coefficient takes over
+    a minute to expand; a deadline stops it within one left term of the
+    `Poly.__mul__` it is in."""
+    base = sum_exprs([*(param(n) for n in "abcdefg"), Expr.const(1)])
+    start = time.monotonic()
+    with deadline(1.0), pytest.raises(CancelledComputation):
+        base ** 14 * jet("u")
+    assert time.monotonic() - start < 3
 
 
 @settings(max_examples=400, deadline=None)

@@ -14,7 +14,8 @@ from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,
                               atom_expr, exp_of)
 from conslaw_kit.expr.coeff import Poly
 from conslaw_kit.expr.errors import ExprError, LeadingSolveError
-from conslaw_kit.expr.expression import Term, jet, jet_atom, sum_exprs
+from conslaw_kit.expr.expression import (jet, jet_atom, lowered, raised,
+                                         sum_exprs)
 from conslaw_kit.jet import (alternating_sum, derivatives, jet_partial,
                              solve_leading, total_derivative)
 
@@ -77,15 +78,15 @@ def ref_d_atom(a, var):
 
 
 def ref_total_derivative(e, var):
-    return sum_exprs(Expr((t.lowered(i),)) * ref_d_atom(a, var)
-                     for t in e.terms for i, (a, _) in enumerate(t.powers))
+    return sum_exprs(Expr((lowered(t, i),)) * ref_d_atom(a, var)
+                     for t in e.terms for i, (a, _) in enumerate(t[0]))
 
 
 def ref_make_term(coeff, factors):
     """Canonicalize one term: fold parameters into the coefficient, merge
     exponential factors, drop the term (None) if the coefficient vanishes.
     The general re-canonicaliser every product term once went through,
-    kept here as the reference for `Term.raised` and term products."""
+    kept here as the reference for `raised` and term products."""
     plain = {}
     exponents = []
     for a, k in factors:
@@ -107,7 +108,7 @@ def ref_make_term(coeff, factors):
     if not exp_sum.is_zero:
         q = exp_sum.as_rational()
         plain[ExpConst(q) if q is not None else ExpAtom(exp_sum)] = 1
-    return Term(coeff, tuple(sorted(plain.items())))
+    return (tuple(sorted(plain.items())), coeff)
 
 
 V_AT = jet_atom("v")
@@ -152,22 +153,22 @@ class TestTermRaised:
             V_AT: (S.x_at, S.u_at, S.uxx_at, V_AT),           # end
         }
         for a, order in cases.items():
-            r = t.raised(a)
-            assert tuple(b for b, _ in r.powers) == order
-            assert r.coeff == t.coeff
-            assert all(k == 1 for _, k in r.powers)
-        bumped = t.raised(S.u_at)
-        assert bumped.powers == ((S.x_at, 1), (S.u_at, 2), (S.uxx_at, 1))
-        assert bumped.raised(S.u_at).powers[1] == (S.u_at, 3)
-        assert Expr((Expr.const(3).terms[0].raised(S.u_at),)) == 3 * S.u
+            powers, coeff = raised(t, a)
+            assert tuple(b for b, _ in powers) == order
+            assert coeff == t[1]
+            assert all(k == 1 for _, k in powers)
+        bumped = raised(t, S.u_at)
+        assert bumped[0] == ((S.x_at, 1), (S.u_at, 2), (S.uxx_at, 1))
+        assert raised(bumped, S.u_at)[0][1] == (S.u_at, 3)
+        assert Expr((raised(Expr.const(3).terms[0], S.u_at),)) == 3 * S.u
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(PLAIN_POOL))
     def test_agrees_with_make_term(self, seed, a):
         e = random_expr(random.Random(seed), pool=WIDE_POOL, max_terms=3,
                         max_factors=4, allow_exp=True)
-        for t in e.terms:
-            assert t.raised(a) == ref_make_term(t.coeff, t.powers + ((a, 1),))
+        for p, c in e.terms:
+            assert raised((p, c), a) == ref_make_term(c, p + ((a, 1),))
 
 
 # exponents in pairs that cancel (a, -a), collapse to a rational
@@ -190,7 +191,7 @@ class TestTermProduct:
     def test_agrees_with_make_term(self, seed, a, b):
         rng = random.Random(seed)
         t1, t2 = random_term(rng, a), random_term(rng, b)
-        want = ref_make_term(t1.coeff * t2.coeff, t1.powers + t2.powers)
+        want = ref_make_term(t1[1] * t2[1], t1[0] + t2[0])
         assert Expr((t1,)) * Expr((t2,)) == Expr((want,))
 
     def test_exponentials_fold(self):

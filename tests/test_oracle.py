@@ -44,9 +44,10 @@ def _monomial(pairs):
 
 
 def _term(t):
-    num, den = t.coeff.num_den()
+    powers, coeff = t
+    num, den = coeff.num_den()
     num = sympy.Add(*(_rational(q) * _monomial(m) for m, q in num.terms))
-    return num / _monomial(den) * _monomial(t.powers)
+    return num / _monomial(den) * _monomial(powers)
 
 
 def _atom(a):

@@ -21,12 +21,12 @@ from hypothesis import given, settings, strategies as st
 from conslaw_kit.determining import e_decompose
 from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr,
                               IndependentVar, JetVar, MultiIndex,
-                              OpaqueDeriv, Parameter, Poly, Term,
+                              OpaqueDeriv, Parameter, Poly,
                               atom_expr, exp_of, normalize, param, partial,
                               substitute)
 from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
 from conslaw_kit.expr.printer import (_atom_display_key, _term_display_key,
-                                      atom_text)
+                                      atom_text, expr_latex, expr_text)
 from conslaw_kit.jet import total_derivative
 from conslaw_kit.variational import (Characteristic, adjoint_linearize,
                                      euler, linearize)
@@ -67,8 +67,8 @@ class TestSumExprs:
             assert sum_exprs([x, -x]).is_zero
             assert sum_exprs([x]) == x
         # canonical: no zero coefficient, power products strictly decreasing
-        keys = [t.powers_key() for t in total.terms]
-        assert all(not t.coeff.is_zero for t in total.terms)
+        keys = [p for p, _ in total.terms]
+        assert all(not c.is_zero for _, c in total.terms)
         assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
@@ -199,9 +199,9 @@ def reference_substitute(e: Expr, binds: dict) -> Expr:
             return exp_of(reference_substitute(a.exponent, binds))
         return atom_expr(a)
     pieces = []
-    for t in e.terms:
-        piece = Expr.from_coeff(t.coeff)
-        for a, k in t.powers:
+    for powers, c in e.terms:
+        piece = Expr.from_coeff(c)
+        for a, k in powers:
             piece = piece * image(a) ** k
         pieces.append(piece)
     return sum_exprs(pieces)
@@ -269,9 +269,8 @@ class TestHashContract:
             assert x == y
             assert hash(x) == hash(y)
             assert x.sort_key() == y.sort_key()
-            for tx, ty in zip(x.terms, y.terms):
-                assert [hash(p) for p in tx.powers] == \
-                    [hash(p) for p in ty.powers]
+            for (px, _), (py, _) in zip(x.terms, y.terms):
+                assert [hash(p) for p in px] == [hash(p) for p in py]
 
     @COMMON
     @given(st.integers(0, 2**32))
@@ -315,7 +314,7 @@ class TestHashContract:
                   pickle.loads(pickle.dumps(total))):
             assert x == total and hash(x) == hash(total)
             assert str(x) == str(total)
-        keys = [t.powers_key() for t in total.terms]
+        keys = [p for p, _ in total.terms]
         assert all(a > b for a, b in zip(keys, keys[1:]))
         product = functools.reduce(Expr.__mul__, pieces)
         assert functools.reduce(Expr.__mul__, perm) == product
@@ -325,7 +324,7 @@ class TestHashContract:
         g = OpaqueDeriv("g", (S.u_at,), (1,))
         e = (exp_of(S.u * S.x) * S.ux + atom_expr(g) * S.alpha
              + atom_expr(ExpConst(Fraction(1, 2))))
-        coeffs = [t.coeff for t in e.terms]
+        coeffs = [c for _, c in e.terms]
         objs = [e, *e.terms, *_atoms_deep(e), Parameter("alpha", True),
                 *coeffs]
         kinds = {type(o) for o in objs}
@@ -389,21 +388,29 @@ def reference_atom_key(a, tiebreak=False):
         return tuple(((1, p.name, p.nonzero), k) for p, k in m)
     return (4, 1, key, (key, tuple(
         (tuple((flagged(m), q) for m, q in num.terms), flagged(den))
-        for num, den in (t.coeff.num_den() for t in a.exponent.terms))))
+        for num, den in (c.num_den() for _, c in graded_terms(a.exponent)))))
+
+
+def graded_terms(e: Expr) -> list:
+    """The terms of `e` in the former term order, (degree, powers)
+    descending."""
+    return sorted(e.terms, key=lambda t: (sum(k for _, k in t[0]), t[0]),
+                  reverse=True)
 
 
 def reference_expr_key(e: Expr, tiebreak=False):
     """A copy of the former `Expr.sort_key()`: per term the degree, the
-    keys of the factors, then the coefficient key without flags."""
+    keys of the factors, then the coefficient key without flags, the
+    terms in the former term order."""
     def coeff_key(c):
         num, den = c.num_den()
         return (tuple((tuple((p.name, k) for p, k in m), q)
                       for m, q in num.terms),
                 tuple((p.name, k) for p, k in den))
-    return tuple(((sum(k for _, k in t.powers),
+    return tuple(((sum(k for _, k in powers),
                    tuple((reference_atom_key(a, tiebreak), k)
-                         for a, k in t.powers)),
-                  coeff_key(t.coeff)) for t in e.terms)
+                         for a, k in powers)),
+                  coeff_key(c)) for powers, c in graded_terms(e))
 
 
 def flags_in(a) -> set:
@@ -414,9 +421,9 @@ def flags_in(a) -> set:
         return set().union(*map(flags_in, a.args))
     out = set()
     if isinstance(a, ExpAtom):
-        for t in a.exponent.terms:
-            out |= {(p.name, p.nonzero) for p in t.coeff.parameters()}
-            for b, _ in t.powers:
+        for powers, c in a.exponent.terms:
+            out |= {(p.name, p.nonzero) for p in c.parameters()}
+            for b, _ in powers:
                 out |= flags_in(b)
     return out
 
@@ -432,10 +439,10 @@ def flag_twin(a):
     def twin(factors):
         return functools.reduce(Expr.__mul__, (
             atom_expr(flag_twin(b)) ** k for b, k in factors), Expr.const(1))
-    assert all(not t.coeff.num_den()[1] for t in a.exponent.terms)
+    assert all(not c.num_den()[1] for _, c in a.exponent.terms)
     return ExpAtom(sum_exprs(
-        Expr.const(q) * twin(m) * twin(t.powers)
-        for t in a.exponent.terms for m, q in t.coeff.terms))
+        Expr.const(q) * twin(m) * twin(powers)
+        for powers, c in a.exponent.terms for m, q in c.terms))
 
 
 DNAMES = st.sampled_from(("t", "x", "y"))
@@ -472,13 +479,13 @@ atoms = st.recursive(
     max_leaves=6)
 
 
-def reference_term_display_key(t: Term):
+def reference_term_display_key(t):
     """`printer._term_display_key` as it was before its run-length form:
     each factor's display key repeated once per unit of its exponent."""
     keys = []
-    for a, k in t.powers:
+    for a, k in t[0]:
         keys.extend([_atom_display_key(a)] * k)
-    return (-t.degree, sorted(keys))
+    return (-sum(k for _, k in t[0]), sorted(keys))
 
 
 class TestTermDisplayKey:
@@ -490,10 +497,10 @@ class TestTermDisplayKey:
     @given(st.lists(atoms, max_size=4, unique=True), st.data())
     def test_run_length_key_sorts_as_the_expanded_one(self, pool, data):
         pool = list(self.SHARED) + pool
-        terms = [Term(Poly.one(), tuple(
+        terms = [(tuple(
                     (a, data.draw(st.integers(1, 3))) for a in data.draw(
                         st.lists(st.sampled_from(pool), max_size=4,
-                                 unique=True))))
+                                 unique=True))), Poly.one())
                  for _ in range(data.draw(st.integers(1, 8)))]
         assert sorted(terms, key=_term_display_key) == \
             sorted(terms, key=reference_term_display_key)
@@ -502,6 +509,31 @@ class TestTermDisplayKey:
             rs, rt = (reference_term_display_key(s),
                       reference_term_display_key(t))
             assert (ks < kt) == (rs < rt) and (ks == kt) == (rs == rt)
+
+    # factors whose display keys tie: f(u) and f(u_x), and exponentials,
+    # which all share one display key whatever their exponent
+    TIED = (*SHARED, S.u_at, S.ux_at, S.x_at)
+    EXPONENTS = (S.u, 2 * S.u, S.x, S.gamma * S.u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_internal_order_never_reaches_the_printer(self, data):
+        """Terms are kept by power product alone; the printed text is
+        the same as with the terms in the former (degree, powers) order."""
+        pieces = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            piece = Expr.const(data.draw(st.integers(-3, 3)) or 1)
+            for a in data.draw(st.lists(st.sampled_from(self.TIED),
+                                        max_size=3)):
+                piece = piece * atom_expr(a)
+            exponent = data.draw(st.none() | st.sampled_from(self.EXPONENTS))
+            if exponent is not None:
+                piece = piece * exp_of(exponent)
+            pieces.append(piece)
+        e = sum_exprs(pieces)
+        graded = Expr(tuple(graded_terms(e)))
+        assert expr_text(e) == expr_text(graded)
+        assert expr_latex(e) == expr_latex(graded)
 
 
 class TestAtomOrder:

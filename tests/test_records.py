@@ -81,7 +81,7 @@ def _samples() -> dict[type, Record]:
                                                       vec.components),
         is_variational(sys_), linearize_table(sys_), problem, result,
         result.rows[0], result.vectors[0],
-        expr, expr.terms[0], expr.terms[0].coeff,
+        expr, expr.terms[0][1],
         MultiIndex.of("x", "t"), IndependentVar("x"), Parameter("a", True),
         OpaqueDeriv("f", (IndependentVar("x"),), (1,)),
         jet_atom("u", "x"), ExpConst(2),

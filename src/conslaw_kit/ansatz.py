@@ -20,9 +20,8 @@ from .cancel import checkpoint
 from .determining import (adjoint_symmetry_residual,
                           differential_substitution_residual,
                           multiplier_residual, symmetry_residual)
-from .expr.atoms import Parameter
-from .expr.coeff import (Poly, common_content, mono_div, mono_gcd,
-                         mono_lcm)
+from .expr.atoms import Parameter, mono_div, mono_gcd, mono_lcm
+from .expr.coeff import Poly, common_content
 from .expr.errors import AnsatzError, ExprError
 from .expr.expression import Expr, Powers, graded_key, sum_exprs
 from .expr.printer import poly_text
@@ -263,8 +262,11 @@ def _bareiss_nullspace(mat: list[list[Poly]], n: int
     every other row, above the pivot too, becomes (pivot * row - f * pivot
     row) / previous pivot, exactly.  Each pivot row then holds the last
     pivot p in its pivot column and zero in the others: the vector of a
-    free column fc is p there and -row[fc] at each row's pivot column."""
+    free column fc is p there and -row[fc] at each row's pivot column.
+    A pivot equal to one already recorded, or to its negation, states no
+    new condition and is not recorded again; a multiple of one is."""
     side: list[str] = []
+    recorded: set[Poly] = set()
     pivot_cols: list[int] = []
     prev = Poly.one()
     for col in range(n):
@@ -277,7 +279,9 @@ def _bareiss_nullspace(mat: list[list[Poly]], n: int
         pivot_row = mat[r]
         pivot = pivot_row[col]
         unit = pivot.as_unit()
-        if unit is None or any(not p.nonzero for p, _ in unit[1]):
+        if ((unit is None or any(not p.nonzero for p, _ in unit[1]))
+                and pivot not in recorded and -pivot not in recorded):
+            recorded.add(pivot)
             side.append(poly_text(pivot))
         for i, row in enumerate(mat):
             if i != r:

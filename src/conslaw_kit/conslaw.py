@@ -22,7 +22,7 @@ from .expr.expression import Expr, atom_expr, graded_key, jet_atom, sum_exprs
 from .jet import PdeSystem, derivatives, jet_partial, total_derivative
 from .record import Record
 from .variational import (Characteristic, _as_characteristic,
-                          adjoint_variables, formal_lagrangian)
+                          formal_lagrangian)
 
 __all__ = [
     "Generator", "ConservedVector", "VerificationReport", "characteristic_W",
@@ -107,7 +107,6 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     returned vector rather than raised, so negative probes stay cheap.
     """
     lagr = formal_lagrangian(sys)
-    vnames = adjoint_variables(sys)
     r = sys.order
     W = characteristic_W(sys, g)
     multisets = [MultiIndex.of(*T) for n in range(r)
@@ -144,7 +143,7 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
         phi = _as_characteristic(phi, len(sys.dep))
         residual = differential_substitution_residual(sys, phi)
         substitution_ok = all(x.is_zero for x in residual)
-        raw = [substitute_multiplier_vars(sys, c, phi, vnames) for c in raw]
+        raw = [substitute_multiplier_vars(sys, c, phi) for c in raw]
 
     reduced = tuple(sys.reduce(c) for c in raw)
     return ConservedVector(sys, reduced, tuple(raw), g,

@@ -113,11 +113,11 @@ def adjoint_symmetry_residual(sys: PdeSystem, omega) -> tuple[Expr, ...]:
     return tuple(sys.reduce(x) for x in adjoint_linearize(sys, omega))
 
 
-def substitute_multiplier_vars(sys: PdeSystem, e: Expr, phi: Characteristic,
-                               names: tuple[str, ...] | None = None) -> Expr:
+def substitute_multiplier_vars(sys: PdeSystem, e: Expr, phi: Characteristic
+                               ) -> Expr:
     """Replace the adjoined variables and all their jet coordinates by the
     substitution's components and their total derivatives."""
-    return _substitute_jets(e, names or adjoint_variables(sys),
+    return _substitute_jets(e, adjoint_variables(sys),
                             [derivatives(c) for c in phi.components])
 
 

@@ -13,11 +13,23 @@ compare by.  So `==`, hash and `<` are the tuple's and run in C; a power
 product, a tuple of (atom, exponent) pairs, hashes and sorts with no
 Python call per factor, and nothing is cached on an atom.  Only
 `ExpAtom` hashes in Python, for the reason in its docstring.
+
+Three kinds of monomial share one format, a tuple of (key, exponent)
+pairs sorted by key, each key once and no exponent zero: the counts of
+a `MultiIndex` (string keys), the parameter monomials of coefficients
+(`Parameter` keys, `coeff.Monomial`) and the power products of
+expression terms (atom keys).  `mono` builds one from any pairs, and
+`mono_mul`, `mono_div`, `mono_gcd` and `mono_lcm` combine two in one
+pass, so no other module sorts or merges these tuples itself.
+`mono_mul` also takes negative exponents, those of a Laurent monomial;
+the other three take positive exponents only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from fractions import Fraction
 from operator import itemgetter
@@ -37,6 +49,11 @@ __all__ = [
     "JetVar",
     "ExpAtom",
     "ExpConst",
+    "mono",
+    "mono_mul",
+    "mono_div",
+    "mono_gcd",
+    "mono_lcm",
 ]
 
 
@@ -45,6 +62,69 @@ _new = tuple.__new__
 
 def _field(i: int) -> property:
     return property(itemgetter(i))
+
+
+# -- sorted monomials --------------------------------------------------------
+
+def mono(*pairs: tuple) -> tuple:
+    """The sorted monomial of (key, exponent) pairs: exponents of one key
+    summed, zeros dropped.  The reference for the merges below."""
+    acc = {}
+    for p, k in pairs:
+        acc[p] = acc.get(p, 0) + k
+    return tuple(sorted((p, k) for p, k in acc.items() if k))
+
+
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    """a * b for sorted monomials, by one merge that drops the exponents
+    that cancel: each factor of b is placed in a by bisection."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = ()
+    lo = 0
+    for q, n in b:
+        i = bisect_left(a, (q,), lo)   # the first key >= q
+        if i < len(a) and a[i][0] == q:
+            k = a[i][1] + n
+            out += a[lo:i] + ((q, k),) if k else a[lo:i]
+            lo = i + 1
+        else:
+            out += a[lo:i] + ((q, n),)
+            lo = i
+    return out + a[lo:]
+
+
+def mono_div(a: tuple, b: tuple) -> tuple:
+    """a / b for monomials with positive exponents, by one merge as in
+    `mono_mul`; `ValueError` at the first exponent of b that a does not
+    reach."""
+    out = ()
+    lo = 0
+    for q, n in b:
+        i = bisect_left(a, (q,), lo)
+        if i == len(a) or a[i][0] != q or a[i][1] < n:
+            raise ValueError("monomial does not divide")
+        k = a[i][1] - n
+        out += a[lo:i] + ((q, k),) if k else a[lo:i]
+        lo = i + 1
+    return out + a[lo:]
+
+
+def mono_gcd(a: tuple, b: tuple) -> tuple:
+    """The greatest common divisor of monomials with positive exponents."""
+    db = dict(b)
+    return tuple((p, min(k, db[p])) for p, k in a if p in db)
+
+
+def mono_lcm(a: tuple, b: tuple) -> tuple:
+    """The least common multiple of monomials with positive exponents."""
+    if not a:
+        return b
+    if not b:
+        return a
+    return mono_mul(a, mono_div(b, mono_gcd(a, b)))
 
 
 class MultiIndex(KeyRecord):
@@ -61,17 +141,14 @@ class MultiIndex(KeyRecord):
     counts = _field(1)
 
     def __new__(cls, counts: tuple[tuple[str, int], ...] = ()) -> "MultiIndex":
-        cleaned = tuple(sorted((n, c) for n, c in counts if c != 0))
-        if any(c < 0 for _, c in cleaned):
+        if any(c < 0 for _, c in counts):
             raise ValueError("negative derivative count")
-        return _new(cls, (sum(c for _, c in cleaned), cleaned))
+        counts = mono(*counts)
+        return _new(cls, (sum(c for _, c in counts), counts))
 
     @staticmethod
     def of(*names: str) -> "MultiIndex":
-        acc: dict[str, int] = {}
-        for n in names:
-            acc[n] = acc.get(n, 0) + 1
-        return MultiIndex(tuple(acc.items()))
+        return MultiIndex(tuple((n, 1) for n in names))
 
     def get(self, name: str) -> int:
         for n, c in self.counts:
@@ -83,43 +160,19 @@ class MultiIndex(KeyRecord):
         return tuple(n for n, _ in self.counts)
 
     def bump(self, name: str) -> "MultiIndex":
-        """self + {name: 1}: the count raised in place, or (name, 1)
-        inserted at its sorted place, so no re-sort is needed."""
+        """self + {name: 1}."""
         order, counts = self
-        for i, (n, c) in enumerate(counts):
-            if n == name:
-                counts = counts[:i] + ((n, c + 1),) + counts[i + 1:]
-                break
-            if n > name:
-                counts = counts[:i] + ((name, 1),) + counts[i:]
-                break
-        else:
-            counts += ((name, 1),)
-        return _new(MultiIndex, (order + 1, counts))
+        return _new(MultiIndex, (order + 1, mono_mul(counts, ((name, 1),))))
 
     def drop(self, name: str) -> "MultiIndex":
-        """self - {name: 1}, the count lowered in place."""
+        """self - {name: 1}; `ValueError` if self has no `name`."""
         order, counts = self
-        for i, (n, c) in enumerate(counts):
-            if n == name:
-                kept = ((n, c - 1),) if c > 1 else ()
-                return _new(MultiIndex,
-                            (order - 1, counts[:i] + kept + counts[i + 1:]))
-        raise ValueError(f"{self!r} does not contain {name}")
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        acc = dict(self.counts)
-        for n, c in other.counts:
-            acc[n] = acc.get(n, 0) + c
-        return MultiIndex(tuple(acc.items()))
+        return _new(MultiIndex, (order - 1, mono_div(counts, ((name, 1),))))
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
-        acc = dict(self.counts)
-        for n, c in other.counts:
-            acc[n] = acc.get(n, 0) - c
-            if acc[n] < 0:
-                raise ValueError(f"{self!r} does not contain {other!r}")
-        return MultiIndex(tuple(acc.items()))
+        """self - other; `ValueError` unless self contains other."""
+        return _new(MultiIndex, (self.order - other.order,
+                                 mono_div(self.counts, other.counts)))
 
     def contains(self, other: "MultiIndex") -> bool:
         return all(self.get(n) >= c for n, c in other.counts)
@@ -140,22 +193,11 @@ class MultiIndex(KeyRecord):
 
     def sub_indices(self) -> Iterator[tuple["MultiIndex", int]]:
         """All K <= J componentwise, with the product-of-binomials weight."""
-        items = self.counts
-        if not items:
-            yield MultiIndex(), 1
-            return
-
-        def rec(i: int, acc: list[tuple[str, int]], weight: int):
-            if i == len(items):
-                yield MultiIndex(tuple(acc)), weight
-                return
-            name, cnt = items[i]
-            for k in range(cnt + 1):
-                acc.append((name, k))
-                yield from rec(i + 1, acc, weight * math.comb(cnt, k))
-                acc.pop()
-
-        yield from rec(0, [], 1)
+        names = self.names()
+        for ks in itertools.product(*(range(c + 1) for _, c in self.counts)):
+            yield (MultiIndex(tuple(zip(names, ks))),
+                   math.prod(math.comb(c, k)
+                             for (_, c), k in zip(self.counts, ks)))
 
 
 _M_ZERO = MultiIndex()

@@ -31,6 +31,10 @@ The term order is a monomial order (m < m' implies m*n < m'*n) on
 polynomials, those with no negative exponent, and only there: so
 `mul_mono`, `div_mono`, `mono_content`, `leading` and `exact_div` are
 used on polynomials only.
+
+A monomial is built and combined only by the sorted-monomial helpers of
+`atoms` (`mono`, `mono_mul`, `mono_div`, `mono_gcd`), which multi-indices
+and power products share.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from math import gcd
 
 from ..cancel import checkpoint
 from ..record import Record
-from .atoms import Parameter
+from .atoms import Parameter, mono, mono_div, mono_gcd, mono_mul
 from .errors import ExprError
 
 __all__ = ["Monomial", "Poly", "coeff_value", "common_content"]
@@ -61,62 +65,6 @@ def coeff_value(q):
     if q.__class__ is not Fraction:
         raise TypeError(f"coefficient {q!r} is not an int or a Fraction")
     return q.numerator if q.denominator == 1 else q
-
-
-def mono(*pairs: tuple[Parameter, int]) -> Monomial:
-    acc: dict[Parameter, int] = {}
-    for p, k in pairs:
-        acc[p] = acc.get(p, 0) + k
-    return tuple(sorted((p, k) for p, k in acc.items() if k))
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """a * b for sorted monomials, by one linear merge that drops the
-    exponents that cancel; `mono(*a, *b)` is the reference."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        (p, k), (q, n) = a[i], b[j]
-        if p == q:
-            if k + n:
-                out.append((p, k + n))
-            i, j = i + 1, j + 1
-        elif p < q:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    return (*out, *a[i:], *b[j:])
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for p, k in b:
-        acc[p] = max(acc.get(p, 0), k)
-    return tuple(sorted(acc.items()))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b for polynomial monomials; requires b to divide a."""
-    out = mono_mul(a, tuple((p, -k) for p, k in b))
-    if any(k < 0 for _, k in out):
-        raise ValueError("monomial does not divide")
-    return out
-
-
-def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    db = dict(b)
-    out = [(p, min(k, db[p])) for p, k in a if p in db]
-    return tuple(sorted((p, k) for p, k in out if k))
 
 
 def _term_key(term):
@@ -230,7 +178,7 @@ class Poly(Record):
                     low[p] = k
         if not low:
             return self, ()
-        den = tuple(sorted((p, -k) for p, k in low.items()))
+        den = mono(*((p, -k) for p, k in low.items()))
         return _poly(_sorted_terms(
             [(mono_mul(m, den), c) for m, c in self.terms])), den
 

@@ -41,7 +41,7 @@ from operator import itemgetter
 from ..cancel import checkpoint
 from ..record import Record
 from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
-                    MultiIndex, OpaqueDeriv, Parameter)
+                    MultiIndex, OpaqueDeriv, Parameter, mono_mul)
 from .coeff import Poly, coeff_value
 from .errors import ExprError
 from .printer import atom_text, expr_text
@@ -84,21 +84,16 @@ def lowered(term: Term, i: int) -> Term:
     k * coeff times the power product with that exponent lowered by one."""
     powers, coeff = term
     a, k = powers[i]
-    kept = ((a, k - 1),) if k > 1 else ()
-    return (powers[:i] + kept + powers[i + 1:], coeff.scale(k))
+    if k == 1:
+        return (powers[:i] + powers[i + 1:], coeff)
+    return (powers[:i] + ((a, k - 1),) + powers[i + 1:], coeff.scale(k))
 
 
 def raised(term: Term, a: Atom) -> Term:
     """The term times one plain atom `a` (not a `Parameter`, `ExpAtom` or
-    `ExpConst`): its exponent bumped, or `a` inserted at its sorted place,
-    so the power product stays canonical without a re-sort."""
+    `ExpConst`)."""
     powers, coeff = term
-    for i, (b, k) in enumerate(powers):
-        if b == a:
-            return (powers[:i] + ((a, k + 1),) + powers[i + 1:], coeff)
-        if b > a:
-            return (powers[:i] + ((a, 1),) + powers[i:], coeff)
-    return (powers + ((a, 1),), coeff)
+    return (mono_mul(powers, ((a, 1),)), coeff)
 
 
 def _coeff_key(c: Poly):
@@ -299,10 +294,7 @@ def _product(t1: Term, t2: Term) -> Term:
             a.exponent if a.__class__ is ExpAtom else Expr.const(a.value)
             for a in (e1, e2)))
         p1, p2 = p1[:-1], p2[:-1]
-    acc = dict(p1)
-    for a, k in p2:
-        acc[a] = acc.get(a, 0) + k
-    return (tuple(sorted(acc.items())) + exp, coeff)
+    return (mono_mul(p1, p2) + exp, coeff)
 
 
 def _products(left: tuple[Term, ...], right: tuple[Term, ...]):

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.cancel import deadline
-from conslaw_kit.expr import (CancelledComputation, Expr, ExprError,
-                              Parameter, param, sum_exprs)
-from conslaw_kit.expr.coeff import Poly, common_content, mono, mono_mul
+from conslaw_kit.expr import (CancelledComputation, ExpAtom, ExpConst, Expr,
+                              ExprError, IndependentVar, JetVar, MultiIndex,
+                              OpaqueDeriv, Parameter, param, sum_exprs)
+from conslaw_kit.expr.atoms import (mono, mono_div, mono_gcd, mono_lcm,
+                                    mono_mul)
+from conslaw_kit.expr.coeff import Poly, common_content
 from conslaw_kit.expr.expression import jet
 
 A = Parameter("alpha", nonzero=True)
@@ -136,6 +139,43 @@ laurent_monomials = st.lists(
 def test_mono_mul_merge_matches_mono(a, b):
     assert mono_mul(a, b) == mono(*a, *b)
     assert mono_mul(a, tuple((p, -k) for p, k in a)) == ()
+
+
+# The keys of the three kinds of sorted monomial: multi-index names,
+# parameters and the atoms of power products.
+MONO_KEYS = {
+    "names": ("a", "t", "x", "y", "z"),
+    "parameters": ORDER_POOL,
+    "atoms": (IndependentVar("t"), IndependentVar("x"), JetVar("u"),
+              JetVar("u", MultiIndex.of("x")), JetVar("v"),
+              OpaqueDeriv("f", (JetVar("u"),)), ExpConst(2),
+              ExpAtom(jet("u"))),
+}
+
+
+@pytest.mark.parametrize("keys", MONO_KEYS.values(), ids=MONO_KEYS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mono_merges_match_mono(keys, data):
+    """`mono_mul`, `mono_div`, `mono_gcd` and `mono_lcm` on monomials with
+    positive exponents agree with `mono` of the merged pairs; `mono_div`
+    raises where the reference quotient has a negative exponent."""
+    positive = st.lists(st.tuples(st.sampled_from(keys), st.integers(1, 3)),
+                        max_size=4).map(lambda pairs: mono(*pairs))
+    a, b = data.draw(positive), data.draw(positive)
+    assert mono_mul(a, b) == mono(*a, *b)
+    assert mono_div(mono_mul(a, b), b) == a
+    quotient = mono(*a, *((p, -k) for p, k in b))
+    if all(k > 0 for _, k in quotient):
+        assert mono_div(a, b) == quotient
+    else:
+        with pytest.raises(ValueError):
+            mono_div(a, b)
+    da, db = dict(a), dict(b)
+    assert mono_gcd(a, b) == mono(*((p, min(k, db[p])) for p, k in a
+                                    if p in db))
+    assert mono_lcm(a, b) == mono(*((p, max(da.get(p, 0), db.get(p, 0)))
+                                    for p in da.keys() | db.keys()))
 
 
 def test_poly_product_honours_deadline():

@@ -17,8 +17,7 @@ from conslaw_kit.expr import (Expr, ExprError, JetVar, MultiIndex,
                               OpaqueDeriv, atom_expr, exp_of, rational)
 from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
 from conslaw_kit.jet import jet_partial, solve_leading, total_derivative
-from conslaw_kit.variational import (Characteristic, adjoint_variables,
-                                     formal_lagrangian)
+from conslaw_kit.variational import Characteristic, formal_lagrangian
 
 from conftest import Syms as S, random_expr
 
@@ -302,8 +301,7 @@ def reference_raw_vector(sys, g, phi=None):
         raw.append(sum_exprs(pieces))
     if phi is None:
         return raw
-    return [substitute_multiplier_vars(sys, c, phi, adjoint_variables(sys))
-            for c in raw]
+    return [substitute_multiplier_vars(sys, c, phi) for c in raw]
 
 
 def conslaw_commands():

@@ -226,10 +226,11 @@ class TestMultiIndexStep:
     def test_matches_index_arithmetic(self, counts, name):
         m = MultiIndex(tuple(counts.items()))
         one = MultiIndex(((name, 1),))
+        plus = MultiIndex(m.counts + one.counts)
         bumped = m.bump(name)
-        assert bumped.counts == (m + one).counts
-        assert hash(bumped) == hash(m + one)
-        assert JetVar("u", m).bump(name) == JetVar("u", m + one)
+        assert bumped.counts == plus.counts
+        assert hash(bumped) == hash(plus)
+        assert JetVar("u", m).bump(name) == JetVar("u", plus)
         assert bumped.drop(name).counts == m.counts
         if m.contains(one):
             assert m.drop(name).counts == (m - one).counts
@@ -238,6 +239,16 @@ class TestMultiIndexStep:
                 m.drop(name)
             with pytest.raises(ValueError):
                 m - one
+
+    def test_repeated_names_merge(self):
+        """Counts given twice for one name are summed: the index is
+        canonical whatever pairs it is built from."""
+        m = MultiIndex((("x", 1), ("x", 1)))
+        assert m == MultiIndex.of("x", "x") and m.counts == (("x", 2),)
+        assert MultiIndex((("x", 1), ("t", 2), ("x", 0))) == \
+            MultiIndex.of("t", "x", "t")
+        with pytest.raises(ValueError):
+            MultiIndex((("x", 2), ("x", -1)))
 
     def test_copies_rebuild_from_init_fields(self):
         m = MultiIndex.of("x", "t").bump("t").drop("x")

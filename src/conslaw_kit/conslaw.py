@@ -18,8 +18,9 @@ from .determining import (differential_substitution_residual, e_decompose,
                           substitute_multiplier_vars)
 from .expr.atoms import JetVar, MultiIndex
 from .expr.errors import ExprError
-from .expr.expression import Expr, atom_expr, graded_key, jet_atom, sum_exprs
-from .jet import PdeSystem, derivatives, jet_partial, total_derivative
+from .expr.expression import (Expr, atom_expr, graded_key, jet_atom,
+                              jet_gradient, sum_exprs)
+from .jet import PdeSystem, derivatives, total_derivative
 from .record import Record
 from .variational import (Characteristic, _as_characteristic,
                           formal_lagrangian)
@@ -98,15 +99,17 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
 
     once per multiset S, and the outer sum over multisets T weighted by
     T's number of orderings, with D_T(W) from one derivative table per
-    component.  The result then has phi substituted for the adjoined
-    variables and is reduced on solutions.  With phi=None the components
-    keep the symbolic multiplier variables.
+    component.  Every dL/du^sigma_S is read off one `jet_gradient` of L.
+    The result then has phi substituted for the adjoined variables and is
+    reduced on solutions.  With phi=None the components keep the symbolic
+    multiplier variables.
 
     A phi that fails the substitution determining system is accepted (the
     result is then generally not conserved); the failure is flagged on the
     returned vector rather than raised, so negative probes stay cheap.
     """
     lagr = formal_lagrangian(sys)
+    grad = jet_gradient(lagr)
     r = sys.order
     W = characteristic_W(sys, g)
     multisets = [MultiIndex.of(*T) for n in range(r)
@@ -115,7 +118,7 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     @functools.cache
     def bracket(d: str, S: MultiIndex) -> Expr:
         """B(d, S), once per multiset S in this call."""
-        dd = jet_partial(lagr, JetVar(d, S))
+        dd = grad.get(JetVar(d, S), Expr.zero())
         mult = S.multiplicity()
         pieces = [dd if dd.is_zero or mult == 1 else dd / mult]
         if S.order < r:

@@ -49,12 +49,13 @@ from .printer import atom_text, expr_text
 __all__ = [
     "Expr", "atom_expr", "rational", "ivar", "param", "jet",
     "jet_atom", "opaque", "exp_of", "normalize",
-    "partial", "jet_partial", "substitute", "collect", "sum_exprs",
+    "partial", "jet_gradient", "substitute", "collect", "sum_exprs",
 ]
 
 Powers = tuple[tuple[Atom, int], ...]
 Term = tuple[Powers, Poly]
 _EXP = (ExpAtom, ExpConst)
+_VARS = (JetVar, IndependentVar)
 
 _set = object.__setattr__
 
@@ -164,9 +165,6 @@ class Expr(Record):
                 if isinstance(a, ExpAtom):
                     out.update(a.exponent.atoms())
         return out
-
-    def opaque_atoms(self) -> set[OpaqueDeriv]:
-        return {a for a in self.atoms() if isinstance(a, OpaqueDeriv)}
 
     def jet_atoms(self, dep: str | None = None) -> set[JetVar]:
         return {a for a in self.atoms()
@@ -418,13 +416,39 @@ def partial(e: Expr, a: Atom) -> Expr:
     return sum_exprs(pieces)
 
 
-def jet_partial(e: Expr, a: Atom) -> Expr:
-    """Partial derivative that also chains through opaque-function
-    arguments: d g(u)/du contributes g'(u), unlike the purely formal
-    `partial`, which treats g(u) as an unrelated atom."""
-    return sum_exprs([partial(e, a), *(
-        partial(e, f) * atom_expr(f.bump(k))
-        for f in e.opaque_atoms() for k, arg in enumerate(f.args) if arg == a)])
+def jet_gradient(e: Expr) -> dict[Atom, Expr]:
+    """de/da for every jet coordinate and independent variable a on which
+    e depends, in one walk of its terms; zero entries are dropped and the
+    keys come in term order.
+
+    Unlike `partial`, the chain rule runs through opaque-function
+    arguments too: a factor g(u) contributes g'(u) to the entry of u.  A
+    plain factor gives its lowered term, an opaque factor its lowered term
+    raised by the derivative in each slot that holds such an atom, and an
+    exponential factor the term times the gradient of its exponent, taken
+    once per exponential in this call.  Each entry is one `_gather`.
+    """
+    acc: dict[Atom, list[Term]] = {}
+    exp_grads: dict[Atom, dict[Atom, Expr]] = {}
+    for t in e.terms:
+        for i, (f, _) in enumerate(t[0]):
+            cls = f.__class__
+            if cls in _VARS:
+                acc.setdefault(f, []).append(lowered(t, i))
+            elif cls is OpaqueDeriv:
+                low = None
+                for k, arg in enumerate(f.args):
+                    if arg.__class__ in _VARS:
+                        low = low or lowered(t, i)
+                        acc.setdefault(arg, []).append(raised(low, f.bump(k)))
+            elif cls is ExpAtom:
+                grad = exp_grads.get(f)
+                if grad is None:
+                    grad = exp_grads[f] = jet_gradient(f.exponent)
+                for a, d in grad.items():
+                    acc.setdefault(a, []).extend(_products((t,), d.terms))
+    grads = {a: _gather(ts) for a, ts in acc.items()}
+    return {a: d for a, d in grads.items() if d.terms}
 
 
 def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Expr:

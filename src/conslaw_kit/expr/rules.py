@@ -20,7 +20,7 @@ from ..cancel import checkpoint
 from ..record import Record
 from .atoms import Atom, OpaqueDeriv
 from .errors import LeadingSolveError, RuleError
-from .expression import Expr, jet_partial, substitute
+from .expression import Expr, jet_gradient, substitute
 from .printer import atom_text
 
 __all__ = ["RewriteRule", "RuleSet", "fixpoint"]
@@ -95,7 +95,8 @@ class RuleSet(Record):
             rhs = rule.rhs
             for slot, cnt in enumerate(delta):
                 for _ in range(cnt):
-                    rhs = jet_partial(rhs, rule.lhs.args[slot])
+                    rhs = jet_gradient(rhs).get(rule.lhs.args[slot],
+                                                Expr.zero())
             self._derived[(i, delta)] = rhs
         return rhs
 

@@ -12,9 +12,11 @@ The engine's sums of iterated derivatives compute each total derivative
 once per multi-index in a call.  `derivatives(e)` is the table J -> D_J e,
 each entry one derivative of its parent (J without its last variable).
 `alternating_sum` evaluates sum (-1)^|J| D_J f_J nested, Horner-style:
-the pieces at J fold into the parent J - v before it is differentiated,
-so each index costs one D however many pieces share it.  Both live only
-as long as their caller holds them: nothing is cached across calls.
+each input is signed once, as (-1)^|J| f_J, and the pieces at J fold
+into the parent J - v before it is differentiated, so each index costs
+one D however many pieces share it, and no derivative is negated.  Both
+live only as long as their caller holds them: nothing is cached across
+calls.
 
 A `PdeSystem` designates one solved ("leading") derivative per equation
 and carries the rewrite rules that constrain its opaque functions.
@@ -33,8 +35,8 @@ from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                          MultiIndex, OpaqueDeriv, Parameter)
 from .expr.coeff import Poly
 from .expr.errors import ExprError, LeadingSolveError
-from .expr.expression import (Expr, _gather, atom_expr, jet_partial, lowered,
-                              partial, raised, sum_exprs)
+from .expr.expression import (Expr, _gather, atom_expr, lowered, partial,
+                              raised, sum_exprs)
 from .expr.printer import atom_text
 from .expr.rules import RewriteRule, RuleSet, fixpoint
 from .record import Record
@@ -44,8 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from typing import Any
 
 __all__ = [
-    "total_derivative", "derivatives", "alternating_sum", "jet_partial",
-    "jet_indices_of", "PdeSystem", "solve_leading",
+    "total_derivative", "derivatives", "alternating_sum", "PdeSystem",
+    "solve_leading",
 ]
 
 
@@ -120,14 +122,16 @@ def derivatives(e: Expr) -> Callable[[MultiIndex], Expr]:
 def alternating_sum(pairs: Iterable[tuple[MultiIndex, Expr]]) -> Expr:
     """sum over the (J, f) pairs of (-1)^|J| D_J f, nested Horner-style.
 
-    From the highest order down, the pieces at each index J are summed,
-    differentiated once by J's last variable v and folded, negated, into
-    the parent J - v: (-1)^|J| D_J f = (-1)^|J-v| D_(J-v) (-D_v f).  Each
-    index costs one D, however many pieces share it or its descendants.
+    The sign is applied once to each input, sum (-1)^|J| D_J f_J =
+    sum D_J((-1)^|J| f_J), so no derivative is negated.  From the highest
+    order down, the pieces at each index J are summed, differentiated once
+    by J's last variable v and folded into the parent J - v.  Each index
+    costs one D, however many pieces share it or its descendants.
     """
     levels: dict[int, dict[MultiIndex, list[Expr]]] = {}
     for J, f in pairs:
-        levels.setdefault(J.order, {}).setdefault(J, []).append(f)
+        k = J.order
+        levels.setdefault(k, {}).setdefault(J, []).append(-f if k % 2 else f)
     for k in range(max(levels, default=0), 0, -1):
         for J, pieces in levels.pop(k, {}).items():
             f = sum_exprs(pieces)
@@ -135,19 +139,8 @@ def alternating_sum(pairs: Iterable[tuple[MultiIndex, Expr]]) -> Expr:
                 var = J.counts[-1][0]
                 parent = levels.setdefault(k - 1, {})
                 parent.setdefault(J.drop(var), []).append(
-                    -total_derivative(f, var))
+                    total_derivative(f, var))
     return sum_exprs(levels.get(0, {}).get(MultiIndex(), ()))
-
-
-def jet_indices_of(e: Expr, dep: str) -> set[MultiIndex]:
-    """Derivative multi-indices of `dep` on which e can depend: jet atoms
-    present plus opaque-function argument slots."""
-    out = {a.index for a in e.jet_atoms(dep)}
-    for f in e.opaque_atoms():
-        for arg in f.args:
-            if isinstance(arg, JetVar) and arg.dep == dep:
-                out.add(arg.index)
-    return out
 
 
 class PdeSystem(Record):

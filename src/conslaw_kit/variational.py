@@ -12,9 +12,8 @@ from collections.abc import Mapping, Sequence
 
 from .expr.atoms import JetVar, MultiIndex, OpaqueDeriv
 from .expr.errors import ExprError
-from .expr.expression import Expr, atom_expr, sum_exprs
-from .jet import (PdeSystem, alternating_sum, derivatives, jet_indices_of,
-                  jet_partial)
+from .expr.expression import Expr, atom_expr, jet_gradient, sum_exprs
+from .jet import PdeSystem, alternating_sum, derivatives
 from .record import Record
 
 __all__ = [
@@ -130,12 +129,13 @@ def euler(e: Expr, dep: str) -> Expr:
 
     sum over the derivative indices J on which e depends of
     (-1)^|J| D_J (d e / d dep_J), evaluated nested by `alternating_sum`,
-    so each index costs one total derivative; the sum truncates at the
-    orders actually present, and opaque functions of dep contribute
-    through the chain rule.
+    so each index costs one total derivative.  Every d e / d dep_J comes
+    from one `jet_gradient` of e, so the sum truncates at the orders
+    actually present, and opaque functions of dep contribute through the
+    chain rule.
     """
-    return alternating_sum((J, jet_partial(e, JetVar(dep, J)))
-                           for J in jet_indices_of(e, dep))
+    return alternating_sum((a.index, d) for a, d in jet_gradient(e).items()
+                           if a.__class__ is JetVar and a.dep == dep)
 
 
 def adjoint_variables(sys: PdeSystem) -> tuple[str, ...]:
@@ -187,16 +187,14 @@ def adjoint_system(sys: PdeSystem) -> list[Expr]:
 
 
 def linearize_table(sys: PdeSystem) -> DiffOperator:
+    """The linearization sum_J dE^a/du^r_J * D_J, its coefficients read
+    off one `jet_gradient` per equation and split by dependent variable."""
+    column = {d: r for r, d in enumerate(sys.dep)}
     raw: dict[tuple[int, int], dict[MultiIndex, Expr]] = {}
     for a, eq in enumerate(sys.equations):
-        for r, d in enumerate(sys.dep):
-            table = {}
-            for J in jet_indices_of(eq, d):
-                c = jet_partial(eq, JetVar(d, J))
-                if not c.is_zero:
-                    table[J] = c
-            if table:
-                raw[(a, r)] = table
+        for atom, c in jet_gradient(eq).items():
+            if atom.__class__ is JetVar and atom.dep in column:
+                raw.setdefault((a, column[atom.dep]), {})[atom.index] = c
     return DiffOperator.build(len(sys.equations), len(sys.dep), raw)
 
 

@@ -14,10 +14,10 @@ from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,
                               atom_expr, exp_of)
 from conslaw_kit.expr.coeff import Poly
 from conslaw_kit.expr.errors import ExprError, LeadingSolveError
-from conslaw_kit.expr.expression import (jet, jet_atom, lowered, raised,
-                                         sum_exprs)
-from conslaw_kit.jet import (alternating_sum, derivatives, jet_partial,
-                             solve_leading, total_derivative)
+from conslaw_kit.expr.expression import (jet, jet_atom, jet_gradient,
+                                         lowered, partial, raised, sum_exprs)
+from conslaw_kit.jet import (alternating_sum, derivatives, solve_leading,
+                             total_derivative)
 
 from conftest import Syms as S, random_expr
 
@@ -321,19 +321,49 @@ class TestAlternatingSum:
             S.uxt + S.x
 
 
+# -- the jet gradient against a reference copy ----------------------------
+#
+# `jet_partial` as it was before `jet_gradient`: the formal `partial` by
+# one atom plus the chain rule through every opaque-function argument slot
+# that holds it, one atom per call.
+
+def ref_jet_partial(e, a):
+    opaque = {f for f in e.atoms() if isinstance(f, OpaqueDeriv)}
+    return sum_exprs([partial(e, a), *(
+        partial(e, f) * atom_expr(f.bump(k))
+        for f in opaque for k, arg in enumerate(f.args) if arg == a)])
+
+
 class TestJetPartial:
     def test_chains_through_opaque_arguments(self):
         g = atom_expr(OpaqueDeriv("g", (S.u_at,)))
         gp = atom_expr(OpaqueDeriv("g", (S.u_at,), (1,)))
         v = jet("v")
-        assert jet_partial(v * g, S.u_at) == v * gp
+        assert jet_gradient(v * g) == {S.u_at: v * gp, V_AT: g}
 
     def test_first_order_argument_slot(self):
-        lam = atom_expr(OpaqueDeriv(
-            "Lam", (S.x_at, S.t_at, S.u_at, S.ux_at, S.ut_at)))
-        d = jet_partial(lam, S.ux_at)
-        assert d == atom_expr(OpaqueDeriv(
-            "Lam", (S.x_at, S.t_at, S.u_at, S.ux_at, S.ut_at), (0, 0, 0, 1, 0)))
+        args = (S.x_at, S.t_at, S.u_at, S.ux_at, S.ut_at)
+        lam = atom_expr(OpaqueDeriv("Lam", args))
+        d = jet_gradient(lam)[S.ux_at]
+        assert d == atom_expr(OpaqueDeriv("Lam", args, (0, 0, 0, 1, 0)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_gradient_matches_reference(self, seed):
+        rng = random.Random(seed)
+        e = random_expr(rng, pool=WIDE_POOL, max_terms=3, max_factors=3,
+                        allow_exp=True)
+        # an exponential of a random expression: a jet atom may then occur
+        # only inside an exponent, or inside an opaque argument there
+        inner = random_expr(rng, pool=WIDE_POOL, max_terms=2, max_factors=2)
+        e = e + random_expr(rng, pool=WIDE_POOL, max_terms=2,
+                            max_factors=2) * exp_of(inner)
+        grad = jet_gradient(e)
+        assert all(not d.is_zero for d in grad.values())
+        assert all(isinstance(a, (JetVar, IndependentVar)) for a in grad)
+        for a in e.atoms() | set(PLAIN_POOL):
+            if isinstance(a, (JetVar, IndependentVar)):
+                assert grad.get(a, Expr.zero()) == ref_jet_partial(e, a)
 
 
 class TestSolveLeading:

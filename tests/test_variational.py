@@ -4,11 +4,12 @@ linearization tables and the self-adjointness test."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conslaw_kit.expr import (Expr, MultiIndex, OpaqueDeriv, atom_expr,
-                              exp_of, rational)
-from conslaw_kit.expr.expression import jet
-from conslaw_kit.jet import total_derivative
+from conslaw_kit.expr import (Expr, JetVar, MultiIndex, OpaqueDeriv,
+                              atom_expr, exp_of, rational)
+from conslaw_kit.expr.expression import jet, sum_exprs
+from conslaw_kit.jet import solve_leading, total_derivative
 from conslaw_kit.variational import (Characteristic, DiffOperator,
                                      adjoint_linearize, adjoint_system,
                                      adjoint_variables, euler,
@@ -16,6 +17,7 @@ from conslaw_kit.variational import (Characteristic, DiffOperator,
                                      linearize, linearize_table)
 
 from conftest import Syms as S, random_expr
+from test_jet import PLAIN_POOL, WIDE_POOL, ref_jet_partial, ref_multi
 
 
 V = jet("v")
@@ -42,6 +44,21 @@ class TestEuler:
     def test_truncates_at_orders_present(self):
         assert euler(S.u**2, "u") == 2 * S.u
         assert euler(Expr.zero(), "u").is_zero
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_matches_definition(self, seed):
+        """sum_J (-1)^|J| D_J(de/du_J), one index at a time, over every
+        u_J in e: a factor, an opaque argument, or inside an exponent."""
+        e = random_expr(random.Random(seed), pool=WIDE_POOL, max_terms=3,
+                        max_factors=3, allow_exp=True)
+        atoms = e.atoms() | set(PLAIN_POOL)
+        atoms |= {arg for f in atoms if isinstance(f, OpaqueDeriv)
+                  for arg in f.args}
+        want = sum_exprs(
+            ref_multi(ref_jet_partial(e, a), a.index).scale((-1) ** a.order)
+            for a in atoms if isinstance(a, JetVar) and a.dep == "u")
+        assert euler(e, "u") == want
 
 
 class TestFormalLagrangian:
@@ -111,7 +128,36 @@ class TestLinearize:
         assert op.apply(list(omega)) == exprs
 
 
+@pytest.fixture(scope="module")
+def kdv():
+    E = S.ut + S.u * S.ux + jet("u", "x", "x", "x")
+    return solve_leading(["t", "x"], ["u"], [E], [S.ut_at], ["kdv"])
+
+
+@pytest.fixture(scope="module")
+def kdv5():
+    E = (S.ut + 30 * S.u**2 * S.ux + 20 * S.ux * S.uxx
+         + 10 * S.u * jet("u", "x", "x", "x") + jet("u", *"xxxxx"))
+    return solve_leading(["t", "x"], ["u"], [E], [S.ut_at], ["kdv5"])
+
+
 class TestAdjointOperator:
+    @pytest.mark.parametrize("name", ["wave", "thomas", "klein_gordon",
+                                      "kdv", "kdv5"])
+    def test_expressions_match_operator_adjoint(self, name, request):
+        """`alternating_sum` over the linearization against the Leibniz
+        normal form of its formal adjoint, applied to seeded random
+        characteristics."""
+        sys = request.getfixturevalue(name)
+        op = linearize_table(sys).adjoint()
+        rng = random.Random(2718)
+        for i in range(8):
+            omega = Characteristic.of(
+                random_expr(rng, max_terms=2)
+                + random_expr(rng, max_terms=1) * exp_of(S.gamma * S.ux))
+            assert adjoint_linearize(sys, omega) == op.apply(list(omega)), \
+                f"{name} case {i} (seed 2718)"
+
     def test_constant_omega_definition_instance(self, wave):
         exprs = adjoint_linearize(wave, Characteristic.of(Expr.const(1)))
         want = ((-2 * S.u * S.uxx - S.ux**2)

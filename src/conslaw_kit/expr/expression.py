@@ -17,10 +17,12 @@ Arithmetic operators keep expressions canonical at every step:
     (e^0 folds to 1);
   * zero is the empty sum and no term carries a zero coefficient.
 
-Every sum goes through one fold, `sum_exprs`: it merges the terms of all
-pieces by power product and sorts once.  `+` is its two-piece case and
-`*` folds the distributed products with the same pass, so a sum of many
-pieces never re-sorts a growing partial sum.
+Every sum goes through one fold, `_gather`: it merges terms by power
+product and sorts once.  `sum_exprs` runs it over the terms of all its
+pieces and `+` is the two-piece case; `*` folds the distributed products
+with the same pass, and `substitute` feeds it each rebuilt term's
+products with its image next to the terms it leaves as they are.  A sum
+of many pieces never re-sorts a growing partial sum.
 
 An `Expr` is a slotted record and a term a plain tuple; atoms compare
 and hash as tuples (see `atoms`), so a gather builds no per-term object
@@ -458,8 +460,10 @@ def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Exp
     atom that occurs as an opaque-function argument is rejected: the
     argument list of an opaque function is a fixed symbol, not a slot.
     Only moving factors (bound atoms, exponentials whose exponent holds
-    one) are rebuilt: each `collect` bucket on them is multiplied once by
-    the product of their images, and every other factor is kept as is.
+    one) are rebuilt.  A term without one passes through as is; any other
+    is split into its moving key and its rest, and the rest is multiplied
+    by the product of the key's images, built once per distinct key in
+    this call.  Every term goes into one `_gather`.
     """
     e = _as_expr(e)
     binds = {a: _as_expr(v) for a, v in bindings.items()}
@@ -483,9 +487,21 @@ def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Exp
               and not binds.keys().isdisjoint(a.exponent.atoms())}
     if not images:
         return e
-    return sum_exprs(
-        rest * functools.reduce(Expr.__mul__, (images[a] ** k for a, k in key))
-        if key else rest for key, rest in collect(e, images).items())
+    products: dict[Powers, Expr] = {}
+    terms: list[Term] = []
+    for t in e.terms:
+        powers, c = t
+        key = tuple((a, k) for a, k in powers if a in images)
+        if not key:
+            terms.append(t)
+            continue
+        image = products.get(key)
+        if image is None:
+            image = products[key] = functools.reduce(
+                Expr.__mul__, (images[a] ** k for a, k in key))
+        rest = tuple((a, k) for a, k in powers if a not in images)
+        terms.extend(_products(((rest, c),), image.terms))
+    return _gather(terms)
 
 
 def collect(e: Expr, selected: Iterable[Atom]) -> dict[Powers, Expr]:

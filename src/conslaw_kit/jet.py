@@ -35,8 +35,8 @@ from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                          MultiIndex, OpaqueDeriv, Parameter)
 from .expr.coeff import Poly
 from .expr.errors import ExprError, LeadingSolveError
-from .expr.expression import (Expr, _gather, atom_expr, lowered, partial,
-                              raised, sum_exprs)
+from .expr.expression import (Expr, _gather, _products, atom_expr, lowered,
+                              partial, raised, sum_exprs)
 from .expr.printer import atom_text
 from .expr.rules import RewriteRule, RuleSet, fixpoint
 from .record import Record
@@ -76,9 +76,10 @@ def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
     term when it is x_var.  Both are single canonical terms (`lowered` and
     `raised` keep the power product sorted), so neither goes
     through `Expr` multiplication.  Opaque and exponential factors, whose
-    derivatives are sums, multiply by `_d_atom`, taken once per atom in
-    this call: an exponential shared by many terms has its exponent
-    derived once.  Every term is merged in one `_gather`.
+    derivatives are sums, multiply the lowered term by `_d_atom`, taken
+    once per atom in this call: an exponential shared by many terms has
+    its exponent derived once.  Every term product is merged in one
+    `_gather`.
     """
     if isinstance(var, IndependentVar):
         var = var.name
@@ -96,7 +97,7 @@ def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
                 if da is None:
                     da = d_atoms[a] = _d_atom(a, var)
                 if not da.is_zero:
-                    terms.extend((Expr((lowered(t, i),)) * da).terms)
+                    terms.extend(_products((lowered(t, i),), da.terms))
     return _gather(terms)
 
 
@@ -143,6 +144,9 @@ def alternating_sum(pairs: Iterable[tuple[MultiIndex, Expr]]) -> Expr:
     return sum_exprs(levels.get(0, {}).get(MultiIndex(), ()))
 
 
+_UNSEEN = object()   # an atom not yet in a system's image table
+
+
 class PdeSystem(Record):
     """PDE system with one solved leading derivative per equation.
 
@@ -150,21 +154,24 @@ class PdeSystem(Record):
     rational/parameter product, L a jet atom and R free of every leading
     derivative and of their differential consequences.  `rules` constrain
     the opaque functions; every on-solution result is read under them.
-    A copy (`with_solved`, pickle, `copy`) starts with an empty `memo`.
+    A copy (`with_solved`, pickle, `copy`) starts with an empty `memo`
+    and an empty image table (`_image`).
     """
 
     __slots__ = ("indep", "dep", "equations", "leading",
                  "solved",        # R per equation, fully reduced
                  "lead_coeff",    # c per equation
-                 "eq_names", "rules", "_cache", "_lock")
+                 "eq_names", "rules", "_cache", "_lock", "_images")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_lock", threading.Lock())
+        object.__setattr__(self, "_images", {})
 
     def with_solved(self, solved: Iterable[Expr]) -> "PdeSystem":
-        """This system with the solved forms replaced, and an empty memo."""
+        """This system with the solved forms replaced, an empty memo and
+        an empty image table."""
         return PdeSystem(self.indep, self.dep, self.equations, self.leading,
                          tuple(solved), self.lead_coeff, self.eq_names,
                          self.rules)
@@ -197,6 +204,15 @@ class PdeSystem(Record):
         return self.memo((i, extra), build)
 
     def _image(self, a: Atom) -> Expr | None:
+        """The rewrite of one atom, or None, from the image table, filled
+        on first lookup.  The table holds only values the memo and the
+        rule set keep, and each is the same whoever looks it up first."""
+        hit = self._images.get(a, _UNSEEN)
+        if hit is _UNSEEN:
+            hit = self._images[a] = self._find_image(a)
+        return hit
+
+    def _find_image(self, a: Atom) -> Expr | None:
         if not isinstance(a, JetVar):
             return self.rules.image(a)
         for i, lead in enumerate(self.leading):

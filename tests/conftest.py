@@ -3,6 +3,7 @@ expression generators used by the property suites."""
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
@@ -15,6 +16,14 @@ from conslaw_kit.expr.expression import jet, jet_atom
 from conslaw_kit.jet import PdeSystem, solve_leading
 from conslaw_kit.variational import Characteristic
 from conslaw_kit.expr.rules import RewriteRule, RuleSet
+
+
+def child_env(env: dict[str, str]) -> dict[str, str]:
+    """`env`, built from scratch for a child Python process, with
+    PYTHONDONTWRITEBYTECODE carried over when this process has it: a run
+    that writes no bytecode caches then leaves none from its children."""
+    flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    return env if flag is None else {**env, "PYTHONDONTWRITEBYTECODE": flag}
 
 
 class Syms:

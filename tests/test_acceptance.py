@@ -31,7 +31,7 @@ from conslaw_kit.jet import total_derivative
 from conslaw_kit.variational import (Characteristic, adjoint_system, euler,
                                      is_variational)
 
-from conftest import Syms as S, random_expr
+from conftest import Syms as S, child_env, random_expr
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 CORPUS = PKG_ROOT / "src" / "conslaw_kit" / "corpus"
@@ -268,8 +268,8 @@ def test_criterion_09_klein_gordon_adjoint(klein_gordon):
 def test_criterion_10_cli_contract():
     with _Budget(10, "corpus sessions, exit codes, JSON schema, parser "
                      "round-trip", 30):
-        env = {"CONSLAW_COLOR": "0", "PATH": "/usr/bin:/bin",
-               "PYTHONPATH": str(PKG_ROOT / "src")}
+        env = child_env({"CONSLAW_COLOR": "0", "PATH": "/usr/bin:/bin",
+                         "PYTHONPATH": str(PKG_ROOT / "src")})
         for name in ("wave.cl", "thomas.cl", "klein-gordon.cl"):
             text = (CORPUS / name).read_text()
             canon = print_session_source(load_session(text))

@@ -20,6 +20,8 @@ from conslaw_kit.dsl import emit, load_session, run_session_command
 from conslaw_kit.dsl.report import Report
 from conslaw_kit.expr.expression import jet
 
+from conftest import child_env
+
 PKG_ROOT = Path(__file__).resolve().parents[1]
 CORPUS = PKG_ROOT / "src" / "conslaw_kit" / "corpus"
 SCHEMA = json.loads(
@@ -47,8 +49,8 @@ def run_cli(*args, timeout=180):
     return subprocess.run(
         [sys.executable, "-m", "conslaw_kit", *args],
         capture_output=True, text=True, timeout=timeout,
-        env={"CONSLAW_COLOR": "0", "PATH": "/usr/bin:/bin",
-             "PYTHONPATH": str(PKG_ROOT / "src")},
+        env=child_env({"CONSLAW_COLOR": "0", "PATH": "/usr/bin:/bin",
+                       "PYTHONPATH": str(PKG_ROOT / "src")}),
     )
 
 
@@ -373,8 +375,8 @@ class TestUnwritableOutput:
             r = subprocess.run(
                 [sys.executable, "-m", "conslaw_kit", "run", "--session", WAVE],
                 stdout=write_end, stderr=subprocess.PIPE, timeout=180,
-                env={"PATH": "/usr/bin:/bin",
-                     "PYTHONPATH": str(PKG_ROOT / "src")})
+                env=child_env({"PATH": "/usr/bin:/bin",
+                               "PYTHONPATH": str(PKG_ROOT / "src")}))
         finally:
             os.close(write_end)
         assert r.returncode == 2 and r.stderr == b""
@@ -605,8 +607,8 @@ class TestColorControl:
             [sys.executable, "-m", "conslaw_kit", "variational-check",
              "--session", WAVE],
             capture_output=True, text=True,
-            env={"CONSLAW_COLOR": "1", "PATH": "/usr/bin:/bin",
-                 "PYTHONPATH": str(PKG_ROOT / "src")})
+            env=child_env({"CONSLAW_COLOR": "1", "PATH": "/usr/bin:/bin",
+                           "PYTHONPATH": str(PKG_ROOT / "src")}))
         assert "\x1b[32m" in r.stdout
 
     def test_color_off_by_default_when_piped(self):

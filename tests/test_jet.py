@@ -480,6 +480,40 @@ class TestReduce:
                 rhs = wave.reduce(total_derivative(wave.reduce(e), var))
                 assert lhs == rhs, f"case {i} var {var} (seed 555)"
 
+    @pytest.mark.parametrize("name", ["thomas_f", "wave", "kdv5"])
+    def test_warm_image_table_matches_a_fresh_copy(self, name, request):
+        """One system reduces a seeded, shuffled list of expressions, its
+        memo and image table warming as it goes; each result equals the
+        reduction on a fresh copy, which starts with both empty."""
+        xt = (S.x_at, S.t_at)
+        f = [OpaqueDeriv("f", xt, k) for k in ((1, 0), (1, 1), (2, 1))]
+        leads = {
+            # leading u_xt, a rule for f_xt; exponentials of the first three
+            "thomas_f": (jet_atom("u", "x", "t"), f[0], jet_atom("u", *"xxt"),
+                         f[1], f[2], S.u_at, S.ux_at, S.ut_at, S.x_at),
+            "wave": (S.utt_at, jet_atom("u", *"ttx"), S.u_at, S.ux_at,
+                     jet_atom("u", *"ttt"), S.x_at, S.t_at),
+            "kdv5": (S.ut_at, jet_atom("u", "t", "x"), S.u_at,
+                     jet_atom("u", "t", "t"), S.ux_at, S.uxx_at, S.x_at),
+        }
+        if name == "kdv5":
+            E = (S.ut + 30 * S.u**2 * S.ux + 20 * S.ux * S.uxx
+                 + 10 * S.u * jet("u", *"xxx") + jet("u", *"xxxxx"))
+            sys = solve_leading(["t", "x"], ["u"], [E], [S.ut_at], ["kdv5"])
+        else:
+            sys = request.getfixturevalue(name)
+        warm = sys.with_solved(sys.solved)
+        rng = random.Random(2025)
+        pool = leads[name]
+        exprs = [random_expr(rng, pool=pool, max_terms=3, allow_exp=True)
+                 for _ in range(60)]
+        exprs += exprs[:20]
+        rng.shuffle(exprs)
+        for i, e in enumerate(exprs):
+            assert warm.reduce(e) == sys.with_solved(sys.solved).reduce(e), \
+                f"case {i} (seed 2025)"
+        assert warm._images and warm._cache
+
     def test_shared_system_across_threads(self):
         import concurrent.futures
 

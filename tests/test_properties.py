@@ -31,7 +31,8 @@ from conslaw_kit.jet import total_derivative
 from conslaw_kit.variational import (Characteristic, adjoint_linearize,
                                      euler, linearize)
 
-from conftest import DEFAULT_POOL, Syms as S, random_expr, random_tree
+from conftest import (DEFAULT_POOL, Syms as S, child_env, random_expr,
+                      random_tree)
 
 SMALL_POOL = (S.u_at, S.ux_at, S.ut_at, S.x_at, S.t_at)
 
@@ -232,6 +233,53 @@ class TestSubstitute:
             }[kind]()
         assert substitute(e, binds) == reference_substitute(e, binds)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_shared_keys_and_unmoved_terms(self, rng, data):
+        """Several rests on each moving key, keys of two atoms, of a power
+        and of a moving exponential, terms with no moving factor, and
+        images that are zero or exponentials that fold."""
+        moving = data.draw(st.lists(st.sampled_from(sorted(DEFAULT_POOL)),
+                                    min_size=1, max_size=2, unique=True))
+        fixed = [a for a in sorted(DEFAULT_POOL) if a not in moving]
+        m0, m1 = atom_expr(moving[0]), atom_expr(moving[-1])
+        f0 = atom_expr(fixed[0])
+        keys = (m0, m0 * m1, m1 ** 3, m1 * exp_of(m0 + f0))
+        e = random_expr(rng, fixed, max_terms=3)
+        for key in keys:
+            for _ in range(data.draw(st.integers(0, 3))):
+                e = e + key * random_expr(rng, fixed, max_terms=2)
+        values = st.sampled_from(("zero", "const", "expr", "exp", "fold"))
+        binds = {}
+        for a in moving:
+            binds[a] = {
+                "zero": lambda: Expr.zero(),
+                "const": lambda: Expr.const(data.draw(fractions)),
+                "expr": lambda: random_expr(rng, max_terms=3),
+                "exp": lambda: random_expr(rng, max_terms=2, allow_exp=True),
+                # as the image of m1, meets e^(m0 + f0) in the image
+                # product, and e^(-f0) cancels f0
+                "fold": lambda: exp_of(-f0),
+            }[data.draw(values)]()
+        assert substitute(e, binds) == reference_substitute(e, binds)
+
+    def test_each_key_its_own_image(self):
+        u, ux, x, t = S.u, S.ux, S.x, S.t
+        # one key, three rests; u_t and x pass through
+        e = u * x + u * t**2 + 3 * u * S.ut + S.ut + x
+        assert (substitute(e, {S.u_at: t + 1})
+                == (t + 1) * (x + t**2 + 3 * S.ut) + S.ut + x)
+        # keys u*u_x, u^2 and u_x^3, each with its own rest
+        e = u * ux * x + u**2 * t + ux**3 * S.ut + 2
+        assert (substitute(e, {S.u_at: x - t, S.ux_at: t})
+                == (x - t) * t * x + (x - t)**2 * t + t**3 * S.ut + 2)
+        # a zero image removes its terms alone
+        assert substitute(u * x + ux * t + S.ut, {S.u_at: 0}) == ux * t + S.ut
+        # e^u moves with u: e^x, times u_x's image e^-x, folds to 1
+        e = ux * exp_of(u) * t + exp_of(u) + ux
+        assert (substitute(e, {S.u_at: x, S.ux_at: exp_of(-x)})
+                == t + exp_of(x) + exp_of(-x))
+
 
 def _atoms_deep(e: Expr):
     """Every atom of `e`, those inside exponents included, and the
@@ -351,8 +399,8 @@ class TestHashContract:
         for seed, script in (("1", dump), ("2", load)):
             r = subprocess.run([sys.executable, "-c", script], input=blob,
                                capture_output=True, timeout=60,
-                               env={"PYTHONHASHSEED": seed,
-                                    "PYTHONPATH": src})
+                               env=child_env({"PYTHONHASHSEED": seed,
+                                              "PYTHONPATH": src}))
             assert r.returncode == 0, r.stderr.decode()
             blob = r.stdout
 

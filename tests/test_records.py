@@ -33,6 +33,8 @@ from conslaw_kit.record import KeyRecord, MutableRecord, Record
 from conslaw_kit.variational import (Characteristic, is_variational,
                                      linearize_table)
 
+from conftest import child_env
+
 # every statement kind, parameters, an opaque function under a rule and
 # an exponential
 SESSION = """
@@ -65,7 +67,7 @@ def _samples() -> dict[type, Record]:
     session = load_session(SESSION)
     sys_ = session.require_system()
     sys_.reduce(jet("u", "t", "x") + jet("u", "t"))   # fills the memo
-    assert sys_._cache and sys_.rules._derived
+    assert sys_._cache and sys_._images and sys_.rules._derived
     gen, char = session.gens["g"], session.chars["c"]
     vec = ibragimov_vector(sys_, gen)
     problem = AnsatzProblem(sys_, "symmetry", (char, Characteristic.of(jet("u"))))
@@ -214,6 +216,6 @@ def test_cli_import_loads_no_code_generation_modules():
               " 'typing') if m in sys.modules))")
     r = subprocess.run([sys.executable, "-S", "-c", script],
                        capture_output=True, text=True, timeout=60,
-                       env={"PYTHONPATH": src})
+                       env=child_env({"PYTHONPATH": src}))
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == []

@@ -55,11 +55,10 @@ class AnsatzProblem(Record):
     vanishes on solutions is rejected: it would be a trivial direction.
     """
 
-    __slots__ = ("system", "target", "basis", "unknowns")
+    __slots__ = ("system", "target", "basis")
 
     def __init__(self, system: PdeSystem, target: str,
-                 basis: Sequence[Characteristic],
-                 unknowns: tuple[Parameter, ...] = ()) -> None:
+                 basis: Sequence[Characteristic]) -> None:
         if target not in TARGETS:
             raise AnsatzError(
                 f"unknown target {target!r}; expected one of "
@@ -78,15 +77,15 @@ class AnsatzProblem(Record):
                 raise AnsatzError(
                     f"basis element {k} vanishes on solutions: a trivial "
                     f"{target} direction")
-        if not unknowns:
-            taken = {p.name for e in itertools.chain(system.equations, *basis)
-                     for p in e.parameters()}
-            unknowns = tuple(map(Parameter,
-                                 _fresh_stem_names("c", len(basis), taken)))
-        elif len(unknowns) != len(basis):
-            raise AnsatzError(f"{len(unknowns)} unknowns for {len(basis)} "
-                              f"basis elements")
-        super().__init__(system, target, basis, unknowns)
+        super().__init__(system, target, basis)
+
+    @property
+    def unknowns(self) -> tuple[Parameter, ...]:
+        taken = {p.name for e in itertools.chain(self.system.equations,
+                                                 *self.basis)
+                 for p in e.parameters()}
+        return tuple(map(Parameter, _fresh_stem_names(
+            "c", len(self.basis), taken)))
 
 
 def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> Characteristic:

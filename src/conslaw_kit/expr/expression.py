@@ -418,38 +418,59 @@ def partial(e: Expr, a: Atom) -> Expr:
     return sum_exprs(pieces)
 
 
-def jet_gradient(e: Expr) -> dict[Atom, Expr]:
-    """de/da for every jet coordinate and independent variable a on which
-    e depends, in one walk of its terms; zero entries are dropped and the
-    keys come in term order.
+def _chain(acc: dict[Atom, list[Term]], inner: dict[Expr, dict[Atom, Expr]],
+           x: Expr, left: tuple[Term, ...]) -> None:
+    """Add the terms of left * dx/da to acc's entry of each a; `inner`
+    keeps x's gradient for the rest of the walk."""
+    grad = inner.get(x)
+    if grad is None:
+        grad = inner[x] = jet_gradient(x)
+    for a, d in grad.items():
+        acc.setdefault(a, []).extend(_products(left, d.terms))
 
-    Unlike `partial`, the chain rule runs through opaque-function
-    arguments too: a factor g(u) contributes g'(u) to the entry of u.  A
-    plain factor gives its lowered term, an opaque factor its lowered term
-    raised by the derivative in each slot that holds such an atom, and an
-    exponential factor the term times the gradient of its exponent, taken
-    once per exponential in this call.  Each entry is one `_gather`.
+
+def _gradient_terms(e: Expr) -> dict[Atom, list[Term]]:
+    """The unsummed terms of de/da for every jet coordinate and
+    independent variable a on which e depends, in one walk of its terms;
+    the keys come in term order.  This walk is the engine's chain rule.
+
+    A plain factor gives its lowered term.  An opaque factor g gives its
+    lowered term raised by g's derivative in each slot: in the entry of the
+    slot's atom if that is a variable, and otherwise times the gradient of
+    the atom (an exponential, another opaque function).  An exponential
+    factor gives the term times the gradient of its exponent.  The
+    gradient of an exponent or argument is taken once per call.
     """
     acc: dict[Atom, list[Term]] = {}
-    exp_grads: dict[Atom, dict[Atom, Expr]] = {}
+    inner: dict[Expr, dict[Atom, Expr]] = {}
     for t in e.terms:
         for i, (f, _) in enumerate(t[0]):
             cls = f.__class__
             if cls in _VARS:
                 acc.setdefault(f, []).append(lowered(t, i))
             elif cls is OpaqueDeriv:
-                low = None
+                low = lowered(t, i)
                 for k, arg in enumerate(f.args):
                     if arg.__class__ in _VARS:
-                        low = low or lowered(t, i)
                         acc.setdefault(arg, []).append(raised(low, f.bump(k)))
+                    else:
+                        _chain(acc, inner, atom_expr(arg),
+                               (raised(low, f.bump(k)),))
             elif cls is ExpAtom:
-                grad = exp_grads.get(f)
-                if grad is None:
-                    grad = exp_grads[f] = jet_gradient(f.exponent)
-                for a, d in grad.items():
-                    acc.setdefault(a, []).extend(_products((t,), d.terms))
-    grads = {a: _gather(ts) for a, ts in acc.items()}
+                _chain(acc, inner, f.exponent, (t,))
+    return acc
+
+
+def jet_gradient(e: Expr) -> dict[Atom, Expr]:
+    """de/da for every jet coordinate and independent variable a on which
+    e depends: `_gradient_terms`, one `_gather` per entry.  Zero entries
+    are dropped and the keys come in term order.
+
+    Unlike `partial`, the chain rule runs through opaque-function
+    arguments: a factor g(u) contributes g'(u) to the entry of u, and
+    g(e^u) contributes g'(e^u) e^u.
+    """
+    grads = {a: _gather(ts) for a, ts in _gradient_terms(e).items()}
     return {a: d for a, d in grads.items() if d.terms}
 
 

@@ -1,12 +1,11 @@
 """Jet-space calculus and PDE systems in leading-derivative form.
 
-Total derivative operators act on the jet coordinates through the chain
-rule.  Jet and independent-variable factors build their product-rule
-terms directly, with no `Expr` multiplication: D_x of a jet factor is one
-atom, so its term is the product lowered at the factor and raised by that
-atom, and both steps keep the power product sorted, so the term is
-canonical as built.  Opaque and exponential factors, whose derivatives
-are sums, are multiplied out, each derived once per call.
+The total derivative D_i = d/dx^i + sum u^a_{J,i} d/du^a_J is the
+contraction of the jet gradient.  The chain rule lives in one place, the
+term walk behind `expression.jet_gradient`; `total_derivative` takes that
+walk's unsummed terms of de/da, raises each term of a jet coordinate's
+entry by its bump, keeps the entry of x_i and merges all of them in one
+`_gather`.
 
 The engine's sums of iterated derivatives compute each total derivative
 once per multi-index in a call.  `derivatives(e)` is the table J -> D_J e,
@@ -31,12 +30,11 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterable, Sequence
 
-from .expr.atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
-                         MultiIndex, OpaqueDeriv, Parameter)
+from .expr.atoms import Atom, IndependentVar, JetVar, MultiIndex, mono_mul
 from .expr.coeff import Poly
 from .expr.errors import ExprError, LeadingSolveError
-from .expr.expression import (Expr, _gather, _products, atom_expr, lowered,
-                              partial, raised, sum_exprs)
+from .expr.expression import (Expr, _gather, _gradient_terms, atom_expr,
+                              partial, sum_exprs)
 from .expr.printer import atom_text
 from .expr.rules import RewriteRule, RuleSet, fixpoint
 from .record import Record
@@ -51,53 +49,25 @@ __all__ = [
 ]
 
 
-def _d_atom(a: Atom, var: str) -> Expr:
-    """Total derivative of a single atom with respect to x_var."""
-    if isinstance(a, IndependentVar):
-        return Expr.const(1 if a.name == var else 0)
-    if isinstance(a, (Parameter, ExpConst)):
-        return Expr.zero()
-    if isinstance(a, JetVar):
-        return atom_expr(a.bump(var))
-    if isinstance(a, OpaqueDeriv):
-        dargs = [_d_atom(arg, var) for arg in a.args]
-        return sum_exprs(atom_expr(a.bump(k)) * darg
-                         for k, darg in enumerate(dargs) if not darg.is_zero)
-    if isinstance(a, ExpAtom):
-        return total_derivative(a.exponent, var) * atom_expr(a)
-    raise TypeError(f"unknown atom {a!r}")
-
-
 def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
-    """D_var e, the total derivative on jet space, by the product rule.
+    """D_var e = de/dx_var + sum over the jet coordinates a of
+    de/da * D_var a, the contraction of the jet-gradient walk.
 
-    A jet factor a contributes the term lowered at a and raised by
-    D_var a = a.bump(var); an independent variable contributes the lowered
-    term when it is x_var.  Both are single canonical terms (`lowered` and
-    `raised` keep the power product sorted), so neither goes
-    through `Expr` multiplication.  Opaque and exponential factors, whose
-    derivatives are sums, multiply the lowered term by `_d_atom`, taken
-    once per atom in this call: an exponential shared by many terms has
-    its exponent derived once.  Every term product is merged in one
-    `_gather`.
+    The chain rule lives in that walk (`_gradient_terms`), here as in
+    `jet_gradient`: each term of a coordinate a's entry is raised by
+    a.bump(var), the entry of x_var is kept as it is, and every term goes
+    into one `_gather`.
     """
     if isinstance(var, IndependentVar):
         var = var.name
     terms = []
-    d_atoms: dict[Atom, Expr] = {}
-    for t in e.terms:
-        for i, (a, _) in enumerate(t[0]):
-            if isinstance(a, JetVar):
-                terms.append(raised(lowered(t, i), a.bump(var)))
-            elif isinstance(a, IndependentVar):
-                if a.name == var:
-                    terms.append(lowered(t, i))
-            else:
-                da = d_atoms.get(a)
-                if da is None:
-                    da = d_atoms[a] = _d_atom(a, var)
-                if not da.is_zero:
-                    terms.extend(_products((lowered(t, i),), da.terms))
+    for a, ts in _gradient_terms(e).items():
+        if a.__class__ is JetVar:
+            da = ((a.bump(var), 1),)
+            for p, c in ts:
+                terms.append((mono_mul(p, da), c))
+        elif a.name == var:
+            terms += ts
     return _gather(terms)
 
 

@@ -64,7 +64,8 @@ class DiffOperator(Record):
 
     `entries[(target, source)][J]` is the coefficient of D_J applied to the
     source component contributing to the target row; absent entries are
-    zero and zero coefficients are dropped.
+    zero.  `build` drops zero coefficients and empty tables, so the record
+    `==` decides operator equality.
     """
 
     __slots__ = ("target_dim", "source_dim", "entries")
@@ -106,22 +107,6 @@ class DiffOperator(Record):
         return DiffOperator.build(self.source_dim, self.target_dim, {
             key: {K: sum_exprs(pieces) for K, pieces in dest.items()}
             for key, dest in acc.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        if (self.target_dim, self.source_dim) != (other.target_dim, other.source_dim):
-            return False
-        keys = set(self.entries) | set(other.entries)
-        for key in keys:
-            a = self.entries.get(key, {})
-            b = other.entries.get(key, {})
-            for J in set(a) | set(b):
-                if a.get(J, Expr.zero()) != b.get(J, Expr.zero()):
-                    return False
-        return True
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def euler(e: Expr, dep: str) -> Expr:

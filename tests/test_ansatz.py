@@ -178,18 +178,6 @@ class TestWaveAnsatz:
             assert v.numerators[2].is_zero
 
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_unknowns_must_match_the_basis(self, wave, n):
-        basis = (Characteristic.of(S.u), Characteristic.of(S.x * S.ux))
-        unknowns = tuple(Parameter(f"k{i}") for i in range(1, n + 1))
-        with pytest.raises(AnsatzError,
-                           match=f"{n} unknowns for 2 basis elements"):
-            AnsatzProblem(wave, "adjoint-symmetry", basis, unknowns)
-        two = AnsatzProblem(wave, "adjoint-symmetry", basis,
-                            (Parameter("k1"), Parameter("k2")))
-        assert solve_ansatz(two).dimension == 1
-
-
 class TestThomasFamily:
     def test_dimension_exactly_four(self, thomas, thomas_theta):
         p = AnsatzProblem(thomas, "adjoint-symmetry",

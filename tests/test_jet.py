@@ -18,6 +18,7 @@ from conslaw_kit.expr.expression import (jet, jet_atom, jet_gradient,
                                          lowered, partial, raised, sum_exprs)
 from conslaw_kit.jet import (alternating_sum, derivatives, solve_leading,
                              total_derivative)
+from conslaw_kit.variational import euler
 
 from conftest import Syms as S, random_expr
 
@@ -60,7 +61,8 @@ class TestTotalDerivative:
 # -- the product rule against a reference copy ---------------------------
 #
 # `total_derivative` as it was when every factor's derivative went through
-# `Expr` multiplication, kept here as the reference.
+# `Expr` multiplication, kept here as the reference: the one path that
+# applies the chain rule independently of the jet-gradient walk.
 
 def ref_d_atom(a, var):
     if isinstance(a, IndependentVar):
@@ -122,6 +124,13 @@ WIDE_POOL = (
 )
 PLAIN_POOL = tuple(a for a in WIDE_POOL
                    if not isinstance(a, (Parameter, ExpAtom, ExpConst)))
+# opaque functions of a derivative coordinate, of an exponential and of
+# another opaque function
+CHAIN_POOL = WIDE_POOL + (
+    OpaqueDeriv("g", (S.ux_at, S.t_at)),
+    OpaqueDeriv("k", (ExpAtom(S.gamma * S.u),)),
+    OpaqueDeriv("h", (OpaqueDeriv("f", (S.u_at,)), V_AT), (1, 0)),
+)
 
 
 class TestProductRule:
@@ -129,7 +138,7 @@ class TestProductRule:
     @given(st.integers(0, 2**32), st.sampled_from(["x", "t", "y"]))
     def test_matches_reference(self, seed, var):
         rng = random.Random(seed)
-        e = random_expr(rng, pool=WIDE_POOL, max_terms=4, max_factors=4,
+        e = random_expr(rng, pool=CHAIN_POOL, max_terms=4, max_factors=4,
                         allow_exp=True)
         got = total_derivative(e, var)
         want = ref_total_derivative(e, var)
@@ -140,6 +149,29 @@ class TestProductRule:
         # D_y of x^2 u: x is a constant, u bumps to u_y
         e = S.x ** 2 * S.u
         assert total_derivative(e, "y") == S.x ** 2 * jet("u", "y")
+
+
+class TestChainThroughArguments:
+    """The chain rule runs through an opaque argument that is not a
+    variable: an exponential, or another opaque function."""
+
+    def test_euler_through_an_exponential_argument(self):
+        f = atom_expr(OpaqueDeriv("f", (ExpAtom(S.u),)))
+        fp = atom_expr(OpaqueDeriv("f", (ExpAtom(S.u),), (1,)))
+        assert euler(S.u * f, "u") == f + S.u * fp * exp_of(S.u)
+
+    def test_gradient_through_a_nested_function(self):
+        k = OpaqueDeriv("k", (S.u_at,))
+        h = OpaqueDeriv("h", (k,))
+        assert jet_gradient(atom_expr(h)) == {
+            S.u_at: atom_expr(h.bump(0)) * atom_expr(k.bump(0))}
+
+    def test_total_derivative_through_an_exponential_argument(self):
+        f = atom_expr(OpaqueDeriv("f", (ExpAtom(S.u),)))
+        fp = atom_expr(OpaqueDeriv("f", (ExpAtom(S.u),), (1,)))
+        d = total_derivative(f, "x")
+        assert d == fp * S.ux * exp_of(S.u)
+        assert str(d) == "D[f,exp(u)]*D[u,x]*exp(u)"
 
 
 class TestTermRaised:

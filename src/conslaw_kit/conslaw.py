@@ -14,8 +14,8 @@ import itertools
 from collections.abc import Sequence
 
 from .cancel import checkpoint
-from .determining import (differential_substitution_residual, e_decompose,
-                          substitute_multiplier_vars)
+from .determining import (_multiplier_substitution, _substitution_residual,
+                          e_decompose)
 from .expr.atoms import JetVar, MultiIndex
 from .expr.errors import ExprError
 from .expr.expression import (Expr, atom_expr, graded_key, jet_atom,
@@ -101,8 +101,9 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     T's number of orderings, with D_T(W) from one derivative table per
     component.  Every dL/du^sigma_S is read off one `jet_gradient` of L.
     The result then has phi substituted for the adjoined variables and is
-    reduced on solutions.  With phi=None the components keep the symbolic
-    multiplier variables.
+    reduced on solutions; the substitution residual and every component
+    read one table of the D_J phi.  With phi=None the components keep the
+    symbolic multiplier variables.
 
     A phi that fails the substitution determining system is accepted (the
     result is then generally not conserved); the failure is flagged on the
@@ -144,9 +145,10 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     substitution_ok = None
     if phi is not None:
         phi = _as_characteristic(phi, len(sys.dep))
-        residual = differential_substitution_residual(sys, phi)
+        sub = _multiplier_substitution(sys, phi)
+        residual = _substitution_residual(sys, phi, sub)
         substitution_ok = all(x.is_zero for x in residual)
-        raw = [substitute_multiplier_vars(sys, c, phi) for c in raw]
+        raw = [sub(c) for c in raw]
 
     reduced = tuple(sys.reduce(c) for c in raw)
     return ConservedVector(sys, reduced, tuple(raw), g,
@@ -160,12 +162,16 @@ def verify_divergence(sys: PdeSystem, vec: "ConservedVector | Sequence[Expr]"
     The divergence is decomposed as sum M * D_J(E) + S; success means the
     remainder S vanishes, and the M coefficients are the explicit
     conservation-law identity.  Failure is a report state, not an error.
+    `nontrivial` reads the components reduced on solutions; those of a
+    `ConservedVector` built on `sys` already are, and are read as they are.
     """
     comps = vec.components if isinstance(vec, ConservedVector) else tuple(vec)
+    reduced = (comps if isinstance(vec, ConservedVector) and vec.system is sys
+               else [sys.reduce(c) for c in comps])
     div = _divergence(sys, comps)
     checkpoint()
     dec = e_decompose(div, sys)
-    nontrivial = any(not sys.reduce(c).is_zero for c in comps)
+    nontrivial = any(not c.is_zero for c in reduced)
     return VerificationReport(dec.remainder, dec, nontrivial)
 
 

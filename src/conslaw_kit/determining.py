@@ -14,6 +14,8 @@ carry the marker's jet coordinates along.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .cancel import checkpoint
 from .expr.atoms import JetVar, MultiIndex
 from .expr.coeff import Poly
@@ -113,12 +115,21 @@ def adjoint_symmetry_residual(sys: PdeSystem, omega) -> tuple[Expr, ...]:
     return tuple(sys.reduce(x) for x in adjoint_linearize(sys, omega))
 
 
+def _multiplier_substitution(sys: PdeSystem, phi: Characteristic
+                             ) -> Callable[[Expr], Expr]:
+    """e -> e with the adjoined variables and all their jet coordinates
+    replaced by phi's components and their total derivatives.  Every call
+    reads one D_J phi table per component, filled on demand."""
+    names = adjoint_variables(sys)
+    tables = [derivatives(c) for c in phi.components]
+    return lambda e: _substitute_jets(e, names, tables)
+
+
 def substitute_multiplier_vars(sys: PdeSystem, e: Expr, phi: Characteristic
                                ) -> Expr:
     """Replace the adjoined variables and all their jet coordinates by the
     substitution's components and their total derivatives."""
-    return _substitute_jets(e, adjoint_variables(sys),
-                            [derivatives(c) for c in phi.components])
+    return _multiplier_substitution(sys, phi)(e)
 
 
 def differential_substitution_residual(sys: PdeSystem, phi) -> tuple[Expr, ...]:
@@ -130,10 +141,16 @@ def differential_substitution_residual(sys: PdeSystem, phi) -> tuple[Expr, ...]:
     every characteristic, which the test suite checks mechanically.
     """
     phi = _as_characteristic(phi, len(sys.dep))
+    return _substitution_residual(sys, phi, _multiplier_substitution(sys, phi))
+
+
+def _substitution_residual(sys: PdeSystem, phi: Characteristic,
+                           sub: Callable[[Expr], Expr]) -> tuple[Expr, ...]:
+    """`differential_substitution_residual` through `sub`, phi's
+    `_multiplier_substitution`, which the caller may go on using."""
     if all(sys.reduce(c).is_zero for c in phi.components):
         raise TrivialSubstitutionError("trivial substitution")
-    return tuple(sys.reduce(substitute_multiplier_vars(sys, adj, phi))
-                 for adj in adjoint_system(sys))
+    return tuple(sys.reduce(sub(adj)) for adj in adjoint_system(sys))
 
 
 def selfadjoint_lambda(sys: PdeSystem, phi):
@@ -156,9 +173,9 @@ def selfadjoint_lambda(sys: PdeSystem, phi):
         raise TrivialSubstitutionError("trivial substitution")
     m = len(sys.dep)
     lam = [[Expr.zero()] * m for _ in range(m)]
+    sub = _multiplier_substitution(sys, phi)
     for a, adj in enumerate(adjoint_system(sys)):
-        sub = substitute_multiplier_vars(sys, adj, phi)
-        dec = e_decompose(sub, sys)
+        dec = e_decompose(sub(adj), sys)
         if not dec.is_linear:
             raise SubstitutionClassError(
                 "requires differential substitution (nonlinear in E)")

@@ -493,7 +493,12 @@ def substitute(e: Expr, bindings: Mapping[Atom, "Expr | int | Fraction"]) -> Exp
     for key in binds:
         if isinstance(key, Parameter):
             raise ExprError("cannot substitute for a parameter atom")
-    atoms = e.atoms()
+    return _substitute(e, binds, e.atoms())
+
+
+def _substitute(e: Expr, binds: Mapping[Atom, Expr], atoms: set[Atom]) -> Expr:
+    """`substitute` for bindings that are expressions and bind no
+    parameter, with `atoms`, `e.atoms()`, walked by the caller."""
     # the first such function in atom order, so the message does not
     # follow the set order of `atoms`
     fixed = sorted(a for a in atoms if isinstance(a, OpaqueDeriv)

@@ -55,15 +55,15 @@ def _atom_display_key(a: Atom):
     return (4, atom_text(a))
 
 
-def _term_display_key(t: Term):
+def _term_display_key(t: Term, display=_atom_display_key):
     """Degree descending, then the sorted display keys of the factors in
     run-length form: (key, -count) pairs, which order the terms of one
     degree as the sorted lists with each key repeated count times do,
     without building those lists.  Atoms may share a key (`f(u)`,
-    `f(v)`), so the counts are merged."""
+    `f(v)`), so the counts are merged.  `display` gives an atom's key."""
     counts: dict = {}
     for a, k in t[0]:
-        key = _atom_display_key(a)
+        key = display(a)
         counts[key] = counts.get(key, 0) + k
     return (-sum(counts.values()),
             sorted((key, -n) for key, n in counts.items()))
@@ -123,14 +123,26 @@ def _poly_pieces(p: Poly, mono, frac, times: str):
 
 def _terms(e: Expr, coeff, factor, times: str, pad: str) -> str:
     """The sum of the terms of `e` in display order; `coeff` gives a
-    coefficient's (negative, text), a unit coefficient is left out."""
+    coefficient's (negative, text), a unit coefficient is left out.
+    Each distinct atom's display and factor keys, and each distinct
+    (atom, power)'s `factor` text, are computed once per call."""
     if e.is_zero:
         return "0"
+    display, order, text = {}, {}, {}
+    for powers, _ in e.terms:
+        for ak in powers:
+            a = ak[0]
+            if a not in display:
+                display[a] = _atom_display_key(a)
+                order[a] = _factor_key(a)
+            if ak not in text:
+                text[ak] = factor(*ak)
     pieces = []
-    for t in sorted(e.terms, key=_term_display_key):
+    for t in sorted(e.terms, key=lambda t: _term_display_key(
+            t, display.__getitem__)):
         neg, ctext = coeff(t[1])
-        factors = [factor(a, k) for a, k in
-                   sorted(t[0], key=lambda ak: _factor_key(ak[0]))]
+        factors = [text[ak] for ak in
+                   sorted(t[0], key=lambda ak: order[ak[0]])]
         if ctext != "1" or not factors:
             factors.insert(0, ctext)
         pieces.append((neg, times.join(factors)))

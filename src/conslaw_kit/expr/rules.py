@@ -20,7 +20,7 @@ from ..cancel import checkpoint
 from ..record import Record
 from .atoms import Atom, OpaqueDeriv
 from .errors import LeadingSolveError, RuleError
-from .expression import Expr, jet_gradient, substitute
+from .expression import Expr, _substitute, jet_gradient
 from .printer import atom_text
 
 __all__ = ["RewriteRule", "RuleSet", "fixpoint"]
@@ -35,10 +35,11 @@ def fixpoint(e: Expr, image: Callable[[Atom], Expr | None]) -> Expr:
     """
     for _ in range(1000):
         checkpoint()
-        binds = {a: b for a in e.atoms() if (b := image(a)) is not None}
+        atoms = e.atoms()
+        binds = {a: b for a in atoms if (b := image(a)) is not None}
         if not binds:
             return e
-        e = substitute(e, binds)
+        e = _substitute(e, binds, atoms)
     raise LeadingSolveError("reduction did not terminate")
 
 

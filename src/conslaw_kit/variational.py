@@ -4,6 +4,11 @@ Euler operator, formal Lagrangian with adjoined multiplier variables, the
 adjoint system, linearization of a PDE system and its formal adjoint (both
 as expressions and as differential-operator coefficient tables), and the
 self-adjointness test that decides whether a system is variational.
+
+Four values depend on the system alone and are built once per system, in
+its `PdeSystem.memo`: the adjoint variables, the formal Lagrangian, the
+adjoint system (a tuple) and the linearization table.  Everything else
+here is computed afresh on each call.
 """
 
 from __future__ import annotations
@@ -124,8 +129,9 @@ def euler(e: Expr, dep: str) -> Expr:
 
 
 def adjoint_variables(sys: PdeSystem) -> tuple[str, ...]:
-    """Deterministic fresh names for the adjoined multiplier variables."""
-    return _fresh_names(sys, "v")
+    """Deterministic fresh names for the adjoined multiplier variables,
+    built once per system."""
+    return sys.memo("adjoint_variables", lambda: _fresh_names(sys, "v"))
 
 
 def _fresh_stem_names(stem: str, n: int, used: set[str],
@@ -158,29 +164,37 @@ def formal_lagrangian(sys: PdeSystem) -> Expr:
     Mixed-derivative atoms need no textual symmetrization here because
     u_{xt} and u_{tx} are the same atom; the symmetric split of mixed
     slots is applied where the Lagrangian is differentiated with respect
-    to an ordered derivative slot (conserved-vector assembly).
+    to an ordered derivative slot (conserved-vector assembly).  Built once
+    per system.
     """
-    return sum_exprs(atom_expr(JetVar(name)) * eq
-                     for name, eq in zip(adjoint_variables(sys), sys.equations))
+    return sys.memo("formal_lagrangian", lambda: sum_exprs(
+        atom_expr(JetVar(name)) * eq
+        for name, eq in zip(adjoint_variables(sys), sys.equations)))
 
 
-def adjoint_system(sys: PdeSystem) -> list[Expr]:
+def adjoint_system(sys: PdeSystem) -> tuple[Expr, ...]:
     """Euler derivatives of the formal Lagrangian: one expression per
-    dependent variable, in the adjoined v variables, not reduced."""
-    lagr = formal_lagrangian(sys)
-    return [euler(lagr, d) for d in sys.dep]
+    dependent variable, in the adjoined v variables, not reduced.  Built
+    once per system; a tuple, so the shared value cannot change."""
+    def build():
+        lagr = formal_lagrangian(sys)
+        return tuple(euler(lagr, d) for d in sys.dep)
+    return sys.memo("adjoint_system", build)
 
 
 def linearize_table(sys: PdeSystem) -> DiffOperator:
     """The linearization sum_J dE^a/du^r_J * D_J, its coefficients read
-    off one `jet_gradient` per equation and split by dependent variable."""
-    column = {d: r for r, d in enumerate(sys.dep)}
-    raw: dict[tuple[int, int], dict[MultiIndex, Expr]] = {}
-    for a, eq in enumerate(sys.equations):
-        for atom, c in jet_gradient(eq).items():
-            if atom.__class__ is JetVar and atom.dep in column:
-                raw.setdefault((a, column[atom.dep]), {})[atom.index] = c
-    return DiffOperator.build(len(sys.equations), len(sys.dep), raw)
+    off one `jet_gradient` per equation and split by dependent variable.
+    Built once per system."""
+    def build():
+        column = {d: r for r, d in enumerate(sys.dep)}
+        raw: dict[tuple[int, int], dict[MultiIndex, Expr]] = {}
+        for a, eq in enumerate(sys.equations):
+            for atom, c in jet_gradient(eq).items():
+                if atom.__class__ is JetVar and atom.dep in column:
+                    raw.setdefault((a, column[atom.dep]), {})[atom.index] = c
+        return DiffOperator.build(len(sys.equations), len(sys.dep), raw)
+    return sys.memo("linearize_table", build)
 
 
 def linearize(sys: PdeSystem, eta) -> list[Expr]:

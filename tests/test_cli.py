@@ -277,11 +277,18 @@ class TestRules:
 
 class TestConcurrency:
     def test_shared_session_from_four_threads(self):
-        """Four threads run every Thomas command on one shared session,
-        from cold replacement and rule caches, each in its own order; each
-        JSON report equals the sequential one."""
-        text = Path(THOMAS).read_text()
+        """Four threads run every command of a session on one shared
+        system, from cold replacement and rule caches and a cold
+        per-system memo, each in its own order; each JSON report equals
+        the sequential one.  The sessions are Thomas and fifth-order KdV,
+        whose `conslaw` and `multiplier-check` commands fill the memo's
+        variational entries."""
+        kdv5 = PKG_ROOT / "perfbench" / "sessions" / "kdv5-conslaw.cl"
+        for path, n in ((THOMAS, 12), (kdv5, 11)):
+            self._four_threads(Path(path).read_text(encoding="utf-8"), n)
 
+    @staticmethod
+    def _four_threads(text, commands):
         def reports(session, order):
             return {i: emit(run_session_command(session, session.commands[i]),
                             "json") for i in order}
@@ -302,7 +309,7 @@ class TestConcurrency:
                 results = list(pool.map(worker, (0, 3, 6, 9), timeout=300))
         finally:
             sys.setswitchinterval(interval)
-        assert n == 12
+        assert n == commands
         for got in results:
             assert got == sequential
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr,
                               atom_expr, exp_of, normalize, param, partial,
                               substitute)
 from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
+from conslaw_kit.expr import printer
 from conslaw_kit.expr.printer import (_atom_display_key, _term_display_key,
                                       atom_text, expr_latex, expr_text)
 from conslaw_kit.jet import total_derivative
@@ -582,6 +584,55 @@ class TestTermDisplayKey:
         graded = Expr(tuple(graded_terms(e)))
         assert expr_text(e) == expr_text(graded)
         assert expr_latex(e) == expr_latex(graded)
+
+
+def reference_terms(e, coeff, factor, times, pad):
+    """`printer._terms` as it was before it rendered each distinct atom
+    once per call: every key and factor text computed per occurrence."""
+    if e.is_zero:
+        return "0"
+    pieces = []
+    for t in sorted(e.terms, key=_term_display_key):
+        neg, ctext = coeff(t[1])
+        factors = [factor(a, k) for a, k in
+                   sorted(t[0], key=lambda ak: printer._factor_key(ak[0]))]
+        if ctext != "1" or not factors:
+            factors.insert(0, ctext)
+        pieces.append((neg, times.join(factors)))
+    return printer._signed_sum(pieces, pad)
+
+
+class TestPrinterRendersEachAtomOnce:
+    # f(u) and f(v) share one display key; exponentials all share theirs
+    SHARED = (OpaqueDeriv("f", (S.u_at,), (0,)),
+              OpaqueDeriv("f", (JetVar("v"),), (0,)))
+    POOL = (*SHARED, S.u_at, S.ux_at, JetVar("v", MultiIndex.of("x")),
+            S.x_at, S.t_at, OpaqueDeriv("f", (S.u_at,), (1,)))
+    EXPONENTS = (S.u, 2 * S.u + 4 * S.x, S.gamma * S.u + S.alpha * S.t,
+                 exp_of(S.x) * S.ux)
+    COEFFS = (Expr.const(1), Expr.const(-1), Expr.const(Fraction(-3, 2)),
+              S.alpha, -S.alpha / S.beta, S.alpha + S.beta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_text_and_latex_match_the_reference(self, data):
+        """An atom at several powers across terms, f(u) beside f(v), and
+        one exponential in many terms print as the reference does."""
+        u, fu, fv = (atom_expr(a) for a in (S.u_at, *self.SHARED))
+        ex = exp_of(data.draw(st.sampled_from(self.EXPONENTS)))
+        pieces = [u, u**2 * ex, u**3 * fu * ex, fv**2 * fu * ex, fu * fv]
+        for _ in range(data.draw(st.integers(0, 6))):
+            piece = data.draw(st.sampled_from(self.COEFFS))
+            for a in data.draw(st.lists(st.sampled_from(self.POOL),
+                                        max_size=3, unique=True)):
+                piece = piece * atom_expr(a) ** data.draw(st.integers(1, 3))
+            if data.draw(st.booleans()):
+                piece = piece * ex
+            pieces.append(piece)
+        e = sum_exprs(pieces)
+        with mock.patch.object(printer, "_terms", reference_terms):
+            want = expr_text(e), expr_latex(e)
+        assert (expr_text(e), expr_latex(e)) == want
 
 
 class TestAtomOrder:

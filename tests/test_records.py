@@ -30,8 +30,8 @@ from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr, IndependentVar,
                               jet_atom)
 from conslaw_kit.jet import PdeSystem, total_derivative
 from conslaw_kit.record import KeyRecord, MutableRecord, Record
-from conslaw_kit.variational import (Characteristic, is_variational,
-                                     linearize_table)
+from conslaw_kit.variational import (Characteristic, adjoint_system,
+                                     is_variational, linearize_table)
 
 from conftest import child_env
 
@@ -51,6 +51,8 @@ cmd symmetry-check c expect zero;
 """
 
 MUTABLE = (Session, Report)
+MEMO_KEYS = ("e_decompose", "adjoint_variables", "formal_lagrangian",
+             "adjoint_system", "linearize_table")
 
 
 def _record_types() -> set[type]:
@@ -89,6 +91,9 @@ def _samples() -> dict[type, Record]:
         jet_atom("u", "x"), ExpConst(2),
         *(a for a in expr.atoms() if isinstance(a, ExpAtom)),
     ]
+    # the per-system variational values, which the copies must not carry
+    adjoint_system(sys_)
+    assert set(MEMO_KEYS) <= sys_._cache.keys()
     return {type(o): o for o in objs}
 
 
@@ -202,7 +207,7 @@ def test_equal_fields_of_two_types_differ():
 
 def test_pde_system_copy_compares_by_value_with_an_empty_memo():
     sys_ = SAMPLES[PdeSystem]
-    assert sys_._cache
+    assert set(MEMO_KEYS) <= sys_._cache.keys()
     twin = sys_.with_solved(sys_.solved)
     assert twin == sys_ and twin == TWINS[PdeSystem]
     assert twin._cache == {} and twin._lock is not sys_._lock

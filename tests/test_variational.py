@@ -2,10 +2,12 @@
 linearization tables and the self-adjointness test."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conslaw_kit.dsl import load_session, run_session_command
 from conslaw_kit.expr import (Expr, JetVar, MultiIndex, OpaqueDeriv,
                               atom_expr, exp_of, rational)
 from conslaw_kit.expr.expression import jet, sum_exprs
@@ -217,3 +219,40 @@ class TestIsVariational:
         assert J == MultiIndex()   # zeroth-order entry differs first
         assert diff == 2 * S.gamma * (S.alpha * S.ux + S.beta * S.ut
                                       + S.gamma * S.ux * S.ut)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SESSIONS = {
+    "wave": ROOT / "src" / "conslaw_kit" / "corpus" / "wave.cl",
+    "thomas": ROOT / "src" / "conslaw_kit" / "corpus" / "thomas.cl",
+    "klein-gordon": ROOT / "src" / "conslaw_kit" / "corpus" / "klein-gordon.cl",
+    "kdv5": ROOT / "perfbench" / "sessions" / "kdv5-conslaw.cl",
+}
+MEMOIZED = (adjoint_variables, formal_lagrangian, adjoint_system,
+            linearize_table)
+
+
+class TestPerSystemMemo:
+    """The adjoint variables, formal Lagrangian, adjoint system and
+    linearization table are built once per system, in its memo."""
+
+    @pytest.mark.parametrize("name", sorted(SESSIONS))
+    def test_warm_values_equal_fresh_ones(self, name):
+        session = load_session(SESSIONS[name].read_text(encoding="utf-8"))
+        for cmd in session.commands:
+            run_session_command(session, cmd)
+        warm = session.require_system()
+        fresh = warm.with_solved(warm.solved)
+        for f in MEMOIZED:
+            value = f(warm)
+            assert f(warm) is value, f.__name__
+            assert value == f(fresh), f.__name__
+        assert type(adjoint_system(warm)) is tuple
+        assert type(adjoint_system(fresh)) is tuple
+
+    def test_copy_starts_cold(self, wave):
+        for f in MEMOIZED:
+            f(wave)
+        fresh = wave.with_solved(wave.solved)
+        assert fresh._cache == {}
+        assert adjoint_system(fresh) is not adjoint_system(wave)

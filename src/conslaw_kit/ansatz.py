@@ -21,7 +21,7 @@ from .determining import (adjoint_symmetry_residual,
                           differential_substitution_residual,
                           multiplier_residual, symmetry_residual)
 from .expr.atoms import Parameter, mono_div, mono_gcd, mono_lcm
-from .expr.coeff import Poly, common_content
+from .expr.coeff import Poly, as_poly, common_content
 from .expr.errors import AnsatzError, ExprError
 from .expr.expression import Expr, Powers, graded_key, sum_exprs
 from .expr.printer import poly_text
@@ -113,7 +113,7 @@ def build_and_split(p: AnsatzProblem) -> list[Row]:
         checkpoint()
         for comp, res in enumerate(TARGETS[p.target](p.system, b)):
             for powers, c in res.terms:
-                cells.setdefault((comp, powers), {})[k] = c
+                cells.setdefault((comp, powers), {})[k] = as_poly(c)
     order = sorted(cells.items(), reverse=True,
                    key=lambda kv: (-kv[0][0], graded_key(kv[0][1])))
     return [Row(powers, comp, tuple(column.items()))

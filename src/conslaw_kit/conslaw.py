@@ -17,6 +17,7 @@ from .cancel import checkpoint
 from .determining import (_multiplier_substitution, _substitution_residual,
                           e_decompose)
 from .expr.atoms import JetVar, MultiIndex
+from .expr.coeff import as_poly
 from .expr.errors import ExprError
 from .expr.expression import (Expr, atom_expr, graded_key, jet_atom,
                               jet_gradient, sum_exprs)
@@ -214,7 +215,8 @@ def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr]
                               for v in (x, y))
         if px == py:
             try:
-                ratio = Expr.from_coeff(cx * cy.invert_unit())
+                ratio = Expr.from_coeff(
+                    as_poly(cx) * as_poly(cy).invert_unit())
             except ExprError:
                 break
             if ratio not in scales:

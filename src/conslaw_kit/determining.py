@@ -18,7 +18,6 @@ from collections.abc import Callable
 
 from .cancel import checkpoint
 from .expr.atoms import JetVar, MultiIndex
-from .expr.coeff import Poly
 from .expr.errors import SubstitutionClassError, TrivialSubstitutionError
 from .expr.expression import Expr, atom_expr, collect, substitute, sum_exprs
 from .jet import PdeSystem, derivatives
@@ -98,7 +97,7 @@ def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
             atom = key[0][0]
             coeffs[(markers.index(atom.dep), atom.index)] = val
         elif degree > 1:
-            quadratic.append(Expr(((key, Poly.one()),)) * val)
+            quadratic.append(Expr(((key, 1),)) * val)
     coeffs = dict(sorted(coeffs.items(), key=lambda kv: kv[0]))
     return EDecomposition(sys, coeffs, buckets.get((), Expr.zero()),
                           sum_exprs(quadratic), markers)

@@ -17,15 +17,25 @@ as `Fraction(a, b)`, never as the float `int / int`.  `int` has
 `numerator` and `denominator` too, and `hash(n) == hash(Fraction(n))`,
 so readers of a value need not test its type.
 
+The coefficient of an expression term (`Coeff`) is such a value when it
+holds no parameter, and a `Poly` only when it does: a term never carries
+a constant `Poly`, so `1 * 1` is one `int` product.  `coeff_add` and
+`coeff_mul` keep that form: a number times a `Poly` is `Poly.scale`, and
+a `Poly` result that comes out constant becomes its value (`term_coeff`).
+`as_poly` lifts a term coefficient back to a `Poly` where a `Poly` is
+needed: `Expr.as_coeff`, the ansatz rows, the printer's polynomial
+paths.
+
 Only the public constructor `Poly(...)` normalises: it merges duplicate
 monomials, drops zeros, makes coefficients canonical values and sorts the
 terms.  Arithmetic and the one-term `const`/`param` build their results
 canonical by construction through `_poly`, which does no work: a sum or
 product is merged in a dict and sorted once, and a negation or a nonzero
 rational scaling keeps every monomial.  Two single terms over one
-monomial (two constants, most often) add by one rational addition.  A
-product with a constant factor is a `scale`, which returns the other
-factor itself when the constant is 1.
+monomial add by one rational addition.  A product with a constant factor
+is a `scale`, which returns the other factor itself when the constant is
+1, and any other product of two single terms is one monomial merge and
+one rational product.
 
 The term order is a monomial order (m < m' implies m*n < m'*n) on
 polynomials, those with no negative exponent, and only there: so
@@ -48,7 +58,8 @@ from ..record import Record
 from .atoms import Parameter, mono, mono_div, mono_gcd, mono_mul
 from .errors import ExprError
 
-__all__ = ["Monomial", "Poly", "coeff_value", "common_content"]
+__all__ = ["Monomial", "Poly", "Coeff", "coeff_value", "common_content",
+           "term_coeff", "as_poly", "coeff_add", "coeff_mul"]
 
 # Monomial over parameters: sorted tuple of (Parameter, nonzero exponent),
 # the exponent negative only for a parameter flagged nonzero.
@@ -217,16 +228,20 @@ class Poly(Record):
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return _P_ZERO
-        if len(other.terms) == 1 and not other.terms[0][0]:
-            return self.scale(other.terms[0][1])
-        if len(self.terms) == 1 and not self.terms[0][0]:
-            return other.scale(self.terms[0][1])
+        if len(b) == 1 and not b[0][0]:
+            return self.scale(b[0][1])
+        if len(a) == 1 and not a[0][0]:
+            return other.scale(a[0][1])
+        if len(a) == 1 and len(b) == 1:
+            (m1, c1), (m2, c2) = a[0], b[0]
+            return _poly(((mono_mul(m1, m2), coeff_value(c1 * c2)),))
         acc: dict[Monomial, Rational] = {}
-        for m1, c1 in self.terms:
+        for m1, c1 in a:
             checkpoint()
-            for m2, c2 in other.terms:
+            for m2, c2 in b:
                 m = mono_mul(m1, m2)
                 c0 = acc.get(m)
                 acc[m] = c1 * c2 if c0 is None else c0 + c1 * c2
@@ -313,6 +328,40 @@ _new = object.__new__
 _poly_terms = Poly.terms.__set__
 _P_ZERO = _poly(())
 _P_ONE = Poly.const(1)
+
+
+# The coefficient of an expression term: a value if it holds no
+# parameter, else a `Poly` that is not constant.
+Coeff = int | Fraction | Poly
+
+
+def term_coeff(p: Poly) -> Coeff:
+    """p as a term coefficient: its value if it is constant, else p."""
+    t = p.terms
+    if not t:
+        return 0
+    return t[0][1] if len(t) == 1 and not t[0][0] else p
+
+
+def as_poly(c: Coeff) -> Poly:
+    """A term coefficient as a `Poly`."""
+    return c if c.__class__ is Poly else Poly.const(c)
+
+
+def coeff_add(a: Coeff, b: Coeff) -> Coeff:
+    """a + b as a term coefficient, 0 when they cancel."""
+    if a.__class__ is Poly or b.__class__ is Poly:
+        return term_coeff(as_poly(a) + as_poly(b))
+    return coeff_value(a + b)
+
+
+def coeff_mul(a: Coeff, b: Coeff) -> Coeff:
+    """a * b as a term coefficient; a value scales a `Poly` directly."""
+    if a.__class__ is Poly:
+        return term_coeff(a * b) if b.__class__ is Poly else a.scale(b)
+    if b.__class__ is Poly:
+        return b.scale(a)
+    return coeff_value(a * b)
 
 
 def common_content(polys) -> Fraction:

@@ -2,11 +2,14 @@
 
 An expression is a finite sum of terms; each term is the pair
 (powers, coeff), the shape of `Poly.terms`: a power product of atoms with
-positive integer exponents and an exact coefficient (a Laurent polynomial
-in the declared parameters).  Terms are kept in descending power-product
-order, so the representation is unique and structural equality of normal
-forms decides semantic equality within the term algebra.  Display order
-belongs to the printer.
+positive integer exponents and an exact coefficient (`coeff.Coeff`).  A
+coefficient that holds no parameter is a plain number, an `int` or a
+`Fraction` that is not an integer; only one that holds a parameter is a
+`Poly` (a Laurent polynomial in the declared parameters), and never a
+constant one.  Terms are kept in descending power-product order, so the
+representation is unique and structural equality of normal forms decides
+semantic equality within the term algebra.  Display order belongs to the
+printer.
 
 Arithmetic operators keep expressions canonical at every step:
 
@@ -15,7 +18,8 @@ Arithmetic operators keep expressions canonical at every step:
   * exponential factors merge, e^a * e^b -> e^(a+b);
   * exponents that collapse to rational constants become opaque constants
     (e^0 folds to 1);
-  * zero is the empty sum and no term carries a zero coefficient.
+  * zero is the empty sum and no term carries a zero coefficient;
+  * a coefficient is a plain number unless it holds a parameter.
 
 Every sum goes through one fold, `_gather`: it merges terms by power
 product and sorts once.  `sum_exprs` runs it over the terms of all its
@@ -28,9 +32,10 @@ An `Expr` is a slotted record and a term a plain tuple; atoms compare
 and hash as tuples (see `atoms`), so a gather builds no per-term object
 and sorts in C.  An `Expr` fills its hash and `sort_key()` once, lazily
 (`lazy_slot`): hashing one walks every coefficient down to each value (an
-`int` hashes in C, a `Fraction` in Python), and an exponent is hashed on
-every lookup of its `ExpAtom`.  Hashing eagerly at construction was
-slower: +2-11% benchmark run time on every workload (2-core x86, 3 seeds).
+`int` hashes in C, a `Fraction` in Python, a `Poly` through its terms),
+and an exponent is hashed on every lookup of its `ExpAtom`.  Hashing
+eagerly at construction was slower: +2-11% benchmark run time on every
+workload (2-core x86, 3 seeds).
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ from ..cancel import checkpoint
 from ..record import Record
 from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                     MultiIndex, OpaqueDeriv, Parameter, mono_mul)
-from .coeff import Poly, coeff_value
+from .coeff import (Coeff, Poly, as_poly, coeff_add, coeff_mul, coeff_value,
+                    term_coeff)
 from .errors import ExprError
 from .printer import atom_text, expr_text
 
@@ -55,9 +61,8 @@ __all__ = [
 ]
 
 Powers = tuple[tuple[Atom, int], ...]
-Term = tuple[Powers, Poly]
+Term = tuple[Powers, Coeff]
 _EXP = (ExpAtom, ExpConst)
-_VARS = (JetVar, IndependentVar)
 
 _set = object.__setattr__
 
@@ -89,7 +94,7 @@ def lowered(term: Term, i: int) -> Term:
     a, k = powers[i]
     if k == 1:
         return (powers[:i] + powers[i + 1:], coeff)
-    return (powers[:i] + ((a, k - 1),) + powers[i + 1:], coeff.scale(k))
+    return (powers[:i] + ((a, k - 1),) + powers[i + 1:], coeff_mul(coeff, k))
 
 
 def raised(term: Term, a: Atom) -> Term:
@@ -99,7 +104,11 @@ def raised(term: Term, a: Atom) -> Term:
     return (mono_mul(powers, ((a, 1),)), coeff)
 
 
-def _coeff_key(c: Poly):
+def _coeff_key(c: Coeff):
+    """The coefficient's part of `sort_key`: a value q keys as the
+    constant `Poly` q did."""
+    if c.__class__ is not Poly:
+        return ((((), c),), ())
     num, den = c.num_den()
     return (tuple((tuple((p.name, k) for p, k in m), q) for m, q in num.terms),
             tuple((p.name, k) for p, k in den))
@@ -125,16 +134,15 @@ class Expr(Record):
 
     @staticmethod
     def const(q) -> "Expr":
-        c = Poly.const(q)
-        if c.is_zero:
-            return _E_ZERO
-        return Expr((((), c),))
+        q = coeff_value(q)
+        return Expr((((), q),)) if q else _E_ZERO
 
     @staticmethod
-    def from_coeff(c: Poly) -> "Expr":
-        if c.is_zero:
-            return _E_ZERO
-        return Expr((((), c),))
+    def from_coeff(c: Coeff) -> "Expr":
+        """The atom-free expression c, from any `Poly` or value."""
+        if c.__class__ is Poly:
+            c = term_coeff(c)
+        return Expr((((), c),)) if c else _E_ZERO
 
     # -- queries -----------------------------------------------------------
 
@@ -147,7 +155,8 @@ class Expr(Record):
         if not self.terms:
             return 0
         if len(self.terms) == 1 and not self.terms[0][0]:
-            return self.terms[0][1].as_fraction()
+            c = self.terms[0][1]
+            return None if c.__class__ is Poly else c
         return None
 
     def as_coeff(self) -> Poly | None:
@@ -155,7 +164,7 @@ class Expr(Record):
         if not self.terms:
             return Poly.zero()
         if len(self.terms) == 1 and not self.terms[0][0]:
-            return self.terms[0][1]
+            return as_poly(self.terms[0][1])
         return None
 
     def atoms(self) -> set[Atom]:
@@ -188,7 +197,8 @@ class Expr(Record):
     def parameters(self) -> set[Parameter]:
         out: set[Parameter] = set()
         for powers, c in self.terms:
-            out.update(c.parameters())
+            if c.__class__ is Poly:
+                out.update(c.parameters())
             for a, _ in powers:
                 if isinstance(a, ExpAtom):
                     out.update(a.exponent.parameters())
@@ -229,7 +239,7 @@ class Expr(Record):
         q = coeff_value(q)
         if q == 0:
             return _E_ZERO
-        return Expr(tuple((p, c.scale(q)) for p, c in self.terms))
+        return Expr(tuple((p, coeff_mul(c, q)) for p, c in self.terms))
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int) or n < 0:
@@ -252,8 +262,8 @@ class Expr(Record):
             raise ExprError(
                 "division is only defined for products of nonzero parameters "
                 "and literal rationals")
-        inv = c.invert_unit()
-        return Expr(tuple((p, q * inv) for p, q in self.terms))
+        inv = term_coeff(c.invert_unit())
+        return Expr(tuple((p, coeff_mul(q, inv)) for p, q in self.terms))
 
     def __rtruediv__(self, other) -> "Expr":
         return _as_expr(other) / self
@@ -268,7 +278,8 @@ _E_ZERO = Expr(())
 
 def _flagged_key(e: Expr):
     return (e.sort_key(), tuple((n.terms, d) for _, (n, d) in sorted(
-        ((graded_key(p), c.num_den()) for p, c in e.terms), reverse=True)))
+        ((graded_key(p), as_poly(c).num_den()) for p, c in e.terms),
+        reverse=True)))
 
 
 def _exp_powers(exponent: Expr) -> Powers:
@@ -284,7 +295,10 @@ def _product(t1: Term, t2: Term) -> Term:
     exponential, of exponent 1, ranked last: only two ever fold."""
     p1, c1 = t1
     p2, c2 = t2
-    coeff = c1 * c2
+    if c1.__class__ is int and c2.__class__ is int:
+        coeff = c1 * c2
+    else:
+        coeff = coeff_mul(c1, c2)
     if not p1 or not p2:
         return (p1 or p2, coeff)
     exp: Powers = ()
@@ -309,11 +323,16 @@ def _products(left: tuple[Term, ...], right: tuple[Term, ...]):
 def _gather(terms: Iterable[Term]) -> Expr:
     """The one term-accumulation loop: merge coefficients by power
     product, drop zeros and sort by power product."""
-    acc: dict[Powers, Poly] = {}
+    acc: dict[Powers, Coeff] = {}
     for p, c in terms:
         c0 = acc.get(p)
-        acc[p] = c if c0 is None else c0 + c
-    kept = [t for t in acc.items() if t[1].terms]
+        if c0 is None:
+            acc[p] = c
+        elif c0.__class__ is int and c.__class__ is int:
+            acc[p] = c0 + c
+        else:
+            acc[p] = coeff_add(c0, c)
+    kept = [t for t in acc.items() if t[1]]
     kept.sort(key=itemgetter(0), reverse=True)
     return Expr(tuple(kept))
 
@@ -344,7 +363,7 @@ def atom_expr(a: Atom) -> Expr:
         return Expr((((), Poly.param(a)),))
     if isinstance(a, ExpAtom):
         return exp_of(a.exponent)
-    return Expr(((((a, 1),), Poly.one()),))
+    return Expr(((((a, 1),), 1),))
 
 
 def rational(p, q=1) -> Expr:
@@ -373,7 +392,7 @@ def opaque(func: str, *args: Atom) -> Expr:
 
 def exp_of(e: Expr) -> Expr:
     """Exponential of an expression, folding constant exponents."""
-    return Expr(((_exp_powers(_as_expr(e)), Poly.one()),))
+    return Expr(((_exp_powers(_as_expr(e)), 1),))
 
 
 # -- kernel operations -------------------------------------------------------
@@ -419,20 +438,31 @@ def partial(e: Expr, a: Atom) -> Expr:
 
 
 def _chain(acc: dict[Atom, list[Term]], inner: dict[Expr, dict[Atom, Expr]],
-           x: Expr, left: tuple[Term, ...]) -> None:
-    """Add the terms of left * dx/da to acc's entry of each a; `inner`
-    keeps x's gradient for the rest of the walk."""
+           x: Expr, left: tuple[Term, ...], var: str | None) -> None:
+    """Add the terms of left * dx/da to acc's entry of each a but the
+    independent variables other than `var`; `inner` keeps x's gradient
+    for the rest of the walk."""
     grad = inner.get(x)
     if grad is None:
         grad = inner[x] = jet_gradient(x)
     for a, d in grad.items():
-        acc.setdefault(a, []).extend(_products(left, d.terms))
+        if a.__class__ is not IndependentVar or _kept(a, var):
+            acc.setdefault(a, []).extend(_products(left, d.terms))
 
 
-def _gradient_terms(e: Expr) -> dict[Atom, list[Term]]:
+def _kept(x: IndependentVar, var: str | None) -> bool:
+    """Whether the gradient walk keeps the entry of x: always, or only
+    for x_var when the walk serves the total derivative by `var`."""
+    return var is None or x.name == var
+
+
+def _gradient_terms(e: Expr, var: str | None = None
+                    ) -> dict[Atom, list[Term]]:
     """The unsummed terms of de/da for every jet coordinate and
     independent variable a on which e depends, in one walk of its terms;
     the keys come in term order.  This walk is the engine's chain rule.
+    Given `var`, the entries of the other independent variables are left
+    out: the total derivative by `var` has no use for them.
 
     A plain factor gives its lowered term.  An opaque factor g gives its
     lowered term raised by g's derivative in each slot: in the entry of the
@@ -446,18 +476,19 @@ def _gradient_terms(e: Expr) -> dict[Atom, list[Term]]:
     for t in e.terms:
         for i, (f, _) in enumerate(t[0]):
             cls = f.__class__
-            if cls in _VARS:
+            if cls is JetVar or cls is IndependentVar and _kept(f, var):
                 acc.setdefault(f, []).append(lowered(t, i))
             elif cls is OpaqueDeriv:
                 low = lowered(t, i)
                 for k, arg in enumerate(f.args):
-                    if arg.__class__ in _VARS:
+                    c = arg.__class__
+                    if c is JetVar or c is IndependentVar and _kept(arg, var):
                         acc.setdefault(arg, []).append(raised(low, f.bump(k)))
-                    else:
+                    elif c is not IndependentVar:
                         _chain(acc, inner, atom_expr(arg),
-                               (raised(low, f.bump(k)),))
+                               (raised(low, f.bump(k)),), var)
             elif cls is ExpAtom:
-                _chain(acc, inner, f.exponent, (t,))
+                _chain(acc, inner, f.exponent, (t,), var)
     return acc
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
                     OpaqueDeriv, Parameter)
-from .coeff import Poly, common_content
+from .coeff import Coeff, Poly, as_poly, common_content
 from .errors import ConslawError
 
 TYPE_CHECKING = False
@@ -160,8 +160,10 @@ def _mono_text(m) -> str:
     return "*".join(_power(p.name, k) for p, k in m)
 
 
-def _coeff_text(c: Poly) -> tuple[bool, str]:
+def _coeff_text(c: Coeff) -> tuple[bool, str]:
     """(negative, text) with the sign pulled out when unambiguous."""
+    if c.__class__ is not Poly:
+        return c < 0, _frac_text(abs(c))
     num, den = c.num_den()
     unit = num.as_unit()
     if unit is not None:
@@ -224,7 +226,9 @@ def _mono_latex(m) -> str:
     return " ".join(_power(_sym_latex(p.name), k, True) for p, k in m)
 
 
-def _coeff_latex(c: Poly) -> tuple[bool, str]:
+def _coeff_latex(c: Coeff) -> tuple[bool, str]:
+    if c.__class__ is not Poly:
+        return c < 0, _frac_latex(abs(c))
     num, den = c.num_den()
     unit = num.as_unit()
     if unit is None:
@@ -245,7 +249,7 @@ def _exponent_latex(e: Expr) -> str:
     """Exponent with the rational content factored out, e.g.
     2(\\gamma u+\\alpha t+\\beta x)."""
     if len(e.terms) > 1:
-        content = common_content(c for _, c in e.terms)
+        content = common_content(as_poly(c) for _, c in e.terms)
         if content != 1:
             inner = e.scale(1 / content)
             return f"{_frac_latex(content)}({expr_latex(inner)})"

@@ -57,17 +57,18 @@ def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
     The chain rule lives in that walk (`_gradient_terms`), here as in
     `jet_gradient`: each term of a coordinate a's entry is raised by
     a.bump(var), the entry of x_var is kept as it is, and every term goes
-    into one `_gather`.
+    into one `_gather`.  The walk leaves out the entries of the other
+    independent variables, which D_var would discard.
     """
     if isinstance(var, IndependentVar):
         var = var.name
     terms = []
-    for a, ts in _gradient_terms(e).items():
+    for a, ts in _gradient_terms(e, var).items():
         if a.__class__ is JetVar:
             da = ((a.bump(var), 1),)
             for p, c in ts:
                 terms.append((mono_mul(p, da), c))
-        elif a.name == var:
+        else:   # the entry of x_var, the only independent variable kept
             terms += ts
     return _gather(terms)
 

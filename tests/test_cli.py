@@ -549,6 +549,28 @@ def test_fallback_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
         FALLBACK_DIGESTS[fmt]
 
 
+# SHA-256 of the report streams of tests/data/coeff-cancel.cl, the KdV
+# equation with coefficients that become integers only after
+# cancellation (halves that sum to 1, a*u/a), as they were when every
+# term coefficient was a `Poly`
+COEFF_CANCEL = PKG_ROOT / "tests" / "data" / "coeff-cancel.cl"
+COEFF_CANCEL_DIGESTS = {
+    "json": "abc075f6252f50e6d9bcd70a592c0146da1194d08286394396884ffd1316e5ef",
+    "text": "5202ad897a17f23e9c7dcb9d4e039461d153b72819abb7ac1e11f8fe3cd9823e",
+    "latex": "1e1702a1ba493829a1ac59cab8aa2ae0cd70b5656f13e6bb5304652e122ae0e9",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(COEFF_CANCEL_DIGESTS))
+def test_coeff_cancel_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
+    monkeypatch.setenv("CONSLAW_COLOR", "0")
+    assert cli.main(["run", "--session", str(COEFF_CANCEL),
+                     "--format", fmt]) == 0
+    stream = capsys.readouterr().out
+    assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
+        COEFF_CANCEL_DIGESTS[fmt]
+
+
 def test_fallback_session_reaches_bareiss(capsys, monkeypatch):
     """A pivot of this ansatz system is not a unit, so the fraction-free
     elimination solves it, under the side conditions that the

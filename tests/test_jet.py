@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,
                               JetVar, MultiIndex, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
-from conslaw_kit.expr.coeff import Poly
+from conslaw_kit.expr.coeff import Poly, as_poly, term_coeff
 from conslaw_kit.expr.errors import ExprError, LeadingSolveError
-from conslaw_kit.expr.expression import (jet, jet_atom, jet_gradient,
-                                         lowered, partial, raised, sum_exprs)
+from conslaw_kit.expr.expression import (_gradient_terms, jet, jet_atom,
+                                         jet_gradient, lowered, partial,
+                                         raised, sum_exprs)
 from conslaw_kit.jet import (alternating_sum, derivatives, solve_leading,
                              total_derivative)
 from conslaw_kit.variational import euler
@@ -88,7 +89,9 @@ def ref_make_term(coeff, factors):
     """Canonicalize one term: fold parameters into the coefficient, merge
     exponential factors, drop the term (None) if the coefficient vanishes.
     The general re-canonicaliser every product term once went through,
-    kept here as the reference for `raised` and term products."""
+    kept here as the reference for `raised` and term products.  The
+    coefficient is read as a `Poly` and returned as a term coefficient."""
+    coeff = as_poly(coeff)
     plain = {}
     exponents = []
     for a, k in factors:
@@ -110,7 +113,7 @@ def ref_make_term(coeff, factors):
     if not exp_sum.is_zero:
         q = exp_sum.as_rational()
         plain[ExpConst(q) if q is not None else ExpAtom(exp_sum)] = 1
-    return (tuple(sorted(plain.items())), coeff)
+    return (tuple(sorted(plain.items())), term_coeff(coeff))
 
 
 V_AT = jet_atom("v")
@@ -144,6 +147,24 @@ class TestProductRule:
         want = ref_total_derivative(e, var)
         assert got == want and got.terms == want.terms
         assert total_derivative(e, IndependentVar(var)) == got
+
+    def test_other_variable_factors_and_arguments(self):
+        """x and t as factors, as slots of h(x, t) and inside an exponent:
+        the walk leaves out the other variable's entry, and D_var agrees
+        with the reference."""
+        h = OpaqueDeriv("h", (S.x_at, S.t_at))
+        hx, ht = (atom_expr(h.bump(k)) for k in (0, 1))
+        e = (S.x * S.t ** 2 * atom_expr(h) * S.u
+             + S.t ** 3 * exp_of(S.x * S.t) + 3 * S.x ** 2 * hx)
+        for var in ("x", "t", "y"):
+            assert total_derivative(e, var) == ref_total_derivative(e, var)
+        assert {S.x_at, S.t_at} <= _gradient_terms(e).keys()
+        assert S.t_at not in _gradient_terms(e, "x")
+        assert S.x_at not in _gradient_terms(e, "t")
+        assert total_derivative(S.x * S.t * atom_expr(h), "x") == (
+            S.t * atom_expr(h) + S.x * S.t * hx)
+        assert total_derivative(S.x * S.t * atom_expr(h), "t") == (
+            S.x * atom_expr(h) + S.x * S.t * ht)
 
     def test_undeclared_variable(self):
         # D_y of x^2 u: x is a constant, u bumps to u_y
@@ -223,7 +244,7 @@ class TestTermProduct:
     def test_agrees_with_make_term(self, seed, a, b):
         rng = random.Random(seed)
         t1, t2 = random_term(rng, a), random_term(rng, b)
-        want = ref_make_term(t1[1] * t2[1], t1[0] + t2[0])
+        want = ref_make_term(as_poly(t1[1]) * as_poly(t2[1]), t1[0] + t2[0])
         assert Expr((t1,)) * Expr((t2,)) == Expr((want,))
 
     def test_exponentials_fold(self):

@@ -17,6 +17,7 @@ sympy = pytest.importorskip("sympy")
 from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,  # noqa: E402
                               JetVar, Parameter, atom_expr, exp_of,
                               partial, substitute)
+from conslaw_kit.expr.coeff import as_poly  # noqa: E402
 from conslaw_kit.expr.printer import atom_text  # noqa: E402
 from conslaw_kit.jet import total_derivative  # noqa: E402
 
@@ -45,7 +46,7 @@ def _monomial(pairs):
 
 def _term(t):
     powers, coeff = t
-    num, den = coeff.num_den()
+    num, den = as_poly(coeff).num_den()
     num = sympy.Add(*(_rational(q) * _monomial(m) for m, q in num.terms))
     return num / _monomial(den) * _monomial(powers)
 

@@ -25,6 +25,7 @@ from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr,
                               OpaqueDeriv, Parameter, Poly,
                               atom_expr, exp_of, normalize, param, partial,
                               substitute)
+from conslaw_kit.expr.coeff import as_poly
 from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
 from conslaw_kit.expr import printer
 from conslaw_kit.expr.printer import (_atom_display_key, _term_display_key,
@@ -71,8 +72,102 @@ class TestSumExprs:
             assert sum_exprs([x]) == x
         # canonical: no zero coefficient, power products strictly decreasing
         keys = [p for p, _ in total.terms]
-        assert all(not c.is_zero for _, c in total.terms)
+        assert all(not as_poly(c).is_zero for _, c in total.terms)
         assert all(a > b for a, b in zip(keys, keys[1:]))
+
+
+# -- term coefficients: a plain number unless it holds a parameter ------
+
+PLAIN_B = param("b")
+ALPHA_AT = Parameter("alpha", nonzero=True)
+PARAM_POOL = SMALL_POOL + (ALPHA_AT, Parameter("b"))
+DIVISORS = (Expr.const(3), Expr.const(Fraction(-2, 3)), S.alpha,
+            2 * S.alpha ** 2, -S.alpha * S.beta / 4)
+
+
+@st.composite
+def param_exprs(draw, max_terms=3):
+    """Sums of rational times atom terms over `PARAM_POOL`, some divided
+    by a unit in nonzero parameters and some times e^(q*u + b*x)."""
+    total = Expr.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        term = Expr.const(draw(fractions) or 1)
+        for _ in range(draw(st.integers(0, 3))):
+            term = term * atom_expr(draw(st.sampled_from(PARAM_POOL)))
+        if draw(st.booleans()):
+            term = term / draw(st.sampled_from(DIVISORS))
+        if draw(st.booleans()) and draw(st.booleans()):
+            term = term * exp_of(S.u.scale(draw(fractions) or 1)
+                                 + PLAIN_B * S.x)
+        total = total + term
+    return total
+
+
+def assert_canonical(e: Expr) -> None:
+    """No term of e, or of an exponent inside it, carries a zero, an
+    integral `Fraction` or a constant `Poly`."""
+    for powers, c in e.terms:
+        if isinstance(c, Poly):
+            assert c.parameters() and c.as_fraction() is None, c
+        else:
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator > 1), c
+            assert c != 0
+        for a, _ in powers:
+            if isinstance(a, ExpAtom):
+                assert_canonical(a.exponent)
+
+
+class TestCanonicalCoefficients:
+    @settings(max_examples=150, deadline=None)
+    @given(param_exprs(), param_exprs(), fractions,
+           st.sampled_from(DIVISORS), st.integers(0, 3))
+    def test_every_operation_keeps_the_form(self, a, b, q, d, n):
+        results = [
+            a + b, a - b, a + (-a), a * b, -a, a.scale(q), a / d,
+            (a * d) / d, a ** n, substitute(a, {S.u_at: b}),
+            substitute(a, {S.u_at: S.alpha / d}),
+            total_derivative(a, "x"), total_derivative(a * b, "t"),
+            # exponential folding: e^a e^(b - a) -> e^b, to 1 when b = 0
+            exp_of(a) * exp_of(b - a), exp_of(a) * exp_of(-a),
+            normalize(a * b - b), sum_exprs([a, b, -a, a * d / d]),
+        ]
+        for r in results:
+            assert_canonical(r)
+        assert (a * d) / d == a
+
+    def test_a_unit_times_its_inverse_is_the_int_one(self):
+        for a in (S.alpha, 2 * S.alpha ** 2 / 3, -S.alpha * S.beta):
+            one = a * (1 / a)
+            assert one == Expr.const(1)
+            assert type(one.terms[0][1]) is int
+
+    def test_halves_sum_to_an_int(self):
+        e = S.u / 2 + S.u / 2
+        assert e.terms == ((((S.u_at, 1),), 1),) and type(e.terms[0][1]) is int
+        assert (Fraction(1, 3) * S.ux + Fraction(2, 3) * S.ux).terms[0][1] == 1
+
+    def test_two_routes_are_equal_and_hash_alike(self):
+        pairs = [
+            ((S.alpha + 1) * S.u - S.alpha * S.u, S.u),
+            (S.alpha * S.u / S.alpha, Expr.const(Fraction(3, 2)) * S.u * 2 / 3),
+            ((PLAIN_B + S.alpha) * S.x - S.alpha * S.x, PLAIN_B * S.x),
+            (exp_of(S.u / 2 + S.u / 2), exp_of(S.alpha * S.u / S.alpha)),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y) and x.terms == y.terms
+            assert_canonical(x)
+
+    def test_poly_boundaries(self):
+        assert Expr.from_coeff(Poly.const(2)) == Expr.const(2)
+        assert Expr.from_coeff(Poly.zero()) == Expr.zero()
+        assert type(Expr.from_coeff(Poly.const(2)).terms[0][1]) is int
+        for e, want in ((Expr.const(2), Poly.const(2)),
+                        (Expr.zero(), Poly.zero()),
+                        (S.alpha / 2,
+                         Poly.param(ALPHA_AT).scale(Fraction(1, 2)))):
+            assert isinstance(e.as_coeff(), Poly) and e.as_coeff() == want
+        assert S.u.as_coeff() is None
 
 
 class TestNormalizeLaws:
@@ -438,7 +533,8 @@ def reference_atom_key(a, tiebreak=False):
         return tuple(((1, p.name, p.nonzero), k) for p, k in m)
     return (4, 1, key, (key, tuple(
         (tuple((flagged(m), q) for m, q in num.terms), flagged(den))
-        for num, den in (c.num_den() for _, c in graded_terms(a.exponent)))))
+        for num, den in (as_poly(c).num_den()
+                         for _, c in graded_terms(a.exponent)))))
 
 
 def graded_terms(e: Expr) -> list:
@@ -453,7 +549,7 @@ def reference_expr_key(e: Expr, tiebreak=False):
     keys of the factors, then the coefficient key without flags, the
     terms in the former term order."""
     def coeff_key(c):
-        num, den = c.num_den()
+        num, den = as_poly(c).num_den()
         return (tuple((tuple((p.name, k) for p, k in m), q)
                       for m, q in num.terms),
                 tuple((p.name, k) for p, k in den))
@@ -472,7 +568,7 @@ def flags_in(a) -> set:
     out = set()
     if isinstance(a, ExpAtom):
         for powers, c in a.exponent.terms:
-            out |= {(p.name, p.nonzero) for p in c.parameters()}
+            out |= {(p.name, p.nonzero) for p in as_poly(c).parameters()}
             for b, _ in powers:
                 out |= flags_in(b)
     return out
@@ -489,10 +585,10 @@ def flag_twin(a):
     def twin(factors):
         return functools.reduce(Expr.__mul__, (
             atom_expr(flag_twin(b)) ** k for b, k in factors), Expr.const(1))
-    assert all(not c.num_den()[1] for _, c in a.exponent.terms)
+    assert all(not as_poly(c).num_den()[1] for _, c in a.exponent.terms)
     return ExpAtom(sum_exprs(
         Expr.const(q) * twin(m) * twin(powers)
-        for powers, c in a.exponent.terms for m, q in c.terms))
+        for powers, c in a.exponent.terms for m, q in as_poly(c).terms))
 
 
 DNAMES = st.sampled_from(("t", "x", "y"))

@@ -34,8 +34,7 @@ product is merged in a dict and sorted once, and a negation or a nonzero
 rational scaling keeps every monomial.  Two single terms over one
 monomial add by one rational addition.  A product with a constant factor
 is a `scale`, which returns the other factor itself when the constant is
-1, and any other product of two single terms is one monomial merge and
-one rational product.
+1.
 
 The term order is a monomial order (m < m' implies m*n < m'*n) on
 polynomials, those with no negative exponent, and only there: so
@@ -228,20 +227,16 @@ class Poly(Record):
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.terms, other.terms
-        if not a or not b:
+        if not self.terms or not other.terms:
             return _P_ZERO
-        if len(b) == 1 and not b[0][0]:
-            return self.scale(b[0][1])
-        if len(a) == 1 and not a[0][0]:
-            return other.scale(a[0][1])
-        if len(a) == 1 and len(b) == 1:
-            (m1, c1), (m2, c2) = a[0], b[0]
-            return _poly(((mono_mul(m1, m2), coeff_value(c1 * c2)),))
+        if len(other.terms) == 1 and not other.terms[0][0]:
+            return self.scale(other.terms[0][1])
+        if len(self.terms) == 1 and not self.terms[0][0]:
+            return other.scale(self.terms[0][1])
         acc: dict[Monomial, Rational] = {}
-        for m1, c1 in a:
+        for m1, c1 in self.terms:
             checkpoint()
-            for m2, c2 in b:
+            for m2, c2 in other.terms:
                 m = mono_mul(m1, m2)
                 c0 = acc.get(m)
                 acc[m] = c1 * c2 if c0 is None else c0 + c1 * c2

@@ -140,8 +140,7 @@ class Expr(Record):
     @staticmethod
     def from_coeff(c: Coeff) -> "Expr":
         """The atom-free expression c, from any `Poly` or value."""
-        if c.__class__ is Poly:
-            c = term_coeff(c)
+        c = term_coeff(c) if c.__class__ is Poly else coeff_value(c)
         return Expr((((), c),)) if c else _E_ZERO
 
     # -- queries -----------------------------------------------------------
@@ -295,10 +294,7 @@ def _product(t1: Term, t2: Term) -> Term:
     exponential, of exponent 1, ranked last: only two ever fold."""
     p1, c1 = t1
     p2, c2 = t2
-    if c1.__class__ is int and c2.__class__ is int:
-        coeff = c1 * c2
-    else:
-        coeff = coeff_mul(c1, c2)
+    coeff = coeff_mul(c1, c2)
     if not p1 or not p2:
         return (p1 or p2, coeff)
     exp: Powers = ()
@@ -326,12 +322,7 @@ def _gather(terms: Iterable[Term]) -> Expr:
     acc: dict[Powers, Coeff] = {}
     for p, c in terms:
         c0 = acc.get(p)
-        if c0 is None:
-            acc[p] = c
-        elif c0.__class__ is int and c.__class__ is int:
-            acc[p] = c0 + c
-        else:
-            acc[p] = coeff_add(c0, c)
+        acc[p] = c if c0 is None else coeff_add(c0, c)
     kept = [t for t in acc.items() if t[1]]
     kept.sort(key=itemgetter(0), reverse=True)
     return Expr(tuple(kept))

@@ -162,6 +162,11 @@ class TestCanonicalCoefficients:
         assert Expr.from_coeff(Poly.const(2)) == Expr.const(2)
         assert Expr.from_coeff(Poly.zero()) == Expr.zero()
         assert type(Expr.from_coeff(Poly.const(2)).terms[0][1]) is int
+        assert Expr.from_coeff(Fraction(4, 2)) == Expr.const(2)
+        assert type(Expr.from_coeff(Fraction(4, 2)).terms[0][1]) is int
+        assert Expr.from_coeff(Fraction(0)) == Expr.zero()
+        with pytest.raises(TypeError):
+            Expr.from_coeff(0.5)
         for e, want in ((Expr.const(2), Poly.const(2)),
                         (Expr.zero(), Poly.zero()),
                         (S.alpha / 2,

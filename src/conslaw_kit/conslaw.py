@@ -5,11 +5,14 @@ substitution, verifies D_i C^i = 0 on the solution manifold with an
 explicit equation-proportional identity as evidence, and compares vectors
 up to the equivalences that leave a conservation law unchanged (overall
 sign, on-solution rewriting, divergence-free shifts).
+
+Two values are built once per system, in its `PdeSystem.memo`: the
+weighted brackets of the formal Lagrangian, and whether a substitution
+satisfies its determining system, one verdict per substitution.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Sequence
 
@@ -81,6 +84,42 @@ class ConservedVector(Record):
                  "substitution", "substitution_ok")
 
 
+def _bracket_table(sys: PdeSystem) -> tuple[tuple[tuple], ...]:
+    """Per independent variable x^i, the (sigma, T, mult(T) * B(sigma, T+i))
+    whose bracket is nonzero, with sigma the index of a dependent variable,
+    T a multiset of order below the system's and
+
+        B(sigma, S) = dL/du^sigma_S / mult(S) - sum_v D_v B(sigma, S+v).
+
+    Each bracket is built once per system, from order r = `sys.order`
+    down to 1, over one `jet_gradient` of the formal Lagrangian L."""
+    def build():
+        grad = jet_gradient(formal_lagrangian(sys))
+        r = sys.order
+        B: dict[tuple[int, MultiIndex], Expr] = {}
+        for n in range(r, 0, -1):
+            checkpoint()
+            for S in itertools.combinations_with_replacement(sys.indep, n):
+                S = MultiIndex.of(*S)
+                mult = S.multiplicity()
+                for s, d in enumerate(sys.dep):
+                    dd = grad.get(JetVar(d, S), Expr.zero())
+                    pieces = [dd if dd.is_zero or mult == 1 else dd / mult]
+                    if n < r:
+                        pieces.extend(-total_derivative(b, v)
+                                      for v in sys.indep
+                                      if not (b := B[s, S.bump(v)]).is_zero)
+                    B[s, S] = sum_exprs(pieces)
+        multisets = [MultiIndex.of(*T) for n in range(r) for T in
+                     itertools.combinations_with_replacement(sys.indep, n)]
+        return tuple(
+            tuple((s, T, b if (m := T.multiplicity()) == 1 else b.scale(m))
+                  for s in range(len(sys.dep)) for T in multisets
+                  if not (b := B[s, T.bump(var)]).is_zero)
+            for var in sys.indep)
+    return sys.memo("bracket_table", build)
+
+
 def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     """Conserved vector of a symmetry generator via the formal Lagrangian.
 
@@ -93,67 +132,38 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     the system's differential order, and mult the number of orderings of
     the slot multi-index S+T' (the symmetric split that gives the 1/2 on
     mixed-derivative equations).  Both sums depend on a tuple only
-    through its multiset, so they are evaluated over multisets: B by the
-    nested recursion
-
-        B(sigma, S) = dL/du^sigma_S / mult(S) - sum_v D_v B(sigma, S+v),
-
-    once per multiset S, and the outer sum over multisets T weighted by
-    T's number of orderings, with D_T(W) from one derivative table per
-    component.  Every dL/du^sigma_S is read off one `jet_gradient` of L.
-    The result then has phi substituted for the adjoined variables and is
-    reduced on solutions; the substitution residual and every component
-    read one table of the D_J phi.  With phi=None the components keep the
-    symbolic multiplier variables.
+    through its multiset, so they run over multisets, the outer one
+    weighted by T's number of orderings; the weighted brackets depend on
+    the system alone and come from `_bracket_table`.  This call forms W
+    and one D_T(W) table per component.  The result then has phi
+    substituted for the adjoined variables and is reduced on solutions;
+    the substitution residual and every component read one table of the
+    D_J phi.  With phi=None the components keep the symbolic multiplier
+    variables.
 
     A phi that fails the substitution determining system is accepted (the
     result is then generally not conserved); the failure is flagged on the
     returned vector rather than raised, so negative probes stay cheap.
+    The verdict is checked once per (system, phi), in the system's memo.
     """
     lagr = formal_lagrangian(sys)
-    grad = jet_gradient(lagr)
-    r = sys.order
-    W = characteristic_W(sys, g)
-    multisets = [MultiIndex.of(*T) for n in range(r)
-                 for T in itertools.combinations_with_replacement(sys.indep, n)]
-
-    @functools.cache
-    def bracket(d: str, S: MultiIndex) -> Expr:
-        """B(d, S), once per multiset S in this call."""
-        dd = grad.get(JetVar(d, S), Expr.zero())
-        mult = S.multiplicity()
-        pieces = [dd if dd.is_zero or mult == 1 else dd / mult]
-        if S.order < r:
-            for v in sys.indep:
-                b = bracket(d, S.bump(v))
-                if not b.is_zero:
-                    pieces.append(-total_derivative(b, v))
-        return sum_exprs(pieces)
-
-    tables = [derivatives(w) for w in W.components]
+    tables = [derivatives(w) for w in characteristic_W(sys, g).components]
     raw = []
-    for i, var in enumerate(sys.indep):
+    for xi, entries in zip(g.xi, _bracket_table(sys)):
         checkpoint()
-        pieces = [g.xi[i] * lagr]
-        for dw, d in zip(tables, sys.dep):
-            for T in multisets:
-                b = bracket(d, T.bump(var))
-                if not b.is_zero:
-                    m = T.multiplicity()
-                    pieces.append(dw(T) * (b if m == 1 else b.scale(m)))
-        raw.append(sum_exprs(pieces))
+        raw.append(sum_exprs([xi * lagr,
+                              *(tables[s](T) * b for s, T, b in entries)]))
 
     substitution_ok = None
     if phi is not None:
         phi = _as_characteristic(phi, len(sys.dep))
         sub = _multiplier_substitution(sys, phi)
-        residual = _substitution_residual(sys, phi, sub)
-        substitution_ok = all(x.is_zero for x in residual)
+        substitution_ok = sys.memo(("substitution_ok", phi), lambda: all(
+            x.is_zero for x in _substitution_residual(sys, phi, sub)))
         raw = [sub(c) for c in raw]
 
     reduced = tuple(sys.reduce(c) for c in raw)
-    return ConservedVector(sys, reduced, tuple(raw), g,
-                           phi if phi is not None else None, substitution_ok)
+    return ConservedVector(sys, reduced, tuple(raw), g, phi, substitution_ok)
 
 
 def verify_divergence(sys: PdeSystem, vec: "ConservedVector | Sequence[Expr]"

@@ -450,7 +450,10 @@ class _Parser:
         self.expect(";")
         self._check_arity(f"generator {name!r}: eta has", eta, self.s.dep,
                           "dependent", kw)
-        self.s.gens[name] = Generator(xi, eta)
+        try:
+            self.s.gens[name] = Generator(xi, eta)
+        except ConslawError as ex:
+            raise ParseError(str(ex), kw.line, kw.col) from None
         return GenStmt(kw.line, kw.col, name, xi, eta)
 
     def _vector(self, kw: Token) -> VectorStmt:

@@ -1,6 +1,7 @@
 """Conserved vectors: assembly from the formal Lagrangian, divergence
 verification, and equivalence against the published pairs."""
 
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -8,14 +9,17 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conslaw_kit.conslaw import (ConservedVector, Generator, compare_vectors,
-                                 characteristic_W, ibragimov_vector,
-                                 verify_divergence)
-from conslaw_kit.determining import substitute_multiplier_vars
-from conslaw_kit.dsl import load_session
+import conslaw_kit.conslaw as conslaw_module
+from conslaw_kit.conslaw import (ConservedVector, Generator, _bracket_table,
+                                 compare_vectors, characteristic_W,
+                                 ibragimov_vector, verify_divergence)
+from conslaw_kit.determining import (_substitution_residual,
+                                     substitute_multiplier_vars)
+from conslaw_kit.dsl import load_session, run_session_command
 from conslaw_kit.expr import (Expr, ExprError, JetVar, MultiIndex,
                               OpaqueDeriv, atom_expr, exp_of, rational)
-from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
+from conslaw_kit.expr.errors import TrivialSubstitutionError
+from conslaw_kit.expr.expression import jet, jet_atom, jet_gradient, sum_exprs
 from conslaw_kit.jet import solve_leading, total_derivative
 from conslaw_kit.variational import Characteristic, formal_lagrangian
 
@@ -376,3 +380,129 @@ class TestMultisetAssembly:
         got = ibragimov_vector(sys, g).raw_components
         want = reference_raw_vector(sys, g)
         assert [c.terms for c in got] == [c.terms for c in want]
+
+
+def reference_bracket_table(sys):
+    """`_bracket_table` by the lazy per-call recursion: one cached
+    B(sigma, S) per multiset S, read for every (x^i, sigma, T)."""
+    grad = jet_gradient(formal_lagrangian(sys))
+    r = sys.order
+
+    @functools.cache
+    def bracket(d, S):
+        dd = grad.get(JetVar(d, S), Expr.zero())
+        mult = S.multiplicity()
+        pieces = [dd if dd.is_zero or mult == 1 else dd / mult]
+        if S.order < r:
+            for v in sys.indep:
+                b = bracket(d, S.bump(v))
+                if not b.is_zero:
+                    pieces.append(-total_derivative(b, v))
+        return sum_exprs(pieces)
+
+    multisets = [MultiIndex.of(*T) for n in range(r)
+                 for T in itertools.combinations_with_replacement(sys.indep, n)]
+    return tuple(
+        tuple((s, T, bracket(d, T.bump(var)).scale(T.multiplicity()))
+              for s, d in enumerate(sys.dep) for T in multisets
+              if not bracket(d, T.bump(var)).is_zero)
+        for var in sys.indep)
+
+
+TABLE_SESSIONS = ("src/conslaw_kit/corpus/wave.cl",
+                  "src/conslaw_kit/corpus/thomas.cl",
+                  "src/conslaw_kit/corpus/klein-gordon.cl",
+                  "perfbench/sessions/kdv5-conslaw.cl")
+
+
+class TestBracketTable:
+    """The weighted brackets are built once per system, in its memo."""
+
+    @pytest.mark.parametrize("path", TABLE_SESSIONS)
+    def test_warm_table_is_shared_and_equals_fresh(self, path):
+        session = load_session((ROOT / path).read_text(encoding="utf-8"))
+        sys = session.require_system()
+        for cmd in session.commands:
+            run_session_command(session, cmd)
+            table = _bracket_table(sys)
+            assert _bracket_table(sys) is table, cmd.name
+            assert table == _bracket_table(sys.with_solved(sys.solved))
+
+    def test_copy_starts_cold(self, wave):
+        table = _bracket_table(wave)
+        fresh = wave.with_solved(wave.solved)
+        assert "bracket_table" not in fresh._cache
+        assert _bracket_table(fresh) is not table
+        assert _bracket_table(fresh) == table
+
+    @pytest.mark.parametrize("name", ("wave", "thomas", "klein-gordon",
+                                      "kdv5", "bbm", "two-component"))
+    def test_equals_per_call_recursion(self, assembly_cases, name):
+        sys, _ = assembly_cases[name]
+        table = _bracket_table(sys)
+        assert len(table) == len(sys.indep)
+        assert table == reference_bracket_table(sys)
+
+
+KDV_SRC = """
+indep t x;
+dep u;
+eq kdv: D[u,t] + u*D[u,x] + D[u,x,x,x] = 0 leading D[u,t];
+char bad = u^2;
+char zero = D[u,t] + u*D[u,x] + D[u,x,x,x];
+gen timeTrans: eta = (-D[u,t]);
+gen spaceTrans: eta = (-D[u,x]);
+gen galilei: xi = (0, t), eta = (1);
+cmd conslaw timeTrans bad;
+cmd conslaw spaceTrans bad;
+cmd conslaw galilei bad;
+"""
+
+
+def verdict_keys(sys):
+    return [k for k in sys._cache
+            if isinstance(k, tuple) and k[0] == "substitution_ok"]
+
+
+class TestSubstitutionVerdict:
+    """`ibragimov_vector` checks a substitution once per system."""
+
+    def test_failing_phi_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _substitution_residual(*args)
+
+        monkeypatch.setattr(conslaw_module, "_substitution_residual", counted)
+        session = load_session(KDV_SRC)
+        sys, phi = session.require_system(), session.chars["bad"]
+        reports = [run_session_command(session, cmd)
+                   for cmd in session.commands]
+        assert len(calls) == 1
+        assert verdict_keys(sys) == [("substitution_ok", phi)]
+        assert sys._cache[("substitution_ok", phi)] is False
+        vec = ibragimov_vector(sys, session.gens["timeTrans"], phi)
+        assert vec.substitution_ok is False and len(calls) == 1
+        assert [r.extra.get("warning", "").startswith(
+            "the substitution does not satisfy") for r in reports] == [True] * 3
+
+    def test_trivial_phi_raises_every_time_and_leaves_no_key(self):
+        session = load_session(KDV_SRC)
+        sys, gen = session.require_system(), session.gens["timeTrans"]
+        for _ in range(2):
+            with pytest.raises(TrivialSubstitutionError):
+                ibragimov_vector(sys, gen, session.chars["zero"])
+        assert verdict_keys(sys) == []
+
+    def test_residual_commands_leave_no_verdict(self):
+        session = load_session(
+            (ROOT / "src/conslaw_kit/corpus/wave.cl").read_text(
+                encoding="utf-8")
+            + "cmd ansatz differential-substitution scaleChar timeChar;\n")
+        for cmd in session.commands:
+            if cmd.name != "conslaw":
+                assert run_session_command(session, cmd).status != "error"
+        assert {"substitution-check", "ansatz"} <= {
+            c.name for c in session.commands}
+        assert verdict_keys(session.require_system()) == []

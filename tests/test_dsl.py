@@ -118,6 +118,14 @@ class TestOnePass:
             load_session(WAVE_SRC + line + "\n")
         assert err.value.line == 5
 
+    def test_zero_generator_error_is_at_its_keyword(self):
+        src = ("indep t x;\ndep u;\neq e: D[u,t] = D[u,x,x];\n"
+               "gen g: xi = (0, 0), eta = (0);\n")
+        with pytest.raises(ParseError, match="nonzero component") as err:
+            load_session(src)
+        assert (err.value.line, err.value.col) == (4, 1)
+        assert str(err.value).startswith("4:1: ")
+
     def test_parenthesized_factor_in_eta(self):
         s = load_session(WAVE_SRC + "gen g: eta = (u)*x;\n")
         assert s.gens["g"].eta == (S.u * S.x,)

@@ -52,7 +52,7 @@ cmd symmetry-check c expect zero;
 
 MUTABLE = (Session, Report)
 MEMO_KEYS = ("e_decompose", "adjoint_variables", "formal_lagrangian",
-             "adjoint_system", "linearize_table")
+             "adjoint_system", "linearize_table", "bracket_table")
 
 
 def _record_types() -> set[type]:
@@ -72,6 +72,7 @@ def _samples() -> dict[type, Record]:
     assert sys_._cache and sys_._images and sys_.rules._derived
     gen, char = session.gens["g"], session.chars["c"]
     vec = ibragimov_vector(sys_, gen)
+    ibragimov_vector(sys_, gen, char)   # the substitution verdict
     problem = AnsatzProblem(sys_, "symmetry", (char, Characteristic.of(jet("u"))))
     result = solve_ansatz(problem)
     assert result.vectors and result.rows
@@ -93,7 +94,7 @@ def _samples() -> dict[type, Record]:
     ]
     # the per-system variational values, which the copies must not carry
     adjoint_system(sys_)
-    assert set(MEMO_KEYS) <= sys_._cache.keys()
+    assert {*MEMO_KEYS, ("substitution_ok", char)} <= sys_._cache.keys()
     return {type(o): o for o in objs}
 
 

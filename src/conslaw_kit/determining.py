@@ -124,11 +124,11 @@ def _multiplier_substitution(sys: PdeSystem, phi: Characteristic
     return lambda e: _substitute_jets(e, names, tables)
 
 
-def substitute_multiplier_vars(sys: PdeSystem, e: Expr, phi: Characteristic
-                               ) -> Expr:
-    """Replace the adjoined variables and all their jet coordinates by the
-    substitution's components and their total derivatives."""
-    return _multiplier_substitution(sys, phi)(e)
+def _require_nontrivial(sys: PdeSystem, phi: Characteristic) -> None:
+    """Raise `TrivialSubstitutionError` if every component of phi vanishes
+    on solutions."""
+    if all(sys.reduce(c).is_zero for c in phi.components):
+        raise TrivialSubstitutionError("trivial substitution")
 
 
 def differential_substitution_residual(sys: PdeSystem, phi) -> tuple[Expr, ...]:
@@ -147,8 +147,7 @@ def _substitution_residual(sys: PdeSystem, phi: Characteristic,
                            sub: Callable[[Expr], Expr]) -> tuple[Expr, ...]:
     """`differential_substitution_residual` through `sub`, phi's
     `_multiplier_substitution`, which the caller may go on using."""
-    if all(sys.reduce(c).is_zero for c in phi.components):
-        raise TrivialSubstitutionError("trivial substitution")
+    _require_nontrivial(sys, phi)
     return tuple(sys.reduce(sub(adj)) for adj in adjoint_system(sys))
 
 
@@ -168,8 +167,7 @@ def selfadjoint_lambda(sys: PdeSystem, phi):
             raise SubstitutionClassError(
                 "requires differential substitution (component depends on "
                 "derivatives)")
-    if all(sys.reduce(c).is_zero for c in phi.components):
-        raise TrivialSubstitutionError("trivial substitution")
+    _require_nontrivial(sys, phi)
     m = len(sys.dep)
     lam = [[Expr.zero()] * m for _ in range(m)]
     sub = _multiplier_substitution(sys, phi)

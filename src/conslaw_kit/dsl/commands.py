@@ -58,6 +58,8 @@ def _residual_report(name: str, sysm, residuals, detail_zero: str,
 
 
 def cmd_variational_check(session: Session, args) -> Report:
+    if args:
+        raise UsageError("variational-check takes no arguments")
     sysm = session.require_system()
     verdict = is_variational(sysm)
     if verdict.ok:

@@ -27,10 +27,8 @@ the other three take positive exponents only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
-from collections.abc import Iterator
 from fractions import Fraction
 from operator import itemgetter
 
@@ -190,14 +188,6 @@ class MultiIndex(KeyRecord):
         for _, c in self.counts:
             m //= math.factorial(c)
         return m
-
-    def sub_indices(self) -> Iterator[tuple["MultiIndex", int]]:
-        """All K <= J componentwise, with the product-of-binomials weight."""
-        names = self.names()
-        for ks in itertools.product(*(range(c + 1) for _, c in self.counts)):
-            yield (MultiIndex(tuple(zip(names, ks))),
-                   math.prod(math.comb(c, k)
-                             for (_, c), k in zip(self.counts, ks)))
 
 
 _M_ZERO = MultiIndex()

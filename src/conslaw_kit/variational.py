@@ -1,9 +1,12 @@
 """Variational operator calculus.
 
 Euler operator, formal Lagrangian with adjoined multiplier variables, the
-adjoint system, linearization of a PDE system and its formal adjoint (both
-as expressions and as differential-operator coefficient tables), and the
-self-adjointness test that decides whether a system is variational.
+adjoint system, linearization of a PDE system and its formal adjoint
+applied to characteristics, and the self-adjointness test that decides
+whether a system is variational.  One reader, `_operator_table`, turns
+expressions into differential-operator coefficients: it gives the
+linearization from the equations and the formal adjoint from the adjoint
+system, which is linear in the adjoined variables.
 
 Four values depend on the system alone and are built once per system, in
 its `PdeSystem.memo`: the adjoint variables, the formal Lagrangian, the
@@ -13,16 +16,14 @@ here is computed afresh on each call.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-
-from .expr.atoms import JetVar, MultiIndex, OpaqueDeriv
+from .expr.atoms import JetVar, OpaqueDeriv
 from .expr.errors import ExprError
 from .expr.expression import Expr, atom_expr, jet_gradient, sum_exprs
 from .jet import PdeSystem, alternating_sum, derivatives
 from .record import Record
 
 __all__ = [
-    "Characteristic", "DiffOperator", "euler", "adjoint_variables",
+    "Characteristic", "euler", "adjoint_variables",
     "formal_lagrangian", "adjoint_system", "linearize_table", "linearize",
     "adjoint_linearize", "is_variational", "VariationalVerdict",
 ]
@@ -41,10 +42,6 @@ class Characteristic(Record):
     def of(*components: Expr) -> "Characteristic":
         return Characteristic(tuple(components))
 
-    @property
-    def order(self) -> int:
-        return max((c.jet_order() for c in self.components), default=0)
-
     def __iter__(self):
         return iter(self.components)
 
@@ -62,56 +59,6 @@ def _as_characteristic(c, m: int) -> Characteristic:
     if len(ch) != m:
         raise ExprError(f"characteristic has {len(ch)} components, system has {m}")
     return ch
-
-
-class DiffOperator(Record):
-    """Matrix differential operator sum_J coeff * D_J.
-
-    `entries[(target, source)][J]` is the coefficient of D_J applied to the
-    source component contributing to the target row; absent entries are
-    zero.  `build` drops zero coefficients and empty tables, so the record
-    `==` decides operator equality.
-    """
-
-    __slots__ = ("target_dim", "source_dim", "entries")
-
-    @staticmethod
-    def build(target_dim: int, source_dim: int,
-              raw: Mapping[tuple[int, int], Mapping[MultiIndex, Expr]]) -> "DiffOperator":
-        cleaned = {}
-        for key, table in raw.items():
-            kept = {J: c for J, c in table.items() if not c.is_zero}
-            if kept:
-                cleaned[key] = kept
-        return DiffOperator(target_dim, source_dim, cleaned)
-
-    def entry(self, target: int, source: int, J: MultiIndex) -> Expr:
-        return self.entries.get((target, source), {}).get(J, Expr.zero())
-
-    def apply(self, comp: Sequence[Expr]) -> list[Expr]:
-        tables = [derivatives(c) for c in comp]
-        return [sum_exprs(c * tables[r](J)
-                          for r in range(self.source_dim)
-                          for J, c in self.entries.get((a, r), {}).items())
-                for a in range(self.target_dim)]
-
-    def adjoint(self) -> "DiffOperator":
-        """Formal adjoint re-expanded to sum_K coeff * D_K normal form.
-
-        The (a, r) entry of the adjoint collects, from the (r, a) entries of
-        the original, the Leibniz expansion of (-1)^|J| D_J(coeff * .).
-        """
-        acc: dict[tuple[int, int], dict[MultiIndex, list[Expr]]] = {}
-        for (r, a), table in self.entries.items():
-            dest = acc.setdefault((a, r), {})
-            for J, c in table.items():
-                sign = -1 if J.order % 2 else 1
-                dc = derivatives(c)
-                for K, w in J.sub_indices():
-                    dest.setdefault(K, []).append(dc(J - K).scale(sign * w))
-        return DiffOperator.build(self.source_dim, self.target_dim, {
-            key: {K: sum_exprs(pieces) for K, pieces in dest.items()}
-            for key, dest in acc.items()})
 
 
 def euler(e: Expr, dep: str) -> Expr:
@@ -182,26 +129,38 @@ def adjoint_system(sys: PdeSystem) -> tuple[Expr, ...]:
     return sys.memo("adjoint_system", build)
 
 
-def linearize_table(sys: PdeSystem) -> DiffOperator:
-    """The linearization sum_J dE^a/du^r_J * D_J, its coefficients read
-    off one `jet_gradient` per equation and split by dependent variable.
-    Built once per system."""
-    def build():
-        column = {d: r for r, d in enumerate(sys.dep)}
-        raw: dict[tuple[int, int], dict[MultiIndex, Expr]] = {}
-        for a, eq in enumerate(sys.equations):
-            for atom, c in jet_gradient(eq).items():
-                if atom.__class__ is JetVar and atom.dep in column:
-                    raw.setdefault((a, column[atom.dep]), {})[atom.index] = c
-        return DiffOperator.build(len(sys.equations), len(sys.dep), raw)
-    return sys.memo("linearize_table", build)
+def _operator_table(exprs, deps) -> tuple:
+    """The operators sum_J de/dw_J * D_J read off one `jet_gradient` per
+    expression e: `table[a][r]` holds the (J, coefficient) pairs of the
+    a-th expression and the r-th variable w of `deps`, in `MultiIndex`
+    order, nonzero coefficients only."""
+    column = {d: r for r, d in enumerate(deps)}
+    table = []
+    for e in exprs:
+        row = [[] for _ in deps]
+        for atom, c in jet_gradient(e).items():
+            if atom.__class__ is JetVar and atom.dep in column:
+                row[column[atom.dep]].append((atom.index, c))
+        table.append(tuple(tuple(sorted(pairs)) for pairs in row))
+    return tuple(table)
+
+
+def linearize_table(sys: PdeSystem) -> tuple:
+    """The linearization sum_J dE^a/du^r_J * D_J as an `_operator_table`
+    over the equations and the dependent variables.  Built once per
+    system."""
+    return sys.memo("linearize_table",
+                    lambda: _operator_table(sys.equations, sys.dep))
 
 
 def linearize(sys: PdeSystem, eta) -> list[Expr]:
     """Linearization applied to a characteristic; expressions are not
     reduced on solutions (reduction is the caller's choice)."""
     ch = _as_characteristic(eta, len(sys.dep))
-    return linearize_table(sys).apply(list(ch))
+    tables = [derivatives(c) for c in ch.components]
+    return [sum_exprs(c * tables[r](J)
+                      for r, pairs in enumerate(row) for J, c in pairs)
+            for row in linearize_table(sys)]
 
 
 def adjoint_linearize(sys: PdeSystem, omega) -> list[Expr]:
@@ -210,15 +169,15 @@ def adjoint_linearize(sys: PdeSystem, omega) -> list[Expr]:
     The expressions follow the defining alternating-sign sum
     sum_J (-1)^|J| D_J(omega * dE/du_J), evaluated nested by
     `alternating_sum` over the pieces of every equation at once, so each
-    index costs one total derivative.  `linearize_table(sys).adjoint()`,
-    the formal adjoint in Leibniz normal form, is an independent code path
-    the expressions are checked against in tests.
+    index costs one total derivative.  The formal adjoint that
+    `is_variational` reads off the adjoint system is an independent code
+    path the expressions are checked against in tests.
     """
     ch = _as_characteristic(omega, len(sys.dep))
     table = linearize_table(sys)
     return [alternating_sum((J, ch.components[r] * c)
-                            for r in range(len(sys.equations))
-                            for J, c in table.entries.get((r, a), {}).items())
+                            for r, row in enumerate(table)
+                            for J, c in row[a])
             for a in range(len(sys.dep))]
 
 
@@ -238,18 +197,20 @@ def is_variational(sys: PdeSystem) -> VariationalVerdict:
     """Whether the linearization is formally self-adjoint on solutions
     (under the system's rules).
 
-    Compares the linearization table with its formal adjoint entry by
-    entry; a variational system admits a Lagrangian and its adjoint
-    symmetries are symmetries.
+    The adjoint system is linear in the adjoined variables v, so the
+    coefficient of v^r_K in its a-th expression is the (a, r, K) entry of
+    the formal adjoint L*.  That `_operator_table` is compared with the
+    linearization's entry by entry, in (a, r, J) order; a variational
+    system admits a Lagrangian and its adjoint symmetries are symmetries.
     """
     direct = linearize_table(sys)
-    adj = direct.adjoint()
-    m = len(sys.dep)
-    for a in range(len(sys.equations)):
-        for r in range(m):
-            js = set(direct.entries.get((a, r), {})) | set(adj.entries.get((a, r), {}))
-            for J in sorted(js):
-                diff = sys.reduce(adj.entry(a, r, J) - direct.entry(a, r, J))
+    adj = _operator_table(adjoint_system(sys), adjoint_variables(sys))
+    zero = Expr.zero()
+    for a, (direct_row, adj_row) in enumerate(zip(direct, adj)):
+        for r, (d, s) in enumerate(zip(direct_row, adj_row)):
+            d, s = dict(d), dict(s)
+            for J in sorted(d.keys() | s.keys()):
+                diff = sys.reduce(s.get(J, zero) - d.get(J, zero))
                 if not diff.is_zero:
                     return VariationalVerdict(False, (a, r, J, diff))
     return VariationalVerdict(True)

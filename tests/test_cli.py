@@ -96,6 +96,23 @@ class TestExitCodes:
                 "+2 \\beta \\gamma u_{t}+2 \\alpha \\gamma u_{x}")]
         assert "{'" not in r.stdout
 
+    def test_variational_check_with_arguments_exits_2(self):
+        r = run_cli("variational-check", "bogus", "x=u", "--session", WAVE)
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == ("command: error\nstatus: error\n"
+                            "detail: variational-check takes no arguments\n")
+        assert r.stderr == ""
+
+    def test_run_variational_check_with_argument_exits_2(self, tmp_path):
+        path = tmp_path / "vc.cl"
+        path.write_text(Path(WAVE).read_text() + "cmd variational-check foo;\n")
+        r = run_cli("run", "--session", str(path))
+        assert r.returncode == 2, r.stderr
+        assert r.stdout.endswith("command: error\nstatus: error\n"
+                                 "detail: variational-check takes no "
+                                 "arguments\n"), r.stdout
+        assert r.stderr == ""
+
     def test_parse_error_exits_2(self):
         r = run_cli("symmetry-check", "char=D[u,]", "--session", WAVE)
         assert r.returncode == 2

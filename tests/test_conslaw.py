@@ -13,8 +13,8 @@ import conslaw_kit.conslaw as conslaw_module
 from conslaw_kit.conslaw import (ConservedVector, Generator, _bracket_table,
                                  compare_vectors, characteristic_W,
                                  ibragimov_vector, verify_divergence)
-from conslaw_kit.determining import (_substitution_residual,
-                                     substitute_multiplier_vars)
+from conslaw_kit.determining import (_multiplier_substitution,
+                                     _substitution_residual)
 from conslaw_kit.dsl import load_session, run_session_command
 from conslaw_kit.expr import (Expr, ExprError, JetVar, MultiIndex,
                               OpaqueDeriv, atom_expr, exp_of, rational)
@@ -306,7 +306,8 @@ def reference_raw_vector(sys, g, phi=None):
         raw.append(sum_exprs(pieces))
     if phi is None:
         return raw
-    return [substitute_multiplier_vars(sys, c, phi) for c in raw]
+    sub = _multiplier_substitution(sys, phi)
+    return [sub(c) for c in raw]
 
 
 def conslaw_commands():

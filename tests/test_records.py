@@ -31,7 +31,7 @@ from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr, IndependentVar,
 from conslaw_kit.jet import PdeSystem, total_derivative
 from conslaw_kit.record import KeyRecord, MutableRecord, Record
 from conslaw_kit.variational import (Characteristic, adjoint_system,
-                                     is_variational, linearize_table)
+                                     is_variational)
 
 from conftest import child_env
 
@@ -84,7 +84,7 @@ def _samples() -> dict[type, Record]:
         e_decompose(total_derivative(expr, "x"), sys_),
         verify_divergence(sys_, vec), compare_vectors(sys_, vec.components,
                                                       vec.components),
-        is_variational(sys_), linearize_table(sys_), problem, result,
+        is_variational(sys_), problem, result,
         result.rows[0], result.vectors[0],
         expr, expr.terms[0][1],
         MultiIndex.of("x", "t"), IndependentVar("x"), Parameter("a", True),

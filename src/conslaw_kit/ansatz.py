@@ -5,9 +5,9 @@ residual of a combination sum c_k * basis_k is sum c_k * residual(basis_k).
 Each basis element's residual is computed once; splitting it over jet
 monomials and free coordinates gives column k of a homogeneous linear
 system for the unknown constants.  Its sparse rows (nonzero entries only)
-are solved by Gauss-Jordan elimination over the Laurent polynomials in
-the parameters while every pivot is a unit, and otherwise by fraction-free
-Gauss-Jordan elimination with side conditions.  Every nullspace vector is
+are solved by Gauss-Jordan steps over the Laurent polynomials in the
+parameters while every pivot is a unit, and otherwise by fraction-free
+steps on the same rows, with side conditions.  Every nullspace vector is
 substituted back into the combined residual, which must vanish.
 """
 
@@ -171,12 +171,12 @@ def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
     """Exact nullspace of the rows over the parameters' rational functions.
 
     Rows are cleared of denominators and deduplicated, then eliminated by
-    sparse Gauss-Jordan over `Poly` while every pivot is a unit (a rational
-    times a monomial in nonzero-declared parameters).  At the first pivot
-    that is not, fraction-free Gauss-Jordan elimination solves the whole
-    system again and records each such pivot as a side condition (the
-    generic branch is taken).  The returned basis is deterministic,
-    normalized so each vector's first nonzero entry is 1.
+    sparse Gauss-Jordan steps over `Poly` while every pivot is a unit (a
+    rational times a monomial in nonzero-declared parameters).  From the
+    first pivot that is not, fraction-free steps solve the cleared rows
+    again and record each such pivot as a side condition (the generic
+    branch is taken).  The returned basis is deterministic, normalized so
+    each vector's first nonzero entry is 1.
     """
     n = len(unknowns)
     mat: list[dict[int, Poly]] = []
@@ -194,112 +194,86 @@ def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
         mat.append(dict(zip(ks, polys)))
         kept_rows.append(row)
 
-    vectors, side = _sparse_nullspace(list(map(dict, mat)), n), []
-    if vectors is None:
-        zero = Poly.zero()
-        vectors, side = _bareiss_nullspace(
-            [[d.get(k, zero) for k in range(n)] for d in mat], n)
+    vectors, side = _nullspace(mat, n)
     return LinearSolveResult(tuple(vectors), tuple(side), tuple(kept_rows),
                              tuple(unknowns))
 
 
-def _sparse_nullspace(rows: list[dict[int, Poly]], n: int
-                      ) -> list[NullspaceVector] | None:
-    """Nullspace of the rows {column: nonzero entry} by sparse Gauss-Jordan
-    elimination over `Poly`, or None at the first pivot that is not a unit;
-    rewrites `rows` in place.
+def _nullspace(rows: list[dict[int, Poly]], n: int
+               ) -> tuple[list[NullspaceVector], list[str]]:
+    """Nullspace of the rows {column: nonzero entry} over `Poly`, and the
+    side conditions of the generic branch; may rewrite `rows` in place.
 
-    Pivots are found as in `_bareiss_nullspace`: in column order, in the
-    first row at or after position r, swapped into place.  Each is then
-    the fraction-free pivot over the one before it, so this path completes
-    exactly when the fraction-free one records no side condition, and both
-    give the same vectors."""
+    Pivots are Bareiss's: in column order, in the first row at or after
+    position r, swapped into place.  A pivot row drops its pivot column,
+    which implicitly holds the level.  While every pivot is a unit,
+    Gauss-Jordan steps on a copy of the rows scale each pivot to level -1.
+    From the first that is not, fraction-free steps (Bareiss 1968) start
+    again on `rows`: every other row becomes (pivot * row - f * pivot row)
+    / level, exactly, and the pivot is the new level.  A pivot that is not
+    a unit is a side condition unless it or its negation is recorded.  A
+    free column fc's vector is -level there and row[fc] in each row's
+    pivot column."""
     zero = Poly.zero()
-    pivots: dict[int, dict[int, Poly]] = {}
-    r = 0
-    for col in range(n):
-        checkpoint()
-        i = next((i for i in range(r, len(rows)) if col in rows[i]), None)
-        if i is None:
-            continue
-        try:
-            inv = -rows[i][col].invert_unit()
-        except ExprError:
-            return None
-        # scaled so the pivot is -1, then dropped: x_col = sum of q_j * x_j
-        pivot = {j: q * inv for j, q in rows[i].items() if j != col}
-        rows[i], rows[r] = rows[r], pivot
-        for row in rows:
-            f = row.pop(col, None)
-            if f is None:
+    recorded: dict[Poly, str] = {}   # side condition -> its text
+    for unit_steps in (True, False):
+        work, level = ((list(map(dict, rows)), -Poly.one()) if unit_steps
+                       else (rows, Poly.one()))
+        pivot_cols: list[int] = []
+        for col in range(n):
+            checkpoint()
+            r = len(pivot_cols)
+            i = next((i for i in range(r, len(work)) if col in work[i]), None)
+            if i is None:
                 continue
-            for j, q in pivot.items():
-                v = row.get(j, zero) + f * q
-                if v.is_zero:
-                    del row[j]
-                else:
-                    row[j] = v
-        pivots[col] = pivot
-        r += 1
+            work[i], work[r] = work[r], work[i]
+            pivot = work[r].pop(col)
+            if unit_steps:
+                try:
+                    inv = -pivot.invert_unit()
+                except ExprError:   # start again, fraction-free
+                    break
+                # scaled so the pivot is -1: x_col = sum of q_j * x_j
+                work[r] = pivot_row = {j: q * inv for j, q in work[r].items()}
+                for row in work:
+                    f = row.pop(col, None)
+                    if f is None:
+                        continue
+                    for j, q in pivot_row.items():
+                        v = row.get(j, zero) + f * q
+                        if v.is_zero:
+                            del row[j]
+                        else:
+                            row[j] = v
+            else:
+                unit = pivot.as_unit()
+                if ((unit is None or any(not p.nonzero for p, _ in unit[1]))
+                        and pivot not in recorded and -pivot not in recorded):
+                    recorded[pivot] = poly_text(pivot)
+                pivot_row = work[r]
+                for k, row in enumerate(work):
+                    if k != r:
+                        checkpoint()
+                        f = row.pop(col, zero)
+                        work[k] = new = {}
+                        for j in row.keys() | pivot_row.keys():
+                            x, y = row.get(j, zero), pivot_row.get(j, zero)
+                            v = (pivot * x - f * y).exact_div(level)
+                            if not v.is_zero:
+                                new[j] = v
+                level = pivot
+            pivot_cols.append(col)
+        else:
+            break
 
     vectors = []
-    for fc in range(n):
-        if fc not in pivots:
-            entries = [zero] * n
-            entries[fc] = Poly.one()
-            for pc, pivot in pivots.items():
-                entries[pc] = pivot.get(fc, zero)
-            vectors.append(_normalize_vector(entries))
-    return vectors
-
-
-def _bareiss_nullspace(mat: list[list[Poly]], n: int
-                       ) -> tuple[list[NullspaceVector], list[str]]:
-    """Nullspace by fraction-free Gauss-Jordan elimination (Bareiss 1968;
-    Nakos, Turner and Williams 1997), with the side conditions of the
-    generic branch; rewrites `mat` in place.  Pivots are Bareiss's, and
-    every other row, above the pivot too, becomes (pivot * row - f * pivot
-    row) / previous pivot, exactly.  Each pivot row then holds the last
-    pivot p in its pivot column and zero in the others: the vector of a
-    free column fc is p there and -row[fc] at each row's pivot column.
-    A pivot equal to one already recorded, or to its negation, states no
-    new condition and is not recorded again; a multiple of one is."""
-    side: list[str] = []
-    recorded: set[Poly] = set()
-    pivot_cols: list[int] = []
-    prev = Poly.one()
-    for col in range(n):
-        r = len(pivot_cols)
-        i = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero),
-                 None)
-        if i is None:
-            continue
-        mat[r], mat[i] = mat[i], mat[r]
-        pivot_row = mat[r]
-        pivot = pivot_row[col]
-        unit = pivot.as_unit()
-        if ((unit is None or any(not p.nonzero for p, _ in unit[1]))
-                and pivot not in recorded and -pivot not in recorded):
-            recorded.add(pivot)
-            side.append(poly_text(pivot))
-        for i, row in enumerate(mat):
-            if i != r:
-                checkpoint()
-                f = row[col]
-                mat[i] = [(pivot * x - f * y).exact_div(prev)
-                          for x, y in zip(row, pivot_row)]
-        prev = pivot
-        pivot_cols.append(col)
-
-    vectors = []
-    for fc in range(n):
-        if fc not in pivot_cols:
-            entries = [Poly.zero()] * n
-            entries[fc] = prev
-            for row, pc in zip(mat, pivot_cols):
-                entries[pc] = -row[fc]
-            vectors.append(_normalize_vector(entries))
-    return vectors, side
+    for fc in sorted(set(range(n)).difference(pivot_cols)):
+        entries = [zero] * n
+        entries[fc] = -level
+        for row, pc in zip(work, pivot_cols):
+            entries[pc] = row.get(fc, zero)
+        vectors.append(_normalize_vector(entries))
+    return vectors, list(recorded.values())
 
 
 def _normalize_vector(entries: list[Poly]) -> NullspaceVector:

@@ -176,7 +176,8 @@ def verify_divergence(sys: PdeSystem, vec: "ConservedVector | Sequence[Expr]"
     `nontrivial` reads the components reduced on solutions; those of a
     `ConservedVector` built on `sys` already are, and are read as they are.
     """
-    comps = vec.components if isinstance(vec, ConservedVector) else tuple(vec)
+    comps = _components(sys, vec.components
+                        if isinstance(vec, ConservedVector) else vec)
     reduced = (comps if isinstance(vec, ConservedVector) and vec.system is sys
                else [sys.reduce(c) for c in comps])
     div = _divergence(sys, comps)
@@ -184,6 +185,15 @@ def verify_divergence(sys: PdeSystem, vec: "ConservedVector | Sequence[Expr]"
     dec = e_decompose(div, sys)
     nontrivial = any(not c.is_zero for c in reduced)
     return VerificationReport(dec.remainder, dec, nontrivial)
+
+
+def _components(sys: PdeSystem, vec: Sequence[Expr]) -> tuple[Expr, ...]:
+    """The vector's components, one per independent variable."""
+    comps = tuple(vec)
+    if len(comps) != len(sys.indep):
+        raise ExprError(f"vector has {len(comps)} components, "
+                        f"system has {len(sys.indep)} independent variables")
+    return comps
 
 
 def _divergence(sys: PdeSystem, comps: Sequence[Expr]) -> Expr:
@@ -214,8 +224,8 @@ def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr]
     conserved vectors compare equal, so the discrepancy's divergence must
     normalize to zero under the rules alone, without using the equations.
     """
-    a = [sys.reduce(c) for c in ours]
-    b = [sys.reduce(c) for c in ref]
+    a = [sys.reduce(c) for c in _components(sys, ours)]
+    b = [sys.reduce(c) for c in _components(sys, ref)]
 
     scales = [Expr.const(1), Expr.const(-1)]
     for x, y in zip(a, b):

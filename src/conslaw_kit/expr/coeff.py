@@ -156,14 +156,6 @@ class Poly(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_fraction(self) -> Rational | None:
-        """The value if constant, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and not self.terms[0][0]:
-            return self.terms[0][1]
-        return None
-
     def as_unit(self) -> tuple[Rational, Monomial] | None:
         """(q, m) if this is the single term q*m, else None."""
         if len(self.terms) == 1:

@@ -31,7 +31,8 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterable, Sequence
 
-from .expr.atoms import Atom, IndependentVar, JetVar, MultiIndex, mono_mul
+from .expr.atoms import (Atom, IndependentVar, JetVar, MultiIndex,
+                         OpaqueDeriv, mono_mul)
 from .expr.coeff import Poly
 from .expr.errors import ExprError, LeadingSolveError
 from .expr.expression import (Expr, _gather, _gradient_terms, atom_expr,
@@ -254,10 +255,14 @@ def solve_leading(
                 f"coefficient of {atom_text(lead)} is not an invertible "
                 "rational/parameter product") from None
         r = -(eq - Expr.from_coeff(c) * atom_expr(lead)) / Expr.from_coeff(c)
+        # an opaque function's arguments count: f(u_t) holds u_t
         for a in r.atoms():
-            if isinstance(a, JetVar) and a.dep == lead.dep and a.index.contains(lead.index):
-                raise LeadingSolveError(
-                    "leading derivative appears in remainder after solving")
+            for b in a.args if isinstance(a, OpaqueDeriv) else (a,):
+                if (isinstance(b, JetVar) and b.dep == lead.dep
+                        and b.index.contains(lead.index)):
+                    raise LeadingSolveError(
+                        "leading derivative appears in remainder after "
+                        "solving")
         solved.append(r)
         coeffs.append(c)
 

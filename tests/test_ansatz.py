@@ -11,16 +11,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from conslaw_kit import ansatz
 from conslaw_kit.ansatz import (TARGETS, AnsatzProblem, LinearSolveResult,
-                                NullspaceVector, Row, _bareiss_nullspace,
-                                _normalize_vector, _sparse_nullspace,
-                                build_and_split, solve_ansatz, solve_linear)
-from conslaw_kit.cancel import deadline
+                                NullspaceVector, Row, _normalize_vector,
+                                _nullspace, build_and_split, solve_ansatz,
+                                solve_linear)
+from conslaw_kit.cancel import checkpoint, deadline
 from conslaw_kit.determining import adjoint_symmetry_residual
 from conslaw_kit.dsl import load_session, parse_expression, run_session_command
 from conslaw_kit.expr import (Expr, IndependentVar, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
 from conslaw_kit.expr.atoms import mono, mono_div, mono_lcm
-from conslaw_kit.expr.coeff import Poly, coeff_value, common_content
+from conslaw_kit.expr.coeff import (Poly, coeff_value, common_content,
+                                    term_coeff)
 from conslaw_kit.expr.errors import AnsatzError, CancelledComputation
 from conslaw_kit.expr.expression import jet, sum_exprs
 from conslaw_kit.expr.printer import poly_text
@@ -406,14 +407,66 @@ def _dense_solve_linear(rows, unknowns) -> LinearSolveResult:
         seen.add(key)
         mat.append(polys)
         kept_rows.append(row)
-    if all(p.as_fraction() is not None for polys in mat for p in polys):
+    if not any(isinstance(term_coeff(p), Poly)
+               for polys in mat for p in polys):
         vectors, side = _rational_nullspace(
-            [{j: p.as_fraction() for j, p in enumerate(polys)
+            [{j: term_coeff(p) for j, p in enumerate(polys)
               if not p.is_zero} for polys in mat], n), []
     else:
-        vectors, side = _bareiss_nullspace(mat, n)
+        vectors, side = reference_bareiss_nullspace(mat, n)
     return LinearSolveResult(tuple(vectors), tuple(side), tuple(kept_rows),
                              tuple(unknowns))
+
+
+def reference_bareiss_nullspace(mat: list[list[Poly]], n: int
+                                ) -> tuple[list[NullspaceVector], list[str]]:
+    """The solver's fraction-free Gauss-Jordan elimination over dense rows
+    (Bareiss 1968; Nakos, Turner and Williams 1997), from before it took
+    its steps on the sparse rows, kept as a reference: the nullspace with
+    the side conditions of the generic branch; rewrites `mat` in place.
+    Pivots are Bareiss's, and every other row, above the pivot too,
+    becomes (pivot * row - f * pivot row) / previous pivot, exactly.  Each
+    pivot row then holds the last pivot p in its pivot column and zero in
+    the others: the vector of a free column fc is p there and -row[fc] at
+    each row's pivot column.  A pivot equal to one already recorded, or to
+    its negation, states no new condition and is not recorded again; a
+    multiple of one is."""
+    side: list[str] = []
+    recorded: set[Poly] = set()
+    pivot_cols: list[int] = []
+    prev = Poly.one()
+    for col in range(n):
+        r = len(pivot_cols)
+        i = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero),
+                 None)
+        if i is None:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        pivot_row = mat[r]
+        pivot = pivot_row[col]
+        unit = pivot.as_unit()
+        if ((unit is None or any(not p.nonzero for p, _ in unit[1]))
+                and pivot not in recorded and -pivot not in recorded):
+            recorded.add(pivot)
+            side.append(poly_text(pivot))
+        for i, row in enumerate(mat):
+            if i != r:
+                checkpoint()
+                f = row[col]
+                mat[i] = [(pivot * x - f * y).exact_div(prev)
+                          for x, y in zip(row, pivot_row)]
+        prev = pivot
+        pivot_cols.append(col)
+
+    vectors = []
+    for fc in range(n):
+        if fc not in pivot_cols:
+            entries = [Poly.zero()] * n
+            entries[fc] = prev
+            for row, pc in zip(mat, pivot_cols):
+                entries[pc] = -row[fc]
+            vectors.append(_normalize_vector(entries))
+    return vectors, side
 
 
 def _bareiss_reference(mat, n):
@@ -510,7 +563,7 @@ def _four_by_five_rows() -> list[Row]:
 def _generic_seven_by_nine_rows() -> list[Row]:
     """Seven rows in nine unknowns over four generic parameters, none of
     them declared nonzero: five of the seven pivots are side conditions,
-    and the minors grow until the solve takes over ten seconds."""
+    and the minors grow until the solve takes about eight seconds."""
     a, b, c, d = (Poly.param(Parameter(name)) for name in "abcd")
     k = Poly.const
     cells = [{0: k(1), 1: b + d.scale(2), 2: a.scale(4), 3: b.scale(3) + c,
@@ -577,9 +630,10 @@ class TestSolveLinear:
     def test_non_unit_integer_pivot_is_exact(self, a, b):
         # rows a*c1 + b*c2 and c3: the pivot's inverse is Fraction(1, a),
         # where `1 / a` on the int entries would be a float (1/3 inexact)
-        vec, = _sparse_nullspace(
+        (vec,), side = _nullspace(
             [{0: Poly.const(a), 1: Poly.const(b)}, {2: Poly.one()}], 3)
-        assert [p.as_fraction() for p in vec.numerators] == [b, -a, 0]
+        assert side == []
+        assert [term_coeff(p) for p in vec.numerators] == [b, -a, 0]
         assert vec.denominator == Poly.const(b)
         c = tuple(Parameter(f"c{i}") for i in (1, 2, 3))
         rows = [Row((), 0, ((0, Poly.const(a)), (1, Poly.const(b)))),
@@ -647,7 +701,7 @@ class TestSolveLinear:
     @given(rational_matrices())
     def test_rational_path_matches_bareiss(self, case):
         n, mat = case
-        vectors, side = _bareiss_nullspace(
+        vectors, side = reference_bareiss_nullspace(
             [[Poly.const(q) for q in row] for row in mat], n)
         assert side == []
         assert _rational_nullspace(
@@ -678,13 +732,20 @@ class TestSolveLinear:
                   Row((), 1, ((1, Poly.param(P) + Poly.one()),
                               (3, Poly.one()))),
                   Row((), 2, ((0, Poly.one()),))]))
+    # the unit steps pivot on alpha, then on -1/alpha, before the pivot
+    # 1 + a sends the elimination back to the cleared rows
+    @example((4, [Row((), 0, ((0, Poly.param(A)), (1, Poly.one()))),
+                  Row((), 1, ((0, Poly.one()), (2, Poly.one()))),
+                  Row((), 2, ((2, Poly.param(P) + Poly.one()),
+                              (3, Poly.one())))]))
     def test_unit_pivots_match_forced_bareiss(self, case):
         """Same vectors and side conditions as Bareiss elimination forced
         on the same cleared rows."""
         n, rows = case
         unknowns = tuple(Parameter(f"c{k}") for k in range(1, n + 1))
         res = solve_linear(rows, unknowns)
-        vectors, side = _bareiss_nullspace(_cleared_dense(res.rows, n), n)
+        vectors, side = reference_bareiss_nullspace(
+            _cleared_dense(res.rows, n), n)
         assert res.vectors == tuple(vectors)
         assert res.side_conditions == tuple(side)
 
@@ -695,7 +756,7 @@ class TestSolveLinear:
         the back-substituted one, under the same side conditions."""
         n, rows = case
         dense = _cleared_dense(rows, n)
-        vectors, side = _bareiss_nullspace(list(map(list, dense)), n)
+        vectors, side = reference_bareiss_nullspace(list(map(list, dense)), n)
         ref, ref_side = _bareiss_reference(list(map(list, dense)), n)
         assert side == _stated_once(ref_side) and len(vectors) == len(ref)
         for v, w in zip(vectors, ref):
@@ -723,7 +784,7 @@ class TestSolveLinear:
         assert _proportional(vec.numerators, want.numerators)
 
     def test_fraction_free_elimination_honours_deadline(self):
-        """The generic 7x9 system runs for over ten seconds; a deadline
+        """The generic 7x9 system runs for about eight seconds; a deadline
         stops it within one quotient term of the `Poly.exact_div` it is
         in."""
         unknowns = tuple(Parameter(f"c{i}") for i in range(1, 10))

@@ -15,9 +15,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conslaw_kit import ansatz, cli
+from conslaw_kit import cli
 from conslaw_kit.dsl import emit, load_session, run_session_command
 from conslaw_kit.dsl.report import Report
+from conslaw_kit.expr.coeff import Poly
 from conslaw_kit.expr.expression import jet
 
 from conftest import child_env
@@ -332,7 +333,8 @@ class TestConcurrency:
 
 
 class TestCorpusRuns:
-    @pytest.mark.parametrize("session", [WAVE, THOMAS, KG])
+    @pytest.mark.parametrize("session", [WAVE, THOMAS, KG],
+                             ids=lambda path: Path(path).name)
     def test_full_session_exits_0(self, session):
         r = run_cli("run", "--session", session)
         assert r.returncode == 0, r.stdout + r.stderr
@@ -533,16 +535,28 @@ def test_thomas_scale_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
         THOMAS_SCALE_DIGESTS[fmt]
 
 
+def _exact_div_calls(monkeypatch) -> list:
+    """Records the divisor of every `Poly.exact_div` call, which only the
+    solver's fraction-free steps make."""
+    calls = []
+    exact_div = Poly.exact_div
+
+    def spy(self, other):
+        calls.append(other)
+        return exact_div(self, other)
+    monkeypatch.setattr(Poly, "exact_div", spy)
+    return calls
+
+
 @pytest.mark.parametrize("session", [THOMAS_SCALE, THOMAS],
                          ids=["thomas-scale", "thomas"])
 def test_unit_pivot_sessions_never_reach_bareiss(session, monkeypatch):
     """Every pivot of these ansatz systems is a unit (a rational times a
-    monomial in nonzero parameters), so the sparse elimination solves
-    them alone."""
-    def fail(*args):
-        raise AssertionError("dense Bareiss elimination ran")
-    monkeypatch.setattr(ansatz, "_bareiss_nullspace", fail)
+    monomial in nonzero parameters), so the unit steps solve them alone
+    and no fraction-free step runs."""
+    calls = _exact_div_calls(monkeypatch)
     assert cli.main(["run", "--session", str(session)]) == 0
+    assert calls == []
 
 
 # SHA-256 of the report streams of tests/data/fallback.cl, the heat
@@ -593,16 +607,10 @@ def test_fallback_session_reaches_bareiss(capsys, monkeypatch):
     elimination solves it, under the side conditions that the
     back-substituting Bareiss elimination reported too, each stated once
     up to sign."""
-    calls = []
-    bareiss = ansatz._bareiss_nullspace
-
-    def spy(*args):
-        calls.append(args)
-        return bareiss(*args)
-    monkeypatch.setattr(ansatz, "_bareiss_nullspace", spy)
+    calls = _exact_div_calls(monkeypatch)
     assert cli.main(["run", "--session", str(FALLBACK),
                      "--format", "json"]) == 0
-    assert len(calls) == 1
+    assert calls
     doc = validate(json.loads(capsys.readouterr().out))
     assert doc["side_conditions"] == [
         "-a - b", "a*c + b*c",

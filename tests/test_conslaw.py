@@ -91,6 +91,18 @@ class TestWaveConservedVector:
         res = compare_vectors(wave, (S.ut, S.ux), paper_wave_pair())
         assert not res.equivalent
 
+    def test_wrong_component_count_rejected(self, wave):
+        """A vector needs one component per independent variable; a
+        missing or extra component is not dropped by `zip`."""
+        three = (S.ut, -S.u**2 * S.ux, S.ux)
+        for vec in (three, three[:1]):
+            with pytest.raises(ExprError, match="independent variables"):
+                verify_divergence(wave, vec)
+            with pytest.raises(ExprError, match="independent variables"):
+                compare_vectors(wave, three[:2], vec)
+            with pytest.raises(ExprError, match="independent variables"):
+                compare_vectors(wave, vec, three[:2])
+
     def test_curl_pair_is_trivially_conserved(self, wave):
         # D_t(u_x) + D_x(-u_t) = 0 identically: conserved for any system.
         rep = verify_divergence(wave, (S.ux, -S.ut))

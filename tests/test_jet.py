@@ -455,6 +455,20 @@ class TestSolveLeading:
         with pytest.raises(LeadingSolveError, match="remainder"):
             solve_leading(["t", "x"], ["u"], [E], [S.utt_at])
 
+    @pytest.mark.parametrize("arg", ["t", "tx"])
+    def test_leading_in_opaque_argument_rejected(self, arg):
+        """A function of u_t, or of its consequence u_tx, in the remainder
+        takes the leading derivative u_t, so `reduce` would not reach a
+        normal form."""
+        f = atom_expr(OpaqueDeriv("f", (JetVar("u", MultiIndex.of(*arg)),)))
+        with pytest.raises(LeadingSolveError, match="remainder"):
+            solve_leading(["t", "x"], ["u"], [S.ut + f - S.uxx], [S.ut_at])
+
+    def test_opaque_argument_below_leading_accepted(self):
+        f = atom_expr(OpaqueDeriv("f", (S.ux_at,)))
+        sys = solve_leading(["t", "x"], ["u"], [S.ut + f - S.uxx], [S.ut_at])
+        assert sys.solved[0] == S.uxx - f
+
     def test_non_unit_leading_coefficient_rejected(self):
         a = atom_expr(Parameter("a"))   # not declared nonzero
         with pytest.raises(LeadingSolveError, match="not an invertible"):

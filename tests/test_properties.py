@@ -25,7 +25,7 @@ from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr,
                               OpaqueDeriv, Parameter, Poly,
                               atom_expr, exp_of, normalize, param, partial,
                               substitute)
-from conslaw_kit.expr.coeff import as_poly
+from conslaw_kit.expr.coeff import as_poly, term_coeff
 from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
 from conslaw_kit.expr import printer
 from conslaw_kit.expr.printer import (_atom_display_key, _term_display_key,
@@ -108,7 +108,7 @@ def assert_canonical(e: Expr) -> None:
     integral `Fraction` or a constant `Poly`."""
     for powers, c in e.terms:
         if isinstance(c, Poly):
-            assert c.parameters() and c.as_fraction() is None, c
+            assert c.parameters() and term_coeff(c) is c, c
         else:
             assert type(c) is int or (type(c) is Fraction
                                       and c.denominator > 1), c

@@ -110,6 +110,8 @@ def _run(ns: argparse.Namespace) -> int:
                 with open(ns.session, "r", encoding="utf-8") as fh:
                     session = load_session(fh.read())
             if ns.command == "run":
+                if ns.args:
+                    raise UsageError("run takes no arguments")
                 if not ns.session:
                     raise UsageError("run requires --session FILE")
                 return run_file(session, fmt)

@@ -156,10 +156,11 @@ def selfadjoint_lambda(sys: PdeSystem, phi):
     lambda_alpha^beta E^beta.
 
     `phi` may depend on the independent and dependent variables only.
-    Returns the matrix lambda[alpha][beta]; raises if the substituted
-    adjoint system has on-solution remainder ("not nonlinearly self-adjoint
-    with point substitution") or derivative/quadratic equation content
-    ("requires differential substitution").
+    Returns the matrix lambda[alpha][beta], or None when the substituted
+    adjoint system has an on-solution remainder (the system is not
+    nonlinearly self-adjoint with this point substitution); raises
+    SubstitutionClassError when phi or that system has derivative or
+    quadratic equation content ("requires differential substitution").
     """
     phi = _as_characteristic(phi, len(sys.dep))
     for c in phi.components:
@@ -177,8 +178,7 @@ def selfadjoint_lambda(sys: PdeSystem, phi):
             raise SubstitutionClassError(
                 "requires differential substitution (nonlinear in E)")
         if not dec.remainder.is_zero:
-            raise SubstitutionClassError(
-                "not nonlinearly self-adjoint with point substitution")
+            return None
         for (b, J), coeff in dec.coeffs.items():
             if J.order:
                 raise SubstitutionClassError(

@@ -14,7 +14,7 @@ from ..determining import (adjoint_invariance_conditions,
                            adjoint_symmetry_residual,
                            differential_substitution_residual,
                            selfadjoint_lambda, symmetry_residual)
-from ..expr.errors import ConslawError, SubstitutionClassError
+from ..expr.errors import ConslawError
 from ..expr.printer import expr_latex, expr_text
 from ..variational import Characteristic, adjoint_variables, is_variational
 from .report import Report
@@ -110,13 +110,10 @@ def cmd_substitution_check(session: Session, args) -> Report:
 def cmd_selfadjoint_check(session: Session, args) -> Report:
     sysm = session.require_system()
     ch = _char_arg(session, args, "point substitution")
-    try:
-        lam = selfadjoint_lambda(sysm, ch)
-    except SubstitutionClassError as ex:
-        msg = str(ex)
-        if "requires differential substitution" in msg:
-            raise
-        return Report("selfadjoint-check", "nonzero", msg)
+    lam = selfadjoint_lambda(sysm, ch)
+    if lam is None:
+        return Report("selfadjoint-check", "nonzero",
+                      "not nonlinearly self-adjoint with point substitution")
     factors = []
     for a, row in enumerate(lam):
         for b, val in enumerate(row):

@@ -2,22 +2,23 @@
 
 The parser resolves each statement against the session as declared so
 far: expressions come out as `Expr`, derivatives as jet or
-opaque-function atoms, and each declaration, rule, characteristic,
-generator, vector and command is stored as soon as its statement ends,
-both under its name and as a statement record in source order.  The
-system is put in leading-derivative form once the last statement is
-read.  So every identifier must be declared before it is used, inline
-command arguments included, and the first error in source order is the
-one reported, syntax or semantic, with its line and column.
+opaque-function atoms, and each statement is checked and stored in the
+session's tables as soon as it ends.  The system is put in
+leading-derivative form once the last statement is read.  So every
+identifier must be declared before it is used, inline command arguments
+included, and the first error in source order is the one reported,
+syntax or semantic, with its line and column; only the checks on the
+whole system (one equation per dependent variable, distinct leading
+derivatives, a reduction that terminates) wait for the end of input.
 
 The grammar (docs/grammar.ebnf) is LL(1) apart from one-token
 backtracking for a tuple versus a parenthesized expression.  Derivatives
 are written D[u,x,t,...] (repeat a variable for higher order), which keeps
 the grammar unambiguous with multiplication.
 
-`print_session_source` writes the statement records back as a canonical
-session file, its expressions in the notation of `expr.printer`, which
-this parser reads.
+`print_session_source` writes the statements back from those tables as
+a canonical session file, its expressions in the notation of
+`expr.printer`, which this parser reads.
 """
 
 from __future__ import annotations
@@ -25,62 +26,17 @@ from __future__ import annotations
 from ..conslaw import Generator
 from ..expr.atoms import (IndependentVar, JetVar, MultiIndex, OpaqueDeriv,
                           Parameter)
-from ..expr.errors import ConslawError
+from ..expr.errors import ConslawError, LeadingSolveError
 from ..expr.expression import Expr, atom_expr, exp_of, sum_exprs
 from ..expr.printer import atom_text, expr_text
 from ..expr.rules import RewriteRule, RuleSet
-from ..jet import PdeSystem, solve_leading
+from ..jet import PdeSystem, solve_equation, solve_leading
 from ..record import MutableRecord, Record
 from ..variational import Characteristic
 from .lexer import ParseError, Token, tokenize
 
-__all__ = ["Session", "OpaqueFunc", "Stmt", "DeclStmt", "FuncStmt",
-           "EquationStmt", "RuleStmt", "CharStmt", "GenStmt", "VectorStmt",
-           "CommandStmt", "load_session", "parse_expression",
+__all__ = ["Session", "CommandStmt", "load_session", "parse_expression",
            "print_session_source"]
-
-
-class OpaqueFunc(Record):
-    __slots__ = ("name",
-                 "args",        # tuple[Atom, ...]
-                 "arg_names")
-
-
-# -- statements, their values resolved ---------------------------------------
-
-class Stmt(Record):
-    __slots__ = ("line", "col")   # of the statement keyword
-
-
-class DeclStmt(Stmt):
-    __slots__ = ("kind",        # 'indep' | 'dep' | 'param'
-                 "names", "nonzero")
-
-
-class FuncStmt(Stmt):
-    __slots__ = ("name", "arg_names")
-
-
-class EquationStmt(Stmt):
-    __slots__ = ("name",
-                 "expr",        # lhs - rhs
-                 "leading")     # JetVar | None
-
-
-class RuleStmt(Stmt):
-    __slots__ = ("rule",)
-
-
-class CharStmt(Stmt):
-    __slots__ = ("name", "components")
-
-
-class GenStmt(Stmt):
-    __slots__ = ("name", "xi", "eta")
-
-
-class VectorStmt(Stmt):
-    __slots__ = ("name", "components")
 
 
 class CommandStmt(Record):
@@ -90,13 +46,15 @@ class CommandStmt(Record):
 
 
 class Session(MutableRecord):
-    """The declarations of a session, filled in statement by statement:
-    each under its name, and every statement in `statements`."""
+    """The declarations of a session, filled in statement by statement,
+    each under its name; `statements` holds their source order."""
 
-    __slots__ = ("statements",  # [Stmt | CommandStmt], in source order
+    __slots__ = ("statements",  # [(keyword, key)] in source order; key:
+                                # the name(s) declared, or the
+                                # RewriteRule or CommandStmt itself
                  "indep", "dep",
                  "params",      # name -> Parameter
-                 "funcs",       # name -> OpaqueFunc
+                 "funcs",       # name -> OpaqueDeriv, the function's value
                  "rule_list",   # [RewriteRule]
                  "chars",       # name -> Characteristic
                  "gens",        # name -> Generator
@@ -124,6 +82,7 @@ class _Parser:
         self.depth = 0
         self.s = session
         self.names: dict[str, str] = {}   # name -> kind, for diagnostics
+        self.eqs: list[tuple[str, Expr, JetVar | None]] = []   # lhs - rhs
 
     # -- token helpers -------------------------------------------------------
 
@@ -246,8 +205,7 @@ class _Parser:
         if name in self.s.indep:
             return atom_expr(IndependentVar(name))
         if name in self.s.funcs:
-            f = self.s.funcs[name]
-            return atom_expr(OpaqueDeriv(f.name, f.args))
+            return atom_expr(self.s.funcs[name])
         raise ParseError(f"unknown symbol {name!r}", t.line, t.col)
 
     def parse_derivative(self) -> JetVar | OpaqueDeriv:
@@ -270,13 +228,13 @@ class _Parser:
             return JetVar(head, MultiIndex.of(*dvars))
         if head in self.s.funcs:
             f = self.s.funcs[head]
-            index = [0] * len(f.arg_names)
+            arg_names = [atom_text(a) for a in f.args]
             for v in dvars:
-                if v not in f.arg_names:
+                if v not in arg_names:
                     raise ParseError(f"{v!r} is not an argument of {head!r}",
                                      t.line, t.col)
-                index[f.arg_names.index(v)] += 1
-            return OpaqueDeriv(f.name, f.args, tuple(index))
+                f = f.bump(arg_names.index(v))
+            return f
         raise ParseError(
             f"{head!r} is not a dependent variable or declared function",
             t.line, t.col)
@@ -305,12 +263,10 @@ class _Parser:
     def parse_session(self) -> Session:
         while not self.at("eof"):
             self.parse_statement()
-        eqs = [st for st in self.s.statements if type(st) is EquationStmt]
-        if eqs:
-            self.s.system = solve_leading(
-                self.s.indep, self.s.dep, [e.expr for e in eqs],
-                [e.leading for e in eqs], [e.name for e in eqs],
-                self.s.rule_list)
+        if self.eqs:
+            names, exprs, leading = zip(*self.eqs)
+            self.s.system = solve_leading(self.s.indep, self.s.dep, exprs,
+                                          leading, names, self.s.rule_list)
         return self.s
 
     def parse_statement(self) -> None:
@@ -328,7 +284,7 @@ class _Parser:
             raise ParseError(
                 f"unknown statement {t.text!r} (expected indep/dep/param/"
                 "func/eq/rule/char/gen/vector/cmd)", t.line, t.col)
-        self.s.statements.append(handler(self.advance()))
+        self.s.statements.append((t.text, handler(self.advance())))
 
     def _new_name(self, kind: str, kw: Token) -> str:
         """Read a name this statement declares; a duplicate or reserved
@@ -348,7 +304,7 @@ class _Parser:
             raise ParseError(f"{what} {len(comps)} components for "
                              f"{len(names)} {kind} variables", kw.line, kw.col)
 
-    def _decl(self, kw: Token) -> DeclStmt:
+    def _decl(self, kw: Token) -> tuple[str, ...]:
         names = [self._new_name(kw.text, kw)]
         while self.at("name") and self.cur.text != "nonzero":
             names.append(self._new_name(kw.text, kw))
@@ -366,31 +322,30 @@ class _Parser:
             self.s.dep.extend(names)
         else:
             self.s.params.update((n, Parameter(n, nonzero)) for n in names)
-        return DeclStmt(kw.line, kw.col, kw.text, tuple(names), nonzero)
+        return tuple(names)
 
-    def _func(self, kw: Token) -> FuncStmt:
+    def _func(self, kw: Token) -> str:
         name = self._new_name("function", kw)
         self.expect("(")
-        arg_names = [self._func_arg(kw)]
+        args = [self._func_arg(kw)]
         while self.at(","):
             self.advance()
-            arg_names.append(self._func_arg(kw))
+            args.append(self._func_arg(kw))
         self.expect(")")
         self.expect(";")
-        args = tuple(IndependentVar(a) if a in self.s.indep else JetVar(a)
-                     for a in arg_names)
-        self.s.funcs[name] = OpaqueFunc(name, args, tuple(arg_names))
-        return FuncStmt(kw.line, kw.col, name, tuple(arg_names))
+        self.s.funcs[name] = OpaqueDeriv(name, tuple(args))
+        return name
 
-    def _func_arg(self, kw: Token) -> str:
+    def _func_arg(self, kw: Token) -> IndependentVar | JetVar:
         a = self.expect_name().text
-        if a not in self.s.indep and a not in self.s.dep:
-            raise ParseError(
-                f"function argument {a!r} must be a declared variable",
-                kw.line, kw.col)
-        return a
+        if a in self.s.indep:
+            return IndependentVar(a)
+        if a in self.s.dep:
+            return JetVar(a)
+        raise ParseError(f"function argument {a!r} must be a declared "
+                         "variable", kw.line, kw.col)
 
-    def _equation(self, kw: Token) -> EquationStmt:
+    def _equation(self, kw: Token) -> str:
         name = self._new_name("equation", kw)
         self.expect(":")
         lhs = self.parse_expr()
@@ -405,9 +360,14 @@ class _Parser:
                 raise ParseError("leading derivative must be a jet derivative",
                                  t.line, t.col)
         self.expect(";")
-        return EquationStmt(kw.line, kw.col, name, expr, leading)
+        try:
+            solve_equation(expr, leading, name, self.s.indep, self.s.dep)
+        except LeadingSolveError as ex:
+            raise ParseError(str(ex), kw.line, kw.col) from None
+        self.eqs.append((name, expr, leading))
+        return name
 
-    def _rule(self, kw: Token) -> RuleStmt:
+    def _rule(self, kw: Token) -> RewriteRule:
         lhs = self.parse_derivative()
         if not isinstance(lhs, OpaqueDeriv):
             raise ParseError(
@@ -421,9 +381,9 @@ class _Parser:
             RuleSet(self.s.rule_list)  # rejects a duplicate at its line
         except ConslawError as ex:
             raise ParseError(str(ex), kw.line, kw.col) from None
-        return RuleStmt(kw.line, kw.col, self.s.rule_list[-1])
+        return self.s.rule_list[-1]
 
-    def _char(self, kw: Token) -> CharStmt:
+    def _char(self, kw: Token) -> str:
         name = self._new_name("characteristic", kw)
         self.expect("=")
         comps = self.parse_tuple((";",))
@@ -431,9 +391,9 @@ class _Parser:
         self._check_arity(f"characteristic {name!r} has", comps, self.s.dep,
                           "dependent", kw)
         self.s.chars[name] = Characteristic(comps)
-        return CharStmt(kw.line, kw.col, name, comps)
+        return name
 
-    def _gen(self, kw: Token) -> GenStmt:
+    def _gen(self, kw: Token) -> str:
         name = self._new_name("generator", kw)
         self.expect(":")
         xi = tuple(Expr.zero() for _ in self.s.indep)
@@ -454,9 +414,9 @@ class _Parser:
             self.s.gens[name] = Generator(xi, eta)
         except ConslawError as ex:
             raise ParseError(str(ex), kw.line, kw.col) from None
-        return GenStmt(kw.line, kw.col, name, xi, eta)
+        return name
 
-    def _vector(self, kw: Token) -> VectorStmt:
+    def _vector(self, kw: Token) -> str:
         name = self._new_name("vector", kw)
         self.expect("=")
         comps = self.parse_tuple((";",))
@@ -464,7 +424,7 @@ class _Parser:
         self._check_arity(f"vector {name!r} has", comps, self.s.indep,
                           "independent", kw)
         self.s.vectors[name] = comps
-        return VectorStmt(kw.line, kw.col, name, comps)
+        return name
 
     def _hyphen_name(self, what: str = "identifier") -> str:
         parts = [self.expect_name(what).text]
@@ -519,30 +479,35 @@ def _tuple_text(comps, bare: bool) -> str:
     return "(" + ", ".join(expr_text(c) for c in comps) + ")"
 
 
-def _stmt_text(st, solved: dict) -> str:
-    if isinstance(st, DeclStmt):
-        flag = " nonzero" if st.nonzero else ""
-        return f"{st.kind} {' '.join(st.names)}{flag}"
-    if isinstance(st, FuncStmt):
-        return f"func {st.name}({','.join(st.arg_names)})"
-    if isinstance(st, EquationStmt):
-        eq, lead = solved[st.name]
-        return f"eq {st.name}: {expr_text(eq)} = 0 leading {atom_text(lead)}"
-    if isinstance(st, RuleStmt):
-        return f"rule {atom_text(st.rule.lhs)} -> {expr_text(st.rule.rhs)}"
-    if isinstance(st, CharStmt):
-        return f"char {st.name} = {_tuple_text(st.components, True)}"
-    if isinstance(st, GenStmt):
-        return (f"gen {st.name}: xi = {_tuple_text(st.xi, False)}, "
-                f"eta = {_tuple_text(st.eta, False)}")
-    if isinstance(st, VectorStmt):
-        return f"vector {st.name} = {_tuple_text(st.components, True)}"
-    parts = ["cmd", st.name]   # a CommandStmt
-    for label, val in st.args:
+def _stmt_text(kw: str, key, session: Session) -> str:
+    if kw in ("indep", "dep", "param"):
+        flag = " nonzero" if (kw == "param"
+                              and session.params[key[0]].nonzero) else ""
+        return f"{kw} {' '.join(key)}{flag}"
+    if kw == "func":
+        args = session.funcs[key].args
+        return f"func {key}({','.join(atom_text(a) for a in args)})"
+    if kw == "eq":
+        sysm = session.system
+        i = sysm.eq_names.index(key)
+        return (f"eq {key}: {expr_text(sysm.equations[i])} = 0 "
+                f"leading {atom_text(sysm.leading[i])}")
+    if kw == "rule":
+        return f"rule {atom_text(key.lhs)} -> {expr_text(key.rhs)}"
+    if kw == "char":
+        return f"char {key} = {_tuple_text(session.chars[key].components, True)}"
+    if kw == "gen":
+        g = session.gens[key]
+        return (f"gen {key}: xi = {_tuple_text(g.xi, False)}, "
+                f"eta = {_tuple_text(g.eta, False)}")
+    if kw == "vector":
+        return f"vector {key} = {_tuple_text(session.vectors[key], True)}"
+    parts = ["cmd", key.name]
+    for label, val in key.args:
         text = val if isinstance(val, str) else expr_text(val)
         parts.append(text if label is None else f"{label}={text}")
-    if st.expect != "zero":
-        parts.append(f"expect {st.expect}")
+    if key.expect != "zero":
+        parts.append(f"expect {key.expect}")
     return " ".join(parts)
 
 
@@ -551,9 +516,5 @@ def print_session_source(session: Session) -> str:
     source order, equations in solved form.  Reparsing it yields an
     equivalent session (declarations, system, rules, named objects and
     commands are preserved; comments and formatting are not)."""
-    solved = {}
-    if session.system is not None:
-        sysm = session.system
-        solved = dict(zip(sysm.eq_names, zip(sysm.equations, sysm.leading)))
-    return "".join(_stmt_text(st, solved) + ";\n"
-                   for st in session.statements) or "\n"
+    return "".join(_stmt_text(kw, key, session) + ";\n"
+                   for kw, key in session.statements) or "\n"

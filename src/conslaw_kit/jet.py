@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "total_derivative", "derivatives", "alternating_sum", "PdeSystem",
-    "solve_leading",
+    "solve_leading", "solve_equation",
 ]
 
 
@@ -225,52 +225,55 @@ def solve_leading(
             "a leading-derivative form needs one equation per unknown")
     eq_names = tuple(eq_names) if eq_names else tuple(
         f"eq{i + 1}" for i in range(len(equations)))
-    chosen: list[JetVar] = []
     given = list(leading) if leading else [None] * len(equations)
-    for eq, lead in zip(equations, given):
-        chosen.append(lead if lead is not None else _default_leading(eq, indep))
+    chosen, solved, coeffs = zip(*(
+        solve_equation(eq, lead, name, indep, dep)
+        for eq, lead, name in zip(equations, given, eq_names)))
     if len(set(chosen)) != len(chosen):
         raise LeadingSolveError("duplicate leading atoms")
-
-    solved: list[Expr] = []
-    coeffs: list[Poly] = []
-    for eq, lead, name in zip(equations, chosen, eq_names):
-        if lead.dep not in dep:
-            raise LeadingSolveError(
-                f"leading derivative {atom_text(lead)} is not a derivative "
-                "of a declared dependent variable")
-        c_expr = partial(eq, lead)
-        if c_expr.is_zero:
-            raise LeadingSolveError(
-                f"leading derivative {atom_text(lead)} does not occur in "
-                f"equation {name}")
-        c = c_expr.as_coeff()
-        if c is None:
-            raise LeadingSolveError(
-                f"leading derivative {atom_text(lead)} occurs nonlinearly")
-        try:
-            c.invert_unit()
-        except ExprError:
-            raise LeadingSolveError(
-                f"coefficient of {atom_text(lead)} is not an invertible "
-                "rational/parameter product") from None
-        r = -(eq - Expr.from_coeff(c) * atom_expr(lead)) / Expr.from_coeff(c)
-        # an opaque function's arguments count: f(u_t) holds u_t
-        for a in r.atoms():
-            for b in a.args if isinstance(a, OpaqueDeriv) else (a,):
-                if (isinstance(b, JetVar) and b.dep == lead.dep
-                        and b.index.contains(lead.index)):
-                    raise LeadingSolveError(
-                        "leading derivative appears in remainder after "
-                        "solving")
-        solved.append(r)
-        coeffs.append(c)
-
-    sys = PdeSystem(indep, dep, equations, tuple(chosen), tuple(solved),
-                    tuple(coeffs), eq_names, RuleSet(rules))
+    sys = PdeSystem(indep, dep, equations, chosen, solved, coeffs, eq_names,
+                    RuleSet(rules))
     # Cross-equation references in the solved forms must reduce out; a
     # cyclic reference would loop, so pre-reduce each RHS with a depth cap.
     return sys.with_solved(sys.reduce(r) for r in solved)
+
+
+def solve_equation(eq: Expr, lead: JetVar | None, name: str,
+                   indep: Sequence[str], dep: Sequence[str]
+                   ) -> tuple[JetVar, Expr, Poly]:
+    """One equation solved for its leading derivative `lead` (the default
+    one of `solve_leading` when None): the leading derivative, the
+    remainder it equals and its coefficient."""
+    if lead is None:
+        lead = _default_leading(eq, tuple(indep))
+    if lead.dep not in dep:
+        raise LeadingSolveError(
+            f"leading derivative {atom_text(lead)} is not a derivative "
+            "of a declared dependent variable")
+    c_expr = partial(eq, lead)
+    if c_expr.is_zero:
+        raise LeadingSolveError(
+            f"leading derivative {atom_text(lead)} does not occur in "
+            f"equation {name}")
+    c = c_expr.as_coeff()
+    if c is None:
+        raise LeadingSolveError(
+            f"leading derivative {atom_text(lead)} occurs nonlinearly")
+    try:
+        c.invert_unit()
+    except ExprError:
+        raise LeadingSolveError(
+            f"coefficient of {atom_text(lead)} is not an invertible "
+            "rational/parameter product") from None
+    r = -(eq - Expr.from_coeff(c) * atom_expr(lead)) / Expr.from_coeff(c)
+    # an opaque function's arguments count: f(u_t) holds u_t
+    for a in r.atoms():
+        for b in a.args if isinstance(a, OpaqueDeriv) else (a,):
+            if (isinstance(b, JetVar) and b.dep == lead.dep
+                    and b.index.contains(lead.index)):
+                raise LeadingSolveError(
+                    "leading derivative appears in remainder after solving")
+    return lead, r, c
 
 
 def _default_leading(eq: Expr, indep: tuple[str, ...]) -> JetVar:

@@ -104,6 +104,13 @@ class TestExitCodes:
                             "detail: variational-check takes no arguments\n")
         assert r.stderr == ""
 
+    def test_run_with_arguments_exits_2(self):
+        r = run_cli("run", "bogus", "--session", WAVE)
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == ("command: error\nstatus: error\n"
+                            "detail: run takes no arguments\n")
+        assert r.stderr == ""
+
     def test_run_variational_check_with_argument_exits_2(self, tmp_path):
         path = tmp_path / "vc.cl"
         path.write_text(Path(WAVE).read_text() + "cmd variational-check foo;\n")
@@ -269,6 +276,19 @@ class TestExitCodes:
         assert status in r.stdout
         assert "u^9999999999999999999" in r.stdout \
             or "u^{9999999999999999999}" in r.stdout
+
+    def test_not_selfadjoint_point_substitution_is_nonzero(self, tmp_path):
+        path = tmp_path / "sa.cl"
+        path.write_text("indep t x;\ndep u;\neq wave: D[u,t,t] - "
+                        "u^2*D[u,x,x] - u*D[u,x]^2 = 0 leading D[u,t,t];\n"
+                        "char c = u;\ncmd selfadjoint-check c expect nonzero;\n")
+        r = run_cli("run", "--session", str(path))
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert r.stdout == (
+            "command: selfadjoint-check\nstatus: nonzero\n"
+            "detail: not nonlinearly self-adjoint with point substitution\n"
+            "expected: nonzero (satisfied)\n")
+        assert r.stderr == ""
 
     def test_wrong_substitution_class_exits_2(self):
         r = run_cli("selfadjoint-check", "sub1", "--session", THOMAS)

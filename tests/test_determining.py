@@ -167,13 +167,11 @@ class TestSelfAdjointLambda:
 
     def test_wave_strict_substitution_fails_consistently(self, wave):
         # v = u is not a point substitution for the wave equation; the
-        # failure must agree with the adjoint-symmetry residual being
-        # nonzero.
+        # failure, a None factor matrix, must agree with the
+        # adjoint-symmetry residual being nonzero.
         residual = adjoint_symmetry_residual(wave, Characteristic.of(S.u))
         assert not residual[0].is_zero
-        with pytest.raises(SubstitutionClassError,
-                           match="not nonlinearly self-adjoint"):
-            selfadjoint_lambda(wave, Characteristic.of(S.u))
+        assert selfadjoint_lambda(wave, Characteristic.of(S.u)) is None
 
     def test_derivative_dependence_rejected(self, thomas, thomas_theta):
         phi = exp_of(2 * thomas_theta) * (S.ut + S.alpha / S.gamma)

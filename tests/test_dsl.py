@@ -12,7 +12,6 @@ from conslaw_kit.cancel import deadline
 from conslaw_kit.dsl import (ParseError, expr_latex, expr_text, load_session,
                              parse_expression, print_session_source,
                              tokenize)
-from conslaw_kit.dsl.session import Stmt
 from conslaw_kit.expr import ExpAtom, Expr, exp_of
 from conslaw_kit.expr.errors import ConslawError, LeadingSolveError
 from conslaw_kit.expr.expression import jet
@@ -63,7 +62,7 @@ class TestParsing:
 
     def test_nonlinear_leading_surfaces(self):
         src = "indep t x;\ndep u;\neq bad: D[u,t]^2 - D[u,x] = 0 leading D[u,t];\n"
-        with pytest.raises(LeadingSolveError, match="nonlinearly"):
+        with pytest.raises(ParseError, match="^3:1: .*nonlinearly"):
             load_session(src)
 
     def test_rational_exponent_rejected(self):
@@ -117,6 +116,13 @@ class TestOnePass:
         with pytest.raises(ParseError, match=message) as err:
             load_session(WAVE_SRC + line + "\n")
         assert err.value.line == 5
+
+    def test_equation_error_is_at_its_keyword_before_later_errors(self):
+        src = ("indep t x;\ndep u;\n"
+               "eq e: D[u,t]^2 = D[u,x,x] leading D[u,t];\nchar c = q;\n")
+        with pytest.raises(ParseError, match=(
+                r"^3:1: leading derivative D\[u,t\] occurs nonlinearly$")):
+            load_session(src)
 
     def test_zero_generator_error_is_at_its_keyword(self):
         src = ("indep t x;\ndep u;\neq e: D[u,t] = D[u,x,x];\n"
@@ -226,19 +232,23 @@ class TestRoundTrip:
             assert canon == again, f"case {i} (seed 20260811)\n{src}"
 
     def test_statements_print_in_source_order(self):
-        text = ("indep t x;\ndep u;\nchar c = u;\n"
-                "eq e: D[u,t] = D[u,x,x] leading D[u,t];\n"
-                "cmd symmetry-check c;\n  param a nonzero;\n"
-                "vector v = (u, a*u);\n")
+        # all ten statement kinds, printed from the session's tables
+        text = ("indep t x;\ndep u;\nfunc g(u, x);\nchar c = u;\n"
+                "eq e: D[u,t] = D[u,x,x] + D[g,u] leading D[u,t];\n"
+                "rule D[g,x] -> g;\ncmd symmetry-check c;\n"
+                "  param a nonzero;\nparam b;\n"
+                "gen h: xi = (a, 0), eta = b*u;\nvector v = (u, a*u);\n")
         session = load_session(text)
-        assert [(st.line, st.col) for st in session.statements
-                if isinstance(st, Stmt)] == [(1, 1), (2, 1), (3, 1), (4, 1),
-                                             (6, 3), (7, 1)]
-        assert session.statements[4] is session.commands[0]
+        assert [kw for kw, _ in session.statements] == [
+            "indep", "dep", "func", "char", "eq", "rule", "cmd", "param",
+            "param", "gen", "vector"]
+        assert session.statements[6][1] is session.commands[0]
         assert print_session_source(session) == (
-            "indep t x;\ndep u;\nchar c = u;\n"
-            "eq e: -D[u,x,x] + D[u,t] = 0 leading D[u,t];\n"
-            "cmd symmetry-check c;\nparam a nonzero;\nvector v = (u, a*u);\n")
+            "indep t x;\ndep u;\nfunc g(u,x);\nchar c = u;\n"
+            "eq e: -D[u,x,x] + D[u,t] - D[g,u] = 0 leading D[u,t];\n"
+            "rule D[g,x] -> g;\ncmd symmetry-check c;\n"
+            "param a nonzero;\nparam b;\n"
+            "gen h: xi = (a, 0), eta = (b*u);\nvector v = (u, a*u);\n")
 
     def test_expression_text_reparses_to_same_value(self, thomas_theta):
         cases = [

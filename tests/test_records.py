@@ -16,15 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from conslaw_kit.ansatz import AnsatzProblem, solve_ansatz
+from conslaw_kit.ansatz import AnsatzProblem, Row, solve_ansatz
 from conslaw_kit.conslaw import (compare_vectors, ibragimov_vector,
                                  verify_divergence)
 from conslaw_kit.determining import e_decompose
 from conslaw_kit.dsl import load_session, tokenize
 from conslaw_kit.dsl.commands import run_session_command
 from conslaw_kit.dsl.report import Report
-from conslaw_kit.dsl.session import (CharStmt, CommandStmt, OpaqueFunc,
-                                     Session, Stmt, VectorStmt)
+from conslaw_kit.dsl.session import CommandStmt, Session
 from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr, IndependentVar,
                               MultiIndex, OpaqueDeriv, Parameter, jet,
                               jet_atom)
@@ -78,7 +77,7 @@ def _samples() -> dict[type, Record]:
     assert result.vectors and result.rows
     expr = sys_.equations[0]
     objs = [
-        *tokenize(SESSION), *session.statements, Stmt(1, 2),
+        *tokenize(SESSION), session.commands[0],
         session, session.funcs["f"], sys_, sys_.rules, sys_.rules.rules[0],
         char, gen, vec, run_session_command(session, session.commands[0]),
         e_decompose(total_derivative(expr, "x"), sys_),
@@ -201,9 +200,8 @@ class TestRecordContract:
 def test_equal_fields_of_two_types_differ():
     assert IndependentVar("a") != Parameter("a")
     assert Parameter("a") != IndependentVar("a")
-    assert OpaqueFunc("f", (), ()) != CommandStmt("f", (), ())
-    assert CommandStmt("f", (), ()) != OpaqueFunc("f", (), ())
-    assert CharStmt(1, 1, "c", ()) != VectorStmt(1, 1, "c", ())
+    assert Row("f", (), ()) != CommandStmt("f", (), ())
+    assert CommandStmt("f", (), ()) != Row("f", (), ())
 
 
 def test_pde_system_copy_compares_by_value_with_an_empty_memo():

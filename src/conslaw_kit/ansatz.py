@@ -27,8 +27,7 @@ from .expr.expression import Expr, Powers, graded_key, sum_exprs
 from .expr.printer import poly_text
 from .jet import PdeSystem
 from .record import Record
-from .variational import (Characteristic, _as_characteristic,
-                          _fresh_stem_names)
+from .variational import _as_characteristic, _fresh_stem_names
 
 __all__ = [
     "TARGETS", "AnsatzProblem", "Row", "NullspaceVector",
@@ -46,19 +45,21 @@ TARGETS: dict[str, Callable] = {
 class AnsatzProblem(Record):
     """Find all c with residual(sum c_k * basis_k) = 0.
 
-    Basis entries are characteristics (or single expressions for scalar
-    systems).  The rows come from the residual of each basis element, by
-    linearity; the unknowns c1..cN, fresh parameter names, only label the
-    solution and never enter an expression.  Parameters are treated
-    generically: a coefficient vanishes only if it is identically zero as
-    a rational function.  For the symmetry targets a basis element that
-    vanishes on solutions is rejected: it would be a trivial direction.
+    Basis entries are characteristics, one expression per dependent
+    variable (a single expression for a scalar system); `basis` holds
+    them as tuples.  The rows come from the residual of each basis
+    element, by linearity; the unknowns c1..cN, fresh parameter names,
+    only label the solution and never enter an expression.  Parameters
+    are treated generically: a coefficient vanishes only if it is
+    identically zero as a rational function.  For the symmetry targets a
+    basis element that vanishes on solutions is rejected: it would be a
+    trivial direction.
     """
 
     __slots__ = ("system", "target", "basis")
 
     def __init__(self, system: PdeSystem, target: str,
-                 basis: Sequence[Characteristic]) -> None:
+                 basis: Sequence) -> None:
         if target not in TARGETS:
             raise AnsatzError(
                 f"unknown target {target!r}; expected one of "
@@ -68,12 +69,12 @@ class AnsatzProblem(Record):
         m = len(system.dep)
         basis = tuple(_as_characteristic(b, m) for b in basis)
         for k, b in enumerate(basis, 1):
-            if all(c.is_zero for c in b.components):
+            if all(c.is_zero for c in b):
                 raise AnsatzError("zero basis expression")
             # the symmetry residuals vanish at such an element, so it
             # would count as a nullspace direction
             if target in ("symmetry", "adjoint-symmetry") and all(
-                    system.reduce(c).is_zero for c in b.components):
+                    system.reduce(c).is_zero for c in b):
                 raise AnsatzError(
                     f"basis element {k} vanishes on solutions: a trivial "
                     f"{target} direction")
@@ -88,11 +89,10 @@ class AnsatzProblem(Record):
             "c", len(self.basis), taken)))
 
 
-def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> Characteristic:
+def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> tuple[Expr, ...]:
     """sum_k coeffs[k] * basis[k], component by component."""
-    return Characteristic(tuple(
-        sum_exprs(c * b.components[i] for c, b in zip(coeffs, p.basis))
-        for i in range(len(p.system.dep))))
+    return tuple(sum_exprs(c * b[i] for c, b in zip(coeffs, p.basis))
+                 for i in range(len(p.system.dep)))
 
 
 class Row(Record):
@@ -305,7 +305,7 @@ def solve_ansatz(p: AnsatzProblem) -> LinearSolveResult:
 
 def _check_solution(p: AnsatzProblem, vec: NullspaceVector) -> None:
     comb = _combine(p, [Expr.from_coeff(n) for n in vec.numerators])
-    if all(c.is_zero for c in comb.components):
+    if all(c.is_zero for c in comb):
         return
     residual = TARGETS[p.target](p.system, comb)
     if any(not x.is_zero for x in residual):

@@ -26,8 +26,7 @@ from .expr.expression import (Expr, atom_expr, graded_key, jet_atom,
                               jet_gradient, sum_exprs)
 from .jet import PdeSystem, derivatives, total_derivative
 from .record import Record
-from .variational import (Characteristic, _as_characteristic,
-                          formal_lagrangian)
+from .variational import _as_characteristic, formal_lagrangian
 
 __all__ = [
     "Generator", "ConservedVector", "VerificationReport", "characteristic_W",
@@ -53,7 +52,7 @@ class Generator(Record):
         return Generator(tuple(Expr.zero() for _ in sys.indep), tuple(eta))
 
 
-def characteristic_W(sys: PdeSystem, g: Generator) -> Characteristic:
+def characteristic_W(sys: PdeSystem, g: Generator) -> tuple[Expr, ...]:
     """W^sigma = eta^sigma - sum_j xi^j u^sigma_j."""
     if len(g.eta) != len(sys.dep):
         raise ExprError(f"generator has {len(g.eta)} eta components, "
@@ -61,10 +60,10 @@ def characteristic_W(sys: PdeSystem, g: Generator) -> Characteristic:
     if len(g.xi) != len(sys.indep):
         raise ExprError(f"generator has {len(g.xi)} xi components, "
                         f"system has {len(sys.indep)} independent variables")
-    return Characteristic(tuple(
+    return tuple(
         eta - sum_exprs(xi * atom_expr(jet_atom(d, var))
                         for xi, var in zip(g.xi, sys.indep) if not xi.is_zero)
-        for d, eta in zip(sys.dep, g.eta)))
+        for d, eta in zip(sys.dep, g.eta))
 
 
 class VerificationReport(Record):
@@ -77,11 +76,10 @@ class VerificationReport(Record):
 
 class ConservedVector(Record):
     """Components per independent variable, reduced on solutions, plus the
-    pre-reduction forms and provenance (a `Generator`, a substitution
-    `Characteristic` and whether it passed, each None when absent)."""
+    pre-reduction forms and whether the substitution satisfies its
+    determining system (None when no substitution was given)."""
 
-    __slots__ = ("system", "components", "raw_components", "generator",
-                 "substitution", "substitution_ok")
+    __slots__ = ("system", "components", "raw_components", "substitution_ok")
 
 
 def _bracket_table(sys: PdeSystem) -> tuple[tuple[tuple], ...]:
@@ -147,7 +145,7 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     The verdict is checked once per (system, phi), in the system's memo.
     """
     lagr = formal_lagrangian(sys)
-    tables = [derivatives(w) for w in characteristic_W(sys, g).components]
+    tables = [derivatives(w) for w in characteristic_W(sys, g)]
     raw = []
     for xi, entries in zip(g.xi, _bracket_table(sys)):
         checkpoint()
@@ -163,7 +161,7 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
         raw = [sub(c) for c in raw]
 
     reduced = tuple(sys.reduce(c) for c in raw)
-    return ConservedVector(sys, reduced, tuple(raw), g, phi, substitution_ok)
+    return ConservedVector(sys, reduced, tuple(raw), substitution_ok)
 
 
 def verify_divergence(sys: PdeSystem, vec: "ConservedVector | Sequence[Expr]"
@@ -202,12 +200,12 @@ def _divergence(sys: PdeSystem, comps: Sequence[Expr]) -> Expr:
 
 
 class EquivalenceResult(Record):
-    """`discrepancy`: the reduced difference C_ours - scale*C_ref; when
-    `equivalent`, its divergence normalizes to zero identically (a
-    trivial shift)."""
+    """`scale`: the s for which C_ours - s*C_ref is zero (`exact`) or a
+    trivial shift, whose divergence normalizes to zero identically; None
+    unless `equivalent`."""
 
-    __slots__ = ("equivalent", "scale", "exact", "discrepancy")
-    _defaults = {"scale": None, "exact": False, "discrepancy": None}
+    __slots__ = ("equivalent", "scale", "exact")
+    _defaults = {"scale": None, "exact": False}
 
 
 def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr]
@@ -248,9 +246,8 @@ def compare_vectors(sys: PdeSystem, ours: Sequence[Expr], ref: Sequence[Expr]
 
     for s in scales:
         if all(d.is_zero for d in diff_for(s)):
-            return EquivalenceResult(True, s, True, tuple(Expr.zero() for _ in a))
+            return EquivalenceResult(True, s, True)
     for s in scales:
-        diff = diff_for(s)
-        if sys.rules.reduce(_divergence(sys, diff)).is_zero:
-            return EquivalenceResult(True, s, False, tuple(diff))
+        if sys.rules.reduce(_divergence(sys, diff_for(s))).is_zero:
+            return EquivalenceResult(True, s, False)
     return EquivalenceResult(False)

@@ -22,8 +22,8 @@ from .expr.errors import SubstitutionClassError, TrivialSubstitutionError
 from .expr.expression import Expr, atom_expr, collect, substitute, sum_exprs
 from .jet import PdeSystem, derivatives
 from .record import Record
-from .variational import (Characteristic, _as_characteristic, _fresh_names,
-                          adjoint_system, adjoint_variables, euler, linearize,
+from .variational import (_as_characteristic, _fresh_names, adjoint_system,
+                          adjoint_variables, euler, linearize,
                           adjoint_linearize)
 
 __all__ = [
@@ -114,20 +114,20 @@ def adjoint_symmetry_residual(sys: PdeSystem, omega) -> tuple[Expr, ...]:
     return tuple(sys.reduce(x) for x in adjoint_linearize(sys, omega))
 
 
-def _multiplier_substitution(sys: PdeSystem, phi: Characteristic
+def _multiplier_substitution(sys: PdeSystem, phi: tuple[Expr, ...]
                              ) -> Callable[[Expr], Expr]:
     """e -> e with the adjoined variables and all their jet coordinates
     replaced by phi's components and their total derivatives.  Every call
     reads one D_J phi table per component, filled on demand."""
     names = adjoint_variables(sys)
-    tables = [derivatives(c) for c in phi.components]
+    tables = [derivatives(c) for c in phi]
     return lambda e: _substitute_jets(e, names, tables)
 
 
-def _require_nontrivial(sys: PdeSystem, phi: Characteristic) -> None:
+def _require_nontrivial(sys: PdeSystem, phi: tuple[Expr, ...]) -> None:
     """Raise `TrivialSubstitutionError` if every component of phi vanishes
     on solutions."""
-    if all(sys.reduce(c).is_zero for c in phi.components):
+    if all(sys.reduce(c).is_zero for c in phi):
         raise TrivialSubstitutionError("trivial substitution")
 
 
@@ -143,7 +143,7 @@ def differential_substitution_residual(sys: PdeSystem, phi) -> tuple[Expr, ...]:
     return _substitution_residual(sys, phi, _multiplier_substitution(sys, phi))
 
 
-def _substitution_residual(sys: PdeSystem, phi: Characteristic,
+def _substitution_residual(sys: PdeSystem, phi: tuple[Expr, ...],
                            sub: Callable[[Expr], Expr]) -> tuple[Expr, ...]:
     """`differential_substitution_residual` through `sub`, phi's
     `_multiplier_substitution`, which the caller may go on using."""
@@ -163,7 +163,7 @@ def selfadjoint_lambda(sys: PdeSystem, phi):
     quadratic equation content ("requires differential substitution").
     """
     phi = _as_characteristic(phi, len(sys.dep))
-    for c in phi.components:
+    for c in phi:
         if c.jet_order() > 0:
             raise SubstitutionClassError(
                 "requires differential substitution (component depends on "
@@ -193,7 +193,7 @@ def multiplier_residual(sys: PdeSystem, lam) -> tuple[Expr, ...]:
     reduced under the system's rules but NOT on solutions (multipliers
     must work for arbitrary u)."""
     lam = _as_characteristic(lam, len(sys.dep))
-    combined = sum_exprs(c * eq for c, eq in zip(lam.components, sys.equations))
+    combined = sum_exprs(c * eq for c, eq in zip(lam, sys.equations))
     return tuple(sys.rules.reduce(euler(combined, d)) for d in sys.dep)
 
 

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from ..ansatz import AnsatzProblem, solve_ansatz, TARGETS
 from ..conslaw import Generator, ibragimov_vector, verify_divergence
-from ..determining import (adjoint_invariance_conditions,
-                           adjoint_symmetry_residual,
-                           differential_substitution_residual,
-                           selfadjoint_lambda, symmetry_residual)
+from ..determining import adjoint_invariance_conditions, selfadjoint_lambda
 from ..expr.errors import ConslawError
+from ..expr.expression import Expr
 from ..expr.printer import expr_latex, expr_text
-from ..variational import Characteristic, adjoint_variables, is_variational
+from ..variational import adjoint_variables, is_variational
 from .report import Report
 from .session import CommandStmt, Session
 
@@ -28,19 +26,19 @@ class UsageError(ConslawError):
 
 
 def _characteristic(session: Session, val, kind: str = "characteristic"
-                    ) -> Characteristic:
+                    ) -> tuple[Expr, ...]:
     """A declared characteristic by name, or an inline expression (an
     `Expr`, see `parse_expression`) as a one-component characteristic; an
     undeclared name is reported as an unknown `kind`."""
     if not isinstance(val, str):
-        return Characteristic((val,))
+        return (val,)
     if val not in session.chars:
         raise UsageError(f"unknown {kind} {val!r}")
     return session.chars[val]
 
 
 def _char_arg(session: Session, args, what: str = "characteristic"
-              ) -> Characteristic:
+              ) -> tuple[Expr, ...]:
     if len(args) != 1:
         raise UsageError(f"expected exactly one {what} argument")
     return _characteristic(session, args[0][1])
@@ -80,31 +78,28 @@ def cmd_variational_check(session: Session, args) -> Report:
     )
 
 
-def cmd_symmetry_check(session: Session, args) -> Report:
-    sysm = session.require_system()
-    ch = _char_arg(session, args)
-    res = symmetry_residual(sysm, ch)
-    return _residual_report("symmetry-check", sysm, res,
-                            "symmetry characteristic", "not a symmetry")
+# command -> (`TARGETS` key of its residual, zero detail, nonzero detail)
+_RESIDUAL_CHECKS = {
+    "symmetry-check": ("symmetry", "symmetry characteristic",
+                       "not a symmetry"),
+    "adjoint-check": ("adjoint-symmetry",
+                      "adjoint symmetry (= differential substitution)",
+                      "not an adjoint symmetry"),
+    "substitution-check": ("differential-substitution",
+                           "differential substitution of nonlinear "
+                           "self-adjointness",
+                           "not a differential substitution"),
+}
 
 
-def cmd_adjoint_check(session: Session, args) -> Report:
-    sysm = session.require_system()
-    ch = _char_arg(session, args)
-    res = adjoint_symmetry_residual(sysm, ch)
-    return _residual_report("adjoint-check", sysm, res,
-                            "adjoint symmetry (= differential substitution)",
-                            "not an adjoint symmetry")
+def _residual_check(name: str):
+    target, detail_zero, detail_nonzero = _RESIDUAL_CHECKS[name]
 
-
-def cmd_substitution_check(session: Session, args) -> Report:
-    sysm = session.require_system()
-    ch = _char_arg(session, args)
-    res = differential_substitution_residual(sysm, ch)
-    return _residual_report("substitution-check", sysm, res,
-                            "differential substitution of nonlinear "
-                            "self-adjointness",
-                            "not a differential substitution")
+    def cmd(session: Session, args) -> Report:
+        sysm = session.require_system()
+        res = TARGETS[target](sysm, _char_arg(session, args))
+        return _residual_report(name, sysm, res, detail_zero, detail_nonzero)
+    return cmd
 
 
 def cmd_selfadjoint_check(session: Session, args) -> Report:
@@ -152,7 +147,7 @@ def _generator_arg(session: Session, val) -> Generator:
     if isinstance(val, str) and val in session.gens:
         return session.gens[val]
     ch = _characteristic(session, val, "generator")
-    return Generator.evolutionary(session.require_system(), *ch.components)
+    return Generator.evolutionary(session.require_system(), *ch)
 
 
 def cmd_conslaw(session: Session, args) -> Report:
@@ -252,9 +247,7 @@ def cmd_ansatz(session: Session, args) -> Report:
 
 COMMANDS = {
     "variational-check": cmd_variational_check,
-    "symmetry-check": cmd_symmetry_check,
-    "adjoint-check": cmd_adjoint_check,
-    "substitution-check": cmd_substitution_check,
+    **{name: _residual_check(name) for name in _RESIDUAL_CHECKS},
     "selfadjoint-check": cmd_selfadjoint_check,
     "multiplier-check": cmd_multiplier_check,
     "conslaw": cmd_conslaw,

@@ -32,7 +32,6 @@ from ..expr.printer import atom_text, expr_text
 from ..expr.rules import RewriteRule, RuleSet
 from ..jet import PdeSystem, solve_equation, solve_leading
 from ..record import MutableRecord, Record
-from ..variational import Characteristic
 from .lexer import ParseError, Token, tokenize
 
 __all__ = ["Session", "CommandStmt", "load_session", "parse_expression",
@@ -47,7 +46,8 @@ class CommandStmt(Record):
 
 class Session(MutableRecord):
     """The declarations of a session, filled in statement by statement,
-    each under its name; `statements` holds their source order."""
+    each under its name; `statements` holds their source order.  A
+    characteristic, like a vector, is a tuple of expressions."""
 
     __slots__ = ("statements",  # [(keyword, key)] in source order; key:
                                 # the name(s) declared, or the
@@ -56,7 +56,7 @@ class Session(MutableRecord):
                  "params",      # name -> Parameter
                  "funcs",       # name -> OpaqueDeriv, the function's value
                  "rule_list",   # [RewriteRule]
-                 "chars",       # name -> Characteristic
+                 "chars",       # name -> tuple[Expr, ...]
                  "gens",        # name -> Generator
                  "vectors",     # name -> tuple[Expr, ...]
                  "commands",    # [CommandStmt]
@@ -390,7 +390,7 @@ class _Parser:
         self.expect(";")
         self._check_arity(f"characteristic {name!r} has", comps, self.s.dep,
                           "dependent", kw)
-        self.s.chars[name] = Characteristic(comps)
+        self.s.chars[name] = comps
         return name
 
     def _gen(self, kw: Token) -> str:
@@ -495,7 +495,7 @@ def _stmt_text(kw: str, key, session: Session) -> str:
     if kw == "rule":
         return f"rule {atom_text(key.lhs)} -> {expr_text(key.rhs)}"
     if kw == "char":
-        return f"char {key} = {_tuple_text(session.chars[key].components, True)}"
+        return f"char {key} = {_tuple_text(session.chars[key], True)}"
     if kw == "gen":
         g = session.gens[key]
         return (f"gen {key}: xi = {_tuple_text(g.xi, False)}, "

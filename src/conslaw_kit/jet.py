@@ -31,8 +31,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterable, Sequence
 
-from .expr.atoms import (Atom, IndependentVar, JetVar, MultiIndex,
-                         OpaqueDeriv, mono_mul)
+from .expr.atoms import Atom, JetVar, MultiIndex, OpaqueDeriv, mono_mul
 from .expr.coeff import Poly
 from .expr.errors import ExprError, LeadingSolveError
 from .expr.expression import (Expr, _gather, _gradient_terms, atom_expr,
@@ -51,7 +50,7 @@ __all__ = [
 ]
 
 
-def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
+def total_derivative(e: Expr, var: str) -> Expr:
     """D_var e = de/dx_var + sum over the jet coordinates a of
     de/da * D_var a, the contraction of the jet-gradient walk.
 
@@ -61,8 +60,6 @@ def total_derivative(e: Expr, var: "str | IndependentVar") -> Expr:
     into one `_gather`.  The walk leaves out the entries of the other
     independent variables, which D_var would discard.
     """
-    if isinstance(var, IndependentVar):
-        var = var.name
     terms = []
     for a, ts in _gradient_terms(e, var).items():
         if a.__class__ is JetVar:

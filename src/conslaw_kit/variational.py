@@ -3,10 +3,14 @@
 Euler operator, formal Lagrangian with adjoined multiplier variables, the
 adjoint system, linearization of a PDE system and its formal adjoint
 applied to characteristics, and the self-adjointness test that decides
-whether a system is variational.  One reader, `_operator_table`, turns
-expressions into differential-operator coefficients: it gives the
-linearization from the equations and the formal adjoint from the adjoint
-system, which is linear in the adjoined variables.
+whether a system is variational.  A characteristic is a tuple of
+expressions, one per dependent variable, whether it is a symmetry, an
+adjoint symmetry, a substitution or a multiplier; `_as_characteristic`
+also takes a lone expression for a scalar system.  One reader,
+`_operator_table`, turns expressions into differential-operator
+coefficients: it gives the linearization from the equations and the
+formal adjoint from the adjoint system, which is linear in the adjoined
+variables.
 
 Four values depend on the system alone and are built once per system, in
 its `PdeSystem.memo`: the adjoint variables, the formal Lagrangian, the
@@ -23,39 +27,14 @@ from .jet import PdeSystem, alternating_sum, derivatives
 from .record import Record
 
 __all__ = [
-    "Characteristic", "euler", "adjoint_variables",
+    "euler", "adjoint_variables",
     "formal_lagrangian", "adjoint_system", "linearize_table", "linearize",
     "adjoint_linearize", "is_variational", "VariationalVerdict",
 ]
 
 
-class Characteristic(Record):
-    """Evolutionary-form components, one expression per dependent variable.
-
-    The same carrier serves symmetry characteristics, adjoint-symmetry
-    solutions, substitutions and multiplier candidates.
-    """
-
-    __slots__ = ("components",)   # tuple[Expr, ...]
-
-    @staticmethod
-    def of(*components: Expr) -> "Characteristic":
-        return Characteristic(tuple(components))
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-
-def _as_characteristic(c, m: int) -> Characteristic:
-    if isinstance(c, Characteristic):
-        ch = c
-    elif isinstance(c, Expr):
-        ch = Characteristic((c,))
-    else:
-        ch = Characteristic(tuple(c))
+def _as_characteristic(c, m: int) -> tuple[Expr, ...]:
+    ch = (c,) if isinstance(c, Expr) else tuple(c)
     if len(ch) != m:
         raise ExprError(f"characteristic has {len(ch)} components, system has {m}")
     return ch
@@ -93,15 +72,17 @@ def _fresh_stem_names(stem: str, n: int, used: set[str],
 
 def _fresh_names(sys: PdeSystem, stem: str) -> tuple[str, ...]:
     """One name per dependent variable, clashing with no name the system
-    uses; a scalar system's is the stem alone."""
+    uses, in its equations or its rules; a scalar system's is the stem
+    alone."""
     used = set(sys.indep) | set(sys.dep)
-    for eq in sys.equations:
-        for a in eq.atoms():
+    used.update(r.lhs.func for r in sys.rules)
+    for e in (*sys.equations, *(r.rhs for r in sys.rules)):
+        for a in e.atoms():
             if isinstance(a, JetVar):
                 used.add(a.dep)
             elif isinstance(a, OpaqueDeriv):
                 used.add(a.func)
-        used.update(p.name for p in eq.parameters())
+        used.update(p.name for p in e.parameters())
     return _fresh_stem_names(stem, len(sys.dep), used, len(sys.dep) == 1)
 
 
@@ -157,7 +138,7 @@ def linearize(sys: PdeSystem, eta) -> list[Expr]:
     """Linearization applied to a characteristic; expressions are not
     reduced on solutions (reduction is the caller's choice)."""
     ch = _as_characteristic(eta, len(sys.dep))
-    tables = [derivatives(c) for c in ch.components]
+    tables = [derivatives(c) for c in ch]
     return [sum_exprs(c * tables[r](J)
                       for r, pairs in enumerate(row) for J, c in pairs)
             for row in linearize_table(sys)]
@@ -175,7 +156,7 @@ def adjoint_linearize(sys: PdeSystem, omega) -> list[Expr]:
     """
     ch = _as_characteristic(omega, len(sys.dep))
     table = linearize_table(sys)
-    return [alternating_sum((J, ch.components[r] * c)
+    return [alternating_sum((J, ch[r] * c)
                             for r, row in enumerate(table)
                             for J, c in row[a])
             for a in range(len(sys.dep))]

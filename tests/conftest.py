@@ -14,7 +14,6 @@ from conslaw_kit.expr import (Expr, IndependentVar, JetVar, MultiIndex,
                               ivar, param, rational)
 from conslaw_kit.expr.expression import jet, jet_atom
 from conslaw_kit.jet import PdeSystem, solve_leading
-from conslaw_kit.variational import Characteristic
 from conslaw_kit.expr.rules import RewriteRule, RuleSet
 
 

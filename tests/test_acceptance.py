@@ -28,8 +28,7 @@ from conslaw_kit.expr import (Expr, MultiIndex, OpaqueDeriv, atom_expr,
                               exp_of, rational)
 from conslaw_kit.expr.expression import jet
 from conslaw_kit.jet import total_derivative
-from conslaw_kit.variational import (Characteristic, adjoint_system, euler,
-                                     is_variational)
+from conslaw_kit.variational import adjoint_system, euler, is_variational
 
 from conftest import Syms as S, child_env, random_expr
 
@@ -71,7 +70,7 @@ def thomas_theta():
 def test_criterion_01_wave_conserved_vector(wave):
     with _Budget(1, "wave conserved vector matches the printed pair", 5):
         vec = ibragimov_vector(wave, Generator.evolutionary(wave, -S.ut),
-                               Characteristic.of(S.u - S.x * S.ux))
+                               S.u - S.x * S.ux)
         rep = verify_divergence(wave, vec)
         assert rep.ok and rep.reduced_divergence.is_zero
         ct = (S.u - S.x * S.ux) * (S.u**2 * S.uxx + S.u * S.ux**2) \
@@ -100,7 +99,7 @@ def test_criterion_03_thomas_examples(thomas, thomas_f):
         one = Expr.const(1)
 
         # Example 1
-        phi1 = Characteristic.of(e2 * (S.ut + S.alpha / S.gamma))
+        phi1 = e2 * (S.ut + S.alpha / S.gamma)
         vec1 = ibragimov_vector(thomas, Generator.evolutionary(thomas, -S.ux),
                                 phi1)
         assert verify_divergence(thomas, vec1).reduced_divergence.is_zero
@@ -118,7 +117,7 @@ def test_criterion_03_thomas_examples(thomas, thomas_f):
         ft = atom_expr(OpaqueDeriv("f", (S.x_at, S.t_at), (0, 1)))
         fxt = atom_expr(OpaqueDeriv("f", (S.x_at, S.t_at), (1, 1)))
         eg = exp_of(S.gamma * S.u + 2 * S.alpha * S.t + 2 * S.beta * S.x)
-        phi2 = Characteristic.of(e2 * (S.ux + S.beta / S.gamma))
+        phi2 = e2 * (S.ux + S.beta / S.gamma)
         eta2 = f * exp_of(-S.gamma * S.u)
         vec2 = ibragimov_vector(thomas, Generator.evolutionary(thomas, eta2),
                                 phi2)
@@ -136,9 +135,8 @@ def test_criterion_03_thomas_examples(thomas, thomas_f):
 
         # Example 3 (family-consistent substitution; printed C^t corrected
         # by the missing u_t factor)
-        phi3 = Characteristic.of(
-            e2 * (S.x * S.ux - S.t * S.ut
-                  + (S.beta * S.x - S.alpha * S.t) / S.gamma))
+        phi3 = e2 * (S.x * S.ux - S.t * S.ut
+                     + (S.beta * S.x - S.alpha * S.t) / S.gamma)
         vec3 = ibragimov_vector(thomas, Generator.evolutionary(thomas, -S.ut),
                                 phi3)
         assert verify_divergence(thomas, vec3).reduced_divergence.is_zero
@@ -171,9 +169,8 @@ def test_criterion_04_substitution_adjoint_equivalence(wave, thomas):
                            + (S.beta * S.x - S.alpha * S.t) / S.gamma)),
         ]
         for sys, comp in corpus:
-            ch = Characteristic.of(comp)
-            a = differential_substitution_residual(sys, ch)
-            b = adjoint_symmetry_residual(sys, ch)
+            a = differential_substitution_residual(sys, comp)
+            b = adjoint_symmetry_residual(sys, comp)
             assert (a[0] - b[0]).is_zero
             assert a[0].is_zero  # all six are adjoint symmetries
 
@@ -186,9 +183,8 @@ def test_criterion_04_substitution_adjoint_equivalence(wave, thomas):
                 comp = random_expr(rng, pool=pool, max_terms=2, allow_exp=True)
                 if sys.reduce(comp).is_zero:
                     continue
-                ch = Characteristic.of(comp)
-                a = differential_substitution_residual(sys, ch)
-                b = adjoint_symmetry_residual(sys, ch)
+                a = differential_substitution_residual(sys, comp)
+                b = adjoint_symmetry_residual(sys, comp)
                 assert (a[0] - b[0]).is_zero, \
                     f"{sys.eq_names[0]} case {done} (seed {seed})"
                 done += 1
@@ -197,7 +193,7 @@ def test_criterion_04_substitution_adjoint_equivalence(wave, thomas):
 def test_criterion_05_multiplier_subset_witness(wave):
     with _Budget(5, "u - x u_x: adjoint symmetry, not multiplier, extra "
                     "condition = 3", 10):
-        scaling = Characteristic.of(S.u - S.x * S.ux)
+        scaling = S.u - S.x * S.ux
         assert adjoint_symmetry_residual(wave, scaling)[0].is_zero
         assert not multiplier_residual(wave, scaling)[0].is_zero
         _, parts, extras = adjoint_invariance_conditions(wave, scaling)
@@ -205,10 +201,9 @@ def test_criterion_05_multiplier_subset_witness(wave):
         assert len(extras) == 1
         assert extras[0][1] == Expr.const(3)
         for comp in (S.ut, S.ux):
-            ch = Characteristic.of(comp)
-            assert adjoint_symmetry_residual(wave, ch)[0].is_zero
-            assert multiplier_residual(wave, ch)[0].is_zero
-            _, parts, extras = adjoint_invariance_conditions(wave, ch)
+            assert adjoint_symmetry_residual(wave, comp)[0].is_zero
+            assert multiplier_residual(wave, comp)[0].is_zero
+            _, parts, extras = adjoint_invariance_conditions(wave, comp)
             assert parts[0].is_zero and not extras
 
 
@@ -231,18 +226,16 @@ def test_criterion_07_substitution_family(thomas, thomas_b):
         e2 = exp_of(2 * theta)
         basis = (e2, e2 * S.t * S.ut, e2 * S.ut, e2 * S.x * S.ux, e2 * S.ux,
                  e2 * S.x, e2 * S.t, Expr.const(1))
-        problem = AnsatzProblem(thomas, "adjoint-symmetry",
-                                tuple(Characteristic.of(b) for b in basis))
+        problem = AnsatzProblem(thomas, "adjoint-symmetry", basis)
         result = solve_ansatz(problem)   # soundness check runs inside
         assert result.dimension == 4
         for vec in result.vectors:
             comp = Expr.zero()
             for entry, b in zip(vec.entry_exprs(), basis):
                 comp = comp + entry * b
-            assert adjoint_symmetry_residual(
-                thomas, Characteristic.of(comp))[0].is_zero
+            assert adjoint_symmetry_residual(thomas, comp)[0].is_zero
         B = atom_expr(OpaqueDeriv("B", (S.x_at, S.t_at)))
-        phiB = Characteristic.of(B * exp_of(S.gamma * S.u))
+        phiB = B * exp_of(S.gamma * S.u)
         assert adjoint_symmetry_residual(thomas_b, phiB)[0].is_zero
         assert not adjoint_symmetry_residual(thomas, phiB)[0].is_zero
 

@@ -16,7 +16,6 @@ from conslaw_kit.determining import (adjoint_invariance_conditions,
                                      multiplier_residual, selfadjoint_lambda,
                                      symmetry_residual)
 from conslaw_kit.jet import solve_leading, total_derivative
-from conslaw_kit.variational import Characteristic
 
 from conftest import Syms as S, random_expr
 
@@ -80,54 +79,53 @@ class TestEDecompose:
 
 class TestSymmetryResidual:
     def test_wave_scaling_symmetry(self, wave):
-        assert symmetry_residual(wave, Characteristic.of(S.u - S.x * S.ux))[0].is_zero
+        assert symmetry_residual(wave, S.u - S.x * S.ux)[0].is_zero
 
     def test_wave_time_translation(self, wave):
-        assert symmetry_residual(wave, Characteristic.of(S.ut))[0].is_zero
+        assert symmetry_residual(wave, S.ut)[0].is_zero
 
     def test_thomas_opaque_family(self, thomas, thomas_f):
         f = atom_expr(OpaqueDeriv("f", (S.x_at, S.t_at)))
         eta = f * exp_of(-S.gamma * S.u)
-        res = symmetry_residual(thomas_f, Characteristic.of(eta))
+        res = symmetry_residual(thomas_f, eta)
         assert res[0].is_zero
-        res_no = symmetry_residual(thomas, Characteristic.of(eta))
+        res_no = symmetry_residual(thomas, eta)
         assert not res_no[0].is_zero
 
     def test_nonsymmetry(self, wave):
-        assert not symmetry_residual(wave, Characteristic.of(S.x * S.u))[0].is_zero
+        assert not symmetry_residual(wave, S.x * S.u)[0].is_zero
 
 
 class TestAdjointSymmetryResidual:
     def test_wave_self_adjoint_scaling(self, wave):
         assert adjoint_symmetry_residual(
-            wave, Characteristic.of(S.u - S.x * S.ux))[0].is_zero
+            wave, S.u - S.x * S.ux)[0].is_zero
 
     def test_thomas_example1(self, thomas, thomas_theta):
         phi = exp_of(2 * thomas_theta) * (S.ut + S.alpha / S.gamma)
-        assert adjoint_symmetry_residual(thomas, Characteristic.of(phi))[0].is_zero
+        assert adjoint_symmetry_residual(thomas, phi)[0].is_zero
 
     def test_thomas_family_member(self, thomas, thomas_theta):
         phi = exp_of(2 * thomas_theta) * (
             S.x * S.ux - S.t * S.ut + (S.beta * S.x - S.alpha * S.t) / S.gamma)
-        assert adjoint_symmetry_residual(thomas, Characteristic.of(phi))[0].is_zero
+        assert adjoint_symmetry_residual(thomas, phi)[0].is_zero
 
     def test_published_example3_constant_is_a_typo(self, thomas, thomas_theta):
         # (beta*t - alpha*x)/gamma, as printed, fails the determining system;
         # the family-consistent constant is (beta*x - alpha*t)/gamma.
         phi = exp_of(2 * thomas_theta) * (
             S.x * S.ux - S.t * S.ut + (S.beta * S.t - S.alpha * S.x) / S.gamma)
-        assert not adjoint_symmetry_residual(thomas, Characteristic.of(phi))[0].is_zero
+        assert not adjoint_symmetry_residual(thomas, phi)[0].is_zero
 
     def test_thomas_opaque_substitution(self, thomas_b):
         B = atom_expr(OpaqueDeriv("B", (S.x_at, S.t_at)))
         phi = B * exp_of(S.gamma * S.u)
-        assert adjoint_symmetry_residual(
-            thomas_b, Characteristic.of(phi))[0].is_zero
+        assert adjoint_symmetry_residual(thomas_b, phi)[0].is_zero
 
 
 class TestDifferentialSubstitution:
     def test_agrees_with_adjoint_residual_on_solutions_of_it(self, wave):
-        phi = Characteristic.of(S.u - S.x * S.ux)
+        phi = S.u - S.x * S.ux
         a = differential_substitution_residual(wave, phi)
         b = adjoint_symmetry_residual(wave, phi)
         assert a[0].is_zero and b[0].is_zero
@@ -142,47 +140,44 @@ class TestDifferentialSubstitution:
                                    max_terms=2, allow_exp=True)
                 if sys.reduce(comp).is_zero:
                     continue
-                ch = Characteristic.of(comp)
-                a = differential_substitution_residual(sys, ch)
-                b = adjoint_symmetry_residual(sys, ch)
+                a = differential_substitution_residual(sys, comp)
+                b = adjoint_symmetry_residual(sys, comp)
                 assert (a[0] - b[0]).is_zero, \
                     f"system {i} case {j} (seed 424242)"
 
     def test_trivial_substitution_rejected(self, thomas):
         with pytest.raises(TrivialSubstitutionError):
-            differential_substitution_residual(
-                thomas, Characteristic.of(Expr.zero()))
+            differential_substitution_residual(thomas, Expr.zero())
         # vanishing only on solutions is also trivial
         with pytest.raises(TrivialSubstitutionError):
-            differential_substitution_residual(
-                thomas, Characteristic.of(thomas.equations[0]))
+            differential_substitution_residual(thomas, thomas.equations[0])
 
 
 class TestSelfAdjointLambda:
     def test_thomas_point_substitution(self, thomas_b):
         B = atom_expr(OpaqueDeriv("B", (S.x_at, S.t_at)))
         phi = B * exp_of(S.gamma * S.u)
-        lam = selfadjoint_lambda(thomas_b, Characteristic.of(phi))
+        lam = selfadjoint_lambda(thomas_b, phi)
         assert lam[0][0] == -S.gamma * phi
 
     def test_wave_strict_substitution_fails_consistently(self, wave):
         # v = u is not a point substitution for the wave equation; the
         # failure, a None factor matrix, must agree with the
         # adjoint-symmetry residual being nonzero.
-        residual = adjoint_symmetry_residual(wave, Characteristic.of(S.u))
+        residual = adjoint_symmetry_residual(wave, S.u)
         assert not residual[0].is_zero
-        assert selfadjoint_lambda(wave, Characteristic.of(S.u)) is None
+        assert selfadjoint_lambda(wave, S.u) is None
 
     def test_derivative_dependence_rejected(self, thomas, thomas_theta):
         phi = exp_of(2 * thomas_theta) * (S.ut + S.alpha / S.gamma)
         with pytest.raises(SubstitutionClassError,
                            match="requires differential substitution"):
-            selfadjoint_lambda(thomas, Characteristic.of(phi))
+            selfadjoint_lambda(thomas, phi)
 
 
 class TestMultiplier:
     def test_wave_energy_multiplier(self, wave):
-        assert multiplier_residual(wave, Characteristic.of(S.ut))[0].is_zero
+        assert multiplier_residual(wave, S.ut)[0].is_zero
 
     def test_wave_energy_conserved_vector_oracle(self, wave):
         # Independent identity: D_t(u_t^2/2 + u^2 u_x^2/2) + D_x(-u^2 u_x u_t)
@@ -194,14 +189,14 @@ class TestMultiplier:
         assert div == S.ut * wave.equations[0]
 
     def test_wave_momentum_multiplier(self, wave):
-        assert multiplier_residual(wave, Characteristic.of(S.ux))[0].is_zero
+        assert multiplier_residual(wave, S.ux)[0].is_zero
 
     def test_wave_scaling_is_not_multiplier(self, wave):
-        res = multiplier_residual(wave, Characteristic.of(S.u - S.x * S.ux))
+        res = multiplier_residual(wave, S.u - S.x * S.ux)
         assert res[0] == 3 * wave.equations[0]
 
     def test_zero_is_trivial_multiplier(self, wave):
-        assert multiplier_residual(wave, Characteristic.of(Expr.zero()))[0].is_zero
+        assert multiplier_residual(wave, Expr.zero())[0].is_zero
 
 
 class TestSymbolicMultiplierSplit:
@@ -221,8 +216,7 @@ class TestSymbolicMultiplierSplit:
         d = e_decompose(res, wave)
         assert d.is_linear
         assert set(d.coeffs) == {(0, MultiIndex())}
-        assert d.remainder == adjoint_symmetry_residual(
-            wave, Characteristic.of(self.lam()))[0]
+        assert d.remainder == adjoint_symmetry_residual(wave, self.lam())[0]
         assert d.reassemble() == res
 
     def test_extra_condition_closed_form(self, wave):
@@ -266,7 +260,7 @@ class TestSymbolicMultiplierSplit:
 class TestAdjointInvariance:
     def test_wave_scaling_witness_constant_three(self, wave):
         _, parts, extras = adjoint_invariance_conditions(
-            wave, Characteristic.of(S.u - S.x * S.ux))
+            wave, S.u - S.x * S.ux)
         assert parts[0].is_zero
         assert len(extras) == 1
         (key, coeff) = extras[0]
@@ -285,8 +279,7 @@ class TestAdjointInvariance:
 
     def test_multipliers_pass_both(self, wave):
         for comp in (S.ut, S.ux):
-            _, parts, extras = adjoint_invariance_conditions(
-                wave, Characteristic.of(comp))
+            _, parts, extras = adjoint_invariance_conditions(wave, comp)
             assert parts[0].is_zero
             assert not extras
 
@@ -297,16 +290,15 @@ class TestAdjointInvariance:
                                max_terms=2)
             if comp.is_zero:
                 continue
-            lam = Characteristic.of(comp)
-            lhs = wave.reduce(multiplier_residual(wave, lam)[0])
-            rhs = adjoint_symmetry_residual(wave, lam)[0]
+            lhs = wave.reduce(multiplier_residual(wave, comp)[0])
+            rhs = adjoint_symmetry_residual(wave, comp)[0]
             assert lhs == rhs, f"case {i} (seed 271828)"
 
     def test_multipliers_are_adjoint_symmetries_not_conversely(self, wave):
         # Every multiplier is an adjoint symmetry; the converse fails on
         # the scaling characteristic.
         for comp in (S.ut, S.ux):
-            assert adjoint_symmetry_residual(wave, Characteristic.of(comp))[0].is_zero
-        scaling = Characteristic.of(S.u - S.x * S.ux)
+            assert adjoint_symmetry_residual(wave, comp)[0].is_zero
+        scaling = S.u - S.x * S.ux
         assert adjoint_symmetry_residual(wave, scaling)[0].is_zero
         assert not multiplier_residual(wave, scaling)[0].is_zero

@@ -53,7 +53,7 @@ class TestParsing:
 
     def test_mixed_chains_resolve_in_order(self):
         s = load_session(WAVE_SRC + "char c = x - u*x/2*u + 3 - u/3 + x;\n")
-        assert s.chars["c"].components[0] == \
+        assert s.chars["c"][0] == \
             (S.x - S.u * S.x * S.u / 2) + 3 - S.u / 3 + S.x
 
     def test_duplicate_declaration(self):
@@ -71,7 +71,7 @@ class TestParsing:
 
     def test_numbers_and_fractions(self):
         s = load_session(WAVE_SRC + "char c = 3/2*u;\n")
-        assert s.chars["c"].components[0] == S.u.scale(Fraction(3, 2))
+        assert s.chars["c"][0] == S.u.scale(Fraction(3, 2))
 
     def test_comment_handling(self):
         s = load_session("# leading comment\nindep t x; # trailing\ndep u;\n")

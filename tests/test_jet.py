@@ -146,7 +146,6 @@ class TestProductRule:
         got = total_derivative(e, var)
         want = ref_total_derivative(e, var)
         assert got == want and got.terms == want.terms
-        assert total_derivative(e, IndependentVar(var)) == got
 
     def test_other_variable_factors_and_arguments(self):
         """x and t as factors, as slots of h(x, t) and inside an exponent:

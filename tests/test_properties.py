@@ -31,8 +31,7 @@ from conslaw_kit.expr import printer
 from conslaw_kit.expr.printer import (_atom_display_key, _term_display_key,
                                       atom_text, expr_latex, expr_text)
 from conslaw_kit.jet import total_derivative
-from conslaw_kit.variational import (Characteristic, adjoint_linearize,
-                                     euler, linearize)
+from conslaw_kit.variational import adjoint_linearize, euler, linearize
 
 from conftest import (DEFAULT_POOL, Syms as S, child_env, random_expr,
                       random_tree)
@@ -223,14 +222,11 @@ class TestDivergencePairing:
         count = 0
         for sys in (wave, thomas):
             for i in range(55):
-                eta = Characteristic.of(
-                    random_expr(rng, pool=SMALL_POOL, max_terms=2))
-                omega = Characteristic.of(
-                    random_expr(rng, pool=SMALL_POOL, max_terms=2))
+                eta = random_expr(rng, pool=SMALL_POOL, max_terms=2)
+                omega = random_expr(rng, pool=SMALL_POOL, max_terms=2)
                 le = linearize(sys, eta)
                 ae = adjoint_linearize(sys, omega)
-                pairing = omega.components[0] * le[0] \
-                    - eta.components[0] * ae[0]
+                pairing = omega * le[0] - eta * ae[0]
                 assert euler(pairing, "u").is_zero, \
                     f"{sys.eq_names[0]} case {i} (seed 60221023)"
                 count += 1

@@ -29,8 +29,7 @@ from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr, IndependentVar,
                               jet_atom)
 from conslaw_kit.jet import PdeSystem, total_derivative
 from conslaw_kit.record import KeyRecord, MutableRecord, Record
-from conslaw_kit.variational import (Characteristic, adjoint_system,
-                                     is_variational)
+from conslaw_kit.variational import adjoint_system, is_variational
 
 from conftest import child_env
 
@@ -72,14 +71,14 @@ def _samples() -> dict[type, Record]:
     gen, char = session.gens["g"], session.chars["c"]
     vec = ibragimov_vector(sys_, gen)
     ibragimov_vector(sys_, gen, char)   # the substitution verdict
-    problem = AnsatzProblem(sys_, "symmetry", (char, Characteristic.of(jet("u"))))
+    problem = AnsatzProblem(sys_, "symmetry", (char, jet("u")))
     result = solve_ansatz(problem)
     assert result.vectors and result.rows
     expr = sys_.equations[0]
     objs = [
         *tokenize(SESSION), session.commands[0],
         session, session.funcs["f"], sys_, sys_.rules, sys_.rules.rules[0],
-        char, gen, vec, run_session_command(session, session.commands[0]),
+        gen, vec, run_session_command(session, session.commands[0]),
         e_decompose(total_derivative(expr, "x"), sys_),
         verify_divergence(sys_, vec), compare_vectors(sys_, vec.components,
                                                       vec.components),

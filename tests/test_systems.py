@@ -14,8 +14,7 @@ from conslaw_kit.dsl import load_session, run_command
 from conslaw_kit.expr import Expr, Poly, rational
 from conslaw_kit.expr.expression import jet, jet_atom
 from conslaw_kit.jet import solve_leading
-from conslaw_kit.variational import (Characteristic, adjoint_variables,
-                                     is_variational)
+from conslaw_kit.variational import adjoint_variables, is_variational
 
 from conftest import random_expr
 
@@ -53,7 +52,7 @@ def test_not_formally_self_adjoint(first_order_wave):
 
 
 def test_energy_multiplier_pair(first_order_wave):
-    lam = Characteristic.of(U, V)
+    lam = (U, V)
     res = multiplier_residual(first_order_wave, lam)
     assert all(r.is_zero for r in res)
     assert all(r.is_zero
@@ -69,9 +68,8 @@ def test_substitution_residual_identity_two_components(first_order_wave):
                  random_expr(rng, pool=pool, max_terms=2))
         if all(first_order_wave.reduce(c).is_zero for c in comps):
             continue
-        ch = Characteristic(comps)
-        a = differential_substitution_residual(first_order_wave, ch)
-        b = adjoint_symmetry_residual(first_order_wave, ch)
+        a = differential_substitution_residual(first_order_wave, comps)
+        b = adjoint_symmetry_residual(first_order_wave, comps)
         assert all((x - y).is_zero for x, y in zip(a, b)), \
             f"case {i} (seed 271)"
 
@@ -97,18 +95,14 @@ def test_energy_conserved_vector(first_order_wave):
 def test_pipeline_with_translation_generator(first_order_wave):
     sys = first_order_wave
     gen = Generator.evolutionary(sys, -UT, -VT)
-    vec = ibragimov_vector(sys, gen, Characteristic.of(U, V))
+    vec = ibragimov_vector(sys, gen, (U, V))
     assert vec.substitution_ok
     assert verify_divergence(sys, vec).ok
 
 
 def test_ansatz_over_component_basis(first_order_wave):
     sys = first_order_wave
-    basis = (
-        Characteristic.of(U, V),
-        Characteristic.of(V, U),
-        Characteristic.of(U, Expr.zero()),
-    )
+    basis = ((U, V), (V, U), (U, Expr.zero()))
     res = solve_ansatz(AnsatzProblem(sys, "adjoint-symmetry", basis))
     # (u, v) and (v, u) are adjoint symmetries; (u, 0) is not and cannot
     # be repaired by the other two.

@@ -4,11 +4,14 @@ Every determining residual is linear in its characteristic, so the
 residual of a combination sum c_k * basis_k is sum c_k * residual(basis_k).
 Each basis element's residual is computed once; splitting it over jet
 monomials and free coordinates gives column k of a homogeneous linear
-system for the unknown constants.  Its sparse rows (nonzero entries only)
-are solved by Gauss-Jordan steps over the Laurent polynomials in the
-parameters while every pivot is a unit, and otherwise by fraction-free
-steps on the same rows, with side conditions.  Every nullspace vector is
-substituted back into the combined residual, which must vanish.
+system for the unknown constants.  A row is a tuple of its nonzero
+entries, (k, Poly) pairs in ascending k.  The rows are solved by
+Gauss-Jordan steps over the Laurent polynomials in the parameters while
+every pivot is a unit, and otherwise by fraction-free steps on the same
+rows, with side conditions.  A nullspace vector is the tuple of its
+cleared numerators, one `Poly` per unknown; `entry_exprs` reads it as
+expressions.  Every vector is substituted back into the combined
+residual, which must vanish.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from .expr.expression import Expr, Powers, graded_key, sum_exprs
 from .expr.printer import poly_text
 from .jet import PdeSystem
 from .record import Record
-from .variational import _as_characteristic, _fresh_stem_names
+from .variational import _as_characteristic, _fresh_names, _names_used
 
 __all__ = [
-    "TARGETS", "AnsatzProblem", "Row", "NullspaceVector",
-    "LinearSolveResult", "build_and_split", "solve_linear", "solve_ansatz",
+    "TARGETS", "AnsatzProblem", "LinearSolveResult", "build_and_split",
+    "solve_linear", "entry_exprs", "solve_ansatz",
 ]
 
 TARGETS: dict[str, Callable] = {
@@ -48,12 +51,12 @@ class AnsatzProblem(Record):
     Basis entries are characteristics, one expression per dependent
     variable (a single expression for a scalar system); `basis` holds
     them as tuples.  The rows come from the residual of each basis
-    element, by linearity; the unknowns c1..cN, fresh parameter names,
-    only label the solution and never enter an expression.  Parameters
-    are treated generically: a coefficient vanishes only if it is
-    identically zero as a rational function.  For the symmetry targets a
-    basis element that vanishes on solutions is rejected: it would be a
-    trivial direction.
+    element, by linearity.  The unknowns c1..cN only label the solution,
+    never enter an expression and clash with no name the system or the
+    basis uses.  Parameters are treated generically: a coefficient
+    vanishes only if it is identically zero as a rational function.  For
+    the symmetry targets a basis element that vanishes on solutions is
+    rejected: it would be a trivial direction.
     """
 
     __slots__ = ("system", "target", "basis")
@@ -82,11 +85,9 @@ class AnsatzProblem(Record):
 
     @property
     def unknowns(self) -> tuple[Parameter, ...]:
-        taken = {p.name for e in itertools.chain(self.system.equations,
-                                                 *self.basis)
-                 for p in e.parameters()}
-        return tuple(map(Parameter, _fresh_stem_names(
-            "c", len(self.basis), taken)))
+        return tuple(map(Parameter, _fresh_names(
+            self.system, "c", len(self.basis),
+            _names_used(itertools.chain(*self.basis)))))
 
 
 def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> tuple[Expr, ...]:
@@ -95,15 +96,7 @@ def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> tuple[Expr, ...]:
                  for i in range(len(p.system.dep)))
 
 
-class Row(Record):
-    """One linear condition sum c_k * e_k = 0 over the pairs (k, e_k) in
-    `entries`, keyed by the jet monomial (and residual component) that
-    produced it.  The pairs are sparse: ascending k, nonzero e_k only."""
-
-    __slots__ = ("key", "component", "entries")
-
-
-def build_and_split(p: AnsatzProblem) -> list[Row]:
+def build_and_split(p: AnsatzProblem) -> list[tuple[tuple[int, Poly], ...]]:
     """Rows of residual(sum c_k * basis_k), one per residual component and
     power product: the entry of c_k is that power product's coefficient
     in the residual of basis_k.  Rows come by component, then in the
@@ -116,29 +109,7 @@ def build_and_split(p: AnsatzProblem) -> list[Row]:
                 cells.setdefault((comp, powers), {})[k] = as_poly(c)
     order = sorted(cells.items(), reverse=True,
                    key=lambda kv: (-kv[0][0], graded_key(kv[0][1])))
-    return [Row(powers, comp, tuple(column.items()))
-            for (comp, powers), column in order]
-
-
-class NullspaceVector(Record):
-    """Exact solution vector: entry k is numerators[k] / denominator.
-
-    The denominator equals the first nonzero numerator, so the first
-    nonzero entry is exactly 1; the cleared polynomial form (the
-    numerators) is what gets substituted back for verification.
-    """
-
-    __slots__ = ("numerators", "denominator")
-
-    def entry_exprs(self) -> tuple[Expr, ...]:
-        """Entries as expressions when the denominator is an invertible
-        constant; otherwise the cleared representative (a harmless overall
-        scale for homogeneous problems)."""
-        try:
-            inv = self.denominator.invert_unit()
-        except ExprError:
-            return tuple(Expr.from_coeff(n) for n in self.numerators)
-        return tuple(Expr.from_coeff(n * inv) for n in self.numerators)
+    return [tuple(column.items()) for _, column in order]
 
 
 class LinearSolveResult(Record):
@@ -166,26 +137,28 @@ def _cleared(polys: Sequence[Poly]) -> Sequence[Poly]:
     return polys
 
 
-def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
-                 ) -> LinearSolveResult:
+def solve_linear(rows: Sequence[tuple[tuple[int, Poly], ...]],
+                 unknowns: Sequence[Parameter]) -> LinearSolveResult:
     """Exact nullspace of the rows over the parameters' rational functions.
 
-    Rows are cleared of denominators and deduplicated, then eliminated by
+    Each row is its sparse entries, (k, Poly) pairs in ascending k.  Rows
+    are cleared of denominators and deduplicated, then eliminated by
     sparse Gauss-Jordan steps over `Poly` while every pivot is a unit (a
     rational times a monomial in nonzero-declared parameters).  From the
     first pivot that is not, fraction-free steps solve the cleared rows
     again and record each such pivot as a side condition (the generic
-    branch is taken).  The returned basis is deterministic, normalized so
-    each vector's first nonzero entry is 1.
+    branch is taken).  The returned basis is deterministic: each vector
+    is its cleared numerators, the first nonzero one with a positive
+    leading term.
     """
     n = len(unknowns)
     mat: list[dict[int, Poly]] = []
     seen: set[tuple] = set()
-    kept_rows: list[Row] = []
+    kept_rows = []
     for row in rows:
-        if not row.entries:
+        if not row:
             continue
-        ks, polys = zip(*row.entries)
+        ks, polys = zip(*row)
         polys = _cleared(polys)
         key = (ks, tuple(p.terms for p in polys))
         if key in seen:
@@ -200,7 +173,7 @@ def solve_linear(rows: Sequence[Row], unknowns: Sequence[Parameter]
 
 
 def _nullspace(rows: list[dict[int, Poly]], n: int
-               ) -> tuple[list[NullspaceVector], list[str]]:
+               ) -> tuple[list[tuple[Poly, ...]], list[str]]:
     """Nullspace of the rows {column: nonzero entry} over `Poly`, and the
     side conditions of the generic branch; may rewrite `rows` in place.
 
@@ -276,10 +249,10 @@ def _nullspace(rows: list[dict[int, Poly]], n: int
     return vectors, list(recorded.values())
 
 
-def _normalize_vector(entries: list[Poly]) -> NullspaceVector:
+def _normalize_vector(entries: list[Poly]) -> tuple[Poly, ...]:
     """Clear the denominators, divide out the rational and monomial
     content and make the leading term of the first nonzero entry
-    positive; that entry is the denominator."""
+    positive."""
     cleared = _cleared(entries)
     nonzero = [p for p in cleared if not p.is_zero]
     mono_common = nonzero[0].mono_content()
@@ -287,11 +260,21 @@ def _normalize_vector(entries: list[Poly]) -> NullspaceVector:
         mono_common = mono_gcd(mono_common, p.mono_content())
     if mono_common:
         cleared = [p.div_mono(mono_common) for p in cleared]
-    first = next(p for p in cleared if not p.is_zero)
-    if first.leading()[1] < 0:
+    if nonzero[0].leading()[1] < 0:
         cleared = [-p for p in cleared]
-        first = -first
-    return NullspaceVector(tuple(cleared), first)
+    return tuple(cleared)
+
+
+def entry_exprs(vector: Sequence[Poly]) -> tuple[Expr, ...]:
+    """A nullspace vector's entries as expressions, divided by its first
+    nonzero numerator when that is a unit, so that entry is 1; otherwise
+    the cleared numerators (a harmless overall scale for homogeneous
+    problems)."""
+    try:
+        inv = next(p for p in vector if not p.is_zero).invert_unit()
+    except ExprError:
+        return tuple(map(Expr.from_coeff, vector))
+    return tuple(Expr.from_coeff(n * inv) for n in vector)
 
 
 def solve_ansatz(p: AnsatzProblem) -> LinearSolveResult:
@@ -303,8 +286,8 @@ def solve_ansatz(p: AnsatzProblem) -> LinearSolveResult:
     return result
 
 
-def _check_solution(p: AnsatzProblem, vec: NullspaceVector) -> None:
-    comb = _combine(p, [Expr.from_coeff(n) for n in vec.numerators])
+def _check_solution(p: AnsatzProblem, vec: tuple[Poly, ...]) -> None:
+    comb = _combine(p, [Expr.from_coeff(n) for n in vec])
     if all(c.is_zero for c in comb):
         return
     residual = TARGETS[p.target](p.system, comb)

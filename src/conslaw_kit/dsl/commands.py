@@ -8,13 +8,13 @@ errors).
 
 from __future__ import annotations
 
-from ..ansatz import AnsatzProblem, solve_ansatz, TARGETS
+from ..ansatz import AnsatzProblem, entry_exprs, solve_ansatz, TARGETS
 from ..conslaw import Generator, ibragimov_vector, verify_divergence
 from ..determining import adjoint_invariance_conditions, selfadjoint_lambda
 from ..expr.errors import ConslawError
 from ..expr.expression import Expr
 from ..expr.printer import expr_latex, expr_text
-from ..variational import adjoint_variables, is_variational
+from ..variational import _names_used, adjoint_variables, is_variational
 from .report import Report
 from .session import CommandStmt, Session
 
@@ -159,6 +159,13 @@ def cmd_conslaw(session: Session, args) -> Report:
     phi = _characteristic(session, args[1][1]) if len(args) > 1 else None
     if len(args) > 2:
         raise UsageError("conslaw takes at most two arguments")
+    # without a substitution the adjoint variables stay in the components
+    clash = sorted(set(adjoint_variables(sysm))
+                   & _names_used((*gen.xi, *gen.eta))) if phi is None else []
+    if clash:
+        raise UsageError(
+            f"the generator uses {', '.join(clash)}, the name of an adjoint "
+            "variable; give a substitution or rename it")
 
     vec = ibragimov_vector(sysm, gen, phi)
     rep_v = verify_divergence(sysm, vec)
@@ -192,7 +199,7 @@ def _identity(sysm, rep_v) -> dict:
     return {
         "terms": [(sysm.eq_names[b], ",".join(J.to_seq()), c)
                   for (b, J), c in rep_v.decomposition.coeffs.items()],
-        "remainder": rep_v.reduced_divergence,
+        "remainder": rep_v.decomposition.remainder,
     }
 
 
@@ -210,7 +217,7 @@ def cmd_verify(session: Session, args) -> Report:
         "zero" if rep_v.ok else "nonzero",
         ("divergence vanishes on the solution manifold" if rep_v.ok
          else "divergence does not vanish on solutions"),
-        residuals=[("remainder", rep_v.reduced_divergence)],
+        residuals=[("remainder", rep_v.decomposition.remainder)],
         identity=_identity(sysm, rep_v),
         extra={"nontrivial": rep_v.nontrivial},
     )
@@ -230,7 +237,7 @@ def cmd_ansatz(session: Session, args) -> Report:
     result = solve_ansatz(problem)
     vec_lines = []
     for v in result.vectors:
-        entries = ", ".join(expr_text(x) for x in v.entry_exprs())
+        entries = ", ".join(expr_text(x) for x in entry_exprs(v))
         vec_lines.append(f"({entries})")
     return Report(
         "ansatz", "zero",

@@ -176,10 +176,6 @@ class Expr(Record):
                     out.update(a.exponent.atoms())
         return out
 
-    def jet_atoms(self, dep: str | None = None) -> set[JetVar]:
-        return {a for a in self.atoms()
-                if isinstance(a, JetVar) and (dep is None or a.dep == dep)}
-
     def jet_order(self) -> int:
         """Highest derivative order present, counting opaque-function
         arguments (a function of u_x has order 1)."""

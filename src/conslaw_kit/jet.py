@@ -274,7 +274,7 @@ def solve_equation(eq: Expr, lead: JetVar | None, name: str,
 
 
 def _default_leading(eq: Expr, indep: tuple[str, ...]) -> JetVar:
-    jets = [a for a in eq.jet_atoms() if a.order > 0]
+    jets = [a for a in eq.atoms() if isinstance(a, JetVar) and a.order > 0]
     if not jets:
         raise LeadingSolveError("equation contains no derivative to solve for")
     def key(a: JetVar):

@@ -20,6 +20,8 @@ here is computed afresh on each call.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .expr.atoms import JetVar, OpaqueDeriv
 from .expr.errors import ExprError
 from .expr.expression import Expr, atom_expr, jet_gradient, sum_exprs
@@ -60,30 +62,34 @@ def adjoint_variables(sys: PdeSystem) -> tuple[str, ...]:
     return sys.memo("adjoint_variables", lambda: _fresh_names(sys, "v"))
 
 
-def _fresh_stem_names(stem: str, n: int, used: set[str],
-                      bare: bool = False) -> tuple[str, ...]:
-    """stem1..stemN, or the stem alone if `bare`, with the stem repeated
-    until neither it nor any numbered form is a name in `used`."""
-    base = stem
-    while base in used or any(f"{base}{i}" in used for i in range(1, n + 1)):
-        base += stem
-    return (base,) if bare else tuple(f"{base}{i}" for i in range(1, n + 1))
-
-
-def _fresh_names(sys: PdeSystem, stem: str) -> tuple[str, ...]:
-    """One name per dependent variable, clashing with no name the system
-    uses, in its equations or its rules; a scalar system's is the stem
-    alone."""
-    used = set(sys.indep) | set(sys.dep)
-    used.update(r.lhs.func for r in sys.rules)
-    for e in (*sys.equations, *(r.rhs for r in sys.rules)):
+def _names_used(exprs: Iterable[Expr]) -> set[str]:
+    """Every name the expressions use: dependent variables, opaque
+    functions and parameters, those inside exponents included."""
+    used = set()
+    for e in exprs:
         for a in e.atoms():
             if isinstance(a, JetVar):
                 used.add(a.dep)
             elif isinstance(a, OpaqueDeriv):
                 used.add(a.func)
         used.update(p.name for p in e.parameters())
-    return _fresh_stem_names(stem, len(sys.dep), used, len(sys.dep) == 1)
+    return used
+
+
+def _fresh_names(sys: PdeSystem, stem: str, n: int | None = None,
+                 taken: Iterable[str] = ()) -> tuple[str, ...]:
+    """stem1..stemN, by default one per dependent variable (a scalar
+    system's is then the stem alone), with the stem repeated until none
+    of them is a name in `taken` or one the system uses, in its equations
+    or its rules."""
+    used = _names_used((*sys.equations, *(r.rhs for r in sys.rules)))
+    used.update(sys.indep, sys.dep, (r.lhs.func for r in sys.rules), taken)
+    bare = n is None and len(sys.dep) == 1
+    n = len(sys.dep) if n is None else n
+    base = stem
+    while base in used or any(f"{base}{i}" in used for i in range(1, n + 1)):
+        base += stem
+    return (base,) if bare else tuple(f"{base}{i}" for i in range(1, n + 1))
 
 
 def formal_lagrangian(sys: PdeSystem) -> Expr:

@@ -149,6 +149,23 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "characteristic has 1 components, system has 2" in r.stdout
 
+    def test_generator_using_the_adjoint_variable_name_exits_2(self,
+                                                                tmp_path):
+        """Without a substitution the components keep the adjoint
+        variable v, so a generator that uses the name v as a parameter is
+        refused rather than printed as v*u*v."""
+        path = tmp_path / "clash.cl"
+        path.write_text("indep t x;\ndep u;\nparam v;\n"
+                        "eq e: D[u,t] = D[u,x,x];\n"
+                        "gen g: eta = (v*u);\ncmd conslaw g;\n")
+        r = run_cli("run", "--session", str(path))
+        assert r.returncode == 2, (r.stdout, r.stderr)
+        assert "status: error\n" in r.stdout
+        (detail,) = [line for line in r.stdout.splitlines()
+                     if line.startswith("detail: ")]
+        assert "the generator uses v," in detail, detail
+        assert r.stderr == ""
+
     def test_inline_generator_component_count_exits_2(self, tmp_path):
         two = tmp_path / "two.cl"
         two.write_text(
@@ -620,6 +637,23 @@ def test_coeff_cancel_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
     stream = capsys.readouterr().out
     assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
         COEFF_CANCEL_DIGESTS[fmt]
+
+
+# tests/data/rule-param.cl: its parameter c1 appears only in a rule, so
+# the ansatz unknowns move to the next stem, cc
+RULE_PARAM = PKG_ROOT / "tests" / "data" / "rule-param.cl"
+
+
+def test_rule_parameter_is_no_unknown_name(capsys, monkeypatch):
+    monkeypatch.setenv("CONSLAW_COLOR", "0")
+    assert cli.main(["run", "--session", str(RULE_PARAM),
+                     "--format", "text"]) == 0
+    assert "unknowns: cc1\nunknowns: cc2\nunknowns: cc3\n" in \
+        capsys.readouterr().out
+    assert cli.main(["run", "--session", str(RULE_PARAM),
+                     "--format", "json"]) == 0
+    doc = validate(json.loads(capsys.readouterr().out))
+    assert doc["extra"]["unknowns"] == ["cc1", "cc2", "cc3"]
 
 
 def test_fallback_session_reaches_bareiss(capsys, monkeypatch):

@@ -87,7 +87,7 @@ class TestWaveConservedVector:
     def test_negative_control(self, wave):
         rep = verify_divergence(wave, (S.ut, S.ux))
         assert not rep.ok
-        assert not rep.reduced_divergence.is_zero
+        assert not rep.decomposition.remainder.is_zero
         res = compare_vectors(wave, (S.ut, S.ux), paper_wave_pair())
         assert not res.equivalent
 
@@ -165,15 +165,15 @@ class TestThomasExample2:
         rep = verify_divergence(thomas, vec)
         # Exactly the published factor, at this representative's 1/gamma
         # normalization.
-        assert rep.reduced_divergence == residual_factor / S.gamma
-        assert (rep.reduced_divergence * S.gamma - residual_factor).is_zero
+        assert rep.decomposition.remainder == residual_factor / S.gamma
+        assert (rep.decomposition.remainder * S.gamma - residual_factor).is_zero
 
     def test_printed_pair_divergence_is_twice_the_printed_factor(
             self, thomas, printed_pair, residual_factor):
         # The published identity drops a factor 2: each component
         # contributes one (gamma u_x + beta) f_xt term.
         rep = verify_divergence(thomas, printed_pair)
-        assert rep.reduced_divergence == 2 * residual_factor
+        assert rep.decomposition.remainder == 2 * residual_factor
 
     def test_zero_residual_with_rule_enabled(
             self, thomas_f, thomas_theta, printed_pair):

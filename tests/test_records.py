@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from conslaw_kit.ansatz import AnsatzProblem, Row, solve_ansatz
-from conslaw_kit.conslaw import (compare_vectors, ibragimov_vector,
-                                 verify_divergence)
+from conslaw_kit.ansatz import AnsatzProblem, solve_ansatz
+from conslaw_kit.conslaw import (EquivalenceResult, compare_vectors,
+                                 ibragimov_vector, verify_divergence)
 from conslaw_kit.determining import e_decompose
 from conslaw_kit.dsl import load_session, tokenize
 from conslaw_kit.dsl.commands import run_session_command
@@ -83,7 +83,6 @@ def _samples() -> dict[type, Record]:
         verify_divergence(sys_, vec), compare_vectors(sys_, vec.components,
                                                       vec.components),
         is_variational(sys_), problem, result,
-        result.rows[0], result.vectors[0],
         expr, expr.terms[0][1],
         MultiIndex.of("x", "t"), IndependentVar("x"), Parameter("a", True),
         OpaqueDeriv("f", (IndependentVar("x"),), (1,)),
@@ -199,8 +198,8 @@ class TestRecordContract:
 def test_equal_fields_of_two_types_differ():
     assert IndependentVar("a") != Parameter("a")
     assert Parameter("a") != IndependentVar("a")
-    assert Row("f", (), ()) != CommandStmt("f", (), ())
-    assert CommandStmt("f", (), ()) != Row("f", (), ())
+    assert EquivalenceResult("f", (), ()) != CommandStmt("f", (), ())
+    assert CommandStmt("f", (), ()) != EquivalenceResult("f", (), ())
 
 
 def test_pde_system_copy_compares_by_value_with_an_empty_memo():

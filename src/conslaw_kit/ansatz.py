@@ -2,16 +2,18 @@
 
 Every determining residual is linear in its characteristic, so the
 residual of a combination sum c_k * basis_k is sum c_k * residual(basis_k).
-Each basis element's residual is computed once; splitting it over jet
-monomials and free coordinates gives column k of a homogeneous linear
-system for the unknown constants.  A row is a tuple of its nonzero
-entries, (k, Poly) pairs in ascending k.  The rows are solved by
-Gauss-Jordan steps over the Laurent polynomials in the parameters while
-every pivot is a unit, and otherwise by fraction-free steps on the same
-rows, with side conditions.  A nullspace vector is the tuple of its
-cleared numerators, one `Poly` per unknown; `entry_exprs` reads it as
-expressions.  Every vector is substituted back into the combined
-residual, which must vanish.
+That residual is computed once, with each unknown c_k entering as an
+inert constant tag (an opaque function of no argument, named as c_k):
+each of its terms holds exactly one tag, and splitting it by tag, jet
+monomial and free coordinate gives a homogeneous linear system for the
+unknown constants.  A row is a tuple of its nonzero entries, (k, Poly)
+pairs in ascending k.  The rows are solved by Gauss-Jordan steps over
+the Laurent polynomials in the parameters while every pivot is a unit,
+and otherwise by fraction-free steps on the same rows, with side
+conditions.  A nullspace vector is the tuple of its cleared numerators,
+one `Poly` per unknown; `entry_exprs` reads it as expressions.  Every
+vector is substituted back into the combined residual, which must
+vanish.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ import itertools
 from collections.abc import Callable, Sequence
 
 from .cancel import checkpoint
-from .determining import (adjoint_symmetry_residual,
+from .determining import (_require_nontrivial, adjoint_symmetry_residual,
                           differential_substitution_residual,
                           multiplier_residual, symmetry_residual)
-from .expr.atoms import Parameter, mono_div, mono_gcd, mono_lcm
-from .expr.coeff import Poly, as_poly, common_content
+from .expr.atoms import (OpaqueDeriv, Parameter, mono_div, mono_gcd,
+                         mono_lcm)
+from .expr.coeff import Poly, as_poly, primitive
 from .expr.errors import AnsatzError, ExprError
-from .expr.expression import Expr, Powers, graded_key, sum_exprs
+from .expr.expression import Expr, Powers, atom_expr, graded_key, sum_exprs
 from .expr.printer import poly_text
 from .jet import PdeSystem
 from .record import Record
@@ -50,13 +53,15 @@ class AnsatzProblem(Record):
 
     Basis entries are characteristics, one expression per dependent
     variable (a single expression for a scalar system); `basis` holds
-    them as tuples.  The rows come from the residual of each basis
-    element, by linearity.  The unknowns c1..cN only label the solution,
-    never enter an expression and clash with no name the system or the
-    basis uses.  Parameters are treated generically: a coefficient
-    vanishes only if it is identically zero as a rational function.  For
-    the symmetry targets a basis element that vanishes on solutions is
-    rejected: it would be a trivial direction.
+    them as tuples.  The rows come from the one residual of sum c_k *
+    basis_k, by linearity.  The unknowns c1..cN label the solution and
+    name the tags that stand for them in that residual, inert constants
+    whose names no parameter, opaque function, rule or dependent
+    variable of the system or the basis uses.  Parameters are treated
+    generically: a coefficient vanishes only if it is identically zero
+    as a rational function.  For the symmetry targets a basis element
+    that vanishes on solutions is rejected: it would be a trivial
+    direction.
     """
 
     __slots__ = ("system", "target", "basis")
@@ -96,20 +101,39 @@ def _combine(p: AnsatzProblem, coeffs: Sequence[Expr]) -> tuple[Expr, ...]:
                  for i in range(len(p.system.dep)))
 
 
-def build_and_split(p: AnsatzProblem) -> list[tuple[tuple[int, Poly], ...]]:
+def build_and_split(p: AnsatzProblem, unknowns: Sequence[Parameter]
+                    ) -> list[tuple[tuple[int, Poly], ...]]:
     """Rows of residual(sum c_k * basis_k), one per residual component and
     power product: the entry of c_k is that power product's coefficient
     in the residual of basis_k.  Rows come by component, then in the
-    graded order (`graded_key`) of their power products."""
+    graded order (`graded_key`) of their power products.
+
+    The residual is taken once, of sum T_k * basis_k, with T_k an opaque
+    function of no argument named as the unknown c_k (`unknowns`, the
+    caller's `p.unknowns`): total derivatives and gradients give it no
+    entry and no rule or leading derivative rewrites it, so the residual
+    is sum T_k * residual(basis_k) and each of its terms holds one T_k,
+    to the first power.  A trivial element of a substitution basis is
+    rejected first, since the sum is trivial only if all of them are."""
+    tags = {OpaqueDeriv(c.name, ()): k for k, c in enumerate(unknowns)}
+    if p.target == "differential-substitution":
+        for b in p.basis:
+            _require_nontrivial(p.system, b)
+    comb = _combine(p, [atom_expr(t) for t in tags])
     cells: dict[tuple[int, Powers], dict[int, Poly]] = {}
-    for k, b in enumerate(p.basis):
+    for comp, res in enumerate(TARGETS[p.target](p.system, comb)):
         checkpoint()
-        for comp, res in enumerate(TARGETS[p.target](p.system, b)):
-            for powers, c in res.terms:
-                cells.setdefault((comp, powers), {})[k] = as_poly(c)
+        for powers, c in res.terms:
+            hits = [i for i, (a, _) in enumerate(powers) if a in tags]
+            if len(hits) != 1 or powers[hits[0]][1] != 1:
+                raise AnsatzError(
+                    "internal error: residual not linear in the unknowns")
+            i = hits[0]
+            cells.setdefault((comp, powers[:i] + powers[i + 1:]), {})[
+                tags[powers[i][0]]] = as_poly(c)
     order = sorted(cells.items(), reverse=True,
                    key=lambda kv: (-kv[0][0], graded_key(kv[0][1])))
-    return [tuple(column.items()) for _, column in order]
+    return [tuple(sorted(column.items())) for _, column in order]
 
 
 class LinearSolveResult(Record):
@@ -130,11 +154,7 @@ def _cleared(polys: Sequence[Poly]) -> Sequence[Poly]:
     if den:
         # num is a polynomial, so `mul_mono` keeps its terms in order
         polys = [num.mul_mono(mono_div(den, d)) for num, d in split]
-    content = common_content(polys)
-    if content not in (0, 1):
-        inv = 1 / content
-        polys = [p.scale(inv) for p in polys]
-    return polys
+    return primitive(polys)
 
 
 def solve_linear(rows: Sequence[tuple[tuple[int, Poly], ...]],
@@ -279,8 +299,8 @@ def entry_exprs(vector: Sequence[Poly]) -> tuple[Expr, ...]:
 
 def solve_ansatz(p: AnsatzProblem) -> LinearSolveResult:
     """build_and_split + solve_linear + automatic soundness check."""
-    rows = build_and_split(p)
-    result = solve_linear(rows, p.unknowns)
+    unknowns = p.unknowns
+    result = solve_linear(build_and_split(p, unknowns), unknowns)
     for vec in result.vectors:
         _check_solution(p, vec)
     return result

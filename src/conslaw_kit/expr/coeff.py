@@ -48,6 +48,7 @@ and power products share.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
@@ -58,7 +59,7 @@ from .atoms import Parameter, mono, mono_div, mono_gcd, mono_mul
 from .errors import ExprError
 
 __all__ = ["Monomial", "Poly", "Coeff", "coeff_value", "common_content",
-           "term_coeff", "as_poly", "coeff_add", "coeff_mul"]
+           "primitive", "term_coeff", "as_poly", "coeff_add", "coeff_mul"]
 
 # Monomial over parameters: sorted tuple of (Parameter, nonzero exponent),
 # the exponent negative only for a parameter flagged nonzero.
@@ -351,12 +352,30 @@ def coeff_mul(a: Coeff, b: Coeff) -> Coeff:
     return coeff_value(a * b)
 
 
-def common_content(polys) -> Fraction:
-    """Positive rational c with every p/c having integer coefficients,
-    coprime over all of them; 0 when every poly is zero."""
+def _content(polys) -> tuple[int, int]:
+    """(g, l): the gcd of the coefficients' numerators and the lcm of
+    their denominators, coprime; (0, 1) when every poly is zero."""
     num, den = 0, 1
     for p in polys:
         for _, c in p.terms:
             num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den)
+    return num, den
+
+
+def common_content(polys) -> Fraction:
+    """Positive rational c with every p/c having integer coefficients,
+    coprime over all of them; 0 when every poly is zero."""
+    return Fraction(*_content(polys))
+
+
+def primitive(polys: Sequence[Poly]) -> Sequence[Poly]:
+    """The polys divided by their `common_content`, in `int` arithmetic:
+    a coefficient n/d becomes (n // g) * (l // d), exactly, for (g, l)
+    the content's numerator and denominator.  The monomials are kept, so
+    the terms stay in order."""
+    g, l = _content(polys)
+    if g < 2 and l == 1:
+        return polys
+    return [_poly(tuple((m, c.numerator // g * (l // c.denominator))
+                        for m, c in p.terms)) for p in polys]

@@ -102,5 +102,6 @@ class RuleSet(Record):
         return rhs
 
     def reduce(self, e: Expr) -> Expr:
-        """Rewrite to a fixpoint (terminates by the order argument)."""
-        return fixpoint(e, self.image)
+        """Rewrite to a fixpoint (terminates by the order argument); with
+        no rule, e itself."""
+        return fixpoint(e, self.image) if self.rules else e

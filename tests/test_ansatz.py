@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,15 +21,17 @@ from conslaw_kit.dsl import load_session, parse_expression, run_session_command
 from conslaw_kit.expr import (Expr, IndependentVar, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)
 from conslaw_kit.expr.atoms import mono, mono_div, mono_lcm
-from conslaw_kit.expr.coeff import (Poly, coeff_value, common_content,
-                                    term_coeff)
-from conslaw_kit.expr.errors import AnsatzError, CancelledComputation
-from conslaw_kit.expr.expression import jet, sum_exprs
+from conslaw_kit.expr.coeff import (Poly, as_poly, coeff_value,
+                                    common_content, term_coeff)
+from conslaw_kit.expr.errors import (AnsatzError, CancelledComputation,
+                                     TrivialSubstitutionError)
+from conslaw_kit.expr.expression import graded_key, jet, sum_exprs
 from conslaw_kit.expr.printer import poly_text
 from conslaw_kit.jet import solve_leading
 
 from conftest import Syms as S
 
+ROOT = Path(__file__).resolve().parents[1]
 A = Parameter("alpha", nonzero=True)
 B = Parameter("beta", nonzero=True)
 G = Parameter("gamma", nonzero=True)
@@ -44,7 +47,7 @@ class TestBuildAndSplit:
     def test_rows_are_linear_homogeneous(self, wave):
         p = AnsatzProblem(wave, "adjoint-symmetry",
                           (S.u, S.x * S.ux))
-        rows = build_and_split(p)
+        rows = build_and_split(p, p.unknowns)
         assert rows
         for r in rows:
             ks = [k for k, _ in r]
@@ -115,6 +118,21 @@ def _reference_rows(p: AnsatzProblem) -> list[tuple[tuple[int, Poly], ...]]:
     return rows
 
 
+def per_basis_rows(p: AnsatzProblem) -> list[tuple[tuple[int, Poly], ...]]:
+    """The rows as they were built before the tagged residual: one
+    residual per basis element, each term's coefficient the entry of
+    column k under its (component, power product).  Rows come by
+    component, then in the graded order; entries in ascending k."""
+    cells = {}
+    for k, b in enumerate(p.basis):
+        for comp, res in enumerate(TARGETS[p.target](p.system, b)):
+            for powers, c in res.terms:
+                cells.setdefault((comp, powers), {})[k] = as_poly(c)
+    order = sorted(cells.items(), reverse=True,
+                   key=lambda kv: (-kv[0][0], graded_key(kv[0][1])))
+    return [tuple(column.items()) for _, column in order]
+
+
 def _two_component():
     """u_t = w_x + u u_x, w_t = u_x."""
     return solve_leading(["t", "x"], ["u", "w"],
@@ -153,13 +171,61 @@ class TestRowsByLinearity:
     @given(data=st.data())
     def test_matches_combined_path(self, linearity_cases, system, target,
                                    data):
-        """Rows from per-basis residuals equal, in entries and order,
-        those split out of the one combined residual."""
+        """Rows split out of the one tagged residual equal, in entries
+        and order, those of the per-basis residuals and those split out
+        of the residual with the unknowns as parameters."""
         sys, pool = linearity_cases[system]
         picks = data.draw(st.lists(st.sampled_from(range(len(pool))),
                                    min_size=1, max_size=5, unique=True))
         p = AnsatzProblem(sys, target, tuple(pool[i] for i in picks))
-        assert build_and_split(p) == _reference_rows(p)
+        rows = build_and_split(p, p.unknowns)
+        assert rows == per_basis_rows(p)
+        assert rows == _reference_rows(p)
+
+    @pytest.mark.parametrize("path", (
+        "perfbench/sessions/kdv-multiplier-ansatz.cl",
+        "tests/data/thomas-scale.cl", "tests/data/parametric.cl",
+        "tests/data/fallback.cl"))
+    def test_session_rows_match_per_basis(self, path, monkeypatch):
+        """The ansatz commands of the sessions, among them the 56-element
+        KdV multiplier basis and the 71-element Thomas one."""
+        problems = []
+
+        def spy(p, unknowns):
+            problems.append(p)
+            return build_and_split(p, unknowns)
+        monkeypatch.setattr(ansatz, "build_and_split", spy)
+        session = load_session((ROOT / path).read_text())
+        for cmd in session.commands:
+            if cmd.name == "ansatz":
+                run_session_command(session, cmd)
+        assert problems
+        for p in problems:
+            assert build_and_split(p, p.unknowns) == per_basis_rows(p)
+
+    @pytest.mark.parametrize("residual", (
+        lambda sys, eta: tuple(c * c for c in eta),
+        lambda sys, eta: tuple(c + S.u for c in eta)),
+        ids=("square", "affine"))
+    def test_residual_not_linear_raises(self, wave, monkeypatch, residual):
+        """A term with two tags, a squared tag or none is an error."""
+        monkeypatch.setitem(TARGETS, "symmetry", residual)
+        p = AnsatzProblem(wave, "symmetry", (S.u, S.ux))
+        with pytest.raises(AnsatzError,
+                           match="residual not linear in the unknowns"):
+            build_and_split(p, p.unknowns)
+
+    def test_trivial_substitution_element_rejected(self, wave):
+        """The tagged sum is trivial only if every element is; one trivial
+        element of a substitution basis is rejected all the same, before
+        any row is split (the check of its nullspace vector would reject
+        it later)."""
+        p = AnsatzProblem(wave, "differential-substitution",
+                          (S.u, wave.equations[0]))
+        with pytest.raises(TrivialSubstitutionError):
+            build_and_split(p, p.unknowns)
+        with pytest.raises(TrivialSubstitutionError):
+            solve_ansatz(p)
 
 
 class TestWaveAnsatz:

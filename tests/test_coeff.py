@@ -14,7 +14,7 @@ from conslaw_kit.expr import (CancelledComputation, ExpAtom, ExpConst, Expr,
                               OpaqueDeriv, Parameter, param, sum_exprs)
 from conslaw_kit.expr.atoms import (mono, mono_div, mono_gcd, mono_lcm,
                                     mono_mul)
-from conslaw_kit.expr.coeff import Poly, common_content
+from conslaw_kit.expr.coeff import Poly, common_content, primitive
 from conslaw_kit.expr.expression import jet
 
 A = Parameter("alpha", nonzero=True)
@@ -491,3 +491,19 @@ def test_float_coefficient_is_a_type_error(build):
     """A float is never a coefficient: 1/3 as a float is not 1/3."""
     with pytest.raises(TypeError, match="not an int or a Fraction"):
         build()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(polys, max_size=4))
+def test_primitive_matches_division_by_the_content(ps):
+    """`primitive` divides in `int` arithmetic what scaling by the inverse
+    rational content divides: the same canonical polys, integer
+    coefficients with gcd 1."""
+    content = common_content(ps)
+    want = [p.scale(1 / content) for p in ps] if content else ps
+    got = primitive(ps)
+    assert list(got) == list(want)
+    for p in got:
+        assert_canonical_poly(p)
+        assert all(type(c) is int for _, c in p.terms)
+    assert common_content(got) in (0, 1)

@@ -46,6 +46,19 @@ def test_is_zero_without_rules():
     assert not RuleSet().reduce(S.ux - S.ut).is_zero
 
 
+def test_rule_free_reduce_returns_its_input(f_constraint, monkeypatch):
+    """With no rule, reduce looks at no atom; with Thomas's rule on f it
+    still rewrites."""
+    e = f(2, 1) + S.u * S.ux
+    looked_at = []
+    monkeypatch.setattr(RuleSet, "image", lambda self, a: looked_at.append(a))
+    assert RuleSet().reduce(e) is e
+    assert not looked_at
+    monkeypatch.undo()
+    assert f_constraint.reduce(e) == f_constraint.reduce(f(2, 1)) + S.u * S.ux
+    assert f_constraint.reduce(e) != e
+
+
 def test_non_orientable_rule_rejected():
     with pytest.raises(RuleError, match=r"non-orientable rule: D\[f,x,t\] .* "
                        r"order >= D\[f,x\]$"):

@@ -17,9 +17,10 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .cancel import checkpoint
-from .expr.atoms import JetVar, MultiIndex
+from .expr.atoms import ExpAtom, JetVar, MultiIndex
 from .expr.errors import SubstitutionClassError, TrivialSubstitutionError
-from .expr.expression import Expr, atom_expr, collect, substitute, sum_exprs
+from .expr.expression import (Expr, atom_expr, collect, jet_gradient,
+                              substitute, sum_exprs)
 from .jet import PdeSystem, derivatives
 from .record import Record
 from .variational import (_as_characteristic, _fresh_names, adjoint_system,
@@ -36,8 +37,9 @@ __all__ = [
 
 class EDecomposition(Record):
     """Exact split original = sum coeffs[(beta, J)] * D_J(E^beta) + S
-    (+ terms of degree >= 2 in the equations, reported in `quadratic`
-    still carrying marker atoms).  `coeffs` (a dict keyed by (beta, J))
+    (+ terms of degree >= 2 in the equations, and equation content inside
+    exponentials beyond its first order, reported in `quadratic` still
+    carrying marker atoms).  `coeffs` (a dict keyed by (beta, J))
     is in identity order: by equation, then by `MultiIndex` order
     (total order, then counts)."""
 
@@ -73,6 +75,12 @@ def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
     bucket is the remainder S, and higher-degree buckets are reported as
     quadratic content.
 
+    A marker inside an exponential is not a factor to collect.  When an
+    exponent holds one, S is the reduced expression at markers 0, each M
+    its derivative by the marker there (the constant bucket's gradient
+    plus the marker's own bucket), and `quadratic` holds the rest, so
+    `reassemble` still reproduces the input.
+
     The markers and this shadow system are built once per system and kept
     by `PdeSystem.memo`, so the shadow's replacement cache is reused by
     later calls; a copy made by `PdeSystem.with_solved` starts without it.
@@ -86,21 +94,38 @@ def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
     reduced = shadow.reduce(e)
     checkpoint()
 
-    marker_atoms = {a for a in reduced.atoms()
+    atoms = reduced.atoms()
+    marker_atoms = {a for a in atoms
                     if isinstance(a, JetVar) and a.dep in markers}
     buckets = collect(reduced, marker_atoms)
+    remainder = buckets.get((), Expr.zero())
     coeffs: dict[tuple[int, MultiIndex], Expr] = {}
     quadratic = []
-    for key, val in buckets.items():
-        degree = sum(k for _, k in key)
-        if degree == 1:
-            atom = key[0][0]
-            coeffs[(markers.index(atom.dep), atom.index)] = val
-        elif degree > 1:
-            quadratic.append(Expr(((key, 1),)) * val)
+    if any(isinstance(a, ExpAtom)
+           and not marker_atoms.isdisjoint(a.exponent.atoms())
+           for a in atoms):
+        at_zero = {a: Expr.zero() for a in marker_atoms}
+        grad = jet_gradient(remainder)
+        for a in marker_atoms:
+            m = substitute(sum_exprs((grad.get(a, Expr.zero()),
+                                      buckets.get(((a, 1),), Expr.zero()))),
+                           at_zero)
+            if not m.is_zero:
+                coeffs[(markers.index(a.dep), a.index)] = m
+                quadratic.append(-m * atom_expr(a))
+        remainder = substitute(remainder, at_zero)
+        quadratic += (reduced, -remainder)
+    else:
+        for key, val in buckets.items():
+            degree = sum(k for _, k in key)
+            if degree == 1:
+                atom = key[0][0]
+                coeffs[(markers.index(atom.dep), atom.index)] = val
+            elif degree > 1:
+                quadratic.append(Expr(((key, 1),)) * val)
     coeffs = dict(sorted(coeffs.items(), key=lambda kv: kv[0]))
-    return EDecomposition(sys, coeffs, buckets.get((), Expr.zero()),
-                          sum_exprs(quadratic), markers)
+    return EDecomposition(sys, coeffs, remainder, sum_exprs(quadratic),
+                          markers)
 
 
 def symmetry_residual(sys: PdeSystem, eta) -> tuple[Expr, ...]:

@@ -2,11 +2,12 @@
 symmetry / adjoint-symmetry / substitution / multiplier relationships."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from conslaw_kit.expr import (Expr, MultiIndex, OpaqueDeriv, atom_expr,
-                              exp_of)
+from conslaw_kit.expr import (Expr, JetVar, MultiIndex, OpaqueDeriv,
+                              atom_expr, exp_of)
 from conslaw_kit.expr.errors import (SubstitutionClassError,
                                      TrivialSubstitutionError)
 from conslaw_kit.expr.expression import jet
@@ -48,6 +49,32 @@ class TestEDecompose:
         d = e_decompose(S.utt**2, wave)
         assert not d.is_linear
         assert d.reassemble() == S.utt**2
+
+    def test_equation_inside_an_exponential(self):
+        # the divergence of (exp(E)*u, -u_x) and the multiplier residual
+        # of exp(2E + 1/2)*exp(-1/2)*u_x for the heat equation E = 0: the
+        # markers inside exp() must leave neither remainder nor coefficient
+        heat = solve_leading(["t", "x"], ["u"], [S.ut - S.uxx], [S.ut_at],
+                             ["heat"])
+        eq = heat.equations[0]
+        div = (total_derivative(exp_of(eq) * S.u, "t")
+               - total_derivative(S.ux, "x"))
+        lam = exp_of(2 * eq + Fraction(1, 2)) * exp_of(Expr.const(
+            Fraction(-1, 2))) * S.ux
+        res = multiplier_residual(heat, (lam,))[0]
+        for e in (div, res):
+            d = e_decompose(e, heat)
+            assert d.reassemble() == e
+            for x in (d.remainder, *d.coeffs.values()):
+                assert not any(isinstance(a, JetVar)
+                               and a.dep in d.marker_deps
+                               for a in x.atoms())
+        d = e_decompose(div, heat)
+        assert d.remainder.is_zero
+        assert d.coeffs == {(0, MultiIndex()): S.uxx + 1,
+                            (0, MultiIndex.of("t")): S.u}
+        assert e_decompose(res, heat).remainder == \
+            adjoint_symmetry_residual(heat, (lam,))[0]
 
     def test_shadow_system_is_built_once_per_system(self, wave):
         sys = solve_leading(wave.indep, wave.dep, wave.equations,

@@ -639,6 +639,27 @@ def test_coeff_cancel_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
         COEFF_CANCEL_DIGESTS[fmt]
 
 
+# SHA-256 of the report streams of tests/data/exp-const.cl, the heat
+# equation with exponentials whose exponents are constants, or collapse
+# to constants on solutions, and with the equation inside exponentials
+EXP_CONST = PKG_ROOT / "tests" / "data" / "exp-const.cl"
+EXP_CONST_DIGESTS = {
+    "json": "ab980bef0e57422dcaf194bb2ed123228e6379887d85168548104d132e42bb97",
+    "text": "65941216f2ba972e76c6af4fd996d3cdadb78ad080d38ce0f659a818f5cc1e38",
+    "latex": "fe782c568a9ce92760e0864435b0b8b2a0bf79c7db93bcab3601b9b55aef2d6a",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EXP_CONST_DIGESTS))
+def test_exp_const_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
+    monkeypatch.setenv("CONSLAW_COLOR", "0")
+    assert cli.main(["run", "--session", str(EXP_CONST),
+                     "--format", fmt]) == 0
+    stream = capsys.readouterr().out
+    assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
+        EXP_CONST_DIGESTS[fmt]
+
+
 # tests/data/rule-param.cl: its parameter c1 appears only in a rule, so
 # the ansatz unknowns move to the next stem, cc
 RULE_PARAM = PKG_ROOT / "tests" / "data" / "rule-param.cl"

@@ -11,7 +11,7 @@ The `jet` constructor for jet atoms lives in `conslaw_kit.expr`; the name
 `conslaw_kit.jet` is the jet-space module.
 """
 
-from .expr import (Atom, ConslawError, ExpAtom, ExpConst, Expr,
+from .expr import (Atom, ConslawError, ExpAtom, Expr,
                    ExprError, IndependentVar, JetVar, MultiIndex,
                    OpaqueDeriv, Parameter, Poly, RewriteRule, RuleSet,
                    atom_expr, collect, exp_of, ivar, jet_atom,

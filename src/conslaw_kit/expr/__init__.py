@@ -1,7 +1,7 @@
 """Canonical-form symbolic expression kernel."""
 
-from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
-                    MultiIndex, OpaqueDeriv, Parameter)
+from .atoms import (Atom, ExpAtom, IndependentVar, JetVar, MultiIndex,
+                    OpaqueDeriv, Parameter)
 from .coeff import Poly
 from .errors import (AnsatzError, CancelledComputation, ConslawError,
                      ExprError, LeadingSolveError, RuleError,
@@ -12,7 +12,7 @@ from .expression import (Expr, atom_expr, collect, exp_of, ivar, jet,
 from .rules import RewriteRule, RuleSet
 
 __all__ = [
-    "Atom", "ExpAtom", "ExpConst", "IndependentVar", "JetVar", "MultiIndex",
+    "Atom", "ExpAtom", "IndependentVar", "JetVar", "MultiIndex",
     "OpaqueDeriv", "Parameter", "Poly", "Expr",
     "atom_expr", "collect", "exp_of", "ivar", "jet", "jet_atom", "normalize",
     "opaque", "param", "partial", "rational", "substitute",

@@ -3,7 +3,8 @@
 Atoms are the indivisible multiplicative factors expressions are built
 from: independent variables, declared parameters, jet coordinates (a
 dependent variable together with a derivative multi-index), formal
-derivatives of opaque functions, and exponential factors.  Mixed partials
+derivatives of opaque functions, and exponential factors e^q, an
+`ExpAtom` whatever the exponent q, constant or not.  Mixed partials
 commute, so multi-indices are kept in a canonical sorted form and u_{xt}
 and u_{tx} denote the same atom.
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
 from operator import itemgetter
 
 from ..record import KeyRecord
@@ -46,7 +46,6 @@ __all__ = [
     "OpaqueDeriv",
     "JetVar",
     "ExpAtom",
-    "ExpConst",
     "mono",
     "mono_mul",
     "mono_div",
@@ -273,37 +272,25 @@ class JetVar(Atom):
 
 
 class ExpAtom(Atom):
-    """Exponential factor e^q; `exponent` is a canonical expression that is
-    not a rational constant (constant exponents live in ExpConst).
+    """Exponential factor e^q; `exponent` is a nonzero canonical
+    expression (e^0 folds to 1), a constant one included.
 
-    The record is (4, 1, exponent.sort_key(), exponent): the exponent
+    The record is (4, exponent.sort_key(), exponent): the exponent
     itself breaks the ties of its sort key, which drops parameter flags
-    (`Expr.__lt__`).  It hashes as its exponent, whose hash is cached:
-    hashing the key would walk every coefficient in it, in Python.
+    (`Expr.__lt__`).  A constant exponent's key has degree 0, so e^q for
+    a constant q sorts below every other exponential, by q.  It hashes
+    as its exponent, whose hash is cached: hashing the key would walk
+    every coefficient in it, in Python.
     """
 
     __slots__ = ()
     _fields = ("exponent",)
-    exponent = _field(3)
+    exponent = _field(2)
 
     def __new__(cls, exponent: Expr) -> "ExpAtom":
-        return _new(cls, (4, 1, exponent.sort_key(), exponent))
+        if not exponent.terms:
+            raise ValueError("e^0 folds to 1; ExpAtom must be nonzero")
+        return _new(cls, (4, exponent.sort_key(), exponent))
 
     def __hash__(self) -> int:
-        return hash(self[3])
-
-
-class ExpConst(Atom):
-    """Opaque constant e^q for a nonzero rational q; kept symbolic so that
-    exactness is preserved when a substitution collapses an exponent.
-    The record is (4, 0, value)."""
-
-    __slots__ = ()
-    _fields = ("value",)
-    value = _field(2)
-
-    def __new__(cls, value) -> "ExpConst":
-        value = Fraction(value)
-        if value == 0:
-            raise ValueError("e^0 folds to 1; ExpConst must be nonzero")
-        return _new(cls, (4, 0, value))
+        return hash(self[2])

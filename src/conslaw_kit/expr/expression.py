@@ -15,9 +15,8 @@ Arithmetic operators keep expressions canonical at every step:
 
   * products distribute, one `_product` merge per pair of terms, and sort;
   * parameters are folded into the coefficient field (`atom_expr`);
-  * exponential factors merge, e^a * e^b -> e^(a+b);
-  * exponents that collapse to rational constants become opaque constants
-    (e^0 folds to 1);
+  * exponential factors merge, e^a * e^b -> e^(a+b), and e^0 folds to
+    1; any other constant exponent stays, e^q an opaque constant;
   * zero is the empty sum and no term carries a zero coefficient;
   * a coefficient is a plain number unless it holds a parameter.
 
@@ -47,8 +46,8 @@ from operator import itemgetter
 
 from ..cancel import checkpoint
 from ..record import Record
-from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
-                    MultiIndex, OpaqueDeriv, Parameter, mono_mul)
+from .atoms import (Atom, ExpAtom, IndependentVar, JetVar, MultiIndex,
+                    OpaqueDeriv, Parameter, mono_mul)
 from .coeff import (Coeff, Poly, as_poly, coeff_add, coeff_mul, coeff_value,
                     term_coeff)
 from .errors import ExprError
@@ -62,7 +61,6 @@ __all__ = [
 
 Powers = tuple[tuple[Atom, int], ...]
 Term = tuple[Powers, Coeff]
-_EXP = (ExpAtom, ExpConst)
 
 _set = object.__setattr__
 
@@ -98,8 +96,8 @@ def lowered(term: Term, i: int) -> Term:
 
 
 def raised(term: Term, a: Atom) -> Term:
-    """The term times one plain atom `a` (not a `Parameter`, `ExpAtom` or
-    `ExpConst`)."""
+    """The term times one plain atom `a` (not a `Parameter` or an
+    `ExpAtom`)."""
     powers, coeff = term
     return (mono_mul(powers, ((a, 1),)), coeff)
 
@@ -148,15 +146,6 @@ class Expr(Record):
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def as_rational(self) -> int | Fraction | None:
-        """The value as an exact rational if the expression is one, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and not self.terms[0][0]:
-            c = self.terms[0][1]
-            return None if c.__class__ is Poly else c
-        return None
 
     def as_coeff(self) -> Poly | None:
         """The coefficient if the expression is atom-free, else None."""
@@ -278,11 +267,8 @@ def _flagged_key(e: Expr):
 
 
 def _exp_powers(exponent: Expr) -> Powers:
-    """e^exponent as a power product: empty, an `ExpConst` or an `ExpAtom`."""
-    q = exponent.as_rational()
-    if q is None:
-        return ((ExpAtom(exponent), 1),)
-    return ((ExpConst(q), 1),) if q else ()
+    """e^exponent as a power product: empty for a zero exponent."""
+    return ((ExpAtom(exponent), 1),) if exponent.terms else ()
 
 
 def _product(t1: Term, t2: Term) -> Term:
@@ -295,10 +281,8 @@ def _product(t1: Term, t2: Term) -> Term:
         return (p1 or p2, coeff)
     exp: Powers = ()
     e1, e2 = p1[-1][0], p2[-1][0]
-    if e1.__class__ in _EXP and e2.__class__ in _EXP:
-        exp = _exp_powers(sum_exprs(
-            a.exponent if a.__class__ is ExpAtom else Expr.const(a.value)
-            for a in (e1, e2)))
+    if e1.__class__ is ExpAtom and e2.__class__ is ExpAtom:
+        exp = _exp_powers(e1.exponent + e2.exponent)
         p1, p2 = p1[:-1], p2[:-1]
     return (mono_mul(p1, p2) + exp, coeff)
 

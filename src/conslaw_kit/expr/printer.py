@@ -23,8 +23,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .atoms import (Atom, ExpAtom, ExpConst, IndependentVar, JetVar,
-                    OpaqueDeriv, Parameter)
+from .atoms import (Atom, ExpAtom, IndependentVar, JetVar, OpaqueDeriv,
+                    Parameter)
 from .coeff import Coeff, Poly, as_poly, common_content
 from .errors import ConslawError
 
@@ -48,7 +48,7 @@ def _atom_display_key(a: Atom):
         return (0, -a.order, a.dep, a.index.counts)
     if isinstance(a, OpaqueDeriv):
         return (1, -a.order, a.func, a.index)
-    if isinstance(a, (ExpAtom, ExpConst)):
+    if isinstance(a, ExpAtom):
         return (2,)
     if isinstance(a, IndependentVar):
         return (3, a.name)
@@ -197,8 +197,6 @@ def atom_text(a: Atom) -> str:
         return f"D[{a.func},{','.join(dvars)}]"
     if isinstance(a, ExpAtom):
         return f"exp({expr_text(a.exponent)})"
-    if isinstance(a, ExpConst):
-        return f"exp({_frac_text(a.value)})"
     raise TypeError(f"unknown atom {a!r}")
 
 
@@ -276,8 +274,6 @@ def _atom_latex(a: Atom) -> str:
         return f"{base}_{{{subs}}}"
     if isinstance(a, ExpAtom):
         return f"e^{{{_exponent_latex(a.exponent)}}}"
-    if isinstance(a, ExpConst):
-        return f"e^{{{_frac_latex(a.value)}}}"
     raise TypeError(f"unknown atom {a!r}")
 
 

@@ -701,7 +701,7 @@ class TestSolveLinear:
         rows = [((0, Poly.const(a)), (1, Poly.const(b))), ((2, Poly.one()),)]
         res = solve_linear(rows, c)
         assert res.dimension == 1 and res.vectors[0] == vec
-        q = [e.as_rational() for e in entry_exprs(vec)]
+        q = [term_coeff(e.as_coeff()) for e in entry_exprs(vec)]
         assert q == [1, Fraction(-a, b), 0]
         assert Fraction(q[0]) / q[1] == Fraction(-b, a)
         for p in vec + tuple(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.cancel import deadline
-from conslaw_kit.expr import (CancelledComputation, ExpAtom, ExpConst, Expr,
+from conslaw_kit.expr import (CancelledComputation, ExpAtom, Expr,
                               ExprError, IndependentVar, JetVar, MultiIndex,
                               OpaqueDeriv, Parameter, param, sum_exprs)
 from conslaw_kit.expr.atoms import (mono, mono_div, mono_gcd, mono_lcm,
@@ -148,7 +148,7 @@ MONO_KEYS = {
     "parameters": ORDER_POOL,
     "atoms": (IndependentVar("t"), IndependentVar("x"), JetVar("u"),
               JetVar("u", MultiIndex.of("x")), JetVar("v"),
-              OpaqueDeriv("f", (JetVar("u"),)), ExpConst(2),
+              OpaqueDeriv("f", (JetVar("u"),)), ExpAtom(Expr.const(2)),
               ExpAtom(jet("u"))),
 }
 

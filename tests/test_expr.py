@@ -5,17 +5,15 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import conslaw_kit
 
-from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, ExprError, JetVar,
-                              OpaqueDeriv, atom_expr, collect, exp_of,
-                              normalize, param, partial, rational,
-                              substitute)
+from conslaw_kit.expr import (ExpAtom, Expr, ExprError, JetVar, OpaqueDeriv,
+                              atom_expr, collect, exp_of, normalize, param,
+                              partial, rational, substitute)
 
 from conftest import Syms as S, random_tree
 
@@ -114,12 +112,14 @@ class TestSubstitute:
     def test_exponent_collapse_to_one(self):
         out = substitute(exp_of(S.gamma * S.u), {S.u_at: Expr.zero()})
         assert out == Expr.const(1)
+        with pytest.raises(ValueError, match=r"e\^0 folds to 1"):
+            ExpAtom(Expr.zero())
 
     def test_exponent_collapse_to_exp_const(self):
         e = exp_of(2 * S.u)
         out = substitute(e, {S.u_at: rational(1, 2)})
         ((powers, _),) = out.terms
-        assert powers[0][0] == ExpConst(Fraction(1))
+        assert powers[0][0] == ExpAtom(Expr.const(1))
 
     def test_simultaneous_not_sequential(self):
         out = substitute(S.u * S.ux, {S.u_at: S.ux, S.ux_at: S.u})

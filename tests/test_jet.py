@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,
-                              JetVar, MultiIndex, OpaqueDeriv, Parameter,
-                              atom_expr, exp_of)
+from conslaw_kit.expr import (ExpAtom, Expr, IndependentVar, JetVar,
+                              MultiIndex, OpaqueDeriv, Parameter, atom_expr,
+                              exp_of)
 from conslaw_kit.expr.coeff import Poly, as_poly, term_coeff
 from conslaw_kit.expr.errors import ExprError, LeadingSolveError
 from conslaw_kit.expr.expression import (_gradient_terms, jet, jet_atom,
@@ -68,7 +68,7 @@ class TestTotalDerivative:
 def ref_d_atom(a, var):
     if isinstance(a, IndependentVar):
         return Expr.const(1 if a.name == var else 0)
-    if isinstance(a, (Parameter, ExpConst)):
+    if isinstance(a, Parameter):
         return Expr.zero()
     if isinstance(a, JetVar):
         return atom_expr(a.bump(var))
@@ -103,16 +103,13 @@ def ref_make_term(coeff, factors):
             coeff = coeff * Poly.param(a, k)
         elif isinstance(a, ExpAtom):
             exponents.append(a.exponent if k == 1 else a.exponent.scale(k))
-        elif isinstance(a, ExpConst):
-            exponents.append(Expr.const(a.value * k))
         else:
             plain[a] = plain.get(a, 0) + k
     if coeff.is_zero:
         return None
     exp_sum = sum_exprs(exponents)
     if not exp_sum.is_zero:
-        q = exp_sum.as_rational()
-        plain[ExpConst(q) if q is not None else ExpAtom(exp_sum)] = 1
+        plain[ExpAtom(exp_sum)] = 1
     return (tuple(sorted(plain.items())), term_coeff(coeff))
 
 
@@ -123,10 +120,10 @@ WIDE_POOL = (
     S.ux_at, S.x_at, S.t_at, Parameter("alpha", nonzero=True),
     OpaqueDeriv("f", (S.u_at,)), OpaqueDeriv("f", (S.u_at,), (1,)),
     OpaqueDeriv("h", (S.x_at, S.t_at)), ExpAtom(S.gamma * S.u),
-    ExpConst(2),
+    ExpAtom(Expr.const(2)),
 )
 PLAIN_POOL = tuple(a for a in WIDE_POOL
-                   if not isinstance(a, (Parameter, ExpAtom, ExpConst)))
+                   if not isinstance(a, (Parameter, ExpAtom)))
 # opaque functions of a derivative coordinate, of an exponential and of
 # another opaque function
 CHAIN_POOL = WIDE_POOL + (
@@ -249,9 +246,11 @@ class TestTermProduct:
     def test_exponentials_fold(self):
         e = exp_of(S.gamma * S.u)
         assert S.u * e * exp_of(-S.gamma * S.u) == S.u
-        assert exp_of(S.x + 1) * exp_of(-S.x) == atom_expr(ExpConst(1))
+        assert exp_of(S.x + 1) * exp_of(-S.x) == \
+            atom_expr(ExpAtom(Expr.const(1)))
         assert e * e == exp_of(2 * S.gamma * S.u)
-        assert atom_expr(ExpConst(2)) * atom_expr(ExpConst(-2)) == Expr.const(1)
+        assert atom_expr(ExpAtom(Expr.const(2))) * \
+            atom_expr(ExpAtom(Expr.const(-2))) == Expr.const(1)
 
 
 class TestJetVarSortKey:
@@ -329,7 +328,7 @@ XYZ_POOL = (
     S.u_at, jet_atom("u", "y"), V_AT, S.uxt_at, jet_atom("v", "t", "y"),
     S.ux_at, S.x_at, S.t_at, Y_AT, Parameter("alpha", nonzero=True),
     OpaqueDeriv("h", (S.x_at, Y_AT)), OpaqueDeriv("f", (S.u_at,)),
-    ExpAtom(S.gamma * S.u), ExpConst(2),
+    ExpAtom(S.gamma * S.u), ExpAtom(Expr.const(2)),
 )
 
 

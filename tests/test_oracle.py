@@ -14,7 +14,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from conslaw_kit.expr import (ExpAtom, ExpConst, Expr, IndependentVar,  # noqa: E402
+from conslaw_kit.expr import (ExpAtom, Expr, IndependentVar,  # noqa: E402
                               JetVar, Parameter, atom_expr, exp_of,
                               partial, substitute)
 from conslaw_kit.expr.coeff import as_poly  # noqa: E402
@@ -54,8 +54,6 @@ def _term(t):
 def _atom(a):
     if isinstance(a, ExpAtom):
         return sympy.exp(to_sympy(a.exponent))
-    if isinstance(a, ExpConst):
-        return sympy.exp(_rational(a.value))
     if isinstance(a, Parameter):
         return sympy.Symbol(f"{a.name}_{'nonzero' if a.nonzero else 'plain'}")
     if isinstance(a, (IndependentVar, JetVar)):

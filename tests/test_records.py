@@ -24,7 +24,7 @@ from conslaw_kit.dsl import load_session, tokenize
 from conslaw_kit.dsl.commands import run_session_command
 from conslaw_kit.dsl.report import Report
 from conslaw_kit.dsl.session import CommandStmt, Session
-from conslaw_kit.expr import (Atom, ExpAtom, ExpConst, Expr, IndependentVar,
+from conslaw_kit.expr import (Atom, ExpAtom, Expr, IndependentVar,
                               MultiIndex, OpaqueDeriv, Parameter, jet,
                               jet_atom)
 from conslaw_kit.jet import PdeSystem, total_derivative
@@ -86,8 +86,7 @@ def _samples() -> dict[type, Record]:
         expr, expr.terms[0][1],
         MultiIndex.of("x", "t"), IndependentVar("x"), Parameter("a", True),
         OpaqueDeriv("f", (IndependentVar("x"),), (1,)),
-        jet_atom("u", "x"), ExpConst(2),
-        *(a for a in expr.atoms() if isinstance(a, ExpAtom)),
+        jet_atom("u", "x"), ExpAtom(Expr.const(2)),
     ]
     # the per-system variational values, which the copies must not carry
     adjoint_system(sys_)

@@ -330,7 +330,11 @@ class _Parser:
         args = [self._func_arg(kw)]
         while self.at(","):
             self.advance()
-            args.append(self._func_arg(kw))
+            a = self._func_arg(kw)
+            if a in args:
+                raise ParseError(f"function argument {atom_text(a)!r} is "
+                                 "repeated", kw.line, kw.col)
+            args.append(a)
         self.expect(")")
         self.expect(";")
         self.s.funcs[name] = OpaqueDeriv(name, tuple(args))

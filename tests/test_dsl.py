@@ -111,6 +111,7 @@ class TestOnePass:
         ("char c = q + ;", "unknown symbol 'q'"),
         ("char c = u/x + ;", "division is only defined"),
         ("dep u nonzero;", "duplicate declaration of 'u'"),
+        ("func f(x, x, ;", "function argument 'x' is repeated"),
     ])
     def test_first_error_in_source_order(self, line, message):
         with pytest.raises(ParseError, match=message) as err:

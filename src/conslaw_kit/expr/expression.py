@@ -449,7 +449,7 @@ def _gradient_terms(e: Expr, var: str | None = None
             cls = f.__class__
             if cls is JetVar or cls is IndependentVar and _kept(f, var):
                 acc.setdefault(f, []).append(lowered(t, i))
-            elif cls is OpaqueDeriv:
+            elif cls is OpaqueDeriv and f.args:
                 low = lowered(t, i)
                 for k, arg in enumerate(f.args):
                     c = arg.__class__

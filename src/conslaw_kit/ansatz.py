@@ -19,12 +19,10 @@ vanish.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from .cancel import checkpoint
-from .determining import (_require_nontrivial, adjoint_symmetry_residual,
-                          differential_substitution_residual,
-                          multiplier_residual, symmetry_residual)
+from .determining import TARGETS, _require_nontrivial
 from .expr.atoms import (OpaqueDeriv, Parameter, mono_div, mono_gcd,
                          mono_lcm)
 from .expr.coeff import Poly, as_poly, primitive
@@ -39,14 +37,6 @@ __all__ = [
     "TARGETS", "AnsatzProblem", "LinearSolveResult", "build_and_split",
     "solve_linear", "entry_exprs", "solve_ansatz",
 ]
-
-TARGETS: dict[str, Callable] = {
-    "symmetry": symmetry_residual,
-    "adjoint-symmetry": adjoint_symmetry_residual,
-    "multiplier": multiplier_residual,
-    "differential-substitution": differential_substitution_residual,
-}
-
 
 class AnsatzProblem(Record):
     """Find all c with residual(sum c_k * basis_k) = 0.

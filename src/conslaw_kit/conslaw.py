@@ -6,9 +6,9 @@ explicit equation-proportional identity as evidence, and compares vectors
 up to the equivalences that leave a conservation law unchanged (overall
 sign, on-solution rewriting, divergence-free shifts).
 
-Two values are built once per system, in its `PdeSystem.memo`: the
-weighted brackets of the formal Lagrangian, and whether a substitution
-satisfies its determining system, one verdict per substitution.
+The weighted brackets of the formal Lagrangian are built once per
+system, in its `PdeSystem.memo`, as are a substitution's residual and
+D_J phi tables, which a `substitution-check` of it shares.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import itertools
 from collections.abc import Sequence
 
 from .cancel import checkpoint
-from .determining import (_multiplier_substitution, _substitution_residual,
-                          e_decompose)
+from .determining import (_jet_tables, _multiplier_substitution,
+                          characteristic_residual, e_decompose)
 from .expr.atoms import JetVar, MultiIndex
 from .expr.coeff import as_poly
 from .expr.errors import ExprError
@@ -142,7 +142,7 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     A phi that fails the substitution determining system is accepted (the
     result is then generally not conserved); the failure is flagged on the
     returned vector rather than raised, so negative probes stay cheap.
-    The verdict is checked once per (system, phi), in the system's memo.
+    The verdict and the substitution read phi's entries in the memo.
     """
     lagr = formal_lagrangian(sys)
     tables = [derivatives(w) for w in characteristic_W(sys, g)]
@@ -155,9 +155,9 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     substitution_ok = None
     if phi is not None:
         phi = _as_characteristic(phi, len(sys.dep))
-        sub = _multiplier_substitution(sys, phi)
-        substitution_ok = sys.memo(("substitution_ok", phi), lambda: all(
-            x.is_zero for x in _substitution_residual(sys, phi, sub)))
+        substitution_ok = all(x.is_zero for x in characteristic_residual(
+            sys, "differential-substitution", phi))
+        sub = _multiplier_substitution(sys, _jet_tables(sys, phi))
         raw = [sub(c) for c in raw]
 
     reduced = tuple(sys.reduce(c) for c in raw)

@@ -10,6 +10,11 @@ The workhorse is `e_decompose`, which writes an expression exactly as
 with S fully reduced on the solution manifold, by substituting each
 leading derivative L = R + c^(-1) * <marker> and letting total derivatives
 carry the marker's jet coordinates along.
+
+The residual functions compute afresh, as the ansatz's one-off
+combinations want; `characteristic_residual` keeps a named
+characteristic's residuals, and a substitution's D_J phi tables, in the
+system's `PdeSystem.memo`, so the commands that name it share them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ __all__ = [
     "EDecomposition", "e_decompose", "symmetry_residual",
     "adjoint_symmetry_residual", "differential_substitution_residual",
     "selfadjoint_lambda", "multiplier_residual",
-    "adjoint_invariance_conditions",
+    "adjoint_invariance_conditions", "characteristic_residual", "TARGETS",
 ]
 
 
@@ -139,13 +144,16 @@ def adjoint_symmetry_residual(sys: PdeSystem, omega) -> tuple[Expr, ...]:
     return tuple(sys.reduce(x) for x in adjoint_linearize(sys, omega))
 
 
-def _multiplier_substitution(sys: PdeSystem, phi: tuple[Expr, ...]
-                             ) -> Callable[[Expr], Expr]:
+def _jet_tables(sys: PdeSystem, phi: tuple[Expr, ...]) -> tuple:
+    """phi's D_J tables, kept in the memo under ("derivatives", phi)."""
+    return sys.memo(("derivatives", phi), lambda: tuple(map(derivatives, phi)))
+
+
+def _multiplier_substitution(sys: PdeSystem, tables) -> Callable[[Expr], Expr]:
     """e -> e with the adjoined variables and all their jet coordinates
-    replaced by phi's components and their total derivatives.  Every call
-    reads one D_J phi table per component, filled on demand."""
+    replaced by phi's components and their total derivatives, read from
+    `tables`, phi's D_J tables."""
     names = adjoint_variables(sys)
-    tables = [derivatives(c) for c in phi]
     return lambda e: _substitute_jets(e, names, tables)
 
 
@@ -163,16 +171,17 @@ def differential_substitution_residual(sys: PdeSystem, phi) -> tuple[Expr, ...]:
     Computed independently of `adjoint_symmetry_residual` (adjoint system
     via the Euler operator, then substitution); the two must agree for
     every characteristic, which the test suite checks mechanically.
+    Each call builds its own D_J phi tables.
     """
     phi = _as_characteristic(phi, len(sys.dep))
-    return _substitution_residual(sys, phi, _multiplier_substitution(sys, phi))
-
-
-def _substitution_residual(sys: PdeSystem, phi: tuple[Expr, ...],
-                           sub: Callable[[Expr], Expr]) -> tuple[Expr, ...]:
-    """`differential_substitution_residual` through `sub`, phi's
-    `_multiplier_substitution`, which the caller may go on using."""
     _require_nontrivial(sys, phi)
+    return _substitution_residual(sys, tuple(map(derivatives, phi)))
+
+
+def _substitution_residual(sys: PdeSystem, tables) -> tuple[Expr, ...]:
+    """The adjoint system with a nontrivial phi substituted through its
+    D_J `tables`, reduced on solutions."""
+    sub = _multiplier_substitution(sys, tables)
     return tuple(sys.reduce(sub(adj)) for adj in adjoint_system(sys))
 
 
@@ -196,7 +205,7 @@ def selfadjoint_lambda(sys: PdeSystem, phi):
     _require_nontrivial(sys, phi)
     m = len(sys.dep)
     lam = [[Expr.zero()] * m for _ in range(m)]
-    sub = _multiplier_substitution(sys, phi)
+    sub = _multiplier_substitution(sys, _jet_tables(sys, phi))
     for a, adj in enumerate(adjoint_system(sys)):
         dec = e_decompose(sub(adj), sys)
         if not dec.is_linear:
@@ -234,7 +243,7 @@ def adjoint_invariance_conditions(sys: PdeSystem, lam):
     """
     lam = _as_characteristic(lam, len(sys.dep))
     residuals = multiplier_residual(sys, lam)
-    reference = adjoint_symmetry_residual(sys, lam)
+    reference = characteristic_residual(sys, "adjoint-symmetry", lam)
     adjoint_parts: list[Expr] = []
     extras: list[tuple[tuple[int, int, MultiIndex], Expr]] = []
     for sigma, res in enumerate(residuals):
@@ -247,3 +256,26 @@ def adjoint_invariance_conditions(sys: PdeSystem, lam):
         for (b, J), coeff in dec.coeffs.items():
             extras.append(((sigma, b, J), coeff))
     return residuals, tuple(adjoint_parts), extras
+
+
+TARGETS: dict[str, Callable] = {
+    "symmetry": symmetry_residual,
+    "adjoint-symmetry": adjoint_symmetry_residual,
+    "multiplier": multiplier_residual,
+    "differential-substitution": differential_substitution_residual,
+}
+
+
+def characteristic_residual(sys: PdeSystem, target: str, phi
+                            ) -> tuple[Expr, ...]:
+    """The `TARGETS[target]` residual of phi, kept in the memo under
+    (target, phi); a substitution's reads `_jet_tables`.  A build that
+    raises, as a trivial substitution does, stores nothing."""
+    phi = _as_characteristic(phi, len(sys.dep))
+
+    def build():
+        if target != "differential-substitution":
+            return TARGETS[target](sys, phi)
+        _require_nontrivial(sys, phi)
+        return _substitution_residual(sys, _jet_tables(sys, phi))
+    return sys.memo((target, phi), build)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from ..ansatz import AnsatzProblem, entry_exprs, solve_ansatz, TARGETS
 from ..conslaw import Generator, ibragimov_vector, verify_divergence
-from ..determining import adjoint_invariance_conditions, selfadjoint_lambda
+from ..determining import (adjoint_invariance_conditions,
+                           characteristic_residual, selfadjoint_lambda)
 from ..expr.errors import ConslawError
 from ..expr.expression import Expr
 from ..expr.printer import expr_latex, expr_text
@@ -97,7 +98,7 @@ def _residual_check(name: str):
 
     def cmd(session: Session, args) -> Report:
         sysm = session.require_system()
-        res = TARGETS[target](sysm, _char_arg(session, args))
+        res = characteristic_residual(sysm, target, _char_arg(session, args))
         return _residual_report(name, sysm, res, detail_zero, detail_nonzero)
     return cmd
 

@@ -2,7 +2,9 @@
 
 The JSON layout is stable and versioned (see schema/report-v1.json); text
 output is the canonical pretty-print, and LaTeX renders expressions in
-journal notation.
+journal notation.  One rendering of a report keeps one printer memo per
+notation (`printer._terms`), so an expression, an atom or a power that
+recurs across its residuals, vectors and identity is rendered once.
 """
 
 from __future__ import annotations
@@ -37,16 +39,18 @@ class Report(MutableRecord):
     # -- json ----------------------------------------------------------------
 
     def to_dict(self) -> dict:
+        text, latex = {}, {}
         doc: dict = {
             "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "status": self.status,
             "residuals": [
-                {"name": n, "expr": expr_text(e), "latex": expr_latex(e)}
+                {"name": n, "expr": expr_text(e, text),
+                 "latex": expr_latex(e, latex)}
                 for n, e in self.residuals
             ],
             "vectors": {
-                comp: {k: expr_text(v) for k, v in parts.items()}
+                comp: {k: expr_text(v, text) for k, v in parts.items()}
                 for comp, parts in self.vectors.items()
             },
             "identity": None,
@@ -56,10 +60,10 @@ class Report(MutableRecord):
             doc["identity"] = {
                 "terms": [
                     {"equation": eq, "derivative": deriv,
-                     "coefficient": expr_text(c)}
+                     "coefficient": expr_text(c, text)}
                     for eq, deriv, c in self.identity["terms"]
                 ],
-                "remainder": expr_text(self.identity["remainder"]),
+                "remainder": expr_text(self.identity["remainder"], text),
             }
         if self.detail:
             doc["detail"] = self.detail
@@ -102,13 +106,13 @@ def _framed(rep: Report, status: str, body: list[str], note) -> str:
 
 
 def _render_text(rep: Report) -> str:
-    lines = []
+    lines, memo = [], {}
     for name, e in rep.residuals:
-        lines.append(f"residual[{name}]: {expr_text(e)}")
+        lines.append(f"residual[{name}]: {expr_text(e, memo)}")
     for comp, parts in rep.vectors.items():
         for kind, e in parts.items():
             tag = f"C[{comp}]" if kind == "reduced" else f"C[{comp}].{kind}"
-            lines.append(f"{tag}: {expr_text(e)}")
+            lines.append(f"{tag}: {expr_text(e, memo)}")
     if rep.identity is not None:
         rem = rep.identity["remainder"]
         lines.append("identity: div(C) =" + (
@@ -116,8 +120,8 @@ def _render_text(rep: Report) -> str:
             else " 0 (on solutions)"))
         for eq, deriv, c in rep.identity["terms"]:
             dtag = f"D[{deriv}]" if deriv else ""
-            lines.append(f"  + ({expr_text(c)}) * {dtag}{eq}")
-        lines.append(f"  + remainder: {expr_text(rem)}")
+            lines.append(f"  + ({expr_text(c, memo)}) * {dtag}{eq}")
+        lines.append(f"  + remainder: {expr_text(rem, memo)}")
     color = {"zero": "32", "nonzero": "31", "error": "33"}[rep.status]
     return _framed(rep, _paint(rep.status, color), lines, list)
 
@@ -128,20 +132,22 @@ def _comments(lines: list[str]) -> list[str]:
 
 
 def _render_latex(rep: Report) -> str:
-    lines = []
+    lines, memo = [], {}
     for name, e in rep.residuals:
-        lines.append(f"\\mathrm{{residual}}[{name}] = {expr_latex(e)} \\\\")
+        lines.append(
+            f"\\mathrm{{residual}}[{name}] = {expr_latex(e, memo)} \\\\")
     for comp, parts in rep.vectors.items():
         if "reduced" in parts:
-            lines.append(f"C^{{{comp}}} = {expr_latex(parts['reduced'])} \\\\")
+            lines.append(
+                f"C^{{{comp}}} = {expr_latex(parts['reduced'], memo)} \\\\")
     if rep.identity is not None:
         rem = rep.identity["remainder"]
-        pieces = [f"\\big({expr_latex(c)}\\big) D_{{{deriv}}} {eq}"
-                  if deriv else f"\\big({expr_latex(c)}\\big) {eq}"
+        pieces = [f"\\big({expr_latex(c, memo)}\\big) D_{{{deriv}}} {eq}"
+                  if deriv else f"\\big({expr_latex(c, memo)}\\big) {eq}"
                   for eq, deriv, c in rep.identity["terms"]]
         rhs = " + ".join(pieces) if pieces else "0"
         if not rem.is_zero:
-            rhs += f" + {expr_latex(rem)}"
+            rhs += f" + {expr_latex(rem, memo)}"
         lines.append(f"D_i C^i = {rhs} \\\\")
     return _framed(rep, rep.status, lines, _comments)
 

@@ -13,7 +13,8 @@ sort key, a rank per atom type first, then the fields in the order they
 compare by.  So `==`, hash and `<` are the tuple's and run in C; a power
 product, a tuple of (atom, exponent) pairs, hashes and sorts with no
 Python call per factor, and nothing is cached on an atom.  Only
-`ExpAtom` hashes in Python, for the reason in its docstring.
+`ExpAtom` hashes in Python, one frame that reads its exponent's cached
+hash, for the reason in its docstring.
 
 Three kinds of monomial share one format, a tuple of (key, exponent)
 pairs sorted by key, each key once and no exponent zero: the counts of
@@ -279,8 +280,9 @@ class ExpAtom(Atom):
     itself breaks the ties of its sort key, which drops parameter flags
     (`Expr.__lt__`).  A constant exponent's key has degree 0, so e^q for
     a constant q sorts below every other exponential, by q.  It hashes
-    as its exponent, whose hash is cached: hashing the key would walk
-    every coefficient in it, in Python.
+    as its exponent: hashing the key would walk every coefficient in it,
+    in Python.  `__new__` fills the exponent's cached hash, so `__hash__`
+    only reads it; pickle and copy rebuild through `__new__`.
     """
 
     __slots__ = ()
@@ -290,7 +292,8 @@ class ExpAtom(Atom):
     def __new__(cls, exponent: Expr) -> "ExpAtom":
         if not exponent.terms:
             raise ValueError("e^0 folds to 1; ExpAtom must be nonzero")
+        hash(exponent)
         return _new(cls, (4, exponent.sort_key(), exponent))
 
     def __hash__(self) -> int:
-        return hash(self[2])
+        return self[2]._hash

@@ -31,10 +31,11 @@ An `Expr` is a slotted record and a term a plain tuple; atoms compare
 and hash as tuples (see `atoms`), so a gather builds no per-term object
 and sorts in C.  An `Expr` fills its hash and `sort_key()` once, lazily
 (`lazy_slot`): hashing one walks every coefficient down to each value (an
-`int` hashes in C, a `Fraction` in Python, a `Poly` through its terms),
-and an exponent is hashed on every lookup of its `ExpAtom`.  Hashing
-eagerly at construction was slower: +2-11% benchmark run time on every
-workload (2-core x86, 3 seeds).
+`int` hashes in C, a `Fraction` in Python, a `Poly` through its terms).
+Only an exponent is hashed when built, by its `ExpAtom`, whose every
+lookup reads that hash.  Hashing every expression eagerly at
+construction was slower: +2-11% benchmark run time on every workload
+(2-core x86, 3 seeds).
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ product: higher-degree terms come first, ties broken by most-derived jet
 content, with independent variables last, which reproduces the familiar
 shapes (u^2*u_xx + u*u_x^2, exponents gamma*u + alpha*t + beta*x).
 
+A caller that prints many expressions, as a report does, may pass one
+memo dict per notation, which it owns, so each is rendered once.
+
 An integer longer than `str(int)` converts raises `ConslawError`: no
 shorter text would read back to the same number.
 """
@@ -30,7 +33,7 @@ from .errors import ConslawError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
-    from .expression import Expr, Term
+    from .expression import Expr
 
 __all__ = ["atom_text", "poly_text", "expr_text", "expr_latex"]
 
@@ -53,20 +56,6 @@ def _atom_display_key(a: Atom):
     if isinstance(a, IndependentVar):
         return (3, a.name)
     return (4, atom_text(a))
-
-
-def _term_display_key(t: Term, display=_atom_display_key):
-    """Degree descending, then the sorted display keys of the factors in
-    run-length form: (key, -count) pairs, which order the terms of one
-    degree as the sorted lists with each key repeated count times do,
-    without building those lists.  Atoms may share a key (`f(u)`,
-    `f(v)`), so the counts are merged.  `display` gives an atom's key."""
-    counts: dict = {}
-    for a, k in t[0]:
-        key = display(a)
-        counts[key] = counts.get(key, 0) + k
-    return (-sum(counts.values()),
-            sorted((key, -n) for key, n in counts.items()))
 
 
 def _factor_key(a: Atom):
@@ -121,32 +110,47 @@ def _poly_pieces(p: Poly, mono, frac, times: str):
         yield q < 0, _scaled(frac(abs(q)), mono(m), times)
 
 
-def _terms(e: Expr, coeff, factor, times: str, pad: str) -> str:
+def _terms(e: Expr, coeff, factor, times: str, pad: str, memo: dict) -> str:
     """The sum of the terms of `e` in display order; `coeff` gives a
     coefficient's (negative, text), a unit coefficient is left out.
-    Each distinct atom's display and factor keys, and each distinct
-    (atom, power)'s `factor` text, are computed once per call."""
+    A term sorts by degree descending, then by its factors' sorted
+    (display key, -count) pairs, the counts of a key that atoms share
+    (`f(u)`, `f(v)`) merged.  `memo` keeps each expression's text, each
+    atom's (display key, factor key) and each (atom, power)'s text."""
     if e.is_zero:
         return "0"
-    display, order, text = {}, {}, {}
+    out = memo.get(e)
+    if out is not None:
+        return out
+    keys = {}
     for powers, _ in e.terms:
         for ak in powers:
             a = ak[0]
-            if a not in display:
-                display[a] = _atom_display_key(a)
-                order[a] = _factor_key(a)
-            if ak not in text:
-                text[ak] = factor(*ak)
+            if a not in keys:
+                keys[a] = memo.get(a) or memo.setdefault(
+                    a, (_atom_display_key(a), _factor_key(a)))
+            if ak not in memo:
+                memo[ak] = factor(*ak)
+    shared = len({d for d, _ in keys.values()}) < len(keys)
+
+    def display(t):
+        pairs = sorted([(keys[a][0], -k) for a, k in t[0]])
+        if shared:
+            counts: dict = {}
+            for d, n in pairs:
+                counts[d] = counts.get(d, 0) + n
+            pairs = list(counts.items())
+        return (sum(n for _, n in pairs), pairs)
+
     pieces = []
-    for t in sorted(e.terms, key=lambda t: _term_display_key(
-            t, display.__getitem__)):
+    for t in sorted(e.terms, key=display):
         neg, ctext = coeff(t[1])
-        factors = [text[ak] for ak in
-                   sorted(t[0], key=lambda ak: order[ak[0]])]
+        factors = [memo[ak] for ak in
+                   sorted(t[0], key=lambda ak: keys[ak[0]][1])]
         if ctext != "1" or not factors:
             factors.insert(0, ctext)
         pieces.append((neg, times.join(factors)))
-    return _signed_sum(pieces, pad)
+    return memo.setdefault(e, _signed_sum(pieces, pad))
 
 
 # -- text -----------------------------------------------------------------------
@@ -200,10 +204,11 @@ def atom_text(a: Atom) -> str:
     raise TypeError(f"unknown atom {a!r}")
 
 
-def expr_text(e: Expr) -> str:
-    """Canonical textual form; parses back to the same expression."""
+def expr_text(e: Expr, memo: dict | None = None) -> str:
+    """Canonical textual form; parses back to the same expression.
+    `memo`: see `_terms`, not shared with `expr_latex`."""
     return _terms(e, _coeff_text, lambda a, k: _power(atom_text(a), k),
-                  "*", " ")
+                  "*", " ", {} if memo is None else memo)
 
 
 # -- latex ------------------------------------------------------------------------
@@ -277,7 +282,8 @@ def _atom_latex(a: Atom) -> str:
     raise TypeError(f"unknown atom {a!r}")
 
 
-def expr_latex(e: Expr) -> str:
-    """LaTeX in the journal's notation."""
+def expr_latex(e: Expr, memo: dict | None = None) -> str:
+    """LaTeX in the journal's notation; `memo` as for `expr_text`."""
     return _terms(e, _coeff_latex,
-                  lambda a, k: _power(_atom_latex(a), k, True), " ", "")
+                  lambda a, k: _power(_atom_latex(a), k, True), " ", "",
+                  {} if memo is None else memo)

@@ -14,9 +14,11 @@ each entry one derivative of its parent (J without its last variable).
 each input is signed once, as (-1)^|J| f_J, and the pieces at J fold
 into the parent J - v before it is differentiated, so each index costs
 one D however many pieces share it, and no derivative is negated.  Both
-live only as long as their caller holds them: no `derivatives` table is
-cached across calls.  What a system does keep across calls is in its
-`PdeSystem.memo` and its image table.
+live only as long as their caller holds them; the one `derivatives`
+table kept across calls is a substitution's D_J phi table, which its
+system's `PdeSystem.memo` keeps under ("derivatives", phi), with the
+residuals of each characteristic a command names (see `determining`).
+The memo and the image table are all a system keeps across calls.
 
 A `PdeSystem` designates one solved ("leading") derivative per equation
 and carries the rewrite rules that constrain its opaque functions.

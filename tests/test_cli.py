@@ -369,6 +369,35 @@ class TestConcurrency:
             assert got == sequential
 
 
+SESSION_FILES = sorted(
+    [*CORPUS.glob("*.cl"), *(PKG_ROOT / "tests" / "data").glob("*.cl"),
+     *(PKG_ROOT / "perfbench" / "sessions").glob("*.cl")],
+    key=lambda p: (p.parent.name, p.name))
+
+
+class TestOrderIndependence:
+    @pytest.mark.parametrize("path", SESSION_FILES,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_reverse_order_gives_the_same_reports(self, path):
+        """The per-system entries that commands share (residuals, D_J phi
+        tables, brackets) do not depend on which command builds them
+        first: on a fresh session, the commands run in reverse order
+        print the JSON of the declared order."""
+        text = path.read_text(encoding="utf-8")
+        n = len(load_session(text).commands)
+        assert n
+
+        def reports(order):
+            session = load_session(text)
+            return {i: emit(run_session_command(session, session.commands[i]),
+                            "json") for i in order}
+
+        assert reports(reversed(range(n))) == reports(range(n))
+
+    def test_every_session_file(self):
+        assert len(SESSION_FILES) == 11
+
+
 class TestCorpusRuns:
     @pytest.mark.parametrize("session", [WAVE, THOMAS, KG],
                              ids=lambda path: Path(path).name)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import conslaw_kit.conslaw as conslaw_module
+import conslaw_kit.determining as determining_module
 from conslaw_kit.conslaw import (ConservedVector, Generator, _bracket_table,
                                  compare_vectors, characteristic_W,
                                  ibragimov_vector, verify_divergence)
@@ -20,7 +20,7 @@ from conslaw_kit.expr import (Expr, ExprError, JetVar, MultiIndex,
                               OpaqueDeriv, atom_expr, exp_of, rational)
 from conslaw_kit.expr.errors import TrivialSubstitutionError
 from conslaw_kit.expr.expression import jet, jet_atom, jet_gradient, sum_exprs
-from conslaw_kit.jet import solve_leading, total_derivative
+from conslaw_kit.jet import derivatives, solve_leading, total_derivative
 from conslaw_kit.variational import formal_lagrangian
 
 from conftest import Syms as S, random_expr
@@ -315,7 +315,7 @@ def reference_raw_vector(sys, g, phi=None):
         raw.append(sum_exprs(pieces))
     if phi is None:
         return raw
-    sub = _multiplier_substitution(sys, phi)
+    sub = _multiplier_substitution(sys, [derivatives(c) for c in phi])
     return [sub(c) for c in raw]
 
 
@@ -471,7 +471,7 @@ cmd conslaw galilei bad;
 
 def verdict_keys(sys):
     return [k for k in sys._cache
-            if isinstance(k, tuple) and k[0] == "substitution_ok"]
+            if isinstance(k, tuple) and k[0] == "differential-substitution"]
 
 
 class TestSubstitutionVerdict:
@@ -484,14 +484,16 @@ class TestSubstitutionVerdict:
             calls.append(args)
             return _substitution_residual(*args)
 
-        monkeypatch.setattr(conslaw_module, "_substitution_residual", counted)
+        monkeypatch.setattr(determining_module, "_substitution_residual",
+                            counted)
         session = load_session(KDV_SRC)
         sys, phi = session.require_system(), session.chars["bad"]
         reports = [run_session_command(session, cmd)
                    for cmd in session.commands]
         assert len(calls) == 1
-        assert verdict_keys(sys) == [("substitution_ok", phi)]
-        assert sys._cache[("substitution_ok", phi)] is False
+        assert verdict_keys(sys) == [("differential-substitution", phi)]
+        assert not all(
+            x.is_zero for x in sys._cache[("differential-substitution", phi)])
         vec = ibragimov_vector(sys, session.gens["timeTrans"], phi)
         assert vec.substitution_ok is False and len(calls) == 1
         assert [r.extra.get("warning", "").startswith(
@@ -506,6 +508,8 @@ class TestSubstitutionVerdict:
         assert verdict_keys(sys) == []
 
     def test_residual_commands_leave_no_verdict(self):
+        """Of the residual commands, `substitution-check` stores the
+        residual a `conslaw` verdict reads; the ansatz stores none."""
         session = load_session(
             (ROOT / "src/conslaw_kit/corpus/wave.cl").read_text(
                 encoding="utf-8")
@@ -515,4 +519,5 @@ class TestSubstitutionVerdict:
                 assert run_session_command(session, cmd).status != "error"
         assert {"substitution-check", "ansatz"} <= {
             c.name for c in session.commands}
-        assert verdict_keys(session.require_system()) == []
+        assert verdict_keys(session.require_system()) == [
+            ("differential-substitution", session.chars["scaleChar"])]

@@ -1,22 +1,32 @@
 """Determining-system residuals, E-decomposition, and the mechanized
 symmetry / adjoint-symmetry / substitution / multiplier relationships."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import conslaw_kit.determining as determining_module
+
 from conslaw_kit.expr import (Expr, JetVar, MultiIndex, OpaqueDeriv,
                               atom_expr, exp_of)
-from conslaw_kit.expr.errors import (SubstitutionClassError,
+from conslaw_kit.cancel import deadline
+from conslaw_kit.expr.errors import (CancelledComputation,
+                                     SubstitutionClassError,
                                      TrivialSubstitutionError)
 from conslaw_kit.expr.expression import jet
-from conslaw_kit.determining import (adjoint_invariance_conditions,
-                                     adjoint_symmetry_residual, e_decompose,
+from conslaw_kit.determining import (TARGETS, adjoint_invariance_conditions,
+                                     adjoint_symmetry_residual,
+                                     characteristic_residual, e_decompose,
                                      differential_substitution_residual,
                                      multiplier_residual, selfadjoint_lambda,
                                      symmetry_residual)
-from conslaw_kit.jet import solve_leading, total_derivative
+from conslaw_kit.conslaw import ibragimov_vector
+from conslaw_kit.dsl import load_session, run_session_command
+from conslaw_kit.jet import derivatives, solve_leading, total_derivative
 
 from conftest import Syms as S, random_expr
 
@@ -329,3 +339,128 @@ class TestAdjointInvariance:
         scaling = S.u - S.x * S.ux
         assert adjoint_symmetry_residual(wave, scaling)[0].is_zero
         assert not multiplier_residual(wave, scaling)[0].is_zero
+
+
+ROOT = Path(__file__).resolve().parents[1]
+THOMAS = ROOT / "src" / "conslaw_kit" / "corpus" / "thomas.cl"
+MEMO_SESSIONS = (THOMAS, ROOT / "src" / "conslaw_kit" / "corpus" / "wave.cl",
+                 ROOT / "src" / "conslaw_kit" / "corpus" / "klein-gordon.cl",
+                 ROOT / "perfbench" / "sessions" / "kdv5-conslaw.cl")
+
+
+def characteristic_keys(sys):
+    """The memo keys that name a characteristic: (target, phi) and
+    ("derivatives", phi)."""
+    return [k for k in sys._cache
+            if isinstance(k, tuple) and isinstance(k[0], str)]
+
+
+def run_named(session, name):
+    """Run every command whose arguments name `name`; their reports."""
+    return [run_session_command(session, cmd) for cmd in session.commands
+            if name in [v for _, v in cmd.args]]
+
+
+class TestCharacteristicMemo:
+    """The residuals of a declared characteristic, and a substitution's
+    D_J phi tables, are built once per system and shared by the commands
+    that name it."""
+
+    def test_one_substitution_residual_for_three_commands(self, monkeypatch):
+        calls, original = [], determining_module._substitution_residual
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(determining_module, "_substitution_residual",
+                            counted)
+        session = load_session(THOMAS.read_text(encoding="utf-8"))
+        reports = run_named(session, "sub3")
+        assert [r.command for r in reports] == [
+            "adjoint-check", "substitution-check", "conslaw"]
+        assert [r.status for r in reports] == ["zero"] * 3
+        assert "warning" not in reports[2].extra
+        assert len(calls) == 1
+        phi = session.chars["sub3"]
+        assert {("differential-substitution", phi), ("adjoint-symmetry", phi),
+                ("derivatives", phi)} <= set(
+                    characteristic_keys(session.require_system()))
+
+    def test_one_adjoint_residual_for_adjoint_and_multiplier_check(
+            self, monkeypatch):
+        calls = []
+
+        def counted(sys, phi):
+            calls.append(phi)
+            return adjoint_symmetry_residual(sys, phi)
+
+        monkeypatch.setitem(TARGETS, "adjoint-symmetry", counted)
+        session = load_session(MEMO_SESSIONS[3].read_text(encoding="utf-8"))
+        m1 = session.chars["m1"]
+        reports = [run_session_command(session, cmd)
+                   for cmd in session.commands[1:3]]
+        assert [(r.command, r.status) for r in reports] == [
+            ("adjoint-check", "zero"), ("multiplier-check", "zero")]
+        assert calls == [m1]
+
+    @pytest.mark.parametrize("path", MEMO_SESSIONS, ids=lambda p: p.name)
+    def test_entries_equal_a_cold_copy(self, path):
+        session = load_session(path.read_text(encoding="utf-8"))
+        for cmd in session.commands:
+            run_session_command(session, cmd)
+        sys = session.require_system()
+        keys = characteristic_keys(sys)
+        assert keys
+        for twin in (sys.with_solved(sys.solved), pickle.loads(
+                pickle.dumps(sys)), copy.copy(sys), copy.deepcopy(sys)):
+            assert characteristic_keys(twin) == []
+        cold = sys.with_solved(sys.solved)
+        for target, phi in keys:
+            value = sys._cache[target, phi]
+            if target == "derivatives":
+                for table, c in zip(value, phi):
+                    fresh = derivatives(c)
+                    for J in (MultiIndex(), MultiIndex.of("x"),
+                              MultiIndex.of("t", "x"),
+                              MultiIndex.of("x", "x", "x")):
+                        assert table(J) == fresh(J)
+                continue
+            assert (target, phi) not in cold._cache
+            assert value == TARGETS[target](cold, phi)
+            assert characteristic_residual(cold, target, phi) == value
+
+    def test_trivial_substitution_raises_every_time_and_leaves_no_key(self):
+        session = load_session(THOMAS.read_text(encoding="utf-8"))
+        sys = session.require_system()
+        phi = sys.equations
+        for _ in range(2):
+            with pytest.raises(TrivialSubstitutionError):
+                characteristic_residual(sys, "differential-substitution", phi)
+            with pytest.raises(TrivialSubstitutionError):
+                selfadjoint_lambda(sys, Expr.zero())
+            with pytest.raises(TrivialSubstitutionError):
+                ibragimov_vector(sys, session.gens["timeTrans"], phi)
+        assert characteristic_keys(sys) == []
+
+    @pytest.mark.parametrize("target", ("symmetry", "adjoint-symmetry",
+                                        "differential-substitution"))
+    def test_cancelled_build_stores_no_residual(self, thomas, target):
+        phi = (S.ut,)
+        with pytest.raises(CancelledComputation):
+            with deadline(0):
+                characteristic_residual(thomas, target, phi)
+        assert (target, phi) not in thomas._cache
+        fresh = thomas.with_solved(thomas.solved)
+        assert characteristic_residual(thomas, target, phi) == \
+            TARGETS[target](fresh, phi)
+
+    def test_ansatz_leaves_no_characteristic_key(self):
+        text = (ROOT / "src" / "conslaw_kit" / "corpus" / "wave.cl"
+                ).read_text(encoding="utf-8")
+        for target in sorted(TARGETS):
+            session = load_session(
+                text + f"cmd ansatz {target} scaleChar timeChar spaceChar;\n")
+            report = run_session_command(session, session.commands[-1])
+            assert report.command == "ansatz" and report.status == "zero"
+            assert characteristic_keys(session.require_system()) == []

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.determining import e_decompose
+from conslaw_kit.dsl.report import Report, emit
 from conslaw_kit.expr import (Atom, ExpAtom, Expr,
                               IndependentVar, JetVar, MultiIndex,
                               OpaqueDeriv, Parameter, Poly,
@@ -28,8 +29,8 @@ from conslaw_kit.expr import (Atom, ExpAtom, Expr,
 from conslaw_kit.expr.coeff import as_poly, term_coeff
 from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
 from conslaw_kit.expr import printer
-from conslaw_kit.expr.printer import (_atom_display_key, _term_display_key,
-                                      atom_text, expr_latex, expr_text)
+from conslaw_kit.expr.printer import (_atom_display_key, atom_text,
+                                      expr_latex, expr_text)
 from conslaw_kit.jet import total_derivative
 from conslaw_kit.variational import adjoint_linearize, euler, linearize
 
@@ -393,6 +394,22 @@ class TestHashContract:
     each is asked for; the cached values must agree with ==, whatever
     built the object and whenever the cache was filled."""
 
+    @COMMON
+    @given(param_exprs())
+    def test_exp_atom_hashes_as_its_exponent(self, e):
+        """An `ExpAtom` reads the hash its exponent caches when the atom
+        is built, also of an exponent never hashed before and of a copy
+        or a pickle, which rebuild the exponent."""
+        if e.is_zero:
+            return
+        fresh = Expr(e.terms)
+        a = ExpAtom(fresh)
+        assert hash(a) == hash(fresh) == hash(e)
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                     copy.deepcopy(a)):
+            assert twin == a and hash(twin) == hash(e)
+            assert hash(twin.exponent) == hash(e)
+
     W = jet_atom("w")   # not in the random pool: a slot for substitute
 
     @COMMON
@@ -628,9 +645,23 @@ atoms = st.recursive(
     max_leaves=6)
 
 
+def term_display_key(t):
+    """The term order of the printer as it was before `_terms` built its
+    keys from per-atom display data: degree descending, then the sorted
+    display keys of the factors in run-length form, (key, -count) pairs
+    with the counts of a shared key (`f(u)`, `f(v)`) merged, one dict
+    per term."""
+    counts: dict = {}
+    for a, k in t[0]:
+        key = _atom_display_key(a)
+        counts[key] = counts.get(key, 0) + k
+    return (-sum(counts.values()),
+            sorted((key, -n) for key, n in counts.items()))
+
+
 def reference_term_display_key(t):
-    """`printer._term_display_key` as it was before its run-length form:
-    each factor's display key repeated once per unit of its exponent."""
+    """`term_display_key` as it was before its run-length form: each
+    factor's display key repeated once per unit of its exponent."""
     keys = []
     for a, k in t[0]:
         keys.extend([_atom_display_key(a)] * k)
@@ -651,10 +682,10 @@ class TestTermDisplayKey:
                         st.lists(st.sampled_from(pool), max_size=4,
                                  unique=True))), Poly.one())
                  for _ in range(data.draw(st.integers(1, 8)))]
-        assert sorted(terms, key=_term_display_key) == \
+        assert sorted(terms, key=term_display_key) == \
             sorted(terms, key=reference_term_display_key)
         for s, t in itertools.combinations(terms, 2):
-            ks, kt = _term_display_key(s), _term_display_key(t)
+            ks, kt = term_display_key(s), term_display_key(t)
             rs, rt = (reference_term_display_key(s),
                       reference_term_display_key(t))
             assert (ks < kt) == (rs < rt) and (ks == kt) == (rs == rt)
@@ -685,13 +716,14 @@ class TestTermDisplayKey:
         assert expr_latex(e) == expr_latex(graded)
 
 
-def reference_terms(e, coeff, factor, times, pad):
+def reference_terms(e, coeff, factor, times, pad, memo=None):
     """`printer._terms` as it was before it rendered each distinct atom
-    once per call: every key and factor text computed per occurrence."""
+    once: every key and factor text computed per occurrence, in every
+    expression afresh (`memo` is not read)."""
     if e.is_zero:
         return "0"
     pieces = []
-    for t in sorted(e.terms, key=_term_display_key):
+    for t in sorted(e.terms, key=term_display_key):
         neg, ctext = coeff(t[1])
         factors = [factor(a, k) for a, k in
                    sorted(t[0], key=lambda ak: printer._factor_key(ak[0]))]
@@ -732,6 +764,51 @@ class TestPrinterRendersEachAtomOnce:
         with mock.patch.object(printer, "_terms", reference_terms):
             want = expr_text(e), expr_latex(e)
         assert (expr_text(e), expr_latex(e)) == want
+
+    @st.composite
+    def report_exprs(draw):
+        """A sum of up to three terms whose factors f(u) and f(v) tie in
+        display order, each times an atom or an exponential, and of up
+        to four terms: a coefficient (a `Poly` among them) times atoms
+        of `POOL` times, at times, an exponential, some of them
+        nested."""
+        C = TestPrinterRendersEachAtomOnce
+        fu, fv = (atom_expr(a) for a in C.SHARED)
+        pieces = [tie * other for tie, other in draw(st.lists(st.tuples(
+            st.sampled_from((fu * fv, fu**2, fv**2 * fu, fu**3)),
+            st.sampled_from(C.POOL).map(atom_expr)
+            | st.sampled_from(C.EXPONENTS).map(exp_of)), max_size=3))]
+        for _ in range(draw(st.integers(0, 4))):
+            piece = draw(st.sampled_from(C.COEFFS))
+            for a in draw(st.lists(st.sampled_from(C.POOL), max_size=3,
+                                   unique=True)):
+                piece = piece * atom_expr(a) ** draw(st.integers(1, 3))
+            if draw(st.booleans()):
+                piece = piece * exp_of(draw(st.sampled_from(C.EXPONENTS)))
+            pieces.append(piece)
+        return sum_exprs(pieces)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(report_exprs(), min_size=1, max_size=6), st.data())
+    def test_reports_match_the_reference_expression_by_expression(
+            self, xs, data):
+        """A report renders an atom, a power or an expression once for
+        all its expressions, in each notation; every format emits the
+        bytes of the reference printer, which renders each expression
+        on its own.  Expressions recur, as a law's raw and reduced
+        components do."""
+        pick = functools.partial(data.draw, st.sampled_from(xs))
+        rep = Report(
+            "conslaw", "zero", "",
+            residuals=[(f"r{i}", pick()) for i in range(3)],
+            vectors={c: {"reduced": e, "raw": data.draw(
+                st.sampled_from((e, pick())))}
+                for c, e in (("t", pick()), ("x", pick()))},
+            identity={"terms": [("e", "x", pick()), ("e", "", pick())],
+                      "remainder": pick()})
+        got = [emit(rep, fmt) for fmt in ("json", "text", "latex")]
+        with mock.patch.object(printer, "_terms", reference_terms):
+            assert got == [emit(rep, fmt) for fmt in ("json", "text", "latex")]
 
 
 class TestAtomOrder:

@@ -17,8 +17,8 @@ import itertools
 from collections.abc import Sequence
 
 from .cancel import checkpoint
-from .determining import (_jet_tables, _multiplier_substitution,
-                          characteristic_residual, e_decompose)
+from .determining import (_multiplier_substitution, characteristic_residual,
+                          e_decompose)
 from .expr.atoms import JetVar, MultiIndex
 from .expr.coeff import as_poly
 from .expr.errors import ExprError
@@ -142,7 +142,10 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     A phi that fails the substitution determining system is accepted (the
     result is then generally not conserved); the failure is flagged on the
     returned vector rather than raised, so negative probes stay cheap.
-    The verdict and the substitution read phi's entries in the memo.
+    The verdict and the substitution read phi's entries in the memo, its
+    substitution residual and D_J tables, which stay there for the
+    system's lifetime, one set per phi probed, the tables growing as
+    they are read.
     """
     lagr = formal_lagrangian(sys)
     tables = [derivatives(w) for w in characteristic_W(sys, g)]
@@ -157,7 +160,8 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
         phi = _as_characteristic(phi, len(sys.dep))
         substitution_ok = all(x.is_zero for x in characteristic_residual(
             sys, "differential-substitution", phi))
-        sub = _multiplier_substitution(sys, _jet_tables(sys, phi))
+        sub = _multiplier_substitution(sys, sys.memo(
+            ("derivatives", phi), lambda: tuple(map(derivatives, phi))))
         raw = [sub(c) for c in raw]
 
     reduced = tuple(sys.reduce(c) for c in raw)

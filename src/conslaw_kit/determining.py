@@ -144,11 +144,6 @@ def adjoint_symmetry_residual(sys: PdeSystem, omega) -> tuple[Expr, ...]:
     return tuple(sys.reduce(x) for x in adjoint_linearize(sys, omega))
 
 
-def _jet_tables(sys: PdeSystem, phi: tuple[Expr, ...]) -> tuple:
-    """phi's D_J tables, kept in the memo under ("derivatives", phi)."""
-    return sys.memo(("derivatives", phi), lambda: tuple(map(derivatives, phi)))
-
-
 def _multiplier_substitution(sys: PdeSystem, tables) -> Callable[[Expr], Expr]:
     """e -> e with the adjoined variables and all their jet coordinates
     replaced by phi's components and their total derivatives, read from
@@ -205,7 +200,7 @@ def selfadjoint_lambda(sys: PdeSystem, phi):
     _require_nontrivial(sys, phi)
     m = len(sys.dep)
     lam = [[Expr.zero()] * m for _ in range(m)]
-    sub = _multiplier_substitution(sys, _jet_tables(sys, phi))
+    sub = _multiplier_substitution(sys, tuple(map(derivatives, phi)))
     for a, adj in enumerate(adjoint_system(sys)):
         dec = e_decompose(sub(adj), sys)
         if not dec.is_linear:
@@ -239,7 +234,8 @@ def adjoint_invariance_conditions(sys: PdeSystem, lam):
     `multiplier_residual` it splits, adjoint_parts[sigma] is the reduced
     remainder (and provably equals the adjoint-symmetry residual), extras
     is a list of ((sigma, beta, J), coefficient) for every surviving
-    equation-proportional coefficient.
+    equation-proportional coefficient.  The adjoint-symmetry residual of
+    each lam stays in the system's memo for the system's lifetime.
     """
     lam = _as_characteristic(lam, len(sys.dep))
     residuals = multiplier_residual(sys, lam)
@@ -269,13 +265,17 @@ TARGETS: dict[str, Callable] = {
 def characteristic_residual(sys: PdeSystem, target: str, phi
                             ) -> tuple[Expr, ...]:
     """The `TARGETS[target]` residual of phi, kept in the memo under
-    (target, phi); a substitution's reads `_jet_tables`.  A build that
-    raises, as a trivial substitution does, stores nothing."""
+    (target, phi); a substitution's D_J tables join it under
+    ("derivatives", phi).  A build that raises, as a trivial substitution
+    or a deadline does, stores neither."""
     phi = _as_characteristic(phi, len(sys.dep))
 
     def build():
         if target != "differential-substitution":
             return TARGETS[target](sys, phi)
         _require_nontrivial(sys, phi)
-        return _substitution_residual(sys, _jet_tables(sys, phi))
+        tables = tuple(map(derivatives, phi))
+        residual = _substitution_residual(sys, tables)
+        sys.memo(("derivatives", phi), lambda: tables)
+        return residual
     return sys.memo((target, phi), build)

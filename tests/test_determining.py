@@ -451,9 +451,37 @@ class TestCharacteristicMemo:
             with deadline(0):
                 characteristic_residual(thomas, target, phi)
         assert (target, phi) not in thomas._cache
+        assert ("derivatives", phi) not in thomas._cache
         fresh = thomas.with_solved(thomas.solved)
         assert characteristic_residual(thomas, target, phi) == \
             TARGETS[target](fresh, phi)
+
+    def test_substitution_cancelled_after_its_tables_stores_neither(
+            self, monkeypatch):
+        """The deadline passes inside the residual, once the D_J tables
+        exist."""
+        original = determining_module._substitution_residual
+
+        def late(*args):
+            with deadline(0):
+                return original(*args)
+
+        monkeypatch.setattr(determining_module, "_substitution_residual", late)
+        session = load_session(THOMAS.read_text(encoding="utf-8"))
+        sys, phi = session.require_system(), session.chars["sub3"]
+        with pytest.raises(CancelledComputation):
+            characteristic_residual(sys, "differential-substitution", phi)
+        assert ("differential-substitution", phi) not in sys._cache
+        assert ("derivatives", phi) not in sys._cache
+
+    def test_selfadjoint_check_leaves_no_characteristic_key(self):
+        session = load_session(THOMAS.read_text(encoding="utf-8"))
+        reports = run_named(session, "subB")
+        assert [r.command for r in reports] == [
+            "adjoint-check", "selfadjoint-check"]
+        sys = session.require_system()
+        assert characteristic_keys(sys) == [
+            ("adjoint-symmetry", session.chars["subB"])]
 
     def test_ansatz_leaves_no_characteristic_key(self):
         text = (ROOT / "src" / "conslaw_kit" / "corpus" / "wave.cl"

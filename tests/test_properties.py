@@ -765,6 +765,42 @@ class TestPrinterRendersEachAtomOnce:
             want = expr_text(e), expr_latex(e)
         assert (expr_text(e), expr_latex(e)) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(atoms, max_size=4, unique=True), st.data())
+    def test_every_atom_kind_prints_as_the_reference(self, pool, data):
+        """Terms over every atom kind (parameters, nested opaque
+        arguments and exponentials among them), beside f(u), f(v) and
+        f(u_x), which share a display key, and times `Poly`
+        coefficients, print as the reference does, expression by
+        expression, when one memo per notation serves them all.  LaTeX
+        has no form for a parameter as a function argument, which no
+        session declares; both printers raise the same error on it."""
+        def printed(render, e, *memo):
+            try:
+                return render(e, *memo)
+            except TypeError as ex:
+                return repr(ex)
+
+        pool = list(dict.fromkeys(
+            (*self.SHARED, *TestTermDisplayKey.SHARED, *pool)))
+        exprs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            pieces = []
+            for _ in range(data.draw(st.integers(1, 8))):
+                piece = data.draw(st.sampled_from(self.COEFFS))
+                for a in data.draw(st.lists(st.sampled_from(pool),
+                                            max_size=4, unique=True)):
+                    piece = piece * atom_expr(a) ** data.draw(
+                        st.integers(1, 3))
+                pieces.append(piece)
+            exprs.append(sum_exprs(pieces))
+        text, latex = {}, {}
+        got = [(expr_text(e, text), printed(expr_latex, e, latex))
+               for e in exprs]
+        with mock.patch.object(printer, "_terms", reference_terms):
+            assert got == [(expr_text(e), printed(expr_latex, e))
+                           for e in exprs]
+
     @st.composite
     def report_exprs(draw):
         """A sum of up to three terms whose factors f(u) and f(v) tie in

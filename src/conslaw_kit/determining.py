@@ -86,19 +86,29 @@ def e_decompose(e: Expr, sys: PdeSystem) -> EDecomposition:
     plus the marker's own bucket), and `quadratic` holds the rest, so
     `reassemble` still reproduces the input.
 
-    The markers and this shadow system are built once per system and kept
-    by `PdeSystem.memo`, so the shadow's replacement cache is reused by
-    later calls; a copy made by `PdeSystem.with_solved` starts without it.
+    The markers and this shadow system (`_shadow`) are built once per
+    system and kept by `PdeSystem.memo`, so its replacement cache is reused
+    by later calls and by `verify_divergence`, which shares the split
+    (`_split`); a copy made by `PdeSystem.with_solved` starts without it.
     """
-    def shadow_system():
+    markers, shadow = _shadow(sys)
+    return _split(sys, markers, shadow.reduce(e))
+
+
+def _shadow(sys: PdeSystem) -> tuple[tuple[str, ...], PdeSystem]:
+    """The markers and the substituted ("shadow") system of `sys`."""
+    def build():
         names = _fresh_names(sys, "Emark")
         return names, sys.with_solved(
             r + Expr.from_coeff(c.invert_unit()) * atom_expr(JetVar(name))
             for r, c, name in zip(sys.solved, sys.lead_coeff, names))
-    markers, shadow = sys.memo("e_decompose", shadow_system)
-    reduced = shadow.reduce(e)
-    checkpoint()
+    return sys.memo("e_decompose", build)
 
+
+def _split(sys: PdeSystem, markers: tuple[str, ...], reduced: Expr
+           ) -> EDecomposition:
+    """`e_decompose` of an expression from its form `reduced` in the shadow."""
+    checkpoint()
     atoms = reduced.atoms()
     marker_atoms = {a for a in atoms
                     if isinstance(a, JetVar) and a.dep in markers}

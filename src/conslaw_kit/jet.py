@@ -5,7 +5,10 @@ contraction of the jet gradient.  The chain rule lives in one place, the
 term walk behind `expression.jet_gradient`; `total_derivative` takes that
 walk's unsummed terms of de/da, raises each term of a jet coordinate's
 entry by its bump, keeps the entry of x_i and merges all of them in one
-`_gather`.
+`_gather`.  `PdeSystem.reduced_divergence` takes the same walk on the
+solution manifold: a coordinate whose bump the system rewrites has its
+terms multiplied by that image instead, so a replacement table and a
+conserved vector's divergence are reduced while they are formed.
 
 The engine's sums of iterated derivatives compute each total derivative
 once per multi-index in a call.  `derivatives(e)` is the table J -> D_J e,
@@ -36,8 +39,8 @@ from collections.abc import Callable, Iterable, Sequence
 from .expr.atoms import Atom, JetVar, MultiIndex, OpaqueDeriv, mono_mul
 from .expr.coeff import Poly
 from .expr.errors import ExprError, LeadingSolveError
-from .expr.expression import (Expr, _gather, _gradient_terms, atom_expr,
-                              partial, sum_exprs)
+from .expr.expression import (Expr, _gather, _gradient_terms, _products,
+                              atom_expr, partial, sum_exprs)
 from .expr.printer import atom_text
 from .expr.rules import RewriteRule, RuleSet, fixpoint
 from .record import Record
@@ -54,23 +57,26 @@ __all__ = [
 
 def total_derivative(e: Expr, var: str) -> Expr:
     """D_var e = de/dx_var + sum over the jet coordinates a of
-    de/da * D_var a, the contraction of the jet-gradient walk.
+    de/da * D_var a, the contraction of the jet-gradient walk."""
+    return _gather(_derivative_terms(e, var))
 
-    The chain rule lives in that walk (`_gradient_terms`), here as in
-    `jet_gradient`: each term of a coordinate a's entry is raised by
-    a.bump(var), the entry of x_var is kept as it is, and every term goes
-    into one `_gather`.  The walk leaves out the entries of the other
-    independent variables, which D_var would discard.
-    """
+
+def _derivative_terms(e: Expr, var: str, image=None) -> list:
+    """The terms of D_var e from one `_gradient_terms` walk: the entry of
+    x_var as it is (D_var discards the other variables'), each term of a
+    coordinate a's entry raised by a.bump(var), or times its `image`."""
     terms = []
     for a, ts in _gradient_terms(e, var).items():
-        if a.__class__ is JetVar:
-            da = ((a.bump(var), 1),)
-            for p, c in ts:
-                terms.append((mono_mul(p, da), c))
-        else:   # the entry of x_var, the only independent variable kept
+        if a.__class__ is not JetVar:   # the entry of x_var
             terms += ts
-    return _gather(terms)
+            continue
+        da = a.bump(var)
+        if image and (b := image(da)) is not None:
+            terms += _products(ts, b.terms)
+        else:
+            da = ((da, 1),)
+            terms += [(mono_mul(p, da), c) for p, c in ts]
+    return terms
 
 
 def derivatives(e: Expr) -> Callable[[MultiIndex], Expr]:
@@ -126,6 +132,7 @@ class PdeSystem(Record):
     rational/parameter product, L a jet atom and R free of every leading
     derivative and of their differential consequences.  `rules` constrain
     the opaque functions; every on-solution result is read under them.
+    Each `replacement` entry is one `reduced_divergence` of its parent.
     A copy (`with_solved`, pickle, `copy`) starts with an empty `memo`
     and an empty image table (`_image`).
     """
@@ -172,8 +179,15 @@ class PdeSystem(Record):
                 return self.solved[i]
             var = extra.names()[0]
             prev = self.replacement(i, extra.drop(var))
-            return self.reduce(total_derivative(prev, var))
+            return self.reduced_divergence(((var, prev),))
         return self.memo((i, extra), build)
+
+    def reduced_divergence(self, pairs: Iterable[tuple[str, Expr]]) -> Expr:
+        """`reduce` of the sum of D_var e over the (var, e) pairs in one
+        `_gather`, each coordinate's terms times the image of its bump: an
+        image taken early gives the same normal form exactly."""
+        return self.reduce(_gather([t for var, e in pairs for t in
+                                    _derivative_terms(e, var, self._image)]))
 
     def _image(self, a: Atom) -> Expr | None:
         """The rewrite of one atom, or None, from the image table, filled

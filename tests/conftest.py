@@ -13,7 +13,7 @@ from conslaw_kit.expr import (Expr, IndependentVar, JetVar, MultiIndex,
                               OpaqueDeriv, Parameter, atom_expr, exp_of,
                               ivar, param, rational)
 from conslaw_kit.expr.expression import jet, jet_atom
-from conslaw_kit.jet import PdeSystem, solve_leading
+from conslaw_kit.jet import PdeSystem, solve_leading, total_derivative
 from conslaw_kit.expr.rules import RewriteRule, RuleSet
 
 
@@ -23,6 +23,19 @@ def child_env(env: dict[str, str]) -> dict[str, str]:
     that writes no bytecode caches then leaves none from its children."""
     flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
     return env if flag is None else {**env, "PYTHONDONTWRITEBYTECODE": flag}
+
+
+def two_step_replacement(self: PdeSystem, i: int, extra: MultiIndex) -> Expr:
+    """`PdeSystem.replacement` as differentiate, then reduce: the chain
+    `reduced_divergence` fuses.  Patched onto `PdeSystem`, it makes a
+    cold copy build every replacement table as that chain does."""
+    def build() -> Expr:
+        if extra.order == 0:
+            return self.solved[i]
+        var = extra.names()[0]
+        prev = self.replacement(i, extra.drop(var))
+        return self.reduce(total_derivative(prev, var))
+    return self.memo((i, extra), build)
 
 
 class Syms:

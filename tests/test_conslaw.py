@@ -5,25 +5,31 @@ import functools
 import itertools
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import conslaw_kit.determining as determining_module
+import conslaw_kit.dsl.commands as commands_module
+from conslaw_kit.cancel import deadline
 from conslaw_kit.conslaw import (ConservedVector, Generator, _bracket_table,
-                                 compare_vectors, characteristic_W,
-                                 ibragimov_vector, verify_divergence)
-from conslaw_kit.determining import (_multiplier_substitution,
-                                     _substitution_residual)
+                                 _divergence, compare_vectors,
+                                 characteristic_W, ibragimov_vector,
+                                 verify_divergence)
+from conslaw_kit.determining import (_multiplier_substitution, _shadow,
+                                     _substitution_residual, e_decompose)
 from conslaw_kit.dsl import load_session, run_session_command
 from conslaw_kit.expr import (Expr, ExprError, JetVar, MultiIndex,
                               OpaqueDeriv, atom_expr, exp_of, rational)
-from conslaw_kit.expr.errors import TrivialSubstitutionError
+from conslaw_kit.expr.errors import (CancelledComputation,
+                                    TrivialSubstitutionError)
 from conslaw_kit.expr.expression import jet, jet_atom, jet_gradient, sum_exprs
-from conslaw_kit.jet import derivatives, solve_leading, total_derivative
+from conslaw_kit.jet import (PdeSystem, derivatives, solve_leading,
+                             total_derivative)
 from conslaw_kit.variational import formal_lagrangian
 
-from conftest import Syms as S, random_expr
+from conftest import Syms as S, random_expr, two_step_replacement
 from test_jet import ref_jet_partial
 
 
@@ -521,3 +527,110 @@ class TestSubstitutionVerdict:
             c.name for c in session.commands}
         assert verdict_keys(session.require_system()) == [
             ("differential-substitution", session.chars["scaleChar"])]
+
+
+SESSION_FILES = sorted(
+    [*(ROOT / "src" / "conslaw_kit" / "corpus").glob("*.cl"),
+     *(ROOT / "tests" / "data").glob("*.cl"),
+     *(ROOT / "perfbench" / "sessions").glob("*.cl")],
+    key=lambda p: (p.parent.name, p.name))
+
+
+def two_step_decomposition(sys, comps):
+    """`e_decompose` of the unreduced divergence, on a cold copy of `sys`
+    whose replacement tables are built by differentiating, then
+    reducing: the decomposition before the divergence was reduced while
+    it was formed."""
+    with mock.patch.object(PdeSystem, "replacement", two_step_replacement):
+        cold = sys.with_solved(sys.solved)
+        return e_decompose(_divergence(cold, comps), cold)
+
+
+def assert_same_decomposition(got, want, where):
+    assert list(got.coeffs.items()) == list(want.coeffs.items()), where
+    assert got.remainder == want.remainder, where
+    assert got.quadratic == want.quadratic, where
+    assert got.marker_deps == want.marker_deps, where
+
+
+class TestFusedDivergence:
+    """`verify_divergence` forms the divergence in the `e_decompose`
+    shadow system, reduced while it is differentiated, for user vectors
+    and `ConservedVector`s alike."""
+
+    @pytest.mark.parametrize("path", SESSION_FILES,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_decomposition_equals_the_two_step_one(self, path, monkeypatch):
+        seen, original = [], commands_module.verify_divergence
+
+        def spy(sys, vec):
+            report = original(sys, vec)
+            seen.append((sys, vec, report.decomposition))
+            return report
+
+        monkeypatch.setattr(commands_module, "verify_divergence", spy)
+        session = load_session(path.read_text(encoding="utf-8"))
+        for cmd in session.commands:
+            run_session_command(session, cmd)
+        assert len(seen) == sum(c.name in ("conslaw", "verify")
+                                for c in session.commands)
+        for k, (sys, vec, got) in enumerate(seen):
+            comps = vec.components if isinstance(vec, ConservedVector) else vec
+            assert_same_decomposition(
+                got, two_step_decomposition(sys, comps), (path.name, k))
+        if path.name == "exp-const.cl":   # the marker in an exponential
+            assert any(not d.is_linear for _, _, d in seen)
+
+    def test_every_session_file(self):
+        assert len(SESSION_FILES) == 11
+
+    def test_cancelled_verification_stores_no_interrupted_atom(
+            self, monkeypatch):
+        """The deadline passes inside the fused divergence of kdv5's
+        `conslaw timeTrans m3`, on a cold shadow.  Each shadow atom whose
+        image was being built then has no image entry and no replacement
+        key, every entry kept is the cold one, and the next verification
+        equals the cold decomposition."""
+        session = load_session((ROOT / "perfbench/sessions/kdv5-conslaw.cl"
+                                ).read_text(encoding="utf-8"))
+        sys = session.require_system()
+        vec = ibragimov_vector(sys, session.gens["timeTrans"],
+                               session.chars["m3"])
+        _, shadow = _shadow(sys)
+        started, finished = [], []
+        find, fused = PdeSystem._find_image, PdeSystem.reduced_divergence
+
+        def spy(self, a):
+            if self is shadow:
+                started.append(a)
+            image = find(self, a)
+            if self is shadow:
+                finished.append(a)
+            return image
+
+        def late(self, pairs):
+            pairs = tuple(pairs)
+            if len(pairs) == 1:   # a replacement build
+                return fused(self, pairs)
+            with deadline(0):
+                return fused(self, pairs)
+
+        with monkeypatch.context() as m:
+            m.setattr(PdeSystem, "_find_image", spy)
+            m.setattr(PdeSystem, "reduced_divergence", late)
+            with pytest.raises(CancelledComputation):
+                verify_divergence(sys, vec)
+        interrupted = [a for a in started if a not in finished]
+        assert interrupted
+        for a in interrupted:
+            assert a not in shadow._images
+            (lead,) = shadow.leading
+            assert (0, a.index - lead.index) not in shadow._cache
+        with mock.patch.object(PdeSystem, "replacement",
+                               two_step_replacement):
+            cold = shadow.with_solved(shadow.solved)
+            for key, value in shadow._cache.items():
+                assert cold.replacement(*key) == value, key
+        assert_same_decomposition(
+            verify_divergence(sys, vec).decomposition,
+            two_step_decomposition(sys, vec.components), "next call")

@@ -13,15 +13,18 @@ from conslaw_kit.expr import (ExpAtom, Expr, IndependentVar, JetVar,
                               MultiIndex, OpaqueDeriv, Parameter, atom_expr,
                               exp_of)
 from conslaw_kit.expr.coeff import Poly, as_poly, term_coeff
-from conslaw_kit.expr.errors import ExprError, LeadingSolveError
+from conslaw_kit.cancel import deadline
+from conslaw_kit.expr.errors import (CancelledComputation, ExprError,
+                                    LeadingSolveError)
 from conslaw_kit.expr.expression import (_gradient_terms, jet, jet_atom,
                                          jet_gradient, lowered, partial,
                                          raised, sum_exprs)
-from conslaw_kit.jet import (alternating_sum, derivatives, solve_leading,
+from conslaw_kit.jet import (PdeSystem, alternating_sum, derivatives,
+                             solve_leading,
                              total_derivative)
 from conslaw_kit.variational import euler
 
-from conftest import Syms as S, random_expr
+from conftest import Syms as S, random_expr, two_step_replacement
 
 
 class TestTotalDerivative:
@@ -578,6 +581,30 @@ class TestReduce:
             assert warm.reduce(e) == sys.with_solved(sys.solved).reduce(e), \
                 f"case {i} (seed 2025)"
         assert warm._images and warm._cache
+
+    def test_cancelled_replacement_stores_neither_key_nor_image(
+            self, thomas, monkeypatch):
+        """The deadline passes inside the fused derivative that builds a
+        replacement: the interrupted atom gets no image entry and its
+        replacement no key, and the next reduction equals the cold one."""
+        sys = thomas.with_solved(thomas.solved)
+        utxx = atom_expr(jet_atom("u", "x", "t", "t"))
+        fused = PdeSystem.reduced_divergence
+
+        def late(self, pairs):
+            with deadline(0):
+                return fused(self, pairs)
+
+        with monkeypatch.context() as m:
+            m.setattr(PdeSystem, "reduced_divergence", late)
+            with pytest.raises(CancelledComputation):
+                sys.reduce(utxx)
+        assert jet_atom("u", "x", "t", "t") not in sys._images
+        assert (0, MultiIndex.of("t")) not in sys._cache
+        with monkeypatch.context() as m:
+            m.setattr(PdeSystem, "replacement", two_step_replacement)
+            want = thomas.with_solved(thomas.solved).reduce(utxx)
+        assert sys.reduce(utxx) == want
 
     def test_shared_system_across_threads(self):
         import concurrent.futures

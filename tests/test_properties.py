@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conslaw_kit.determining import e_decompose
+from conslaw_kit.dsl import load_session, run_session_command
 from conslaw_kit.dsl.report import Report, emit
 from conslaw_kit.expr import (Atom, ExpAtom, Expr,
                               IndependentVar, JetVar, MultiIndex,
@@ -31,11 +32,11 @@ from conslaw_kit.expr.expression import jet, jet_atom, sum_exprs
 from conslaw_kit.expr import printer
 from conslaw_kit.expr.printer import (_atom_display_key, atom_text,
                                       expr_latex, expr_text)
-from conslaw_kit.jet import total_derivative
+from conslaw_kit.jet import PdeSystem, solve_leading, total_derivative
 from conslaw_kit.variational import adjoint_linearize, euler, linearize
 
 from conftest import (DEFAULT_POOL, Syms as S, child_env, random_expr,
-                      random_tree)
+                      random_tree, two_step_replacement)
 
 SMALL_POOL = (S.u_at, S.ux_at, S.ut_at, S.x_at, S.t_at)
 
@@ -279,6 +280,105 @@ class TestEDecomposeReassembly:
                     f"{sys.eq_names[0]} case {i} (seed 9001)"
                 count += 1
         assert count >= 100
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def session_system(path: str) -> PdeSystem:
+    return load_session((ROOT / path).read_text(encoding="utf-8")
+                        ).require_system()
+
+
+def replacement_entries(sys: PdeSystem) -> dict:
+    """The (i, extra) -> replacement entries of a system's memo."""
+    return {k: v for k, v in sys._cache.items() if isinstance(k, tuple)
+            and len(k) == 2 and isinstance(k[1], MultiIndex)}
+
+
+class TestReducedDivergence:
+    """`PdeSystem.reduced_divergence` forms the summed total derivatives
+    on the solution manifold in one gather; it must equal `reduce` of
+    their sum, on reduced and unreduced input."""
+
+    @staticmethod
+    def systems(wave):
+        xt = (S.x_at, S.t_at)
+        f = [OpaqueDeriv("f", xt, k) for k in ((1, 0), (1, 1), (2, 1))]
+        b = [OpaqueDeriv("B", xt, k) for k in ((0, 0), (0, 1), (1, 1))]
+        two = solve_leading(
+            ["t", "x"], ["u", "v"],
+            [S.ut - jet("v", "x"), jet("v", "t") - S.ux],
+            [S.ut_at, jet_atom("v", "t")], eq_names=["eqU", "eqV"])
+        return {
+            "wave": (wave, (S.u_at, S.ux_at, S.ut_at, S.utt_at, S.uxx_at,
+                            S.x_at, S.t_at)),
+            # rules on f and B, parameters, exponentials with parameters
+            "thomas": (session_system("src/conslaw_kit/corpus/thomas.cl"),
+                       (S.u_at, S.ut_at, S.ux_at, S.uxt_at, *f, *b,
+                        ALPHA_AT, S.x_at, S.t_at)),
+            "kdv5": (session_system("perfbench/sessions/kdv5-conslaw.cl"),
+                     (S.u_at, S.ux_at, S.ut_at, S.uxx_at,
+                      jet_atom("u", "t", "x"), jet_atom("u", *"xxx"),
+                      S.x_at)),
+            "first_order_wave": (two, (S.u_at, jet_atom("v"), S.ut_at,
+                                       jet_atom("v", "t"), S.ux_at,
+                                       jet_atom("v", "x"),
+                                       jet_atom("u", "t", "x"), S.x_at)),
+        }
+
+    def test_equals_reduce_of_the_total_derivatives(self, wave):
+        rng = random.Random(3939)
+        exponent = S.gamma * S.u + S.alpha * S.t - S.beta * S.x
+        count = 0
+        for name, (sys, pool) in self.systems(wave).items():
+            fused = sys.with_solved(sys.solved)
+            with mock.patch.object(PdeSystem, "replacement",
+                                   two_step_replacement):
+                ref = sys.with_solved(sys.solved)
+            for i in range(30):
+                es = []
+                for _ in sys.indep:
+                    e = random_expr(rng, pool=pool, max_terms=3,
+                                    allow_exp=True)
+                    if name == "thomas" and rng.random() < 0.3:
+                        e = e * exp_of(exponent)
+                    es.append(e if rng.random() < 0.5 else fused.reduce(e))
+                var = rng.choice(sys.indep)
+                with mock.patch.object(PdeSystem, "replacement",
+                                       two_step_replacement):
+                    one = ref.reduce(total_derivative(es[0], var))
+                    div = ref.reduce(sum_exprs(
+                        total_derivative(e, v) for v, e in zip(sys.indep, es)))
+                where = f"{name} case {i} (seed 3939)"
+                assert fused.reduced_divergence(((var, es[0]),)) == one, where
+                assert fused.reduced_divergence(zip(sys.indep, es)) == div, \
+                    where
+                count += 1
+        assert count >= 100
+
+    @pytest.mark.parametrize("name", ["wave.cl", "thomas.cl",
+                                      "klein-gordon.cl"])
+    def test_corpus_replacements_match_the_two_step_chain(self, name):
+        """Every replacement table entry a corpus `run` fills, in the
+        system and in its `e_decompose` shadow, equals the entry a cold
+        copy builds by differentiating, then reducing."""
+        session = load_session((ROOT / "src" / "conslaw_kit" / "corpus" /
+                                name).read_text(encoding="utf-8"))
+        for cmd in session.commands:
+            run_session_command(session, cmd)
+        sys = session.require_system()
+        systems = [sys]
+        if "e_decompose" in sys._cache:   # wave and Thomas verify vectors
+            systems.append(sys._cache["e_decompose"][1])
+        with mock.patch.object(PdeSystem, "replacement",
+                               two_step_replacement):
+            for warm in systems:
+                entries = replacement_entries(warm)
+                assert any(k[1].order for k in entries), name
+                cold = warm.with_solved(warm.solved)
+                for (i, extra), value in entries.items():
+                    assert cold.replacement(i, extra) == value, (name, i, extra)
 
 
 class TestPartialDerivation:

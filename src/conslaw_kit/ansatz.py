@@ -12,8 +12,10 @@ the Laurent polynomials in the parameters while every pivot is a unit,
 and otherwise by fraction-free steps on the same rows, with side
 conditions.  A nullspace vector is the tuple of its cleared numerators,
 one `Poly` per unknown; `entry_exprs` reads it as expressions.  Every
-vector is substituted back into the combined residual, which must
-vanish.
+vector is checked apart from the tagged residual: the residual of its
+combination, the numerators as the constants c_k, is computed from
+scratch and must vanish (a combination that vanishes identically needs
+no check).
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ up to the equivalences that leave a conservation law unchanged (overall
 sign, on-solution rewriting, divergence-free shifts).
 
 The weighted brackets of the formal Lagrangian are built once per
-system, in its `PdeSystem.memo`, as are a substitution's residual and
-D_J phi tables, which a `substitution-check` of it shares.
+system, in its `PdeSystem.memo`, as are a substitution's D_J phi tables,
+which a `substitution-check` of it shares, and its verdict: the
+adjoint-symmetry residual, which an `adjoint-check` or `multiplier-check`
+of it shares.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from collections.abc import Sequence
 
 from .cancel import checkpoint
 # `e_decompose` stays bound here, where perfbench's tracer rebinds it
-from .determining import (_multiplier_substitution, _shadow, _split,
-                          characteristic_residual, e_decompose)  # noqa: F401
+from .determining import (_multiplier_substitution, _require_nontrivial,
+                          _shadow, _split, characteristic_residual,
+                          e_decompose)  # noqa: F401
 from .expr.atoms import JetVar, MultiIndex
 from .expr.coeff import as_poly
 from .expr.errors import ExprError
@@ -136,17 +139,19 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     the system alone and come from `_bracket_table`.  This call forms W
     and one D_T(W) table per component.  The result then has phi
     substituted for the adjoined variables and is reduced on solutions;
-    the substitution residual and every component read one table of the
-    D_J phi.  With phi=None the components keep the symbolic multiplier
-    variables.
+    every component reads one table of the D_J phi.  With phi=None the
+    components keep the symbolic multiplier variables.
 
-    A phi that fails the substitution determining system is accepted (the
-    result is then generally not conserved); the failure is flagged on the
-    returned vector rather than raised, so negative probes stay cheap.
-    The verdict and the substitution read phi's entries in the memo, its
-    substitution residual and D_J tables, which stay there for the
-    system's lifetime, one set per phi probed, the tables growing as
-    they are read.
+    A phi that vanishes on solutions raises `TrivialSubstitutionError`.
+    Any other phi that fails the substitution determining system is
+    accepted (the result is then generally not conserved); the failure
+    is flagged on the returned vector rather than raised, so negative
+    probes stay cheap.  For a nontrivial phi that system's residual is
+    the adjoint-symmetry residual (the two are equal expressions), so
+    the verdict reads phi's adjoint-symmetry residual in the memo, and
+    the substitution its D_J tables; both stay there for the system's
+    lifetime, one set per phi probed, the tables growing as they are
+    read.
     """
     lagr = formal_lagrangian(sys)
     tables = [derivatives(w) for w in characteristic_W(sys, g)]
@@ -159,8 +164,9 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     substitution_ok = None
     if phi is not None:
         phi = _as_characteristic(phi, len(sys.dep))
+        _require_nontrivial(sys, phi)
         substitution_ok = all(x.is_zero for x in characteristic_residual(
-            sys, "differential-substitution", phi))
+            sys, "adjoint-symmetry", phi))
         sub = _multiplier_substitution(sys, sys.memo(
             ("derivatives", phi), lambda: tuple(map(derivatives, phi))))
         raw = [sub(c) for c in raw]

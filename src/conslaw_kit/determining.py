@@ -14,7 +14,10 @@ carry the marker's jet coordinates along.
 The residual functions compute afresh, as the ansatz's one-off
 combinations want; `characteristic_residual` keeps a named
 characteristic's residuals, and a substitution's D_J phi tables, in the
-system's `PdeSystem.memo`, so the commands that name it share them.
+system's `PdeSystem.memo`, so the commands that name it share them.  The
+adjoint-symmetry residual is also the `conslaw` substitution verdict;
+only `substitution-check` takes the substitution path, which stays an
+independent check of it.
 """
 
 from __future__ import annotations
@@ -275,16 +278,19 @@ TARGETS: dict[str, Callable] = {
 def characteristic_residual(sys: PdeSystem, target: str, phi
                             ) -> tuple[Expr, ...]:
     """The `TARGETS[target]` residual of phi, kept in the memo under
-    (target, phi); a substitution's D_J tables join it under
-    ("derivatives", phi).  A build that raises, as a trivial substitution
-    or a deadline does, stores neither."""
+    (target, phi).  A substitution's residual reads phi's D_J tables
+    from ("derivatives", phi), where `ibragimov_vector` keeps them, and
+    otherwise builds them and stores them there with the residual.  A
+    build that raises, as a trivial substitution or a deadline does,
+    stores neither."""
     phi = _as_characteristic(phi, len(sys.dep))
 
     def build():
         if target != "differential-substitution":
             return TARGETS[target](sys, phi)
         _require_nontrivial(sys, phi)
-        tables = tuple(map(derivatives, phi))
+        tables = (sys.cached(("derivatives", phi))
+                  or tuple(map(derivatives, phi)))
         residual = _substitution_residual(sys, tables)
         sys.memo(("derivatives", phi), lambda: tables)
         return residual

@@ -434,7 +434,8 @@ def _gradient_terms(e: Expr, var: str | None = None
     independent variable a on which e depends, in one walk of its terms;
     the keys come in term order.  This walk is the engine's chain rule.
     Given `var`, the entries of the other independent variables are left
-    out: the total derivative by `var` has no use for them.
+    out: the total derivative by `var` has no use for them.  The Euler
+    operator, which has no use for any, passes "", the name of none.
 
     A plain factor gives its lowered term.  An opaque factor g gives its
     lowered term raised by g's derivative in each slot: in the entry of the

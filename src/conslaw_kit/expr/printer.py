@@ -116,7 +116,9 @@ def _terms(e: Expr, coeff, factor, times: str, pad: str, memo: dict) -> str:
     A term sorts by degree descending, then by its factors' sorted
     (display key, -count) pairs, the counts of a key that atoms share
     (`f(u)`, `f(v)`) merged.  `memo` keeps each expression's text, each
-    atom's (display key, factor key) and each (atom, power)'s text."""
+    atom's (display key, factor key) and each (atom, power)'s text.
+    Factors are rendered in display order, so of two that cannot be
+    rendered the first one shown raises."""
     if e.is_zero:
         return "0"
     out = memo.get(e)
@@ -124,13 +126,10 @@ def _terms(e: Expr, coeff, factor, times: str, pad: str, memo: dict) -> str:
         return out
     keys = {}
     for powers, _ in e.terms:
-        for ak in powers:
-            a = ak[0]
+        for a, _ in powers:
             if a not in keys:
                 keys[a] = memo.get(a) or memo.setdefault(
                     a, (_atom_display_key(a), _factor_key(a)))
-            if ak not in memo:
-                memo[ak] = factor(*ak)
     shared = len({d for d, _ in keys.values()}) < len(keys)
 
     def display(t):
@@ -145,8 +144,8 @@ def _terms(e: Expr, coeff, factor, times: str, pad: str, memo: dict) -> str:
     pieces = []
     for t in sorted(e.terms, key=display):
         neg, ctext = coeff(t[1])
-        factors = [memo[ak] for ak in
-                   sorted(t[0], key=lambda ak: keys[ak[0]][1])]
+        factors = [memo.get(ak) or memo.setdefault(ak, factor(*ak))
+                   for ak in sorted(t[0], key=lambda ak: keys[ak[0]][1])]
         if ctext != "1" or not factors:
             factors.insert(0, ctext)
         pieces.append((neg, times.join(factors)))

@@ -24,7 +24,8 @@ from collections.abc import Iterable
 
 from .expr.atoms import JetVar, OpaqueDeriv
 from .expr.errors import ExprError
-from .expr.expression import Expr, atom_expr, jet_gradient, sum_exprs
+from .expr.expression import (Expr, _gather, _gradient_terms, atom_expr,
+                              jet_gradient, sum_exprs)
 from .jet import PdeSystem, alternating_sum, derivatives
 from .record import Record
 
@@ -48,11 +49,13 @@ def euler(e: Expr, dep: str) -> Expr:
     sum over the derivative indices J on which e depends of
     (-1)^|J| D_J (d e / d dep_J), evaluated nested by `alternating_sum`,
     so each index costs one total derivative.  Every d e / d dep_J comes
-    from one `jet_gradient` of e, so the sum truncates at the orders
-    actually present, and opaque functions of dep contribute through the
-    chain rule.
+    from one `_gradient_terms` walk of e, so the sum truncates at the
+    orders actually present, and opaque functions of dep contribute
+    through the chain rule.  The walk leaves out the independent
+    variables' entries ("" names none), and only dep's are summed.
     """
-    return alternating_sum((a.index, d) for a, d in jet_gradient(e).items()
+    return alternating_sum((a.index, _gather(ts))
+                           for a, ts in _gradient_terms(e, "").items()
                            if a.__class__ is JetVar and a.dep == dep)
 
 

@@ -17,8 +17,11 @@ from conslaw_kit.conslaw import (ConservedVector, Generator, _bracket_table,
                                  _divergence, compare_vectors,
                                  characteristic_W, ibragimov_vector,
                                  verify_divergence)
-from conslaw_kit.determining import (_multiplier_substitution, _shadow,
-                                     _substitution_residual, e_decompose)
+from conslaw_kit.determining import (TARGETS, _multiplier_substitution,
+                                     _shadow, _substitution_residual,
+                                     adjoint_symmetry_residual,
+                                     differential_substitution_residual,
+                                     e_decompose)
 from conslaw_kit.dsl import load_session, run_session_command
 from conslaw_kit.expr import (Expr, ExprError, JetVar, MultiIndex,
                               OpaqueDeriv, atom_expr, exp_of, rational)
@@ -475,31 +478,40 @@ cmd conslaw galilei bad;
 """
 
 
-def verdict_keys(sys):
-    return [k for k in sys._cache
-            if isinstance(k, tuple) and k[0] == "differential-substitution"]
+def verdict_keys(sys, target="adjoint-symmetry"):
+    """The memo keys of `target` residuals; by default those of the
+    adjoint-symmetry residual, which a `conslaw` verdict reads."""
+    return [k for k in sys._cache if isinstance(k, tuple) and k[0] == target]
 
 
 class TestSubstitutionVerdict:
-    """`ibragimov_vector` checks a substitution once per system."""
+    """`ibragimov_vector` checks a substitution once per system, on the
+    adjoint-symmetry residual it shares with `adjoint-check` and
+    `multiplier-check`."""
 
     def test_failing_phi_is_checked_once(self, monkeypatch):
-        calls = []
+        calls, substituted = [], []
 
-        def counted(*args):
-            calls.append(args)
+        def counted(sys, phi):
+            calls.append(phi)
+            return adjoint_symmetry_residual(sys, phi)
+
+        def spy(*args):
+            substituted.append(args)
             return _substitution_residual(*args)
 
+        monkeypatch.setitem(TARGETS, "adjoint-symmetry", counted)
         monkeypatch.setattr(determining_module, "_substitution_residual",
-                            counted)
+                            spy)
         session = load_session(KDV_SRC)
         sys, phi = session.require_system(), session.chars["bad"]
         reports = [run_session_command(session, cmd)
                    for cmd in session.commands]
-        assert len(calls) == 1
-        assert verdict_keys(sys) == [("differential-substitution", phi)]
+        assert calls == [phi] and substituted == []
+        assert verdict_keys(sys) == [("adjoint-symmetry", phi)]
+        assert verdict_keys(sys, "differential-substitution") == []
         assert not all(
-            x.is_zero for x in sys._cache[("differential-substitution", phi)])
+            x.is_zero for x in sys._cache[("adjoint-symmetry", phi)])
         vec = ibragimov_vector(sys, session.gens["timeTrans"], phi)
         assert vec.substitution_ok is False and len(calls) == 1
         assert [r.extra.get("warning", "").startswith(
@@ -512,10 +524,36 @@ class TestSubstitutionVerdict:
             with pytest.raises(TrivialSubstitutionError):
                 ibragimov_vector(sys, gen, session.chars["zero"])
         assert verdict_keys(sys) == []
+        assert [k for k in sys._cache
+                if isinstance(k, tuple) and isinstance(k[0], str)] == []
+
+    def test_cancelled_verdict_stores_neither_residual_nor_tables(
+            self, monkeypatch):
+        """The deadline passes inside the verdict's adjoint-symmetry
+        residual; the next call equals one on a cold copy."""
+        def late(sys, phi):
+            with deadline(0):
+                return adjoint_symmetry_residual(sys, phi)
+
+        session = load_session(KDV_SRC)
+        sys, gen = session.require_system(), session.gens["timeTrans"]
+        phi = session.chars["bad"]
+        with monkeypatch.context() as m:
+            m.setitem(TARGETS, "adjoint-symmetry", late)
+            with pytest.raises(CancelledComputation):
+                ibragimov_vector(sys, gen, phi)
+        assert ("adjoint-symmetry", phi) not in sys._cache
+        assert ("derivatives", phi) not in sys._cache
+        cold = ibragimov_vector(sys.with_solved(sys.solved), gen, phi)
+        vec = ibragimov_vector(sys, gen, phi)
+        assert (vec.components, vec.raw_components, vec.substitution_ok) == \
+            (cold.components, cold.raw_components, cold.substitution_ok)
 
     def test_residual_commands_leave_no_verdict(self):
-        """Of the residual commands, `substitution-check` stores the
-        residual a `conslaw` verdict reads; the ansatz stores none."""
+        """Of the residual commands, `adjoint-check` and
+        `multiplier-check` store the residual a `conslaw` verdict reads,
+        `substitution-check` the substitution residual; the ansatz
+        stores none."""
         session = load_session(
             (ROOT / "src/conslaw_kit/corpus/wave.cl").read_text(
                 encoding="utf-8")
@@ -525,8 +563,12 @@ class TestSubstitutionVerdict:
                 assert run_session_command(session, cmd).status != "error"
         assert {"substitution-check", "ansatz"} <= {
             c.name for c in session.commands}
-        assert verdict_keys(session.require_system()) == [
-            ("differential-substitution", session.chars["scaleChar"])]
+        sys, chars = session.require_system(), session.chars
+        assert verdict_keys(sys, "differential-substitution") == [
+            ("differential-substitution", chars["scaleChar"])]
+        assert verdict_keys(sys) == [
+            ("adjoint-symmetry", chars[name])
+            for name in ("scaleChar", "timeChar", "spaceChar")]
 
 
 SESSION_FILES = sorted(
@@ -534,6 +576,70 @@ SESSION_FILES = sorted(
      *(ROOT / "tests" / "data").glob("*.cl"),
      *(ROOT / "perfbench" / "sessions").glob("*.cl")],
     key=lambda p: (p.parent.name, p.name))
+
+
+class TestVerdictDualPath:
+    """The `conslaw` verdict reads the adjoint-symmetry residual; the
+    substitution path, which only `substitution-check` takes, is the
+    independent check that it answers the substitution's question."""
+
+    @pytest.mark.parametrize("path", SESSION_FILES,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_residuals_agree_and_verdicts_match_the_substitution_path(
+            self, path, monkeypatch):
+        session = load_session(path.read_text(encoding="utf-8"))
+        sys = session.require_system()
+        m = len(sys.dep)
+        for name, phi in session.chars.items():
+            if len(phi) != m or all(sys.reduce(c).is_zero for c in phi):
+                continue
+            a = differential_substitution_residual(sys, phi)
+            b = adjoint_symmetry_residual(sys, phi)
+            assert all((x - y).is_zero for x, y in zip(a, b)), \
+                (path.name, name)
+
+        verdicts, original = [], commands_module.ibragimov_vector
+
+        def spy(sys, gen, phi=None):
+            vec = original(sys, gen, phi)
+            if phi is not None:
+                verdicts.append((sys, phi, vec.substitution_ok))
+            return vec
+
+        monkeypatch.setattr(commands_module, "ibragimov_vector", spy)
+        session = load_session(path.read_text(encoding="utf-8"))
+        for cmd in session.commands:
+            run_session_command(session, cmd)
+        assert len(verdicts) == sum(c.name == "conslaw" and len(c.args) == 2
+                                    for c in session.commands)
+        for sys, phi, ok in verdicts:
+            cold = sys.with_solved(sys.solved)
+            assert ok == all(x.is_zero for x in
+                             differential_substitution_residual(cold, phi))
+
+    def test_every_session_file(self):
+        assert len(SESSION_FILES) == 11
+
+    @pytest.mark.parametrize("name, count", (("kdv5-conslaw.cl", 0),
+                                             ("thomas.cl", 1)))
+    def test_substitution_path_calls_in_one_run(self, name, count,
+                                                monkeypatch):
+        """Only `substitution-check` (thomas.cl's `sub3`) takes the
+        substitution path; six kdv5 and three Thomas `conslaw` verdicts
+        take none."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _substitution_residual(*args)
+
+        monkeypatch.setattr(determining_module, "_substitution_residual",
+                            spy)
+        (path,) = [p for p in SESSION_FILES if p.name == name]
+        session = load_session(path.read_text(encoding="utf-8"))
+        for cmd in session.commands:
+            assert run_session_command(session, cmd).status != "error"
+        assert len(calls) == count
 
 
 def two_step_decomposition(sys, comps):

@@ -17,7 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conslaw_kit.determining import e_decompose
 from conslaw_kit.dsl import load_session, run_session_command
@@ -865,35 +865,51 @@ class TestPrinterRendersEachAtomOnce:
             want = expr_text(e), expr_latex(e)
         assert (expr_text(e), expr_latex(e)) == want
 
+    @st.composite
+    def every_atom_exprs(draw):
+        """One to three sums of up to eight terms, each a coefficient (a
+        `Poly` among them) times up to four atoms, at powers up to 3,
+        drawn from a pool of every atom kind (parameters, nested opaque
+        arguments and exponentials among them) beside f(u), f(v) and
+        f(u_x), which share a display key."""
+        pool = list(dict.fromkeys((
+            *TestPrinterRendersEachAtomOnce.SHARED,
+            *TestTermDisplayKey.SHARED,
+            *draw(st.lists(atoms, max_size=4, unique=True)))))
+        exprs = []
+        for _ in range(draw(st.integers(1, 3))):
+            pieces = []
+            for _ in range(draw(st.integers(1, 8))):
+                piece = draw(st.sampled_from(
+                    TestPrinterRendersEachAtomOnce.COEFFS))
+                for a in draw(st.lists(st.sampled_from(pool), max_size=4,
+                                       unique=True)):
+                    piece = piece * atom_expr(a) ** draw(st.integers(1, 3))
+                pieces.append(piece)
+            exprs.append(sum_exprs(pieces))
+        return exprs
+
+    # f'(a) and f'(b), a and b parameters, which LaTeX cannot print as
+    # function arguments: f(u)*f'(b), shown first, must raise on b
+    F_PRIME = (OpaqueDeriv("f", (Parameter("a", False),), (1,)),
+               OpaqueDeriv("f", (Parameter("b", False),), (1,)))
+
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(atoms, max_size=4, unique=True), st.data())
-    def test_every_atom_kind_prints_as_the_reference(self, pool, data):
-        """Terms over every atom kind (parameters, nested opaque
-        arguments and exponentials among them), beside f(u), f(v) and
-        f(u_x), which share a display key, and times `Poly`
-        coefficients, print as the reference does, expression by
-        expression, when one memo per notation serves them all.  LaTeX
-        has no form for a parameter as a function argument, which no
-        session declares; both printers raise the same error on it."""
+    @given(every_atom_exprs())
+    @example([atom_expr(SHARED[0]) * atom_expr(F_PRIME[1])
+              + atom_expr(F_PRIME[0]) + Expr.const(6)])
+    def test_every_atom_kind_prints_as_the_reference(self, exprs):
+        """Terms over every atom kind print as the reference does,
+        expression by expression, when one memo per notation serves
+        them all.  LaTeX has no form for a parameter as a function
+        argument, which no session declares; both printers raise the
+        same error on it, on the first such factor shown."""
         def printed(render, e, *memo):
             try:
                 return render(e, *memo)
             except TypeError as ex:
                 return repr(ex)
 
-        pool = list(dict.fromkeys(
-            (*self.SHARED, *TestTermDisplayKey.SHARED, *pool)))
-        exprs = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            pieces = []
-            for _ in range(data.draw(st.integers(1, 8))):
-                piece = data.draw(st.sampled_from(self.COEFFS))
-                for a in data.draw(st.lists(st.sampled_from(pool),
-                                            max_size=4, unique=True)):
-                    piece = piece * atom_expr(a) ** data.draw(
-                        st.integers(1, 3))
-                pieces.append(piece)
-            exprs.append(sum_exprs(pieces))
         text, latex = {}, {}
         got = [(expr_text(e, text), printed(expr_latex, e, latex))
                for e in exprs]

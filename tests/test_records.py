@@ -90,7 +90,7 @@ def _samples() -> dict[type, Record]:
     ]
     # the per-system variational values, which the copies must not carry
     adjoint_system(sys_)
-    assert {*MEMO_KEYS, ("differential-substitution", char),
+    assert {*MEMO_KEYS, ("adjoint-symmetry", char),
             ("derivatives", char)} <= sys_._cache.keys()
     return {type(o): o for o in objs}
 

@@ -8,7 +8,7 @@ sign, on-solution rewriting, divergence-free shifts).
 
 The weighted brackets of the formal Lagrangian are built once per
 system, in its `PdeSystem.memo`, as are a substitution's D_J phi tables,
-which a `substitution-check` of it shares, and its verdict: the
+read from a `substitution-check` of it that ran first, and its verdict: the
 adjoint-symmetry residual, which an `adjoint-check` or `multiplier-check`
 of it shares.
 """

@@ -278,9 +278,8 @@ TARGETS: dict[str, Callable] = {
 def characteristic_residual(sys: PdeSystem, target: str, phi
                             ) -> tuple[Expr, ...]:
     """The `TARGETS[target]` residual of phi, kept in the memo under
-    (target, phi).  A substitution's residual reads phi's D_J tables
-    from ("derivatives", phi), where `ibragimov_vector` keeps them, and
-    otherwise builds them and stores them there with the residual.  A
+    (target, phi); a substitution's D_J tables join it under
+    ("derivatives", phi) unless a `conslaw` of phi stored them first.  A
     build that raises, as a trivial substitution or a deadline does,
     stores neither."""
     phi = _as_characteristic(phi, len(sys.dep))
@@ -289,8 +288,7 @@ def characteristic_residual(sys: PdeSystem, target: str, phi
         if target != "differential-substitution":
             return TARGETS[target](sys, phi)
         _require_nontrivial(sys, phi)
-        tables = (sys.cached(("derivatives", phi))
-                  or tuple(map(derivatives, phi)))
+        tables = tuple(map(derivatives, phi))
         residual = _substitution_residual(sys, tables)
         sys.memo(("derivatives", phi), lambda: tables)
         return residual

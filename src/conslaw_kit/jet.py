@@ -172,11 +172,6 @@ class PdeSystem(Record):
                 hit = self._cache.setdefault(key, hit)
         return hit
 
-    def cached(self, key) -> Any:
-        """This system's cached value for `key`, or None; builds nothing."""
-        with self._lock:
-            return self._cache.get(key)
-
     def replacement(self, i: int, extra: MultiIndex) -> Expr:
         """Reduced form of D_extra applied to equation i's solved RHS."""
         def build() -> Expr:

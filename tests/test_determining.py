@@ -387,36 +387,6 @@ class TestCharacteristicMemo:
                 ("derivatives", phi)} <= set(
                     characteristic_keys(session.require_system()))
 
-    def test_substitution_check_reuses_the_conslaw_tables(
-            self, monkeypatch):
-        """A `conslaw` before `substitution-check` builds phi's D_J
-        tables; the substitution residual reads that entry, and its
-        value is the cold one."""
-        calls, original = [], determining_module._substitution_residual
-
-        def spy(sys, tables):
-            calls.append(tables)
-            return original(sys, tables)
-
-        monkeypatch.setattr(determining_module, "_substitution_residual",
-                            spy)
-        session = load_session(THOMAS.read_text(encoding="utf-8"))
-        sys, phi = session.require_system(), session.chars["sub3"]
-        check, conslaw = [cmd for cmd in session.commands
-                          if cmd.name in ("substitution-check", "conslaw")
-                          and "sub3" in [v for _, v in cmd.args]]
-        assert run_session_command(session, conslaw).status == "zero"
-        tables = sys._cache["derivatives", phi]
-        assert calls == []
-        assert run_session_command(session, check).status == "zero"
-        assert len(calls) == 1 and calls[0] is tables
-        assert characteristic_keys(sys) == [
-            ("adjoint-symmetry", phi), ("derivatives", phi),
-            ("differential-substitution", phi)]
-        cold = sys.with_solved(sys.solved)
-        assert sys._cache["differential-substitution", phi] == \
-            differential_substitution_residual(cold, phi)
-
     def test_one_adjoint_residual_for_adjoint_and_multiplier_check(
             self, monkeypatch):
         calls = []

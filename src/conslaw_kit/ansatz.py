@@ -36,8 +36,8 @@ from .record import Record
 from .variational import _as_characteristic, _fresh_names, _names_used
 
 __all__ = [
-    "TARGETS", "AnsatzProblem", "LinearSolveResult", "build_and_split",
-    "solve_linear", "entry_exprs", "solve_ansatz",
+    "AnsatzProblem", "LinearSolveResult", "build_and_split", "solve_linear",
+    "entry_exprs", "solve_ansatz",
 ]
 
 class AnsatzProblem(Record):

@@ -7,10 +7,9 @@ up to the equivalences that leave a conservation law unchanged (overall
 sign, on-solution rewriting, divergence-free shifts).
 
 The weighted brackets of the formal Lagrangian are built once per
-system, in its `PdeSystem.memo`, as are a substitution's D_J phi tables,
-read from a `substitution-check` of it that ran first, and its verdict: the
-adjoint-symmetry residual, which an `adjoint-check` or `multiplier-check`
-of it shares.
+system, in its `PdeSystem.memo`, as are a substitution's D_J phi tables
+and its verdict: the adjoint-symmetry residual, which an `adjoint-check`,
+`multiplier-check` or `substitution-check` of it shares.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from collections.abc import Sequence
 
 from .cancel import checkpoint
 # `e_decompose` stays bound here, where perfbench's tracer rebinds it
-from .determining import (_multiplier_substitution, _require_nontrivial,
-                          _shadow, _split, characteristic_residual,
-                          e_decompose)  # noqa: F401
+from .determining import (_multiplier_substitution, _shadow, _split,
+                          characteristic_residual, e_decompose)  # noqa: F401
 from .expr.atoms import JetVar, MultiIndex
 from .expr.coeff import as_poly
 from .expr.errors import ExprError
@@ -146,12 +144,12 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     Any other phi that fails the substitution determining system is
     accepted (the result is then generally not conserved); the failure
     is flagged on the returned vector rather than raised, so negative
-    probes stay cheap.  For a nontrivial phi that system's residual is
-    the adjoint-symmetry residual (the two are equal expressions), so
-    the verdict reads phi's adjoint-symmetry residual in the memo, and
-    the substitution its D_J tables; both stay there for the system's
-    lifetime, one set per phi probed, the tables growing as they are
-    read.
+    probes stay cheap.  The verdict is phi's substitution residual from
+    `characteristic_residual`, its adjoint-symmetry residual in the memo;
+    the substitution reads phi's D_J tables, which this function alone
+    keeps in the memo, under ("derivatives", phi).  Both stay there for
+    the system's lifetime, one set per phi probed, the tables growing as
+    they are read.
     """
     lagr = formal_lagrangian(sys)
     tables = [derivatives(w) for w in characteristic_W(sys, g)]
@@ -164,9 +162,8 @@ def ibragimov_vector(sys: PdeSystem, g: Generator, phi=None) -> ConservedVector:
     substitution_ok = None
     if phi is not None:
         phi = _as_characteristic(phi, len(sys.dep))
-        _require_nontrivial(sys, phi)
         substitution_ok = all(x.is_zero for x in characteristic_residual(
-            sys, "adjoint-symmetry", phi))
+            sys, "differential-substitution", phi))
         sub = _multiplier_substitution(sys, sys.memo(
             ("derivatives", phi), lambda: tuple(map(derivatives, phi))))
         raw = [sub(c) for c in raw]

@@ -13,11 +13,12 @@ carry the marker's jet coordinates along.
 
 The residual functions compute afresh, as the ansatz's one-off
 combinations want; `characteristic_residual` keeps a named
-characteristic's residuals, and a substitution's D_J phi tables, in the
-system's `PdeSystem.memo`, so the commands that name it share them.  The
-adjoint-symmetry residual is also the `conslaw` substitution verdict;
-only `substitution-check` takes the substitution path, which stays an
-independent check of it.
+characteristic's residuals in the system's `PdeSystem.memo`, so the
+commands that name it share them.  A nontrivial substitution's residual
+is its adjoint-symmetry residual, so that entry is the substitution
+verdict of `substitution-check` and of `conslaw`; the substitution path
+(`differential_substitution_residual`), which only the ansatz's
+differential-substitution target takes, stays an independent check of it.
 """
 
 from __future__ import annotations
@@ -278,18 +279,13 @@ TARGETS: dict[str, Callable] = {
 def characteristic_residual(sys: PdeSystem, target: str, phi
                             ) -> tuple[Expr, ...]:
     """The `TARGETS[target]` residual of phi, kept in the memo under
-    (target, phi); a substitution's D_J tables join it under
-    ("derivatives", phi) unless a `conslaw` of phi stored them first.  A
+    (target, phi).  A nontrivial substitution's residual is its
+    adjoint-symmetry residual (the two are equal expressions), so
+    "differential-substitution" checks phi and reads that entry.  A
     build that raises, as a trivial substitution or a deadline does,
-    stores neither."""
+    stores nothing."""
     phi = _as_characteristic(phi, len(sys.dep))
-
-    def build():
-        if target != "differential-substitution":
-            return TARGETS[target](sys, phi)
+    if target == "differential-substitution":
         _require_nontrivial(sys, phi)
-        tables = tuple(map(derivatives, phi))
-        residual = _substitution_residual(sys, tables)
-        sys.memo(("derivatives", phi), lambda: tables)
-        return residual
-    return sys.memo((target, phi), build)
+        target = "adjoint-symmetry"
+    return sys.memo((target, phi), lambda: TARGETS[target](sys, phi))

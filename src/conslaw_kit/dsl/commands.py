@@ -8,9 +8,9 @@ errors).
 
 from __future__ import annotations
 
-from ..ansatz import AnsatzProblem, entry_exprs, solve_ansatz, TARGETS
+from ..ansatz import AnsatzProblem, entry_exprs, solve_ansatz
 from ..conslaw import Generator, ibragimov_vector, verify_divergence
-from ..determining import (adjoint_invariance_conditions,
+from ..determining import (TARGETS, adjoint_invariance_conditions,
                            characteristic_residual, selfadjoint_lambda)
 from ..expr.errors import ConslawError
 from ..expr.expression import Expr
@@ -156,10 +156,10 @@ def cmd_conslaw(session: Session, args) -> Report:
     if not args:
         raise UsageError("conslaw needs a generator (and usually a "
                          "substitution): conslaw <generator> [<substitution>]")
-    gen = _generator_arg(session, args[0][1])
-    phi = _characteristic(session, args[1][1]) if len(args) > 1 else None
     if len(args) > 2:
         raise UsageError("conslaw takes at most two arguments")
+    gen = _generator_arg(session, args[0][1])
+    phi = _characteristic(session, args[1][1]) if len(args) > 1 else None
     # without a substitution the adjoint variables stay in the components
     clash = sorted(set(adjoint_variables(sysm))
                    & _names_used((*gen.xi, *gen.eta))) if phi is None else []

@@ -18,9 +18,10 @@ each input is signed once, as (-1)^|J| f_J, and the pieces at J fold
 into the parent J - v before it is differentiated, so each index costs
 one D however many pieces share it, and no derivative is negated.  Both
 live only as long as their caller holds them; the one `derivatives`
-table kept across calls is a substitution's D_J phi table, which its
-system's `PdeSystem.memo` keeps under ("derivatives", phi), with the
-residuals of each characteristic a command names (see `determining`).
+table kept across calls is a `conslaw` substitution's D_J phi table,
+which `conslaw.ibragimov_vector` keeps in its system's `PdeSystem.memo`
+beside the residuals of each characteristic a command names (see
+`determining`).
 The memo and the image table are all a system keeps across calls.
 
 A `PdeSystem` designates one solved ("leading") derivative per equation

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conslaw_kit import ansatz
-from conslaw_kit.ansatz import (TARGETS, AnsatzProblem, LinearSolveResult,
+from conslaw_kit.ansatz import (AnsatzProblem, LinearSolveResult,
                                 _normalize_vector, _nullspace,
                                 build_and_split, entry_exprs, solve_ansatz,
                                 solve_linear)
 from conslaw_kit.cancel import checkpoint, deadline
-from conslaw_kit.determining import adjoint_symmetry_residual
+from conslaw_kit.determining import TARGETS, adjoint_symmetry_residual
 from conslaw_kit.dsl import load_session, parse_expression, run_session_command
 from conslaw_kit.expr import (Expr, IndependentVar, OpaqueDeriv, Parameter,
                               atom_expr, exp_of)

@@ -111,6 +111,15 @@ class TestExitCodes:
                             "detail: run takes no arguments\n")
         assert r.stderr == ""
 
+    def test_conslaw_with_three_arguments_exits_2_on_the_count(self):
+        """The argument count is checked before any name is resolved."""
+        r = run_cli("conslaw", "timeTrans", "bogus", "extra",
+                    "--session", THOMAS)
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == ("command: error\nstatus: error\n"
+                            "detail: conslaw takes at most two arguments\n")
+        assert r.stderr == ""
+
     def test_run_variational_check_with_argument_exits_2(self, tmp_path):
         path = tmp_path / "vc.cl"
         path.write_text(Path(WAVE).read_text() + "cmd variational-check foo;\n")
@@ -558,47 +567,62 @@ class TestBenchDigests:
         assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == want
 
 
-# SHA-256 of the report streams of tests/data/parametric.cl: printed
-# denominators, polynomial coefficients over a monomial, and side
-# conditions, which no benchmark session prints
-PARAMETRIC = PKG_ROOT / "tests" / "data" / "parametric.cl"
-PARAMETRIC_DIGESTS = {
-    "json": "85c303a0e082735cf65aa618511baf46b5f2e950526fec04021cd21f8c697193",
-    "text": "395729b3165aad8fef7036137800db5b379b66f437a3de2e2ff115339c99259a",
-    "latex": "9361cd5c028ab89755541b307da254d791b0894d8b364820477ea58483565ee4",
+# SHA-256 of the report streams of sessions in tests/data, per format:
+DATA = PKG_ROOT / "tests" / "data"
+DATA_DIGESTS = {
+    # printed denominators, polynomial coefficients over a monomial, and
+    # side conditions, which no benchmark session prints
+    "parametric": {
+        "json": "85c303a0e082735cf65aa618511baf46b5f2e950526fec04021cd21f8c697193",
+        "text": "395729b3165aad8fef7036137800db5b379b66f437a3de2e2ff115339c99259a",
+        "latex": "9361cd5c028ab89755541b307da254d791b0894d8b364820477ea58483565ee4",
+    },
+    # the Thomas adjoint-symmetry ansatz over 71 elements, as it was when
+    # every parametric system went through dense Bareiss elimination
+    "thomas-scale": {
+        "json": "d5acd350c3185e4653e86b4b9330655e8ef0e1ab0dce7e564de51213ebe348a3",
+        "text": "5636e4d04283cb66e6e77b59750b2fde712d6aa4cca76779fce0ed6e156de41c",
+        "latex": "bb00f60f7e4f3694fcb13ab81584e2eb62e29bd9c30dc65443b9339e5912cbaa",
+    },
+    # the heat equation's symmetry ansatz over eight elements in four
+    # generic parameters, solved by fraction-free Gauss-Jordan elimination
+    "fallback": {
+        "json": "38f4c7cc261f26d95f10bd9b8682fa1ee123ef7d66e109807bbf896810653d29",
+        "text": "99afb36b473c10c9336c27cace1f26ad8c744f7a6b2bcd9b1e0c18f0b8ecd3d7",
+        "latex": "9dd723442a1a86bb1ff89524db115d33dd2ce4b9608279fdca964179de80f584",
+    },
+    # the KdV equation with coefficients that become integers only after
+    # cancellation (halves that sum to 1, a*u/a), as it was when every
+    # term coefficient was a `Poly`
+    "coeff-cancel": {
+        "json": "abc075f6252f50e6d9bcd70a592c0146da1194d08286394396884ffd1316e5ef",
+        "text": "5202ad897a17f23e9c7dcb9d4e039461d153b72819abb7ac1e11f8fe3cd9823e",
+        "latex": "1e1702a1ba493829a1ac59cab8aa2ae0cd70b5656f13e6bb5304652e122ae0e9",
+    },
+    # the heat equation with exponentials whose exponents are constants,
+    # or collapse to constants on solutions, and with the equation inside
+    # exponentials
+    "exp-const": {
+        "json": "ab980bef0e57422dcaf194bb2ed123228e6379887d85168548104d132e42bb97",
+        "text": "65941216f2ba972e76c6af4fd996d3cdadb78ad080d38ce0f659a818f5cc1e38",
+        "latex": "fe782c568a9ce92760e0864435b0b8b2a0bf79c7db93bcab3601b9b55aef2d6a",
+    },
 }
+THOMAS_SCALE = DATA / "thomas-scale.cl"
+FALLBACK = DATA / "fallback.cl"
 
 
-@pytest.mark.parametrize("fmt", sorted(PARAMETRIC_DIGESTS))
-def test_parametric_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+@pytest.mark.parametrize("session", sorted(DATA_DIGESTS))
+def test_data_stream_matches_pinned_digest(session, fmt, capsys, monkeypatch):
     monkeypatch.setenv("CONSLAW_COLOR", "0")
-    assert cli.main(["run", "--session", str(PARAMETRIC),
+    assert cli.main(["run", "--session", str(DATA / f"{session}.cl"),
                      "--format", fmt]) == 0
     stream = capsys.readouterr().out
-    assert "/g^" in stream or "{g^" in stream
+    if session == "parametric":
+        assert "/g^" in stream or "{g^" in stream
     assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
-        PARAMETRIC_DIGESTS[fmt]
-
-
-# SHA-256 of the report streams of tests/data/thomas-scale.cl, the Thomas
-# adjoint-symmetry ansatz over 71 elements, as they were when every
-# parametric system went through dense Bareiss elimination
-THOMAS_SCALE = PKG_ROOT / "tests" / "data" / "thomas-scale.cl"
-THOMAS_SCALE_DIGESTS = {
-    "json": "d5acd350c3185e4653e86b4b9330655e8ef0e1ab0dce7e564de51213ebe348a3",
-    "text": "5636e4d04283cb66e6e77b59750b2fde712d6aa4cca76779fce0ed6e156de41c",
-    "latex": "bb00f60f7e4f3694fcb13ab81584e2eb62e29bd9c30dc65443b9339e5912cbaa",
-}
-
-
-@pytest.mark.parametrize("fmt", sorted(THOMAS_SCALE_DIGESTS))
-def test_thomas_scale_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
-    monkeypatch.setenv("CONSLAW_COLOR", "0")
-    assert cli.main(["run", "--session", str(THOMAS_SCALE),
-                     "--format", fmt]) == 0
-    stream = capsys.readouterr().out
-    assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
-        THOMAS_SCALE_DIGESTS[fmt]
+        DATA_DIGESTS[session][fmt]
 
 
 def _exact_div_calls(monkeypatch) -> list:
@@ -625,73 +649,9 @@ def test_unit_pivot_sessions_never_reach_bareiss(session, monkeypatch):
     assert calls == []
 
 
-# SHA-256 of the report streams of tests/data/fallback.cl, the heat
-# equation's symmetry ansatz over eight elements in four generic
-# parameters, solved by fraction-free Gauss-Jordan elimination
-FALLBACK = PKG_ROOT / "tests" / "data" / "fallback.cl"
-FALLBACK_DIGESTS = {
-    "json": "38f4c7cc261f26d95f10bd9b8682fa1ee123ef7d66e109807bbf896810653d29",
-    "text": "99afb36b473c10c9336c27cace1f26ad8c744f7a6b2bcd9b1e0c18f0b8ecd3d7",
-    "latex": "9dd723442a1a86bb1ff89524db115d33dd2ce4b9608279fdca964179de80f584",
-}
-
-
-@pytest.mark.parametrize("fmt", sorted(FALLBACK_DIGESTS))
-def test_fallback_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
-    monkeypatch.setenv("CONSLAW_COLOR", "0")
-    assert cli.main(["run", "--session", str(FALLBACK),
-                     "--format", fmt]) == 0
-    stream = capsys.readouterr().out
-    assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
-        FALLBACK_DIGESTS[fmt]
-
-
-# SHA-256 of the report streams of tests/data/coeff-cancel.cl, the KdV
-# equation with coefficients that become integers only after
-# cancellation (halves that sum to 1, a*u/a), as they were when every
-# term coefficient was a `Poly`
-COEFF_CANCEL = PKG_ROOT / "tests" / "data" / "coeff-cancel.cl"
-COEFF_CANCEL_DIGESTS = {
-    "json": "abc075f6252f50e6d9bcd70a592c0146da1194d08286394396884ffd1316e5ef",
-    "text": "5202ad897a17f23e9c7dcb9d4e039461d153b72819abb7ac1e11f8fe3cd9823e",
-    "latex": "1e1702a1ba493829a1ac59cab8aa2ae0cd70b5656f13e6bb5304652e122ae0e9",
-}
-
-
-@pytest.mark.parametrize("fmt", sorted(COEFF_CANCEL_DIGESTS))
-def test_coeff_cancel_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
-    monkeypatch.setenv("CONSLAW_COLOR", "0")
-    assert cli.main(["run", "--session", str(COEFF_CANCEL),
-                     "--format", fmt]) == 0
-    stream = capsys.readouterr().out
-    assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
-        COEFF_CANCEL_DIGESTS[fmt]
-
-
-# SHA-256 of the report streams of tests/data/exp-const.cl, the heat
-# equation with exponentials whose exponents are constants, or collapse
-# to constants on solutions, and with the equation inside exponentials
-EXP_CONST = PKG_ROOT / "tests" / "data" / "exp-const.cl"
-EXP_CONST_DIGESTS = {
-    "json": "ab980bef0e57422dcaf194bb2ed123228e6379887d85168548104d132e42bb97",
-    "text": "65941216f2ba972e76c6af4fd996d3cdadb78ad080d38ce0f659a818f5cc1e38",
-    "latex": "fe782c568a9ce92760e0864435b0b8b2a0bf79c7db93bcab3601b9b55aef2d6a",
-}
-
-
-@pytest.mark.parametrize("fmt", sorted(EXP_CONST_DIGESTS))
-def test_exp_const_stream_matches_pinned_digest(fmt, capsys, monkeypatch):
-    monkeypatch.setenv("CONSLAW_COLOR", "0")
-    assert cli.main(["run", "--session", str(EXP_CONST),
-                     "--format", fmt]) == 0
-    stream = capsys.readouterr().out
-    assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == \
-        EXP_CONST_DIGESTS[fmt]
-
-
 # tests/data/rule-param.cl: its parameter c1 appears only in a rule, so
 # the ansatz unknowns move to the next stem, cc
-RULE_PARAM = PKG_ROOT / "tests" / "data" / "rule-param.cl"
+RULE_PARAM = DATA / "rule-param.cl"
 
 
 def test_rule_parameter_is_no_unknown_name(capsys, monkeypatch):

@@ -550,25 +550,32 @@ class TestSubstitutionVerdict:
             (cold.components, cold.raw_components, cold.substitution_ok)
 
     def test_residual_commands_leave_no_verdict(self):
-        """Of the residual commands, `adjoint-check` and
-        `multiplier-check` store the residual a `conslaw` verdict reads,
-        `substitution-check` the substitution residual; the ansatz
-        stores none."""
+        """Of the residual commands, `adjoint-check`, `multiplier-check`
+        and `substitution-check` store the residual a `conslaw` verdict
+        reads; the ansatz stores none."""
+        text = (ROOT / "src/conslaw_kit/corpus/wave.cl").read_text(
+            encoding="utf-8")
         session = load_session(
-            (ROOT / "src/conslaw_kit/corpus/wave.cl").read_text(
-                encoding="utf-8")
-            + "cmd ansatz differential-substitution scaleChar timeChar;\n")
+            text + "cmd ansatz differential-substitution scaleChar timeChar;\n")
         for cmd in session.commands:
             if cmd.name != "conslaw":
                 assert run_session_command(session, cmd).status != "error"
         assert {"substitution-check", "ansatz"} <= {
             c.name for c in session.commands}
         sys, chars = session.require_system(), session.chars
-        assert verdict_keys(sys, "differential-substitution") == [
-            ("differential-substitution", chars["scaleChar"])]
+        assert verdict_keys(sys, "differential-substitution") == []
         assert verdict_keys(sys) == [
             ("adjoint-symmetry", chars[name])
             for name in ("scaleChar", "timeChar", "spaceChar")]
+
+        session = load_session(text)
+        (cmd,) = [c for c in session.commands
+                  if c.name == "substitution-check"]
+        assert run_session_command(session, cmd).status == "zero"
+        sys = session.require_system()
+        assert [k for k in sys._cache
+                if isinstance(k, tuple) and isinstance(k[0], str)] == [
+            ("adjoint-symmetry", session.chars["scaleChar"])]
 
 
 SESSION_FILES = sorted(
@@ -579,9 +586,10 @@ SESSION_FILES = sorted(
 
 
 class TestVerdictDualPath:
-    """The `conslaw` verdict reads the adjoint-symmetry residual; the
-    substitution path, which only `substitution-check` takes, is the
-    independent check that it answers the substitution's question."""
+    """`substitution-check` and the `conslaw` verdict read the
+    adjoint-symmetry residual; the substitution path, which no command
+    takes, is the independent check that it answers the substitution's
+    question."""
 
     @pytest.mark.parametrize("path", SESSION_FILES,
                              ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -608,25 +616,33 @@ class TestVerdictDualPath:
 
         monkeypatch.setattr(commands_module, "ibragimov_vector", spy)
         session = load_session(path.read_text(encoding="utf-8"))
+        checks = []
         for cmd in session.commands:
-            run_session_command(session, cmd)
+            report = run_session_command(session, cmd)
+            if cmd.name == "substitution-check":
+                checks.append((commands_module._char_arg(session, cmd.args),
+                               report))
         assert len(verdicts) == sum(c.name == "conslaw" and len(c.args) == 2
                                     for c in session.commands)
         for sys, phi, ok in verdicts:
             cold = sys.with_solved(sys.solved)
             assert ok == all(x.is_zero for x in
                              differential_substitution_residual(cold, phi))
+        sys = session.require_system()
+        for phi, report in checks:
+            cold = sys.with_solved(sys.solved)
+            assert [r for _, r in report.residuals] == list(
+                differential_substitution_residual(cold, phi)), path.name
 
     def test_every_session_file(self):
         assert len(SESSION_FILES) == 11
 
-    @pytest.mark.parametrize("name, count", (("kdv5-conslaw.cl", 0),
-                                             ("thomas.cl", 1)))
-    def test_substitution_path_calls_in_one_run(self, name, count,
-                                                monkeypatch):
-        """Only `substitution-check` (thomas.cl's `sub3`) takes the
-        substitution path; six kdv5 and three Thomas `conslaw` verdicts
-        take none."""
+    @pytest.mark.parametrize("path", SESSION_FILES,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_substitution_path_calls_in_one_run(self, path, monkeypatch):
+        """No command takes the substitution path: the `substitution-check`
+        and `conslaw` verdicts read the adjoint-symmetry residual, and no
+        substitution residual is stored."""
         calls = []
 
         def spy(*args):
@@ -635,11 +651,12 @@ class TestVerdictDualPath:
 
         monkeypatch.setattr(determining_module, "_substitution_residual",
                             spy)
-        (path,) = [p for p in SESSION_FILES if p.name == name]
         session = load_session(path.read_text(encoding="utf-8"))
         for cmd in session.commands:
             assert run_session_command(session, cmd).status != "error"
-        assert len(calls) == count
+        assert calls == []
+        assert verdict_keys(session.require_system(),
+                            "differential-substitution") == []
 
 
 def two_step_decomposition(sys, comps):

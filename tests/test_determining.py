@@ -367,25 +367,33 @@ class TestCharacteristicMemo:
     that name it."""
 
     def test_one_substitution_residual_for_three_commands(self, monkeypatch):
-        calls, original = [], determining_module._substitution_residual
+        """`adjoint-check`, `substitution-check` and `conslaw` of `sub3`
+        read one adjoint-symmetry residual; none takes the substitution
+        path."""
+        calls, substituted = [], []
+        original = determining_module._substitution_residual
 
-        def counted(*args):
-            calls.append(args)
+        def counted(sys, phi):
+            calls.append(phi)
+            return adjoint_symmetry_residual(sys, phi)
+
+        def spy(*args):
+            substituted.append(args)
             return original(*args)
 
-        monkeypatch.setattr(determining_module, "_substitution_residual",
-                            counted)
+        monkeypatch.setitem(TARGETS, "adjoint-symmetry", counted)
+        monkeypatch.setattr(determining_module, "_substitution_residual", spy)
         session = load_session(THOMAS.read_text(encoding="utf-8"))
         reports = run_named(session, "sub3")
         assert [r.command for r in reports] == [
             "adjoint-check", "substitution-check", "conslaw"]
         assert [r.status for r in reports] == ["zero"] * 3
         assert "warning" not in reports[2].extra
-        assert len(calls) == 1
         phi = session.chars["sub3"]
-        assert {("differential-substitution", phi), ("adjoint-symmetry", phi),
-                ("derivatives", phi)} <= set(
-                    characteristic_keys(session.require_system()))
+        assert calls == [phi] and substituted == []
+        keys = characteristic_keys(session.require_system())
+        assert {("adjoint-symmetry", phi), ("derivatives", phi)} <= set(keys)
+        assert ("differential-substitution", phi) not in keys
 
     def test_one_adjoint_residual_for_adjoint_and_multiplier_check(
             self, monkeypatch):
@@ -458,21 +466,24 @@ class TestCharacteristicMemo:
 
     def test_substitution_cancelled_after_its_tables_stores_neither(
             self, monkeypatch):
-        """The deadline passes inside the residual, once the D_J tables
-        exist."""
-        original = determining_module._substitution_residual
-
-        def late(*args):
+        """The deadline passes inside the adjoint-symmetry residual that a
+        substitution's residual reads; the next call equals one on a cold
+        copy."""
+        def late(sys, phi):
             with deadline(0):
-                return original(*args)
+                return adjoint_symmetry_residual(sys, phi)
 
-        monkeypatch.setattr(determining_module, "_substitution_residual", late)
         session = load_session(THOMAS.read_text(encoding="utf-8"))
         sys, phi = session.require_system(), session.chars["sub3"]
-        with pytest.raises(CancelledComputation):
-            characteristic_residual(sys, "differential-substitution", phi)
-        assert ("differential-substitution", phi) not in sys._cache
-        assert ("derivatives", phi) not in sys._cache
+        with monkeypatch.context() as m:
+            m.setitem(TARGETS, "adjoint-symmetry", late)
+            with pytest.raises(CancelledComputation):
+                characteristic_residual(sys, "differential-substitution", phi)
+        assert characteristic_keys(sys) == []
+        cold = sys.with_solved(sys.solved)
+        assert characteristic_residual(
+            sys, "differential-substitution", phi) == \
+            characteristic_residual(cold, "differential-substitution", phi)
 
     def test_selfadjoint_check_leaves_no_characteristic_key(self):
         session = load_session(THOMAS.read_text(encoding="utf-8"))
